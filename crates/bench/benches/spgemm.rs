@@ -98,11 +98,29 @@ fn bench_serve_hot_path(c: &mut Criterion) {
     group.finish();
 }
 
+/// One layer of the `forward_batch` benchmark workload: a 64-row batch
+/// against 256x256 weights at the ResNet-50 proxy's mean sparsities
+/// (activations 49 %, weights 68 %), split into its two kernel calls.
+fn bench_forward_hot_path(c: &mut Criterion) {
+    let mut group = c.benchmark_group("forward_hot_path_64x256x256");
+    group.sample_size(10);
+    let kernel = BitmapSpGemm::new(GpuConfig::v100());
+    let a = Matrix::random_sparse(64, 256, 0.49, SparsityPattern::Uniform, 21);
+    let b = Matrix::random_sparse(256, 256, 0.68, SparsityPattern::Uniform, 42);
+    let (a_enc, b_enc) = (kernel.encode_a(&a), kernel.encode_b(&b));
+    group.bench_function("encode_a", |bench| bench.iter(|| black_box(kernel.encode_a(&a))));
+    group.bench_function("execute_encoded", |bench| {
+        bench.iter(|| black_box(kernel.execute_encoded(&a_enc, &b_enc)))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_scheme_estimation,
     bench_functional_spgemm,
     bench_word_vs_scalar,
-    bench_serve_hot_path
+    bench_serve_hot_path,
+    bench_forward_hot_path
 );
 criterion_main!(benches);

@@ -63,6 +63,11 @@ impl TwoLevelBitmapMatrix {
     /// encode the serve hot path pays, so the whole-matrix rounding pass it
     /// removes is measured in `BENCH_kernels.json`'s `serve_hot_path` cell.
     ///
+    /// Cost: one significance test per element and one rounding per kept
+    /// value for column-major tiles at most 64 columns wide (the A operand;
+    /// see `BitmapMatrix::encode_tile`), three allocations per tile plus a
+    /// constant few for the tile grid.
+    ///
     /// # Panics
     /// Panics if either tile dimension is zero.
     pub fn encode_f16(

@@ -733,6 +733,32 @@ mod tests {
         Matrix::random_sparse(m, n, s, SparsityPattern::Uniform, seed)
     }
 
+    /// A tiling of single-warp blocks with the given warp tile.
+    fn warp_tiling(warp_m: usize, warp_n: usize, warp_k: usize) -> GemmTiling {
+        GemmTiling { block_m: warp_m, block_n: warp_n, block_k: warp_k, warp_m, warp_n, warp_k }
+    }
+
+    /// Overwrites `count` seed-chosen elements of `m` with the values FP16
+    /// storage turns non-finite: infinities, NaN, and magnitudes past 65504.
+    fn seed_non_finite(m: &mut Matrix, count: usize, seed: u64) {
+        const SPECIALS: [f32; 5] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 70000.0, -1.0e9];
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..count {
+            let (r, c) = (rng.random_range(0..m.rows()), rng.random_range(0..m.cols()));
+            m[(r, c)] = SPECIALS[rng.random_range(0..SPECIALS.len())];
+        }
+    }
+
+    /// Bit-for-bit equality, except that a NaN matches any NaN: the sign and
+    /// payload of a NaN produced by arithmetic are unspecified.
+    fn same_bits(x: &Matrix, y: &Matrix) -> bool {
+        (x.rows(), x.cols()) == (y.rows(), y.cols())
+            && x.as_slice()
+                .iter()
+                .zip(y.as_slice())
+                .all(|(a, b)| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()))
+    }
+
     #[test]
     fn execute_matches_dense_reference_across_sparsities() {
         for (sa, sb) in [(0.0, 0.0), (0.5, 0.5), (0.9, 0.0), (0.0, 0.9), (0.95, 0.95)] {
@@ -1020,17 +1046,38 @@ mod tests {
     fn word_path_is_bit_identical_across_thread_counts() {
         // Big enough that the threaded path actually engages (>= 64 output
         // tiles): every thread count must produce the same bits.
+        // The native tiling runs the width-specialised MAC step, the 24-wide
+        // one the runtime-width step.
         let a = random(1024, 128, 0.8, 102);
         let b = random(128, 128, 0.7, 103);
-        let base = kernel();
-        let (a_enc, b_enc) = (base.encode_a(&a), base.encode_b(&b));
-        let serial = base.execute_encoded(&a_enc, &b_enc);
-        assert!(serial.approx_eq(&a.matmul(&b), 1e-2));
-        for threads in [0, 2, 3, 7] {
-            let k = kernel().with_execute_threads(threads);
-            assert_eq!(k.execute_threads(), threads);
-            assert_eq!(k.execute_encoded(&a_enc, &b_enc), serial, "threads {threads}");
+        for base in [kernel(), kernel().with_tiling(warp_tiling(32, 24, 16))] {
+            let (a_enc, b_enc) = (base.encode_a(&a), base.encode_b(&b));
+            let serial = base.execute_encoded(&a_enc, &b_enc);
+            assert_eq!(serial, base.execute_encoded_scalar(&a_enc, &b_enc));
+            assert!(serial.approx_eq(&a.matmul(&b), 1e-2));
+            for threads in [0, 2, 3, 7] {
+                let k = base.clone().with_execute_threads(threads);
+                assert_eq!(k.execute_threads(), threads);
+                assert_eq!(k.execute_encoded(&a_enc, &b_enc), serial, "threads {threads}");
+            }
         }
+    }
+
+    #[test]
+    fn non_finite_activations_never_meet_the_zero_filled_b_columns() {
+        // One infinite A value against a B row with a single non-zero: the
+        // scalar reference (and the hardware) issues exactly one MAC, so
+        // every other output of that row stays zero instead of `inf * 0`.
+        let mut a = Matrix::zeros(32, 16);
+        a[(3, 5)] = f32::INFINITY;
+        a[(4, 5)] = 2.0;
+        let mut b = Matrix::zeros(16, 32);
+        b[(5, 7)] = 1.5;
+        let k = kernel();
+        let out = k.execute_encoded(&k.encode_a(&a), &k.encode_b(&b));
+        assert_eq!(out[(3, 7)], f32::INFINITY);
+        assert_eq!(out[(4, 7)], 3.0);
+        assert_eq!(out.nnz(), 2, "no NaN planted beside the one infinite product");
     }
 
     #[test]
@@ -1054,9 +1101,12 @@ mod tests {
 
     proptest::proptest! {
         // Differential property: the word-parallel kernel is bit-identical
-        // to the retained scalar reference across layouts (three warp
-        // tilings, incl. a non-square 16x8x8), sparsities (incl. 0.0 and
-        // ~1.0) and edge-tile shapes, with the threaded path enabled.
+        // to the retained scalar reference across layouts (the two native
+        // 32-wide tilings on the width-specialised MAC step; 8-, 24- and
+        // 64-wide ones, incl. a non-square 16x8x8, on the runtime-width
+        // step), sparsities (incl. 0.0 and ~1.0), edge-tile shapes, thread
+        // counts, and operands seeded with values FP16 storage turns
+        // non-finite.
         #[test]
         fn word_and_scalar_paths_agree_bitwise(
             seed in proptest::any::<u64>(),
@@ -1065,30 +1115,29 @@ mod tests {
             n in 1usize..=80,
             sa_idx in 0usize..6,
             sb_idx in 0usize..6,
-            tiling_idx in 0usize..3,
+            tiling_idx in 0usize..5,
+            threads in 1usize..=3,
+            non_finite in 0usize..=4,
         ) {
             const SPARSITIES: [f64; 6] = [0.0, 0.3, 0.75, 0.95, 0.999, 1.0];
             let tiling = match tiling_idx {
                 0 => GemmTiling::paper_spgemm(),
                 1 => GpuConfig::a100().native_tiling(),
-                _ => GemmTiling {
-                    block_m: 32,
-                    block_n: 16,
-                    block_k: 8,
-                    warp_m: 16,
-                    warp_n: 8,
-                    warp_k: 8,
-                },
+                2 => GemmTiling { block_m: 32, block_n: 16, ..warp_tiling(16, 8, 8) },
+                3 => warp_tiling(32, 24, 16),
+                _ => warp_tiling(16, 64, 8),
             };
             let k = BitmapSpGemm::new(GpuConfig::v100())
                 .with_tiling(tiling)
-                .with_execute_threads(3);
-            let a = random(m, kd, SPARSITIES[sa_idx], seed);
-            let b = random(kd, n, SPARSITIES[sb_idx], seed ^ 0x9e37_79b9);
+                .with_execute_threads(threads);
+            let mut a = random(m, kd, SPARSITIES[sa_idx], seed);
+            let mut b = random(kd, n, SPARSITIES[sb_idx], seed ^ 0x9e37_79b9);
+            seed_non_finite(&mut a, non_finite, seed ^ 0xa);
+            seed_non_finite(&mut b, non_finite / 2, seed ^ 0xb);
             let (a_enc, b_enc) = (k.encode_a(&a), k.encode_b(&b));
             let word = k.execute_encoded(&a_enc, &b_enc);
             let scalar = k.execute_encoded_scalar(&a_enc, &b_enc);
-            proptest::prop_assert_eq!(word, scalar);
+            proptest::prop_assert!(same_bits(&word, &scalar));
         }
     }
 

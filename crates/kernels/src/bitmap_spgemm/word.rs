@@ -11,16 +11,24 @@
 //!
 //! Layout of one GEMM:
 //!
-//! * **B preparation** (once per call): every non-empty B tile's condensed
-//!   rows are scattered into dense `warp_k x warp_n` step rows. A step's
-//!   accumulation is then a contiguous `axpy` over the tile row — the
-//!   auto-vectoriser turns it into SIMD FMAs — while the step's packed word
-//!   still short-circuits empty steps. Prepared tiles are shared read-only
-//!   across worker threads.
+//! * **B expansion** (once per call): every B tile's condensed rows are
+//!   scattered into dense `warp_k x warp_n` step rows inside one flat
+//!   tile-major buffer (two allocations per call, whatever the tile count).
+//!   A step's accumulation is then a contiguous `axpy` over the tile row,
+//!   while the step's packed word still short-circuits empty steps and
+//!   empty tiles. The expansion is shared read-only across worker threads.
+//! * **Width-specialised MAC step**: the step body is instantiated with the
+//!   tile width as a compile-time constant for the native `warp_n` (32), so
+//!   the `axpy` is straight-line SIMD; other tilings run the same body with
+//!   a runtime width.
+//! * **Non-finite A values** take a masked path that touches only the set
+//!   B bits: `inf * 0.0` over the zero-filled columns would otherwise plant
+//!   NaNs the scalar reference (and the hardware) never computes.
 //! * **Cache-blocked tile grid**: each output band (one `warp_m`-row strip)
 //!   walks `jn` in blocks of [`JN_BLOCK`] tiles with `kk` innermost, so the
-//!   block's accumulators stay L1-resident and the band's prepared A-tile
-//!   words are reused across the whole block.
+//!   block's accumulators stay L1-resident and the band's A-tile words
+//!   (one buffer per call, refilled per band) are reused across the whole
+//!   block.
 //! * **Within-GEMM parallelism**: output bands are distributed over scoped
 //!   [`std::thread`]s; each thread owns a disjoint row range of the output,
 //!   so the result is deterministic and bit-identical at any thread count.
@@ -37,107 +45,150 @@ const JN_BLOCK: usize = 4;
 /// pays for itself (thread startup is ~10 µs; a tile step chain is ~1 µs).
 const MIN_TILES_FOR_THREADS: usize = 64;
 
-/// One B tile with its condensed rows scattered into dense step rows.
-struct PreparedBTile {
-    /// `warp_k` rows of `warp_n` values: row `k` holds step `k`'s condensed
-    /// values scattered to their dense columns, zeros elsewhere.
+/// The device-native `warp_n` (V100 and A100 both): the width the MAC step
+/// is monomorphised for.
+const NATIVE_WN: usize = 32;
+
+/// Every B tile with its condensed rows scattered into dense step rows, in
+/// two flat tile-major buffers (tile `(kk, jn)` is cell `kk * grid_n + jn`).
+struct ExpandedB {
+    /// `warp_k * warp_n` values per cell: row `k` of a cell holds step `k`'s
+    /// condensed values scattered to their dense columns, zeros elsewhere,
+    /// so a tile's step rows stay contiguous.
     rows: Vec<f32>,
-    /// Packed step bitmaps; `words[k] == 0` short-circuits step `k`.
+    /// `warp_k` packed step bitmaps per cell; a zero word short-circuits
+    /// the step, and an empty tile is simply `warp_k` zero words.
     words: Vec<u64>,
+    /// Tile columns of the B grid (the cell stride of one `kk`).
+    grid_n: usize,
 }
 
-fn prepare_b_tile(tile: &BitmapMatrix, wk: usize, wn: usize) -> PreparedBTile {
-    let mut rows = vec![0.0f32; wk * wn];
-    let mut words = vec![0u64; wk];
-    for (k, word) in words.iter_mut().enumerate() {
-        let w = tile.vector_word(k);
-        *word = w;
-        if w == 0 {
-            continue;
-        }
-        let dst = &mut rows[k * wn..(k + 1) * wn];
-        let mut bits = w;
-        for &v in tile.vector_values(k) {
-            dst[bits.trailing_zeros() as usize] = v;
-            bits &= bits - 1;
+fn expand_b(b_enc: &TwoLevelBitmapMatrix, wk: usize, wn: usize) -> ExpandedB {
+    let (grid_k, grid_n) = (b_enc.grid_rows(), b_enc.grid_cols());
+    let mut rows = vec![0.0f32; grid_k * grid_n * wk * wn];
+    let mut words = vec![0u64; grid_k * grid_n * wk];
+    let cells = rows.chunks_exact_mut(wk * wn).zip(words.chunks_exact_mut(wk));
+    for (cell, (tile_rows, tile_words)) in cells.enumerate() {
+        let Some(tile) = b_enc.tile(cell / grid_n, cell % grid_n) else { continue };
+        for (k, (dst, word)) in tile_rows.chunks_exact_mut(wn).zip(tile_words).enumerate() {
+            let w = tile.vector_word(k);
+            *word = w;
+            let mut bits = w;
+            for &v in tile.vector_values(k) {
+                dst[bits.trailing_zeros() as usize] = v;
+                bits &= bits - 1;
+            }
         }
     }
-    PreparedBTile { rows, words }
+    ExpandedB { rows, words, grid_n }
 }
 
-/// Per-band A-tile preparation: the packed column word of every step plus a
-/// borrow of the tile for its condensed value slices.
-type PreparedATile<'a> = (Vec<u64>, &'a BitmapMatrix);
-
-fn prepare_a_band<'a>(
-    a_enc: &'a TwoLevelBitmapMatrix,
-    im: usize,
-    wk: usize,
-) -> Vec<Option<PreparedATile<'a>>> {
-    (0..a_enc.grid_cols())
-        .map(|kk| a_enc.tile(im, kk).map(|t| ((0..wk).map(|k| t.vector_word(k)).collect(), t)))
-        .collect()
+/// Refills `words` (`grid_k * warp_k` of them) with the packed column word
+/// of every step of band `im`'s A tiles; an empty tile is all-zero words.
+fn prepare_a_band(a_enc: &TwoLevelBitmapMatrix, im: usize, wk: usize, words: &mut [u64]) {
+    for (kk, tile_words) in words.chunks_exact_mut(wk).enumerate() {
+        match a_enc.tile(im, kk) {
+            Some(t) => {
+                for (k, word) in tile_words.iter_mut().enumerate() {
+                    *word = t.vector_word(k);
+                }
+            }
+            None => tile_words.fill(0),
+        }
+    }
 }
 
 /// Accumulates one surviving warp tile: for every step whose A and B words
-/// are both non-empty, gather the set A bits and `axpy` the prepared B row
+/// are both non-empty, gather the set A bits and `axpy` the expanded B row
 /// into the corresponding accumulator rows.
+///
+/// `WN` is the tile width as a compile-time constant, or `0` to take it
+/// from `wn` at run time: a constant width lets the `axpy` compile to
+/// straight-line SIMD instead of a runtime-trip-count loop.
 #[inline]
-fn tile_steps(
+fn tile_steps<const WN: usize>(
     a_words: &[u64],
     a_tile: &BitmapMatrix,
-    b: &PreparedBTile,
+    b_words: &[u64],
+    b_rows: &[f32],
     acc: &mut [f32],
     wn: usize,
 ) {
-    for (k, (&aw, &bw)) in a_words.iter().zip(&b.words).enumerate() {
+    let wn = if WN == 0 { wn } else { WN };
+    for (k, (&aw, &bw)) in a_words.iter().zip(b_words).enumerate() {
         if aw == 0 || bw == 0 {
             continue; // whole-step skip: one word test, as in hardware
         }
-        let a_vals = a_tile.vector_values(k);
-        let b_row = &b.rows[k * wn..(k + 1) * wn];
+        let b_row = &b_rows[k * wn..(k + 1) * wn];
         let mut bits = aw;
-        for &av in a_vals {
+        for &av in a_tile.vector_values(k) {
             let r = bits.trailing_zeros() as usize;
             bits &= bits - 1;
             let acc_row = &mut acc[r * wn..(r + 1) * wn];
-            for (o, &bv) in acc_row.iter_mut().zip(b_row) {
-                *o += av * bv;
+            if !av.is_finite() {
+                // `inf * 0.0` over the zero-filled columns would plant NaNs
+                // the hardware never computes (it issues no MAC there); walk
+                // only the set B bits, like the scalar reference.
+                let mut b_bits = bw;
+                while b_bits != 0 {
+                    let c = b_bits.trailing_zeros() as usize;
+                    b_bits &= b_bits - 1;
+                    acc_row[c] += av * b_row[c];
+                }
+            } else if WN == 0 {
+                for (o, &bv) in acc_row.iter_mut().zip(b_row) {
+                    *o += av * bv;
+                }
+            } else {
+                // Accumulate in a local copy: updating `acc_row` in place
+                // gets fully unrolled into scalar multiplies instead of
+                // vectorised.
+                let acc_row: &mut [f32; WN] = acc_row.try_into().expect("row is WN wide");
+                let b_row: &[f32; WN] = b_row.try_into().expect("row is WN wide");
+                let mut t = *acc_row;
+                for c in 0..WN {
+                    t[c] += av * b_row[c];
+                }
+                *acc_row = t;
             }
         }
     }
 }
 
 /// Executes the bands `band_lo..band_hi` into `out_chunk`, which must cover
-/// exactly the dense rows `band_lo * warp_m ..` of the output.
+/// exactly the dense rows `band_lo * warp_m ..` of the output. `WN` as in
+/// [`tile_steps`].
 #[allow(clippy::too_many_arguments)]
-fn run_bands(
+fn run_bands<const WN: usize>(
     a_enc: &TwoLevelBitmapMatrix,
-    b_prep: &[Option<PreparedBTile>],
+    b: &ExpandedB,
     bands: std::ops::Range<usize>,
     out_chunk: &mut [f32],
     out_rows: usize,
     out_cols: usize,
     (wm, wn, wk): (usize, usize, usize),
 ) {
-    let grid_n = b_prep.len() / a_enc.grid_cols().max(1);
-    let grid_k = a_enc.grid_cols();
+    let (grid_k, grid_n) = (a_enc.grid_cols(), b.grid_n);
     let chunk_row0 = bands.start * wm;
     let mut accs = vec![0.0f32; JN_BLOCK * wm * wn];
+    let mut a_words = vec![0u64; grid_k * wk];
     for im in bands {
-        let a_band = prepare_a_band(a_enc, im, wk);
+        prepare_a_band(a_enc, im, wk, &mut a_words);
         let row0 = im * wm;
         let valid_r = wm.min(out_rows - row0);
         let mut jb = 0;
         while jb < grid_n {
             let jend = (jb + JN_BLOCK).min(grid_n);
             accs.fill(0.0);
-            for (kk, a_cell) in a_band.iter().enumerate().take(grid_k) {
-                let Some((a_words, a_tile)) = a_cell else { continue };
+            for kk in 0..grid_k {
+                let Some(a_tile) = a_enc.tile(im, kk) else { continue };
+                let a_words = &a_words[kk * wk..(kk + 1) * wk];
                 for jn in jb..jend {
-                    let Some(bt) = &b_prep[kk * grid_n + jn] else { continue };
+                    let cell = kk * grid_n + jn;
+                    let b_words = &b.words[cell * wk..(cell + 1) * wk];
+                    let b_rows = &b.rows[cell * wk * wn..(cell + 1) * wk * wn];
                     let acc = &mut accs[(jn - jb) * wm * wn..(jn - jb + 1) * wm * wn];
-                    tile_steps(a_words, a_tile, bt, acc, wn);
+                    tile_steps::<WN>(a_words, a_tile, b_words, b_rows, acc, wn);
                 }
             }
             for jn in jb..jend {
@@ -167,20 +218,19 @@ pub(crate) fn execute(
     let (wm, wk) = (a_enc.tile_rows(), a_enc.tile_cols());
     let wn = b_enc.tile_cols();
     let (out_rows, out_cols) = (a_enc.rows(), b_enc.cols());
-    let (grid_m, grid_n, grid_k) = (a_enc.grid_rows(), b_enc.grid_cols(), a_enc.grid_cols());
+    let (grid_m, grid_n) = (a_enc.grid_rows(), b_enc.grid_cols());
 
-    // Dense-expand every non-empty B tile once; the serve path replays one
-    // pre-encoded weight operand against many activation batches, and each
-    // prepared tile is reused `grid_m` times within a single call.
-    let b_prep: Vec<Option<PreparedBTile>> = (0..grid_k * grid_n)
-        .map(|cell| b_enc.tile(cell / grid_n, cell % grid_n).map(|t| prepare_b_tile(t, wk, wn)))
-        .collect();
+    // Dense-expand B once per call; the serve path replays one pre-encoded
+    // weight operand against many activation batches, and each expanded
+    // tile is reused `grid_m` times within a single call.
+    let b = expand_b(b_enc, wk, wn);
 
     let mut out = Matrix::zeros(out_rows, out_cols);
     let dims = (wm, wn, wk);
+    let run = if wn == NATIVE_WN { run_bands::<NATIVE_WN> } else { run_bands::<0> };
     let threads = if grid_m * grid_n < MIN_TILES_FOR_THREADS { 1 } else { threads.min(grid_m) };
     if threads <= 1 {
-        run_bands(a_enc, &b_prep, 0..grid_m, out.as_mut_slice(), out_rows, out_cols, dims);
+        run(a_enc, &b, 0..grid_m, out.as_mut_slice(), out_rows, out_cols, dims);
         return out;
     }
 
@@ -196,9 +246,9 @@ pub(crate) fn execute(
             let chunk_rows = (band_hi * wm).min(out_rows) - band_lo * wm;
             let (chunk, tail) = rest.split_at_mut(chunk_rows * out_cols);
             rest = tail;
-            let b_prep = &b_prep;
+            let b = &b;
             scope.spawn(move || {
-                run_bands(a_enc, b_prep, band_lo..band_hi, chunk, out_rows, out_cols, dims);
+                run(a_enc, b, band_lo..band_hi, chunk, out_rows, out_cols, dims);
             });
             band_lo = band_hi;
         }

@@ -140,15 +140,16 @@ impl EncodedModel {
             self.spec,
             "kernel encoding spec does not match the model's"
         );
-        let mut x = input.clone();
+        let mut x: Option<Matrix> = None;
         for layer in &self.layers {
-            let a_enc = kernel.encode_a(&x);
-            x = kernel.execute_encoded(&a_enc, &layer.weights);
+            let a_enc = kernel.encode_a(x.as_ref().unwrap_or(input));
+            let mut y = kernel.execute_encoded(&a_enc, &layer.weights);
             if layer.relu {
-                x = x.relu();
+                y.relu_in_place();
             }
+            x = Some(y);
         }
-        x
+        x.unwrap_or_else(|| input.clone())
     }
 
     /// Total non-zeros stored across the encoded proxy weights.
@@ -1377,6 +1378,35 @@ mod tests {
         assert_eq!(out.rows(), 8);
         assert_eq!(out.cols(), 32);
         assert!(out.approx_eq(&reference, 5e-2));
+    }
+
+    #[test]
+    fn forward_matches_the_scalar_layer_walk_bitwise_once_activations_overflow() {
+        // At width 256 the proxy's activations grow about threefold per
+        // layer, so order-1 features pass FP16's largest value before the
+        // last layer and the tail of the walk runs on infinities and NaNs —
+        // where the word kernel must still issue exactly the scalar
+        // reference's MACs.
+        let r = ModelRepository::new(GpuConfig::v100(), 256);
+        let m = r.get(ModelKey::new(ModelId::ResNet50, None));
+        let input = dsstc_tensor::RandomMatrixBuilder::new(4, 256).sparsity(0.4).seed(1).build();
+        let out = m.forward(r.kernel(), &input);
+        let mut reference = input.clone();
+        for layer in &m.layers {
+            let a_enc = r.kernel().encode_a(&reference);
+            reference = r.kernel().execute_encoded_scalar(&a_enc, &layer.weights);
+            if layer.relu {
+                reference = reference.relu();
+            }
+        }
+        let non_finite = reference.as_slice().iter().filter(|x| !x.is_finite()).count();
+        assert!(non_finite > 0, "the walk must end on non-finite features");
+        assert_eq!((out.rows(), out.cols()), (reference.rows(), reference.cols()));
+        for (i, (a, b)) in out.as_slice().iter().zip(reference.as_slice()).enumerate() {
+            // Any NaN matches any NaN: an arithmetic NaN's sign and payload
+            // are unspecified.
+            assert!(a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()), "{i}: {a} vs {b}");
+        }
     }
 
     #[test]

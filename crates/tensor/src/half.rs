@@ -123,7 +123,18 @@ impl f16 {
 
     /// Rounds an `f32` through half precision and back, emulating storage of
     /// an FP16 operand.
+    ///
+    /// Magnitudes whose half is normalised and finite (2^-14 up to, but not
+    /// including, 65520) never leave the `f32` bit pattern: round to nearest
+    /// even on the 13 mantissa bits a half drops, letting the carry ripple
+    /// into the exponent. Everything else (zeros, half-subnormals, overflow,
+    /// infinities, NaN) goes through [`Self::from_f32`] and [`Self::to_f32`];
+    /// the two agree on every bit pattern (tested exhaustively).
     pub fn round_f32(value: f32) -> f32 {
+        let bits = value.to_bits();
+        if (0x3880_0000..0x477F_F000).contains(&(bits & 0x7FFF_FFFF)) {
+            return f32::from_bits((bits + 0x0FFF + ((bits >> 13) & 1)) & !0x1FFF);
+        }
         Self::from_f32(value).to_f32()
     }
 
@@ -211,6 +222,56 @@ mod tests {
         // Slightly above the midpoint rounds up.
         let v = 1.0 + 2.0f32.powi(-11) + 2.0f32.powi(-16);
         assert_eq!(f16::round_f32(v), 1.0 + 2.0f32.powi(-10));
+    }
+
+    /// `round_f32` against the conversion pair it short-cuts, bit for bit
+    /// (NaNs included: both sides produce the same quiet pattern).
+    fn assert_round_matches_conversions(bits: u32) {
+        let x = f32::from_bits(bits);
+        let (fast, slow) = (f16::round_f32(x), f16::from_f32(x).to_f32());
+        assert_eq!(fast.to_bits(), slow.to_bits(), "input bits {bits:#010x}");
+    }
+
+    #[test]
+    fn round_f32_fast_path_matches_the_conversions_at_every_edge_and_on_a_sweep() {
+        // Every pattern within 4 ulp of each place the behaviour changes:
+        // zero, the flush threshold 2^-25 / 2^-24, the fast path's lower
+        // edge 2^-14, its upper edge 65520 (and 65504 just inside it), the
+        // top of the finite range, infinity and both kinds of NaN.
+        let edges: [u32; 10] = [
+            0x0000_0000, // +0
+            0x3300_0000, // 2^-25
+            0x3380_0000, // 2^-24
+            0x3880_0000, // 2^-14
+            0x477F_E000, // 65504
+            0x477F_F000, // 65520
+            0x7F7F_FFFF, // f32::MAX
+            0x7F80_0000, // +inf
+            0x7FC0_0000, // quiet NaN
+            0x7FA0_0000, // signalling NaN
+        ];
+        for edge in edges {
+            for delta in -4i64..=4 {
+                let Ok(magnitude) = u32::try_from(i64::from(edge) + delta) else { continue };
+                if magnitude > 0x7FFF_FFFF {
+                    continue;
+                }
+                assert_round_matches_conversions(magnitude);
+                assert_round_matches_conversions(magnitude | 0x8000_0000);
+            }
+        }
+        // 4099 is prime, so the stride visits every low-bit residue.
+        for bits in (0..=u32::MAX).step_by(4099) {
+            assert_round_matches_conversions(bits);
+        }
+    }
+
+    #[test]
+    #[ignore = "all 2^32 bit patterns: ~25 s in release, run by CI"]
+    fn round_f32_fast_path_matches_the_conversions_exhaustively() {
+        for bits in 0..=u32::MAX {
+            assert_round_matches_conversions(bits);
+        }
     }
 
     #[test]

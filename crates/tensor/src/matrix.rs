@@ -215,6 +215,14 @@ impl Matrix {
         Matrix { rows: self.rows, cols: self.cols, data }
     }
 
+    /// [`Self::relu`] applied in place — no second matrix for a caller that
+    /// owns its activations.
+    pub fn relu_in_place(&mut self) {
+        for x in &mut self.data {
+            *x = x.max(0.0);
+        }
+    }
+
     /// Number of non-zero elements.
     pub fn nnz(&self) -> usize {
         self.data.iter().filter(|&&x| x != 0.0).count()
@@ -381,6 +389,9 @@ mod tests {
         assert_eq!(r, Matrix::from_rows(&[&[0.0, 2.0], &[0.5, 0.0]]));
         assert_eq!(r.nnz(), 2);
         assert!((r.sparsity() - 0.5).abs() < 1e-9);
+        let mut in_place = a;
+        in_place.relu_in_place();
+        assert_eq!(in_place, r);
     }
 
     #[test]
