@@ -12,12 +12,12 @@ pub mod warp;
 mod word;
 
 use dsstc_formats::{TwoLevelBitmapMatrix, VectorLayout};
+use dsstc_sim::tiling::{GemmTiling, TrafficInputs};
 use dsstc_sim::{AccumulationBuffer, GpuConfig, OtcStepCost, WorkloadProfile};
 use dsstc_tensor::{GemmShape, Matrix};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::tiling::{GemmTiling, TrafficInputs};
 use warp::{warp_spgemm, warp_tile_profile};
 
 /// Description of a synthetic (statistically sampled) SpGEMM problem, used

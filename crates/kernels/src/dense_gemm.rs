@@ -4,12 +4,11 @@
 //! profile charges one warp-level `HMMA` issue slot per 128 MACs (two Tensor
 //! Cores of 64 FP16 MACs each work on one warp instruction), stages operand
 //! tiles through shared memory, and estimates DRAM traffic with the
-//! wave-based L2-reuse model of [`crate::tiling`].
+//! wave-based L2-reuse model of [`dsstc_sim::tiling`].
 
+use dsstc_sim::tiling::{GemmTiling, TrafficInputs};
 use dsstc_sim::{GpuConfig, WorkloadProfile};
 use dsstc_tensor::{GemmShape, Matrix};
-
-use crate::tiling::{GemmTiling, TrafficInputs};
 
 /// Dense GEMM kernel model (CUTLASS / cuBLAS stand-in).
 #[derive(Clone, Debug)]

@@ -11,9 +11,8 @@
 //! heterogeneous device pool carries one spec per device.
 
 use dsstc_formats::{TwoLevelBitmapMatrix, VectorLayout};
+use dsstc_sim::tiling::GemmTiling;
 use dsstc_sim::GpuConfig;
-
-use crate::tiling::GemmTiling;
 
 /// Identity of a two-level bitmap encoding: the warp tiling plus the
 /// condensed-vector layout of each operand.

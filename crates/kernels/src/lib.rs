@@ -29,7 +29,6 @@ pub mod csr_spgemm;
 pub mod dense_gemm;
 pub mod encoding;
 pub mod im2col;
-pub mod tiling;
 pub mod vector_sparse;
 
 pub use crate::bitmap_spgemm::BitmapSpGemm;
@@ -37,5 +36,5 @@ pub use crate::conv::{ConvScheme, ConvWorkload};
 pub use crate::csr_spgemm::CsrSpGemm;
 pub use crate::dense_gemm::DenseGemm;
 pub use crate::encoding::EncodingSpec;
-pub use crate::tiling::GemmTiling;
 pub use crate::vector_sparse::VectorSparseGemm;
+pub use dsstc_sim::tiling::GemmTiling;

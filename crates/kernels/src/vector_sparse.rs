@@ -8,10 +8,9 @@
 //! the paper measures a flat ~1.86x over CUTLASS on large GEMMs regardless of
 //! the other operand's sparsity (Fig. 21).
 
+use dsstc_sim::tiling::{GemmTiling, TrafficInputs};
 use dsstc_sim::{GpuConfig, WorkloadProfile};
 use dsstc_tensor::{GemmShape, Matrix};
-
-use crate::tiling::{GemmTiling, TrafficInputs};
 
 /// The fixed pruning ratio the baseline enforces on the weight operand.
 pub const VECTOR_WISE_PRUNING_RATIO: f64 = 0.75;

@@ -43,9 +43,11 @@
 //! * [`PoissonArrivals`] — a seeded open-loop traffic generator for
 //!   latency-vs-offered-load measurements (see the `serve_throughput`
 //!   sweep's `--open-loop` mode).
-//! * [`ServerStats`] — throughput, aggregate **and per-priority**
-//!   queue/execute latency percentiles, the batch-size histogram,
-//!   per-device modelled utilisation and the encode-cache hit rate.
+//! * [`ServerStats`] — a snapshot of the server's one [`Telemetry`] hub:
+//!   throughput, aggregate **and per-priority** queue/execute latency
+//!   percentiles (read from the same histograms `/metrics` renders), the
+//!   batch-size histogram, per-device modelled utilisation and the
+//!   encode-cache hit rate.
 //!
 //! # Quickstart
 //!

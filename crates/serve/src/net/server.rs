@@ -252,12 +252,8 @@ impl WireServer {
                 Some(MetricsServer::start(
                     addr,
                     Arc::new(move || {
-                        let mut snapshot = source_server.stats();
-                        let per_reactor: Vec<WireStats> =
-                            source_stats.iter().map(|s| s.snapshot()).collect();
-                        snapshot.wire = Some(WireStats::merged(&per_reactor));
-                        snapshot.wire_reactors = per_reactor;
-                        snapshot.cluster = source_cluster.as_ref().map(|c| c.snapshot());
+                        let snapshot =
+                            wire_snapshot(&source_server, &source_stats, source_cluster.as_ref());
                         render_prometheus(&snapshot, source_server.telemetry().registry())
                     }),
                 )?)
@@ -354,12 +350,7 @@ impl WireServer {
     /// # Panics
     /// Panics after [`WireServer::shutdown`].
     pub fn stats(&self) -> ServerStats {
-        let mut stats = self.server().stats();
-        let per_reactor = self.reactor_stats();
-        stats.wire = Some(WireStats::merged(&per_reactor));
-        stats.wire_reactors = per_reactor;
-        stats.cluster = self.cluster.as_ref().map(|c| c.snapshot());
-        stats
+        wire_snapshot(self.server(), &self.stats, self.cluster.as_ref())
     }
 
     /// Graceful shutdown: stop accepting, answer and flush everything in
@@ -404,6 +395,22 @@ impl Drop for WireServer {
     fn drop(&mut self) {
         self.shutdown();
     }
+}
+
+/// The runtime's snapshot with the per-reactor wire counters, their merged
+/// sum and the cluster counters attached — the one builder behind both
+/// [`WireServer::stats`] and the `--metrics-addr` scrape.
+fn wire_snapshot(
+    server: &InferenceServer,
+    reactors: &[Arc<WireStatsCollector>],
+    cluster: Option<&Arc<ClusterState>>,
+) -> ServerStats {
+    let mut stats = server.stats();
+    let per_reactor: Vec<WireStats> = reactors.iter().map(|r| r.snapshot()).collect();
+    stats.wire = Some(WireStats::merged(&per_reactor));
+    stats.wire_reactors = per_reactor;
+    stats.cluster = cluster.map(|c| c.snapshot());
+    stats
 }
 
 /// Maps completed inferences back to their connection + client id and hands

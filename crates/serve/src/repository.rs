@@ -50,6 +50,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
+use dsstc_formats::serialize::fnv1a;
 use dsstc_formats::{CodecError, TwoLevelBitmapMatrix};
 use dsstc_kernels::bitmap_spgemm::BitmapSpGemm;
 use dsstc_kernels::EncodingSpec;
@@ -302,17 +303,6 @@ struct ManifestEntry {
 enum WarmJob {
     Restore { key: ModelKey, spec: EncodingSpec },
     Reencode { key: ModelKey, file: String },
-}
-
-/// FNV-1a over `bytes`, the manifest's integrity checksum (same hash family
-/// the wire frames use).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
 }
 
 /// Microseconds since the Unix epoch (0 if the clock is before it).
@@ -1886,12 +1876,5 @@ mod tests {
         );
         drop(first);
         assert!(store_lock::StoreLock::try_acquire(dir.path()).is_some(), "drop releases");
-    }
-
-    #[test]
-    fn fnv1a_matches_known_vectors() {
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_ne!(fnv1a(b"ab"), fnv1a(b"ba"), "order-sensitive");
     }
 }

@@ -11,7 +11,7 @@ use crate::config::ServeConfig;
 use crate::dispatch::DeviceDispatcher;
 use crate::repository::ModelRepository;
 use crate::request::{InferRequest, InferResponse, Priority};
-use crate::stats::{ServerStats, StatsCollector};
+use crate::stats::ServerStats;
 use crate::telemetry::{RequestTrace, Stage, Telemetry};
 use crate::worker::{WorkerContext, WorkerPool};
 
@@ -138,7 +138,6 @@ impl InferenceServer {
             })),
             repository,
             dispatcher,
-            stats: Arc::new(StatsCollector::new()),
             telemetry: Arc::new(telemetry),
             kernels,
         });
@@ -228,7 +227,7 @@ impl InferenceServer {
             let queued = self.context.scheduler.queue_len();
             let projected_us = self.projected_queue_delay_us(request.key(), request.priority);
             if policy.should_shed(request.priority, projected_us, queued) {
-                self.context.stats.record_shed(request.priority);
+                self.context.telemetry.record_shed(request.priority);
                 return Err(ServeError::ShedLoad {
                     priority: request.priority,
                     projected_us: projected_us.round() as u64,
@@ -277,9 +276,9 @@ impl InferenceServer {
         ahead as f64 * unit_us / self.context.dispatcher.len() as f64
     }
 
-    /// A point-in-time metrics snapshot.
+    /// A point-in-time metrics snapshot of the telemetry hub.
     pub fn stats(&self) -> ServerStats {
-        self.context.stats.snapshot(
+        self.context.telemetry.snapshot(
             self.context.repository.counters(),
             self.context.dispatcher.timing_hit_rate(),
             self.context.dispatcher.names(),

@@ -1,22 +1,19 @@
 //! Server metrics: throughput, latency percentiles (aggregate and
 //! per-priority), batch-size histogram, per-device utilisation and cache
-//! hit rates.
+//! hit rates — the snapshot the [`crate::telemetry::Telemetry`] hub
+//! produces, plus the wire front-end's counters.
+//!
+//! No latency sample is retained: every percentile field is
+//! [`crate::telemetry::LogHistogram::quantile`] of the histogram a scrape
+//! renders, i.e. the **upper bound** of the bucket holding the nearest-rank
+//! percentile — never below the exact value, at most 25 % (+1 µs) above.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
 
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
-
-use crate::repository::EncodeCacheStats;
 use crate::request::Priority;
 
-/// Upper bound on retained latency samples per stream; percentiles are
-/// exact below this and computed from an unbiased reservoir sample above.
-const SAMPLE_CAP: usize = 4096;
-
-/// Latency percentiles of one priority class.
+/// Latency percentiles of one priority class (bucket upper bounds, see the
+/// module docs).
 #[derive(Clone, Debug)]
 pub struct PriorityLatency {
     /// The service class.
@@ -27,14 +24,16 @@ pub struct PriorityLatency {
     /// ([`crate::ServeError::ShedLoad`]); zero unless
     /// [`crate::ServeConfig::admission`] is enabled.
     pub shed: u64,
-    /// Median wall-clock queue wait, µs.
+    /// Median wall-clock queue wait (enqueued → worker pick-up), µs;
+    /// histogram bucket upper bound.
     pub queue_p50_us: f64,
-    /// 99th-percentile wall-clock queue wait, µs.
+    /// 99th-percentile wall-clock queue wait, µs; bucket upper bound.
     pub queue_p99_us: f64,
-    /// Median wall-clock batch-execution time seen by this class, µs.
+    /// Median wall-clock batch-execution time seen by this class (one
+    /// sample per request), µs; bucket upper bound.
     pub execute_p50_us: f64,
     /// 99th-percentile wall-clock batch-execution time seen by this class,
-    /// µs.
+    /// µs; bucket upper bound.
     pub execute_p99_us: f64,
 }
 
@@ -67,15 +66,19 @@ pub struct ServerStats {
     pub max_batch_size: usize,
     /// Batch-size histogram: `histogram[i]` counts batches of size `i + 1`.
     pub batch_histogram: Vec<u64>,
-    /// Median wall-clock queue wait, µs.
+    /// Median wall-clock queue wait (enqueued → worker pick-up) over every
+    /// request, µs; histogram bucket upper bound (≤ 25 % above exact, never
+    /// below — as are all the percentile fields here).
     pub queue_p50_us: f64,
-    /// 99th-percentile wall-clock queue wait, µs.
+    /// 99th-percentile wall-clock queue wait, µs; bucket upper bound.
     pub queue_p99_us: f64,
-    /// Median wall-clock batch-execution time, µs.
+    /// Median wall-clock batch-execution time (one sample per batch), µs;
+    /// bucket upper bound.
     pub execute_p50_us: f64,
-    /// 99th-percentile wall-clock batch-execution time, µs.
+    /// 99th-percentile wall-clock batch-execution time, µs; bucket upper
+    /// bound.
     pub execute_p99_us: f64,
-    /// Median modelled per-request GPU latency, µs.
+    /// Median modelled per-request GPU latency, µs; bucket upper bound.
     pub modelled_p50_us: f64,
     /// Queue / execute percentiles split by priority class, `Low` first
     /// (indexable via [`Priority::index`] or [`ServerStats::for_priority`]).
@@ -487,221 +490,9 @@ impl WireStatsCollector {
     }
 }
 
-#[derive(Debug)]
-struct PriorityAgg {
-    completed: u64,
-    queue_us: Reservoir,
-    execute_us: Reservoir,
-}
-
-#[derive(Debug)]
-struct Inner {
-    completed_requests: u64,
-    executed_batches: u64,
-    batch_histogram: Vec<u64>,
-    queue_us: Reservoir,
-    execute_us: Reservoir,
-    modelled_request_us: Reservoir,
-    per_priority: Vec<PriorityAgg>,
-    device_batches: Vec<u64>,
-    device_busy_modelled_us: Vec<f64>,
-}
-
-/// A bounded uniform sample of a latency stream (Vitter's algorithm R), so
-/// a long-running server's percentile state stays O(1) in memory no matter
-/// how many requests it has served. Exact until `cap` samples, an unbiased
-/// uniform sample after; the replacement pattern is fully determined by the
-/// seed, so two reservoirs fed the same stream agree element-for-element.
-#[derive(Debug)]
-struct Reservoir {
-    samples: Vec<f64>,
-    seen: u64,
-    cap: usize,
-    rng: StdRng,
-}
-
-impl Reservoir {
-    fn new(cap: usize, seed: u64) -> Self {
-        Reservoir { samples: Vec::new(), seen: 0, cap, rng: StdRng::seed_from_u64(seed) }
-    }
-
-    fn push(&mut self, value: f64) {
-        self.seen += 1;
-        if self.samples.len() < self.cap {
-            self.samples.push(value);
-        } else {
-            let slot = self.rng.random_range(0u64..self.seen);
-            if (slot as usize) < self.cap {
-                self.samples[slot as usize] = value;
-            }
-        }
-    }
-}
-
-/// Collects per-batch measurements from the worker pool.
-#[derive(Debug)]
-pub(crate) struct StatsCollector {
-    started: Instant,
-    inner: Mutex<Inner>,
-    /// Requests rejected at submit by admission control, per priority
-    /// class; atomics so the submit path never takes the batch mutex.
-    shed: [AtomicU64; Priority::ALL.len()],
-}
-
-impl StatsCollector {
-    pub fn new() -> Self {
-        let per_priority = Priority::ALL
-            .iter()
-            .enumerate()
-            .map(|(i, _)| PriorityAgg {
-                completed: 0,
-                queue_us: Reservoir::new(SAMPLE_CAP, 10 + i as u64),
-                execute_us: Reservoir::new(SAMPLE_CAP, 20 + i as u64),
-            })
-            .collect();
-        StatsCollector {
-            started: Instant::now(),
-            inner: Mutex::new(Inner {
-                completed_requests: 0,
-                executed_batches: 0,
-                batch_histogram: Vec::new(),
-                queue_us: Reservoir::new(SAMPLE_CAP, 1),
-                execute_us: Reservoir::new(SAMPLE_CAP, 2),
-                modelled_request_us: Reservoir::new(SAMPLE_CAP, 3),
-                per_priority,
-                device_batches: Vec::new(),
-                device_busy_modelled_us: Vec::new(),
-            }),
-            shed: Default::default(),
-        }
-    }
-
-    /// Records one request rejected at submit by admission control.
-    pub fn record_shed(&self, priority: Priority) {
-        self.shed[priority.index()].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one executed batch: the device it ran on, each member's
-    /// priority and queue wait, the wall-clock execute time, and the
-    /// modelled batch / per-request times.
-    pub fn record_batch(
-        &self,
-        device: usize,
-        queue_us: &[(Priority, f64)],
-        execute_us: f64,
-        modelled_batch_us: f64,
-        modelled_request_us: f64,
-    ) {
-        let batch_size = queue_us.len();
-        debug_assert!(batch_size > 0, "batches are non-empty");
-        let mut inner = self.inner.lock().expect("stats mutex poisoned");
-        inner.completed_requests += batch_size as u64;
-        inner.executed_batches += 1;
-        if inner.batch_histogram.len() < batch_size {
-            inner.batch_histogram.resize(batch_size, 0);
-        }
-        inner.batch_histogram[batch_size - 1] += 1;
-        for &(priority, wait) in queue_us {
-            inner.queue_us.push(wait);
-            let agg = &mut inner.per_priority[priority.index()];
-            agg.completed += 1;
-            agg.queue_us.push(wait);
-            agg.execute_us.push(execute_us);
-        }
-        inner.execute_us.push(execute_us);
-        for _ in 0..batch_size {
-            inner.modelled_request_us.push(modelled_request_us);
-        }
-        if inner.device_batches.len() <= device {
-            inner.device_batches.resize(device + 1, 0);
-            inner.device_busy_modelled_us.resize(device + 1, 0.0);
-        }
-        inner.device_batches[device] += 1;
-        inner.device_busy_modelled_us[device] += modelled_batch_us;
-    }
-
-    /// Produces a snapshot, folding in the cache counters maintained by the
-    /// repository and dispatcher plus the pool's device names.
-    pub fn snapshot(
-        &self,
-        encode: EncodeCacheStats,
-        timing_hit_rate: f64,
-        device_names: &[String],
-    ) -> ServerStats {
-        let inner = self.inner.lock().expect("stats mutex poisoned");
-        let elapsed = self.started.elapsed().as_secs_f64().max(1e-9);
-        let per_priority = Priority::ALL
-            .iter()
-            .map(|&priority| {
-                let agg = &inner.per_priority[priority.index()];
-                PriorityLatency {
-                    priority,
-                    completed: agg.completed,
-                    shed: self.shed[priority.index()].load(Ordering::Relaxed),
-                    queue_p50_us: percentile(&agg.queue_us.samples, 0.50),
-                    queue_p99_us: percentile(&agg.queue_us.samples, 0.99),
-                    execute_p50_us: percentile(&agg.execute_us.samples, 0.50),
-                    execute_p99_us: percentile(&agg.execute_us.samples, 0.99),
-                }
-            })
-            .collect();
-        let makespan = inner.device_busy_modelled_us.iter().copied().fold(0.0, f64::max);
-        let per_device = device_names
-            .iter()
-            .enumerate()
-            .map(|(d, name)| {
-                let busy = inner.device_busy_modelled_us.get(d).copied().unwrap_or(0.0);
-                DeviceStats {
-                    name: name.clone(),
-                    batches: inner.device_batches.get(d).copied().unwrap_or(0),
-                    modelled_busy_us: busy,
-                    utilisation: if makespan > 0.0 { busy / makespan } else { 0.0 },
-                }
-            })
-            .collect();
-        ServerStats {
-            completed_requests: inner.completed_requests,
-            executed_batches: inner.executed_batches,
-            throughput_rps: inner.completed_requests as f64 / elapsed,
-            mean_batch_size: if inner.executed_batches == 0 {
-                0.0
-            } else {
-                inner.completed_requests as f64 / inner.executed_batches as f64
-            },
-            max_batch_size: inner.batch_histogram.len(),
-            batch_histogram: inner.batch_histogram.clone(),
-            queue_p50_us: percentile(&inner.queue_us.samples, 0.50),
-            queue_p99_us: percentile(&inner.queue_us.samples, 0.99),
-            execute_p50_us: percentile(&inner.execute_us.samples, 0.50),
-            execute_p99_us: percentile(&inner.execute_us.samples, 0.99),
-            modelled_p50_us: percentile(&inner.modelled_request_us.samples, 0.50),
-            per_priority,
-            per_device,
-            modelled_makespan_us: makespan,
-            encode_hits: encode.hits,
-            encode_misses: encode.misses,
-            encode_disk_loads: encode.disk_loads,
-            encode_fresh: encode.fresh_encodes,
-            encode_evictions: encode.evictions,
-            encode_fresh_ms: encode.fresh_encode_ms,
-            encode_disk_ms: encode.disk_load_ms,
-            encode_warm_restored: encode.warm_restored,
-            encode_warm_reencoded: encode.warm_reencoded,
-            encode_warm_healed: encode.warm_healed,
-            store_entries: encode.store_entries,
-            store_bytes: encode.store_bytes,
-            store_gc_removed: encode.store_gc_removed,
-            encode_hit_rate: encode.hit_rate(),
-            timing_hit_rate,
-            wire: None,
-            wire_reactors: Vec::new(),
-            cluster: None,
-        }
-    }
-}
-
-/// Nearest-rank percentile of an unsorted sample set (the helper behind
-/// every latency figure the server and the bench drivers print).
+/// Nearest-rank percentile of an unsorted sample set (the exact helper the
+/// bench drivers and clients use on their own samples, and the reference
+/// the histogram estimator is tested against).
 ///
 /// Defined for every input: an empty sample set yields 0, a single sample
 /// yields that sample for every `q`, `q = 0` yields the minimum, `q = 1`
@@ -726,6 +517,18 @@ pub fn percentile(samples: &[f64], q: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::repository::EncodeCacheStats;
+    use crate::telemetry::Telemetry;
+
+    /// A snapshot percentile is its histogram bucket's upper bound: never
+    /// below the exact value, at most 25 % (+1 for the unit-wide buckets)
+    /// above it.
+    fn assert_bucket_bound(reported: f64, exact: f64) {
+        assert!(
+            exact <= reported && reported <= 1.25 * exact + 1.0,
+            "reported {reported} vs exact {exact}"
+        );
+    }
 
     fn normal(waits: &[f64]) -> Vec<(Priority, f64)> {
         waits.iter().map(|&w| (Priority::Normal, w)).collect()
@@ -786,25 +589,8 @@ mod tests {
     }
 
     #[test]
-    fn reservoir_is_deterministic_under_a_fixed_seed() {
-        let mut a = Reservoir::new(16, 99);
-        let mut b = Reservoir::new(16, 99);
-        for i in 0..10_000 {
-            a.push(f64::from(i));
-            b.push(f64::from(i));
-        }
-        assert_eq!(a.samples, b.samples, "same seed + same stream = same sample");
-        assert_eq!(a.seen, 10_000);
-        let mut c = Reservoir::new(16, 100);
-        for i in 0..10_000 {
-            c.push(f64::from(i));
-        }
-        assert_ne!(a.samples, c.samples, "different seeds replace different slots");
-    }
-
-    #[test]
     fn collector_aggregates_batches() {
-        let c = StatsCollector::new();
+        let c = Telemetry::new();
         c.record_batch(0, &normal(&[10.0, 20.0]), 100.0, 10.0, 5.0);
         c.record_batch(1, &normal(&[30.0]), 50.0, 9.0, 9.0);
         let s = c.snapshot(enc(3, 1), 0.75, &["gpu0".to_string(), "gpu1".to_string()]);
@@ -813,9 +599,11 @@ mod tests {
         assert_eq!(s.batch_histogram, vec![1, 1]); // one 1-batch, one 2-batch
         assert!((s.mean_batch_size - 1.5).abs() < 1e-12);
         assert_eq!(s.max_batch_size, 2);
-        assert_eq!(s.queue_p50_us, 20.0);
-        assert_eq!(s.execute_p99_us, 100.0);
-        assert_eq!(s.modelled_p50_us, 5.0);
+        assert_bucket_bound(s.queue_p50_us, 20.0);
+        // One execute sample per batch, one modelled sample per request.
+        assert_bucket_bound(s.execute_p50_us, 50.0);
+        assert_bucket_bound(s.execute_p99_us, 100.0);
+        assert_bucket_bound(s.modelled_p50_us, 5.0);
         assert!((s.encode_hit_rate - 0.75).abs() < 1e-12);
         assert_eq!(s.active_workers(), 2);
         assert!(s.throughput_rps > 0.0);
@@ -829,7 +617,7 @@ mod tests {
 
     #[test]
     fn per_priority_latency_streams_are_split() {
-        let c = StatsCollector::new();
+        let c = Telemetry::new();
         c.record_batch(0, &[(Priority::High, 5.0), (Priority::Low, 500.0)], 40.0, 8.0, 4.0);
         c.record_batch(0, &[(Priority::Low, 700.0)], 60.0, 8.0, 8.0);
         let s = c.snapshot(enc(0, 0), 0.0, &["gpu0".to_string()]);
@@ -837,36 +625,20 @@ mod tests {
         let low = s.for_priority(Priority::Low);
         assert_eq!(high.completed, 1);
         assert_eq!(low.completed, 2);
-        assert_eq!(high.queue_p99_us, 5.0);
-        assert_eq!(low.queue_p50_us, 500.0);
-        assert_eq!(low.queue_p99_us, 700.0);
+        assert_bucket_bound(high.queue_p99_us, 5.0);
+        assert_bucket_bound(low.queue_p50_us, 500.0);
+        assert_bucket_bound(low.queue_p99_us, 700.0);
         assert_eq!(s.for_priority(Priority::Normal).completed, 0);
         assert_eq!(s.for_priority(Priority::Normal).queue_p99_us, 0.0);
         assert!(high.queue_p99_us < low.queue_p99_us);
-        assert_eq!(high.execute_p50_us, 40.0);
-    }
-
-    #[test]
-    fn reservoir_bounds_memory_and_keeps_percentiles_sane() {
-        let c = StatsCollector::new();
-        // Far more requests than the cap: a uniform latency ramp 0..100_000.
-        for i in 0..100_000u64 {
-            c.record_batch(0, &normal(&[i as f64]), i as f64, 1.0, 1.0);
-        }
-        let inner = c.inner.lock().unwrap();
-        assert_eq!(inner.queue_us.samples.len(), SAMPLE_CAP);
-        assert_eq!(inner.queue_us.seen, 100_000);
-        drop(inner);
-        let s = c.snapshot(enc(0, 0), 0.0, &["gpu0".to_string()]);
-        assert_eq!(s.completed_requests, 100_000);
-        // Sampled percentiles of a uniform ramp stay near the true values.
-        assert!((s.queue_p50_us - 50_000.0).abs() < 5_000.0, "p50 {}", s.queue_p50_us);
-        assert!(s.queue_p99_us > 90_000.0, "p99 {}", s.queue_p99_us);
+        assert_bucket_bound(high.execute_p50_us, 40.0);
+        // The class-wide execute stream is per request: low saw 40 and 60.
+        assert_bucket_bound(low.execute_p99_us, 60.0);
     }
 
     #[test]
     fn snapshot_of_idle_server_is_zeroed() {
-        let c = StatsCollector::new();
+        let c = Telemetry::new();
         let s = c.snapshot(enc(0, 0), 0.0, &["gpu0".to_string()]);
         assert_eq!(s.completed_requests, 0);
         assert_eq!(s.mean_batch_size, 0.0);
@@ -981,7 +753,7 @@ mod tests {
 
     #[test]
     fn record_shed_surfaces_per_priority_even_with_zero_completions() {
-        let c = StatsCollector::new();
+        let c = Telemetry::new();
         c.record_shed(Priority::Low);
         c.record_shed(Priority::Low);
         c.record_shed(Priority::Normal);
@@ -1014,7 +786,7 @@ mod tests {
 
     #[test]
     fn warm_and_store_counters_flow_into_the_snapshot_and_render() {
-        let c = StatsCollector::new();
+        let c = Telemetry::new();
         let encode = EncodeCacheStats {
             warm_restored: 5,
             warm_healed: 1,
@@ -1044,7 +816,7 @@ mod tests {
 
     #[test]
     fn render_mentions_key_metrics() {
-        let c = StatsCollector::new();
+        let c = Telemetry::new();
         c.record_batch(0, &[(Priority::High, 1.0)], 2.0, 3.0, 3.0);
         let text = c.snapshot(enc(1, 1), 0.5, &["Tesla V100".to_string()]).render();
         assert!(text.contains("throughput"));

@@ -36,7 +36,9 @@ fn sample_f64(out: &mut String, name: &str, labels: &str, value: f64) {
 /// Renders the full exposition payload: snapshot-derived families
 /// (server, per-priority, per-device, encode-cache and wire counters)
 /// followed by everything registered in `registry` (live counters and
-/// log-bucketed latency histograms).
+/// the log-bucketed latency histograms — each latency is exposed once, as
+/// a histogram family; the snapshot's percentile fields are read from the
+/// same histograms and are not rendered a second time).
 pub fn render_prometheus(stats: &ServerStats, registry: &MetricsRegistry) -> String {
     let mut out = String::new();
 
@@ -49,18 +51,6 @@ pub fn render_prometheus(stats: &ServerStats, registry: &MetricsRegistry) -> Str
     family(&mut out, "dsstc_mean_batch_size", "gauge", "Mean requests per executed batch");
     sample_f64(&mut out, "dsstc_mean_batch_size", "", stats.mean_batch_size);
 
-    family(&mut out, "dsstc_queue_us", "gauge", "Reservoir queue-wait percentiles, microseconds");
-    sample_f64(&mut out, "dsstc_queue_us", "quantile=\"0.5\"", stats.queue_p50_us);
-    sample_f64(&mut out, "dsstc_queue_us", "quantile=\"0.99\"", stats.queue_p99_us);
-    family(
-        &mut out,
-        "dsstc_execute_us",
-        "gauge",
-        "Reservoir execute-time percentiles, microseconds",
-    );
-    sample_f64(&mut out, "dsstc_execute_us", "quantile=\"0.5\"", stats.execute_p50_us);
-    sample_f64(&mut out, "dsstc_execute_us", "quantile=\"0.99\"", stats.execute_p99_us);
-
     family(
         &mut out,
         "dsstc_priority_requests_total",
@@ -70,27 +60,6 @@ pub fn render_prometheus(stats: &ServerStats, registry: &MetricsRegistry) -> Str
     for p in &stats.per_priority {
         let labels = format!("priority=\"{}\"", p.priority.name());
         sample_u64(&mut out, "dsstc_priority_requests_total", &labels, p.completed);
-    }
-    family(
-        &mut out,
-        "dsstc_priority_queue_us",
-        "gauge",
-        "Per-priority queue-wait percentiles, microseconds",
-    );
-    for p in &stats.per_priority {
-        let base = format!("priority=\"{}\"", p.priority.name());
-        sample_f64(
-            &mut out,
-            "dsstc_priority_queue_us",
-            &format!("{base},quantile=\"0.5\""),
-            p.queue_p50_us,
-        );
-        sample_f64(
-            &mut out,
-            "dsstc_priority_queue_us",
-            &format!("{base},quantile=\"0.99\""),
-            p.queue_p99_us,
-        );
     }
     family(
         &mut out,
@@ -837,7 +806,7 @@ mod tests {
         assert!(text.contains("dsstc_requests_completed_total 120"));
         assert!(text.contains("dsstc_batches_executed_total 30"));
         assert!(text.contains("dsstc_throughput_rps 240.500"));
-        assert!(text.contains("dsstc_queue_us{quantile=\"0.99\"} 900.000"));
+        assert!(text.contains("dsstc_mean_batch_size 4.000"));
         assert!(text.contains("dsstc_priority_requests_total{priority=\"high\"} 40"));
         assert!(text.contains("dsstc_device_batches_total{device=\"0\",gpu=\"Tesla V100\"} 18"));
         assert!(text.contains("dsstc_device_utilisation{device=\"1\",gpu=\"A100\"} 0.700"));
@@ -889,6 +858,28 @@ mod tests {
         for line in text.lines().filter(|l| l.starts_with("# TYPE")) {
             assert_eq!(text.matches(line).count(), 1, "duplicate {line}");
         }
+    }
+
+    /// A populated server's scrape names every latency once: the hub's
+    /// histogram families, no hand-rendered quantile gauges beside them.
+    #[test]
+    fn exposition_has_one_type_line_per_family() {
+        use crate::{InferRequest, InferenceServer, ModelId, ServeConfig};
+        let server = InferenceServer::start(ServeConfig::default().with_proxy_dim(32));
+        let features = dsstc_tensor::Matrix::zeros(1, 32);
+        let request = InferRequest::new(ModelId::RnnLm, features).with_priority(Priority::High);
+        server.infer(request).expect("served");
+        let text = render_prometheus(&server.stats(), server.telemetry().registry());
+        let types: Vec<&str> = text.lines().filter(|l| l.starts_with("# TYPE")).collect();
+        for line in &types {
+            assert_eq!(types.iter().filter(|t| t == &line).count(), 1, "duplicate {line}");
+        }
+        for family in ["dsstc_queue_us", "dsstc_execute_us", "dsstc_trace_e2e_us"] {
+            assert!(types.contains(&format!("# TYPE {family} histogram").as_str()), "{family}");
+        }
+        assert!(text.contains("dsstc_queue_us_bucket{priority=\"high\",le=\""), "{text}");
+        assert!(text.contains("dsstc_execute_us_count 1\n"), "{text}");
+        assert!(!text.contains("quantile="), "{text}");
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! The metrics core: lock-free named counters and gauges plus fixed
 //! log-bucketed latency histograms, collected in a [`MetricsRegistry`].
 //!
-//! The registry complements the reservoir percentiles of [`crate::stats`]:
-//! reservoirs give exact-until-capacity percentiles for end-of-run reports,
-//! while the histograms here are cheap enough to update on every request,
-//! mergeable across threads, bounded in memory no matter how long the
-//! server runs, and renderable as Prometheus-style cumulative buckets for
-//! live scraping (see [`crate::telemetry::export`]).
+//! The histograms are the server's only latency store: cheap enough to
+//! update on every request, mergeable across threads, bounded in memory no
+//! matter how long the server runs, read back as the percentiles of
+//! [`crate::ServerStats`] and rendered as Prometheus-style cumulative
+//! buckets for live scraping (see [`crate::telemetry::export`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -135,7 +134,16 @@ impl LogHistogram {
     pub fn record(&self, value: u64) {
         self.buckets[Self::bucket_index(value)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
+        self.add_to_sum(value);
+    }
+
+    /// Adds into `sum`, saturating at `u64::MAX`: one clamped pathological
+    /// sample must pin `_sum` at the top, not wrap it back to near zero.
+    fn add_to_sum(&self, value: u64) {
+        // The closure always returns `Some`, so the update cannot fail.
+        let _ = self.sum.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |sum| {
+            Some(sum.saturating_add(value))
+        });
     }
 
     /// Records a latency in µs, clamping negatives and NaN to zero.
@@ -149,7 +157,7 @@ impl LogHistogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Sum of every recorded sample.
+    /// Sum of every recorded sample, saturating at `u64::MAX`.
     pub fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
     }
@@ -165,7 +173,7 @@ impl LogHistogram {
             }
         }
         self.count.fetch_add(other.count(), Ordering::Relaxed);
-        self.sum.fetch_add(other.sum(), Ordering::Relaxed);
+        self.add_to_sum(other.sum());
     }
 
     /// The `[lower, upper)` bounds of the bucket holding the nearest-rank
@@ -425,6 +433,16 @@ mod tests {
         assert_eq!(h.count(), 3);
         // NaN and negatives land in bucket 0, the huge value in the top.
         assert_eq!(h.quantile_bounds(0.0).unwrap().0, 0);
+        // The clamped sample pins the sum; later samples and merges
+        // saturate instead of wrapping it back to a small number.
+        assert_eq!(h.sum(), u64::MAX);
+        h.record(5);
+        assert_eq!(h.sum(), u64::MAX);
+        let merged = LogHistogram::new();
+        merged.record(7);
+        merged.merge_from(&h);
+        assert_eq!(merged.sum(), u64::MAX);
+        assert_eq!(merged.count(), 5);
     }
 
     #[test]

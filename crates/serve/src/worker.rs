@@ -31,7 +31,6 @@ use crate::batcher::{Batch, BatchScheduler};
 use crate::dispatch::DeviceDispatcher;
 use crate::repository::ModelRepository;
 use crate::request::InferResponse;
-use crate::stats::StatsCollector;
 use crate::telemetry::{Stage, Telemetry};
 
 /// Everything the dispatcher and worker threads need, shared by `Arc`.
@@ -40,7 +39,6 @@ pub(crate) struct WorkerContext {
     pub scheduler: Arc<BatchScheduler>,
     pub repository: Arc<ModelRepository>,
     pub dispatcher: Arc<DeviceDispatcher>,
-    pub stats: Arc<StatsCollector>,
     pub telemetry: Arc<Telemetry>,
     /// One SpGEMM kernel per pooled device, running that device's native
     /// tiling — worker `i` executes its batches on `kernels[i]` against
@@ -247,7 +245,9 @@ fn execute_batch(device: usize, context: &WorkerContext, mut batch: Batch, model
         .iter()
         .map(|r| (r.priority, started.duration_since(r.enqueued).as_secs_f64() * 1e6))
         .collect();
-    context.stats.record_batch(
+    // Recorded before any response is sent: a caller that has its response
+    // must see it counted in the next stats snapshot.
+    context.telemetry.record_batch(
         device,
         &queue_us,
         execute_us,
@@ -308,7 +308,6 @@ mod tests {
             })),
             repository,
             dispatcher,
-            stats: Arc::new(StatsCollector::new()),
             telemetry: Arc::new(Telemetry::new()),
             kernels,
         })
@@ -357,7 +356,8 @@ mod tests {
             assert!(response.modelled_batch_us > 0.0);
             assert!((response.modelled_request_us - response.modelled_batch_us / 3.0).abs() < 1e-9);
         }
-        let stats = ctx.stats.snapshot(ctx.repository.counters(), 0.0, &["Tesla V100".to_string()]);
+        let stats =
+            ctx.telemetry.snapshot(ctx.repository.counters(), 0.0, &["Tesla V100".to_string()]);
         assert_eq!(stats.completed_requests, 3);
         assert_eq!(stats.executed_batches, 1);
         assert_eq!(stats.per_device[0].batches, 1);
@@ -389,7 +389,7 @@ mod tests {
         }
         ctx.scheduler.shutdown();
         pool.join();
-        let stats = ctx.stats.snapshot(
+        let stats = ctx.telemetry.snapshot(
             ctx.repository.counters(),
             0.0,
             &["gpu0".to_string(), "gpu1".to_string()],
