@@ -15,6 +15,8 @@
 //!
 //! Run with `cargo run --release -p dsstc-bench --bin fig21_spgemm`.
 
+#![deny(unsafe_code)]
+
 use std::path::PathBuf;
 use std::time::Instant;
 

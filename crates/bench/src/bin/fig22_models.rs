@@ -8,6 +8,8 @@
 //!
 //! Run with `cargo run --release -p dsstc-bench --bin fig22_models`.
 
+#![deny(unsafe_code)]
+
 use dsstc::InferenceEstimator;
 use dsstc_models::networks;
 

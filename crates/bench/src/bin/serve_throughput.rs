@@ -28,6 +28,8 @@
 //! Run with `cargo run --release -p dsstc-bench --bin serve_throughput`
 //! (append `--help` for the flag reference).
 
+#![deny(unsafe_code)]
+
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -468,44 +470,16 @@ mod fanin {
             .with_reactors(reactors)
     }
 
-    /// Raises `RLIMIT_NOFILE` to its hard limit: a 10k-connection fan-in
-    /// needs ~20k fds in this process (client and server share it).
+    /// Raises `RLIMIT_NOFILE` towards its hard limit: a 10k-connection
+    /// fan-in needs ~20k fds in this process (client and server share it).
     pub fn raise_nofile_limit(connections: usize) {
-        #[repr(C)]
-        struct RLimit {
-            rlim_cur: u64,
-            rlim_max: u64,
-        }
-        extern "C" {
-            fn getrlimit(resource: i32, rlim: *mut RLimit) -> i32;
-            fn setrlimit(resource: i32, rlim: *const RLimit) -> i32;
-        }
-        const RLIMIT_NOFILE: i32 = 7;
         let needed = (connections as u64) * 2 + 256;
-        unsafe {
-            let mut lim = RLimit { rlim_cur: 0, rlim_max: 0 };
-            if getrlimit(RLIMIT_NOFILE, &mut lim) != 0 {
-                return;
-            }
-            if lim.rlim_max < needed {
-                // Privileged processes (CI containers run as root) may
-                // raise the hard limit as well; harmless EPERM otherwise.
-                let raised = RLimit { rlim_cur: needed, rlim_max: needed };
-                let _ = setrlimit(RLIMIT_NOFILE, &raised);
-                let _ = getrlimit(RLIMIT_NOFILE, &mut lim);
-            }
-            if lim.rlim_cur < needed && lim.rlim_cur < lim.rlim_max {
-                lim.rlim_cur = needed.min(lim.rlim_max);
-                let _ = setrlimit(RLIMIT_NOFILE, &lim);
-                let _ = getrlimit(RLIMIT_NOFILE, &mut lim);
-            }
-            if lim.rlim_cur < needed {
-                eprintln!(
-                    "serve_throughput: warning: RLIMIT_NOFILE is {} but ~{needed} fds are \
-                     needed for {connections} connections; expect connect failures",
-                    lim.rlim_cur
-                );
-            }
+        match dsstc_serve::sys::raise_nofile_limit(needed) {
+            Ok(limit) if limit < needed => eprintln!(
+                "serve_throughput: warning: RLIMIT_NOFILE is {limit} but ~{needed} fds are \
+                 needed for {connections} connections; expect connect failures"
+            ),
+            _ => {}
         }
     }
 

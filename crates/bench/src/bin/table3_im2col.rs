@@ -8,6 +8,8 @@
 //!
 //! Run with `cargo run --release -p dsstc-bench --bin table3_im2col`.
 
+#![deny(unsafe_code)]
+
 use dsstc_bench::time_min_ms;
 use dsstc_kernels::im2col::{BitmapIm2col, CsrIm2col, DenseIm2col};
 use dsstc_models::activation_feature_map;

@@ -3,6 +3,8 @@
 //!
 //! Run with `cargo run --release -p dsstc-bench --bin table4_overhead`.
 
+#![deny(unsafe_code)]
+
 use dsstc_hwmodel::DsstcOverhead;
 
 fn main() {

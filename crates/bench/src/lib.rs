@@ -11,6 +11,7 @@
 //! | `table4_overhead` | Table IV — hardware area/power overhead |
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 use std::time::Instant;
 

@@ -35,7 +35,7 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::mpsc::Sender;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use dsstc_tensor::Matrix;
@@ -53,6 +53,14 @@ pub struct BatchPolicy {
     pub max_queue_wait: Duration,
 }
 
+/// The wake-up a device worker follows its sends with when the receiver
+/// sleeps in something other than `recv` on the response channel: a wire
+/// reactor blocked in its epoll wait implements this on its eventfd waker.
+pub(crate) trait Wake: std::fmt::Debug + Send + Sync {
+    /// Makes the receiver look at its response channel.
+    fn wake(&self);
+}
+
 /// One queued request with its response channel.
 #[derive(Debug)]
 pub(crate) struct PendingRequest {
@@ -68,6 +76,9 @@ pub(crate) struct PendingRequest {
     pub features: Matrix,
     /// Where the response goes.
     pub response_tx: Sender<InferResponse>,
+    /// Whom to wake once it is there (`None`: the receiver blocks in
+    /// `recv`, the send alone wakes it).
+    pub wake: Option<Arc<dyn Wake>>,
     /// When the request entered the queue.
     pub enqueued: Instant,
     /// The request's staged timeline, stamped as it moves through the
@@ -400,7 +411,6 @@ mod tests {
     use super::*;
     use crate::request::ModelId;
     use std::sync::mpsc;
-    use std::sync::Arc;
 
     fn policy(max_batch: usize, wait_ms: u64) -> BatchPolicy {
         BatchPolicy { max_batch, max_queue_wait: Duration::from_millis(wait_ms) }
@@ -417,6 +427,7 @@ mod tests {
             slo: None,
             features: Matrix::zeros(2, 8),
             response_tx: tx,
+            wake: None,
             enqueued: Instant::now(),
             trace: RequestTrace::new(),
         }

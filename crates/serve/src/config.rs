@@ -307,12 +307,12 @@ pub struct ServeConfig {
     /// accepts beyond the limit are closed immediately (counted in
     /// [`crate::stats::WireStats::connections_rejected`]).
     pub max_connections: usize,
-    /// Number of wire front-end reactors: epoll event loops that each own a
-    /// disjoint subset of the connections, with one completion pump per
-    /// reactor. The first reactor owns the listener and hands accepted
-    /// connections to the least-loaded reactor. `1` (the default) is the
-    /// single-loop front-end; `0` sizes to the host's available parallelism
-    /// when the [`crate::net::WireServer`] starts.
+    /// Number of wire front-end reactors: epoll event loops, one thread
+    /// each, that own a disjoint subset of the connections and drain their
+    /// own completion channel. The first reactor owns the listener and
+    /// hands accepted connections to the least-loaded reactor. `1` (the
+    /// default) is the single-loop front-end; `0` sizes to the host's
+    /// available parallelism when the [`crate::net::WireServer`] starts.
     pub reactors: usize,
     /// Largest **request** frame body accepted, in bytes. A request
     /// declaring more is rejected from its ten-byte envelope, before any

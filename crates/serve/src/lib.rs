@@ -93,6 +93,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod batcher;
 pub mod cluster;
@@ -104,6 +105,8 @@ pub mod repository;
 pub mod request;
 pub mod server;
 pub mod stats;
+#[allow(unsafe_code)]
+pub mod sys;
 pub mod telemetry;
 pub mod timing;
 pub mod traffic;

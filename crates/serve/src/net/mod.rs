@@ -5,8 +5,9 @@
 //! * [`frame`] — the codec: `DSRQ` request / `DSRS` response frames,
 //!   incremental [`FrameDecoder`], error frames,
 //!   versioning. Byte-level spec in `docs/WIRE_PROTOCOL.md`.
-//! * [`poll`] — a minimal mio-style epoll readiness loop (raw syscalls
-//!   against the already-linked C library; no tokio, no crates).
+//! * [`poll`] — a minimal mio-style epoll readiness loop (the syscalls are
+//!   [`crate::sys`]'s, against the already-linked C library; no tokio, no
+//!   crates).
 //! * [`server`] — the [`WireServer`]: N sharded epoll reactors (accept on
 //!   one listener, hand off to the least-loaded peer), decode, submit
 //!   through [`crate::InferenceServer::submit_with`], stream responses back

@@ -1,21 +1,24 @@
 //! A minimal epoll readiness loop (Linux), in the spirit of `mio` but
-//! dependency-free: the four syscalls the front-end needs are declared
-//! directly against the C library the binary already links, so the
-//! workspace stays registry-free (see the vendored-shims note in the root
-//! manifest).
+//! dependency-free: the syscalls the front-end needs are declared in
+//! [`crate::sys`] directly against the C library the binary already links,
+//! so the workspace stays registry-free (see the vendored-shims note in the
+//! root manifest).
 //!
 //! The surface is deliberately tiny — level-triggered readiness over raw
 //! fds, a [`Token`] per registration, and a [`Waker`] (an `eventfd`) so
 //! other threads can interrupt a blocked [`Poller::wait`]. Each wire
-//! reactor owns one `Poller` + `Waker` pair: its completion pump wakes it
+//! reactor owns one `Poller` + `Waker` pair: a device worker wakes it
 //! per response, and the acceptor wakes peer reactors after handing off a
 //! connection. Level-triggered readiness is what makes the hand-off safe —
 //! a socket adopted with bytes already pending fires `EPOLLIN` on the
 //! owner's next wait. Everything higher-level (buffers, framing,
 //! connection state) lives in [`crate::net::server`].
 
-use std::io;
-use std::os::fd::RawFd;
+use std::fs::File;
+use std::io::{self, Read, Write};
+use std::os::fd::{AsFd, AsRawFd, OwnedFd, RawFd};
+
+use crate::sys::{self, EpollEvent};
 
 /// Readiness on the registered fd: readable.
 pub const EPOLLIN: u32 = 0x001;
@@ -31,38 +34,6 @@ pub const EPOLLRDHUP: u32 = 0x2000;
 const EPOLL_CTL_ADD: i32 = 1;
 const EPOLL_CTL_DEL: i32 = 2;
 const EPOLL_CTL_MOD: i32 = 3;
-const EPOLL_CLOEXEC: i32 = 0o2000000;
-const EFD_CLOEXEC: i32 = 0o2000000;
-const EFD_NONBLOCK: i32 = 0o4000;
-
-/// `struct epoll_event` as the kernel ABI defines it. Packed on x86-64
-/// (the kernel chose a 12-byte layout there); the natural layout elsewhere.
-#[repr(C)]
-#[cfg_attr(target_arch = "x86_64", repr(packed))]
-#[derive(Clone, Copy)]
-struct EpollEvent {
-    events: u32,
-    data: u64,
-}
-
-// The C library the binary links anyway; no crate dependency involved.
-extern "C" {
-    fn epoll_create1(flags: i32) -> i32;
-    fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-    fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout_ms: i32) -> i32;
-    fn eventfd(initval: u32, flags: i32) -> i32;
-    fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
-    fn write(fd: i32, buf: *const u8, count: usize) -> isize;
-    fn close(fd: i32) -> i32;
-}
-
-fn cvt(ret: i32) -> io::Result<i32> {
-    if ret < 0 {
-        Err(io::Error::last_os_error())
-    } else {
-        Ok(ret)
-    }
-}
 
 /// Opaque per-registration identifier, echoed back on every readiness
 /// event for that fd.
@@ -99,22 +70,17 @@ impl Event {
 /// A level-triggered epoll instance.
 #[derive(Debug)]
 pub struct Poller {
-    epfd: RawFd,
+    epfd: OwnedFd,
 }
 
 impl Poller {
     /// Creates the epoll instance (close-on-exec).
     pub fn new() -> io::Result<Self> {
-        // SAFETY: plain syscall, no pointers.
-        let epfd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
-        Ok(Poller { epfd })
+        Ok(Poller { epfd: sys::epoll_create()? })
     }
 
     fn ctl(&self, op: i32, fd: RawFd, interest: u32, token: Token) -> io::Result<()> {
-        let mut event = EpollEvent { events: interest, data: token.0 };
-        // SAFETY: `event` outlives the call; the kernel copies it out.
-        cvt(unsafe { epoll_ctl(self.epfd, op, fd, &mut event) })?;
-        Ok(())
+        sys::epoll_ctl(self.epfd.as_fd(), op, fd, EpollEvent { events: interest, data: token.0 })
     }
 
     /// Starts watching `fd` for `interest` readiness under `token`.
@@ -129,35 +95,21 @@ impl Poller {
 
     /// Stops watching `fd`.
     pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
-        let mut event = EpollEvent { events: 0, data: 0 };
         // A non-null event pointer keeps pre-2.6.9 kernels happy; harmless
         // everywhere else.
-        cvt(unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut event) })?;
-        Ok(())
+        self.ctl(EPOLL_CTL_DEL, fd, 0, Token(0))
     }
 
     /// Blocks up to `timeout_ms` (`None` = forever) for readiness events,
     /// appending them to `out`. Returns how many arrived. A signal-
     /// interrupted wait retries transparently.
     pub fn wait(&self, out: &mut Vec<Event>, timeout_ms: Option<i32>) -> io::Result<usize> {
-        const CAPACITY: usize = 64;
-        let mut buffer = [EpollEvent { events: 0, data: 0 }; CAPACITY];
+        let mut buffer = [EpollEvent::default(); 64];
         let n = loop {
-            // SAFETY: `buffer` is a valid array of CAPACITY events.
-            let ret = unsafe {
-                epoll_wait(
-                    self.epfd,
-                    buffer.as_mut_ptr(),
-                    CAPACITY as i32,
-                    timeout_ms.unwrap_or(-1),
-                )
-            };
-            if ret >= 0 {
-                break ret as usize;
-            }
-            let err = io::Error::last_os_error();
-            if err.kind() != io::ErrorKind::Interrupted {
-                return Err(err);
+            match sys::epoll_wait(self.epfd.as_fd(), &mut buffer, timeout_ms.unwrap_or(-1)) {
+                Ok(n) => break n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
             }
         };
         for event in &buffer[..n] {
@@ -169,59 +121,44 @@ impl Poller {
     }
 }
 
-impl Drop for Poller {
-    fn drop(&mut self) {
-        // SAFETY: the fd is owned by this struct and closed exactly once.
-        unsafe { close(self.epfd) };
-    }
-}
-
 /// Cross-thread wake-up for a blocked [`Poller::wait`]: an `eventfd`
 /// registered like any other fd. `wake` is cheap and thread-safe; the
 /// event loop calls `drain` when the waker's token surfaces.
 #[derive(Debug)]
 pub struct Waker {
-    fd: RawFd,
+    eventfd: File,
 }
 
 impl Waker {
     /// Creates the eventfd and registers it with `poller` under `token`.
     pub fn new(poller: &Poller, token: Token) -> io::Result<Self> {
-        // SAFETY: plain syscall, no pointers.
-        let fd = cvt(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })?;
-        poller.register(fd, EPOLLIN, token)?;
-        Ok(Waker { fd })
+        let eventfd = File::from(sys::eventfd()?);
+        poller.register(eventfd.as_raw_fd(), EPOLLIN, token)?;
+        Ok(Waker { eventfd })
     }
 
     /// Makes the poller's next (or current) `wait` return.
     pub fn wake(&self) {
-        let one: u64 = 1;
-        // SAFETY: writes 8 bytes from a live stack value. An EAGAIN (counter
-        // saturated) still leaves the eventfd readable, which is all wake()
-        // promises.
-        unsafe { write(self.fd, std::ptr::addr_of!(one).cast(), 8) };
+        // An EAGAIN (counter saturated) still leaves the eventfd readable,
+        // which is all wake() promises.
+        let _ = (&self.eventfd).write(&1u64.to_ne_bytes());
     }
 
     /// Clears the pending wake-up counter.
     pub fn drain(&self) {
-        let mut counter = [0u8; 8];
-        // SAFETY: reads at most 8 bytes into a live stack buffer.
-        unsafe { read(self.fd, counter.as_mut_ptr(), 8) };
+        let _ = (&self.eventfd).read(&mut [0u8; 8]);
     }
 }
 
-impl Drop for Waker {
-    fn drop(&mut self) {
-        // SAFETY: the fd is owned by this struct and closed exactly once.
-        unsafe { close(self.fd) };
+impl crate::batcher::Wake for Waker {
+    fn wake(&self) {
+        Waker::wake(self);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write as _;
-    use std::os::fd::AsRawFd;
 
     #[test]
     fn waker_unblocks_wait_across_threads() {

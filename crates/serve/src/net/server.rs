@@ -5,27 +5,29 @@
 //! # Architecture
 //!
 //! The front-end is sharded across `N = ServeConfig::reactors` **reactors**
-//! (`0` sizes N to the host's available parallelism). Each reactor is a
-//! pair of threads next to the serving runtime's own dispatcher + workers:
+//! (`0` sizes N to the host's available parallelism). Each reactor is
+//! **one thread** next to the serving runtime's own dispatcher + workers:
+//! a level-triggered epoll readiness loop ([`crate::net::poll`]) over the
+//! reactor's own disjoint subset of the client sockets, which owns
+//! everything about them.
 //!
-//! * the **event loop** — a level-triggered epoll readiness loop
-//!   ([`crate::net::poll`]) over the reactor's own disjoint subset of the
-//!   client sockets. It reads whatever bytes are ready, feeds them through
+//! * **Reads:** it reads whatever bytes are ready, feeds them through
 //!   each connection's [`FrameDecoder`] (several pipelined frames per read
 //!   decode back-to-back), converts each request frame into an
 //!   [`crate::InferRequest`] and submits it through the same path
-//!   in-process callers use. It also owns all writes on its connections:
-//!   response frames are serialised **directly into** the connection's
-//!   outbound buffer (no intermediate body `Vec`, no second copy) and
-//!   flushed opportunistically and under `EPOLLOUT` when a socket's send
-//!   buffer fills.
-//! * the **completion pump** — a plain blocking thread draining the
-//!   responses the worker pool sends back for this reactor's requests.
-//!   Every wire request is submitted with a clone of its reactor's
-//!   response channel; the pump maps each completed
-//!   [`crate::InferResponse`] back to its connection and client-chosen id,
-//!   hands the still-unencoded response to the event loop over an outbox
-//!   channel and wakes the epoll wait through an `eventfd` [`Waker`].
+//!   in-process callers use, with a clone of the reactor's completion
+//!   channel and its `eventfd` [`Waker`].
+//! * **Completions:** the device worker sends each
+//!   [`crate::InferResponse`] down that channel and wakes the epoll wait;
+//!   the loop drains the channel itself, maps each response back to its
+//!   connection and client-chosen id through a table only this thread
+//!   touches, and serialises the frame **directly into** the connection's
+//!   outbound buffer (no intermediate body `Vec`, no second copy). Insert,
+//!   remove, per-connection in-flight count and buffer append all happen
+//!   on the one thread, so "no backlog and nothing in flight" means the
+//!   connection really is finished.
+//! * **Writes:** it flushes opportunistically and under `EPOLLOUT` when
+//!   a socket's send buffer fills.
 //!
 //! Reactor 0 additionally owns the single listener and is the **acceptor**:
 //! each accepted connection is handed to the least-loaded reactor
@@ -56,11 +58,12 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crate::batcher::Wake;
 use crate::cluster::{constant_time_eq, shard_hash, ClusterState, ShardMap};
 use crate::config::ServeConfig;
 use crate::net::frame::{
@@ -91,17 +94,6 @@ struct PendingWire {
     conn_id: u64,
     client_id: u64,
 }
-
-/// The server-id → wire-request registry shared by a reactor's event loop
-/// (insert) and its completion pump (remove). One per reactor.
-type Registry = Arc<Mutex<HashMap<u64, PendingWire>>>;
-
-/// One completed response handed from a pump to its event loop: the
-/// destination connection, the client-chosen id, and the **still
-/// un-encoded** response — the event loop serialises it straight into the
-/// connection's outbound buffer, so the frame bytes are written exactly
-/// once.
-type Outbound = (u64, u64, InferResponse);
 
 /// Accepted sockets handed from the acceptor (reactor 0) to the reactor
 /// that will own them.
@@ -137,7 +129,6 @@ pub struct WireServer {
     wakers: Vec<Arc<Waker>>,
     stats: Vec<Arc<WireStatsCollector>>,
     event_loops: Vec<JoinHandle<()>>,
-    pumps: Vec<JoinHandle<()>>,
     metrics: Option<MetricsServer>,
     cluster: Option<Arc<ClusterState>>,
     pinger: Option<JoinHandle<()>>,
@@ -146,8 +137,8 @@ pub struct WireServer {
 impl WireServer {
     /// Boots the inference runtime from `config`, binds the listener at
     /// `config.listen` (loopback with an OS-assigned port by default) and
-    /// spawns `config.reactors` event loops, each with its own completion
-    /// pump.
+    /// spawns `config.reactors` event loops. On `Err` nothing is left
+    /// running and no socket stays bound.
     pub fn start(config: ServeConfig) -> io::Result<WireServer> {
         let listen = config.listen.unwrap_or_else(|| "127.0.0.1:0".parse().expect("literal addr"));
         let max_connections = config.max_connections;
@@ -196,21 +187,30 @@ impl WireServer {
         let stats: Vec<Arc<WireStatsCollector>> =
             (0..reactors).map(|_| Arc::new(WireStatsCollector::new())).collect();
 
+        // The last step that can fail, so an `Err` (say, `metrics_addr` in
+        // use) returns before any event loop exists: the listener, the
+        // pollers and the inference runtime all clean up by dropping.
+        let metrics = match metrics_addr {
+            Some(addr) => {
+                let source_server = Arc::clone(&server);
+                let source_stats = stats.clone();
+                let source_cluster = cluster.clone();
+                Some(MetricsServer::start(
+                    addr,
+                    Arc::new(move || {
+                        let snapshot =
+                            wire_snapshot(&source_server, &source_stats, source_cluster.as_ref());
+                        render_prometheus(&snapshot, source_server.telemetry().registry())
+                    }),
+                )?)
+            }
+            None => None,
+        };
+
         let mut listener = Some(listener);
-        let mut pumps = Vec::with_capacity(reactors);
         let mut event_loops = Vec::with_capacity(reactors);
         for (index, poller) in pollers.into_iter().enumerate() {
-            let registry: Registry = Arc::new(Mutex::new(HashMap::new()));
             let (completion_tx, completion_rx) = std::sync::mpsc::channel::<InferResponse>();
-            let (outbox_tx, outbox_rx) = std::sync::mpsc::channel::<Outbound>();
-            pumps.push({
-                let registry = Arc::clone(&registry);
-                let waker = Arc::clone(&wakers[index]);
-                std::thread::Builder::new()
-                    .name(format!("dsstc-wire-pump-{index}"))
-                    .spawn(move || pump_loop(&completion_rx, &registry, &outbox_tx, &waker))
-                    .expect("failed to spawn completion pump")
-            });
             let mut state = Reactor {
                 index,
                 poller,
@@ -221,9 +221,9 @@ impl WireServer {
                 rr: 0,
                 server: Arc::clone(&server),
                 stats: Arc::clone(&stats[index]),
-                registry,
+                in_flight: HashMap::new(),
                 completion_tx,
-                outbox_rx,
+                completion_rx,
                 shutdown_flag: Arc::clone(&shutdown_flag),
                 conns: HashMap::new(),
                 next_conn_id: 0,
@@ -243,23 +243,6 @@ impl WireServer {
                     .expect("failed to spawn wire event loop"),
             );
         }
-
-        let metrics = match metrics_addr {
-            Some(addr) => {
-                let source_server = Arc::clone(&server);
-                let source_stats = stats.clone();
-                let source_cluster = cluster.clone();
-                Some(MetricsServer::start(
-                    addr,
-                    Arc::new(move || {
-                        let snapshot =
-                            wire_snapshot(&source_server, &source_stats, source_cluster.as_ref());
-                        render_prometheus(&snapshot, source_server.telemetry().registry())
-                    }),
-                )?)
-            }
-            None => None,
-        };
 
         // Peer liveness: a plain thread dialling every configured peer each
         // `ping_interval` with the same hello exchange clients use. A peer
@@ -293,7 +276,6 @@ impl WireServer {
             wakers,
             stats,
             event_loops,
-            pumps,
             metrics,
             cluster,
             pinger,
@@ -375,11 +357,6 @@ impl WireServer {
                 std::panic::resume_unwind(panic);
             }
         }
-        for handle in self.pumps.drain(..) {
-            if let Err(panic) = handle.join() {
-                std::panic::resume_unwind(panic);
-            }
-        }
         if let Some(server) = self.server.take() {
             match Arc::try_unwrap(server) {
                 Ok(mut server) => server.shutdown(),
@@ -411,36 +388,6 @@ fn wire_snapshot(
     stats.wire_reactors = per_reactor;
     stats.cluster = cluster.map(|c| c.snapshot());
     stats
-}
-
-/// Maps completed inferences back to their connection + client id and hands
-/// the un-encoded response to the owning reactor's event loop.
-fn pump_loop(
-    completions: &Receiver<InferResponse>,
-    registry: &Registry,
-    outbox: &Sender<Outbound>,
-    waker: &Waker,
-) {
-    while let Ok(response) = completions.recv() {
-        // Look up first, remove only after the outbox send: the event
-        // loop's drain check treats "registry non-empty" as "work pending",
-        // so the entry must outlive the hand-off or a response could slip
-        // past the drain.
-        let pending = {
-            let registry = registry.lock().expect("wire registry poisoned");
-            registry.get(&response.id).map(|p| (p.conn_id, p.client_id))
-        };
-        let Some((conn_id, client_id)) = pending else {
-            continue; // Submitted by an in-process caller, not the wire.
-        };
-        let server_id = response.id;
-        let delivered = outbox.send((conn_id, client_id, response)).is_ok();
-        registry.lock().expect("wire registry poisoned").remove(&server_id);
-        if !delivered {
-            break; // Event loop is gone; nothing can be written any more.
-        }
-        waker.wake();
-    }
 }
 
 /// Dials `addr`, performs the hello exchange (carrying this cluster's
@@ -526,8 +473,11 @@ struct Connection {
     written: usize,
     /// The currently registered epoll interest set.
     interest: u32,
+    /// Requests submitted from this connection whose response frame has
+    /// not been appended (or dropped) yet.
+    in_flight: usize,
     /// Framing is poisoned or the peer sent EOF: read nothing more, flush
-    /// what is buffered, close when drained.
+    /// what is buffered, close once that and everything in flight is out.
     closing: bool,
     /// The outbound buffer breached `max_outbound_bytes` (the peer stopped
     /// reading): the backlog was dropped and replaced with a final error
@@ -556,6 +506,11 @@ impl Connection {
         self.written < self.outbound.len()
     }
 
+    /// A response is still owed or still buffered: not closable yet.
+    fn has_pending(&self) -> bool {
+        self.in_flight > 0 || self.has_backlog()
+    }
+
     /// The epoll interest this connection should be registered for right
     /// now. A `closing` connection stops watching for input (the loop
     /// would refuse to read it, and level-triggered readiness would spin),
@@ -574,16 +529,16 @@ impl Connection {
 }
 
 /// One sharded event loop: a poller, the reactor's own connections, its
-/// registry/outbox pair, and — on reactor 0 only — the listener plus the
-/// hand-off state for every peer.
+/// in-flight table and completion channel, and — on reactor 0 only — the
+/// listener plus the hand-off state for every peer.
 struct Reactor {
     index: usize,
     poller: Poller,
     /// `Some` on reactor 0 (the acceptor), `None` everywhere else.
     listener: Option<TcpListener>,
     /// Every reactor's waker, indexable by reactor: `wakers[index]` drains
-    /// this reactor's own eventfd; the acceptor nudges peers after a
-    /// hand-off.
+    /// this reactor's own eventfd, which device workers write after sending
+    /// it a response; the acceptor nudges peers after a hand-off.
     wakers: Vec<Arc<Waker>>,
     /// Every reactor's hand-off queue; this reactor adopts from
     /// `intakes[index]`.
@@ -595,9 +550,13 @@ struct Reactor {
     rr: usize,
     server: Arc<InferenceServer>,
     stats: Arc<WireStatsCollector>,
-    registry: Registry,
+    /// Server-assigned request id → where its response goes. Inserted
+    /// after the submit, removed when the response frame is appended.
+    in_flight: HashMap<u64, PendingWire>,
+    /// Cloned into every submit; the workers' responses come back on
+    /// `completion_rx`.
     completion_tx: Sender<InferResponse>,
-    outbox_rx: Receiver<Outbound>,
+    completion_rx: Receiver<InferResponse>,
     shutdown_flag: Arc<AtomicBool>,
     conns: HashMap<u64, Connection>,
     next_conn_id: u64,
@@ -642,8 +601,7 @@ impl Reactor {
             }
             events = drained_events;
             self.drain_intake();
-            self.drain_outbox();
-            self.retire_closing_conns();
+            self.drain_completions();
             if self.shutdown_flag.load(Ordering::SeqCst) && !draining {
                 draining = true;
                 drain_deadline = Instant::now() + self.drain_timeout;
@@ -666,20 +624,14 @@ impl Reactor {
                 }
             }
             if draining {
-                let in_flight = self.registry.lock().expect("wire registry poisoned").len();
-                // Outbox sends happen-before registry removals in the pump,
-                // so re-draining *after* reading an empty in-flight count
-                // guarantees every completed response has reached a
-                // connection buffer before the backlog test below.
-                self.drain_outbox();
                 let backlog = self.conns.values().any(Connection::has_backlog);
-                if (in_flight == 0 && !backlog) || Instant::now() >= drain_deadline {
+                if (self.in_flight.is_empty() && !backlog) || Instant::now() >= drain_deadline {
                     break;
                 }
             }
         }
-        // Close every connection; completions still in flight are dropped
-        // by the pump once it sees the outbox gone.
+        // Close every connection; only a drain that timed out leaves
+        // requests in flight, and their responses die with the channel.
         let ids: Vec<u64> = self.conns.keys().copied().collect();
         for id in ids {
             self.close_conn(id);
@@ -778,6 +730,7 @@ impl Reactor {
                 interest: EPOLLIN | EPOLLRDHUP,
                 closing: false,
                 overflowed: false,
+                in_flight: 0,
                 enqueued_total: 0,
                 flushed_total: 0,
                 flush_marks: VecDeque::new(),
@@ -819,8 +772,7 @@ impl Reactor {
                     // Peer finished sending. Keep the connection until every
                     // pipelined response went out, then close.
                     conn.closing = true;
-                    let drained = !conn.has_backlog();
-                    if drained && !self.conn_has_in_flight(conn_id) {
+                    if !conn.has_pending() {
                         self.close_conn(conn_id);
                     } else {
                         self.sync_interest(conn_id);
@@ -927,6 +879,7 @@ impl Reactor {
             None => ShardMap::standalone(self.local_addr.to_string()),
         };
         self.append_frame(conn_id, None, |out| encode_shard_map_into(out, &map));
+        self.flush_conn(conn_id);
         Ok(())
     }
 
@@ -955,20 +908,19 @@ impl Reactor {
                 cluster.record_failover_serve();
             }
         }
-        // Holding the registry lock across the submit makes the insert
-        // atomic with the id assignment: the pump cannot observe (and drop)
-        // a completion before its registry entry exists.
-        let submitted = {
-            let mut registry = self.registry.lock().expect("wire registry poisoned");
-            match self.server.submit_with_trace(request, self.completion_tx.clone(), trace) {
-                Ok(server_id) => {
-                    registry.insert(server_id, PendingWire { conn_id, client_id });
-                    self.stats.set_in_flight(registry.len() as u64);
-                    Ok(())
+        let wake: Arc<dyn Wake> = self.wakers[self.index].clone();
+        let submitted = self
+            .server
+            .submit_traced(request, self.completion_tx.clone(), Some(wake), trace)
+            .map(|server_id| {
+                // The response cannot overtake this insert: only this
+                // thread receives it, in `drain_completions`.
+                self.in_flight.insert(server_id, PendingWire { conn_id, client_id });
+                self.stats.set_in_flight(self.in_flight.len() as u64);
+                if let Some(conn) = self.conns.get_mut(&conn_id) {
+                    conn.in_flight += 1;
                 }
-                Err(e) => Err(e),
-            }
-        };
+            });
         if let Err(error) = submitted {
             let status = match &error {
                 ServeError::InvalidRequest(_) => WireStatus::InvalidRequest,
@@ -996,6 +948,7 @@ impl Reactor {
     ) {
         self.stats.error_frame_sent();
         self.append_frame(conn_id, None, |out| encode_error_into(out, client_id, status, message));
+        self.flush_conn(conn_id);
     }
 
     /// Framing is broken: answer with a final error frame (under the
@@ -1012,33 +965,27 @@ impl Reactor {
 
     /// Appends one frame to a connection's outbound buffer — `encode`
     /// serialises it **directly into the buffer**, no intermediate frame
-    /// `Vec` — and flushes as much as the socket accepts right now. A
-    /// `trace` rides along as a flush mark and is stamped
+    /// `Vec`. A `trace` rides along as a flush mark and is stamped
     /// [`Stage::WireFlushed`] once the frame's last byte reaches the
-    /// socket.
+    /// socket. Returns whether the frame was buffered, for the caller to
+    /// count and flush; a frame for a gone or overflowed connection is
+    /// dropped.
     fn append_frame(
         &mut self,
         conn_id: u64,
         trace: Option<RequestTrace>,
         encode: impl FnOnce(&mut Vec<u8>),
-    ) {
-        let Some(conn) = self.conns.get_mut(&conn_id) else {
-            // Completed after its connection went away: the bytes are
-            // dropped, but the request itself still finished — record its
-            // trace without a flush stamp.
+    ) -> bool {
+        // Completed after its connection went away, or after the peer
+        // breached the outbound cap (buffering more would just regrow what
+        // was dropped): the bytes are dropped, but the request itself still
+        // finished — record its trace without a flush stamp.
+        let Some(conn) = self.conns.get_mut(&conn_id).filter(|conn| !conn.overflowed) else {
             if let Some(trace) = trace {
                 self.server.telemetry().record_completed(trace);
             }
-            return;
+            return false;
         };
-        if conn.overflowed {
-            // The peer already breached the cap; buffering more would just
-            // regrow what was dropped. Same treatment as a gone connection.
-            if let Some(trace) = trace {
-                self.server.telemetry().record_completed(trace);
-            }
-            return;
-        }
         // Compact the flushed prefix before growing the buffer.
         if conn.written == conn.outbound.len() {
             conn.outbound.clear();
@@ -1055,9 +1002,9 @@ impl Reactor {
         }
         if conn.outbound.len() - conn.written > self.max_outbound_bytes {
             self.poison_overflowed(conn_id);
-            return;
+            return false;
         }
-        self.flush_conn(conn_id);
+        true
     }
 
     /// The connection's unflushed backlog breached the configured cap: the
@@ -1117,34 +1064,20 @@ impl Reactor {
             }
         }
         conn.flushed_total += sent;
-        let mut flushed_traces: Vec<RequestTrace> = Vec::new();
+        self.stats.bytes_sent(sent);
         while conn.flush_marks.front().is_some_and(|(mark, _)| *mark <= conn.flushed_total) {
             let (_, mut trace) = conn.flush_marks.pop_front().expect("front checked");
             trace.record(Stage::WireFlushed);
-            flushed_traces.push(trace);
-        }
-        self.stats.bytes_sent(sent);
-        for trace in flushed_traces {
             self.server.telemetry().record_completed(trace);
         }
-        if dead {
+        if dead || (conn.closing && !conn.has_pending()) {
             self.close_conn(conn_id);
             return;
         }
-        let Some(conn) = self.conns.get_mut(&conn_id) else { return };
-        let fully_flushed = !conn.has_backlog();
-        if fully_flushed {
+        if !conn.has_backlog() {
             conn.outbound.clear();
             conn.written = 0;
         }
-        // Retiring a drained `closing` connection is deferred to
-        // `retire_closing_conns`: deciding here would race the pump, which
-        // removes the registry entry only *after* the outbox send — a
-        // "no in-flight" observation at this point can coincide with the
-        // final response sitting undrained in the outbox channel, and
-        // closing now would drop it. The sweep runs at the end of every
-        // loop iteration (and the pump wakes the loop after each removal),
-        // so deferral costs no latency.
         self.sync_interest(conn_id);
     }
 
@@ -1159,66 +1092,29 @@ impl Reactor {
         }
     }
 
-    /// Closes every `closing` connection that has flushed its backlog and
-    /// has no request left in flight — the **only** place a drained
-    /// connection retires (a connection with interest 0 and reads refused
-    /// is otherwise never re-examined; the pump wakes the loop after every
-    /// registry removal, and this sweep, run each iteration, acts on that
-    /// wake). Without it, repeated connect/half-close cycles would leak
-    /// connection slots until the `max_connections` limit starved real
-    /// clients.
-    ///
-    /// Ordering matters: the pump removes a registry entry only *after*
-    /// handing the response to the outbox, so an empty in-flight count
-    /// guarantees any final response is already in the channel — but
-    /// possibly not yet in the connection buffer. Re-drain after the
-    /// in-flight check and re-test the backlog before closing, otherwise
-    /// the last response of a half-closed connection can be dropped on the
-    /// floor (the client sees EOF instead of its answer).
-    fn retire_closing_conns(&mut self) {
-        let candidates: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, conn)| conn.closing && !conn.has_backlog())
-            .map(|(&id, _)| id)
-            .collect();
-        for id in candidates {
-            if self.conn_has_in_flight(id) {
-                continue;
+    /// Moves every response the workers sent back into its connection's
+    /// buffer, encoding each frame straight into the outbound bytes.
+    fn drain_completions(&mut self) {
+        while let Ok(response) = self.completion_rx.try_recv() {
+            let PendingWire { conn_id, client_id } = self
+                .in_flight
+                .remove(&response.id)
+                .expect("only this reactor's submits answer on its completion channel");
+            self.stats.set_in_flight(self.in_flight.len() as u64);
+            if let Some(conn) = self.conns.get_mut(&conn_id) {
+                conn.in_flight -= 1;
             }
-            self.drain_outbox();
-            // If the drain surfaced a late response, `append_frame`'s
-            // flush may have cleared it again already; close only when the
-            // backlog really is empty. A partially flushed remainder gets
-            // EPOLLOUT, and the flush completion's loop iteration re-runs
-            // this sweep.
-            if self.conns.get(&id).is_none_or(|conn| !conn.has_backlog()) {
-                self.close_conn(id);
+            let buffered = self.append_frame(conn_id, Some(response.trace.clone()), |out| {
+                encode_response_into(out, client_id, &response)
+            });
+            if buffered {
+                // Counted before the flush: a client holding the response
+                // must find it in the next snapshot.
+                self.stats.frame_sent();
             }
-        }
-    }
-
-    /// Whether any submitted request from this connection is still
-    /// unanswered.
-    fn conn_has_in_flight(&self, conn_id: u64) -> bool {
-        self.registry.lock().expect("wire registry poisoned").values().any(|p| p.conn_id == conn_id)
-    }
-
-    /// Moves every pump-delivered response into its connection's buffer,
-    /// encoding each frame straight into the outbound bytes.
-    fn drain_outbox(&mut self) {
-        loop {
-            match self.outbox_rx.try_recv() {
-                Ok((conn_id, client_id, response)) => {
-                    self.stats.frame_sent();
-                    self.append_frame(conn_id, Some(response.trace.clone()), |out| {
-                        encode_response_into(out, client_id, &response)
-                    });
-                    let len = self.registry.lock().expect("wire registry poisoned").len();
-                    self.stats.set_in_flight(len as u64);
-                }
-                Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => return,
-            }
+            // Also when the frame was dropped: the flush is what retires a
+            // `closing` connection whose last owed response this was.
+            self.flush_conn(conn_id);
         }
     }
 
@@ -1233,8 +1129,8 @@ impl Reactor {
                 self.server.telemetry().record_completed(trace);
             }
             // The stream drops (and closes) here; in-flight requests from
-            // this connection still execute, their responses are dropped by
-            // `append_frame` when they complete.
+            // this connection still execute, and `append_frame` drops their
+            // responses when they complete (ids are never reused).
         }
     }
 }

@@ -1184,33 +1184,6 @@ mod store_lock {
         _file: File,
     }
 
-    #[cfg(unix)]
-    mod sys {
-        use std::os::unix::io::AsRawFd;
-
-        const LOCK_EX: i32 = 2;
-        const LOCK_NB: i32 = 4;
-
-        extern "C" {
-            fn flock(fd: i32, operation: i32) -> i32;
-        }
-
-        /// `flock`s `file` exclusively; blocking unless `nonblocking`.
-        pub(super) fn lock_exclusive(file: &std::fs::File, nonblocking: bool) -> bool {
-            let op = if nonblocking { LOCK_EX | LOCK_NB } else { LOCK_EX };
-            unsafe { flock(file.as_raw_fd(), op) == 0 }
-        }
-    }
-
-    #[cfg(not(unix))]
-    mod sys {
-        /// Without `flock` the lock degrades to single-process semantics —
-        /// temp+rename keeps individual files consistent either way.
-        pub(super) fn lock_exclusive(_file: &std::fs::File, _nonblocking: bool) -> bool {
-            true
-        }
-    }
-
     impl StoreLock {
         /// Blocks until the exclusive lock is held. `None` when the lock
         /// file cannot even be created — store mutations then proceed
@@ -1233,7 +1206,7 @@ mod store_lock {
                 .write(true)
                 .open(dir.join(super::STORE_LOCK_NAME))
                 .ok()?;
-            sys::lock_exclusive(&file, nonblocking).then_some(StoreLock { _file: file })
+            crate::sys::lock_exclusive(&file, nonblocking).then_some(StoreLock { _file: file })
         }
     }
 }

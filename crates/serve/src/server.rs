@@ -6,7 +6,7 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::batcher::{BatchPolicy, BatchScheduler, PendingRequest};
+use crate::batcher::{BatchPolicy, BatchScheduler, PendingRequest, Wake};
 use crate::config::ServeConfig;
 use crate::dispatch::DeviceDispatcher;
 use crate::repository::ModelRepository;
@@ -196,24 +196,28 @@ impl InferenceServer {
     }
 
     /// Enqueues a request whose response goes to a caller-supplied channel
-    /// (several requests may share one channel — the TCP front-end funnels
-    /// every wire request into a single completion stream this way).
+    /// (several requests may share one channel — each reactor of the TCP
+    /// front-end funnels its wire requests into one completion stream this
+    /// way).
     /// Returns the server-assigned id the response will carry.
     pub fn submit_with(
         &self,
         request: InferRequest,
         response_tx: std::sync::mpsc::Sender<InferResponse>,
     ) -> Result<u64, ServeError> {
-        self.submit_with_trace(request, response_tx, RequestTrace::new())
+        self.submit_traced(request, response_tx, None, RequestTrace::new())
     }
 
     /// [`Self::submit_with`] continuing a caller-started [`RequestTrace`]
-    /// (the TCP front-end stamps the wire-decode stage before submitting).
-    /// The admission stage, id, model and priority are stamped here.
-    pub fn submit_with_trace(
+    /// (the TCP front-end stamps the wire-decode stage before submitting)
+    /// and naming whom the worker wakes after the send (a wire reactor
+    /// sleeps in epoll, not in `recv`). The admission stage, id, model and
+    /// priority are stamped here.
+    pub(crate) fn submit_traced(
         &self,
         request: InferRequest,
         response_tx: std::sync::mpsc::Sender<InferResponse>,
+        wake: Option<Arc<dyn Wake>>,
         mut trace: RequestTrace,
     ) -> Result<u64, ServeError> {
         let expected = self.context.repository.input_dim();
@@ -246,6 +250,7 @@ impl InferenceServer {
             slo: request.deadline,
             features: request.features,
             response_tx,
+            wake,
             enqueued: Instant::now(),
             trace,
         };

@@ -367,7 +367,7 @@ impl WireStats {
     }
 
     /// Field-wise sum of per-reactor snapshots. Every field — including the
-    /// `in_flight` gauge, which each reactor stores from its own registry —
+    /// `in_flight` gauge, which each reactor stores from its own table —
     /// is owned by exactly one reactor, so the merged view is an exact sum,
     /// not an approximation.
     pub fn merged(parts: &[WireStats]) -> WireStats {

@@ -8,8 +8,9 @@
 //! carries its own response `Sender` (captured at submit time), so one
 //! batch can fan its responses out to any mix of in-process callers and
 //! wire reactors — each wire reactor submits with a clone of *its own*
-//! completion channel, and its pump sees only its own connections'
-//! responses back ([`crate::net::server`]).
+//! completion channel plus its waker, and the worker follows each such
+//! send with a wake, so the event loop itself receives only its own
+//! connections' responses back ([`crate::net::server`]).
 //!
 //! Device queues are **bounded to one in-flight batch** (`sync_channel(1)`)
 //! so the dispatcher barely runs ahead of the pool: requests wait in the
@@ -278,6 +279,9 @@ fn execute_batch(device: usize, context: &WorkerContext, mut batch: Batch, model
         // A dropped receiver (caller gave up) is not an error for the
         // server; the work is still recorded in the stats.
         let _ = request.response_tx.send(response);
+        if let Some(wake) = &request.wake {
+            wake.wake();
+        }
         // Wire traces are finalised (and recorded) by the front-end once
         // the response frame's bytes are flushed to the socket.
         if !trace.is_wire() {
@@ -334,6 +338,7 @@ mod tests {
                 slo: None,
                 features,
                 response_tx: tx,
+                wake: None,
                 enqueued: Instant::now(),
                 trace: crate::telemetry::RequestTrace::new(),
             });
@@ -377,6 +382,7 @@ mod tests {
                 slo: None,
                 features: Matrix::zeros(1, 32),
                 response_tx: tx,
+                wake: None,
                 enqueued: Instant::now(),
                 trace: crate::telemetry::RequestTrace::new(),
             }));
@@ -413,6 +419,7 @@ mod tests {
                 slo: None,
                 features: Matrix::zeros(1, 32),
                 response_tx: tx,
+                wake: None,
                 enqueued: Instant::now(),
                 trace: crate::telemetry::RequestTrace::new(),
             }));

@@ -239,9 +239,10 @@ fn graceful_shutdown_answers_every_pipelined_request() {
 fn half_closed_connections_are_retired_not_leaked() {
     let mut server = wire_server();
     // Repeated connect → pipeline → half-close → read-all → drop cycles
-    // must not accumulate open server-side connections (the last response
-    // races the pump's registry removal; the retire sweep closes the
-    // connection on the pump's wake).
+    // must not accumulate open server-side connections: the EOF usually
+    // arrives with requests still in flight, so the connection stays until
+    // the event loop has appended and flushed the last response, and the
+    // retire sweep of that same iteration closes it.
     for round in 0..3u64 {
         let mut client = WireClient::connect(server.local_addr()).expect("connect");
         for seed in 0..4 {
@@ -264,6 +265,84 @@ fn half_closed_connections_are_retired_not_leaked() {
     assert_eq!(wire.connections_accepted, 3);
     assert_eq!(wire.connections_closed, 3);
     server.shutdown();
+}
+
+/// A client that pipelines requests and vanishes without reading: every
+/// admitted request still executes and is traced exactly once, nothing
+/// stays registered for the dead connection, and the drain does not wait
+/// for it — on the acceptor reactor and on a hand-off reactor alike.
+#[test]
+fn abrupt_close_with_requests_in_flight_leaves_nothing_behind() {
+    const N: u64 = 16;
+    for reactors in [1usize, 2] {
+        let mut server = WireServer::start(
+            ServeConfig::default()
+                .with_max_batch(4)
+                .with_max_queue_wait(Duration::from_millis(1))
+                .with_proxy_dim(PROXY_DIM)
+                .with_reactors(reactors),
+        )
+        .expect("bind loopback");
+        // One connection per reactor (the balanced hand-off spreads them).
+        let conns = reactors as u64;
+        for c in 0..conns {
+            let mut client = WireClient::connect(server.local_addr()).expect("connect");
+            for seed in 0..N {
+                client.send(&request(c * 100 + seed)).expect("send");
+            }
+            drop(client);
+        }
+        let telemetry = std::sync::Arc::clone(server.server().telemetry());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let wire = server.wire_stats();
+            let quiescent = wire.connections_accepted == conns
+                && wire.open_connections() == 0
+                && wire.in_flight == 0
+                && telemetry.traces_recorded() >= conns * N;
+            if quiescent || Instant::now() >= deadline {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let wire = server.wire_stats();
+        assert_eq!(wire.frames_received, conns * N, "reactors {reactors}: {wire:?}");
+        assert_eq!(wire.open_connections(), 0, "reactors {reactors}: {wire:?}");
+        assert_eq!(wire.connections_closed, wire.connections_accepted);
+        assert_eq!(wire.in_flight, 0, "reactors {reactors}: {wire:?}");
+        // Responses that completed before the server noticed the close were
+        // buffered (and possibly accepted by the kernel); the rest were
+        // dropped. Either way each request's trace is recorded once.
+        assert!(wire.frames_sent <= conns * N, "reactors {reactors}: {wire:?}");
+        assert_eq!(telemetry.traces_recorded(), conns * N, "reactors {reactors}");
+        assert_eq!(server.stats().completed_requests, conns * N);
+        if reactors > 1 {
+            let per = server.reactor_stats();
+            assert!(per.iter().all(|r| r.connections_accepted == 1), "{per:?}");
+            assert_eq!(wire, dsstc_serve::WireStats::merged(&per));
+        }
+        server.shutdown();
+    }
+}
+
+/// A `metrics_addr` that cannot be bound fails the start — and must leave
+/// nothing behind: no event loop holding the listen socket, no workers.
+#[test]
+fn failed_metrics_bind_leaves_the_listen_address_free() {
+    let occupied = std::net::TcpListener::bind("127.0.0.1:0").expect("occupy a port");
+    let fixed = {
+        let probe = std::net::TcpListener::bind("127.0.0.1:0").expect("find a free port");
+        probe.local_addr().expect("probe addr")
+    };
+    let outcome = WireServer::start(
+        ServeConfig::default()
+            .with_proxy_dim(PROXY_DIM)
+            .with_listen(fixed)
+            .with_metrics_addr(occupied.local_addr().expect("occupied addr")),
+    );
+    let error = outcome.expect_err("an in-use metrics address must fail the start");
+    assert_eq!(error.kind(), std::io::ErrorKind::AddrInUse);
+    std::net::TcpListener::bind(fixed).expect("the failed start released the listen address");
 }
 
 /// The acceptance-criteria sweep: seeded Poisson arrivals over loopback,
