@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dsstc::DualSideSparseTensorCore;
-use dsstc_kernels::bitmap_spgemm::BitmapSpGemm;
+use dsstc_kernels::bitmap_spgemm::{BitmapSpGemm, SimdLevel};
 use dsstc_kernels::dense_gemm::DenseGemm;
 use dsstc_sim::GpuConfig;
 use dsstc_tensor::{GemmShape, Matrix, SparsityPattern};
@@ -100,7 +100,9 @@ fn bench_serve_hot_path(c: &mut Criterion) {
 
 /// One layer of the `forward_batch` benchmark workload: a 64-row batch
 /// against 256x256 weights at the ResNet-50 proxy's mean sparsities
-/// (activations 49 %, weights 68 %), split into its two kernel calls.
+/// (activations 49 %, weights 68 %), split into its two kernel calls, plus
+/// the multiply pinned to each vector level this host has
+/// (`execute_encoded` itself runs at the last one listed).
 fn bench_forward_hot_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("forward_hot_path_64x256x256");
     group.sample_size(10);
@@ -112,6 +114,15 @@ fn bench_forward_hot_path(c: &mut Criterion) {
     group.bench_function("execute_encoded", |bench| {
         bench.iter(|| black_box(kernel.execute_encoded(&a_enc, &b_enc)))
     });
+    for level in SimdLevel::available() {
+        group.bench_with_input(
+            BenchmarkId::new("execute_encoded_at", level.name()),
+            &level,
+            |bench, &level| {
+                bench.iter(|| black_box(kernel.execute_encoded_at(&a_enc, &b_enc, level)))
+            },
+        );
+    }
     group.finish();
 }
 

@@ -27,6 +27,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod bit_matrix;
 pub mod bitmap;

@@ -8,8 +8,16 @@
 //! on condensed operands plus the gather-accumulate-scatter merge in the
 //! OTC accumulation buffer.
 
+#[allow(unsafe_code)]
+mod simd;
 pub mod warp;
 mod word;
+
+/// A CPU vector level [`BitmapSpGemm::execute_encoded_at`] can be pinned to.
+/// Not part of the API: exported so the differential tests and the
+/// per-level Criterion cells can name one.
+#[doc(hidden)]
+pub use simd::Level as SimdLevel;
 
 use dsstc_formats::{TwoLevelBitmapMatrix, VectorLayout};
 use dsstc_sim::tiling::{GemmTiling, TrafficInputs};
@@ -182,9 +190,13 @@ pub struct BitmapSpGemm {
     config: GpuConfig,
     tiling: GemmTiling,
     options: BitmapSpGemmOptions,
-    /// Worker threads [`Self::execute_encoded`] may fan output tiles across
-    /// (`0` = one per available core, resolved at execute time).
+    /// Worker threads [`Self::execute_encoded`] may fan output tiles across,
+    /// as configured (`0` = one per available core).
     execute_threads: usize,
+    /// `execute_threads` with `0` resolved, once, when it was set: asking the
+    /// OS reads cgroup files (≈ 13 µs and 4 allocations), far too much to
+    /// pay per GEMM.
+    resolved_threads: usize,
 }
 
 impl BitmapSpGemm {
@@ -197,6 +209,7 @@ impl BitmapSpGemm {
             tiling: GemmTiling::paper_spgemm(),
             options: BitmapSpGemmOptions::default(),
             execute_threads: 1,
+            resolved_threads: 1,
         }
     }
 
@@ -237,12 +250,16 @@ impl BitmapSpGemm {
 
     /// Sets how many worker threads [`Self::execute_encoded`] may spread a
     /// single GEMM's output tiles across (`0` = one per available core,
-    /// resolved when the GEMM runs). The default is `1` (serial). Grids too
-    /// small to amortise thread startup always run serially, and the result
-    /// is bit-identical at every thread count — each thread owns a disjoint
-    /// band of output rows.
+    /// resolved here, once, not when a GEMM runs). The default is `1`
+    /// (serial). Grids too small to amortise thread startup always run
+    /// serially, and the result is bit-identical at every thread count —
+    /// each thread owns a disjoint band of output rows.
     pub fn with_execute_threads(mut self, threads: usize) -> Self {
         self.execute_threads = threads;
+        self.resolved_threads = match threads {
+            0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+            n => n,
+        };
         self
     }
 
@@ -619,6 +636,8 @@ impl BitmapSpGemm {
     /// This is the word-parallel hot path (the `word` submodule): per-step bitmaps
     /// are single `u64` words, gathers walk `count_ones`/`trailing_zeros`
     /// over borrowed condensed-value slices, the tile grid is cache-blocked,
+    /// the multiply-accumulate step runs at the widest vector level the CPU
+    /// has (chosen once per call; no level fuses the multiply and the add),
     /// and large grids fan output bands across
     /// [`Self::with_execute_threads`] scoped threads. Results are
     /// bit-identical to [`Self::execute_encoded_scalar`], which tilings
@@ -632,17 +651,26 @@ impl BitmapSpGemm {
         a_enc: &TwoLevelBitmapMatrix,
         b_enc: &TwoLevelBitmapMatrix,
     ) -> Matrix {
+        self.execute_encoded_at(a_enc, b_enc, simd::Level::detect())
+    }
+
+    /// [`Self::execute_encoded`] with the vector level pinned instead of
+    /// detected, so tests and benches can cover every level the host has.
+    /// Every level returns the same bits.
+    #[doc(hidden)]
+    pub fn execute_encoded_at(
+        &self,
+        a_enc: &TwoLevelBitmapMatrix,
+        b_enc: &TwoLevelBitmapMatrix,
+        level: SimdLevel,
+    ) -> Matrix {
         self.validate_encoded(a_enc, b_enc);
         let (wm, wn) = (self.tiling.warp_m, self.tiling.warp_n);
         if wm > 64 || wn > 64 {
             // A step's bitmap no longer fits one word; keep the scalar path.
             return self.execute_encoded_scalar(a_enc, b_enc);
         }
-        let threads = match self.execute_threads {
-            0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            n => n,
-        };
-        word::execute(a_enc, b_enc, threads)
+        word::execute(a_enc, b_enc, self.resolved_threads, level)
     }
 
     /// The retained scalar reference for [`Self::execute_encoded`]: the
@@ -1034,9 +1062,11 @@ mod tests {
                 let b = random(kd, n, sb, 101);
                 for k in [kernel(), BitmapSpGemm::for_device(GpuConfig::a100())] {
                     let (a_enc, b_enc) = (k.encode_a(&a), k.encode_b(&b));
-                    let word = k.execute_encoded(&a_enc, &b_enc);
                     let scalar = k.execute_encoded_scalar(&a_enc, &b_enc);
-                    assert_eq!(word, scalar, "shape ({m},{kd},{n}) sparsity ({sa},{sb})");
+                    for level in SimdLevel::available() {
+                        let word = k.execute_encoded_at(&a_enc, &b_enc, level);
+                        assert_eq!(word, scalar, "({m},{kd},{n}) at ({sa},{sb}), {level:?}");
+                    }
                 }
             }
         }
@@ -1055,10 +1085,13 @@ mod tests {
             let serial = base.execute_encoded(&a_enc, &b_enc);
             assert_eq!(serial, base.execute_encoded_scalar(&a_enc, &b_enc));
             assert!(serial.approx_eq(&a.matmul(&b), 1e-2));
-            for threads in [0, 2, 3, 7] {
+            for threads in [0, 1, 2, 3, 7] {
                 let k = base.clone().with_execute_threads(threads);
-                assert_eq!(k.execute_threads(), threads);
-                assert_eq!(k.execute_encoded(&a_enc, &b_enc), serial, "threads {threads}");
+                assert_eq!(k.execute_threads(), threads, "the configured value, `0` included");
+                for level in SimdLevel::available() {
+                    let out = k.execute_encoded_at(&a_enc, &b_enc, level);
+                    assert_eq!(out, serial, "threads {threads} {level:?}");
+                }
             }
         }
     }
@@ -1074,10 +1107,44 @@ mod tests {
         let mut b = Matrix::zeros(16, 32);
         b[(5, 7)] = 1.5;
         let k = kernel();
-        let out = k.execute_encoded(&k.encode_a(&a), &k.encode_b(&b));
-        assert_eq!(out[(3, 7)], f32::INFINITY);
-        assert_eq!(out[(4, 7)], 3.0);
-        assert_eq!(out.nnz(), 2, "no NaN planted beside the one infinite product");
+        let (a_enc, b_enc) = (k.encode_a(&a), k.encode_b(&b));
+        for level in SimdLevel::available() {
+            let out = k.execute_encoded_at(&a_enc, &b_enc, level);
+            assert_eq!(out[(3, 7)], f32::INFINITY, "{level:?}");
+            assert_eq!(out[(4, 7)], 3.0, "{level:?}");
+            assert_eq!(out.nnz(), 2, "no NaN planted beside the one infinite product, {level:?}");
+        }
+    }
+
+    #[test]
+    fn no_level_fuses_the_multiply_into_the_add() {
+        // x * x = 1 + 2^-11 + 2^-24 needs 25 significand bits and sits
+        // exactly between two floats; rounding it (ties to even) drops the
+        // 2^-24. Against an accumulator already holding -(1 + 2^-11), a
+        // rounded multiply then a rounded add therefore gives exactly 0,
+        // while a fused multiply-add keeps the product exact and gives
+        // 2^-24. Operands are encoded unrounded (FP16 products never need
+        // more than 22 bits) and fill whole rows, so every vector lane of
+        // the MAC step is checked.
+        let x = 1.0 + 2.0f32.powi(-12);
+        let c = -(1.0 + 2.0f32.powi(-11));
+        assert_eq!(x * x + c, 0.0);
+        assert_eq!(x.mul_add(x, c), 2.0f32.powi(-24), "the case tells the two apart");
+
+        let (mut a, mut b) = (Matrix::zeros(32, 16), Matrix::zeros(16, 32));
+        for i in 0..32 {
+            (a[(i, 0)], b[(0, i)]) = (c, 1.0); // step 0 plants c in every accumulator
+            (a[(i, 1)], b[(1, i)]) = (x, x); // step 1 is the discriminating MAC
+        }
+        let k = kernel();
+        let a_enc = TwoLevelBitmapMatrix::encode(&a, 32, 16, VectorLayout::ColumnMajor);
+        let b_enc = TwoLevelBitmapMatrix::encode(&b, 16, 32, VectorLayout::RowMajor);
+        let scalar = k.execute_encoded_scalar(&a_enc, &b_enc);
+        assert!(scalar.as_slice().iter().all(|v| v.to_bits() == 0), "reference is +0.0");
+        for level in SimdLevel::available() {
+            let word = k.execute_encoded_at(&a_enc, &b_enc, level);
+            assert!(same_bits(&word, &scalar), "{level:?} contracted a multiply-add");
+        }
     }
 
     #[test]
@@ -1105,8 +1172,8 @@ mod tests {
         // 32-wide tilings on the width-specialised MAC step; 8-, 24- and
         // 64-wide ones, incl. a non-square 16x8x8, on the runtime-width
         // step), sparsities (incl. 0.0 and ~1.0), edge-tile shapes, thread
-        // counts, and operands seeded with values FP16 storage turns
-        // non-finite.
+        // counts, operands seeded with values FP16 storage turns
+        // non-finite, and every vector level the host has.
         #[test]
         fn word_and_scalar_paths_agree_bitwise(
             seed in proptest::any::<u64>(),
@@ -1135,9 +1202,11 @@ mod tests {
             seed_non_finite(&mut a, non_finite, seed ^ 0xa);
             seed_non_finite(&mut b, non_finite / 2, seed ^ 0xb);
             let (a_enc, b_enc) = (k.encode_a(&a), k.encode_b(&b));
-            let word = k.execute_encoded(&a_enc, &b_enc);
             let scalar = k.execute_encoded_scalar(&a_enc, &b_enc);
-            proptest::prop_assert!(same_bits(&word, &scalar));
+            for level in SimdLevel::available() {
+                let word = k.execute_encoded_at(&a_enc, &b_enc, level);
+                proptest::prop_assert!(same_bits(&word, &scalar), "{:?}", level);
+            }
         }
     }
 

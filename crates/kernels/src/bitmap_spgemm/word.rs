@@ -21,6 +21,10 @@
 //!   tile width as a compile-time constant for the native `warp_n` (32), so
 //!   the `axpy` is straight-line SIMD; other tilings run the same body with
 //!   a runtime width.
+//! * **Runtime vector width**: the native-width band body is compiled once
+//!   per vector level (baseline, AVX2, AVX-512; [`super::simd`]) and the
+//!   level is picked from CPUID once per call. No level fuses the multiply
+//!   and the add, so all of them produce the same bits.
 //! * **Non-finite A values** take a masked path that touches only the set
 //!   B bits: `inf * 0.0` over the zero-filled columns would otherwise plant
 //!   NaNs the scalar reference (and the hardware) never computes.
@@ -33,8 +37,12 @@
 //!   [`std::thread`]s; each thread owns a disjoint row range of the output,
 //!   so the result is deterministic and bit-identical at any thread count.
 
+use std::ops::Range;
+
 use dsstc_formats::{BitmapMatrix, TwoLevelBitmapMatrix};
 use dsstc_tensor::Matrix;
+
+use super::simd::{self, Level};
 
 /// Output-tile columns accumulated together per band pass. Four 32x32 f32
 /// accumulators are 16 KiB — comfortably L1-resident next to one prepared
@@ -46,8 +54,9 @@ const JN_BLOCK: usize = 4;
 const MIN_TILES_FOR_THREADS: usize = 64;
 
 /// The device-native `warp_n` (V100 and A100 both): the width the MAC step
-/// is monomorphised for.
-const NATIVE_WN: usize = 32;
+/// is monomorphised for, and the only one that runs above the baseline
+/// vector level.
+pub(super) const NATIVE_WN: usize = 32;
 
 /// Every B tile with its condensed rows scattered into dense step rows, in
 /// two flat tile-major buffers (tile `(kk, jn)` is cell `kk * grid_n + jn`).
@@ -61,6 +70,16 @@ struct ExpandedB {
     words: Vec<u64>,
     /// Tile columns of the B grid (the cell stride of one `kk`).
     grid_n: usize,
+}
+
+/// What every band of one call shares: the operands, the output shape and
+/// the warp tile `(warp_m, warp_n, warp_k)`.
+pub(super) struct Gemm<'a> {
+    a_enc: &'a TwoLevelBitmapMatrix,
+    b: &'a ExpandedB,
+    out_rows: usize,
+    out_cols: usize,
+    dims: (usize, usize, usize),
 }
 
 fn expand_b(b_enc: &TwoLevelBitmapMatrix, wk: usize, wn: usize) -> ExpandedB {
@@ -105,7 +124,11 @@ fn prepare_a_band(a_enc: &TwoLevelBitmapMatrix, im: usize, wk: usize, words: &mu
 /// `WN` is the tile width as a compile-time constant, or `0` to take it
 /// from `wn` at run time: a constant width lets the `axpy` compile to
 /// straight-line SIMD instead of a runtime-trip-count loop.
-#[inline]
+///
+/// `inline(always)`, like [`run_bands`]: the body has to land inside the
+/// `#[target_feature]` callers of [`super::simd`] to be compiled at their
+/// vector width.
+#[inline(always)]
 fn tile_steps<const WN: usize>(
     a_words: &[u64],
     a_tile: &BitmapMatrix,
@@ -155,19 +178,15 @@ fn tile_steps<const WN: usize>(
     }
 }
 
-/// Executes the bands `band_lo..band_hi` into `out_chunk`, which must cover
-/// exactly the dense rows `band_lo * warp_m ..` of the output. `WN` as in
-/// [`tile_steps`].
-#[allow(clippy::too_many_arguments)]
-fn run_bands<const WN: usize>(
-    a_enc: &TwoLevelBitmapMatrix,
-    b: &ExpandedB,
-    bands: std::ops::Range<usize>,
+/// Executes `bands` into `out_chunk`, which must cover exactly the dense
+/// rows `bands.start * warp_m ..` of the output. `WN` as in [`tile_steps`].
+#[inline(always)]
+pub(super) fn run_bands<const WN: usize>(
+    gemm: &Gemm<'_>,
+    bands: Range<usize>,
     out_chunk: &mut [f32],
-    out_rows: usize,
-    out_cols: usize,
-    (wm, wn, wk): (usize, usize, usize),
 ) {
+    let &Gemm { a_enc, b, out_rows, out_cols, dims: (wm, wn, wk) } = gemm;
     let (grid_k, grid_n) = (a_enc.grid_cols(), b.grid_n);
     let chunk_row0 = bands.start * wm;
     let mut accs = vec![0.0f32; JN_BLOCK * wm * wn];
@@ -208,12 +227,14 @@ fn run_bands<const WN: usize>(
 
 /// Word-parallel `A * B` over two-level bitmap operands. `threads` is the
 /// resolved worker count (>= 1); small grids stay single-threaded
-/// regardless. The caller has already validated layouts and tilings and
-/// that `warp_m`/`warp_n` fit in a word.
+/// regardless. `level` is the vector level the native-width MAC step runs
+/// at; every level gives the same bits. The caller has already validated
+/// layouts and tilings and that `warp_m`/`warp_n` fit in a word.
 pub(crate) fn execute(
     a_enc: &TwoLevelBitmapMatrix,
     b_enc: &TwoLevelBitmapMatrix,
     threads: usize,
+    level: Level,
 ) -> Matrix {
     let (wm, wk) = (a_enc.tile_rows(), a_enc.tile_cols());
     let wn = b_enc.tile_cols();
@@ -226,11 +247,17 @@ pub(crate) fn execute(
     let b = expand_b(b_enc, wk, wn);
 
     let mut out = Matrix::zeros(out_rows, out_cols);
-    let dims = (wm, wn, wk);
-    let run = if wn == NATIVE_WN { run_bands::<NATIVE_WN> } else { run_bands::<0> };
+    let gemm = Gemm { a_enc, b: &b, out_rows, out_cols, dims: (wm, wn, wk) };
+    let run = |bands: Range<usize>, out_chunk: &mut [f32]| {
+        if wn == NATIVE_WN {
+            simd::run_native_bands(level, &gemm, bands, out_chunk)
+        } else {
+            run_bands::<0>(&gemm, bands, out_chunk)
+        }
+    };
     let threads = if grid_m * grid_n < MIN_TILES_FOR_THREADS { 1 } else { threads.min(grid_m) };
     if threads <= 1 {
-        run(a_enc, &b, 0..grid_m, out.as_mut_slice(), out_rows, out_cols, dims);
+        run(0..grid_m, out.as_mut_slice());
         return out;
     }
 
@@ -246,10 +273,8 @@ pub(crate) fn execute(
             let chunk_rows = (band_hi * wm).min(out_rows) - band_lo * wm;
             let (chunk, tail) = rest.split_at_mut(chunk_rows * out_cols);
             rest = tail;
-            let b = &b;
-            scope.spawn(move || {
-                run(a_enc, b, band_lo..band_hi, chunk, out_rows, out_cols, dims);
-            });
+            let run = &run;
+            scope.spawn(move || run(band_lo..band_hi, chunk));
             band_lo = band_hi;
         }
     });

@@ -22,6 +22,9 @@
 //! | [`conv`] | the five convolution schemes of Fig. 22 |
 
 #![deny(missing_docs)]
+// One module may say `unsafe`: `bitmap_spgemm::simd`, which runs the MAC
+// step under `#[target_feature]`. CI greps for a second.
+#![deny(unsafe_code)]
 
 pub mod bitmap_spgemm;
 pub mod conv;

@@ -1,11 +1,12 @@
 //! Pins how often the serve hot path (`encode_a` + `execute_encoded`) goes to
-//! the allocator: the kernel's count must not depend on the tile grid, and
-//! the encoder's must stay at three per non-empty tile.
+//! the allocator: the kernel's count must not depend on the tile grid, the
+//! vector level or an auto-sized thread count, and the encoder's must stay
+//! at three per non-empty tile.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use dsstc_kernels::bitmap_spgemm::BitmapSpGemm;
+use dsstc_kernels::bitmap_spgemm::{BitmapSpGemm, SimdLevel};
 use dsstc_sim::GpuConfig;
 use dsstc_tensor::{Matrix, SparsityPattern};
 
@@ -71,15 +72,33 @@ fn operands(m: usize, k: usize, n: usize) -> (Matrix, Matrix) {
 #[test]
 fn execute_encoded_allocates_the_same_few_buffers_at_any_tile_count() {
     // 256 and 1024 warp tiles of B: the flat expansion, the output, and the
-    // per-call accumulator and A-word buffers — never one buffer per tile.
+    // per-call accumulator and A-word buffers — never one buffer per tile,
+    // at any vector level.
     let kernel = BitmapSpGemm::new(GpuConfig::v100()).with_execute_threads(1);
-    let counts = [(64, 256, 256), (64, 512, 512)].map(|(m, k, n)| {
-        let (a, b) = operands(m, k, n);
+    for level in SimdLevel::available() {
+        let counts = [(64, 256, 256), (64, 512, 512)].map(|(m, k, n)| {
+            let (a, b) = operands(m, k, n);
+            let (a_enc, b_enc) = (kernel.encode_a(&a), kernel.encode_b(&b));
+            allocations_in(|| kernel.execute_encoded_at(&a_enc, &b_enc, level)).1
+        });
+        assert_eq!(counts[0], counts[1], "{level:?}: allocations grow with the tile grid");
+        assert!(counts[0] <= 8, "{level:?}: {} allocations per execute_encoded", counts[0]);
+    }
+}
+
+#[test]
+fn auto_thread_count_costs_no_allocation_per_call() {
+    // `with_execute_threads(0)` asks the OS for the core count, which reads
+    // cgroup files (4 allocations, ≈ 13 µs); it must do so when the kernel
+    // is built, never per GEMM. 16 output tiles stay under the threading
+    // threshold, so both kernels run the same serial path.
+    let (a, b) = operands(64, 256, 256);
+    let counts = [1, 0].map(|threads| {
+        let kernel = BitmapSpGemm::new(GpuConfig::v100()).with_execute_threads(threads);
         let (a_enc, b_enc) = (kernel.encode_a(&a), kernel.encode_b(&b));
         allocations_in(|| kernel.execute_encoded(&a_enc, &b_enc)).1
     });
-    assert_eq!(counts[0], counts[1], "allocations must not grow with the tile grid");
-    assert!(counts[0] <= 8, "{} allocations per execute_encoded", counts[0]);
+    assert_eq!(counts[1], counts[0], "threads 0 vs threads 1");
 }
 
 #[test]

@@ -18,6 +18,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod half;
 pub mod matrix;
