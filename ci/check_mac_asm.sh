@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
-# Fails if a vector-level instantiation of the SpGEMM band body
+# Fails if a vector-level instantiation of the SpGEMM hot loops
 # (crates/kernels/src/bitmap_spgemm/simd.rs) was compiled with a fused
-# multiply-add, or without a packed multiply at all.
+# multiply-add, without a packed multiply on the level's registers, or — for
+# the AVX-512 B expansion — without the expand instruction.
 #
 # The word kernel is bit-identical to the scalar reference only while a MAC
-# stays a rounded multiply then a rounded add, so `vfmadd*` anywhere in
-# `run_bands_avx2` / `run_bands_avx512` is a bug. And a reformulated loop that
-# LLVM stops vectorising still passes every test, only slower, so `vmulps` on
-# the level's registers (ymm / zmm) has to be there.
+# stays a rounded multiply then a rounded add, so `vfmadd*` anywhere in a
+# per-level function is a bug. And a reformulated loop whose lane ops LLVM no
+# longer inlines into the `#[target_feature]` function still passes every
+# test, only slower, so `vmulps` on the level's registers (ymm / zmm) and
+# `vexpandps` have to be there.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,7 +23,7 @@ rm -f "$DEPS"/dsstc_kernels-*.s
 cargo rustc --release --offline -q -p dsstc-kernels --lib -- --emit asm
 ASM=$(ls "$DEPS"/dsstc_kernels-*.s)
 
-check() { # <function> <vector register>
+check() { # <function> <instruction that must be there> <on this vector register>
     local body
     body=$(awk -v f="$1" '$0 ~ "^_.*" f ".*:$" { on = 1 } on { print } on && /\.cfi_endproc/ { exit }' "$ASM")
     [ -n "$body" ] || { echo "check_mac_asm: no $1 in $ASM"; exit 1; }
@@ -30,10 +32,15 @@ check() { # <function> <vector register>
         grep -n 'vfmadd\|vfnmadd\|vfmsub' <<<"$body" | head -5
         exit 1
     fi
-    grep -q "vmulps.*%$2" <<<"$body" \
-        || { echo "check_mac_asm: $1 has no vmulps on $2 registers (MAC step not vectorised)"; exit 1; }
-    echo "check_mac_asm: $1 ok ($(grep -c "vmulps.*%$2" <<<"$body") vmulps on $2, no fused multiply-add)"
+    grep -q "$2.*%$3" <<<"$body" \
+        || { echo "check_mac_asm: $1 has no $2 on $3 registers (lane ops not inlined at this level)"; exit 1; }
+    echo "check_mac_asm: $1 ok ($(grep -c "$2.*%$3" <<<"$body") $2 on $3, no fused multiply-add)"
 }
 
-check run_bands_avx2 ymm
-check run_bands_avx512 zmm
+# Every per-level function simd.rs defines must be named here.
+LEVEL_FNS=$(grep -c '^#\[target_feature' crates/kernels/src/bitmap_spgemm/simd.rs)
+[ "$LEVEL_FNS" = 3 ] || { echo "check_mac_asm: simd.rs has $LEVEL_FNS #[target_feature] functions, this script checks 3"; exit 1; }
+
+check run_bands_avx2 vmulps ymm
+check run_bands_avx512 vmulps zmm
+check expand_b_avx512 vexpandps zmm

@@ -126,12 +126,29 @@ fn bench_forward_hot_path(c: &mut Criterion) {
     group.finish();
 }
 
+/// One layer of the `serve_wire` benchmark workload: a 4-row batch against
+/// the 64-wide proxy's weights. Almost no MACs, so this is what a call pays
+/// before its first one — B expansion, A column words, five allocations.
+fn bench_tiny_call(c: &mut Criterion) {
+    let mut group = c.benchmark_group("tiny_call_4x64x64");
+    group.sample_size(200); // a 3 µs call: samples are cheap, a quiet one is rare
+    let kernel = BitmapSpGemm::new(GpuConfig::v100());
+    let a = Matrix::random_sparse(4, 64, 0.49, SparsityPattern::Uniform, 21);
+    let b = Matrix::random_sparse(64, 64, 0.68, SparsityPattern::Uniform, 42);
+    let (a_enc, b_enc) = (kernel.encode_a(&a), kernel.encode_b(&b));
+    group.bench_function("execute_encoded", |bench| {
+        bench.iter(|| black_box(kernel.execute_encoded(&a_enc, &b_enc)))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_scheme_estimation,
     bench_functional_spgemm,
     bench_word_vs_scalar,
     bench_serve_hot_path,
-    bench_forward_hot_path
+    bench_forward_hot_path,
+    bench_tiny_call
 );
 criterion_main!(benches);

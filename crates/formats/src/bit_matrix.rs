@@ -164,6 +164,7 @@ impl BitMatrix {
     ///
     /// # Panics
     /// Panics if `row >= rows()`.
+    #[inline]
     pub fn row_words(&self, row: usize) -> &[u64] {
         assert!(row < self.rows, "row out of bounds");
         &self.words[row * self.words_per_row..(row + 1) * self.words_per_row]

@@ -610,22 +610,26 @@ impl BitmapSpGemm {
     }
 
     /// Checks that encoded operands agree with each other and with this
-    /// kernel's warp tiling.
+    /// kernel's [`Self::encoding_spec`] — tile shape **and** condensed-vector
+    /// layout, for both execution paths: on a square tiling a B-layout
+    /// operand has the A operand's tile shape too.
     fn validate_encoded(&self, a_enc: &TwoLevelBitmapMatrix, b_enc: &TwoLevelBitmapMatrix) {
         assert_eq!(a_enc.cols(), b_enc.rows(), "inner dimensions must agree");
-        let (wm, wn, wk) = (self.tiling.warp_m, self.tiling.warp_n, self.tiling.warp_k);
-        assert!(
-            a_enc.tile_rows() == wm && a_enc.tile_cols() == wk,
-            "A operand tiling {}x{} does not match the kernel's {wm}x{wk}",
-            a_enc.tile_rows(),
-            a_enc.tile_cols()
-        );
-        assert!(
-            b_enc.tile_rows() == wk && b_enc.tile_cols() == wn,
-            "B operand tiling {}x{} does not match the kernel's {wk}x{wn}",
-            b_enc.tile_rows(),
-            b_enc.tile_cols()
-        );
+        let spec = self.encoding_spec();
+        let operands = [
+            ("A", a_enc, spec.matches_a(a_enc), spec.a_tile(), spec.a_layout),
+            ("B", b_enc, spec.matches_b(b_enc), spec.b_tile(), spec.b_layout),
+        ];
+        for (name, enc, matches, (rows, cols), layout) in operands {
+            assert!(
+                matches,
+                "{name} operand encoding ({}x{} tiles, {:?}) does not match the kernel's \
+                 ({rows}x{cols}, {layout:?})",
+                enc.tile_rows(),
+                enc.tile_cols(),
+                enc.layout()
+            );
+        }
     }
 
     /// Functionally computes `A * B` over operands that are **already** in
@@ -634,18 +638,18 @@ impl BitmapSpGemm {
     /// either side.
     ///
     /// This is the word-parallel hot path (the `word` submodule): per-step bitmaps
-    /// are single `u64` words, gathers walk `count_ones`/`trailing_zeros`
-    /// over borrowed condensed-value slices, the tile grid is cache-blocked,
-    /// the multiply-accumulate step runs at the widest vector level the CPU
-    /// has (chosen once per call; no level fuses the multiply and the add),
-    /// and large grids fan output bands across
+    /// are single `u64` words, each A non-zero is decoded once per block of
+    /// output tile columns and multiplied into B rows held in registers, the
+    /// tile grid is cache-blocked, every phase runs at the widest vector
+    /// level the CPU has (chosen once per call; no level fuses the multiply
+    /// and the add), and large grids fan output bands across
     /// [`Self::with_execute_threads`] scoped threads. Results are
     /// bit-identical to [`Self::execute_encoded_scalar`], which tilings
     /// wider than 64 fall back to.
     ///
     /// # Panics
     /// Panics if the operands' inner dimensions disagree or their tile
-    /// shapes do not match this kernel's warp tiling.
+    /// shapes or layouts do not match this kernel's [`Self::encoding_spec`].
     pub fn execute_encoded(
         &self,
         a_enc: &TwoLevelBitmapMatrix,
@@ -679,7 +683,7 @@ impl BitmapSpGemm {
     ///
     /// # Panics
     /// Panics if the operands' inner dimensions disagree or their tile
-    /// shapes do not match this kernel's warp tiling.
+    /// shapes or layouts do not match this kernel's [`Self::encoding_spec`].
     pub fn execute_encoded_scalar(
         &self,
         a_enc: &TwoLevelBitmapMatrix,
@@ -777,8 +781,9 @@ mod tests {
         }
     }
 
-    /// Bit-for-bit equality, except that a NaN matches any NaN: the sign and
-    /// payload of a NaN produced by arithmetic are unspecified.
+    /// Bit-for-bit equality (`-0.0` is not `+0.0`), except that a NaN matches
+    /// any NaN — the comparison `docs/ARCHITECTURE.md`'s bit-identity
+    /// contract is stated in.
     fn same_bits(x: &Matrix, y: &Matrix) -> bool {
         (x.rows(), x.cols()) == (y.rows(), y.cols())
             && x.as_slice()
@@ -1045,6 +1050,26 @@ mod tests {
         let _ = a100.execute_encoded(&a, &b);
     }
 
+    // On a square tiling (A100: 32x32x32) both operands have the same tile
+    // shape, so only the layout tells an A encoding from a B encoding. The
+    // word path used to accept the wrong one and return a wrong product.
+
+    #[test]
+    #[should_panic(expected = "A operand encoding (32x32 tiles, RowMajor) does not match")]
+    fn word_path_rejects_a_row_major_a_operand_on_a_square_tiling() {
+        let k = BitmapSpGemm::for_device(GpuConfig::a100());
+        let (a, b) = (random(32, 32, 0.5, 33), random(32, 32, 0.5, 34));
+        let _ = k.execute_encoded(&k.encode_b(&a), &k.encode_b(&b));
+    }
+
+    #[test]
+    #[should_panic(expected = "B operand encoding (32x32 tiles, ColumnMajor) does not match")]
+    fn word_path_rejects_a_column_major_b_operand_on_a_square_tiling() {
+        let k = BitmapSpGemm::for_device(GpuConfig::a100());
+        let (a, b) = (random(32, 32, 0.5, 33), random(32, 32, 0.5, 34));
+        let _ = k.execute_encoded(&k.encode_a(&a), &k.encode_a(&b));
+    }
+
     #[test]
     #[should_panic(expected = "whole number of warp tiles")]
     fn misaligned_block_tiling_panics() {
@@ -1076,8 +1101,8 @@ mod tests {
     fn word_path_is_bit_identical_across_thread_counts() {
         // Big enough that the threaded path actually engages (>= 64 output
         // tiles): every thread count must produce the same bits.
-        // The native tiling runs the width-specialised MAC step, the 24-wide
-        // one the runtime-width step.
+        // The native tiling runs register-held blocks, the 24-wide one the
+        // in-memory row.
         let a = random(1024, 128, 0.8, 102);
         let b = random(128, 128, 0.7, 103);
         for base in [kernel(), kernel().with_tiling(warp_tiling(32, 24, 16))] {
@@ -1097,22 +1122,82 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_activations_never_meet_the_zero_filled_b_columns() {
-        // One infinite A value against a B row with a single non-zero: the
-        // scalar reference (and the hardware) issues exactly one MAC, so
-        // every other output of that row stays zero instead of `inf * 0`.
-        let mut a = Matrix::zeros(32, 16);
-        a[(3, 5)] = f32::INFINITY;
-        a[(4, 5)] = 2.0;
-        let mut b = Matrix::zeros(16, 32);
-        b[(5, 7)] = 1.5;
+    fn every_split_into_blocks_and_remainder_tiles_is_bit_identical() {
+        // A block is 1, 2 or 4 tile columns depending on the level, so 1..=9
+        // of them cover, at every level: no full block, exactly one, one plus
+        // every possible remainder, and two plus a remainder. N, M and K are
+        // all ragged; 8 bands x (8 or 9) tile columns engage the threads.
+        let a = random(250, 40, 0.5, 110);
+        for grid_n in 1..=9 {
+            let b = random(40, 32 * grid_n - 5, 0.6, 111 + grid_n as u64);
+            let k = kernel();
+            let (a_enc, b_enc) = (k.encode_a(&a), k.encode_b(&b));
+            let scalar = k.execute_encoded_scalar(&a_enc, &b_enc);
+            for threads in [1, 2] {
+                let k = kernel().with_execute_threads(threads);
+                for level in SimdLevel::available() {
+                    let word = k.execute_encoded_at(&a_enc, &b_enc, level);
+                    assert!(same_bits(&word, &scalar), "grid_n {grid_n} x{threads} {level:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_b_row_inside_a_surviving_block_leaves_positive_zeros() {
+        // N = 128 is one 4-tile block at AVX-512 and two 2-tile blocks at
+        // AVX2. Step 0's B row has values in tiles 0, 2 and 3 and none in
+        // tile 1, so the block survives and tile 1's accumulators get
+        // `av * 0.0` — with every `av` negative that is `-0.0`, and adding
+        // it to `+0.0` must leave `+0.0`, bit for bit, as if no MAC ran.
+        let (mut a, mut b) = (Matrix::zeros(32, 16), Matrix::zeros(16, 128));
+        for r in 0..32 {
+            a[(r, 0)] = -(1.0 + r as f32);
+        }
+        for c in (0..32).chain(64..128) {
+            b[(0, c)] = 1.0 + c as f32;
+        }
         let k = kernel();
         let (a_enc, b_enc) = (k.encode_a(&a), k.encode_b(&b));
+        let scalar = k.execute_encoded_scalar(&a_enc, &b_enc);
         for level in SimdLevel::available() {
-            let out = k.execute_encoded_at(&a_enc, &b_enc, level);
-            assert_eq!(out[(3, 7)], f32::INFINITY, "{level:?}");
-            assert_eq!(out[(4, 7)], 3.0, "{level:?}");
-            assert_eq!(out.nnz(), 2, "no NaN planted beside the one infinite product, {level:?}");
+            let word = k.execute_encoded_at(&a_enc, &b_enc, level);
+            assert!(same_bits(&word, &scalar), "{level:?}");
+            for r in 0..32 {
+                let untouched = &word.row(r)[32..64];
+                assert!(untouched.iter().all(|v| v.to_bits() == 0), "{level:?}: row {r}");
+                assert!(word[(r, 0)] < 0.0 && word[(r, 127)] < 0.0, "{level:?}: row {r}");
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_activations_never_meet_the_zero_filled_b_columns() {
+        // One infinite A value against a B row with a single non-zero per
+        // occupied tile: the scalar reference (and the hardware) issues
+        // exactly one MAC per non-zero, so every other output of that row
+        // stays zero instead of `inf * 0`. At N = 160 the B row has values
+        // in tiles 0 and 4 only: tiles 1..=3 are the empty rows of a
+        // surviving block (at AVX-512), tile 4 a remainder tile.
+        for (n, b_cols) in [(32, vec![7]), (160, vec![7, 128 + 9])] {
+            let mut a = Matrix::zeros(32, 16);
+            a[(3, 5)] = f32::INFINITY;
+            a[(4, 5)] = 2.0;
+            let mut b = Matrix::zeros(16, n);
+            for &c in &b_cols {
+                b[(5, c)] = 1.5;
+            }
+            let k = kernel();
+            let (a_enc, b_enc) = (k.encode_a(&a), k.encode_b(&b));
+            for level in SimdLevel::available() {
+                let out = k.execute_encoded_at(&a_enc, &b_enc, level);
+                for &c in &b_cols {
+                    assert_eq!(out[(3, c)], f32::INFINITY, "N {n} {level:?}");
+                    assert_eq!(out[(4, c)], 3.0, "N {n} {level:?}");
+                }
+                let macs = 2 * b_cols.len();
+                assert_eq!(out.nnz(), macs, "N {n} {level:?}: a NaN beside an infinite product");
+            }
         }
     }
 
@@ -1125,25 +1210,33 @@ mod tests {
         // while a fused multiply-add keeps the product exact and gives
         // 2^-24. Operands are encoded unrounded (FP16 products never need
         // more than 22 bits) and fill whole rows, so every vector lane of
-        // the MAC step is checked.
+        // every register of the MAC step is checked.
         let x = 1.0 + 2.0f32.powi(-12);
         let c = -(1.0 + 2.0f32.powi(-11));
         assert_eq!(x * x + c, 0.0);
         assert_eq!(x.mul_add(x, c), 2.0f32.powi(-24), "the case tells the two apart");
 
-        let (mut a, mut b) = (Matrix::zeros(32, 16), Matrix::zeros(16, 32));
-        for i in 0..32 {
-            (a[(i, 0)], b[(0, i)]) = (c, 1.0); // step 0 plants c in every accumulator
-            (a[(i, 1)], b[(1, i)]) = (x, x); // step 1 is the discriminating MAC
-        }
-        let k = kernel();
-        let a_enc = TwoLevelBitmapMatrix::encode(&a, 32, 16, VectorLayout::ColumnMajor);
-        let b_enc = TwoLevelBitmapMatrix::encode(&b, 16, 32, VectorLayout::RowMajor);
-        let scalar = k.execute_encoded_scalar(&a_enc, &b_enc);
-        assert!(scalar.as_slice().iter().all(|v| v.to_bits() == 0), "reference is +0.0");
-        for level in SimdLevel::available() {
-            let word = k.execute_encoded_at(&a_enc, &b_enc, level);
-            assert!(same_bits(&word, &scalar), "{level:?} contracted a multiply-add");
+        // N = 32 runs the one-tile block, N = 128 the widest block of every
+        // level (4 tiles at AVX-512, 2 at AVX2).
+        for n in [32, 128] {
+            let (mut a, mut b) = (Matrix::zeros(32, 16), Matrix::zeros(16, n));
+            for i in 0..32 {
+                (a[(i, 0)], a[(i, 1)]) = (c, x);
+            }
+            for j in 0..n {
+                // Step 0 plants c in every accumulator; step 1 is the
+                // discriminating MAC.
+                (b[(0, j)], b[(1, j)]) = (1.0, x);
+            }
+            let k = kernel();
+            let a_enc = TwoLevelBitmapMatrix::encode(&a, 32, 16, VectorLayout::ColumnMajor);
+            let b_enc = TwoLevelBitmapMatrix::encode(&b, 16, 32, VectorLayout::RowMajor);
+            let scalar = k.execute_encoded_scalar(&a_enc, &b_enc);
+            assert!(scalar.as_slice().iter().all(|v| v.to_bits() == 0), "reference is +0.0");
+            for level in SimdLevel::available() {
+                let word = k.execute_encoded_at(&a_enc, &b_enc, level);
+                assert!(same_bits(&word, &scalar), "N {n}: {level:?} contracted a multiply-add");
+            }
         }
     }
 
@@ -1169,17 +1262,18 @@ mod tests {
     proptest::proptest! {
         // Differential property: the word-parallel kernel is bit-identical
         // to the retained scalar reference across layouts (the two native
-        // 32-wide tilings on the width-specialised MAC step; 8-, 24- and
-        // 64-wide ones, incl. a non-square 16x8x8, on the runtime-width
-        // step), sparsities (incl. 0.0 and ~1.0), edge-tile shapes, thread
-        // counts, operands seeded with values FP16 storage turns
-        // non-finite, and every vector level the host has.
+        // 32-wide tilings on register-held blocks — up to 7 tile columns, so
+        // a full block plus a remainder at every level; 8-, 24- and 64-wide
+        // ones, incl. a non-square 16x8x8, on the in-memory row), sparsities
+        // (incl. 0.0 and ~1.0), edge-tile shapes, thread counts, operands
+        // seeded with values FP16 storage turns non-finite, and every
+        // vector level the host has.
         #[test]
         fn word_and_scalar_paths_agree_bitwise(
             seed in proptest::any::<u64>(),
             m in 1usize..=80,
             kd in 1usize..=72,
-            n in 1usize..=80,
+            n in 1usize..=200,
             sa_idx in 0usize..6,
             sb_idx in 0usize..6,
             tiling_idx in 0usize..5,

@@ -1,27 +1,35 @@
-//! Runs the native-width band body of [`super::word`] at the widest vector
-//! level the CPU has, picked at run time from CPUID.
+//! Runs the hot loops of [`super::word`] at the widest vector level the CPU
+//! has, picked at run time from CPUID.
 //!
-//! The body is one `#[inline(always)]` function; this module instantiates
-//! it under `#[target_feature]` for AVX2 and for AVX-512F+VL, so LLVM
-//! vectorises the same 32-wide `axpy` with 8 or 16 lanes instead of the
-//! baseline's 4. **FMA is never enabled**: a step stays a rounded multiply
-//! then a rounded add at every level, which is what keeps the word kernel
-//! bit-identical to the scalar reference (CI greps the emitted code for
-//! `vfmadd`, see `ci/check_mac_asm.sh`).
+//! [`super::word`] writes the band loop and the B expansion once, over a
+//! small lane type ([`Lanes`]: one vector register of `f32`s). This module
+//! owns the lane types — a plain array for the baseline, `__m256` for AVX2,
+//! `__m512` for AVX-512F+VL — and instantiates the loops per level under
+//! `#[target_feature]`. **FMA is never enabled** and [`Lanes::mac`] is a
+//! multiply then an add: a step stays a rounded multiply then a rounded add
+//! at every level, which is what keeps the word kernel bit-identical to the
+//! scalar reference (CI greps the emitted code for `vfmadd`, see
+//! `ci/check_mac_asm.sh`).
 //!
 //! This is the only file in `dsstc-kernels`, `dsstc-formats` and
 //! `dsstc-tensor` that contains `unsafe` code — the crate roots deny it and
 //! `dsstc-kernels` allows it back on this module alone. The one obligation
-//! is that a `#[target_feature]` function runs only on a CPU that has the
-//! feature; [`Level`] carries that proof: its field is private, and the only
-//! constructor ([`Level::available`]) hands out a level only after
-//! `is_x86_feature_detected!` confirmed it.
+//! beyond pointer validity is that an AVX2 / AVX-512 instruction runs only
+//! on a CPU that has it; [`Level`] carries that proof: its field is private,
+//! and the only constructor ([`Level::available`]) hands out a level only
+//! after `is_x86_feature_detected!` confirmed it. The two vector lane types
+//! are private to this module and named only by the `#[target_feature]`
+//! functions below, which run only under such a level.
 
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::*;
 use std::ops::Range;
 
-use super::word::{self, Gemm, NATIVE_WN};
+use dsstc_formats::TwoLevelBitmapMatrix;
 
-/// The instruction sets the band body is compiled for, narrowest first.
+use super::word::{self, ExpandedB, Gemm, InMemory, NATIVE_WN};
+
+/// The instruction sets the loops are compiled for, narrowest first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Isa {
     /// The target's baseline features (SSE2 on x86-64).
@@ -48,7 +56,9 @@ impl Isa {
             Isa::Avx2 => is_x86_feature_detected!("avx2"),
             #[cfg(target_arch = "x86_64")]
             Isa::Avx512 => {
-                is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl")
+                is_x86_feature_detected!("avx512f")
+                    && is_x86_feature_detected!("avx512vl")
+                    && is_x86_feature_detected!("popcnt")
             }
         }
     }
@@ -67,7 +77,7 @@ impl Level {
         Isa::ALL.iter().filter(|isa| isa.supported()).map(|&isa| Level(isa))
     }
 
-    /// The widest available level — what production calls run at. Three
+    /// The widest available level — what production calls run at. A few
     /// cached-CPUID loads; taken once per GEMM, not per band or tile.
     pub(super) fn detect() -> Level {
         Level::available().last().expect("the baseline level is always available")
@@ -85,42 +95,251 @@ impl Level {
     }
 }
 
-/// [`word::run_bands`] at the native tile width, compiled for `level`.
-pub(super) fn run_native_bands(
-    level: Level,
-    gemm: &Gemm<'_>,
-    bands: Range<usize>,
-    out_chunk: &mut [f32],
-) {
+/// One vector register of `f32` lanes, and what a level does with it. Every
+/// method is `#[inline(always)]`: the generic loops of [`super::word`] have
+/// to land, lanes and all, inside the `#[target_feature]` functions below.
+pub(super) trait Lanes: Copy {
+    /// `f32` lanes per register.
+    const N: usize;
+
+    fn splat(x: f32) -> Self;
+
+    /// The first [`Self::N`] values of `src`.
+    ///
+    /// # Panics
+    /// Panics if `src` is shorter.
+    fn load(src: &[f32]) -> Self;
+
+    /// Overwrites the first [`Self::N`] values of `dst`.
+    ///
+    /// # Panics
+    /// Panics if `dst` is shorter.
+    fn store(self, dst: &mut [f32]);
+
+    /// `acc + self * x` per lane, the product rounded before the add —
+    /// never a fused multiply-add.
+    fn mac(self, x: Self, acc: Self) -> Self;
+
+    /// Decodes one condensed B row: `dst[c]` becomes the next of `vals` for
+    /// every set bit `c` of `word`, ascending, and `0.0` for every clear
+    /// one. `dst` is all zeros on entry (a level with an expand instruction
+    /// overwrites it whole; the bit-walk scatter relies on it).
+    ///
+    /// # Panics
+    /// Panics if `vals` holds more values than `word` has set bits or a set
+    /// bit is at or past `dst.len()`.
+    #[inline(always)]
+    fn expand_row(word: u64, vals: &[f32], dst: &mut [f32]) {
+        let mut bits = word;
+        for &v in vals {
+            dst[bits.trailing_zeros() as usize] = v;
+            bits &= bits - 1;
+        }
+    }
+}
+
+/// The portable lane type: a plain array one native tile wide, which LLVM
+/// legalises into however many baseline registers that takes (eight SSE2 /
+/// NEON ones) — narrower arrays tempt it into shuffling across them.
+#[derive(Clone, Copy)]
+pub(super) struct Portable([f32; NATIVE_WN]);
+
+impl Lanes for Portable {
+    const N: usize = NATIVE_WN;
+
+    #[inline(always)]
+    fn splat(x: f32) -> Self {
+        Portable([x; NATIVE_WN])
+    }
+
+    #[inline(always)]
+    fn load(src: &[f32]) -> Self {
+        Portable(src[..NATIVE_WN].try_into().expect("a full register"))
+    }
+
+    #[inline(always)]
+    fn store(self, dst: &mut [f32]) {
+        dst[..NATIVE_WN].copy_from_slice(&self.0);
+    }
+
+    #[inline(always)]
+    fn mac(self, x: Self, acc: Self) -> Self {
+        let mut out = acc.0;
+        for ((o, b), a) in out.iter_mut().zip(self.0).zip(x.0) {
+            *o += a * b;
+        }
+        Portable(out)
+    }
+}
+
+/// Eight lanes in a `ymm` register. Private: see the module docs.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Ymm(__m256);
+
+#[cfg(target_arch = "x86_64")]
+impl Lanes for Ymm {
+    const N: usize = 8;
+
+    #[inline(always)]
+    fn splat(x: f32) -> Self {
+        // SAFETY: needs AVX. `Ymm` is named only by `run_bands_avx2`, which
+        // runs only under a `Level` that `Level::available()` built after
+        // `is_x86_feature_detected!("avx2")` returned true.
+        Ymm(unsafe { _mm256_set1_ps(x) })
+    }
+
+    #[inline(always)]
+    fn load(src: &[f32]) -> Self {
+        let src = &src[..8];
+        // SAFETY: the slice above is eight readable `f32`s and the load is
+        // unaligned; AVX as in `splat` (`Level::available()`).
+        Ymm(unsafe { _mm256_loadu_ps(src.as_ptr()) })
+    }
+
+    #[inline(always)]
+    fn store(self, dst: &mut [f32]) {
+        let dst = &mut dst[..8];
+        // SAFETY: the slice above is eight writable `f32`s and the store is
+        // unaligned; AVX as in `splat` (`Level::available()`).
+        unsafe { _mm256_storeu_ps(dst.as_mut_ptr(), self.0) }
+    }
+
+    #[inline(always)]
+    fn mac(self, x: Self, acc: Self) -> Self {
+        // SAFETY: AVX as in `splat` (`Level::available()`); register-only.
+        Ymm(unsafe { _mm256_add_ps(acc.0, _mm256_mul_ps(x.0, self.0)) })
+    }
+}
+
+/// Sixteen lanes in a `zmm` register. Private: see the module docs.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Zmm(__m512);
+
+#[cfg(target_arch = "x86_64")]
+impl Lanes for Zmm {
+    const N: usize = 16;
+
+    #[inline(always)]
+    fn splat(x: f32) -> Self {
+        // SAFETY: needs AVX-512F. `Zmm` is named only by `run_bands_avx512`
+        // and `expand_b_avx512`, which run only under a `Level` that
+        // `Level::available()` built after `is_x86_feature_detected!`
+        // returned true for `avx512f`, `avx512vl` and `popcnt`.
+        Zmm(unsafe { _mm512_set1_ps(x) })
+    }
+
+    #[inline(always)]
+    fn load(src: &[f32]) -> Self {
+        let src = &src[..16];
+        // SAFETY: the slice above is sixteen readable `f32`s and the load is
+        // unaligned; AVX-512F as in `splat` (`Level::available()`).
+        Zmm(unsafe { _mm512_loadu_ps(src.as_ptr()) })
+    }
+
+    #[inline(always)]
+    fn store(self, dst: &mut [f32]) {
+        let dst = &mut dst[..16];
+        // SAFETY: the slice above is sixteen writable `f32`s and the store
+        // is unaligned; AVX-512F as in `splat` (`Level::available()`).
+        unsafe { _mm512_storeu_ps(dst.as_mut_ptr(), self.0) }
+    }
+
+    #[inline(always)]
+    fn mac(self, x: Self, acc: Self) -> Self {
+        // SAFETY: AVX-512F as in `splat` (`Level::available()`);
+        // register-only.
+        Zmm(unsafe { _mm512_add_ps(acc.0, _mm512_mul_ps(x.0, self.0)) })
+    }
+
+    /// `vexpandps`: sixteen columns per masked expand-load, zeros in the
+    /// clear lanes, so the row is written whole.
+    #[inline(always)]
+    fn expand_row(word: u64, vals: &[f32], dst: &mut [f32]) {
+        assert_eq!(vals.len(), word.count_ones() as usize, "one value per set bit");
+        let used = 64 - word.leading_zeros() as usize;
+        assert!((used..=64).contains(&dst.len()), "a row holds every set bit, in one word");
+        let mut rest = vals;
+        for (i, chunk) in dst.chunks_mut(16).enumerate() {
+            let mask = (word >> (16 * i)) as u16;
+            let (src, tail) = rest.split_at(mask.count_ones() as usize);
+            rest = tail;
+            let keep = u16::MAX >> (16 - chunk.len());
+            // SAFETY: `src` is one `f32` per set bit of `mask` (the
+            // `split_at` above), which is all the expand-load reads — it
+            // does not access masked-off lanes; the masked store writes the
+            // `chunk.len()` low lanes, which is all of `chunk` and no more.
+            // AVX-512F as in `splat` (`Level::available()`).
+            unsafe {
+                let row = _mm512_maskz_expandloadu_ps(mask, src.as_ptr());
+                _mm512_mask_storeu_ps(chunk.as_mut_ptr(), keep, row);
+            }
+        }
+    }
+}
+
+// The band body holds a block step's B rows in eight registers whatever the
+// level — what the smallest register file (sixteen) leaves once the
+// accumulator row streaming past them has its share — so a block is 4
+// native-width tiles at AVX-512, 2 at AVX2 and 1 at the baseline; the second
+// type is the one-tile block that remainders run. `fma` is deliberately
+// absent from both feature lists (see the module docs); `popcnt` is there
+// for the expand-load's value cursor, which is otherwise fifteen
+// instructions of bit-twiddling per sixteen columns.
+
+/// [`word::run_bands`] compiled for `level`: register-held blocks at the
+/// native tile width, the row left in memory at any other.
+pub(super) fn run_bands(level: Level, gemm: &Gemm<'_>, bands: Range<usize>, out_chunk: &mut [f32]) {
+    if gemm.tile_width() != NATIVE_WN {
+        return word::run_bands::<InMemory, InMemory>(gemm, bands, out_chunk);
+    }
     match level.0 {
-        Isa::Baseline => word::run_bands::<NATIVE_WN>(gemm, bands, out_chunk),
+        Isa::Baseline => word::run_bands::<[Portable; 1], [Portable; 1]>(gemm, bands, out_chunk),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `run_bands_avx2` requires AVX2. A `Level` holding
-        // `Isa::Avx2` is built only by `Level::available`, and only after
+        // `Isa::Avx2` is built only by `Level::available()`, and only after
         // `is_x86_feature_detected!("avx2")` returned true on this CPU.
         Isa::Avx2 => unsafe { run_bands_avx2(gemm, bands, out_chunk) },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `run_bands_avx512` requires AVX-512F and AVX-512VL. A
-        // `Level` holding `Isa::Avx512` is built only by `Level::available`,
-        // and only after `is_x86_feature_detected!("avx512f")` and
-        // `is_x86_feature_detected!("avx512vl")` both returned true on this
-        // CPU.
+        // SAFETY: `run_bands_avx512` requires AVX-512F, AVX-512VL and
+        // POPCNT. A `Level` holding `Isa::Avx512` is built only by
+        // `Level::available()`, and only after `is_x86_feature_detected!`
+        // returned true for `avx512f`, `avx512vl` and `popcnt` on this CPU.
         Isa::Avx512 => unsafe { run_bands_avx512(gemm, bands, out_chunk) },
     }
 }
 
-// `fma` is deliberately absent from both feature lists; see the module docs.
-
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn run_bands_avx2(gemm: &Gemm<'_>, bands: Range<usize>, out_chunk: &mut [f32]) {
-    word::run_bands::<NATIVE_WN>(gemm, bands, out_chunk)
+    word::run_bands::<[Ymm; 8], [Ymm; 4]>(gemm, bands, out_chunk)
 }
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl")]
+#[target_feature(enable = "avx512f,avx512vl,popcnt")]
 fn run_bands_avx512(gemm: &Gemm<'_>, bands: Range<usize>, out_chunk: &mut [f32]) {
-    word::run_bands::<NATIVE_WN>(gemm, bands, out_chunk)
+    word::run_bands::<[Zmm; 8], [Zmm; 2]>(gemm, bands, out_chunk)
+}
+
+/// [`word::expand_b`] compiled for `level`. Only AVX-512 has an expand
+/// instruction; the other levels share the bit-walk scatter, which no vector
+/// width helps.
+pub(super) fn expand_b(level: Level, b_enc: &TwoLevelBitmapMatrix) -> ExpandedB {
+    match level.0 {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `expand_b_avx512` requires AVX-512F, AVX-512VL and POPCNT;
+        // as in `run_bands`, an `Isa::Avx512` level comes only from
+        // `Level::available()`, after all three feature checks passed.
+        Isa::Avx512 => unsafe { expand_b_avx512(b_enc) },
+        _ => word::expand_b::<Portable>(b_enc),
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vl,popcnt")]
+fn expand_b_avx512(b_enc: &TwoLevelBitmapMatrix) -> ExpandedB {
+    word::expand_b::<Zmm>(b_enc)
 }
 
 #[cfg(test)]

@@ -1366,8 +1366,8 @@ mod tests {
         assert!(non_finite > 0, "the walk must end on non-finite features");
         assert_eq!((out.rows(), out.cols()), (reference.rows(), reference.cols()));
         for (i, (a, b)) in out.as_slice().iter().zip(reference.as_slice()).enumerate() {
-            // Any NaN matches any NaN: an arithmetic NaN's sign and payload
-            // are unspecified.
+            // Any NaN matches any NaN (docs/ARCHITECTURE.md, "Bit-identity
+            // contract").
             assert!(a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()), "{i}: {a} vs {b}");
         }
     }

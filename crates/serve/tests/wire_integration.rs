@@ -1,7 +1,8 @@
 //! End-to-end tests of the TCP front-end: framing over a real socket,
 //! pipelining, error frames, connection limits, graceful shutdown, and an
 //! open-loop sweep over loopback whose outputs must be **bit-identical** to
-//! the in-process submit path.
+//! the in-process submit path (what that promises, NaNs included, is stated
+//! once: `docs/ARCHITECTURE.md`, "Bit-identity contract").
 #![cfg(target_os = "linux")]
 
 use std::time::{Duration, Instant};
