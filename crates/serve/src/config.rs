@@ -8,8 +8,8 @@ use std::time::Duration;
 use dsstc_sim::GpuConfig;
 
 use crate::dispatch::DispatchPolicy;
-use crate::repository::CacheBudget;
 use crate::request::Priority;
+use crate::store::CacheBudget;
 
 /// SLO-aware admission control / load shedding.
 ///
@@ -288,11 +288,6 @@ pub struct ServeConfig {
     /// GC'd back under this budget (LRU by last restore) at boot and on
     /// every store touch; see `docs/ENCODING_CACHE.md`.
     pub encode_store_budget: CacheBudget,
-    /// Worker threads [`crate::ModelRepository::warm_boot`] restores
-    /// persisted artifacts with at server start (`0` = the host's
-    /// available parallelism). Only meaningful with `encode_cache_dir`
-    /// set.
-    pub warm_boot_threads: usize,
     /// SLO-aware admission control. `None` (the default) admits every
     /// well-formed request, exactly as before this knob existed; `Some`
     /// sheds load at submit time once projected queue delay exhausts a
@@ -369,7 +364,6 @@ impl Default for ServeConfig {
             encode_cache_dir: None,
             encode_cache_budget: CacheBudget::default(),
             encode_store_budget: CacheBudget::store_default(),
-            warm_boot_threads: 4,
             admission: None,
             listen: None,
             max_connections: 256,
@@ -464,13 +458,6 @@ impl ServeConfig {
     /// Overrides the on-disk store budget.
     pub fn with_encode_store_budget(mut self, budget: CacheBudget) -> Self {
         self.encode_store_budget = budget;
-        self
-    }
-
-    /// Overrides the warm-boot worker-thread count (`0` = size to the
-    /// host's available parallelism).
-    pub fn with_warm_boot_threads(mut self, threads: usize) -> Self {
-        self.warm_boot_threads = threads;
         self
     }
 
@@ -675,12 +662,8 @@ mod tests {
         let c = ServeConfig::default();
         assert_eq!(c.encode_store_budget, CacheBudget::store_default());
         assert!(c.encode_store_budget.max_bytes > c.encode_cache_budget.max_bytes);
-        assert!(c.warm_boot_threads > 0);
-        let c = c
-            .with_encode_store_budget(CacheBudget { max_entries: 8, max_bytes: 1 << 16 })
-            .with_warm_boot_threads(2);
+        let c = c.with_encode_store_budget(CacheBudget { max_entries: 8, max_bytes: 1 << 16 });
         assert_eq!(c.encode_store_budget, CacheBudget { max_entries: 8, max_bytes: 1 << 16 });
-        assert_eq!(c.warm_boot_threads, 2);
     }
 
     #[test]

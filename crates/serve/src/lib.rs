@@ -99,12 +99,13 @@ pub mod batcher;
 pub mod cluster;
 pub mod config;
 pub mod dispatch;
+pub mod model;
 #[cfg(target_os = "linux")]
 pub mod net;
-pub mod repository;
 pub mod request;
 pub mod server;
 pub mod stats;
+pub mod store;
 #[allow(unsafe_code)]
 pub mod sys;
 pub mod telemetry;
@@ -112,20 +113,25 @@ pub mod timing;
 pub mod traffic;
 pub mod worker;
 
+/// The [`ModelRepository`] unit tests (`store/tests.rs`), under the module
+/// path their test ids were recorded with.
+#[cfg(test)]
+#[path = "store/tests.rs"]
+mod repository;
+
 pub use crate::batcher::{BatchPolicy, BatchScheduler};
 pub use crate::cluster::{HashRing, NodeEntry, ShardMap};
 pub use crate::config::{AdmissionControl, ClusterConfig, DevicePool, ServeConfig};
 pub use crate::dispatch::{DeviceAssignment, DeviceDispatcher, DispatchPolicy};
+pub use crate::model::{EncodedLayer, EncodedModel};
 #[cfg(target_os = "linux")]
 pub use crate::net::{ClusterClient, WireClient, WireServer};
-pub use crate::repository::{
-    CacheBudget, EncodeCacheStats, EncodedLayer, EncodedModel, ModelRepository, WarmBootReport,
-};
 pub use crate::request::{InferRequest, InferResponse, ModelId, ModelKey, Priority};
 pub use crate::server::{InferenceServer, PendingResponse, ServeError};
 pub use crate::stats::{
     percentile, ClusterStats, DeviceStats, PriorityLatency, ServerStats, WireStats,
 };
+pub use crate::store::{CacheBudget, EncodeCacheStats, ModelRepository, WarmBootReport};
 #[cfg(target_os = "linux")]
 pub use crate::telemetry::MetricsServer;
 pub use crate::telemetry::{

@@ -1,0 +1,148 @@
+//! A served model: pruned, bitmap-encoded proxy weights plus the real layer
+//! table, and the forward pass that runs them on the dual-side SpGEMM kernel.
+//!
+//! Each served model carries two representations:
+//!
+//! * a **functional proxy** — one `proxy_dim x proxy_dim` GEMM per network
+//!   layer whose weights are deterministically generated, magnitude-pruned
+//!   to the layer's weight sparsity and pre-encoded. Request features flow
+//!   through it on the actual dual-side SpGEMM kernel, so responses carry
+//!   real outputs; and
+//! * the **real layer table** — used by [`crate::BatchTimingModel`] to
+//!   charge the modelled GPU time of the full-size network at the batch's
+//!   size.
+//!
+//! Caching and persistence of encoded models live in [`crate::store`].
+
+use std::time::Instant;
+
+use dsstc_formats::TwoLevelBitmapMatrix;
+use dsstc_kernels::bitmap_spgemm::BitmapSpGemm;
+use dsstc_kernels::EncodingSpec;
+use dsstc_models::{prune_magnitude, Layer, Network};
+use dsstc_tensor::{Matrix, RandomMatrixBuilder};
+
+use crate::request::ModelKey;
+
+/// One layer of a served model: the pre-encoded proxy weights plus the real
+/// layer descriptor the timing model charges.
+#[derive(Clone, Debug)]
+pub struct EncodedLayer {
+    /// Layer name (from the network table).
+    pub name: String,
+    /// Proxy weights in the kernel's two-level bitmap B-operand layout,
+    /// encoded once at load time.
+    pub weights: TwoLevelBitmapMatrix,
+    /// Whether ReLU follows this layer in the functional proxy.
+    pub relu: bool,
+    /// The real layer (shape + sparsities, with any uniform override
+    /// applied) used for modelled timing.
+    pub layer: Layer,
+}
+
+/// A fully loaded model: pruned, encoded, ready to serve.
+#[derive(Clone, Debug)]
+pub struct EncodedModel {
+    /// The cache key this model was loaded under.
+    pub key: ModelKey,
+    /// The encoding identity (device tiling + operand layouts) the weights
+    /// were encoded for; only a kernel with the same spec can execute them.
+    pub spec: EncodingSpec,
+    /// The real network table (with any sparsity override applied).
+    pub network: Network,
+    /// Feature width requests must supply.
+    pub input_dim: usize,
+    /// Pre-encoded layers in execution order.
+    pub layers: Vec<EncodedLayer>,
+    /// Wall-clock milliseconds spent obtaining the artifact — a fresh
+    /// prune+encode on the cold path, a disk restore on the warm path (the
+    /// cost the two cache tiers amortise away).
+    pub encode_ms: f64,
+    /// Whether the artifact was restored from the on-disk store instead of
+    /// freshly encoded.
+    pub from_disk: bool,
+}
+
+impl EncodedModel {
+    /// Prunes + encodes `key`'s `proxy_dim`-wide proxy for `kernel`'s
+    /// encoding spec (the cold path behind a miss in both cache tiers).
+    pub(crate) fn encode_fresh(kernel: &BitmapSpGemm, key: ModelKey, proxy_dim: usize) -> Self {
+        let started = Instant::now();
+        // The real layer table with the uniform sparsity override applied,
+        // so both the proxy weights and the timing model see it.
+        let network = key.network();
+        let relu = key.model.uses_relu();
+        let layers = network
+            .layers()
+            .iter()
+            .enumerate()
+            .map(|(i, layer)| {
+                let dense = RandomMatrixBuilder::new(proxy_dim, proxy_dim)
+                    .seed(proxy_seed(key, i))
+                    .value_range(-0.5, 0.5)
+                    .build();
+                let pruned = prune_magnitude(&dense, layer.weight_sparsity);
+                EncodedLayer {
+                    name: layer.name.clone(),
+                    weights: kernel.encode_b(&pruned),
+                    relu,
+                    layer: layer.clone(),
+                }
+            })
+            .collect();
+        EncodedModel {
+            key,
+            spec: kernel.encoding_spec(),
+            network,
+            input_dim: proxy_dim,
+            layers,
+            encode_ms: started.elapsed().as_secs_f64() * 1e3,
+            from_disk: false,
+        }
+    }
+
+    /// Runs `input` (rows = samples, `input_dim` columns) through every
+    /// pre-encoded proxy layer on the dual-side SpGEMM kernel and returns
+    /// the final features.
+    ///
+    /// # Panics
+    /// Panics if `input` does not have `input_dim` columns or `kernel`'s
+    /// encoding spec differs from the one the weights were encoded for.
+    pub fn forward(&self, kernel: &BitmapSpGemm, input: &Matrix) -> Matrix {
+        assert_eq!(input.cols(), self.input_dim, "feature width mismatch");
+        assert_eq!(
+            kernel.encoding_spec(),
+            self.spec,
+            "kernel encoding spec does not match the model's"
+        );
+        let mut x: Option<Matrix> = None;
+        for layer in &self.layers {
+            let a_enc = kernel.encode_a(x.as_ref().unwrap_or(input));
+            let mut y = kernel.execute_encoded(&a_enc, &layer.weights);
+            if layer.relu {
+                y.relu_in_place();
+            }
+            x = Some(y);
+        }
+        x.unwrap_or_else(|| input.clone())
+    }
+
+    /// Modelled storage footprint of the encoded weights in bytes (FP16
+    /// values + bitmaps) — what the in-memory cache budget charges.
+    pub fn encoded_bytes(&self) -> u64 {
+        self.layers.iter().map(|l| l.weights.storage().total()).sum()
+    }
+}
+
+/// Deterministic per-layer weight seed so repeated loads (and separate
+/// server instances) produce identical proxies. Deliberately independent of
+/// the encoding spec: every device encodes the *same* pruned weights, just
+/// tiled for its own kernel.
+fn proxy_seed(key: ModelKey, layer_index: usize) -> u64 {
+    let mut seed: u64 = 0x5EED_0F00;
+    for b in key.model.name().bytes() {
+        seed = seed.rotate_left(7) ^ u64::from(b).wrapping_mul(0x100_0000_01B3);
+    }
+    seed ^ (u64::from(key.sparsity_permille.map_or(0xFFFF, |p| p)) << 40)
+        ^ ((layer_index as u64) << 8)
+}

@@ -9,11 +9,14 @@ use std::time::{Duration, Instant};
 use crate::batcher::{BatchPolicy, BatchScheduler, PendingRequest, Wake};
 use crate::config::ServeConfig;
 use crate::dispatch::DeviceDispatcher;
-use crate::repository::ModelRepository;
 use crate::request::{InferRequest, InferResponse, Priority};
 use crate::stats::ServerStats;
+use crate::store::ModelRepository;
 use crate::telemetry::{RequestTrace, Stage, Telemetry};
 use crate::worker::{WorkerContext, WorkerPool};
+
+/// Worker threads the boot-time warmer restores persisted artifacts with.
+const WARM_BOOT_THREADS: usize = 4;
 
 /// Why a request could not be served.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -123,7 +126,7 @@ impl InferenceServer {
                     specs.push(spec);
                 }
             }
-            let _ = repository.warm_boot(&specs, config.warm_boot_threads);
+            let _ = repository.warm_boot(&specs, WARM_BOOT_THREADS);
         }
         let kernels = WorkerContext::kernels_for(&repository, &dispatcher, config.execute_threads);
         let telemetry = match &config.trace_out {

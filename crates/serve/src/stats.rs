@@ -114,9 +114,9 @@ pub struct ServerStats {
     pub encode_warm_reencoded: u64,
     /// Corrupt artifacts the warmer healed with a fresh encode.
     pub encode_warm_healed: u64,
-    /// Artifacts currently tracked by the on-disk store manifest.
+    /// Artifacts in the on-disk store at its last directory scan.
     pub store_entries: u64,
-    /// Bytes of artifact files currently tracked by the store manifest.
+    /// File bytes of those artifacts.
     pub store_bytes: u64,
     /// Artifacts removed from the on-disk store by garbage collection
     /// (budget evictions plus orphan sweeps).
@@ -517,7 +517,7 @@ pub fn percentile(samples: &[f64], q: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::repository::EncodeCacheStats;
+    use crate::store::EncodeCacheStats;
     use crate::telemetry::Telemetry;
 
     /// A snapshot percentile is its histogram bucket's upper bound: never

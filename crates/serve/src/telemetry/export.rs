@@ -155,14 +155,14 @@ pub fn render_prometheus(stats: &ServerStats, registry: &MetricsRegistry) -> Str
         &mut out,
         "dsstc_cache_store_entries",
         "gauge",
-        "Artifacts tracked by the on-disk store manifest",
+        "Artifacts in the on-disk store at its last directory scan",
     );
     sample_u64(&mut out, "dsstc_cache_store_entries", "", stats.store_entries);
     family(
         &mut out,
         "dsstc_cache_store_bytes",
         "gauge",
-        "Bytes of artifact files tracked by the store manifest",
+        "Bytes of artifact files in the on-disk store at its last directory scan",
     );
     sample_u64(&mut out, "dsstc_cache_store_bytes", "", stats.store_bytes);
     family(
@@ -817,7 +817,7 @@ mod tests {
         assert!(text.contains("dsstc_shed_requests_total{priority=\"low\"} 6"));
         assert!(text.contains("dsstc_shed_requests_total{priority=\"normal\"} 2"));
         assert!(text.contains("dsstc_shed_requests_total{priority=\"high\"} 0"));
-        // Store-lifecycle families from the warmer and manifest GC.
+        // Store-lifecycle families from the warmer and the store GC.
         assert!(text.contains("dsstc_cache_warm_restored_total 3"));
         assert!(text.contains("dsstc_cache_warm_reencoded_total 1"));
         assert!(text.contains("dsstc_cache_warm_healed_total 1"));

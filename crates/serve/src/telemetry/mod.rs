@@ -19,9 +19,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::repository::EncodeCacheStats;
 use crate::request::Priority;
 use crate::stats::{DeviceStats, PriorityLatency, ServerStats};
+use crate::store::EncodeCacheStats;
 
 pub use self::export::render_prometheus;
 #[cfg(target_os = "linux")]

@@ -18,7 +18,7 @@ use dsstc_models::Network;
 use dsstc_sim::{GpuConfig, GpuTimingModel};
 use dsstc_tensor::GemmShape;
 
-use crate::repository::EncodedModel;
+use crate::model::EncodedModel;
 use crate::request::ModelKey;
 
 /// How many M-dimension warp-tile rows each layer's synthetic profile
@@ -172,8 +172,8 @@ fn timing_seed(key: ModelKey, layer_index: usize, batch: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::repository::ModelRepository;
     use crate::request::{ModelId, ModelKey};
+    use crate::store::ModelRepository;
 
     fn bert() -> (ModelRepository, BatchTimingModel) {
         (ModelRepository::new(GpuConfig::v100(), 32), BatchTimingModel::new(GpuConfig::v100()))

@@ -30,8 +30,8 @@ use dsstc_tensor::Matrix;
 
 use crate::batcher::{Batch, BatchScheduler};
 use crate::dispatch::DeviceDispatcher;
-use crate::repository::ModelRepository;
 use crate::request::InferResponse;
+use crate::store::ModelRepository;
 use crate::telemetry::{Stage, Telemetry};
 
 /// Everything the dispatcher and worker threads need, shared by `Arc`.

@@ -1,25 +1,24 @@
 //! Fault-injection property tests for the on-disk encoding store.
 //!
 //! Every case doctors a freshly seeded store — truncating, bit-flipping or
-//! zeroing the artifact or the manifest at an arbitrary offset — then
-//! proves the lifecycle self-heals: warm boot and lookups never panic,
-//! corrupt artifacts fall back to a fresh encode and are rewritten, the
-//! manifest is rebuilt, and the bytes served always match a clean encode.
+//! zeroing an artifact at an arbitrary offset, falsifying the artifacts'
+//! mtimes (the store's LRU key), planting files that are not artifacts —
+//! then proves the lifecycle self-heals: warm boot and lookups never panic,
+//! corrupt artifacts fall back to a fresh encode and are rewritten, GC
+//! still shrinks the store to its budget, and the bytes served always match
+//! a clean encode.
 //!
 //! Case count honours `PROPTEST_CASES` (CI runs the suite in release mode
 //! with 64 cases).
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use dsstc_serve::{CacheBudget, EncodingSpec, ModelId, ModelKey, ModelRepository};
 use dsstc_sim::GpuConfig;
 use dsstc_tensor::{Matrix, SparsityPattern};
 use proptest::prelude::*;
-
-/// The manifest filename — part of the store's documented on-disk format
-/// (see `docs/ENCODING_CACHE.md`).
-const MANIFEST_NAME: &str = "MANIFEST.dsstcm";
 
 /// A narrow proxy width keeps each fresh encode cheap enough to run dozens
 /// of fault cases.
@@ -61,6 +60,12 @@ fn key() -> ModelKey {
     ModelKey::new(ModelId::RnnLm, Some(0.9))
 }
 
+/// The keys a multi-artifact store is seeded with; their artifact names
+/// sort in this order.
+fn keys() -> [ModelKey; 3] {
+    [0.8, 0.9, 0.95].map(|s| ModelKey::new(ModelId::RnnLm, Some(s)))
+}
+
 fn spec() -> EncodingSpec {
     EncodingSpec::for_gpu(&GpuConfig::v100())
 }
@@ -69,24 +74,30 @@ fn probe_input() -> Matrix {
     Matrix::random_sparse(2, PROXY_DIM, 0.4, SparsityPattern::Uniform, 7)
 }
 
+/// The output `r` serves for the probe input under `key`.
+fn served(r: &ModelRepository, key: ModelKey) -> Vec<f32> {
+    r.get_for(key, spec()).forward(r.kernel(), &probe_input()).as_slice().to_vec()
+}
+
 /// The output a clean, memory-only encode serves for the probe input.
 /// Encoding is deterministic, so any correctly restored or re-encoded
 /// artifact must reproduce these bytes exactly.
-fn reference_output() -> Vec<f32> {
-    let r = ModelRepository::new(GpuConfig::v100(), PROXY_DIM);
-    let m = r.get_for(key(), spec());
-    m.forward(r.kernel(), &probe_input()).as_slice().to_vec()
+fn reference_output_for(key: ModelKey) -> Vec<f32> {
+    served(&ModelRepository::new(GpuConfig::v100(), PROXY_DIM), key)
 }
 
-/// Seeds `dir` with one persisted artifact (plus its manifest) and returns
-/// the artifact's filename.
+fn reference_output() -> Vec<f32> {
+    reference_output_for(key())
+}
+
+/// Seeds `dir` with one persisted artifact and returns its filename.
 fn seed_store(dir: &Path) -> String {
     let r = repo(dir);
     let _ = r.get_for(key(), spec());
     artifact_names(dir).pop().expect("seeding persisted an artifact")
 }
 
-/// Artifact filenames in `dir`, sorted (skips the manifest + lock).
+/// Artifact filenames in `dir`, sorted (skips everything else).
 fn artifact_names(dir: &Path) -> Vec<String> {
     let mut names: Vec<String> = std::fs::read_dir(dir)
         .unwrap()
@@ -113,6 +124,45 @@ fn inject(file: &Path, mode: u8, offset_permille: u32, bit: u8) {
         }
         _ => std::fs::write(file, b"").expect("zero-length write"),
     }
+}
+
+/// Falsifies the mtime of every artifact in `dir` (the store's LRU key):
+/// 0 sends them all to the epoch, 1 a decade ahead of the clock (distinct,
+/// ascending by name), 2 makes them all equal.
+fn inject_mtimes(dir: &Path, mode: u8) {
+    let decade = Duration::from_secs(10 * 365 * 86_400);
+    for (i, name) in artifact_names(dir).iter().enumerate() {
+        let at = match mode {
+            0 => UNIX_EPOCH,
+            1 => SystemTime::now() + decade + Duration::from_micros(i as u64),
+            _ => UNIX_EPOCH + decade,
+        };
+        let file = std::fs::File::options().write(true).open(dir.join(name)).expect("open");
+        file.set_modified(at).expect("set mtime");
+    }
+}
+
+/// The retired store index's filename: a directory written by an older
+/// build may still hold one, and nothing may read it.
+const LEFTOVER_MANIFEST: &str = "MANIFEST.dsstcm";
+
+/// Plants files that are not artifacts: a leftover manifest of `len`
+/// arbitrary bytes, an interrupted write's temp file and an unrelated
+/// file. Returns the manifest's bytes.
+fn plant_foreign_files(dir: &Path, seed: u64, len: usize) -> Vec<u8> {
+    let mut state = seed | 1;
+    let junk: Vec<u8> = (0..len)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as u8
+        })
+        .collect();
+    std::fs::write(dir.join(LEFTOVER_MANIFEST), &junk).expect("plant manifest");
+    std::fs::write(dir.join("rnnlm-s0900-d16-x.tmp-1-0"), b"half").expect("plant temp file");
+    std::fs::write(dir.join("README"), b"not ours").expect("plant foreign file");
+    junk
 }
 
 proptest! {
@@ -155,61 +205,72 @@ proptest! {
         );
     }
 
-    /// Whatever happens to the manifest file, the store rebuilds it from a
-    /// directory scan: warm boot restores the artifact, the rewritten
-    /// manifest verifies, and GC keeps working.
+    /// Whatever the directory claims about its artifacts' ages and whatever
+    /// else lies in it, the store keeps working: GC shrinks it to any
+    /// budget (name order where the mtimes cannot tell), warm boot restores
+    /// the survivors, every lookup serves a clean encode's bytes, and the
+    /// foreign files are swept (temp) or never read (the rest).
     #[test]
-    fn any_manifest_corruption_is_rebuilt(
+    fn any_metadata_fault_is_harmless(
         mode in 0u8..3,
-        offset_permille in 0u32..=1000,
-        bit in 0u8..8,
+        junk_seed in any::<u64>(),
+        junk_len in 0usize..=256,
+        max_entries in 1usize..=3,
     ) {
-        let store = TempStore::new("manifest");
-        let _ = seed_store(store.path());
-        let manifest = store.path().join(MANIFEST_NAME);
-        prop_assert!(manifest.exists(), "seeding writes a manifest");
-        inject(&manifest, mode, offset_permille, bit);
+        let store = TempStore::new("metadata");
+        {
+            let r = repo(store.path());
+            for k in keys() {
+                let _ = r.get_for(k, spec());
+            }
+        }
+        let names = artifact_names(store.path());
+        prop_assert_eq!(names.len(), 3);
+        inject_mtimes(store.path(), mode);
+        let junk = plant_foreign_files(store.path(), junk_seed, junk_len);
+
+        // Every mode orders the artifacts by name (ties fall back to it).
+        let gc = repo(store.path())
+            .with_store_budget(CacheBudget { max_entries, max_bytes: u64::MAX });
+        prop_assert_eq!(gc.gc_store(), (3 - max_entries) as u64);
+        prop_assert_eq!(artifact_names(store.path()), names[3 - max_entries..].to_vec());
 
         let r = repo(store.path());
         let report = r.warm_boot(&[spec()], 1);
-        prop_assert_eq!(report.restored, 1, "the artifact itself is intact");
-        prop_assert_eq!(r.counters().fresh_encodes, 0);
+        prop_assert_eq!(report.restored, max_entries as u64);
+        prop_assert_eq!((report.healed, report.orphans_removed), (0, 1), "only the temp file goes");
+        for k in keys() {
+            prop_assert_eq!(served(&r, k), reference_output_for(k));
+        }
+        prop_assert_eq!(r.counters().fresh_encodes, (3 - max_entries) as u64);
+        prop_assert_eq!(std::fs::read(store.path().join(LEFTOVER_MANIFEST)).unwrap(), junk);
 
-        // The rebuilt manifest round-trips: a second warm boot trusts it.
-        let r2 = repo(store.path());
-        let report2 = r2.warm_boot(&[spec()], 1);
-        prop_assert_eq!(report2.restored, 1);
-
-        // GC over the rebuilt manifest behaves: a 1-byte budget shrinks the
-        // store to its floor of one artifact without panicking.
-        let gc = ModelRepository::new(GpuConfig::v100(), PROXY_DIM)
-            .with_disk_cache(store.path())
+        // A 1-byte budget still stops at the floor of one artifact.
+        let floor = repo(store.path())
             .with_store_budget(CacheBudget { max_entries: usize::MAX, max_bytes: 1 });
-        let _ = gc.gc_store();
+        prop_assert_eq!(floor.gc_store(), 2);
         prop_assert_eq!(artifact_names(store.path()).len(), 1);
     }
 
-    /// Corrupting artifact and manifest together still converges: the
-    /// artifact heals via a fresh encode and both files verify afterwards.
+    /// Corrupting an artifact and falsifying the directory's metadata
+    /// together still converges: the artifact heals via a fresh encode and
+    /// the next boot is clean.
     #[test]
-    fn simultaneous_artifact_and_manifest_corruption_converges(
+    fn simultaneous_artifact_and_metadata_faults_converge(
         artifact_mode in 0u8..3,
-        manifest_mode in 0u8..3,
+        mtime_mode in 0u8..3,
         offset_permille in 0u32..=1000,
     ) {
         let store = TempStore::new("both");
         let file = seed_store(store.path());
         inject(&store.path().join(&file), artifact_mode, offset_permille, 3);
-        inject(&store.path().join(MANIFEST_NAME), manifest_mode, offset_permille, 3);
+        inject_mtimes(store.path(), mtime_mode);
+        let _ = plant_foreign_files(store.path(), u64::from(offset_permille), 64);
 
         let r = repo(store.path());
         let report = r.warm_boot(&[spec()], 1);
         prop_assert_eq!(report.restored + report.healed, 1);
-        let m = r.get_for(key(), spec());
-        prop_assert_eq!(
-            m.forward(r.kernel(), &probe_input()).as_slice().to_vec(),
-            reference_output()
-        );
+        prop_assert_eq!(served(&r, key()), reference_output());
         // Converged: the next boot is a clean restore with nothing to heal.
         let r2 = repo(store.path());
         let report2 = r2.warm_boot(&[spec()], 1);
