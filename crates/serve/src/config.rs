@@ -316,10 +316,6 @@ pub struct ServeConfig {
     /// response-stream decoders (the [`crate::net::WireClient`]) allow
     /// for.
     pub max_frame_len: usize,
-    /// How long a graceful wire shutdown keeps draining in-flight requests
-    /// and unflushed response bytes before force-closing the remaining
-    /// connections.
-    pub drain_timeout: Duration,
     /// Listen address of the Prometheus-style metrics endpoint
     /// (`--metrics-addr` in the demo binary). `None` (the default) serves
     /// no endpoint; set, the wire front-end boots a
@@ -369,7 +365,6 @@ impl Default for ServeConfig {
             max_connections: 256,
             reactors: 1,
             max_frame_len: 1 << 24,
-            drain_timeout: Duration::from_secs(30),
             metrics_addr: None,
             trace_out: None,
             execute_threads: 0,
@@ -421,13 +416,6 @@ impl ServeConfig {
     pub fn with_proxy_dim(mut self, proxy_dim: usize) -> Self {
         assert!(proxy_dim > 0, "proxy dimension must be non-zero");
         self.proxy_dim = proxy_dim;
-        self
-    }
-
-    /// Replaces every pooled device with copies of `gpu`, keeping the pool
-    /// size (single-GPU convenience mirroring the pre-pool API).
-    pub fn with_gpu(mut self, gpu: GpuConfig) -> Self {
-        self.devices = DevicePool::homogeneous(gpu, self.devices.len());
         self
     }
 
@@ -497,12 +485,6 @@ impl ServeConfig {
     pub fn with_max_frame_len(mut self, max_frame_len: usize) -> Self {
         assert!(max_frame_len >= 64, "frame bodies need room for the fixed request fields");
         self.max_frame_len = max_frame_len;
-        self
-    }
-
-    /// Overrides the graceful wire-shutdown drain bound.
-    pub fn with_drain_timeout(mut self, drain_timeout: Duration) -> Self {
-        self.drain_timeout = drain_timeout;
         self
     }
 
@@ -629,9 +611,8 @@ mod tests {
 
     #[test]
     fn with_gpu_keeps_pool_size_and_with_devices_replaces_it() {
-        let c = ServeConfig::default().with_workers(3).with_gpu(GpuConfig::a100());
+        let c = ServeConfig::default().with_workers(3);
         assert_eq!(c.workers(), 3);
-        assert!(c.devices.devices().iter().all(|d| d.name == "A100"));
         let mixed = DevicePool::new(vec![GpuConfig::v100(), GpuConfig::a100()]);
         let c = c.with_devices(mixed);
         assert_eq!(c.workers(), 2);

@@ -236,18 +236,13 @@ pub struct RequestFrame {
 impl RequestFrame {
     /// Builds a frame from the in-process request type.
     pub fn from_request(id: u64, request: &InferRequest) -> Self {
+        let (sparsity_permille, deadline_us) = wire_terms(request);
         RequestFrame {
             id,
             model: request.model,
-            sparsity_permille: crate::ModelKey::new(request.model, request.weight_sparsity)
-                .sparsity_permille,
+            sparsity_permille,
             priority: request.priority,
-            // Clamped to >= 1: the wire encodes "no deadline" as 0, and a
-            // sub-microsecond SLO must stay an (expired) SLO on the far
-            // side, not silently become the server default.
-            deadline_us: request
-                .deadline
-                .map(|d| d.as_micros().clamp(1, u128::from(u32::MAX)) as u32),
+            deadline_us,
             features: request.features.clone(),
         }
     }
@@ -266,16 +261,9 @@ impl RequestFrame {
 
     /// Encodes the frame, envelope and checksum included.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out =
-            Vec::with_capacity(HEADER_LEN + 32 + self.features.as_slice().len() * 4 + CHECKSUM_LEN);
-        seal_into(&mut out, REQUEST_MAGIC, |body| {
-            put_u64(body, self.id);
-            body.push(self.model.wire_code());
-            put_u16(body, self.sparsity_permille.unwrap_or(SPARSITY_NONE));
-            body.push(self.priority.wire_code());
-            put_u32(body, self.deadline_us.unwrap_or(0));
-            put_matrix(body, &self.features);
-        });
+        let RequestFrame { id, model, sparsity_permille, priority, deadline_us, features } = self;
+        let mut out = Vec::new();
+        seal_request(&mut out, *id, *model, *sparsity_permille, *priority, *deadline_us, features);
         out
     }
 
@@ -380,26 +368,18 @@ impl ResponseFrame {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match &self.body {
-            Some(ok) => seal_into(&mut out, RESPONSE_MAGIC, |body| {
-                put_u64(body, self.id);
-                body.push(self.status.code());
-                body.push(ok.model.wire_code());
-                body.push(ok.priority.wire_code());
-                put_u16(body, ok.device);
-                put_u16(body, ok.batch_size);
-                put_f64(body, ok.queue_us);
-                put_f64(body, ok.execute_us);
-                put_f64(body, ok.modelled_batch_us);
-                put_f64(body, ok.modelled_request_us);
-                put_matrix(body, &ok.output);
-            }),
-            None => seal_into(&mut out, RESPONSE_MAGIC, |body| {
-                put_u64(body, self.id);
-                body.push(self.status.code());
-                let message = self.message.as_bytes();
-                put_u32(body, message.len().min(u32::MAX as usize) as u32);
-                body.extend_from_slice(message);
-            }),
+            Some(ok) => seal_served(
+                &mut out,
+                self.id,
+                self.status,
+                ok.model,
+                ok.priority,
+                ok.device,
+                ok.batch_size,
+                [ok.queue_us, ok.execute_us, ok.modelled_batch_us, ok.modelled_request_us],
+                &ok.output,
+            ),
+            None => encode_error_into(&mut out, self.id, self.status, &self.message),
         }
         out
     }
@@ -609,51 +589,102 @@ fn seal_into(out: &mut Vec<u8>, magic: [u8; 4], fill: impl FnOnce(&mut Vec<u8>))
     put_u64(out, checksum);
 }
 
+/// A request's sparsity override and deadline in frame terms. The deadline
+/// is clamped to >= 1 µs: the wire encodes "no deadline" as 0, and a
+/// sub-microsecond SLO must stay an (expired) SLO on the far side, not
+/// silently become the server default.
+fn wire_terms(request: &InferRequest) -> (Option<u16>, Option<u32>) {
+    let sparsity = crate::ModelKey::new(request.model, request.weight_sparsity).sparsity_permille;
+    let deadline = request.deadline.map(|d| d.as_micros().clamp(1, u128::from(u32::MAX)) as u32);
+    (sparsity, deadline)
+}
+
+/// The request frame's one layout: [`RequestFrame::to_bytes`] and
+/// [`encode_request_into`] differ only in where the fields come from.
+fn seal_request(
+    out: &mut Vec<u8>,
+    id: u64,
+    model: ModelId,
+    sparsity_permille: Option<u16>,
+    priority: Priority,
+    deadline_us: Option<u32>,
+    features: &Matrix,
+) {
+    out.reserve(HEADER_LEN + 24 + features.as_slice().len() * 4 + CHECKSUM_LEN);
+    seal_into(out, REQUEST_MAGIC, |body| {
+        put_u64(body, id);
+        body.push(model.wire_code());
+        put_u16(body, sparsity_permille.unwrap_or(SPARSITY_NONE));
+        body.push(priority.wire_code());
+        put_u32(body, deadline_us.unwrap_or(0));
+        put_matrix(body, features);
+    });
+}
+
+/// The served-response frame's one layout, behind
+/// [`ResponseFrame::to_bytes`] and [`encode_response_into`]. `timings_us`
+/// is queue, execute, modelled batch, modelled request.
+#[allow(clippy::too_many_arguments)] // one parameter per wire field, in layout order
+fn seal_served(
+    out: &mut Vec<u8>,
+    id: u64,
+    status: WireStatus,
+    model: ModelId,
+    priority: Priority,
+    device: u16,
+    batch_size: u16,
+    timings_us: [f64; 4],
+    output: &Matrix,
+) {
+    out.reserve(HEADER_LEN + 55 + output.as_slice().len() * 4 + CHECKSUM_LEN);
+    seal_into(out, RESPONSE_MAGIC, |body| {
+        put_u64(body, id);
+        body.push(status.code());
+        body.push(model.wire_code());
+        body.push(priority.wire_code());
+        put_u16(body, device);
+        put_u16(body, batch_size);
+        for us in timings_us {
+            put_f64(body, us);
+        }
+        put_matrix(body, output);
+    });
+}
+
 /// Serialises the request frame for `request` under the client-chosen `id`
 /// directly into `out` — byte-identical to
 /// `RequestFrame::from_request(id, request).to_bytes()` without cloning the
 /// feature matrix or allocating an intermediate body.
 pub fn encode_request_into(out: &mut Vec<u8>, id: u64, request: &InferRequest) {
-    let sparsity = crate::ModelKey::new(request.model, request.weight_sparsity)
-        .sparsity_permille
-        .unwrap_or(SPARSITY_NONE);
-    // Clamped to >= 1, mirroring `RequestFrame::from_request`: 0 is the "no
-    // deadline" sentinel on the wire.
-    let deadline_us =
-        request.deadline.map_or(0, |d| d.as_micros().clamp(1, u128::from(u32::MAX)) as u32);
-    out.reserve(HEADER_LEN + 24 + request.features.as_slice().len() * 4 + CHECKSUM_LEN);
-    seal_into(out, REQUEST_MAGIC, |body| {
-        put_u64(body, id);
-        body.push(request.model.wire_code());
-        put_u16(body, sparsity);
-        body.push(request.priority.wire_code());
-        put_u32(body, deadline_us);
-        put_matrix(body, &request.features);
-    });
+    let (sparsity, deadline) = wire_terms(request);
+    seal_request(out, id, request.model, sparsity, request.priority, deadline, &request.features);
 }
 
 /// Serialises the `Ok` response frame answering `id` directly into `out` —
 /// byte-identical to `ResponseFrame::from_response(id, response).to_bytes()`
 /// without cloning the output matrix or allocating an intermediate body.
 pub fn encode_response_into(out: &mut Vec<u8>, id: u64, response: &InferResponse) {
-    out.reserve(HEADER_LEN + 55 + response.output.as_slice().len() * 4 + CHECKSUM_LEN);
-    seal_into(out, RESPONSE_MAGIC, |body| {
-        put_u64(body, id);
-        body.push(WireStatus::Ok.code());
-        body.push(response.model.wire_code());
-        body.push(response.priority.wire_code());
-        put_u16(body, response.device.min(usize::from(u16::MAX)) as u16);
-        put_u16(body, response.batch_size.min(usize::from(u16::MAX)) as u16);
-        put_f64(body, response.queue_us);
-        put_f64(body, response.execute_us);
-        put_f64(body, response.modelled_batch_us);
-        put_f64(body, response.modelled_request_us);
-        put_matrix(body, &response.output);
-    });
+    seal_served(
+        out,
+        id,
+        WireStatus::Ok,
+        response.model,
+        response.priority,
+        response.device.min(usize::from(u16::MAX)) as u16,
+        response.batch_size.min(usize::from(u16::MAX)) as u16,
+        [
+            response.queue_us,
+            response.execute_us,
+            response.modelled_batch_us,
+            response.modelled_request_us,
+        ],
+        &response.output,
+    );
 }
 
-/// Serialises an error frame directly into `out` — byte-identical to
-/// `ResponseFrame::error(id, status, message).to_bytes()`.
+/// Serialises an error frame directly into `out`: the error-response
+/// frame's one layout ([`ResponseFrame::to_bytes`] calls this for its
+/// error arm).
 pub fn encode_error_into(out: &mut Vec<u8>, id: u64, status: WireStatus, message: &str) {
     debug_assert!(status != WireStatus::Ok, "error frames carry a non-Ok status");
     seal_into(out, RESPONSE_MAGIC, |body| {

@@ -34,9 +34,8 @@
 //! (round-robin on ties) over a small mutex-guarded intake queue plus a
 //! waker nudge, or adopted directly when reactor 0 itself is least loaded.
 //! The owning reactor registers the socket with *its* poller and counts the
-//! accept in *its* `WireStatsCollector`; merged counters are the
-//! field-wise sum of the per-reactor collectors
-//! ([`crate::stats::WireStats::merged`]).
+//! accept in *its* [`WireStats`]; merged counters are the field-wise sum of
+//! the per-reactor counters ([`crate::stats::WireStats::merged`]).
 //!
 //! Responses stream back **as batches complete**, so pipelined requests on
 //! one connection may be answered out of submission order; the echoed id is
@@ -59,7 +58,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -73,13 +72,12 @@ use crate::net::frame::{
 use crate::net::poll::{Event, Poller, Token, Waker, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::request::InferResponse;
 use crate::server::{InferenceServer, ServeError};
-use crate::stats::{ServerStats, WireStats, WireStatsCollector};
+use crate::stats::{ServerStats, WireStats};
 use crate::telemetry::{render_prometheus, MetricsServer, RequestTrace, Stage};
 
-/// Default bound on how long a graceful shutdown keeps draining in-flight
-/// requests and unflushed response bytes before force-closing the remaining
-/// connections (override with
-/// [`ServeConfig::with_drain_timeout`](crate::ServeConfig::with_drain_timeout)).
+/// Bound on how long a graceful shutdown keeps draining in-flight requests
+/// and unflushed response bytes before force-closing the remaining
+/// connections.
 pub const DRAIN_TIMEOUT: Duration = Duration::from_secs(30);
 
 const TOKEN_LISTENER: Token = Token(0);
@@ -98,6 +96,14 @@ struct PendingWire {
 /// Accepted sockets handed from the acceptor (reactor 0) to the reactor
 /// that will own them.
 type Intake = Arc<Mutex<Vec<TcpStream>>>;
+
+/// One reactor's counters. The reactor is their single writer; the mutex
+/// is only ever contended by a `stats()` call or a scrape reading them.
+type ReactorStats = Arc<Mutex<WireStats>>;
+
+fn counters(stats: &Mutex<WireStats>) -> MutexGuard<'_, WireStats> {
+    stats.lock().expect("wire stats poisoned")
+}
 
 /// A TCP front-end for an [`InferenceServer`], speaking the
 /// [`crate::net::frame`] protocol.
@@ -127,7 +133,7 @@ pub struct WireServer {
     local_addr: SocketAddr,
     shutdown_flag: Arc<AtomicBool>,
     wakers: Vec<Arc<Waker>>,
-    stats: Vec<Arc<WireStatsCollector>>,
+    stats: Vec<ReactorStats>,
     event_loops: Vec<JoinHandle<()>>,
     metrics: Option<MetricsServer>,
     cluster: Option<Arc<ClusterState>>,
@@ -144,7 +150,6 @@ impl WireServer {
         let max_connections = config.max_connections;
         let max_body_len = config.max_frame_len;
         let max_outbound_bytes = config.max_outbound_bytes;
-        let drain_timeout = config.drain_timeout;
         let metrics_addr = config.metrics_addr;
         let cluster_config = config.cluster.clone();
         let auth_token = config.auth_token.clone();
@@ -184,8 +189,7 @@ impl WireServer {
             wakers.push(Arc::new(Waker::new(&poller, TOKEN_WAKER)?));
             pollers.push(poller);
         }
-        let stats: Vec<Arc<WireStatsCollector>> =
-            (0..reactors).map(|_| Arc::new(WireStatsCollector::new())).collect();
+        let stats: Vec<ReactorStats> = (0..reactors).map(|_| ReactorStats::default()).collect();
 
         // The last step that can fail, so an `Err` (say, `metrics_addr` in
         // use) returns before any event loop exists: the listener, the
@@ -230,7 +234,6 @@ impl WireServer {
                 max_connections,
                 max_body_len,
                 max_outbound_bytes,
-                drain_timeout,
                 scratch: vec![0u8; 64 * 1024],
                 local_addr,
                 cluster: cluster.clone(),
@@ -324,7 +327,7 @@ impl WireServer {
     /// Per-reactor counter snapshots, in reactor order (reactor 0 owns the
     /// listener). Their field-wise sum is [`WireServer::wire_stats`].
     pub fn reactor_stats(&self) -> Vec<WireStats> {
-        self.stats.iter().map(|s| s.snapshot()).collect()
+        self.stats.iter().map(|s| counters(s).clone()).collect()
     }
 
     /// The runtime's metrics snapshot with the wire counters attached.
@@ -379,11 +382,11 @@ impl Drop for WireServer {
 /// [`WireServer::stats`] and the `--metrics-addr` scrape.
 fn wire_snapshot(
     server: &InferenceServer,
-    reactors: &[Arc<WireStatsCollector>],
+    reactors: &[ReactorStats],
     cluster: Option<&Arc<ClusterState>>,
 ) -> ServerStats {
     let mut stats = server.stats();
-    let per_reactor: Vec<WireStats> = reactors.iter().map(|r| r.snapshot()).collect();
+    let per_reactor: Vec<WireStats> = reactors.iter().map(|r| counters(r).clone()).collect();
     stats.wire = Some(WireStats::merged(&per_reactor));
     stats.wire_reactors = per_reactor;
     stats.cluster = cluster.map(|c| c.snapshot());
@@ -549,7 +552,7 @@ struct Reactor {
     /// Round-robin cursor breaking least-loaded ties in `pick_reactor`.
     rr: usize,
     server: Arc<InferenceServer>,
-    stats: Arc<WireStatsCollector>,
+    stats: ReactorStats,
     /// Server-assigned request id → where its response goes. Inserted
     /// after the submit, removed when the response frame is appended.
     in_flight: HashMap<u64, PendingWire>,
@@ -563,7 +566,6 @@ struct Reactor {
     max_connections: usize,
     max_body_len: usize,
     max_outbound_bytes: usize,
-    drain_timeout: Duration,
     scratch: Vec<u8>,
     /// The bound listen address; standalone hello replies advertise it.
     local_addr: SocketAddr,
@@ -604,7 +606,7 @@ impl Reactor {
             self.drain_completions();
             if self.shutdown_flag.load(Ordering::SeqCst) && !draining {
                 draining = true;
-                drain_deadline = Instant::now() + self.drain_timeout;
+                drain_deadline = Instant::now() + DRAIN_TIMEOUT;
                 // Stop accepting: deregister the listener (reactor 0).
                 // Connected peers keep their sockets until the drain
                 // completes.
@@ -648,12 +650,12 @@ impl Reactor {
                 Ok((stream, _peer)) => {
                     let open: usize = self.loads.iter().map(|l| l.load(Ordering::Relaxed)).sum();
                     if open >= self.max_connections {
-                        self.stats.connection_rejected();
+                        counters(&self.stats).connections_rejected += 1;
                         drop(stream); // The client sees a closed socket.
                         continue;
                     }
                     if stream.set_nonblocking(true).is_err() {
-                        self.stats.connection_rejected();
+                        counters(&self.stats).connections_rejected += 1;
                         continue;
                     }
                     let _ = stream.set_nodelay(true);
@@ -714,12 +716,12 @@ impl Reactor {
         let conn_id = self.next_conn_id;
         let token = Token(CONN_BASE + conn_id);
         if self.poller.register(stream.as_raw_fd(), EPOLLIN | EPOLLRDHUP, token).is_err() {
-            self.stats.connection_rejected();
+            counters(&self.stats).connections_rejected += 1;
             self.loads[self.index].fetch_sub(1, Ordering::Relaxed);
             return;
         }
         self.next_conn_id += 1;
-        self.stats.connection_accepted();
+        counters(&self.stats).connections_accepted += 1;
         self.conns.insert(
             conn_id,
             Connection {
@@ -780,7 +782,7 @@ impl Reactor {
                     return;
                 }
                 Ok(n) => {
-                    self.stats.bytes_received(n as u64);
+                    counters(&self.stats).bytes_received += n as u64;
                     conn.decoder.feed(&self.scratch[..n]);
                     self.decode_ready(conn_id);
                 }
@@ -801,11 +803,11 @@ impl Reactor {
             let next = conn.decoder.next_frame();
             match next {
                 Ok(Some(Frame::Request(frame))) => {
-                    self.stats.frame_received();
+                    counters(&self.stats).frames_received += 1;
                     if self.auth_token.is_some()
                         && !self.conns.get(&conn_id).is_some_and(|c| c.authenticated)
                     {
-                        self.stats.request_rejected();
+                        counters(&self.stats).requests_rejected += 1;
                         self.poison(
                             conn_id,
                             WireStatus::Unauthorized,
@@ -824,19 +826,19 @@ impl Reactor {
                 }
                 Ok(Some(Frame::Response(_))) => {
                     // Clients must not send response frames.
-                    self.stats.decode_error();
+                    counters(&self.stats).decode_errors += 1;
                     self.poison(conn_id, WireStatus::InvalidRequest, "unexpected response frame");
                     return;
                 }
                 Ok(Some(Frame::ShardMap(_))) => {
                     // Shard maps only ever flow server → client.
-                    self.stats.decode_error();
+                    counters(&self.stats).decode_errors += 1;
                     self.poison(conn_id, WireStatus::InvalidRequest, "unexpected shard-map frame");
                     return;
                 }
                 Ok(None) => return,
                 Err(error) => {
-                    self.stats.decode_error();
+                    counters(&self.stats).decode_errors += 1;
                     let status = match error {
                         WireError::UnsupportedVersion(_) => WireStatus::UnsupportedVersion,
                         _ => WireStatus::InvalidRequest,
@@ -916,7 +918,7 @@ impl Reactor {
                 // The response cannot overtake this insert: only this
                 // thread receives it, in `drain_completions`.
                 self.in_flight.insert(server_id, PendingWire { conn_id, client_id });
-                self.stats.set_in_flight(self.in_flight.len() as u64);
+                counters(&self.stats).in_flight = self.in_flight.len() as u64;
                 if let Some(conn) = self.conns.get_mut(&conn_id) {
                     conn.in_flight += 1;
                 }
@@ -930,9 +932,9 @@ impl Reactor {
             // Shed requests are load management, not client mistakes: they
             // get their own per-priority counter instead of the rejected one.
             if let ServeError::ShedLoad { priority, .. } = &error {
-                self.stats.request_shed(*priority);
+                counters(&self.stats).count_shed(*priority);
             } else {
-                self.stats.request_rejected();
+                counters(&self.stats).requests_rejected += 1;
             }
             self.send_error_frame(conn_id, client_id, status, &error.to_string());
         }
@@ -946,7 +948,7 @@ impl Reactor {
         status: WireStatus,
         message: &str,
     ) {
-        self.stats.error_frame_sent();
+        counters(&self.stats).error_frames_sent += 1;
         self.append_frame(conn_id, None, |out| encode_error_into(out, client_id, status, message));
         self.flush_conn(conn_id);
     }
@@ -1014,8 +1016,8 @@ impl Reactor {
     /// as soon as that frame drains — the server's memory for a slow
     /// reader is bounded by `max_outbound_bytes` plus one error frame.
     fn poison_overflowed(&mut self, conn_id: u64) {
-        self.stats.outbound_overflow();
-        self.stats.error_frame_sent();
+        counters(&self.stats).outbound_overflows += 1;
+        counters(&self.stats).error_frames_sent += 1;
         let message = format!(
             "outbound buffer exceeded {} bytes; read your responses",
             self.max_outbound_bytes
@@ -1064,7 +1066,7 @@ impl Reactor {
             }
         }
         conn.flushed_total += sent;
-        self.stats.bytes_sent(sent);
+        counters(&self.stats).bytes_sent += sent;
         while conn.flush_marks.front().is_some_and(|(mark, _)| *mark <= conn.flushed_total) {
             let (_, mut trace) = conn.flush_marks.pop_front().expect("front checked");
             trace.record(Stage::WireFlushed);
@@ -1100,7 +1102,7 @@ impl Reactor {
                 .in_flight
                 .remove(&response.id)
                 .expect("only this reactor's submits answer on its completion channel");
-            self.stats.set_in_flight(self.in_flight.len() as u64);
+            counters(&self.stats).in_flight = self.in_flight.len() as u64;
             if let Some(conn) = self.conns.get_mut(&conn_id) {
                 conn.in_flight -= 1;
             }
@@ -1110,7 +1112,7 @@ impl Reactor {
             if buffered {
                 // Counted before the flush: a client holding the response
                 // must find it in the next snapshot.
-                self.stats.frame_sent();
+                counters(&self.stats).frames_sent += 1;
             }
             // Also when the frame was dropped: the flush is what retires a
             // `closing` connection whose last owed response this was.
@@ -1121,7 +1123,7 @@ impl Reactor {
     fn close_conn(&mut self, conn_id: u64) {
         if let Some(conn) = self.conns.remove(&conn_id) {
             let _ = self.poller.deregister(conn.stream.as_raw_fd());
-            self.stats.connection_closed();
+            counters(&self.stats).connections_closed += 1;
             self.loads[self.index].fetch_sub(1, Ordering::Relaxed);
             // Responses that never cleared the socket still had their
             // request completed: record their traces without a flush stamp.

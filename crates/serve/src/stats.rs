@@ -8,8 +8,6 @@
 //! renders, i.e. the **upper bound** of the bucket holding the nearest-rank
 //! percentile — never below the exact value, at most 25 % (+1 µs) above.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use crate::request::Priority;
 
 /// Latency percentiles of one priority class (bucket upper bounds, see the
@@ -301,7 +299,8 @@ pub struct ClusterStats {
 }
 
 /// Per-connection / per-frame counters of the TCP front-end (see
-/// [`crate::net::WireServer::wire_stats`]).
+/// [`crate::net::WireServer::wire_stats`]). Each reactor is the single
+/// writer of its own instance, behind a mutex it shares with the readers.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WireStats {
     /// Connections accepted since boot.
@@ -366,127 +365,39 @@ impl WireStats {
         }
     }
 
+    /// Counts one request of `priority` rejected by admission control (the
+    /// owning reactor, when it answers with a `ShedLoad` error frame).
+    pub(crate) fn count_shed(&mut self, priority: Priority) {
+        match priority {
+            Priority::Low => self.shed_low += 1,
+            Priority::Normal => self.shed_normal += 1,
+            Priority::High => self.shed_high += 1,
+        }
+    }
+
     /// Field-wise sum of per-reactor snapshots. Every field — including the
     /// `in_flight` gauge, which each reactor stores from its own table —
     /// is owned by exactly one reactor, so the merged view is an exact sum,
-    /// not an approximation.
+    /// not an approximation. A struct literal without `..`: a field added
+    /// to [`WireStats`] and not summed here does not compile.
     pub fn merged(parts: &[WireStats]) -> WireStats {
-        let mut total = WireStats::default();
-        for part in parts {
-            total.connections_accepted += part.connections_accepted;
-            total.connections_rejected += part.connections_rejected;
-            total.connections_closed += part.connections_closed;
-            total.frames_received += part.frames_received;
-            total.frames_sent += part.frames_sent;
-            total.error_frames_sent += part.error_frames_sent;
-            total.bytes_received += part.bytes_received;
-            total.bytes_sent += part.bytes_sent;
-            total.decode_errors += part.decode_errors;
-            total.requests_rejected += part.requests_rejected;
-            total.in_flight += part.in_flight;
-            total.outbound_overflows += part.outbound_overflows;
-            total.shed_low += part.shed_low;
-            total.shed_normal += part.shed_normal;
-            total.shed_high += part.shed_high;
-        }
-        total
-    }
-}
-
-/// Lock-free counters behind [`WireStats`], updated by the wire event loop
-/// and read by any thread.
-#[derive(Debug, Default)]
-pub(crate) struct WireStatsCollector {
-    connections_accepted: AtomicU64,
-    connections_rejected: AtomicU64,
-    connections_closed: AtomicU64,
-    frames_received: AtomicU64,
-    frames_sent: AtomicU64,
-    error_frames_sent: AtomicU64,
-    bytes_received: AtomicU64,
-    bytes_sent: AtomicU64,
-    decode_errors: AtomicU64,
-    requests_rejected: AtomicU64,
-    in_flight: AtomicU64,
-    outbound_overflows: AtomicU64,
-    shed: [AtomicU64; Priority::ALL.len()],
-}
-
-impl WireStatsCollector {
-    pub fn new() -> Self {
-        WireStatsCollector::default()
-    }
-
-    pub fn connection_accepted(&self) {
-        self.connections_accepted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn connection_rejected(&self) {
-        self.connections_rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn connection_closed(&self) {
-        self.connections_closed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn frame_received(&self) {
-        self.frames_received.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn frame_sent(&self) {
-        self.frames_sent.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn error_frame_sent(&self) {
-        self.error_frames_sent.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn bytes_received(&self, n: u64) {
-        self.bytes_received.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn bytes_sent(&self, n: u64) {
-        self.bytes_sent.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn decode_error(&self) {
-        self.decode_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn request_rejected(&self) {
-        self.requests_rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn request_shed(&self, priority: Priority) {
-        self.shed[priority.index()].fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn set_in_flight(&self, n: u64) {
-        self.in_flight.store(n, Ordering::Relaxed);
-    }
-
-    pub fn outbound_overflow(&self) {
-        self.outbound_overflows.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn snapshot(&self) -> WireStats {
-        WireStats {
-            connections_accepted: self.connections_accepted.load(Ordering::Relaxed),
-            connections_rejected: self.connections_rejected.load(Ordering::Relaxed),
-            connections_closed: self.connections_closed.load(Ordering::Relaxed),
-            frames_received: self.frames_received.load(Ordering::Relaxed),
-            frames_sent: self.frames_sent.load(Ordering::Relaxed),
-            error_frames_sent: self.error_frames_sent.load(Ordering::Relaxed),
-            bytes_received: self.bytes_received.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            decode_errors: self.decode_errors.load(Ordering::Relaxed),
-            requests_rejected: self.requests_rejected.load(Ordering::Relaxed),
-            in_flight: self.in_flight.load(Ordering::Relaxed),
-            outbound_overflows: self.outbound_overflows.load(Ordering::Relaxed),
-            shed_low: self.shed[Priority::Low.index()].load(Ordering::Relaxed),
-            shed_normal: self.shed[Priority::Normal.index()].load(Ordering::Relaxed),
-            shed_high: self.shed[Priority::High.index()].load(Ordering::Relaxed),
-        }
+        parts.iter().fold(WireStats::default(), |t, p| WireStats {
+            connections_accepted: t.connections_accepted + p.connections_accepted,
+            connections_rejected: t.connections_rejected + p.connections_rejected,
+            connections_closed: t.connections_closed + p.connections_closed,
+            frames_received: t.frames_received + p.frames_received,
+            frames_sent: t.frames_sent + p.frames_sent,
+            error_frames_sent: t.error_frames_sent + p.error_frames_sent,
+            bytes_received: t.bytes_received + p.bytes_received,
+            bytes_sent: t.bytes_sent + p.bytes_sent,
+            decode_errors: t.decode_errors + p.decode_errors,
+            requests_rejected: t.requests_rejected + p.requests_rejected,
+            in_flight: t.in_flight + p.in_flight,
+            outbound_overflows: t.outbound_overflows + p.outbound_overflows,
+            shed_low: t.shed_low + p.shed_low,
+            shed_normal: t.shed_normal + p.shed_normal,
+            shed_high: t.shed_high + p.shed_high,
+        })
     }
 }
 
@@ -518,6 +429,7 @@ pub fn percentile(samples: &[f64], q: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::store::EncodeCacheStats;
+    use crate::telemetry::families::{Value, WIRE};
     use crate::telemetry::Telemetry;
 
     /// A snapshot percentile is its histogram bucket's upper bound: never
@@ -727,23 +639,26 @@ mod tests {
             shed_normal: 0,
             shed_high: 1,
         };
+        // Every exported wire row of the merged view is the sum of the same
+        // row over the parts; the table covers every field, so one missing
+        // from `merged` fails here.
         let merged = WireStats::merged(&[a.clone(), b.clone()]);
-        assert_eq!(merged.connections_accepted, 8);
-        assert_eq!(merged.connections_rejected, 1);
-        assert_eq!(merged.connections_closed, 6);
+        for row in WIRE {
+            match ((row.get)(&merged), (row.get)(&a), (row.get)(&b)) {
+                (Value::Int(m), Value::Int(x), Value::Int(y)) => {
+                    assert_eq!(m, x + y, "{}", row.name);
+                    assert!(m > 0, "{} is not exercised", row.name);
+                }
+                (Value::PerPriority(m), Value::PerPriority(x), Value::PerPriority(y)) => {
+                    for p in Priority::ALL.map(|p| p.index()) {
+                        assert_eq!(m[p], x[p] + y[p], "{}", row.name);
+                        assert!(m[p] > 0, "{} is not exercised", row.name);
+                    }
+                }
+                _ => panic!("{} changes shape between snapshots", row.name),
+            }
+        }
         assert_eq!(merged.open_connections(), 2);
-        assert_eq!(merged.frames_received, 100);
-        assert_eq!(merged.frames_sent, 99);
-        assert_eq!(merged.error_frames_sent, 2);
-        assert_eq!(merged.bytes_received, 10_000);
-        assert_eq!(merged.bytes_sent, 12_000);
-        assert_eq!(merged.decode_errors, 1);
-        assert_eq!(merged.requests_rejected, 1);
-        assert_eq!(merged.in_flight, 5);
-        assert_eq!(merged.outbound_overflows, 1);
-        assert_eq!(merged.shed_low, 5);
-        assert_eq!(merged.shed_normal, 1);
-        assert_eq!(merged.shed_high, 1);
         assert_eq!(merged.shed_total(), 7);
         assert_eq!(merged.shed_for(Priority::Low), 5);
         // Degenerate shapes behave: empty = zero, singleton = identity.
@@ -772,11 +687,11 @@ mod tests {
 
     #[test]
     fn wire_collector_counts_shed_per_priority() {
-        let c = WireStatsCollector::new();
-        c.request_shed(Priority::Low);
-        c.request_shed(Priority::High);
-        c.request_shed(Priority::Low);
-        let s = c.snapshot();
+        // What a reactor does to its own counters on a `ShedLoad` answer.
+        let mut s = WireStats::default();
+        s.count_shed(Priority::Low);
+        s.count_shed(Priority::High);
+        s.count_shed(Priority::Low);
         assert_eq!(s.shed_low, 2);
         assert_eq!(s.shed_normal, 0);
         assert_eq!(s.shed_high, 1);

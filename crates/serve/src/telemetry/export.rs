@@ -5,426 +5,92 @@
 //! ([`crate::net::poll`]). Metric families and names are catalogued in
 //! `docs/OBSERVABILITY.md`.
 
+use crate::request::Priority;
 use crate::stats::ServerStats;
-use crate::telemetry::metrics::MetricsRegistry;
+use crate::telemetry::families::{Family, Value, CLUSTER, DEVICE, ENCODE_CACHE, SERVER, WIRE};
+use crate::telemetry::metrics::{join_labels, type_line, with_labels, MetricsRegistry};
 
-/// Opens a metric family: `# HELP` + `# TYPE` lines.
-fn family(out: &mut String, name: &str, kind: &str, help: &str) {
-    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-}
-
-/// One integer sample. `labels` is a pre-rendered label set without
-/// braces (empty for none).
-fn sample_u64(out: &mut String, name: &str, labels: &str, value: u64) {
-    if labels.is_empty() {
-        out.push_str(&format!("{name} {value}\n"));
-    } else {
-        out.push_str(&format!("{name}{{{labels}}} {value}\n"));
+impl Value {
+    /// The samples of one family for one labelled item: the extra label
+    /// each carries (empty for none) and its rendered value.
+    fn samples(&self) -> Vec<(String, String)> {
+        match *self {
+            Value::Int(v) => vec![(String::new(), v.to_string())],
+            Value::Float(v) => {
+                vec![(String::new(), format!("{:.3}", if v.is_finite() { v } else { 0.0 }))]
+            }
+            Value::PerPriority(values) => Priority::ALL
+                .iter()
+                .zip(values)
+                .map(|(p, v)| (format!("priority=\"{}\"", p.name()), v.to_string()))
+                .collect(),
+        }
     }
 }
 
-/// One float sample, fixed-point so the text stays locale/exponent free.
-fn sample_f64(out: &mut String, name: &str, labels: &str, value: f64) {
-    let value = if value.is_finite() { value } else { 0.0 };
-    if labels.is_empty() {
-        out.push_str(&format!("{name} {value:.3}\n"));
-    } else {
-        out.push_str(&format!("{name}{{{labels}}} {value:.3}\n"));
+/// Renders one family — under `name` and `help`, which differ from the
+/// row's own on the per-reactor walk — with the samples of every item.
+/// `items` pairs each snapshot with its pre-rendered label set (empty for
+/// none).
+fn render_family<S>(
+    out: &mut String,
+    name: &str,
+    help: &str,
+    row: &Family<S>,
+    items: &[(String, &S)],
+) {
+    type_line(out, name, help, row.kind);
+    for (labels, item) in items {
+        for (extra, value) in (row.get)(item).samples() {
+            let labelled = with_labels(name, &join_labels(labels, &extra));
+            out.push_str(&format!("{labelled} {value}\n"));
+        }
     }
 }
 
-/// Renders the full exposition payload: snapshot-derived families
-/// (server, per-priority, per-device, encode-cache and wire counters)
-/// followed by everything registered in `registry` (live counters and
-/// the log-bucketed latency histograms — each latency is exposed once, as
-/// a histogram family; the snapshot's percentile fields are read from the
-/// same histograms and are not rendered a second time).
+fn render_table<S>(out: &mut String, table: &[Family<S>], items: &[(String, &S)]) {
+    for row in table {
+        render_family(out, row.name, row.help, row, items);
+    }
+}
+
+/// Renders the full exposition payload: the snapshot-derived family tables
+/// of `telemetry/families.rs` (server, per-device, encode-cache,
+/// wire and cluster) followed by everything registered in `registry` (live
+/// counters and the log-bucketed latency histograms — each latency is
+/// exposed once, as a histogram family; the snapshot's percentile fields
+/// are read from the same histograms and are not rendered a second time).
 pub fn render_prometheus(stats: &ServerStats, registry: &MetricsRegistry) -> String {
     let mut out = String::new();
-
-    family(&mut out, "dsstc_requests_completed_total", "counter", "Requests answered");
-    sample_u64(&mut out, "dsstc_requests_completed_total", "", stats.completed_requests);
-    family(&mut out, "dsstc_batches_executed_total", "counter", "Batches executed");
-    sample_u64(&mut out, "dsstc_batches_executed_total", "", stats.executed_batches);
-    family(&mut out, "dsstc_throughput_rps", "gauge", "Completed requests per second since boot");
-    sample_f64(&mut out, "dsstc_throughput_rps", "", stats.throughput_rps);
-    family(&mut out, "dsstc_mean_batch_size", "gauge", "Mean requests per executed batch");
-    sample_f64(&mut out, "dsstc_mean_batch_size", "", stats.mean_batch_size);
-
-    family(
-        &mut out,
-        "dsstc_priority_requests_total",
-        "counter",
-        "Requests answered per priority class",
-    );
-    for p in &stats.per_priority {
-        let labels = format!("priority=\"{}\"", p.priority.name());
-        sample_u64(&mut out, "dsstc_priority_requests_total", &labels, p.completed);
-    }
-    family(
-        &mut out,
-        "dsstc_shed_requests_total",
-        "counter",
-        "Requests rejected at submit by admission control, per priority class",
-    );
-    for p in &stats.per_priority {
-        let labels = format!("priority=\"{}\"", p.priority.name());
-        sample_u64(&mut out, "dsstc_shed_requests_total", &labels, p.shed);
-    }
-
-    family(&mut out, "dsstc_device_batches_total", "counter", "Batches executed per device");
-    for (index, d) in stats.per_device.iter().enumerate() {
-        let labels = format!("device=\"{index}\",gpu=\"{}\"", d.name);
-        sample_u64(&mut out, "dsstc_device_batches_total", &labels, d.batches);
-    }
-    family(
-        &mut out,
-        "dsstc_device_modelled_busy_us_total",
-        "counter",
-        "Modelled busy time charged per device, microseconds",
-    );
-    for (index, d) in stats.per_device.iter().enumerate() {
-        let labels = format!("device=\"{index}\",gpu=\"{}\"", d.name);
-        sample_f64(&mut out, "dsstc_device_modelled_busy_us_total", &labels, d.modelled_busy_us);
-    }
-    family(
-        &mut out,
-        "dsstc_device_utilisation",
-        "gauge",
-        "Share of the pool's modelled makespan each device was busy",
-    );
-    for (index, d) in stats.per_device.iter().enumerate() {
-        let labels = format!("device=\"{index}\",gpu=\"{}\"", d.name);
-        sample_f64(&mut out, "dsstc_device_utilisation", &labels, d.utilisation);
-    }
-    family(
-        &mut out,
-        "dsstc_modelled_makespan_us",
-        "gauge",
-        "Largest per-device modelled busy total, microseconds",
-    );
-    sample_f64(&mut out, "dsstc_modelled_makespan_us", "", stats.modelled_makespan_us);
-
-    family(&mut out, "dsstc_encode_cache_hits_total", "counter", "In-memory encode-cache hits");
-    sample_u64(&mut out, "dsstc_encode_cache_hits_total", "", stats.encode_hits);
-    family(&mut out, "dsstc_encode_cache_misses_total", "counter", "Encode-cache misses");
-    sample_u64(&mut out, "dsstc_encode_cache_misses_total", "", stats.encode_misses);
-    family(
-        &mut out,
-        "dsstc_encode_cache_disk_restores_total",
-        "counter",
-        "Misses served by restoring a persisted artifact",
-    );
-    sample_u64(&mut out, "dsstc_encode_cache_disk_restores_total", "", stats.encode_disk_loads);
-    family(
-        &mut out,
-        "dsstc_encode_cache_fresh_encodes_total",
-        "counter",
-        "Misses that paid the full prune+encode",
-    );
-    sample_u64(&mut out, "dsstc_encode_cache_fresh_encodes_total", "", stats.encode_fresh);
-    family(
-        &mut out,
-        "dsstc_encode_cache_evictions_total",
-        "counter",
-        "Artifacts LRU-evicted from the in-memory tier",
-    );
-    sample_u64(&mut out, "dsstc_encode_cache_evictions_total", "", stats.encode_evictions);
-    family(
-        &mut out,
-        "dsstc_cache_warm_restored_total",
-        "counter",
-        "Artifacts the boot-time warmer restored into the memory tier",
-    );
-    sample_u64(&mut out, "dsstc_cache_warm_restored_total", "", stats.encode_warm_restored);
-    family(
-        &mut out,
-        "dsstc_cache_warm_reencoded_total",
-        "counter",
-        "Stale-spec artifacts the warmer re-encoded for the current pool",
-    );
-    sample_u64(&mut out, "dsstc_cache_warm_reencoded_total", "", stats.encode_warm_reencoded);
-    family(
-        &mut out,
-        "dsstc_cache_warm_healed_total",
-        "counter",
-        "Corrupt artifacts the warmer healed with a fresh encode",
-    );
-    sample_u64(&mut out, "dsstc_cache_warm_healed_total", "", stats.encode_warm_healed);
-    family(
-        &mut out,
-        "dsstc_cache_store_entries",
-        "gauge",
-        "Artifacts in the on-disk store at its last directory scan",
-    );
-    sample_u64(&mut out, "dsstc_cache_store_entries", "", stats.store_entries);
-    family(
-        &mut out,
-        "dsstc_cache_store_bytes",
-        "gauge",
-        "Bytes of artifact files in the on-disk store at its last directory scan",
-    );
-    sample_u64(&mut out, "dsstc_cache_store_bytes", "", stats.store_bytes);
-    family(
-        &mut out,
-        "dsstc_cache_store_gc_removed_total",
-        "counter",
-        "Artifacts removed from the on-disk store by garbage collection",
-    );
-    sample_u64(&mut out, "dsstc_cache_store_gc_removed_total", "", stats.store_gc_removed);
-    family(
-        &mut out,
-        "dsstc_encode_cache_hit_rate",
-        "gauge",
-        "Fraction of lookups served from memory",
-    );
-    sample_f64(&mut out, "dsstc_encode_cache_hit_rate", "", stats.encode_hit_rate);
-    family(
-        &mut out,
-        "dsstc_timing_cache_hit_rate",
-        "gauge",
-        "Fraction of modelled-latency lookups served from cache",
-    );
-    sample_f64(&mut out, "dsstc_timing_cache_hit_rate", "", stats.timing_hit_rate);
-
+    let unlabelled = [(String::new(), stats)];
+    render_table(&mut out, SERVER, &unlabelled);
+    let devices: Vec<_> = stats
+        .per_device
+        .iter()
+        .enumerate()
+        .map(|(index, d)| (format!("device=\"{index}\",gpu=\"{}\"", d.name), d))
+        .collect();
+    render_table(&mut out, DEVICE, &devices);
+    render_table(&mut out, ENCODE_CACHE, &unlabelled);
     if let Some(wire) = &stats.wire {
-        family(
-            &mut out,
-            "dsstc_wire_connections_accepted_total",
-            "counter",
-            "Connections accepted",
-        );
-        sample_u64(
-            &mut out,
-            "dsstc_wire_connections_accepted_total",
-            "",
-            wire.connections_accepted,
-        );
-        family(
-            &mut out,
-            "dsstc_wire_connections_rejected_total",
-            "counter",
-            "Connections refused over the limit",
-        );
-        sample_u64(
-            &mut out,
-            "dsstc_wire_connections_rejected_total",
-            "",
-            wire.connections_rejected,
-        );
-        family(&mut out, "dsstc_wire_connections_closed_total", "counter", "Connections closed");
-        sample_u64(&mut out, "dsstc_wire_connections_closed_total", "", wire.connections_closed);
-        family(&mut out, "dsstc_wire_open_connections", "gauge", "Connections currently open");
-        sample_u64(&mut out, "dsstc_wire_open_connections", "", wire.open_connections());
-        family(&mut out, "dsstc_wire_frames_received_total", "counter", "Request frames decoded");
-        sample_u64(&mut out, "dsstc_wire_frames_received_total", "", wire.frames_received);
-        family(&mut out, "dsstc_wire_frames_sent_total", "counter", "Response frames sent");
-        sample_u64(&mut out, "dsstc_wire_frames_sent_total", "", wire.frames_sent);
-        family(&mut out, "dsstc_wire_error_frames_total", "counter", "Error frames generated");
-        sample_u64(&mut out, "dsstc_wire_error_frames_total", "", wire.error_frames_sent);
-        family(
-            &mut out,
-            "dsstc_wire_bytes_received_total",
-            "counter",
-            "Raw bytes read off sockets",
-        );
-        sample_u64(&mut out, "dsstc_wire_bytes_received_total", "", wire.bytes_received);
-        family(
-            &mut out,
-            "dsstc_wire_bytes_sent_total",
-            "counter",
-            "Raw bytes the sockets accepted",
-        );
-        sample_u64(&mut out, "dsstc_wire_bytes_sent_total", "", wire.bytes_sent);
-        family(&mut out, "dsstc_wire_decode_errors_total", "counter", "Framing failures");
-        sample_u64(&mut out, "dsstc_wire_decode_errors_total", "", wire.decode_errors);
-        family(
-            &mut out,
-            "dsstc_wire_requests_rejected_total",
-            "counter",
-            "Requests refused at submit time",
-        );
-        sample_u64(&mut out, "dsstc_wire_requests_rejected_total", "", wire.requests_rejected);
-        family(
-            &mut out,
-            "dsstc_wire_shed_total",
-            "counter",
-            "Wire requests answered with a ShedLoad error frame, per priority class",
-        );
-        for &priority in &crate::request::Priority::ALL {
-            let labels = format!("priority=\"{}\"", priority.name());
-            sample_u64(&mut out, "dsstc_wire_shed_total", &labels, wire.shed_for(priority));
-        }
-        family(&mut out, "dsstc_wire_in_flight", "gauge", "Wire requests inside the runtime");
-        sample_u64(&mut out, "dsstc_wire_in_flight", "", wire.in_flight);
-        family(
-            &mut out,
-            "dsstc_wire_outbound_overflows_total",
-            "counter",
-            "Connections poisoned for breaching the outbound buffer cap",
-        );
-        sample_u64(&mut out, "dsstc_wire_outbound_overflows_total", "", wire.outbound_overflows);
-
-        // Per-reactor rows: one sample per event loop, labelled
-        // `reactor="i"` in reactor order (reactor 0 owns the listener).
-        // Field-wise, the merged families above are the exact sum of these
-        // rows — CI scrapes both and asserts the equality.
-        if !stats.wire_reactors.is_empty() {
-            family(
-                &mut out,
-                "dsstc_wire_reactor_connections_accepted_total",
-                "counter",
-                "Connections adopted per reactor",
-            );
-            for (index, r) in stats.wire_reactors.iter().enumerate() {
-                let labels = format!("reactor=\"{index}\"");
-                sample_u64(
-                    &mut out,
-                    "dsstc_wire_reactor_connections_accepted_total",
-                    &labels,
-                    r.connections_accepted,
-                );
-            }
-            family(
-                &mut out,
-                "dsstc_wire_reactor_connections_closed_total",
-                "counter",
-                "Connections closed per reactor",
-            );
-            for (index, r) in stats.wire_reactors.iter().enumerate() {
-                let labels = format!("reactor=\"{index}\"");
-                sample_u64(
-                    &mut out,
-                    "dsstc_wire_reactor_connections_closed_total",
-                    &labels,
-                    r.connections_closed,
-                );
-            }
-            family(
-                &mut out,
-                "dsstc_wire_reactor_frames_received_total",
-                "counter",
-                "Request frames decoded per reactor",
-            );
-            for (index, r) in stats.wire_reactors.iter().enumerate() {
-                let labels = format!("reactor=\"{index}\"");
-                sample_u64(
-                    &mut out,
-                    "dsstc_wire_reactor_frames_received_total",
-                    &labels,
-                    r.frames_received,
-                );
-            }
-            family(
-                &mut out,
-                "dsstc_wire_reactor_frames_sent_total",
-                "counter",
-                "Response frames sent per reactor",
-            );
-            for (index, r) in stats.wire_reactors.iter().enumerate() {
-                let labels = format!("reactor=\"{index}\"");
-                sample_u64(
-                    &mut out,
-                    "dsstc_wire_reactor_frames_sent_total",
-                    &labels,
-                    r.frames_sent,
-                );
-            }
-            family(
-                &mut out,
-                "dsstc_wire_reactor_bytes_received_total",
-                "counter",
-                "Raw bytes read off sockets per reactor",
-            );
-            for (index, r) in stats.wire_reactors.iter().enumerate() {
-                let labels = format!("reactor=\"{index}\"");
-                sample_u64(
-                    &mut out,
-                    "dsstc_wire_reactor_bytes_received_total",
-                    &labels,
-                    r.bytes_received,
-                );
-            }
-            family(
-                &mut out,
-                "dsstc_wire_reactor_bytes_sent_total",
-                "counter",
-                "Raw bytes the sockets accepted per reactor",
-            );
-            for (index, r) in stats.wire_reactors.iter().enumerate() {
-                let labels = format!("reactor=\"{index}\"");
-                sample_u64(&mut out, "dsstc_wire_reactor_bytes_sent_total", &labels, r.bytes_sent);
-            }
-            family(
-                &mut out,
-                "dsstc_wire_reactor_in_flight",
-                "gauge",
-                "Wire requests inside the runtime per reactor",
-            );
-            for (index, r) in stats.wire_reactors.iter().enumerate() {
-                let labels = format!("reactor=\"{index}\"");
-                sample_u64(&mut out, "dsstc_wire_reactor_in_flight", &labels, r.in_flight);
+        render_table(&mut out, WIRE, &[(String::new(), wire)]);
+        let reactors: Vec<_> = stats
+            .wire_reactors
+            .iter()
+            .enumerate()
+            .map(|(index, r)| (format!("reactor=\"{index}\""), r))
+            .collect();
+        if !reactors.is_empty() {
+            for row in WIRE {
+                if let Some(help) = row.per_reactor {
+                    render_family(&mut out, &row.reactor_name(), help, row, &reactors);
+                }
             }
         }
     }
-
     if let Some(cluster) = &stats.cluster {
-        let node = format!("node=\"{}\"", cluster.node_id);
-        family(
-            &mut out,
-            "dsstc_cluster_shard_map_version",
-            "gauge",
-            "Current shard-map version (bumped on every liveness transition)",
-        );
-        sample_u64(&mut out, "dsstc_cluster_shard_map_version", &node, cluster.shard_map_version);
-        family(
-            &mut out,
-            "dsstc_cluster_peers_alive",
-            "gauge",
-            "Cluster members currently marked alive",
-        );
-        sample_u64(&mut out, "dsstc_cluster_peers_alive", &node, cluster.peers_alive);
-        family(&mut out, "dsstc_cluster_peers_total", "gauge", "All known cluster members");
-        sample_u64(&mut out, "dsstc_cluster_peers_total", &node, cluster.peers_total);
-        family(
-            &mut out,
-            "dsstc_cluster_redirects_total",
-            "counter",
-            "Requests answered with a NotMine redirect",
-        );
-        sample_u64(&mut out, "dsstc_cluster_redirects_total", &node, cluster.redirects);
-        family(
-            &mut out,
-            "dsstc_cluster_failover_serves_total",
-            "counter",
-            "Requests served as a non-primary replica of their shard",
-        );
-        sample_u64(&mut out, "dsstc_cluster_failover_serves_total", &node, cluster.failover_serves);
-        family(
-            &mut out,
-            "dsstc_cluster_hellos_total",
-            "counter",
-            "Hello handshakes answered with a shard map",
-        );
-        sample_u64(&mut out, "dsstc_cluster_hellos_total", &node, cluster.hellos);
-        family(
-            &mut out,
-            "dsstc_cluster_auth_failures_total",
-            "counter",
-            "Hellos rejected for a wrong or missing auth token",
-        );
-        sample_u64(&mut out, "dsstc_cluster_auth_failures_total", &node, cluster.auth_failures);
-        family(&mut out, "dsstc_cluster_peer_probes_total", "counter", "Peer liveness probes sent");
-        sample_u64(&mut out, "dsstc_cluster_peer_probes_total", &node, cluster.peer_probes);
-        family(
-            &mut out,
-            "dsstc_cluster_peer_failures_total",
-            "counter",
-            "Peer liveness probes that failed",
-        );
-        sample_u64(&mut out, "dsstc_cluster_peer_failures_total", &node, cluster.peer_failures);
+        render_table(&mut out, CLUSTER, &[(format!("node=\"{}\"", cluster.node_id), cluster)]);
     }
-
     registry.render(&mut out);
     out
 }
@@ -608,9 +274,13 @@ mod listener {
     ) -> bool {
         if readable && conn.outbound.is_empty() {
             let mut buffer = [0u8; 1024];
+            let mut eof = false;
             loop {
                 match conn.stream.read(&mut buffer) {
-                    Ok(0) => return true, // EOF before a full request
+                    Ok(0) => {
+                        eof = true;
+                        break;
+                    }
                     Ok(n) => {
                         conn.inbound.extend_from_slice(&buffer[..n]);
                         if conn.inbound.len() > MAX_REQUEST_BYTES {
@@ -623,7 +293,9 @@ mod listener {
                 }
             }
             // A blank line ends the request head; the body (none expected
-            // from GET) is ignored.
+            // from GET) is ignored. A scraper may half-close right behind
+            // its request (`nc -N`), so the FIN can arrive in the same read
+            // as a complete head: that still gets its answer.
             if conn.inbound.windows(4).any(|w| w == b"\r\n\r\n")
                 || conn.inbound.windows(2).any(|w| w == b"\n\n")
             {
@@ -635,6 +307,8 @@ mod listener {
                 )
                 .into_bytes();
                 let _ = poller.reregister(conn.stream.as_raw_fd(), EPOLLOUT, Token(token));
+            } else if eof {
+                return true; // EOF before a full request
             }
         }
         if (writable || !conn.outbound.is_empty()) && conn.written < conn.outbound.len() {
@@ -796,60 +470,72 @@ mod tests {
         }
     }
 
-    #[test]
-    fn exposition_covers_every_family() {
+    /// The live metrics the exposition tests render next to `sample_stats()`.
+    fn sample_registry() -> MetricsRegistry {
         let registry = MetricsRegistry::new();
         registry.counter("dsstc_traces_recorded_total", "", "traces").add(7);
         registry.histogram("dsstc_e2e_us", "priority=\"high\"", "end-to-end latency").record(333);
-        let text = render_prometheus(&sample_stats(), &registry);
-        // Snapshot-derived families.
-        assert!(text.contains("dsstc_requests_completed_total 120"));
-        assert!(text.contains("dsstc_batches_executed_total 30"));
-        assert!(text.contains("dsstc_throughput_rps 240.500"));
-        assert!(text.contains("dsstc_mean_batch_size 4.000"));
-        assert!(text.contains("dsstc_priority_requests_total{priority=\"high\"} 40"));
-        assert!(text.contains("dsstc_device_batches_total{device=\"0\",gpu=\"Tesla V100\"} 18"));
-        assert!(text.contains("dsstc_device_utilisation{device=\"1\",gpu=\"A100\"} 0.700"));
-        assert!(text.contains("dsstc_encode_cache_disk_restores_total 3"));
-        assert!(text.contains("dsstc_encode_cache_evictions_total 2"));
-        assert!(text.contains("dsstc_encode_cache_hit_rate 0.875"));
-        // Admission-control shed counters, one row per class.
-        assert!(text.contains("dsstc_shed_requests_total{priority=\"low\"} 6"));
-        assert!(text.contains("dsstc_shed_requests_total{priority=\"normal\"} 2"));
-        assert!(text.contains("dsstc_shed_requests_total{priority=\"high\"} 0"));
-        // Store-lifecycle families from the warmer and the store GC.
-        assert!(text.contains("dsstc_cache_warm_restored_total 3"));
-        assert!(text.contains("dsstc_cache_warm_reencoded_total 1"));
-        assert!(text.contains("dsstc_cache_warm_healed_total 1"));
-        assert!(text.contains("dsstc_cache_store_entries 4"));
-        assert!(text.contains("dsstc_cache_store_bytes 88000"));
-        assert!(text.contains("dsstc_cache_store_gc_removed_total 2"));
-        // Wire families mirror WireStats field for field.
-        assert!(text.contains("dsstc_wire_connections_accepted_total 5"));
-        assert!(text.contains("dsstc_wire_open_connections 2"));
-        assert!(text.contains("dsstc_wire_frames_received_total 120"));
-        assert!(text.contains("dsstc_wire_decode_errors_total 1"));
-        assert!(text.contains("dsstc_wire_outbound_overflows_total 1"));
-        assert!(text.contains("dsstc_wire_shed_total{priority=\"low\"} 3"));
-        assert!(text.contains("dsstc_wire_shed_total{priority=\"normal\"} 1"));
-        assert!(text.contains("dsstc_wire_shed_total{priority=\"high\"} 0"));
-        // Per-reactor rows, one sample per event loop.
-        assert!(text.contains("dsstc_wire_reactor_frames_received_total{reactor=\"0\"} 70"));
-        assert!(text.contains("dsstc_wire_reactor_frames_received_total{reactor=\"1\"} 50"));
-        assert!(text.contains("dsstc_wire_reactor_connections_accepted_total{reactor=\"0\"} 3"));
-        assert!(text.contains("dsstc_wire_reactor_bytes_sent_total{reactor=\"1\"} 22000"));
-        assert!(text.contains("dsstc_wire_reactor_in_flight{reactor=\"0\"} 0"));
-        // Cluster families mirror ClusterStats field for field, labelled
-        // with the reporting node's id.
-        assert!(text.contains("dsstc_cluster_shard_map_version{node=\"2\"} 5"));
-        assert!(text.contains("dsstc_cluster_peers_alive{node=\"2\"} 2"));
-        assert!(text.contains("dsstc_cluster_peers_total{node=\"2\"} 3"));
-        assert!(text.contains("dsstc_cluster_redirects_total{node=\"2\"} 7"));
-        assert!(text.contains("dsstc_cluster_failover_serves_total{node=\"2\"} 3"));
-        assert!(text.contains("dsstc_cluster_hellos_total{node=\"2\"} 12"));
-        assert!(text.contains("dsstc_cluster_auth_failures_total{node=\"2\"} 1"));
-        assert!(text.contains("dsstc_cluster_peer_probes_total{node=\"2\"} 40"));
-        assert!(text.contains("dsstc_cluster_peer_failures_total{node=\"2\"} 4"));
+        registry
+    }
+
+    /// The whole payload, byte for byte: family order, `HELP` text, number
+    /// formatting and every label set.
+    #[test]
+    fn exposition_matches_the_checked_in_golden() {
+        let text = render_prometheus(&sample_stats(), &sample_registry());
+        assert_eq!(text, include_str!("exposition.golden.txt"));
+    }
+
+    /// `row` is rendered under `name` exactly once: one `# TYPE` line, then
+    /// one sample per item (per priority class, for those rows) carrying
+    /// the value the row's getter reads.
+    fn assert_family_rendered<S>(text: &str, name: &str, row: &Family<S>, items: &[&S]) {
+        let type_line = format!("# TYPE {name} {}\n", row.kind);
+        assert_eq!(text.matches(&type_line).count(), 1, "{type_line}");
+        let rendered: Vec<&str> = text
+            .lines()
+            .filter(|l| l.strip_prefix(name).is_some_and(|rest| rest.starts_with([' ', '{'])))
+            .collect();
+        let expected: Vec<String> = items
+            .iter()
+            .flat_map(|item| (row.get)(item).samples())
+            .map(|(_, value)| value)
+            .collect();
+        assert_eq!(rendered.len(), expected.len(), "{name}: {rendered:?}");
+        for (line, value) in rendered.iter().zip(&expected) {
+            assert!(line.ends_with(&format!(" {value}")), "{line} should read {value}");
+        }
+    }
+
+    fn assert_table_rendered<S>(text: &str, table: &[Family<S>], items: &[&S]) {
+        for row in table {
+            assert_family_rendered(text, row.name, row, items);
+        }
+    }
+
+    /// The tables are the contract: every row of every table is in the
+    /// payload once, with its type and the getter's value per item.
+    #[test]
+    fn exposition_covers_every_family() {
+        let stats = sample_stats();
+        let text = render_prometheus(&stats, &sample_registry());
+        assert_table_rendered(&text, SERVER, &[&stats]);
+        assert_table_rendered(&text, DEVICE, &stats.per_device.iter().collect::<Vec<_>>());
+        assert_table_rendered(&text, ENCODE_CACHE, &[&stats]);
+        assert_table_rendered(&text, WIRE, &[stats.wire.as_ref().unwrap()]);
+        let reactors: Vec<_> = stats.wire_reactors.iter().collect();
+        let sharded: Vec<_> = WIRE.iter().filter(|row| row.per_reactor.is_some()).collect();
+        assert_eq!(sharded.len(), 7);
+        for row in sharded {
+            assert_family_rendered(&text, &row.reactor_name(), row, &reactors);
+        }
+        assert_table_rendered(&text, CLUSTER, &[stats.cluster.as_ref().unwrap()]);
+        // Labels name the item each sample came from.
+        assert!(text.contains("dsstc_priority_requests_total{priority=\"high\"} 40\n"));
+        assert!(text.contains("dsstc_device_batches_total{device=\"0\",gpu=\"Tesla V100\"} 18\n"));
+        assert!(text.contains("dsstc_wire_shed_total{priority=\"low\"} 3\n"));
+        assert!(text.contains("dsstc_wire_reactor_bytes_sent_total{reactor=\"1\"} 22000\n"));
+        assert!(text.contains("dsstc_cluster_peers_alive{node=\"2\"} 2\n"));
         // Registry-backed live metrics ride along.
         assert!(text.contains("dsstc_traces_recorded_total 7"));
         assert!(text.contains("dsstc_e2e_us_bucket{priority=\"high\",le=\"+Inf\"} 1"));
@@ -858,6 +544,31 @@ mod tests {
         for line in text.lines().filter(|l| l.starts_with("# TYPE")) {
             assert_eq!(text.matches(line).count(), 1, "duplicate {line}");
         }
+    }
+
+    /// `docs/OBSERVABILITY.md`'s family table has one row per exported
+    /// family — snapshot tables and hub registry alike — and none for a
+    /// family the scrape no longer carries.
+    #[test]
+    fn observability_doc_lists_exactly_the_exported_families() {
+        let doc = include_str!("../../../../docs/OBSERVABILITY.md");
+        let text =
+            render_prometheus(&sample_stats(), crate::telemetry::Telemetry::new().registry());
+        let exported: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .map(|rest| rest.split(' ').next().expect("family name"))
+            .collect();
+        let documented: Vec<&str> = doc
+            .lines()
+            .filter_map(|l| l.strip_prefix("| `dsstc_"))
+            .map(|rest| &rest[..rest.find('`').expect("closing backtick")])
+            .collect();
+        for family in &exported {
+            let row = family.strip_prefix("dsstc_").expect("every family is prefixed");
+            assert_eq!(documented.iter().filter(|d| *d == &row).count(), 1, "{family} rows");
+        }
+        assert_eq!(documented.len(), exported.len(), "a documented family is not exported");
     }
 
     /// A populated server's scrape names every latency once: the hub's
@@ -897,10 +608,12 @@ mod tests {
     #[test]
     fn non_finite_gauges_render_as_zero() {
         let mut stats = sample_stats();
-        stats.throughput_rps = f64::NAN;
+        stats.per_device[1].modelled_busy_us = f64::NAN;
         stats.timing_hit_rate = f64::INFINITY;
         let text = render_prometheus(&stats, &MetricsRegistry::new());
-        assert!(text.contains("dsstc_throughput_rps 0.000"));
+        assert!(
+            text.contains("dsstc_device_modelled_busy_us_total{device=\"1\",gpu=\"A100\"} 0.000")
+        );
         assert!(text.contains("dsstc_timing_cache_hit_rate 0.000"));
     }
 
@@ -940,5 +653,35 @@ mod tests {
                 true
             }
         );
+    }
+
+    /// A scraper that half-closes right behind its request (`nc -N`) can
+    /// have its FIN read together with the complete head; it is still owed
+    /// the payload.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn half_closing_scraper_still_gets_an_answer() {
+        use std::io::{Read, Write};
+        use std::sync::Arc;
+
+        let source: super::listener::MetricsSource = Arc::new(|| "dsstc_up 1\n".to_string());
+        let mut server =
+            MetricsServer::start("127.0.0.1:0".parse().unwrap(), source).expect("bind metrics");
+        for round in 0..50 {
+            let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+            stream.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").expect("send request");
+            stream.shutdown(std::net::Shutdown::Write).expect("half-close");
+            let mut response = String::new();
+            stream.read_to_string(&mut response).expect("read response");
+            assert!(response.ends_with("\r\n\r\ndsstc_up 1\n"), "round {round}: {response:?}");
+        }
+        // A half-close before the head is complete is still just dropped.
+        let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+        stream.write_all(b"GET /metrics HTTP/1.0\r\n").expect("send partial request");
+        stream.shutdown(std::net::Shutdown::Write).expect("half-close");
+        let mut response = String::new();
+        stream.read_to_string(&mut response).expect("read EOF");
+        assert_eq!(response, "");
+        server.shutdown();
     }
 }

@@ -1,5 +1,6 @@
-//! The metrics core: lock-free named counters and gauges plus fixed
-//! log-bucketed latency histograms, collected in a [`MetricsRegistry`].
+//! The metrics core: lock-free named counters plus fixed log-bucketed
+//! latency histograms, collected in a [`MetricsRegistry`], and the
+//! Prometheus text-line helpers every exposition writer shares.
 //!
 //! The histograms are the server's only latency store: cheap enough to
 //! update on every request, mergeable across threads, bounded in memory no
@@ -45,29 +46,6 @@ impl Counter {
     }
 
     /// The current count.
-    pub fn value(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-write-wins atomic gauge (an instantaneous level, not a total).
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicU64,
-}
-
-impl Gauge {
-    /// A gauge starting at zero.
-    pub fn new() -> Self {
-        Gauge::default()
-    }
-
-    /// Sets the level.
-    pub fn set(&self, value: u64) {
-        self.value.store(value, Ordering::Relaxed);
-    }
-
-    /// The current level.
     pub fn value(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
@@ -232,7 +210,6 @@ struct MetricMeta {
 #[derive(Debug, Default)]
 struct RegistryInner {
     counters: Vec<(MetricMeta, Arc<Counter>)>,
-    gauges: Vec<(MetricMeta, Arc<Gauge>)>,
     histograms: Vec<(MetricMeta, Arc<LogHistogram>)>,
 }
 
@@ -266,19 +243,6 @@ impl MetricsRegistry {
         handle
     }
 
-    /// Gets or registers a gauge.
-    pub fn gauge(&self, family: &str, labels: &str, help: &str) -> Arc<Gauge> {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        if let Some((_, g)) =
-            inner.gauges.iter().find(|(m, _)| m.family == family && m.labels == labels)
-        {
-            return Arc::clone(g);
-        }
-        let handle = Arc::new(Gauge::new());
-        inner.gauges.push((meta(family, labels, help), Arc::clone(&handle)));
-        handle
-    }
-
     /// Gets or registers a histogram.
     pub fn histogram(&self, family: &str, labels: &str, help: &str) -> Arc<LogHistogram> {
         let mut inner = self.inner.lock().expect("metrics registry poisoned");
@@ -298,28 +262,18 @@ impl MetricsRegistry {
         let inner = self.inner.lock().expect("metrics registry poisoned");
         let mut seen: Vec<&str> = Vec::new();
         for (m, c) in &inner.counters {
-            type_line(out, &mut seen, m, "counter");
+            type_line_once(out, &mut seen, m, "counter");
             out.push_str(&format!("{} {}\n", with_labels(&m.family, &m.labels), c.value()));
         }
         let mut seen: Vec<&str> = Vec::new();
-        for (m, g) in &inner.gauges {
-            type_line(out, &mut seen, m, "gauge");
-            out.push_str(&format!("{} {}\n", with_labels(&m.family, &m.labels), g.value()));
-        }
-        let mut seen: Vec<&str> = Vec::new();
         for (m, h) in &inner.histograms {
-            type_line(out, &mut seen, m, "histogram");
+            type_line_once(out, &mut seen, m, "histogram");
             let count = h.count();
             for (upper, cumulative) in h.cumulative_buckets() {
-                let le = format!("le=\"{upper}\"");
-                let labels = if m.labels.is_empty() { le } else { format!("{},{le}", m.labels) };
+                let labels = join_labels(&m.labels, &format!("le=\"{upper}\""));
                 out.push_str(&format!("{}_bucket{{{labels}}} {cumulative}\n", m.family));
             }
-            let inf = if m.labels.is_empty() {
-                "le=\"+Inf\"".to_string()
-            } else {
-                format!("{},le=\"+Inf\"", m.labels)
-            };
+            let inf = join_labels(&m.labels, "le=\"+Inf\"");
             out.push_str(&format!("{}_bucket{{{inf}}} {count}\n", m.family));
             out.push_str(&format!("{}_sum{} {}\n", m.family, braced(&m.labels), h.sum()));
             out.push_str(&format!("{}_count{} {count}\n", m.family, braced(&m.labels)));
@@ -331,15 +285,28 @@ fn meta(family: &str, labels: &str, help: &str) -> MetricMeta {
     MetricMeta { family: family.to_string(), labels: labels.to_string(), help: help.to_string() }
 }
 
-fn type_line<'a>(out: &mut String, seen: &mut Vec<&'a str>, m: &'a MetricMeta, kind: &str) {
+fn type_line_once<'a>(out: &mut String, seen: &mut Vec<&'a str>, m: &'a MetricMeta, kind: &str) {
     if !seen.contains(&m.family.as_str()) {
         seen.push(&m.family);
-        out.push_str(&format!("# HELP {} {}\n# TYPE {} {kind}\n", m.family, m.help, m.family));
+        type_line(out, &m.family, &m.help, kind);
     }
 }
 
-fn with_labels(family: &str, labels: &str) -> String {
+/// Opens a metric family: its `# HELP` and `# TYPE` lines.
+pub(super) fn type_line(out: &mut String, family: &str, help: &str, kind: &str) {
+    out.push_str(&format!("# HELP {family} {help}\n# TYPE {family} {kind}\n"));
+}
+
+/// `family{labels}`, or the bare family for an empty label set. `labels`
+/// is a pre-rendered Prometheus label set without braces.
+pub(super) fn with_labels(family: &str, labels: &str) -> String {
     format!("{family}{}", braced(labels))
+}
+
+/// Two pre-rendered label sets as one; either may be empty.
+pub(super) fn join_labels(a: &str, b: &str) -> String {
+    let separator = if a.is_empty() || b.is_empty() { "" } else { "," };
+    format!("{a}{separator}{b}")
 }
 
 fn braced(labels: &str) -> String {
@@ -364,15 +331,10 @@ mod tests {
         c.add(4);
         // Re-registering returns the same handle.
         assert_eq!(registry.counter("dsstc_test_total", "", "test counter").value(), 5);
-        let g = registry.gauge("dsstc_level", "", "test gauge");
-        g.set(9);
-        g.set(3);
-        assert_eq!(g.value(), 3);
         let mut out = String::new();
         registry.render(&mut out);
         assert!(out.contains("# TYPE dsstc_test_total counter"));
         assert!(out.contains("dsstc_test_total 5"));
-        assert!(out.contains("dsstc_level 3"));
     }
 
     #[test]

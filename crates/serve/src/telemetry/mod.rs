@@ -10,6 +10,7 @@
 //! schema and scrape examples.
 
 pub mod export;
+pub(crate) mod families;
 pub mod metrics;
 pub mod trace;
 
@@ -26,7 +27,7 @@ use crate::store::EncodeCacheStats;
 pub use self::export::render_prometheus;
 #[cfg(target_os = "linux")]
 pub use self::export::MetricsServer;
-pub use self::metrics::{Counter, Gauge, LogHistogram, MetricsRegistry, HISTOGRAM_BUCKETS};
+pub use self::metrics::{Counter, LogHistogram, MetricsRegistry, HISTOGRAM_BUCKETS};
 pub use self::trace::{now_us, CacheOutcome, RequestTrace, Stage, TraceSink, STAGES};
 
 /// The per-server telemetry hub, the server's one stats pipeline: the
