@@ -24,23 +24,34 @@ cargo rustc --release --offline -q -p dsstc-kernels --lib -- --emit asm
 ASM=$(ls "$DEPS"/dsstc_kernels-*.s)
 
 check() { # <function> <instruction that must be there> <on this vector register>
-    local body
-    body=$(awk -v f="$1" '$0 ~ "^_.*" f ".*:$" { on = 1 } on { print } on && /\.cfi_endproc/ { exit }' "$ASM")
-    [ -n "$body" ] || { echo "check_mac_asm: no $1 in $ASM"; exit 1; }
-    if grep -q 'vfmadd\|vfnmadd\|vfmsub' <<<"$body"; then
-        echo "check_mac_asm: $1 contains a fused multiply-add:"
-        grep -n 'vfmadd\|vfnmadd\|vfmsub' <<<"$body" | head -5
-        exit 1
-    fi
-    grep -q "$2.*%$3" <<<"$body" \
-        || { echo "check_mac_asm: $1 has no $2 on $3 registers (lane ops not inlined at this level)"; exit 1; }
-    echo "check_mac_asm: $1 ok ($(grep -c "$2.*%$3" <<<"$body") $2 on $3, no fused multiply-add)"
+    # The band-loop functions are generic over the A-side view and the output
+    # sink, so one name is several symbols (`execute_encoded`'s, and the
+    # fused forward's emitting and dense-output layers): every instantiation
+    # is held to the same rules.
+    local labels label body
+    labels=$(grep -E "^_.*$1.*:\$" "$ASM" | tr -d ':') || true
+    [ -n "$labels" ] || { echo "check_mac_asm: no $1 in $ASM"; exit 1; }
+    [ "$(wc -l <<<"$labels")" = "$4" ] \
+        || { echo "check_mac_asm: $(wc -l <<<"$labels") instantiations of $1, expected $4"; exit 1; }
+    for label in $labels; do
+        body=$(awk -v l="$label:" '$0 == l { on = 1 } on { print } on && /\.cfi_endproc/ { exit }' "$ASM")
+        if grep -q 'vfmadd\|vfnmadd\|vfmsub' <<<"$body"; then
+            echo "check_mac_asm: $label contains a fused multiply-add:"
+            grep -n 'vfmadd\|vfnmadd\|vfmsub' <<<"$body" | head -5
+            exit 1
+        fi
+        grep -q "$2.*%$3" <<<"$body" \
+            || { echo "check_mac_asm: $label has no $2 on $3 registers (lane ops not inlined at this level)"; exit 1; }
+        echo "check_mac_asm: $1 ok ($(grep -c "$2.*%$3" <<<"$body") $2 on $3, no fused multiply-add)"
+    done
 }
 
 # Every per-level function simd.rs defines must be named here.
 LEVEL_FNS=$(grep -c '^#\[target_feature' crates/kernels/src/bitmap_spgemm/simd.rs)
 [ "$LEVEL_FNS" = 3 ] || { echo "check_mac_asm: simd.rs has $LEVEL_FNS #[target_feature] functions, this script checks 3"; exit 1; }
 
-check run_bands_avx2 vmulps ymm
-check run_bands_avx512 vmulps zmm
-check expand_b_avx512 vexpandps zmm
+# <A-side view> x <sink>: encoding x dense rows, arena x emitter, arena x
+# dense rows.
+check run_bands_avx2 vmulps ymm 3
+check run_bands_avx512 vmulps zmm 3
+check expand_b_avx512 vexpandps zmm 1

@@ -102,7 +102,11 @@ fn bench_serve_hot_path(c: &mut Criterion) {
 /// against 256x256 weights at the ResNet-50 proxy's mean sparsities
 /// (activations 49 %, weights 68 %), split into its two kernel calls, plus
 /// the multiply pinned to each vector level this host has
-/// (`execute_encoded` itself runs at the last one listed).
+/// (`execute_encoded` itself runs at the last one listed), plus the same
+/// layer fused: `fused_layer` is what `forward` pays for it — the dense
+/// input emitted into the flat A operand, the multiply, and an output pass
+/// that applies ReLU and emits the next layer's A operand — so it stands
+/// against `encode_a` + `execute_encoded_at` (whose ReLU is not even timed).
 fn bench_forward_hot_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("forward_hot_path_64x256x256");
     group.sample_size(10);
@@ -120,6 +124,20 @@ fn bench_forward_hot_path(c: &mut Criterion) {
             &level,
             |bench, &level| {
                 bench.iter(|| black_box(kernel.execute_encoded_at(&a_enc, &b_enc, level)))
+            },
+        );
+    }
+    // Only an inner layer's output pass emits, and `forward_at` is the one
+    // way in: a one-tile-wide all-zero layer follows, which skips every step
+    // and costs under a microsecond.
+    let tail = kernel.encode_b(&Matrix::zeros(256, 32));
+    for level in SimdLevel::available() {
+        group.bench_with_input(
+            BenchmarkId::new("fused_layer", level.name()),
+            &level,
+            |bench, &l| {
+                bench
+                    .iter(|| black_box(kernel.forward_at(&a, &[(&b_enc, true), (&tail, false)], l)))
             },
         );
     }

@@ -11,22 +11,6 @@ use dsstc_tensor::{f16, Matrix};
 use crate::bit_matrix::BitMatrix;
 use crate::StorageFootprint;
 
-/// Smallest magnitude that survives this workspace's FP16 rounding: 2^-24
-/// (`0x3380_0000` as `f32` bits). `f16::from_f32` flushes any |x| < 2^-24
-/// straight to signed zero — its subnormal path never rounds [2^-25, 2^-24)
-/// up — so "rounds to a non-zero" is a single threshold compare.
-const F16_MIN_MAGNITUDE: f32 = 5.960_464_5e-8;
-
-/// Whether `x` is still a non-zero after FP16 rounding, without performing
-/// the rounding. Written as a negated compare so NaN (which `f16::round_f32`
-/// preserves) counts as significant, matching `x != 0.0` on the rounded
-/// value.
-#[inline]
-#[allow(clippy::neg_cmp_op_on_partial_ord)] // `>=` would drop NaN; the negation keeps it
-fn survives_f16(x: f32) -> bool {
-    !(x.abs() < F16_MIN_MAGNITUDE)
-}
-
 /// Which axis the condensed value vectors run along.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum VectorLayout {
@@ -125,9 +109,10 @@ impl BitmapMatrix {
     /// [`Self::encode_tile`] with FP16 rounding fused in: the bitmap keeps
     /// only elements that survive FP16 rounding, and the condensed values are
     /// stored rounded. Identical to `encode_tile(&parent.to_f16_precision()
-    /// window)` but the threshold test replaces a full rounding pass — only
-    /// the ~nnz kept values pay `f16::round_f32`, once each (and in the
-    /// normalised-half range that is a handful of integer operations).
+    /// window)` but the threshold test (`f16::survives`) replaces a full
+    /// rounding pass — only the ~nnz kept values pay `f16::round_f32`, once
+    /// each (a handful of operations on the bit pattern unless the half
+    /// overflows).
     pub(crate) fn encode_tile_f16(
         parent: &Matrix,
         row0: usize,
@@ -147,7 +132,7 @@ impl BitmapMatrix {
         tile_cols: usize,
         layout: VectorLayout,
     ) -> Self {
-        let keep = |x: f32| if ROUND_F16 { survives_f16(x) } else { x != 0.0 };
+        let keep = |x: f32| if ROUND_F16 { f16::survives(x) } else { x != 0.0 };
         let store = |x: f32| if ROUND_F16 { f16::round_f32(x) } else { x };
         let copy_rows = tile_rows.min(parent.rows().saturating_sub(row0));
         let copy_cols = tile_cols.min(parent.cols().saturating_sub(col0));
@@ -530,7 +515,6 @@ mod tests {
 
     #[test]
     fn f16_survival_threshold_agrees_with_the_rounding_impl() {
-        assert_eq!(F16_MIN_MAGNITUDE.to_bits(), 0x3380_0000, "threshold must be exactly 2^-24");
         let tiny = 2.0f32.powi(-24);
         let probes = [
             0.0,
@@ -554,9 +538,9 @@ mod tests {
         for &x in &probes {
             let rounded = f16::round_f32(x);
             assert_eq!(
-                survives_f16(x),
+                f16::survives(x),
                 rounded != 0.0,
-                "survives_f16({x}) disagrees with round_f32 -> {rounded}"
+                "f16::survives({x}) disagrees with round_f32 -> {rounded}"
             );
         }
     }

@@ -59,9 +59,10 @@ impl TwoLevelBitmapMatrix {
 
     /// Encodes a dense matrix with FP16 value rounding fused into the tile
     /// encoder: bit-identical to `encode(&dense.to_f16_precision(), ..)`
-    /// without materialising the rounded matrix. This is the per-batch
-    /// encode the serve hot path pays, so the whole-matrix rounding pass it
-    /// removes is measured in `BENCH_kernels.json`'s `serve_hot_path` cell.
+    /// without materialising the rounded matrix. Weights are encoded with
+    /// it once, at load time; the serve hot path encodes activations in the
+    /// kernel's fused forward instead, which is held bit-identical to this
+    /// (the Criterion cell `forward_hot_path_64x256x256/encode_a` times it).
     ///
     /// Cost: one significance test per element and one rounding per kept
     /// value for column-major tiles at most 64 columns wide (the A operand;

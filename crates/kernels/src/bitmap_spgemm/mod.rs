@@ -8,12 +8,14 @@
 //! on condensed operands plus the gather-accumulate-scatter merge in the
 //! OTC accumulation buffer.
 
+mod arena;
 #[allow(unsafe_code)]
 mod simd;
 pub mod warp;
 mod word;
 
-/// A CPU vector level [`BitmapSpGemm::execute_encoded_at`] can be pinned to.
+/// A CPU vector level [`BitmapSpGemm::execute_encoded_at`] and
+/// [`BitmapSpGemm::forward_at`] can be pinned to.
 /// Not part of the API: exported so the differential tests and the
 /// per-level Criterion cells can name one.
 #[doc(hidden)]
@@ -616,20 +618,15 @@ impl BitmapSpGemm {
     fn validate_encoded(&self, a_enc: &TwoLevelBitmapMatrix, b_enc: &TwoLevelBitmapMatrix) {
         assert_eq!(a_enc.cols(), b_enc.rows(), "inner dimensions must agree");
         let spec = self.encoding_spec();
-        let operands = [
-            ("A", a_enc, spec.matches_a(a_enc), spec.a_tile(), spec.a_layout),
-            ("B", b_enc, spec.matches_b(b_enc), spec.b_tile(), spec.b_layout),
-        ];
-        for (name, enc, matches, (rows, cols), layout) in operands {
-            assert!(
-                matches,
-                "{name} operand encoding ({}x{} tiles, {:?}) does not match the kernel's \
-                 ({rows}x{cols}, {layout:?})",
-                enc.tile_rows(),
-                enc.tile_cols(),
-                enc.layout()
-            );
-        }
+        validate_operand("A", a_enc, spec.matches_a(a_enc), spec.a_tile(), spec.a_layout);
+        self.validate_b(b_enc);
+    }
+
+    /// Checks that `b_enc` is a B operand of this kernel's
+    /// [`Self::encoding_spec`].
+    fn validate_b(&self, b_enc: &TwoLevelBitmapMatrix) {
+        let spec = self.encoding_spec();
+        validate_operand("B", b_enc, spec.matches_b(b_enc), spec.b_tile(), spec.b_layout);
     }
 
     /// Functionally computes `A * B` over operands that are **already** in
@@ -708,6 +705,62 @@ impl BitmapSpGemm {
         out
     }
 
+    /// Runs `input` through a stack of layers, each `(weights, relu)`: the
+    /// weights a pre-encoded B operand ([`Self::encode_b`]), `relu` whether
+    /// `max(x, 0)` follows the product. Returns the last layer's dense
+    /// output; with no layers, `input` itself.
+    ///
+    /// Bit-identical to running, per layer, [`Self::encode_a`] on the
+    /// previous activations, [`Self::execute_encoded`] and
+    /// [`Matrix::relu`] — but the layer boundary is fused: each layer's
+    /// output pass applies ReLU, drops what FP16 storage flushes to zero,
+    /// rounds what it keeps and writes column words and condensed values
+    /// straight into the flat A operand the next layer's band loop reads
+    /// (the `arena` submodule), so no dense activation matrix, no
+    /// per-tile encoding and no transposition back exist between layers, and
+    /// a call's allocations do not grow with its depth. Tilings wider than
+    /// 64 run the unfused composition on the scalar path, as
+    /// [`Self::execute_encoded`] does.
+    ///
+    /// # Panics
+    /// Panics if the inner dimensions along the stack disagree or a layer's
+    /// tile shape or layout does not match this kernel's
+    /// [`Self::encoding_spec`].
+    pub fn forward(&self, input: &Matrix, layers: &[(&TwoLevelBitmapMatrix, bool)]) -> Matrix {
+        self.forward_at(input, layers, simd::Level::detect())
+    }
+
+    /// [`Self::forward`] with the vector level pinned instead of detected,
+    /// for tests and benches. Every level returns the same bits.
+    #[doc(hidden)]
+    pub fn forward_at(
+        &self,
+        input: &Matrix,
+        layers: &[(&TwoLevelBitmapMatrix, bool)],
+        level: SimdLevel,
+    ) -> Matrix {
+        let mut width = input.cols();
+        for &(weights, _) in layers {
+            assert_eq!(width, weights.rows(), "inner dimensions must agree");
+            self.validate_b(weights);
+            width = weights.cols();
+        }
+        let (wm, wn, wk) = (self.tiling.warp_m, self.tiling.warp_n, self.tiling.warp_k);
+        if layers.is_empty() || wm > 64 || wn > 64 {
+            // Nothing to run, or a step's bitmap no longer fits one word:
+            // the unfused composition on the scalar path.
+            let mut x = input.clone();
+            for &(weights, relu) in layers {
+                x = self.execute_encoded_scalar(&self.encode_a(&x), weights);
+                if relu {
+                    x.relu_in_place();
+                }
+            }
+            return x;
+        }
+        word::forward(input, layers, (wm, wk), self.resolved_threads, level)
+    }
+
     /// Functionally computes `A * B` with the warp-level outer-product
     /// algorithm over two-level bitmap operands, returning the product and
     /// the profile.
@@ -720,6 +773,25 @@ impl BitmapSpGemm {
         let profile = self.profile(a, b);
         (out, profile)
     }
+}
+
+/// Panics unless `matches`: `enc` is not the `name` operand of a kernel whose
+/// spec asks for `rows x cols` tiles in `layout`.
+fn validate_operand(
+    name: &str,
+    enc: &TwoLevelBitmapMatrix,
+    matches: bool,
+    (rows, cols): (usize, usize),
+    layout: VectorLayout,
+) {
+    assert!(
+        matches,
+        "{name} operand encoding ({}x{} tiles, {:?}) does not match the kernel's \
+         ({rows}x{cols}, {layout:?})",
+        enc.tile_rows(),
+        enc.tile_cols(),
+        enc.layout()
+    );
 }
 
 /// Samples a `Binomial(n, p)` count: exact Bernoulli summation for small
@@ -770,15 +842,45 @@ mod tests {
         GemmTiling { block_m: warp_m, block_n: warp_n, block_k: warp_k, warp_m, warp_n, warp_k }
     }
 
+    /// Overwrites `count` seed-chosen elements of `m` with seed-chosen
+    /// `values`.
+    fn seed_values(m: &mut Matrix, count: usize, seed: u64, values: &[f32]) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..count {
+            let (r, c) = (rng.random_range(0..m.rows()), rng.random_range(0..m.cols()));
+            m[(r, c)] = values[rng.random_range(0..values.len())];
+        }
+    }
+
     /// Overwrites `count` seed-chosen elements of `m` with the values FP16
     /// storage turns non-finite: infinities, NaN, and magnitudes past 65504.
     fn seed_non_finite(m: &mut Matrix, count: usize, seed: u64) {
         const SPECIALS: [f32; 5] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 70000.0, -1.0e9];
-        let mut rng = StdRng::seed_from_u64(seed);
-        for _ in 0..count {
-            let (r, c) = (rng.random_range(0..m.rows()), rng.random_range(0..m.cols()));
-            m[(r, c)] = SPECIALS[rng.random_range(0..SPECIALS.len())];
-        }
+        seed_values(m, count, seed, &SPECIALS);
+    }
+
+    /// Overwrites `count` seed-chosen elements of `m` with `-0.0` and with
+    /// values on and either side of the two places FP16 rounding changes
+    /// regime below 1: 2^-24 (flushed below, kept from there) and 2^-14
+    /// (subnormal below, normalised from there).
+    fn seed_rounding_edges(m: &mut Matrix, count: usize, seed: u64) {
+        let (flush, normal) = (2.0f32.powi(-24), 2.0f32.powi(-14));
+        let below = |x: f32| f32::from_bits(x.to_bits() - 1);
+        let edges = [
+            -0.0,
+            flush,
+            -flush,
+            below(flush),
+            -below(flush),
+            1.5 * flush, // a tie between two subnormal halves
+            2.5 * flush,
+            -2.6 * flush,
+            normal,
+            below(normal), // rounds up into the normalised range
+            -below(normal),
+            normal * (1.0 + 2.0f32.powi(-11)), // a tie between two normalised halves
+        ];
+        seed_values(m, count, seed, &edges);
     }
 
     /// Bit-for-bit equality (`-0.0` is not `+0.0`), except that a NaN matches
@@ -1300,6 +1402,131 @@ mod tests {
             for level in SimdLevel::available() {
                 let word = k.execute_encoded_at(&a_enc, &b_enc, level);
                 proptest::prop_assert!(same_bits(&word, &scalar), "{:?}", level);
+            }
+        }
+    }
+
+    /// What [`BitmapSpGemm::forward`] must equal bit for bit: per layer,
+    /// `encode_a`, the scalar kernel and `relu`.
+    fn reference_forward(
+        k: &BitmapSpGemm,
+        input: &Matrix,
+        layers: &[(&TwoLevelBitmapMatrix, bool)],
+    ) -> Matrix {
+        let mut x = input.clone();
+        for &(weights, relu) in layers {
+            x = k.execute_encoded_scalar(&k.encode_a(&x), weights);
+            if relu {
+                x = x.relu();
+            }
+        }
+        x
+    }
+
+    #[test]
+    fn forward_is_bit_identical_across_thread_counts() {
+        // 16 bands x 4 tile columns = 64 tiles, so the threads engage, in
+        // the emitting layers as in the last one; the 24-wide tiling emits
+        // from the in-memory row's blocks.
+        let input = random(512, 96, 0.4, 120);
+        let dense =
+            [random(96, 128, 0.6, 121), random(128, 128, 0.7, 122), random(128, 128, 0.5, 123)];
+        for base in [kernel(), kernel().with_tiling(warp_tiling(32, 24, 16))] {
+            let weights = dense.each_ref().map(|w| base.encode_b(w));
+            let layers = [(&weights[0], true), (&weights[1], false), (&weights[2], true)];
+            let want = reference_forward(&base, &input, &layers);
+            assert!(want.nnz() > 0, "the stack keeps something alive");
+            for threads in [1, 2, 0, 5] {
+                let k = base.clone().with_execute_threads(threads);
+                for level in SimdLevel::available() {
+                    let got = k.forward_at(&input, &layers, level);
+                    assert!(same_bits(&got, &want), "threads {threads} {level:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn forward_without_layers_returns_the_input() {
+        let mut input = random(5, 7, 0.5, 124);
+        input[(0, 0)] = -0.0;
+        assert!(same_bits(&kernel().forward(&input, &[]), &input));
+    }
+
+    #[test]
+    #[should_panic(expected = "inner dimensions must agree")]
+    fn forward_rejects_a_stack_whose_widths_do_not_chain() {
+        let k = kernel();
+        let (w0, w1) = (k.encode_b(&random(8, 12, 0.5, 125)), k.encode_b(&random(16, 4, 0.5, 126)));
+        let _ = k.forward(&Matrix::zeros(3, 8), &[(&w0, true), (&w1, false)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "B operand encoding (32x16 tiles, ColumnMajor) does not match")]
+    fn forward_rejects_a_layer_in_the_a_layout() {
+        let k = kernel();
+        let w = k.encode_a(&random(8, 8, 0.5, 127));
+        let _ = k.forward(&Matrix::zeros(3, 8), &[(&w, true)]);
+    }
+
+    proptest::proptest! {
+        // Differential property: the fused forward equals the reference
+        // composition bit for bit at every vector level — over depths,
+        // ReLU on and off per layer, the two native tilings, one whose
+        // `warp_n` is not a multiple of `warp_k`, one with 16-row bands and
+        // one wider than a word (the unfused fallback), ragged row and
+        // width counts, sparsities from dense to all-zero (an all-zero
+        // weight matrix makes the next operand empty), input scales that
+        // put the activations in the half-subnormal range, the normalised
+        // range and past 65504, and operands seeded with non-finite values,
+        // `-0.0` and the rounding edges.
+        #[test]
+        fn forward_and_the_unfused_composition_agree_bitwise(
+            seed in proptest::any::<u64>(),
+            depth in 1usize..=4,
+            relu_mask in 0usize..16,
+            rows in 1usize..=80,
+            s_input in 0usize..6,
+            scale_idx in 0usize..4,
+            tiling_idx in 0usize..5,
+            threads in 1usize..=2,
+            specials in 0usize..=4,
+        ) {
+            const SPARSITIES: [f64; 6] = [0.0, 0.3, 0.75, 0.95, 0.999, 1.0];
+            let tiling = match tiling_idx {
+                0 => GemmTiling::paper_spgemm(),
+                1 => GpuConfig::a100().native_tiling(),
+                2 => warp_tiling(32, 24, 16),
+                3 => warp_tiling(16, 64, 8),
+                _ => warp_tiling(65, 65, 16),
+            };
+            let k = BitmapSpGemm::new(GpuConfig::v100())
+                .with_tiling(tiling)
+                .with_execute_threads(threads);
+            let scale = [2.0f32.powi(-20), 2.0f32.powi(-10), 1.0, 4096.0][scale_idx];
+            // The width of every operand along the stack, and each layer's
+            // weight sparsity.
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xd);
+            let widths: Vec<usize> = (0..=depth).map(|_| rng.random_range(1..101usize)).collect();
+            let s_weights: Vec<usize> = (0..depth).map(|_| rng.random_range(0..6usize)).collect();
+            let mut input = random(rows, widths[0], SPARSITIES[s_input], seed);
+            input.as_mut_slice().iter_mut().for_each(|x| *x *= scale);
+            seed_non_finite(&mut input, specials / 2, seed ^ 0xa);
+            seed_rounding_edges(&mut input, specials, seed ^ 0xb);
+            let weights: Vec<TwoLevelBitmapMatrix> = (0..depth)
+                .map(|i| {
+                    let salt = seed ^ (0x9e37_79b9 << i);
+                    let mut w = random(widths[i], widths[i + 1], SPARSITIES[s_weights[i]], salt);
+                    seed_non_finite(&mut w, specials / 3, salt ^ 0xc);
+                    k.encode_b(&w)
+                })
+                .collect();
+            let layers: Vec<(&TwoLevelBitmapMatrix, bool)> =
+                weights.iter().enumerate().map(|(i, w)| (w, relu_mask >> i & 1 == 1)).collect();
+            let want = reference_forward(&k, &input, &layers);
+            for level in SimdLevel::available() {
+                let got = k.forward_at(&input, &layers, level);
+                proptest::prop_assert!(same_bits(&got, &want), "{:?}", level);
             }
         }
     }

@@ -27,7 +27,7 @@ use std::ops::Range;
 
 use dsstc_formats::TwoLevelBitmapMatrix;
 
-use super::word::{self, ExpandedB, Gemm, InMemory, NATIVE_WN};
+use super::word::{self, AView, ExpandedB, Gemm, InMemory, Scratch, Sink, NATIVE_WN};
 
 /// The instruction sets the loops are compiled for, narrowest first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -122,14 +122,14 @@ pub(super) trait Lanes: Copy {
 
     /// Decodes one condensed B row: `dst[c]` becomes the next of `vals` for
     /// every set bit `c` of `word`, ascending, and `0.0` for every clear
-    /// one. `dst` is all zeros on entry (a level with an expand instruction
-    /// overwrites it whole; the bit-walk scatter relies on it).
+    /// one.
     ///
     /// # Panics
     /// Panics if `vals` holds more values than `word` has set bits or a set
     /// bit is at or past `dst.len()`.
     #[inline(always)]
     fn expand_row(word: u64, vals: &[f32], dst: &mut [f32]) {
+        dst.fill(0.0);
         let mut bits = word;
         for &v in vals {
             dst[bits.trailing_zeros() as usize] = v;
@@ -290,56 +290,74 @@ impl Lanes for Zmm {
 
 /// [`word::run_bands`] compiled for `level`: register-held blocks at the
 /// native tile width, the row left in memory at any other.
-pub(super) fn run_bands(level: Level, gemm: &Gemm<'_>, bands: Range<usize>, out_chunk: &mut [f32]) {
+pub(super) fn run_bands<'a, A: AView<'a>, S: Sink>(
+    level: Level,
+    gemm: &Gemm<'_, A>,
+    bands: Range<usize>,
+    sink: &mut S,
+    scratch: &mut Scratch,
+) {
     if gemm.tile_width() != NATIVE_WN {
-        return word::run_bands::<InMemory, InMemory>(gemm, bands, out_chunk);
+        return word::run_bands::<A, S, InMemory, InMemory>(gemm, bands, sink, scratch);
     }
     match level.0 {
-        Isa::Baseline => word::run_bands::<[Portable; 1], [Portable; 1]>(gemm, bands, out_chunk),
+        Isa::Baseline => {
+            word::run_bands::<A, S, [Portable; 1], [Portable; 1]>(gemm, bands, sink, scratch)
+        }
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `run_bands_avx2` requires AVX2. A `Level` holding
         // `Isa::Avx2` is built only by `Level::available()`, and only after
         // `is_x86_feature_detected!("avx2")` returned true on this CPU.
-        Isa::Avx2 => unsafe { run_bands_avx2(gemm, bands, out_chunk) },
+        Isa::Avx2 => unsafe { run_bands_avx2(gemm, bands, sink, scratch) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `run_bands_avx512` requires AVX-512F, AVX-512VL and
         // POPCNT. A `Level` holding `Isa::Avx512` is built only by
         // `Level::available()`, and only after `is_x86_feature_detected!`
         // returned true for `avx512f`, `avx512vl` and `popcnt` on this CPU.
-        Isa::Avx512 => unsafe { run_bands_avx512(gemm, bands, out_chunk) },
+        Isa::Avx512 => unsafe { run_bands_avx512(gemm, bands, sink, scratch) },
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn run_bands_avx2(gemm: &Gemm<'_>, bands: Range<usize>, out_chunk: &mut [f32]) {
-    word::run_bands::<[Ymm; 8], [Ymm; 4]>(gemm, bands, out_chunk)
+fn run_bands_avx2<'a, A: AView<'a>, S: Sink>(
+    gemm: &Gemm<'_, A>,
+    bands: Range<usize>,
+    sink: &mut S,
+    scratch: &mut Scratch,
+) {
+    word::run_bands::<A, S, [Ymm; 8], [Ymm; 4]>(gemm, bands, sink, scratch)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vl,popcnt")]
-fn run_bands_avx512(gemm: &Gemm<'_>, bands: Range<usize>, out_chunk: &mut [f32]) {
-    word::run_bands::<[Zmm; 8], [Zmm; 2]>(gemm, bands, out_chunk)
+fn run_bands_avx512<'a, A: AView<'a>, S: Sink>(
+    gemm: &Gemm<'_, A>,
+    bands: Range<usize>,
+    sink: &mut S,
+    scratch: &mut Scratch,
+) {
+    word::run_bands::<A, S, [Zmm; 8], [Zmm; 2]>(gemm, bands, sink, scratch)
 }
 
 /// [`word::expand_b`] compiled for `level`. Only AVX-512 has an expand
 /// instruction; the other levels share the bit-walk scatter, which no vector
 /// width helps.
-pub(super) fn expand_b(level: Level, b_enc: &TwoLevelBitmapMatrix) -> ExpandedB {
+pub(super) fn expand_b(level: Level, b_enc: &TwoLevelBitmapMatrix, b: &mut ExpandedB) {
     match level.0 {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `expand_b_avx512` requires AVX-512F, AVX-512VL and POPCNT;
         // as in `run_bands`, an `Isa::Avx512` level comes only from
         // `Level::available()`, after all three feature checks passed.
-        Isa::Avx512 => unsafe { expand_b_avx512(b_enc) },
-        _ => word::expand_b::<Portable>(b_enc),
+        Isa::Avx512 => unsafe { expand_b_avx512(b_enc, b) },
+        _ => word::expand_b::<Portable>(b_enc, b),
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vl,popcnt")]
-fn expand_b_avx512(b_enc: &TwoLevelBitmapMatrix) -> ExpandedB {
-    word::expand_b::<Zmm>(b_enc)
+fn expand_b_avx512(b_enc: &TwoLevelBitmapMatrix, b: &mut ExpandedB) {
+    word::expand_b::<Zmm>(b_enc, b)
 }
 
 #[cfg(test)]

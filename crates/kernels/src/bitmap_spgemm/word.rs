@@ -10,18 +10,18 @@
 //! reference" means, and why the shortcuts below keep it, is stated once, in
 //! `docs/ARCHITECTURE.md` ("Bit-identity contract").
 //!
-//! One call runs three phases:
+//! One GEMM runs three phases:
 //!
 //! * **B expansion** ([`expand_b`]): every condensed B row is decoded into
-//!   one zero-padded dense row-major buffer (two allocations per call,
-//!   whatever the tile count) — with the level's expand instruction where it
-//!   has one, a bit-walk scatter elsewhere. A step's accumulation is then a
-//!   contiguous `axpy`, while the step's packed word still short-circuits
-//!   empty steps and empty tiles. The expansion is shared read-only across
-//!   worker threads.
-//! * **A column words** ([`col_words`]), per band: the step words of the
-//!   band's A tiles, transposed out of the tiles' row words eight columns
-//!   at a time.
+//!   one zero-padded dense row-major buffer (two allocations, whatever the
+//!   tile count, reused across the layers of a forward) — with the level's
+//!   expand instruction where it has one, a bit-walk scatter elsewhere. A
+//!   step's accumulation is then a contiguous `axpy`, while the step's packed
+//!   word still short-circuits empty steps and empty tiles. The expansion is
+//!   shared read-only across worker threads.
+//! * **A column words** ([`AView::band_words`]), per band: an [`Arena`]
+//!   stores them; a [`TwoLevelBitmapMatrix`] stores row words, which
+//!   [`col_words`] transposes eight columns at a time.
 //! * **Band loop** ([`run_bands`]): each output band (one `warp_m`-row
 //!   strip) walks `jn` in blocks of tile columns with `kk` innermost, and
 //!   one body ([`block_steps`]) runs every surviving step of a block: it
@@ -29,12 +29,18 @@
 //!   updates that row of a row-major block accumulator. The block width is
 //!   the lane type's ([`BlockRow`]); remainders run one-tile blocks, and
 //!   tilings that are not [`NATIVE_WN`] wide run one-tile blocks whose row
-//!   stays in memory.
+//!   stays in memory. A finished block goes to the loop's [`Sink`].
 //!
-//! All three are compiled once per vector level (baseline, AVX2, AVX-512;
+//! The band loop is one body, generic over the A operand it reads ([`AView`])
+//! and the sink it writes: [`execute`] reads an encoding and writes dense
+//! rows; [`forward`] reads an [`Arena`] and, between layers, writes the next
+//! one (the arena's emitter is the sink), so activations never leave the
+//! encoding.
+//!
+//! All of it is compiled once per vector level (baseline, AVX2, AVX-512;
 //! [`super::simd`]) and the level is picked from CPUID once per call. Output
 //! bands are distributed over scoped [`std::thread`]s; each thread owns a
-//! disjoint row range of the output, so the result is deterministic and
+//! disjoint band range of the sink, so the result is deterministic and
 //! bit-identical at any thread count.
 
 use std::ops::Range;
@@ -42,6 +48,7 @@ use std::ops::Range;
 use dsstc_formats::{BitMatrix, BitmapMatrix, TwoLevelBitmapMatrix};
 use dsstc_tensor::Matrix;
 
+use super::arena::Arena;
 use super::simd::{self, Lanes, Level};
 
 /// Minimum number of warp tiles in the output grid before spawning threads
@@ -59,6 +66,8 @@ const LINE: usize = 64 / std::mem::size_of::<f32>();
 /// that rows a whole number of lines long never straddle one: a 64-byte
 /// vector load or store that does costs two, and an allocator promises 16
 /// bytes (measured on the 64x256x256 layer at AVX-512: band loop 140 -> 82 µs).
+/// The default is empty and unallocated.
+#[derive(Default)]
 struct CacheAligned {
     buf: Vec<f32>,
     start: usize,
@@ -83,11 +92,12 @@ impl CacheAligned {
 }
 
 /// The B operand decoded to a dense row-major matrix, zero-padded to whole
-/// tiles, plus every step's packed bitmap.
+/// tiles, plus every step's packed bitmap. The buffers outlive one operand:
+/// a forward expands each layer's weights into the same two.
 pub(super) struct ExpandedB {
-    /// `grid_k * warp_k` rows of `grid_n * warp_n` values: step `k` of tile
-    /// row `kk` is row `kk * warp_k + k`, each tile's condensed values at
-    /// their dense columns and zeros elsewhere, so the B rows of a block of
+    /// `grid_k * warp_k` rows of `grid_n * wn` values: step `k` of tile row
+    /// `kk` is row `kk * warp_k + k`, each tile's condensed values at their
+    /// dense columns and zeros elsewhere, so the B rows of a block of
     /// adjacent tiles are one contiguous slice.
     rows: CacheAligned,
     /// One packed step bitmap per row and tile column (`grid_n` per row); a
@@ -100,6 +110,17 @@ pub(super) struct ExpandedB {
 }
 
 impl ExpandedB {
+    /// Room for the largest of `operands`.
+    pub(super) fn for_largest<'a>(
+        operands: impl IntoIterator<Item = &'a TwoLevelBitmapMatrix>,
+    ) -> ExpandedB {
+        let (words, cells) = operands.into_iter().fold((0, 0), |(words, cells), b| {
+            let steps = b.grid_rows() * b.tile_rows() * b.grid_cols();
+            (steps.max(words), (steps * b.tile_cols()).max(cells))
+        });
+        ExpandedB { rows: CacheAligned::zeros(cells), words: vec![0; words], grid_n: 0, wn: 0 }
+    }
+
     /// Step row `row` (`kk * warp_k + k`) of the `tiles` tile columns from
     /// `jn` on: their packed bitmaps and their values, `tiles * warp_n` of
     /// them.
@@ -111,47 +132,53 @@ impl ExpandedB {
     }
 }
 
-/// What every band of one call shares: the operands, the output shape and
-/// the warp tile `(warp_m, warp_n, warp_k)`.
-pub(super) struct Gemm<'a> {
-    a_enc: &'a TwoLevelBitmapMatrix,
-    b: &'a ExpandedB,
-    out_rows: usize,
-    out_cols: usize,
+/// What every band of one call shares: the operands and the warp tile
+/// `(warp_m, warp_n, warp_k)`.
+pub(super) struct Gemm<'g, A> {
+    a: A,
+    b: &'g ExpandedB,
     dims: (usize, usize, usize),
 }
 
-impl Gemm<'_> {
+impl<A> Gemm<'_, A> {
     /// `warp_n`.
     pub(super) fn tile_width(&self) -> usize {
         self.dims.1
     }
 }
 
-/// Decodes `b_enc` (row-major tiles at most 64 wide) with `L`'s
+/// Decodes `b_enc` (row-major tiles at most 64 wide) into `b` with `L`'s
 /// [`Lanes::expand_row`]. `inline(always)`, like everything below that is
 /// generic over a lane type: the body has to land inside the
 /// `#[target_feature]` callers of [`super::simd`] to be compiled at their
 /// level.
 #[inline(always)]
-pub(super) fn expand_b<L: Lanes>(b_enc: &TwoLevelBitmapMatrix) -> ExpandedB {
+pub(super) fn expand_b<L: Lanes>(b_enc: &TwoLevelBitmapMatrix, b: &mut ExpandedB) {
     let (wk, wn) = (b_enc.tile_rows(), b_enc.tile_cols());
     let (grid_k, grid_n) = (b_enc.grid_rows(), b_enc.grid_cols());
-    let mut rows = CacheAligned::zeros(grid_k * wk * grid_n * wn);
-    let mut words = vec![0u64; grid_k * wk * grid_n];
-    let values = rows.as_mut_slice();
+    (b.grid_n, b.wn) = (grid_n, wn);
+    // Every cell in use is written, so nothing of the previous operand
+    // survives and nothing has to be cleared first.
+    let values = b.rows.as_mut_slice();
     for kk in 0..grid_k {
         for jn in 0..grid_n {
-            let Some(tile) = b_enc.tile(kk, jn) else { continue };
+            let tile = b_enc.tile(kk, jn);
             for k in 0..wk {
                 let cell = (kk * wk + k) * grid_n + jn;
-                let word = tile.bitmap().row_word(k);
-                words[cell] = word;
-                L::expand_row(word, tile.vector_values(k), &mut values[cell * wn..][..wn]);
+                let dst = &mut values[cell * wn..][..wn];
+                match tile {
+                    Some(tile) => {
+                        b.words[cell] = tile.bitmap().row_word(k);
+                        L::expand_row(b.words[cell], tile.vector_values(k), dst);
+                    }
+                    None => {
+                        b.words[cell] = 0;
+                        dst.fill(0.0);
+                    }
+                }
             }
         }
     }
-    ExpandedB { rows, words, grid_n, wn }
 }
 
 /// Every column of `bits` (at most 64 rows) packed into one word each: bit
@@ -180,15 +207,116 @@ fn col_words(bits: &BitMatrix, out: &mut [u64]) {
     }
 }
 
-/// Refills `words` (`grid_k * warp_k` of them) with the packed column word
-/// of every step of band `im`'s A tiles; an empty tile is all-zero words.
-#[inline(always)]
-fn prepare_a_band(a_enc: &TwoLevelBitmapMatrix, im: usize, wk: usize, words: &mut [u64]) {
-    for (kk, tile_words) in words.chunks_exact_mut(wk).enumerate() {
-        match a_enc.tile(im, kk) {
-            Some(tile) => col_words(tile.bitmap(), tile_words),
-            None => tile_words.fill(0),
+/// The A operand as the band loop reads it: per band the packed column word
+/// of every step, per non-empty tile the condensed values of each step. A
+/// borrowed, copyable view, so one band loop serves the encoding
+/// [`BitmapSpGemm::encode_a`](super::BitmapSpGemm::encode_a) builds and the
+/// [`Arena`] a forward keeps between layers.
+pub(super) trait AView<'a>: Copy + Sync {
+    /// A non-empty tile: whatever [`Self::step_values`] needs to find a
+    /// step's values.
+    type Tile: Copy;
+
+    /// Tile columns of the grid (`K / warp_k`, rounded up).
+    fn grid_k(self) -> usize;
+
+    /// The column word of every step of band `im`, `grid_k * warp_k` of
+    /// them; an empty tile is all-zero words. A view that does not store
+    /// them builds them in `scratch`.
+    fn band_words<'s>(self, im: usize, scratch: &'s mut Vec<u64>) -> &'s [u64]
+    where
+        'a: 's;
+
+    /// Tile `(im, kk)`, or `None` if it is empty.
+    fn tile(self, im: usize, kk: usize) -> Option<Self::Tile>;
+
+    /// The condensed values of step `k` of `tile`, one per set bit of its
+    /// column word, ascending.
+    fn step_values(tile: Self::Tile, k: usize) -> &'a [f32];
+}
+
+impl<'a> AView<'a> for &'a TwoLevelBitmapMatrix {
+    type Tile = &'a BitmapMatrix;
+
+    #[inline(always)]
+    fn grid_k(self) -> usize {
+        self.grid_cols()
+    }
+
+    /// The tiles store row words: transpose them.
+    #[inline(always)]
+    fn band_words<'s>(self, im: usize, scratch: &'s mut Vec<u64>) -> &'s [u64]
+    where
+        'a: 's,
+    {
+        let wk = self.tile_cols();
+        scratch.resize(self.grid_cols() * wk, 0);
+        for (kk, tile_words) in scratch.chunks_exact_mut(wk).enumerate() {
+            match TwoLevelBitmapMatrix::tile(self, im, kk) {
+                Some(tile) => col_words(tile.bitmap(), tile_words),
+                None => tile_words.fill(0),
+            }
         }
+        scratch
+    }
+
+    #[inline(always)]
+    fn tile(self, im: usize, kk: usize) -> Option<&'a BitmapMatrix> {
+        TwoLevelBitmapMatrix::tile(self, im, kk)
+    }
+
+    #[inline(always)]
+    fn step_values(tile: &'a BitmapMatrix, k: usize) -> &'a [f32] {
+        tile.vector_values(k)
+    }
+}
+
+/// Where a band's finished accumulator blocks go. Bands are numbered from
+/// the sink's own first band.
+pub(super) trait Sink: Sized + Send {
+    /// Columns `col0..col0 + width` of `band`: `acc` is row-major, `warp_m`
+    /// rows of `width`, zero in whatever pads the last tile row or column.
+    /// A band's blocks arrive in ascending column order.
+    fn block(&mut self, band: usize, col0: usize, width: usize, acc: &[f32]);
+
+    /// `band` has had all its blocks.
+    #[inline(always)]
+    fn end_band(&mut self, _band: usize) {}
+
+    /// This sink's first `bands` bands, and the rest.
+    fn split_at_band(self, bands: usize) -> (Self, Self);
+}
+
+/// The dense output rows of some bands, optionally through ReLU.
+struct DenseRows<'o> {
+    /// Whole rows of the output, from the first band's first row.
+    rows: &'o mut [f32],
+    cols: usize,
+    wm: usize,
+    relu: bool,
+}
+
+impl Sink for DenseRows<'_> {
+    #[inline(always)]
+    fn block(&mut self, band: usize, col0: usize, width: usize, acc: &[f32]) {
+        let valid_c = width.min(self.cols - col0);
+        let rows = self.rows[band * self.wm * self.cols..].chunks_exact_mut(self.cols);
+        for (dst, acc_row) in rows.zip(acc.chunks_exact(width)) {
+            let (dst, src) = (&mut dst[col0..col0 + valid_c], &acc_row[..valid_c]);
+            if self.relu {
+                for (d, &x) in dst.iter_mut().zip(src) {
+                    *d = x.max(0.0);
+                }
+            } else {
+                dst.copy_from_slice(src);
+            }
+        }
+    }
+
+    fn split_at_band(self, bands: usize) -> (Self, Self) {
+        let mid = (bands * self.wm * self.cols).min(self.rows.len());
+        let (rows, tail) = self.rows.split_at_mut(mid);
+        (DenseRows { rows, ..self }, DenseRows { rows: tail, ..self })
     }
 }
 
@@ -272,9 +400,9 @@ impl BlockRow for InMemory {
 /// meet those zeros and takes the masked path (see the bit-identity
 /// contract the module docs point to).
 #[inline(always)]
-fn block_steps<R: BlockRow>(
+fn block_steps<'a, A: AView<'a>, R: BlockRow>(
     a_words: &[u64],
-    a_tile: &BitmapMatrix,
+    a_tile: A::Tile,
     b: &ExpandedB,
     (kk, jn): (usize, usize),
     acc: &mut [f32],
@@ -291,7 +419,7 @@ fn block_steps<R: BlockRow>(
         }
         let held = R::hold(b_row);
         let mut bits = aw;
-        for &av in a_tile.vector_values(k) {
+        for &av in A::step_values(a_tile, k) {
             let r = bits.trailing_zeros() as usize;
             bits &= bits - 1;
             let acc_row = &mut acc[r * width..(r + 1) * width];
@@ -314,52 +442,93 @@ fn block_steps<R: BlockRow>(
     }
 }
 
-/// Executes `bands` into `out_chunk`, which must cover exactly the dense
-/// rows `bands.start * warp_m ..` of the output. Tile columns are taken
-/// `Wide` at a time while that many remain and `One` (a single tile) at a
-/// time after that; when `Wide` is itself one tile the two are the same
-/// type.
+/// What a thread of the band loop writes besides its sink, sized by the
+/// first call that needs it: the block accumulator and, for a view that has
+/// to build them, a band's A words.
+#[derive(Default)]
+pub(super) struct Scratch {
+    accs: CacheAligned,
+    a_words: Vec<u64>,
+}
+
+/// Executes `bands` into `sink`, whose first band is `bands.start`. Tile
+/// columns are taken `Wide` at a time while that many remain and `One` (a
+/// single tile) at a time after that; when `Wide` is itself one tile the two
+/// are the same type.
 #[inline(always)]
-pub(super) fn run_bands<Wide: BlockRow, One: BlockRow>(
-    gemm: &Gemm<'_>,
+pub(super) fn run_bands<'a, A: AView<'a>, S: Sink, Wide: BlockRow, One: BlockRow>(
+    gemm: &Gemm<'_, A>,
     bands: Range<usize>,
-    out_chunk: &mut [f32],
+    sink: &mut S,
+    scratch: &mut Scratch,
 ) {
-    let &Gemm { a_enc, b, out_rows, out_cols, dims: (wm, wn, wk) } = gemm;
-    let (grid_k, grid_n) = (a_enc.grid_cols(), b.grid_n);
+    let &Gemm { a, b, dims: (wm, wn, wk) } = gemm;
+    let (grid_k, grid_n) = (a.grid_k(), b.grid_n);
     assert!(Wide::width(wn) % wn == 0 && One::width(wn) == wn, "blocks are whole tiles");
     let wide_tiles = Wide::width(wn) / wn;
-    let chunk_row0 = bands.start * wm;
-    let mut accs = CacheAligned::zeros(wm * Wide::width(wn));
-    let mut a_words = vec![0u64; grid_k * wk];
-    for im in bands {
-        prepare_a_band(a_enc, im, wk, &mut a_words);
-        let row0 = im * wm;
-        let valid_r = wm.min(out_rows - row0);
+    let block = wm * Wide::width(wn);
+    if scratch.accs.len < block {
+        scratch.accs = CacheAligned::zeros(block);
+    }
+    let accs = &mut scratch.accs.as_mut_slice()[..block];
+    for im in bands.clone() {
+        let a_words = a.band_words(im, &mut scratch.a_words);
+        let band = im - bands.start;
         let mut jb = 0;
         while jb < grid_n {
             let wide = grid_n - jb >= wide_tiles;
             let (tiles, width) = if wide { (wide_tiles, Wide::width(wn)) } else { (1, wn) };
-            let acc = &mut accs.as_mut_slice()[..wm * width];
+            let acc = &mut accs[..wm * width];
             acc.fill(0.0);
             for kk in 0..grid_k {
-                let Some(a_tile) = a_enc.tile(im, kk) else { continue };
+                let Some(a_tile) = a.tile(im, kk) else { continue };
                 let a_words = &a_words[kk * wk..(kk + 1) * wk];
                 if wide {
-                    block_steps::<Wide>(a_words, a_tile, b, (kk, jb), acc);
+                    block_steps::<A, Wide>(a_words, a_tile, b, (kk, jb), acc);
                 } else {
-                    block_steps::<One>(a_words, a_tile, b, (kk, jb), acc);
+                    block_steps::<A, One>(a_words, a_tile, b, (kk, jb), acc);
                 }
             }
-            let col0 = jb * wn;
-            let valid_c = width.min(out_cols - col0);
-            for (r, acc_row) in acc.chunks_exact(width).take(valid_r).enumerate() {
-                let dst_off = (row0 - chunk_row0 + r) * out_cols + col0;
-                out_chunk[dst_off..dst_off + valid_c].copy_from_slice(&acc_row[..valid_c]);
-            }
+            sink.block(band, jb * wn, width, acc);
             jb += tiles;
         }
+        sink.end_band(band);
     }
+}
+
+/// Runs every band of `gemm` (`grid_m` of them) into `sink`, on up to
+/// `threads` scoped threads when the grid is big enough to pay for them.
+/// Bands go out contiguously and each thread's share of the sink is
+/// disjoint, so no synchronisation is needed and the result is bit-identical
+/// at any thread count.
+fn run_gemm<'a, A: AView<'a>, S: Sink>(
+    level: Level,
+    gemm: &Gemm<'_, A>,
+    grid_m: usize,
+    mut sink: S,
+    threads: usize,
+    scratch: &mut Scratch,
+) {
+    let small = grid_m * gemm.b.grid_n < MIN_TILES_FOR_THREADS;
+    let threads = if small { 1 } else { threads.min(grid_m) };
+    if threads <= 1 {
+        return simd::run_bands(level, gemm, 0..grid_m, &mut sink, scratch);
+    }
+    let bands_per_thread = grid_m.div_ceil(threads);
+    std::thread::scope(|scope| {
+        let mut rest = sink;
+        let mut band_lo = 0;
+        while band_lo < grid_m {
+            let band_hi = (band_lo + bands_per_thread).min(grid_m);
+            let (mut share, tail) = rest.split_at_band(band_hi - band_lo);
+            rest = tail;
+            scope.spawn(move || {
+                let mut scratch = Scratch::default();
+                simd::run_bands(level, gemm, band_lo..band_hi, &mut share, &mut scratch)
+            });
+            band_lo = band_hi;
+        }
+    });
 }
 
 /// Word-parallel `A * B` over two-level bitmap operands. `threads` is the
@@ -373,44 +542,58 @@ pub(crate) fn execute(
     threads: usize,
     level: Level,
 ) -> Matrix {
-    let (wm, wk) = (a_enc.tile_rows(), a_enc.tile_cols());
-    let wn = b_enc.tile_cols();
-    let (out_rows, out_cols) = (a_enc.rows(), b_enc.cols());
-    let (grid_m, grid_n) = (a_enc.grid_rows(), b_enc.grid_cols());
+    let dims = (a_enc.tile_rows(), b_enc.tile_cols(), a_enc.tile_cols());
 
-    // Dense-expand B once per call; the serve path replays one pre-encoded
-    // weight operand against many activation batches, and each expanded
-    // row is reused `grid_m` times within a single call.
-    let b = simd::expand_b(level, b_enc);
+    // Dense-expand B once per call; each expanded row is reused `grid_m`
+    // times within it.
+    let mut b = ExpandedB::for_largest([b_enc]);
+    simd::expand_b(level, b_enc, &mut b);
 
-    let mut out = Matrix::zeros(out_rows, out_cols);
-    let gemm = Gemm { a_enc, b: &b, out_rows, out_cols, dims: (wm, wn, wk) };
-    let run = |bands: Range<usize>, out_chunk: &mut [f32]| {
-        simd::run_bands(level, &gemm, bands, out_chunk)
-    };
-    let threads = if grid_m * grid_n < MIN_TILES_FOR_THREADS { 1 } else { threads.min(grid_m) };
-    if threads <= 1 {
-        run(0..grid_m, out.as_mut_slice());
-        return out;
+    let mut out = Matrix::zeros(a_enc.rows(), b_enc.cols());
+    let sink = DenseRows { rows: out.as_mut_slice(), cols: b_enc.cols(), wm: dims.0, relu: false };
+    let gemm = Gemm { a: a_enc, b: &b, dims };
+    let mut scratch = Scratch::default();
+    run_gemm(level, &gemm, a_enc.grid_rows(), sink, threads, &mut scratch);
+    out
+}
+
+/// `input` through `layers` (`(weights, relu)`, at least one, dimensions
+/// chained and tilings validated by the caller; `a_tile` is the A operand's
+/// `(warp_m, warp_k)`): bit for bit what `encode_a`, [`execute`] and `relu`
+/// per layer give, without the dense activations in between. The input and
+/// every inner layer's output pass are emitted straight into one of two
+/// [`Arena`]s, which the next layer's band loop reads; only the last layer
+/// writes dense rows. Every buffer is sized once for the largest layer, so
+/// the allocations of a call do not depend on its depth.
+pub(crate) fn forward(
+    input: &Matrix,
+    layers: &[(&TwoLevelBitmapMatrix, bool)],
+    a_tile: (usize, usize),
+    threads: usize,
+    level: Level,
+) -> Matrix {
+    let (&(last, last_relu), inner) = layers.split_last().expect("at least one layer");
+    let (wm, wk) = a_tile;
+    let dims = (wm, last.tile_cols(), wk);
+    let grid_m = input.rows().div_ceil(wm);
+    let widest = layers.iter().map(|(w, _)| w.rows()).max().expect("at least one layer");
+
+    let mut src = Arena::new(input.rows(), widest, a_tile);
+    let mut dst = Arena::new(input.rows(), widest, a_tile);
+    let mut b = ExpandedB::for_largest(layers.iter().map(|&(w, _)| w));
+    let mut scratch = Scratch::default();
+
+    src.encode(input);
+    for &(weights, relu) in inner {
+        simd::expand_b(level, weights, &mut b);
+        let gemm = Gemm { a: &src, b: &b, dims };
+        run_gemm(level, &gemm, grid_m, dst.emitter(weights.cols(), relu), threads, &mut scratch);
+        std::mem::swap(&mut src, &mut dst);
     }
-
-    // Distribute bands contiguously; each thread gets a disjoint row range
-    // of the output, so no synchronisation is needed and the result is
-    // bit-identical at any thread count.
-    let bands_per_thread = grid_m.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let mut rest = out.as_mut_slice();
-        let mut band_lo = 0;
-        while band_lo < grid_m {
-            let band_hi = (band_lo + bands_per_thread).min(grid_m);
-            let chunk_rows = (band_hi * wm).min(out_rows) - band_lo * wm;
-            let (chunk, tail) = rest.split_at_mut(chunk_rows * out_cols);
-            rest = tail;
-            let run = &run;
-            scope.spawn(move || run(band_lo..band_hi, chunk));
-            band_lo = band_hi;
-        }
-    });
+    simd::expand_b(level, last, &mut b);
+    let mut out = Matrix::zeros(input.rows(), last.cols());
+    let sink = DenseRows { rows: out.as_mut_slice(), cols: last.cols(), wm, relu: last_relu };
+    run_gemm(level, &Gemm { a: &src, b: &b, dims }, grid_m, sink, threads, &mut scratch);
     out
 }
 
@@ -453,12 +636,21 @@ mod tests {
                 dense[(2, c)] = if c % wn == 0 { 2.0 } else { 0.0 };
                 dense[(3, c)] = if c % wn == wn - 1 { 3.0 } else { 0.0 };
             }
+            for (r, c) in (0..wk).flat_map(|r| (wn..2 * wn).map(move |c| (r, c))) {
+                dense[(r, c)] = 0.0;
+            }
             let b_enc = TwoLevelBitmapMatrix::encode(&dense, wk, wn, VectorLayout::RowMajor);
+            // A denser, taller operand goes through the same buffers first:
+            // nothing of it may survive the second expansion, whose tile
+            // (0, 1) is empty.
+            let stale = Matrix::random_sparse(k + 9, n, 0.1, SparsityPattern::Uniform, 7);
+            let stale = TwoLevelBitmapMatrix::encode(&stale, wk, wn, VectorLayout::RowMajor);
             let (rows, ld) = (b_enc.grid_rows() * wk, b_enc.grid_cols() * wn);
             for level in Level::available() {
-                let b = simd::expand_b(level, &b_enc);
-                assert_eq!(b.rows.as_slice().len(), rows * ld);
-                assert_eq!(b.words.len(), rows * b.grid_n);
+                let mut b = ExpandedB::for_largest([&stale, &b_enc]);
+                simd::expand_b(level, &stale, &mut b);
+                simd::expand_b(level, &b_enc, &mut b);
+                assert_eq!((b.grid_n, b.wn), (b_enc.grid_cols(), wn));
                 for r in 0..rows {
                     for c in 0..ld {
                         let want = if r < k && c < n { dense[(r, c)] } else { 0.0 };
@@ -467,6 +659,77 @@ mod tests {
                         let bit = b.words[r * b.grid_n + c / wn] >> (c % wn) & 1;
                         assert_eq!(bit == 1, want != 0.0, "wn {wn} {level:?} bit ({r},{c})");
                     }
+                }
+            }
+        }
+    }
+
+    /// `arena` against the encoding `encode_a` builds of the same operand:
+    /// every step's column word and every step's values, bit for bit (any
+    /// NaN matching any NaN).
+    fn assert_arena_is(arena: &Arena, want: &TwoLevelBitmapMatrix, context: &str) {
+        let wk = want.tile_cols();
+        let mut unused = Vec::new();
+        assert_eq!(arena.grid_k(), want.grid_cols(), "{context}");
+        for im in 0..want.grid_rows() {
+            let words = arena.band_words(im, &mut unused);
+            assert_eq!(words.len(), want.grid_cols() * wk, "{context}");
+            for kk in 0..want.grid_cols() {
+                let (got, want) = (AView::tile(arena, im, kk), want.tile(im, kk));
+                assert_eq!(got.is_some(), want.is_some(), "{context}: tile ({im},{kk})");
+                for k in 0..wk {
+                    let word = want.map_or(0, |tile| tile.bitmap().col_word(k));
+                    assert_eq!(words[kk * wk + k], word, "{context}: word ({im},{kk},{k})");
+                    let (Some(got), Some(want)) = (got, want) else { continue };
+                    let (got, want) = (<&Arena>::step_values(got, k), want.vector_values(k));
+                    let same = got.len() == want.len()
+                        && got
+                            .iter()
+                            .zip(want)
+                            .all(|(g, w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()));
+                    assert!(same, "{context}: values ({im},{kk},{k}): {got:?} vs {want:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn emitted_arena_equals_encode_a_of_the_relu_of_the_dense_output() {
+        // Ragged in M, K and N; the input carries values FP16 storage flushes,
+        // rounds to subnormals and turns infinite, so the output pass meets
+        // NaN, infinities and negative zero-crossings. Both the dense-input
+        // encode and the output-pass emit are held to `encode_a`, on the
+        // native tiling (transposed tiles) and a 24-wide one (plain walk
+        // from in-memory blocks, `warp_n` not a multiple of `warp_k`).
+        let (m, kd, n) = (70, 45, 150);
+        let mut x = Matrix::random_sparse(m, kd, 0.4, SparsityPattern::Uniform, 31);
+        let tiny = 2.0f32.powi(-24);
+        let specials =
+            [f32::INFINITY, -7.0e4, tiny, tiny / 2.0, -1.5 * tiny, 2.0f32.powi(-15), -0.0];
+        for (i, v) in specials.into_iter().enumerate() {
+            x[(i * 9 % m, i * 7 % kd)] = v;
+        }
+        let w = Matrix::random_sparse(kd, n, 0.6, SparsityPattern::Uniform, 32);
+        for (wm, wn, wk) in [(32, 32, 16), (32, 24, 16), (16, 64, 8)] {
+            let x_enc = TwoLevelBitmapMatrix::encode_f16(&x, wm, wk, VectorLayout::ColumnMajor);
+            let w_enc = TwoLevelBitmapMatrix::encode_f16(&w, wk, wn, VectorLayout::RowMajor);
+            let mut src = Arena::new(m, kd.max(n), (wm, wk));
+            src.encode(&x);
+            assert_arena_is(&src, &x_enc, &format!("input, {wm}x{wn}x{wk}"));
+            for level in Level::available() {
+                let y = execute(&x_enc, &w_enc, 1, level);
+                for relu in [true, false] {
+                    let y = if relu { y.relu() } else { y.clone() };
+                    let want =
+                        TwoLevelBitmapMatrix::encode_f16(&y, wm, wk, VectorLayout::ColumnMajor);
+                    let mut b = ExpandedB::for_largest([&w_enc]);
+                    simd::expand_b(level, &w_enc, &mut b);
+                    let mut dst = Arena::new(m, kd.max(n), (wm, wk));
+                    let gemm = Gemm { a: &src, b: &b, dims: (wm, wn, wk) };
+                    let mut scratch = Scratch::default();
+                    run_gemm(level, &gemm, m.div_ceil(wm), dst.emitter(n, relu), 1, &mut scratch);
+                    let context = format!("{wm}x{wn}x{wk} {level:?} relu {relu}");
+                    assert_arena_is(&dst, &want, &context);
                 }
             }
         }

@@ -1,7 +1,7 @@
-//! Pins how often the serve hot path (`encode_a` + `execute_encoded`) goes to
-//! the allocator: the kernel's count must not depend on the tile grid, the
-//! vector level or an auto-sized thread count, and the encoder's must stay
-//! at three per non-empty tile.
+//! Pins how often the serve hot path goes to the allocator: the kernel's
+//! count must not depend on the tile grid, the vector level or an auto-sized
+//! thread count, the encoder's must stay at three per non-empty tile, and a
+//! fused `forward`'s must not depend on how many layers it runs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -111,5 +111,24 @@ fn encode_a_allocates_three_buffers_per_non_empty_tile() {
         let (a_enc, count) = allocations_in(|| kernel.encode_a(&a));
         let non_empty = a_enc.tile_count() - a_enc.empty_tiles();
         assert!(count <= 3 * non_empty + 16, "{count} allocations for {non_empty} tiles");
+    }
+}
+
+#[test]
+fn forward_allocates_the_same_few_buffers_at_any_depth() {
+    // Two arenas of three buffers, the B expansion's two, one accumulator
+    // block and the output (10): sized once for the largest layer, so a
+    // 13-layer stack (the ResNet-50 proxy's depth) costs what a 2-layer one
+    // does.
+    let kernel = BitmapSpGemm::new(GpuConfig::v100()).with_execute_threads(1);
+    let (input, weights) = operands(64, 256, 256);
+    let weights = kernel.encode_b(&weights);
+    for level in SimdLevel::available() {
+        let counts = [2, 13].map(|depth| {
+            let layers = vec![(&weights, true); depth];
+            allocations_in(|| kernel.forward_at(&input, &layers, level)).1
+        });
+        assert_eq!(counts[0], counts[1], "{level:?}: allocations grow with the depth");
+        assert!(counts[0] <= 16, "{level:?}: {} allocations per forward", counts[0]);
     }
 }

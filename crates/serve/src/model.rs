@@ -103,7 +103,8 @@ impl EncodedModel {
 
     /// Runs `input` (rows = samples, `input_dim` columns) through every
     /// pre-encoded proxy layer on the dual-side SpGEMM kernel and returns
-    /// the final features.
+    /// the final features ([`BitmapSpGemm::forward`]: activations stay in
+    /// the kernel's encoding between layers).
     ///
     /// # Panics
     /// Panics if `input` does not have `input_dim` columns or `kernel`'s
@@ -115,16 +116,8 @@ impl EncodedModel {
             self.spec,
             "kernel encoding spec does not match the model's"
         );
-        let mut x: Option<Matrix> = None;
-        for layer in &self.layers {
-            let a_enc = kernel.encode_a(x.as_ref().unwrap_or(input));
-            let mut y = kernel.execute_encoded(&a_enc, &layer.weights);
-            if layer.relu {
-                y.relu_in_place();
-            }
-            x = Some(y);
-        }
-        x.unwrap_or_else(|| input.clone())
+        let layers: Vec<_> = self.layers.iter().map(|l| (&l.weights, l.relu)).collect();
+        kernel.forward(input, &layers)
     }
 
     /// Modelled storage footprint of the encoded weights in bytes (FP16

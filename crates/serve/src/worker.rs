@@ -357,7 +357,12 @@ mod tests {
             assert_eq!(response.batch_size, 3);
             assert_eq!(response.device, 0);
             assert_eq!(response.priority, Priority::Normal);
-            assert!(response.output.approx_eq(&single, 1e-4), "request {id}");
+            // Bit for bit: an output row's MAC sequence and each entry the
+            // layer boundary emits depend on that row alone, so who a request
+            // shared its batch with cannot change its bytes.
+            let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(response.output.rows(), single.rows(), "request {id}");
+            assert_eq!(bits(&response.output), bits(&single), "request {id}");
             assert!(response.modelled_batch_us > 0.0);
             assert!((response.modelled_request_us - response.modelled_batch_us / 3.0).abs() < 1e-9);
         }

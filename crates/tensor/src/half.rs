@@ -24,6 +24,13 @@ use std::fmt;
 #[allow(non_camel_case_types)]
 pub struct f16(u16);
 
+/// `f32` magnitudes (bit patterns, sign cleared) at which FP16 rounding
+/// changes regime: the smallest half-subnormal 2^-24, the smallest normalised
+/// half 2^-14, and 65520, the first value that rounds to infinity.
+const MIN_SUBNORMAL: u32 = 0x3380_0000;
+const MIN_NORMAL: u32 = 0x3880_0000;
+const OVERFLOW: u32 = 0x477F_F000;
+
 impl f16 {
     /// Positive zero.
     pub const ZERO: f16 = f16(0);
@@ -124,24 +131,76 @@ impl f16 {
     /// Rounds an `f32` through half precision and back, emulating storage of
     /// an FP16 operand.
     ///
-    /// Magnitudes whose half is normalised and finite (2^-14 up to, but not
-    /// including, 65520) never leave the `f32` bit pattern: round to nearest
-    /// even on the 13 mantissa bits a half drops, letting the carry ripple
-    /// into the exponent. Everything else (zeros, half-subnormals, overflow,
-    /// infinities, NaN) goes through [`Self::from_f32`] and [`Self::to_f32`];
-    /// the two agree on every bit pattern (tested exhaustively).
+    /// Magnitudes whose half is finite and non-zero (2^-24 up to, but not
+    /// including, 65520) never leave the `f32` bit pattern. Where the half
+    /// is normalised (from 2^-14) that is round to nearest even on the 13
+    /// mantissa bits a half drops, the carry rippling into the exponent.
+    /// Below, the half is subnormal, a multiple of 2^-24: adding 0.5 puts
+    /// the `f32` unit in the last place at 2^-24, so the hardware's own
+    /// round-to-nearest-even does the rounding, and subtracting 0.5 again is
+    /// exact. Everything else (zeros, magnitudes that flush to zero,
+    /// overflow, infinities, NaN) goes through [`Self::from_f32`] and
+    /// [`Self::to_f32`]; the two agree on every bit pattern (tested
+    /// exhaustively).
+    #[inline]
     pub fn round_f32(value: f32) -> f32 {
-        let bits = value.to_bits();
-        if (0x3880_0000..0x477F_F000).contains(&(bits & 0x7FFF_FFFF)) {
-            return f32::from_bits((bits + 0x0FFF + ((bits >> 13) & 1)) & !0x1FFF);
+        let magnitude = value.to_bits() & 0x7FFF_FFFF;
+        if (MIN_NORMAL..OVERFLOW).contains(&magnitude) {
+            return round_normalised(value);
+        }
+        if (MIN_SUBNORMAL..MIN_NORMAL).contains(&magnitude) {
+            return round_subnormal(value);
         }
         Self::from_f32(value).to_f32()
+    }
+
+    /// [`Self::round_f32`] without a branch, for callers that round a block
+    /// at a time: exact for 2^-24 <= |value| < 65520, the two ranges that
+    /// stay in the bit pattern; unspecified outside.
+    #[inline(always)]
+    pub fn round_f32_in_pattern(value: f32) -> f32 {
+        if value.to_bits() & 0x7FFF_FFFF < MIN_NORMAL {
+            round_subnormal(value)
+        } else {
+            round_normalised(value)
+        }
+    }
+
+    /// Whether `value` is still a non-zero after [`Self::round_f32`], without
+    /// rounding it: [`Self::from_f32`] flushes every |value| < 2^-24 to a
+    /// signed zero (its subnormal path never rounds \[2^-25, 2^-24) up), so
+    /// this is one compare. Written negated so that NaN, which rounding
+    /// preserves, counts as surviving.
+    #[inline(always)]
+    #[allow(clippy::neg_cmp_op_on_partial_ord)] // `>=` would drop NaN
+    pub fn survives(value: f32) -> bool {
+        !(value.abs() < f32::from_bits(MIN_SUBNORMAL))
+    }
+
+    /// Whether `value` is finite and small enough for its half to be finite
+    /// too (|value| < 65520; false for NaN).
+    #[inline(always)]
+    pub fn fits_finite(value: f32) -> bool {
+        value.to_bits() & 0x7FFF_FFFF < OVERFLOW
     }
 
     /// Whether the value is exactly zero (either sign).
     pub fn is_zero(self) -> bool {
         self.0 & 0x7FFF == 0
     }
+}
+
+/// [`f16::round_f32`] where the half is normalised and finite.
+#[inline(always)]
+fn round_normalised(value: f32) -> f32 {
+    let bits = value.to_bits();
+    f32::from_bits((bits + 0x0FFF + ((bits >> 13) & 1)) & !0x1FFF)
+}
+
+/// [`f16::round_f32`] where the half is subnormal and non-zero.
+#[inline(always)]
+fn round_subnormal(value: f32) -> f32 {
+    ((value.abs() + 0.5) - 0.5).copysign(value)
 }
 
 impl fmt::Debug for f16 {
@@ -225,19 +284,28 @@ mod tests {
     }
 
     /// `round_f32` against the conversion pair it short-cuts, bit for bit
-    /// (NaNs included: both sides produce the same quiet pattern).
+    /// (NaNs included: both sides produce the same quiet pattern), and its
+    /// two companions against it.
     fn assert_round_matches_conversions(bits: u32) {
         let x = f32::from_bits(bits);
         let (fast, slow) = (f16::round_f32(x), f16::from_f32(x).to_f32());
         assert_eq!(fast.to_bits(), slow.to_bits(), "input bits {bits:#010x}");
+        // The branch-free variant wherever it promises to agree, and the
+        // keep test everywhere.
+        if f16::survives(x) && f16::fits_finite(x) {
+            let in_pattern = f16::round_f32_in_pattern(x);
+            assert_eq!(in_pattern.to_bits(), slow.to_bits(), "in pattern, bits {bits:#010x}");
+        }
+        assert_eq!(f16::survives(x), slow != 0.0, "survives, bits {bits:#010x}");
     }
 
     #[test]
     fn round_f32_fast_path_matches_the_conversions_at_every_edge_and_on_a_sweep() {
         // Every pattern within 4 ulp of each place the behaviour changes:
-        // zero, the flush threshold 2^-25 / 2^-24, the fast path's lower
-        // edge 2^-14, its upper edge 65520 (and 65504 just inside it), the
-        // top of the finite range, infinity and both kinds of NaN.
+        // zero, the flush threshold 2^-25 / 2^-24 (the in-pattern range's
+        // lower edge), 2^-14 where it switches from the subnormal to the
+        // normalised rounding, its upper edge 65520 (and 65504 just inside
+        // it), the top of the finite range, infinity and both kinds of NaN.
         let edges: [u32; 10] = [
             0x0000_0000, // +0
             0x3300_0000, // 2^-25
