@@ -47,8 +47,8 @@ fn bench_functional_spgemm(c: &mut Criterion) {
 }
 
 /// The retained scalar reference against the word-parallel execution path
-/// over identical pre-built encodings — the perf claim `BENCH_kernels.json`
-/// tracks per commit, kept honest here under Criterion's statistics.
+/// over identical pre-built encodings, under Criterion's statistics (the
+/// end-to-end sibling is `benchmark/`'s `gemm_extreme` workload).
 fn bench_word_vs_scalar(c: &mut Criterion) {
     let mut group = c.benchmark_group("spgemm_word_vs_scalar_512");
     group.sample_size(10);

@@ -278,9 +278,9 @@ pub struct ServeConfig {
     /// How released batches are assigned to devices.
     pub dispatch: DispatchPolicy,
     /// Directory of the persistent encoded-weight store (`--encode-cache-dir`
-    /// in the demo and sweep binaries). `None` keeps the encode cache
-    /// memory-only; set, a restarted server restores encoded artifacts from
-    /// disk and skips the prune+encode warm-up entirely.
+    /// on `serve_demo`). `None` keeps the encode cache memory-only; set, a
+    /// restarted server restores encoded artifacts from disk and skips the
+    /// prune+encode warm-up entirely.
     pub encode_cache_dir: Option<PathBuf>,
     /// Entry/byte bound on the in-memory encode-cache tier.
     pub encode_cache_budget: CacheBudget,
@@ -341,11 +341,11 @@ pub struct ServeConfig {
     /// standalone: the wire front-end still answers `HELO` with a
     /// single-node shard map so cluster-aware clients work unchanged.
     pub cluster: Option<ClusterConfig>,
-    /// Shared secret required in every client `HELO` (`--auth-token` in
-    /// the demo and sweep binaries). `None` (the default) accepts
-    /// tokenless hellos; set, a hello with a wrong or missing token is
-    /// answered with an `Unauthorized` error frame and the connection
-    /// closes. Compared in constant time.
+    /// Shared secret required in every client `HELO` (`--auth-token` on
+    /// `serve_demo`). `None` (the default) accepts tokenless hellos; set,
+    /// a hello with a wrong or missing token is answered with an
+    /// `Unauthorized` error frame and the connection closes. Compared in
+    /// constant time.
     pub auth_token: Option<String>,
 }
 

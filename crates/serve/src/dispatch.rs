@@ -1,8 +1,10 @@
 //! Completion-time-aware batch-to-device dispatch.
 //!
-//! Every device in the pool carries its own [`BatchTimingModel`] and a
-//! modelled clock: the instant (in modelled microseconds since server
-//! start) at which the work already assigned to it will have finished.
+//! Every device in the pool has a [`BatchTimingModel`] — one per
+//! *distinct* [`dsstc_sim::GpuConfig`], shared by identical pool members,
+//! since a price depends on the configuration alone — and its own modelled
+//! clock: the instant (in modelled microseconds since server start) at
+//! which the work already assigned to it will have finished.
 //! Assigning a batch prices it on each candidate device and routes it to
 //! the one that would **complete** it first — so a slower V100 still
 //! absorbs traffic whenever the faster A100's backlog outweighs its speed
@@ -72,12 +74,21 @@ pub struct DeviceDispatcher {
 }
 
 impl DeviceDispatcher {
-    /// Builds one timing model (and one encoding spec — the device's native
-    /// tiling) per pooled device.
+    /// Builds one encoding spec (the device's native tiling) per pooled
+    /// device and one timing model per distinct device configuration:
+    /// identical devices price every `(model, bucket)` identically, so they
+    /// share one model and one cache instead of each computing the table.
     pub fn new(pool: &DevicePool, policy: DispatchPolicy) -> Self {
-        let timings =
-            pool.devices().iter().map(|d| Arc::new(BatchTimingModel::new(d.clone()))).collect();
-        let specs = pool.devices().iter().map(EncodingSpec::for_gpu).collect();
+        let devices = pool.devices();
+        let mut timings: Vec<Arc<BatchTimingModel>> = Vec::with_capacity(devices.len());
+        for (i, gpu) in devices.iter().enumerate() {
+            let timing = match devices[..i].iter().position(|earlier| earlier == gpu) {
+                Some(twin) => Arc::clone(&timings[twin]),
+                None => Arc::new(BatchTimingModel::new(gpu.clone())),
+            };
+            timings.push(timing);
+        }
+        let specs = devices.iter().map(EncodingSpec::for_gpu).collect();
         DeviceDispatcher {
             timings,
             names: pool.names(),
@@ -230,10 +241,16 @@ impl DeviceDispatcher {
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// Aggregate timing-cache hit rate across the pool's models.
+    /// Aggregate timing-cache hit rate across the pool's distinct models.
     pub fn timing_hit_rate(&self) -> f64 {
-        let hits: u64 = self.timings.iter().map(|t| t.hit_count()).sum();
-        let misses: u64 = self.timings.iter().map(|t| t.miss_count()).sum();
+        let (mut hits, mut misses) = (0u64, 0u64);
+        for (i, timing) in self.timings.iter().enumerate() {
+            // A shared model is counted once, at its first device.
+            if !self.timings[..i].iter().any(|earlier| Arc::ptr_eq(earlier, timing)) {
+                hits += timing.hit_count();
+                misses += timing.miss_count();
+            }
+        }
         if hits + misses == 0 {
             0.0
         } else {
@@ -263,6 +280,20 @@ mod tests {
         assert_eq!(d.spec(1).tiling, GpuConfig::a100().native_tiling());
         assert_ne!(d.spec(0), d.spec(1), "heterogeneous devices carry distinct encodings");
         assert_eq!(d.specs().len(), d.len());
+    }
+
+    #[test]
+    fn identical_devices_share_one_timing_model_and_distinct_devices_do_not() {
+        let twins = DevicePool::homogeneous(GpuConfig::v100(), 2);
+        let d = DeviceDispatcher::new(&twins, DispatchPolicy::MinCompletionTime);
+        assert!(Arc::ptr_eq(d.timing(0), d.timing(1)));
+        let d = DeviceDispatcher::new(&mixed_pool(), DispatchPolicy::MinCompletionTime);
+        assert!(!Arc::ptr_eq(d.timing(0), d.timing(1)));
+        // A later twin finds its model past a different device in between.
+        let pool = DevicePool::new(vec![GpuConfig::v100(), GpuConfig::a100(), GpuConfig::v100()]);
+        let d = DeviceDispatcher::new(&pool, DispatchPolicy::MinCompletionTime);
+        assert!(Arc::ptr_eq(d.timing(0), d.timing(2)));
+        assert!(!Arc::ptr_eq(d.timing(1), d.timing(2)));
     }
 
     #[test]

@@ -41,8 +41,8 @@
 //!   and graceful drain. [`net::WireClient`] is the matching blocking
 //!   client.
 //! * [`PoissonArrivals`] — a seeded open-loop traffic generator for
-//!   latency-vs-offered-load measurements (see the `serve_throughput`
-//!   sweep's `--open-loop` mode).
+//!   latency-vs-offered-load measurements (the `benchmark/` harness's
+//!   `serve_wire` workload paces its requests with it).
 //! * [`ServerStats`] — a snapshot of the server's one [`Telemetry`] hub:
 //!   throughput, aggregate **and per-priority** queue/execute latency
 //!   percentiles (read from the same histograms `/metrics` renders), the
@@ -107,7 +107,7 @@ pub mod server;
 pub mod stats;
 pub mod store;
 #[allow(unsafe_code)]
-pub mod sys;
+mod sys;
 pub mod telemetry;
 pub mod timing;
 pub mod traffic;

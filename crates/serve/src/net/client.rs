@@ -1,5 +1,5 @@
 //! A small blocking client for the wire protocol, used by the tests, the
-//! `serve_client` example and the `serve_throughput --wire` sweep.
+//! `serve_client` example and the `benchmark/` harness.
 //!
 //! One [`WireClient`] wraps one TCP connection. Requests **pipeline**: any
 //! number may be sent before the first response is read, and responses

@@ -5,20 +5,20 @@
 //! * [`frame`] — the codec: `DSRQ` request / `DSRS` response frames,
 //!   incremental [`FrameDecoder`], error frames,
 //!   versioning. Byte-level spec in `docs/WIRE_PROTOCOL.md`.
-//! * [`poll`] — a minimal mio-style epoll readiness loop (the syscalls are
-//!   [`crate::sys`]'s, against the already-linked C library; no tokio, no
-//!   crates).
+//! * `poll` (crate-private) — a minimal mio-style epoll readiness loop
+//!   (the syscalls are `crate::sys`'s, against the already-linked C
+//!   library; no tokio, no crates).
 //! * [`server`] — the [`WireServer`]: N sharded epoll reactors (accept on
 //!   one listener, hand off to the least-loaded peer), decode, submit
 //!   through [`crate::InferenceServer::submit_with`], stream responses back
 //!   as batches complete; pipelining, connection limits, graceful drain.
 //! * [`client`] — the blocking [`WireClient`] used by tests, the
-//!   `serve_client` example and the `serve_throughput --wire` sweep, and
-//!   the shard-aware [`ClusterClient`] layered on top of it.
+//!   `serve_client` example and the `benchmark/` harness, and the
+//!   shard-aware [`ClusterClient`] layered on top of it.
 
 pub mod client;
 pub mod frame;
-pub mod poll;
+pub(crate) mod poll;
 pub mod server;
 
 pub use client::{ClusterClient, WireClient, DEFAULT_MAX_REDIRECTS};

@@ -60,11 +60,6 @@ impl Event {
     pub fn writable(&self) -> bool {
         self.readiness & (EPOLLOUT | EPOLLERR) != 0
     }
-
-    /// The peer is gone (error or hang-up).
-    pub fn closed(&self) -> bool {
-        self.readiness & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0
-    }
 }
 
 /// A level-triggered epoll instance.

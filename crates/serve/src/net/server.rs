@@ -7,7 +7,7 @@
 //! The front-end is sharded across `N = ServeConfig::reactors` **reactors**
 //! (`0` sizes N to the host's available parallelism). Each reactor is
 //! **one thread** next to the serving runtime's own dispatcher + workers:
-//! a level-triggered epoll readiness loop ([`crate::net::poll`]) over the
+//! a level-triggered epoll readiness loop (`crate::net::poll`) over the
 //! reactor's own disjoint subset of the client sockets, which owns
 //! everything about them.
 //!
@@ -16,7 +16,7 @@
 //!   decode back-to-back), converts each request frame into an
 //!   [`crate::InferRequest`] and submits it through the same path
 //!   in-process callers use, with a clone of the reactor's completion
-//!   channel and its `eventfd` [`Waker`].
+//!   channel and its `eventfd` `Waker`.
 //! * **Completions:** the device worker sends each
 //!   [`crate::InferResponse`] down that channel and wakes the epoll wait;
 //!   the loop drains the channel itself, maps each response back to its

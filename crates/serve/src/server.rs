@@ -396,6 +396,18 @@ mod tests {
     }
 
     #[test]
+    fn warm_model_prices_each_bucket_once_for_identical_devices() {
+        let misses_after_warm = |workers: usize| {
+            let server = tiny_server(workers, 4);
+            server.warm_model(ModelId::RnnLm, None);
+            server.context.dispatcher.timing(0).miss_count()
+        };
+        let one_device = misses_after_warm(1);
+        assert_eq!(one_device, 3, "buckets 1, 2 and 4");
+        assert_eq!(misses_after_warm(2), one_device, "the twin V100 re-priced the buckets");
+    }
+
+    #[test]
     fn pending_response_ids_match_responses() {
         let server = tiny_server(1, 2);
         let pending =

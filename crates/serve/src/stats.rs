@@ -401,9 +401,9 @@ impl WireStats {
     }
 }
 
-/// Nearest-rank percentile of an unsorted sample set (the exact helper the
-/// bench drivers and clients use on their own samples, and the reference
-/// the histogram estimator is tested against).
+/// Nearest-rank percentile of an unsorted sample set (the exact helper
+/// clients such as `serve_client` use on their own samples, and the
+/// reference the histogram estimator is tested against).
 ///
 /// Defined for every input: an empty sample set yields 0, a single sample
 /// yields that sample for every `q`, `q = 0` yields the minimum, `q = 1`

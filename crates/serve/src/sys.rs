@@ -7,8 +7,6 @@
 //! allow it back on this module alone.
 
 #[cfg(target_os = "linux")]
-pub use linux::raise_nofile_limit;
-#[cfg(target_os = "linux")]
 pub(crate) use linux::{epoll_create, epoll_ctl, epoll_wait, eventfd, EpollEvent};
 
 #[cfg(target_os = "linux")]
@@ -19,7 +17,6 @@ mod linux {
     const EPOLL_CLOEXEC: i32 = 0o2000000;
     const EFD_CLOEXEC: i32 = 0o2000000;
     const EFD_NONBLOCK: i32 = 0o4000;
-    const RLIMIT_NOFILE: i32 = 7;
 
     /// `struct epoll_event` as the kernel ABI defines it. Packed on x86-64
     /// (the kernel chose a 12-byte layout there); the natural layout
@@ -32,22 +29,14 @@ mod linux {
         pub data: u64,
     }
 
-    #[repr(C)]
-    struct RLimit {
-        rlim_cur: u64,
-        rlim_max: u64,
-    }
-
     mod c {
-        use super::{EpollEvent, RLimit};
+        use super::EpollEvent;
         extern "C" {
             pub fn epoll_create1(flags: i32) -> i32;
             pub fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
             pub fn epoll_wait(epfd: i32, events: *mut EpollEvent, max: i32, timeout_ms: i32)
                 -> i32;
             pub fn eventfd(initval: u32, flags: i32) -> i32;
-            pub fn getrlimit(resource: i32, rlim: *mut RLimit) -> i32;
-            pub fn setrlimit(resource: i32, rlim: *const RLimit) -> i32;
         }
     }
 
@@ -102,34 +91,6 @@ mod linux {
         // entries, and the kernel writes at most that many.
         let n = unsafe { c::epoll_wait(epfd.as_raw_fd(), events.as_mut_ptr(), max, timeout_ms) };
         cvt(n).map(|n| n as usize)
-    }
-
-    /// Raises this process's `RLIMIT_NOFILE` soft limit to at least `needed`
-    /// descriptors where the hard limit (itself raised first when the
-    /// process is privileged) allows, and returns the soft limit now in
-    /// force — below `needed` when it could not be met.
-    pub fn raise_nofile_limit(needed: u64) -> io::Result<u64> {
-        let mut lim = RLimit { rlim_cur: 0, rlim_max: 0 };
-        // SAFETY (here and below): every pointer is to a live `RLimit`,
-        // which has `struct rlimit`'s layout.
-        cvt(unsafe { c::getrlimit(RLIMIT_NOFILE, &mut lim) })?;
-        if lim.rlim_max < needed {
-            // Privileged processes (CI containers run as root) may raise
-            // the hard limit as well; harmless EPERM otherwise.
-            let raised = RLimit { rlim_cur: needed, rlim_max: needed };
-            unsafe {
-                let _ = c::setrlimit(RLIMIT_NOFILE, &raised);
-                let _ = c::getrlimit(RLIMIT_NOFILE, &mut lim);
-            }
-        }
-        if lim.rlim_cur < needed && lim.rlim_cur < lim.rlim_max {
-            lim.rlim_cur = needed.min(lim.rlim_max);
-            unsafe {
-                let _ = c::setrlimit(RLIMIT_NOFILE, &lim);
-                let _ = c::getrlimit(RLIMIT_NOFILE, &mut lim);
-            }
-        }
-        Ok(lim.rlim_cur)
     }
 }
 

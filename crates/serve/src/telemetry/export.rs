@@ -2,7 +2,7 @@
 //! [`MetricsRegistry`] in Prometheus text format, and (on Linux) serves it
 //! over HTTP on a dedicated `--metrics-addr` listener built on the same
 //! dependency-free epoll loop as the wire front-end
-//! ([`crate::net::poll`]). Metric families and names are catalogued in
+//! (`crate::net::poll`). Metric families and names are catalogued in
 //! `docs/OBSERVABILITY.md`.
 
 use crate::request::Priority;
@@ -101,7 +101,7 @@ pub use self::listener::MetricsServer;
 #[cfg(target_os = "linux")]
 mod listener {
     //! The `--metrics-addr` scrape listener: a tiny single-threaded
-    //! HTTP/1.0 responder on the [`crate::net::poll`] epoll loop. Every
+    //! HTTP/1.0 responder on the `crate::net::poll` epoll loop. Every
     //! request — whatever the path — is answered with the current
     //! exposition payload and `Connection: close`, which is all a
     //! Prometheus scraper (or `curl`) needs.

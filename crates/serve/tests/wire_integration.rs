@@ -9,8 +9,10 @@ use std::time::{Duration, Instant};
 
 use dsstc_serve::net::{WireClient, WireError, WireServer, WireStatus, WIRE_VERSION};
 use dsstc_serve::{
-    pace_until, AdmissionControl, InferRequest, ModelId, PoissonArrivals, Priority, ServeConfig,
+    pace_until, AdmissionControl, DevicePool, InferRequest, ModelId, PoissonArrivals, Priority,
+    ServeConfig,
 };
+use dsstc_sim::GpuConfig;
 use dsstc_tensor::{Matrix, SparsityPattern};
 
 const PROXY_DIM: usize = 32;
@@ -522,6 +524,70 @@ fn sharded_reactors_preserve_ordering_and_bit_identical_responses() {
         );
         server.shutdown();
     }
+}
+
+/// Scale and a mixed pool over the wire: 200 connections held open at once
+/// (the sharded-reactor test above runs 6) against a V100 + A100 pool,
+/// whose two encodings must answer with the same bits.
+#[test]
+fn two_hundred_concurrent_connections_on_a_mixed_pool_answer_bit_identically() {
+    const CONNS: u64 = 200;
+    const PER_CONN: u64 = 2;
+    const SEEDS: u64 = 16;
+    let mut server = WireServer::start(
+        ServeConfig::default()
+            .with_devices(DevicePool::new(vec![GpuConfig::v100(), GpuConfig::a100()]))
+            // Two timing buckets per (model, device): pricing one costs a
+            // debug build more than serving a hundred of these requests.
+            .with_max_batch(2)
+            .with_max_queue_wait(Duration::from_millis(1))
+            .with_proxy_dim(PROXY_DIM)
+            .with_reactors(2)
+            .with_max_connections(216),
+    )
+    .expect("bind loopback");
+    let expected: Vec<Matrix> = (0..SEEDS)
+        .map(|seed| server.server().infer(request(seed)).expect("in-process").output)
+        .collect();
+    // Open all, write all, read all: every connection is established
+    // before the first request is sent.
+    let mut clients: Vec<WireClient> =
+        (0..CONNS).map(|_| WireClient::connect(server.local_addr()).expect("connect")).collect();
+    let mut sent = Vec::new();
+    for (c, client) in clients.iter_mut().enumerate() {
+        let mut ids = std::collections::HashMap::new();
+        for i in 0..PER_CONN {
+            let seed = (c as u64 * PER_CONN + i) % SEEDS;
+            ids.insert(client.send(&request(seed)).expect("send"), seed);
+        }
+        sent.push(ids);
+    }
+    for (c, (client, mut ids)) in clients.iter_mut().zip(sent).enumerate() {
+        for _ in 0..PER_CONN {
+            let response = client.recv().expect("response");
+            assert_eq!(response.status, WireStatus::Ok, "conn {c}: {}", response.message);
+            let seed = ids.remove(&response.id).expect("unique id");
+            let output = response.into_body().expect("ok body").output;
+            assert_eq!(output, expected[seed as usize], "conn {c} seed {seed}");
+        }
+    }
+    // Quiescent (every response read), so the counters are exact.
+    let per = server.reactor_stats();
+    let merged = server.wire_stats();
+    assert_eq!(merged.connections_accepted, CONNS);
+    assert_eq!(merged.connections_rejected, 0);
+    assert_eq!(merged.frames_received, CONNS * PER_CONN);
+    assert_eq!(merged.frames_sent, CONNS * PER_CONN);
+    assert_eq!(merged.in_flight, 0);
+    assert!(per.iter().all(|r| r.connections_accepted >= 1), "a reactor was starved: {per:?}");
+    let devices = server.stats().per_device;
+    assert!(devices.iter().all(|d| d.batches > 0), "both encodings must have served: {devices:?}");
+    let drain_started = Instant::now();
+    server.shutdown();
+    assert!(
+        drain_started.elapsed() < dsstc_serve::net::DRAIN_TIMEOUT,
+        "nothing is in flight, so the drain has nothing to wait for"
+    );
 }
 
 #[test]
