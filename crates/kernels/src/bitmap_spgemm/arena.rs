@@ -18,22 +18,27 @@
 
 use dsstc_tensor::{f16, Matrix};
 
-use super::word::{AView, Sink};
+use super::word::{grow, AView, Sink};
 
 /// The block the emitter transposes at a time: a native tile's rows by a
 /// cache line of columns.
 const TILE_ROWS: usize = 32;
 const TILE_COLS: usize = 16;
 
-/// A column-condensed A operand of up to `rows x max_cols`, in bands of `wm`
-/// rows and tiles of `wk` steps.
+/// A column-condensed A operand in bands of `wm` rows and tiles of `wk`
+/// steps. The buffers outlive one operand and one shape: [`Arena::reset`]
+/// re-shapes them, growing only past what they have held, and an emitter
+/// writes every cell a reader then reads. The default holds nothing.
+#[derive(Default)]
 pub(super) struct Arena {
+    /// What the last [`Arena::reset`] shaped this for: the operand's rows,
+    /// band height and tile depth, and the most columns it may have.
     rows: usize,
     wm: usize,
     wk: usize,
-    /// Dense columns of the operand currently held (at most the capacity),
-    /// and steps per band (`cols` padded to whole tiles): the offsets below
-    /// are in terms of them.
+    max_cols: usize,
+    /// Its dense columns, and steps per band (`cols` padded to whole tiles):
+    /// the offsets below are in terms of them.
     cols: usize,
     steps: usize,
     /// Step `c` of band `im` at `im * steps + c`: bit `r` is set when dense
@@ -49,33 +54,30 @@ pub(super) struct Arena {
 }
 
 impl Arena {
-    /// An arena for operands of `rows` rows and up to `max_cols` columns.
+    /// Makes this an arena for operands of `rows` rows and up to `max_cols`
+    /// columns in `wm x wk` tiles, whatever it was before.
     ///
     /// # Panics
     /// Panics if a band's rows do not fit one word or its values a `u32`.
-    pub(super) fn new(rows: usize, max_cols: usize, (wm, wk): (usize, usize)) -> Arena {
+    pub(super) fn reset(&mut self, rows: usize, max_cols: usize, (wm, wk): (usize, usize)) {
         assert!((1..=64).contains(&wm) && wk > 0, "a band's rows are the bits of one word");
         assert!(u32::try_from(wm * max_cols).is_ok(), "a band's starts are u32");
         let grid_m = rows.div_ceil(wm);
         let max_steps = max_cols.div_ceil(wk) * wk;
-        Arena {
-            rows,
-            wm,
-            wk,
-            cols: 0,
-            steps: 0,
-            words: vec![0; grid_m * max_steps],
-            starts: vec![0; grid_m * (max_steps + 1)],
-            values: vec![0.0; grid_m * wm * max_cols],
-        }
+        (self.rows, self.wm, self.wk, self.max_cols) = (rows, wm, wk, max_cols);
+        (self.cols, self.steps) = (0, 0);
+        grow(&mut self.words, grid_m * max_steps);
+        grow(&mut self.starts, grid_m * (max_steps + 1));
+        grow(&mut self.values, grid_m * wm * max_cols);
     }
 
     /// Makes this a `cols`-wide operand and returns the writer of its bands.
     /// With `relu`, what is emitted is `max(x, 0)`.
     ///
     /// # Panics
-    /// Panics if `cols` is past the capacity.
+    /// Panics if `cols` is past what the arena was reset for.
     pub(super) fn emitter(&mut self, cols: usize, relu: bool) -> Emitter<'_> {
+        assert!(cols <= self.max_cols, "the arena was reset for narrower operands");
         (self.cols, self.steps) = (cols, cols.div_ceil(self.wk) * self.wk);
         let (grid_m, steps) = (self.rows.div_ceil(self.wm), self.steps);
         Emitter {
@@ -93,7 +95,7 @@ impl Arena {
 
     /// Encodes `dense` (this arena's row count).
     pub(super) fn encode(&mut self, dense: &Matrix) {
-        assert_eq!(dense.rows(), self.rows, "the arena was sized for another batch");
+        assert_eq!(dense.rows(), self.rows, "the arena was reset for another batch");
         let (wm, cols) = (self.wm, dense.cols());
         let mut emitter = self.emitter(cols, false);
         for (band, rows) in dense.as_slice().chunks(wm * cols).enumerate() {

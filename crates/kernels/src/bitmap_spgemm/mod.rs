@@ -640,9 +640,12 @@ impl BitmapSpGemm {
     /// tile grid is cache-blocked, every phase runs at the widest vector
     /// level the CPU has (chosen once per call; no level fuses the multiply
     /// and the add), and large grids fan output bands across
-    /// [`Self::with_execute_threads`] scoped threads. Results are
-    /// bit-identical to [`Self::execute_encoded_scalar`], which tilings
-    /// wider than 64 fall back to.
+    /// [`Self::with_execute_threads`] scoped threads. The B expansion and
+    /// the band loop's scratch are the calling thread's, grown to its
+    /// largest call and reused, so a call allocates only the matrix it
+    /// returns. Results are bit-identical to
+    /// [`Self::execute_encoded_scalar`], which tilings wider than 64 fall
+    /// back to.
     ///
     /// # Panics
     /// Panics if the operands' inner dimensions disagree or their tile
@@ -717,10 +720,12 @@ impl BitmapSpGemm {
     /// rounds what it keeps and writes column words and condensed values
     /// straight into the flat A operand the next layer's band loop reads
     /// (the `arena` submodule), so no dense activation matrix, no
-    /// per-tile encoding and no transposition back exist between layers, and
-    /// a call's allocations do not grow with its depth. Tilings wider than
-    /// 64 run the unfused composition on the scalar path, as
-    /// [`Self::execute_encoded`] does.
+    /// per-tile encoding and no transposition back exist between layers.
+    /// Like [`Self::execute_encoded`], it stages its operands in buffers the
+    /// calling thread keeps from call to call, so once a thread has run its
+    /// largest call a call allocates its result and nothing else, at any
+    /// depth. Tilings wider than 64 run the unfused composition on the
+    /// scalar path, as [`Self::execute_encoded`] does.
     ///
     /// # Panics
     /// Panics if the inner dimensions along the stack disagree or a layer's
@@ -1527,6 +1532,166 @@ mod tests {
             for level in SimdLevel::available() {
                 let got = k.forward_at(&input, &layers, level);
                 proptest::prop_assert!(same_bits(&got, &want), "{:?}", level);
+            }
+        }
+    }
+
+    /// One kernel call as the thread-local workspace sees it: which device's
+    /// native tiling, the batch height, the operand widths along the stack
+    /// (one weight matrix is a plain `execute_encoded_at`, more are a
+    /// `forward_at` with `relu_mask`'s bits per layer) and how sparse.
+    #[derive(Clone, Debug)]
+    struct WorkspaceCall {
+        a100: bool,
+        rows: usize,
+        widths: Vec<usize>,
+        relu_mask: usize,
+        sparsity: f64,
+        specials: usize,
+        seed: u64,
+    }
+
+    impl WorkspaceCall {
+        fn random(rng: &mut StdRng) -> Self {
+            const SPARSITIES: [f64; 5] = [0.0, 0.5, 0.9, 0.99, 1.0];
+            // Mostly small, sometimes large: a big operand's cells are what
+            // a later small one must not see.
+            let dim = |rng: &mut StdRng| match rng.random_range(0..3usize) {
+                0 => rng.random_range(1..151usize),
+                _ => rng.random_range(1..41usize),
+            };
+            let depth = rng.random_range(1..5usize);
+            WorkspaceCall {
+                a100: rng.random_bool(0.5),
+                rows: dim(rng),
+                widths: (0..=depth).map(|_| dim(rng)).collect(),
+                relu_mask: rng.random_range(0..16usize),
+                sparsity: SPARSITIES[rng.random_range(0..SPARSITIES.len())],
+                specials: rng.random_range(0..4usize),
+                seed: rng.random_range(0..u64::MAX),
+            }
+        }
+
+        /// Runs the call at every vector level on this thread and compares
+        /// each result, bit for bit, with the scalar kernel's (through the
+        /// unfused `encode_a` -> scalar -> `relu` walk for a stack).
+        fn check(&self) -> Result<(), String> {
+            let config = if self.a100 { GpuConfig::a100() } else { GpuConfig::v100() };
+            let k = BitmapSpGemm::for_device(config);
+            let mut input = random(self.rows, self.widths[0], self.sparsity, self.seed);
+            seed_non_finite(&mut input, self.specials / 2, self.seed ^ 0xa);
+            seed_rounding_edges(&mut input, self.specials, self.seed ^ 0xb);
+            let weights: Vec<TwoLevelBitmapMatrix> = self
+                .widths
+                .windows(2)
+                .enumerate()
+                .map(|(i, w)| {
+                    k.encode_b(&random(w[0], w[1], self.sparsity, self.seed + 1 + i as u64))
+                })
+                .collect();
+            for level in SimdLevel::available() {
+                let (got, want) = if let [weights] = &weights[..] {
+                    let a_enc = k.encode_a(&input);
+                    let want = k.execute_encoded_scalar(&a_enc, weights);
+                    (k.execute_encoded_at(&a_enc, weights, level), want)
+                } else {
+                    let layers: Vec<_> = weights
+                        .iter()
+                        .enumerate()
+                        .map(|(i, w)| (w, self.relu_mask >> i & 1 == 1))
+                        .collect();
+                    let want = reference_forward(&k, &input, &layers);
+                    (k.forward_at(&input, &layers, level), want)
+                };
+                if !same_bits(&got, &want) {
+                    return Err(format!("{level:?}: {self:?}"));
+                }
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_small_call_after_a_large_one_sees_nothing_of_it() {
+        // One thread, one workspace: a dense 96x130x200 GEMM fills the
+        // expansion and the scratch, and the same shape with an all-zero B
+        // (every tile empty, a non-finite activation on the masked path)
+        // must find none of its step words; a 64-row stack fills both
+        // arenas; then 4-row batches (a serve worker's batch height changes
+        // on every batch), the other device's tiling, a tiny GEMM and the
+        // big shapes again each have to come out as if the thread had never
+        // run before.
+        let call = |a100, rows, widths: &[usize], sparsity, seed| WorkspaceCall {
+            a100,
+            rows,
+            widths: widths.to_vec(),
+            relu_mask: 0b0101,
+            sparsity,
+            specials: 3,
+            seed,
+        };
+        let sequence = [
+            call(false, 96, &[130, 200], 0.0, 1),
+            call(false, 96, &[130, 200], 1.0, 10),
+            call(false, 64, &[100, 90, 80], 0.3, 2),
+            call(false, 4, &[100, 90, 80], 0.3, 3),
+            call(true, 4, &[33, 65, 17, 40], 0.5, 4),
+            call(true, 5, &[7, 9], 0.9, 5),
+            call(false, 64, &[100, 90, 80], 0.9, 6),
+            call(true, 70, &[40, 150, 150, 3], 0.0, 7),
+            call(false, 1, &[1, 1], 0.0, 8),
+            call(false, 96, &[130, 200], 0.99, 9),
+        ];
+        for (i, call) in sequence.iter().enumerate() {
+            call.check().unwrap_or_else(|e| panic!("call {i}: {e}"));
+        }
+    }
+
+    #[test]
+    fn a_call_that_panics_leaves_the_workspace_usable() {
+        // Both entry points refuse mismatched inner dimensions with a panic.
+        // The thread's next calls must neither find the workspace borrowed
+        // nor see anything of the calls before.
+        let before = WorkspaceCall {
+            a100: false,
+            rows: 80,
+            widths: vec![120, 140, 60],
+            relu_mask: 1,
+            sparsity: 0.2,
+            specials: 2,
+            seed: 1,
+        };
+        before.check().expect("the warm-up call");
+        let k = kernel();
+        let (a, w) = (random(8, 9, 0.5, 2), k.encode_b(&random(10, 8, 0.5, 3)));
+        let a_enc = k.encode_a(&a);
+        let refused = std::panic::catch_unwind(|| k.execute_encoded(&a_enc, &w));
+        assert!(refused.is_err(), "9 columns against 10 rows");
+        let refused = std::panic::catch_unwind(|| k.forward(&a, &[(&w, true), (&w, false)]));
+        assert!(refused.is_err(), "9 columns against 10 rows");
+        for (rows, widths) in [(3, vec![20, 30]), (3, vec![20, 30, 10]), (80, vec![120, 140, 60])] {
+            let after = WorkspaceCall { rows, widths, seed: 4, ..before.clone() };
+            after.check().expect("a good call after a refused one");
+        }
+    }
+
+    proptest::proptest! {
+        // Differential property of the per-thread workspace: any sequence of
+        // calls on one thread — GEMMs and stacks, both native tilings, every
+        // vector level, shapes growing and shrinking in M, K and N, any
+        // sparsity, operands seeded with non-finite values and the rounding
+        // edges — gives, call by call, the scalar reference's bits. (The
+        // cases themselves share the test's thread, so each also runs on
+        // what every earlier case left behind.)
+        #[test]
+        fn any_call_sequence_on_one_thread_agrees_bitwise_with_the_reference(
+            seed in proptest::any::<u64>(),
+            calls in 2usize..=5,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for i in 0..calls {
+                let checked = WorkspaceCall::random(&mut rng).check();
+                proptest::prop_assert!(checked.is_ok(), "call {} of {}: {:?}", i, calls, checked);
             }
         }
     }

@@ -13,12 +13,12 @@
 //! One GEMM runs three phases:
 //!
 //! * **B expansion** ([`expand_b`]): every condensed B row is decoded into
-//!   one zero-padded dense row-major buffer (two allocations, whatever the
-//!   tile count, reused across the layers of a forward) — with the level's
-//!   expand instruction where it has one, a bit-walk scatter elsewhere. A
-//!   step's accumulation is then a contiguous `axpy`, while the step's packed
-//!   word still short-circuits empty steps and empty tiles. The expansion is
-//!   shared read-only across worker threads.
+//!   one zero-padded dense row-major buffer (values and step words: two
+//!   buffers, whatever the tile count) — with the level's expand instruction
+//!   where it has one, a bit-walk scatter elsewhere. A step's accumulation is
+//!   then a contiguous `axpy`, while the step's packed word still
+//!   short-circuits empty steps and empty tiles. The expansion is shared
+//!   read-only across worker threads.
 //! * **A column words** ([`AView::band_words`]), per band: an [`Arena`]
 //!   stores them; a [`TwoLevelBitmapMatrix`] stores row words, which
 //!   [`col_words`] transposes eight columns at a time.
@@ -42,7 +42,12 @@
 //! bands are distributed over scoped [`std::thread`]s; each thread owns a
 //! disjoint band range of the sink, so the result is deterministic and
 //! bit-identical at any thread count.
+//!
+//! What a call stages — the expansion, the band loop's scratch, a forward's
+//! two arenas — it borrows from its thread's [`Workspace`], so after a
+//! thread's first call the only allocation is the result.
 
+use std::cell::RefCell;
 use std::ops::Range;
 
 use dsstc_formats::{BitMatrix, BitmapMatrix, TwoLevelBitmapMatrix};
@@ -62,10 +67,10 @@ pub(super) const NATIVE_WN: usize = 32;
 /// Values per cache line.
 const LINE: usize = 64 / std::mem::size_of::<f32>();
 
-/// A zeroed `f32` buffer whose first value sits on a cache-line boundary, so
-/// that rows a whole number of lines long never straddle one: a 64-byte
-/// vector load or store that does costs two, and an allocator promises 16
-/// bytes (measured on the 64x256x256 layer at AVX-512: band loop 140 -> 82 µs).
+/// An `f32` buffer whose first value sits on a cache-line boundary, so that
+/// rows a whole number of lines long never straddle one: a 64-byte vector
+/// load or store that does costs two, and an allocator promises 16 bytes
+/// (measured on the 64x256x256 layer at AVX-512: band loop 140 -> 82 µs).
 /// The default is empty and unallocated.
 #[derive(Default)]
 struct CacheAligned {
@@ -75,11 +80,17 @@ struct CacheAligned {
 }
 
 impl CacheAligned {
-    fn zeros(len: usize) -> Self {
-        let buf = vec![0.0f32; len + LINE - 1];
-        // `align_offset` may decline (`usize::MAX`); alignment is only speed.
-        let start = buf.as_ptr().align_offset(64).min(LINE - 1);
-        CacheAligned { buf, start, len }
+    /// Makes this `len` values long, allocating only when that is more than
+    /// it has ever been. The values are whatever the last use left: the user
+    /// writes every one it reads.
+    fn reset(&mut self, len: usize) {
+        if self.buf.len() < len + LINE - 1 {
+            self.buf = Vec::new(); // freed before, not beside, its successor
+            self.buf = vec![0.0f32; len + LINE - 1];
+            // `align_offset` may decline (`usize::MAX`); alignment is only speed.
+            self.start = self.buf.as_ptr().align_offset(64).min(LINE - 1);
+        }
+        self.len = len;
     }
 
     fn as_slice(&self) -> &[f32] {
@@ -93,7 +104,9 @@ impl CacheAligned {
 
 /// The B operand decoded to a dense row-major matrix, zero-padded to whole
 /// tiles, plus every step's packed bitmap. The buffers outlive one operand:
-/// a forward expands each layer's weights into the same two.
+/// every GEMM of a thread expands its weights into the same two, which grow
+/// to the largest operand they have held.
+#[derive(Default)]
 pub(super) struct ExpandedB {
     /// `grid_k * warp_k` rows of `grid_n * wn` values: step `k` of tile row
     /// `kk` is row `kk * warp_k + k`, each tile's condensed values at their
@@ -110,15 +123,12 @@ pub(super) struct ExpandedB {
 }
 
 impl ExpandedB {
-    /// Room for the largest of `operands`.
-    pub(super) fn for_largest<'a>(
-        operands: impl IntoIterator<Item = &'a TwoLevelBitmapMatrix>,
-    ) -> ExpandedB {
-        let (words, cells) = operands.into_iter().fold((0, 0), |(words, cells), b| {
-            let steps = b.grid_rows() * b.tile_rows() * b.grid_cols();
-            (steps.max(words), (steps * b.tile_cols()).max(cells))
-        });
-        ExpandedB { rows: CacheAligned::zeros(cells), words: vec![0; words], grid_n: 0, wn: 0 }
+    /// Takes `b_enc`'s shape and makes room for its expansion.
+    fn reserve(&mut self, b_enc: &TwoLevelBitmapMatrix) {
+        (self.grid_n, self.wn) = (b_enc.grid_cols(), b_enc.tile_cols());
+        let steps = b_enc.grid_rows() * b_enc.tile_rows() * self.grid_n;
+        self.rows.reset(steps * self.wn);
+        grow(&mut self.words, steps);
     }
 
     /// Step row `row` (`kk * warp_k + k`) of the `tiles` tile columns from
@@ -129,6 +139,15 @@ impl ExpandedB {
         let cell = row * self.grid_n + jn;
         let values = &self.rows.as_slice()[cell * self.wn..][..tiles * self.wn];
         (&self.words[cell..cell + tiles], values)
+    }
+}
+
+/// Lengthens `buf` to `len` if it is shorter; a longer one keeps its length,
+/// and either way its contents — a reused buffer's user writes every cell it
+/// reads.
+pub(super) fn grow<T: Clone + Default>(buf: &mut Vec<T>, len: usize) {
+    if buf.len() < len {
+        buf.resize(len, T::default());
     }
 }
 
@@ -156,7 +175,7 @@ impl<A> Gemm<'_, A> {
 pub(super) fn expand_b<L: Lanes>(b_enc: &TwoLevelBitmapMatrix, b: &mut ExpandedB) {
     let (wk, wn) = (b_enc.tile_rows(), b_enc.tile_cols());
     let (grid_k, grid_n) = (b_enc.grid_rows(), b_enc.grid_cols());
-    (b.grid_n, b.wn) = (grid_n, wn);
+    b.reserve(b_enc);
     // Every cell in use is written, so nothing of the previous operand
     // survives and nothing has to be cleared first.
     let values = b.rows.as_mut_slice();
@@ -442,9 +461,9 @@ fn block_steps<'a, A: AView<'a>, R: BlockRow>(
     }
 }
 
-/// What a thread of the band loop writes besides its sink, sized by the
-/// first call that needs it: the block accumulator and, for a view that has
-/// to build them, a band's A words.
+/// What a thread of the band loop writes besides its sink, grown by the
+/// calls that need more: the block accumulator and, for a view that has to
+/// build them, a band's A words.
 #[derive(Default)]
 pub(super) struct Scratch {
     accs: CacheAligned,
@@ -466,11 +485,8 @@ pub(super) fn run_bands<'a, A: AView<'a>, S: Sink, Wide: BlockRow, One: BlockRow
     let (grid_k, grid_n) = (a.grid_k(), b.grid_n);
     assert!(Wide::width(wn) % wn == 0 && One::width(wn) == wn, "blocks are whole tiles");
     let wide_tiles = Wide::width(wn) / wn;
-    let block = wm * Wide::width(wn);
-    if scratch.accs.len < block {
-        scratch.accs = CacheAligned::zeros(block);
-    }
-    let accs = &mut scratch.accs.as_mut_slice()[..block];
+    scratch.accs.reset(wm * Wide::width(wn));
+    let accs = scratch.accs.as_mut_slice();
     for im in bands.clone() {
         let a_words = a.band_words(im, &mut scratch.a_words);
         let band = im - bands.start;
@@ -531,6 +547,32 @@ fn run_gemm<'a, A: AView<'a>, S: Sink>(
     });
 }
 
+/// Everything a kernel call stages besides its result: the software stand-in
+/// for the Tensor Core's fixed operand staging and accumulation buffer. One
+/// per thread, so a serve device worker owns its own without a lock. Every
+/// buffer grows to the largest call the thread has run and is reused by
+/// capacity — rows, widths and tiling may all change from call to call — and
+/// every cell a call reads it has written first, so nothing carries over but
+/// the memory, which thread exit frees.
+///
+/// Keeping it is also what keeps the *result* cheap: a 512-cubed call that
+/// frees a 1 MiB expansion and, later, its 1 MiB output at the top of the
+/// heap crosses glibc's trim threshold, and the next call page-faults all of
+/// it back in (≈ 500 minor faults per GEMM; none with the expansion held).
+#[derive(Default)]
+struct Workspace {
+    b: ExpandedB,
+    /// The calling thread's; the scoped threads of [`run_gemm`] bring their
+    /// own.
+    scratch: Scratch,
+    /// A forward's source and destination operands, swapped per layer.
+    arenas: [Arena; 2],
+}
+
+thread_local! {
+    static WORKSPACE: RefCell<Workspace> = RefCell::default();
+}
+
 /// Word-parallel `A * B` over two-level bitmap operands. `threads` is the
 /// resolved worker count (>= 1); small grids stay single-threaded
 /// regardless. `level` is the vector level every phase runs at; every level
@@ -543,18 +585,16 @@ pub(crate) fn execute(
     level: Level,
 ) -> Matrix {
     let dims = (a_enc.tile_rows(), b_enc.tile_cols(), a_enc.tile_cols());
-
-    // Dense-expand B once per call; each expanded row is reused `grid_m`
-    // times within it.
-    let mut b = ExpandedB::for_largest([b_enc]);
-    simd::expand_b(level, b_enc, &mut b);
-
-    let mut out = Matrix::zeros(a_enc.rows(), b_enc.cols());
-    let sink = DenseRows { rows: out.as_mut_slice(), cols: b_enc.cols(), wm: dims.0, relu: false };
-    let gemm = Gemm { a: a_enc, b: &b, dims };
-    let mut scratch = Scratch::default();
-    run_gemm(level, &gemm, a_enc.grid_rows(), sink, threads, &mut scratch);
-    out
+    WORKSPACE.with_borrow_mut(|Workspace { b, scratch, .. }| {
+        // Dense-expand B once per call; each expanded row is reused `grid_m`
+        // times within it.
+        simd::expand_b(level, b_enc, b);
+        let mut out = Matrix::zeros(a_enc.rows(), b_enc.cols());
+        let sink =
+            DenseRows { rows: out.as_mut_slice(), cols: b_enc.cols(), wm: dims.0, relu: false };
+        run_gemm(level, &Gemm { a: a_enc, b, dims }, a_enc.grid_rows(), sink, threads, scratch);
+        out
+    })
 }
 
 /// `input` through `layers` (`(weights, relu)`, at least one, dimensions
@@ -563,8 +603,7 @@ pub(crate) fn execute(
 /// per layer give, without the dense activations in between. The input and
 /// every inner layer's output pass are emitted straight into one of two
 /// [`Arena`]s, which the next layer's band loop reads; only the last layer
-/// writes dense rows. Every buffer is sized once for the largest layer, so
-/// the allocations of a call do not depend on its depth.
+/// writes dense rows.
 pub(crate) fn forward(
     input: &Matrix,
     layers: &[(&TwoLevelBitmapMatrix, bool)],
@@ -578,23 +617,24 @@ pub(crate) fn forward(
     let grid_m = input.rows().div_ceil(wm);
     let widest = layers.iter().map(|(w, _)| w.rows()).max().expect("at least one layer");
 
-    let mut src = Arena::new(input.rows(), widest, a_tile);
-    let mut dst = Arena::new(input.rows(), widest, a_tile);
-    let mut b = ExpandedB::for_largest(layers.iter().map(|&(w, _)| w));
-    let mut scratch = Scratch::default();
+    WORKSPACE.with_borrow_mut(|Workspace { b, scratch, arenas: [src, dst] }| {
+        let (mut src, mut dst) = (src, dst);
+        src.reset(input.rows(), widest, a_tile);
+        dst.reset(input.rows(), widest, a_tile);
 
-    src.encode(input);
-    for &(weights, relu) in inner {
-        simd::expand_b(level, weights, &mut b);
-        let gemm = Gemm { a: &src, b: &b, dims };
-        run_gemm(level, &gemm, grid_m, dst.emitter(weights.cols(), relu), threads, &mut scratch);
-        std::mem::swap(&mut src, &mut dst);
-    }
-    simd::expand_b(level, last, &mut b);
-    let mut out = Matrix::zeros(input.rows(), last.cols());
-    let sink = DenseRows { rows: out.as_mut_slice(), cols: last.cols(), wm, relu: last_relu };
-    run_gemm(level, &Gemm { a: &src, b: &b, dims }, grid_m, sink, threads, &mut scratch);
-    out
+        src.encode(input);
+        for &(weights, relu) in inner {
+            simd::expand_b(level, weights, b);
+            let gemm = Gemm { a: &*src, b, dims };
+            run_gemm(level, &gemm, grid_m, dst.emitter(weights.cols(), relu), threads, scratch);
+            std::mem::swap(&mut src, &mut dst);
+        }
+        simd::expand_b(level, last, b);
+        let mut out = Matrix::zeros(input.rows(), last.cols());
+        let sink = DenseRows { rows: out.as_mut_slice(), cols: last.cols(), wm, relu: last_relu };
+        run_gemm(level, &Gemm { a: &*src, b, dims }, grid_m, sink, threads, scratch);
+        out
+    })
 }
 
 #[cfg(test)]
@@ -647,7 +687,7 @@ mod tests {
             let stale = TwoLevelBitmapMatrix::encode(&stale, wk, wn, VectorLayout::RowMajor);
             let (rows, ld) = (b_enc.grid_rows() * wk, b_enc.grid_cols() * wn);
             for level in Level::available() {
-                let mut b = ExpandedB::for_largest([&stale, &b_enc]);
+                let mut b = ExpandedB::default();
                 simd::expand_b(level, &stale, &mut b);
                 simd::expand_b(level, &b_enc, &mut b);
                 assert_eq!((b.grid_n, b.wn), (b_enc.grid_cols(), wn));
@@ -713,7 +753,8 @@ mod tests {
         for (wm, wn, wk) in [(32, 32, 16), (32, 24, 16), (16, 64, 8)] {
             let x_enc = TwoLevelBitmapMatrix::encode_f16(&x, wm, wk, VectorLayout::ColumnMajor);
             let w_enc = TwoLevelBitmapMatrix::encode_f16(&w, wk, wn, VectorLayout::RowMajor);
-            let mut src = Arena::new(m, kd.max(n), (wm, wk));
+            let mut src = Arena::default();
+            src.reset(m, kd.max(n), (wm, wk));
             src.encode(&x);
             assert_arena_is(&src, &x_enc, &format!("input, {wm}x{wn}x{wk}"));
             for level in Level::available() {
@@ -722,9 +763,10 @@ mod tests {
                     let y = if relu { y.relu() } else { y.clone() };
                     let want =
                         TwoLevelBitmapMatrix::encode_f16(&y, wm, wk, VectorLayout::ColumnMajor);
-                    let mut b = ExpandedB::for_largest([&w_enc]);
+                    let mut b = ExpandedB::default();
                     simd::expand_b(level, &w_enc, &mut b);
-                    let mut dst = Arena::new(m, kd.max(n), (wm, wk));
+                    let mut dst = Arena::default();
+                    dst.reset(m, kd.max(n), (wm, wk));
                     let gemm = Gemm { a: &src, b: &b, dims: (wm, wn, wk) };
                     let mut scratch = Scratch::default();
                     run_gemm(level, &gemm, m.div_ceil(wm), dst.emitter(n, relu), 1, &mut scratch);
@@ -736,14 +778,54 @@ mod tests {
     }
 
     #[test]
+    fn one_arena_holds_batches_of_any_height_width_and_tiling_in_turn() {
+        // A serve worker's batch height changes on every batch and a mixed
+        // device pool changes the tiling: 64 rows, then 4, then 64 again, a
+        // wider and a narrower operand, 16-row bands — each reset has to
+        // leave exactly `encode_a` of the new operand, whatever the buffers
+        // held.
+        let mut arena = Arena::default();
+        let batches = [
+            (64, 100, (32, 16)),
+            (4, 100, (32, 16)),
+            (64, 100, (32, 16)),
+            (4, 37, (32, 32)),
+            (70, 130, (16, 8)),
+            (1, 1, (32, 16)),
+            (64, 100, (32, 32)),
+        ];
+        for (i, (rows, cols, (wm, wk))) in batches.into_iter().enumerate() {
+            let x = Matrix::random_sparse(rows, cols, 0.5, SparsityPattern::Uniform, 40 + i as u64);
+            arena.reset(rows, cols, (wm, wk));
+            arena.encode(&x);
+            let want = TwoLevelBitmapMatrix::encode_f16(&x, wm, wk, VectorLayout::ColumnMajor);
+            assert_arena_is(&arena, &want, &format!("batch {i}: {rows}x{cols}, {wm}x{wk} tiles"));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "the arena was reset for another batch")]
+    fn an_arena_refuses_a_batch_it_was_not_reset_for() {
+        let mut arena = Arena::default();
+        arena.reset(64, 8, (32, 16));
+        arena.encode(&Matrix::zeros(4, 8));
+    }
+
+    #[test]
     fn cache_aligned_buffers_start_on_a_line_and_have_the_asked_length() {
-        for len in [0, 1, 15, 16, 1000] {
-            let mut buf = CacheAligned::zeros(len);
+        // One buffer through growing and shrinking lengths, as a workspace's
+        // are: shrinking and re-growing within the capacity must not move it.
+        let mut buf = CacheAligned::default();
+        for len in [0, 1, 15, 16, 1000, 16, 999, 1001] {
+            let held = buf.buf.as_ptr();
+            let fits = buf.buf.len() >= len + LINE - 1;
+            buf.reset(len);
             let start = buf.as_slice().as_ptr();
             assert_eq!(start as usize % 64, 0);
             assert_eq!(buf.as_slice().len(), len);
             assert_eq!(buf.as_mut_slice().len(), len);
             assert_eq!(buf.as_mut_slice().as_ptr(), start);
+            assert!(!fits || buf.buf.as_ptr() == held, "length {len} fits and reallocated");
         }
     }
 }
