@@ -228,12 +228,18 @@ impl BitmapSpGemm {
     /// produces and accepts).
     ///
     /// # Panics
-    /// Panics if any tile dimension is zero or a block dimension is not a
-    /// multiple of its warp dimension.
+    /// Panics if any tile dimension is zero, a warp tile is taller or wider
+    /// than 64 (a step's bitmap is one `u64` word; every
+    /// [`GpuConfig::native_tiling`] is 32 x 32), or a block dimension is not
+    /// a multiple of its warp dimension.
     pub fn with_tiling(mut self, tiling: GemmTiling) -> Self {
         assert!(
             tiling.warp_m > 0 && tiling.warp_n > 0 && tiling.warp_k > 0,
             "warp tile dimensions must be non-zero"
+        );
+        assert!(
+            tiling.warp_m <= 64 && tiling.warp_n <= 64,
+            "warp tiles are at most 64 x 64: a step's bitmap is one word"
         );
         assert!(
             tiling.block_m.is_multiple_of(tiling.warp_m)
@@ -644,8 +650,7 @@ impl BitmapSpGemm {
     /// the band loop's scratch are the calling thread's, grown to its
     /// largest call and reused, so a call allocates only the matrix it
     /// returns. Results are bit-identical to
-    /// [`Self::execute_encoded_scalar`], which tilings wider than 64 fall
-    /// back to.
+    /// [`Self::execute_encoded_scalar`].
     ///
     /// # Panics
     /// Panics if the operands' inner dimensions disagree or their tile
@@ -669,11 +674,6 @@ impl BitmapSpGemm {
         level: SimdLevel,
     ) -> Matrix {
         self.validate_encoded(a_enc, b_enc);
-        let (wm, wn) = (self.tiling.warp_m, self.tiling.warp_n);
-        if wm > 64 || wn > 64 {
-            // A step's bitmap no longer fits one word; keep the scalar path.
-            return self.execute_encoded_scalar(a_enc, b_enc);
-        }
         word::execute(a_enc, b_enc, self.resolved_threads, level)
     }
 
@@ -724,8 +724,7 @@ impl BitmapSpGemm {
     /// Like [`Self::execute_encoded`], it stages its operands in buffers the
     /// calling thread keeps from call to call, so once a thread has run its
     /// largest call a call allocates its result and nothing else, at any
-    /// depth. Tilings wider than 64 run the unfused composition on the
-    /// scalar path, as [`Self::execute_encoded`] does.
+    /// depth.
     ///
     /// # Panics
     /// Panics if the inner dimensions along the stack disagree or a layer's
@@ -750,20 +749,11 @@ impl BitmapSpGemm {
             self.validate_b(weights);
             width = weights.cols();
         }
-        let (wm, wn, wk) = (self.tiling.warp_m, self.tiling.warp_n, self.tiling.warp_k);
-        if layers.is_empty() || wm > 64 || wn > 64 {
-            // Nothing to run, or a step's bitmap no longer fits one word:
-            // the unfused composition on the scalar path.
-            let mut x = input.clone();
-            for &(weights, relu) in layers {
-                x = self.execute_encoded_scalar(&self.encode_a(&x), weights);
-                if relu {
-                    x.relu_in_place();
-                }
-            }
-            return x;
+        if layers.is_empty() {
+            return input.clone();
         }
-        word::forward(input, layers, (wm, wk), self.resolved_threads, level)
+        let band = (self.tiling.warp_m, self.tiling.warp_k);
+        word::forward(input, layers, band, self.resolved_threads, level)
     }
 
     /// Functionally computes `A * B` with the warp-level outer-product
@@ -1348,22 +1338,11 @@ mod tests {
     }
 
     #[test]
-    fn wide_warp_tiles_fall_back_to_the_scalar_path() {
-        // 65-wide warp tiles exceed one u64 word; execute_encoded must still
-        // answer correctly via the scalar fallback.
-        let t = GemmTiling {
-            block_m: 130,
-            block_n: 130,
-            block_k: 16,
-            warp_m: 65,
-            warp_n: 65,
-            warp_k: 16,
-        };
-        let k = kernel().with_tiling(t);
-        let a = random(70, 32, 0.6, 104);
-        let b = random(32, 70, 0.6, 105);
-        let out = k.execute_encoded(&k.encode_a(&a), &k.encode_b(&b));
-        assert!(out.approx_eq(&a.matmul(&b), 1e-2));
+    #[should_panic(expected = "at most 64 x 64")]
+    fn wide_warp_tiles_are_refused() {
+        // 65-wide warp tiles exceed one u64 word, which only the reference
+        // kernel could run: refused up front, not silently served by it.
+        let _ = kernel().with_tiling(warp_tiling(65, 64, 16));
     }
 
     proptest::proptest! {
@@ -1478,13 +1457,12 @@ mod tests {
         // Differential property: the fused forward equals the reference
         // composition bit for bit at every vector level — over depths,
         // ReLU on and off per layer, the two native tilings, one whose
-        // `warp_n` is not a multiple of `warp_k`, one with 16-row bands and
-        // one wider than a word (the unfused fallback), ragged row and
-        // width counts, sparsities from dense to all-zero (an all-zero
-        // weight matrix makes the next operand empty), input scales that
-        // put the activations in the half-subnormal range, the normalised
-        // range and past 65504, and operands seeded with non-finite values,
-        // `-0.0` and the rounding edges.
+        // `warp_n` is not a multiple of `warp_k` and one with 16-row bands,
+        // ragged row and width counts, sparsities from dense to all-zero
+        // (an all-zero weight matrix makes the next operand empty), input
+        // scales that put the activations in the half-subnormal range, the
+        // normalised range and past 65504, and operands seeded with
+        // non-finite values, `-0.0` and the rounding edges.
         #[test]
         fn forward_and_the_unfused_composition_agree_bitwise(
             seed in proptest::any::<u64>(),
@@ -1493,7 +1471,7 @@ mod tests {
             rows in 1usize..=80,
             s_input in 0usize..6,
             scale_idx in 0usize..4,
-            tiling_idx in 0usize..5,
+            tiling_idx in 0usize..4,
             threads in 1usize..=2,
             specials in 0usize..=4,
         ) {
@@ -1502,8 +1480,7 @@ mod tests {
                 0 => GemmTiling::paper_spgemm(),
                 1 => GpuConfig::a100().native_tiling(),
                 2 => warp_tiling(32, 24, 16),
-                3 => warp_tiling(16, 64, 8),
-                _ => warp_tiling(65, 65, 16),
+                _ => warp_tiling(16, 64, 8),
             };
             let k = BitmapSpGemm::new(GpuConfig::v100())
                 .with_tiling(tiling)

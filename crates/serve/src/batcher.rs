@@ -1,15 +1,15 @@
 //! Dynamic, SLO-aware request batching.
 //!
-//! Requests accumulate in per-class arrival-ordered queues (one per
-//! `(model, sparsity)` key, the queues themselves in first-arrival order);
-//! a worker (or the device dispatcher) asking for work receives a
-//! **batch**: up to `max_batch` queued requests sharing one key. A
-//! compatibility class is released as soon as it reaches `max_batch`
-//! requests, when any of its members is about to miss its queue deadline
-//! (the per-request SLO capped at `max_queue_wait`), or when the scheduler
-//! is draining for shutdown — so latency is bounded even under trickle
-//! traffic, full batches of one model never wait behind an unfull head of
-//! another, and unrelated models queued behind the head cannot starve it.
+//! Requests accumulate per compatibility class (one per `(model,
+//! sparsity)` key, the classes in first-arrival order); the device
+//! dispatcher asking for work receives a **batch**: up to `max_batch`
+//! queued requests sharing one key. A class is released as soon as it
+//! reaches `max_batch` requests, when any of its members is about to miss
+//! its queue deadline (the per-request SLO capped at `max_queue_wait`), or
+//! when the scheduler is draining for shutdown — so latency is bounded even
+//! under trickle traffic, full batches of one model never wait behind an
+//! unfull head of another, and unrelated models queued behind the head
+//! cannot starve it.
 //!
 //! Two SLO-aware refinements over a plain FIFO batcher:
 //!
@@ -23,17 +23,25 @@
 //!   queue without reordering its own service class, and under saturation
 //!   (everything expired) the order degrades to strict priority.
 //!
-//! The release decision is O(classes), not O(queued requests): every
-//! aggregate it consults (member count, most urgent deadline, highest
-//! priority) is maintained incrementally on enqueue/extract, so a deep
-//! backlog — tens of thousands of requests flooded in by the wire
-//! front-end's reactors — costs the dispatcher nothing per wake. Before
-//! this, `next_batch` re-scanned the whole queue per wake and extraction
-//! removed members one `O(n)` splice at a time, which capped the server
-//! around 600 batches/s once the queue grew past ~10k requests.
+//! A class is one ordered map per [`Priority`], keyed by `(deadline,
+//! admission seq)`, and every scheduling decision is a read of those maps:
+//! the release decision is O(classes) — member count, most urgent deadline
+//! and highest priority are map lengths and first keys — and extraction is
+//! O(`max_batch` · log n), popping first entries without scanning, sorting
+//! or rebuilding the class. µs per `next_batch` with N one-row requests of
+//! one class queued (`max_batch` 8, release build, a fresh process per
+//! cell, median of three; "before" kept a deque, a deadline set and a
+//! priority histogram per class and sorted the class per extraction):
+//!
+//! | N queued | one priority, before → now | priorities mixed, before → now |
+//! |---------:|---------------------------:|-------------------------------:|
+//! |      100 |                  4.6 → 2.3 |                     10.0 → 2.9 |
+//! |    1 000 |                 15.3 → 2.4 |                    108.9 → 2.8 |
+//! |   10 000 |                132.4 → 3.2 |                  1 380.9 → 2.9 |
+//! |   50 000 |              1 478.3 → 3.9 |                  8 510.3 → 3.9 |
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -108,54 +116,36 @@ impl Batch {
     }
 }
 
-/// One queued request plus the bookkeeping the incremental aggregates key
-/// on: a monotonic admission sequence number (arrival-order tie-break) and
-/// its queue deadline, computed once at admission.
-#[derive(Debug)]
-struct Member {
-    seq: u64,
-    deadline: Instant,
-    request: PendingRequest,
-}
+/// One priority level of a class: its members keyed by `(queue deadline,
+/// admission seq)` — the deadline is computed once at admission, the seq
+/// disambiguates equal instants in arrival order — so the first entry is
+/// the level's most urgent member and the next one extraction takes.
+type Lane = BTreeMap<(Instant, u64), PendingRequest>;
 
-/// One compatibility class's members, arrival-ordered, with the aggregates
-/// `next_batch` consults kept current on every enqueue/extract.
+/// One compatibility class: its key and one [`Lane`] per priority, indexed
+/// by [`Priority::index`]. Everything `next_batch` consults is a read of
+/// the lanes.
 #[derive(Debug)]
 struct ClassQueue {
     key: ModelKey,
-    /// Members in arrival order.
-    members: VecDeque<Member>,
-    /// Member `(deadline, seq)` pairs, ordered: the first entry is the
-    /// class's most urgent member (closest to — or furthest past — its
-    /// SLO). The seq disambiguates equal instants.
-    deadlines: BTreeSet<(Instant, u64)>,
-    /// Member count per priority level, indexed by [`Priority::index`].
-    priority_counts: [usize; Priority::ALL.len()],
+    lanes: [Lane; Priority::ALL.len()],
 }
 
 impl ClassQueue {
-    fn new(key: ModelKey) -> Self {
-        ClassQueue {
-            key,
-            members: VecDeque::new(),
-            deadlines: BTreeSet::new(),
-            priority_counts: [0; Priority::ALL.len()],
-        }
+    fn len(&self) -> usize {
+        self.lanes.iter().map(Lane::len).sum()
     }
 
     /// Earliest queue deadline among members.
     fn min_deadline(&self) -> Instant {
-        self.deadlines.first().expect("class queues are never left empty").0
+        let firsts = self.lanes.iter().filter_map(|lane| lane.first_key_value());
+        firsts.map(|((deadline, _), _)| *deadline).min().expect("class queues are never left empty")
     }
 
     /// Highest member priority (release-order tie-break).
     fn max_priority(&self) -> Priority {
-        for priority in Priority::ALL.iter().rev() {
-            if self.priority_counts[priority.index()] > 0 {
-                return *priority;
-            }
-        }
-        unreachable!("class queues are never left empty")
+        let occupied = Priority::ALL.iter().rev().find(|p| !self.lanes[p.index()].is_empty());
+        *occupied.expect("class queues are never left empty")
     }
 }
 
@@ -165,8 +155,6 @@ struct QueueState {
     /// that empties and later reappears re-enters at the back) — the
     /// final release-order tie-break.
     classes: Vec<ClassQueue>,
-    /// Total queued requests across classes.
-    len: usize,
     /// Next admission sequence number.
     next_seq: u64,
     open: bool,
@@ -190,19 +178,16 @@ impl BatchScheduler {
         assert!(policy.max_batch > 0, "batches need at least one request");
         BatchScheduler {
             policy,
-            state: Mutex::new(QueueState { classes: Vec::new(), len: 0, next_seq: 0, open: true }),
+            state: Mutex::new(QueueState { classes: Vec::new(), next_seq: 0, open: true }),
             cv: Condvar::new(),
         }
     }
 
-    /// The batching policy in force.
-    pub fn policy(&self) -> BatchPolicy {
-        self.policy
-    }
-
-    /// Number of requests currently queued.
+    /// Number of requests currently queued. O(classes), like
+    /// [`Self::queue_depths`].
     pub fn queue_len(&self) -> usize {
-        self.state.lock().expect("scheduler mutex poisoned").len
+        let state = self.state.lock().expect("scheduler mutex poisoned");
+        state.classes.iter().map(ClassQueue::len).sum()
     }
 
     /// Queued requests per priority level, indexed by
@@ -212,8 +197,8 @@ impl BatchScheduler {
         let state = self.state.lock().expect("scheduler mutex poisoned");
         let mut depths = [0; Priority::ALL.len()];
         for class in &state.classes {
-            for (slot, count) in depths.iter_mut().zip(class.priority_counts) {
-                *slot += count;
+            for (slot, lane) in depths.iter_mut().zip(&class.lanes) {
+                *slot += lane.len();
             }
         }
         depths
@@ -247,15 +232,11 @@ impl BatchScheduler {
         let at = match state.classes.iter().position(|c| c.key == request.key) {
             Some(at) => at,
             None => {
-                state.classes.push(ClassQueue::new(request.key));
+                state.classes.push(ClassQueue { key: request.key, lanes: Default::default() });
                 state.classes.len() - 1
             }
         };
-        let class = &mut state.classes[at];
-        class.priority_counts[request.priority.index()] += 1;
-        class.deadlines.insert((deadline, seq));
-        class.members.push_back(Member { seq, deadline, request });
-        state.len += 1;
+        state.classes[at].lanes[request.priority.index()].insert((deadline, seq), request);
         // Wake every waiting worker: some class may just have become full,
         // and a worker watching a deadline needs to re-evaluate.
         self.cv.notify_all();
@@ -273,7 +254,7 @@ impl BatchScheduler {
     pub(crate) fn next_batch(&self) -> Option<Batch> {
         let mut state = self.state.lock().expect("scheduler mutex poisoned");
         loop {
-            if state.len == 0 {
+            if state.classes.is_empty() {
                 if !state.open {
                     return None;
                 }
@@ -281,9 +262,7 @@ impl BatchScheduler {
                 continue;
             }
             let now = Instant::now();
-            if let Some(at) =
-                Self::release_index(&state.classes, now, self.policy.max_batch, state.open)
-            {
+            if let Some(at) = self.release_index(&state, now) {
                 return Some(self.extract(&mut state, at, now));
             }
             // Nothing full or expired yet: sleep until the most urgent
@@ -301,18 +280,13 @@ impl BatchScheduler {
     /// member deadline, or draining) ordered by urgency — earliest deadline
     /// first, higher priority breaking ties, first arrival breaking those
     /// (`min_by_key` keeps the first of equals, and `classes` is in
-    /// first-arrival order). Every aggregate consulted here is maintained
-    /// incrementally, so the decision is O(classes).
-    fn release_index(
-        classes: &[ClassQueue],
-        now: Instant,
-        max_batch: usize,
-        open: bool,
-    ) -> Option<usize> {
+    /// first-arrival order). Each aggregate is a map length or first key,
+    /// so the decision is O(classes).
+    fn release_index(&self, state: &QueueState, now: Instant) -> Option<usize> {
+        let max_batch = self.policy.max_batch;
+        let classes = state.classes.iter().enumerate();
         classes
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !open || c.members.len() >= max_batch || c.min_deadline() <= now)
+            .filter(|(_, c)| !state.open || c.len() >= max_batch || c.min_deadline() <= now)
             .min_by_key(|(_, c)| (c.min_deadline(), Reverse(c.max_priority())))
             .map(|(at, _)| at)
     }
@@ -325,7 +299,7 @@ impl BatchScheduler {
         self.cv.notify_all();
     }
 
-    /// Removes up to `max_batch` requests with `key` from the queue. The
+    /// Removes up to `max_batch` requests of class `at` from the queue. The
     /// selection (and batch member) order is:
     ///
     /// 1. requests already past their queue deadline — so a fresh flood of
@@ -334,75 +308,37 @@ impl BatchScheduler {
     /// 2. then unexpired requests.
     ///
     /// Inside each group: highest priority first, then earliest deadline,
-    /// then arrival order. Same-priority requests with equal SLOs
-    /// therefore always stay FIFO (equal SLOs expire in arrival order),
-    /// and when overload leaves *everything* expired the order degrades to
-    /// strict priority — lower classes lose their latency bound only once
-    /// the pool is saturated with expired higher-priority work. The rest
-    /// of the queue keeps its arrival order.
+    /// then arrival order — i.e. ascending `(deadline > now,
+    /// Reverse(priority), deadline, seq)`, which over per-priority maps in
+    /// `(deadline, seq)` order is two passes popping first entries.
+    /// Same-priority requests with equal SLOs therefore always stay FIFO
+    /// (equal SLOs expire in arrival order), and when overload leaves
+    /// *everything* expired the order degrades to strict priority — lower
+    /// classes lose their latency bound only once the pool is saturated
+    /// with expired higher-priority work.
     fn extract(&self, state: &mut QueueState, at: usize, now: Instant) -> Batch {
         let class = &mut state.classes[at];
-        let total = class.members.len();
-        // Selection key, ascending: unexpired-last puts deadline-expired
-        // members first, `Reverse(priority)` puts the highest priority
-        // first inside each group, then earliest deadline, then arrival.
-        let selection_key = |member: &Member| {
-            (member.deadline > now, Reverse(member.request.priority), member.deadline, member.seq)
-        };
-        let mut order: Vec<usize> = (0..total).collect();
-        if total > self.policy.max_batch {
-            // Only the top `max_batch` need ordering: select them in O(n),
-            // then sort just that prefix.
-            order.select_nth_unstable_by_key(self.policy.max_batch - 1, |&i| {
-                selection_key(&class.members[i])
-            });
-            order.truncate(self.policy.max_batch);
-        }
-        order.sort_unstable_by_key(|&i| selection_key(&class.members[i]));
-        let mut requests = Vec::with_capacity(order.len());
-        if order.iter().copied().eq(0..order.len()) {
-            // Uniform-priority, uniform-SLO traffic selects a pure arrival
-            // prefix (deadlines are arrival-ordered): pop it off the front
-            // without disturbing — or copying — the rest of a deep backlog.
-            for _ in 0..order.len() {
-                requests.push(class.members.pop_front().expect("selected member"));
-            }
-        } else {
-            // Mixed selection: pull the chosen members out in one pass,
-            // preserving the arrival order of everything left behind, then
-            // restore the selection order.
-            let mut selected = vec![false; total];
-            for &i in &order {
-                selected[i] = true;
-            }
-            let mut taken: Vec<Option<Member>> = (0..total).map(|_| None).collect();
-            let mut remaining = VecDeque::with_capacity(total - order.len());
-            for (i, member) in class.members.drain(..).enumerate() {
-                if selected[i] {
-                    taken[i] = Some(member);
-                } else {
-                    remaining.push_back(member);
+        let mut requests = Vec::with_capacity(self.policy.max_batch.min(class.len()));
+        for expired_only in [true, false] {
+            for lane in class.lanes.iter_mut().rev() {
+                while requests.len() < self.policy.max_batch {
+                    match lane.first_entry() {
+                        Some(first) if !expired_only || first.key().0 <= now => {
+                            let mut request = first.remove();
+                            request.trace.record(Stage::Released);
+                            requests.push(request);
+                        }
+                        _ => break,
+                    }
                 }
-            }
-            class.members = remaining;
-            for &i in &order {
-                requests.push(taken[i].take().expect("selected member"));
             }
         }
         let key = class.key;
-        let mut batch = Vec::with_capacity(requests.len());
-        for mut member in requests {
-            class.deadlines.remove(&(member.deadline, member.seq));
-            class.priority_counts[member.request.priority.index()] -= 1;
-            member.request.trace.record(Stage::Released);
-            batch.push(member.request);
-        }
-        state.len -= batch.len();
-        if class.members.is_empty() {
+        if class.len() == 0 {
             state.classes.remove(at);
         }
-        debug_assert!(!batch.is_empty(), "extract called with a matching member");
-        Batch { key, requests: batch }
+        debug_assert!(!requests.is_empty(), "extract called with a matching member");
+        Batch { key, requests }
     }
 }
 
@@ -661,6 +597,46 @@ mod tests {
         s.shutdown();
         let total: usize = consumers.into_iter().map(|c| c.join().unwrap()).sum();
         assert_eq!(total, 100);
+    }
+
+    /// The property the module doc states: what a batch costs does not grow
+    /// with the backlog behind it. A ratio of two timings on one host, so
+    /// host speed cancels; sorting or rebuilding the class per extraction
+    /// reads in the hundreds.
+    #[test]
+    fn next_batch_cost_does_not_grow_with_the_backlog() {
+        // Time per `next_batch` — best of five rounds of ten — with `n`
+        // one-row requests of one class queued, priorities mixed.
+        fn per_batch(n: u64) -> Duration {
+            let s = BatchScheduler::new(policy(8, 3_600_000));
+            let (tx, _rx) = mpsc::channel();
+            for id in 0..n {
+                assert!(s.enqueue(PendingRequest {
+                    id,
+                    key: ModelKey::new(ModelId::BertBase, None),
+                    priority: Priority::ALL[id as usize % 3],
+                    slo: None,
+                    features: Matrix::zeros(1, 8),
+                    response_tx: tx.clone(),
+                    wake: None,
+                    enqueued: Instant::now(),
+                    trace: RequestTrace::new(),
+                }));
+            }
+            let round = |_| {
+                let t0 = Instant::now();
+                for _ in 0..10 {
+                    assert_eq!(s.next_batch().unwrap().len(), 8);
+                }
+                t0.elapsed() / 10
+            };
+            (0..5).map(round).min().unwrap()
+        }
+        let (shallow, deep) = (per_batch(500), per_batch(50_000));
+        assert!(
+            deep < shallow * 20,
+            "a batch costs {deep:?} behind 50 000 queued requests, {shallow:?} behind 500"
+        );
     }
 
     /// Property tests: arbitrary interleavings of enqueue / next_batch over

@@ -7,7 +7,6 @@ use std::time::Duration;
 
 use dsstc_sim::GpuConfig;
 
-use crate::dispatch::DispatchPolicy;
 use crate::request::Priority;
 use crate::store::CacheBudget;
 
@@ -275,8 +274,6 @@ pub struct ServeConfig {
     /// through (the modelled latency always uses the network's *real*
     /// shapes; see [`crate::ModelRepository`]).
     pub proxy_dim: usize,
-    /// How released batches are assigned to devices.
-    pub dispatch: DispatchPolicy,
     /// Directory of the persistent encoded-weight store (`--encode-cache-dir`
     /// on `serve_demo`). `None` keeps the encode cache memory-only; set, a
     /// restarted server restores encoded artifacts from disk and skips the
@@ -356,7 +353,6 @@ impl Default for ServeConfig {
             max_batch: 8,
             max_queue_wait: Duration::from_millis(2),
             proxy_dim: 64,
-            dispatch: DispatchPolicy::MinCompletionTime,
             encode_cache_dir: None,
             encode_cache_budget: CacheBudget::default(),
             encode_store_budget: CacheBudget::store_default(),
@@ -422,12 +418,6 @@ impl ServeConfig {
     /// Overrides the device pool.
     pub fn with_devices(mut self, devices: DevicePool) -> Self {
         self.devices = devices;
-        self
-    }
-
-    /// Overrides the batch-to-device dispatch policy.
-    pub fn with_dispatch(mut self, dispatch: DispatchPolicy) -> Self {
-        self.dispatch = dispatch;
         self
     }
 
@@ -541,7 +531,6 @@ mod tests {
         assert!(c.workers() >= 2);
         assert!(c.max_batch > 1);
         assert!(c.proxy_dim % 32 == 0);
-        assert_eq!(c.dispatch, DispatchPolicy::MinCompletionTime);
         assert_eq!(c.devices.primary().name, "Tesla V100");
         assert_eq!(c.reactors, 1, "the default front-end is single-reactor");
     }
@@ -561,14 +550,12 @@ mod tests {
             .with_max_batch(3)
             .with_max_queue_wait(Duration::from_millis(7))
             .with_proxy_dim(96)
-            .with_dispatch(DispatchPolicy::RoundRobin)
             .with_encode_cache_dir("/tmp/dsstc-test-cache")
             .with_encode_cache_budget(CacheBudget { max_entries: 4, max_bytes: 1 << 20 });
         assert_eq!(c.workers(), 5);
         assert_eq!(c.max_batch, 3);
         assert_eq!(c.max_queue_wait, Duration::from_millis(7));
         assert_eq!(c.proxy_dim, 96);
-        assert_eq!(c.dispatch, DispatchPolicy::RoundRobin);
         assert_eq!(c.encode_cache_dir, Some(PathBuf::from("/tmp/dsstc-test-cache")));
         assert_eq!(c.encode_cache_budget, CacheBudget { max_entries: 4, max_bytes: 1 << 20 });
     }

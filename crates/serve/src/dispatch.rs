@@ -9,8 +9,9 @@
 //! the one that would **complete** it first — so a slower V100 still
 //! absorbs traffic whenever the faster A100's backlog outweighs its speed
 //! advantage, and the pool's modelled makespan stays near the optimum a
-//! greedy list scheduler can reach. A round-robin policy is kept as the
-//! baseline the benchmarks compare against.
+//! greedy list scheduler can reach. That is the only policy: the
+//! round-robin baseline it is compared against is computed in
+//! `tests/serve_slo.rs` from this dispatcher's own prices.
 
 use std::sync::{Arc, Mutex};
 
@@ -20,15 +21,15 @@ use crate::config::DevicePool;
 use crate::request::ModelKey;
 use crate::timing::BatchTimingModel;
 
-/// How released batches are assigned to pooled devices.
+/// How released batches are assigned to pooled devices. There is one
+/// policy; this enum and the second parameter of [`DeviceDispatcher::new`]
+/// remain only because `benchmark/src/workloads/serve_wire.rs` names them
+/// (the next `[benchmark]` PR drops both).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DispatchPolicy {
     /// Price the batch on every device and pick the one minimising modelled
     /// completion time (modelled backlog + modelled batch time).
     MinCompletionTime,
-    /// Rotate through devices regardless of their speed or backlog
-    /// (baseline).
-    RoundRobin,
 }
 
 /// One dispatch decision.
@@ -55,22 +56,14 @@ pub struct DevicePlan {
     pub modelled_batch_us: f64,
 }
 
-#[derive(Debug)]
-struct DispatchState {
-    /// Per-device modelled backlog horizon, µs since start.
-    busy_until_us: Vec<f64>,
-    /// Next device under round-robin.
-    next_rr: usize,
-}
-
 /// Routes batches onto a (possibly heterogeneous) device pool.
 #[derive(Debug)]
 pub struct DeviceDispatcher {
     timings: Vec<Arc<BatchTimingModel>>,
     names: Vec<String>,
     specs: Vec<EncodingSpec>,
-    policy: DispatchPolicy,
-    state: Mutex<DispatchState>,
+    /// Per-device modelled backlog horizon, µs since start.
+    busy_until_us: Mutex<Vec<f64>>,
 }
 
 impl DeviceDispatcher {
@@ -78,7 +71,7 @@ impl DeviceDispatcher {
     /// device and one timing model per distinct device configuration:
     /// identical devices price every `(model, bucket)` identically, so they
     /// share one model and one cache instead of each computing the table.
-    pub fn new(pool: &DevicePool, policy: DispatchPolicy) -> Self {
+    pub fn new(pool: &DevicePool, _policy: DispatchPolicy) -> Self {
         let devices = pool.devices();
         let mut timings: Vec<Arc<BatchTimingModel>> = Vec::with_capacity(devices.len());
         for (i, gpu) in devices.iter().enumerate() {
@@ -93,8 +86,7 @@ impl DeviceDispatcher {
             timings,
             names: pool.names(),
             specs,
-            policy,
-            state: Mutex::new(DispatchState { busy_until_us: vec![0.0; pool.len()], next_rr: 0 }),
+            busy_until_us: Mutex::new(vec![0.0; pool.len()]),
         }
     }
 
@@ -111,11 +103,6 @@ impl DeviceDispatcher {
     /// Device names, in pool order.
     pub fn names(&self) -> &[String] {
         &self.names
-    }
-
-    /// The dispatch policy in force.
-    pub fn policy(&self) -> DispatchPolicy {
-        self.policy
     }
 
     /// The timing model of one device.
@@ -140,63 +127,59 @@ impl DeviceDispatcher {
         &self.specs
     }
 
+    /// The per-device price, µs, of `batch` requests of `key` — the pricing
+    /// [`Self::plan`] documents. The layer table is built at most once per
+    /// returned closure, and only when a device's bucket is not priced yet.
+    fn price(&self, key: ModelKey, batch: usize) -> impl FnMut(usize) -> f64 + '_ {
+        let mut network = None;
+        move |device| {
+            let timing = &self.timings[device];
+            timing.cached_batched_us(key, batch).unwrap_or_else(|| {
+                timing.batched_us_for(key, network.get_or_insert_with(|| key.network()), batch)
+            })
+        }
+    }
+
     /// Prices a batch of `batch` requests of `key`'s model on every device
     /// marked `eligible` and returns the plan minimising modelled
-    /// completion time (or the rotation target under round-robin), without
-    /// advancing the modelled clock. Returns `None` when no device is
-    /// eligible.
+    /// completion time, without advancing the modelled clock. Returns
+    /// `None` when no device is eligible.
     ///
     /// Pricing uses the timing caches, falling back to the key's layer
     /// table (never the encode cache) for cold buckets — a cold model's
     /// slow prune+encode cannot head-of-line block dispatch, and on the
-    /// steady-state hot path no layer table is built at all.
+    /// steady-state hot path no layer table is built at all. The modelled
+    /// clock's lock is taken only to compare two priced candidates, so
+    /// pricing a cold bucket never holds it.
     ///
     /// # Panics
     /// Panics if `batch` is zero or `eligible` does not match the pool
     /// size.
     pub fn plan(&self, key: ModelKey, batch: usize, eligible: &[bool]) -> Option<DevicePlan> {
         assert_eq!(eligible.len(), self.timings.len(), "one eligibility flag per device");
-        // Built at most once per plan, and only when a device's bucket is
-        // not priced yet.
-        let mut network = None;
-        let mut price = |device: usize| {
-            self.timings[device].cached_batched_us(key, batch).unwrap_or_else(|| {
-                let network = network.get_or_insert_with(|| key.network());
-                self.timings[device].batched_us_for(key, network, batch)
+        let mut price = self.price(key, batch);
+        (0..eligible.len())
+            .filter(|&device| eligible[device])
+            .map(|device| (device, price(device)))
+            .min_by(|(da, ca), (db, cb)| {
+                // Both candidates are priced by now: the lock is held for
+                // the comparison alone, never while a cold bucket is priced.
+                let busy = self.busy_until_us.lock().expect("dispatch mutex poisoned");
+                let (fa, fb) = (busy[*da] + ca, busy[*db] + cb);
+                fa.partial_cmp(&fb).expect("modelled times are finite")
             })
-        };
-        let state = self.state.lock().expect("dispatch mutex poisoned");
-        match self.policy {
-            DispatchPolicy::RoundRobin => {
-                let n = self.timings.len();
-                let device =
-                    (0..n).map(|offset| (state.next_rr + offset) % n).find(|&d| eligible[d])?;
-                Some(DevicePlan { device, modelled_batch_us: price(device) })
-            }
-            DispatchPolicy::MinCompletionTime => (0..self.timings.len())
-                .filter(|&d| eligible[d])
-                .map(|d| (d, price(d)))
-                .min_by(|(da, ca), (db, cb)| {
-                    let fa = state.busy_until_us[*da] + ca;
-                    let fb = state.busy_until_us[*db] + cb;
-                    fa.partial_cmp(&fb).expect("modelled times are finite")
-                })
-                .map(|(device, modelled_batch_us)| DevicePlan { device, modelled_batch_us }),
-        }
+            .map(|(device, modelled_batch_us)| DevicePlan { device, modelled_batch_us })
     }
 
-    /// Commits a plan: advances the chosen device's modelled clock (and the
-    /// round-robin rotation) and returns the final assignment.
+    /// Commits a plan: advances the chosen device's modelled clock and
+    /// returns the final assignment.
     pub fn commit(&self, plan: DevicePlan) -> DeviceAssignment {
-        let mut state = self.state.lock().expect("dispatch mutex poisoned");
-        if self.policy == DispatchPolicy::RoundRobin {
-            state.next_rr = plan.device + 1;
-        }
-        state.busy_until_us[plan.device] += plan.modelled_batch_us;
+        let mut busy = self.busy_until_us.lock().expect("dispatch mutex poisoned");
+        busy[plan.device] += plan.modelled_batch_us;
         DeviceAssignment {
             device: plan.device,
             modelled_batch_us: plan.modelled_batch_us,
-            modelled_finish_us: state.busy_until_us[plan.device],
+            modelled_finish_us: busy[plan.device],
         }
     }
 
@@ -213,7 +196,7 @@ impl DeviceDispatcher {
 
     /// Per-device modelled backlog horizons, µs since start.
     pub fn busy_until_us(&self) -> Vec<f64> {
-        self.state.lock().expect("dispatch mutex poisoned").busy_until_us.clone()
+        self.busy_until_us.lock().expect("dispatch mutex poisoned").clone()
     }
 
     /// Modelled makespan of everything assigned so far: the latest device
@@ -229,16 +212,7 @@ impl DeviceDispatcher {
     /// cold buckets — so the admission decision is deterministic and never
     /// consults a wall clock.
     pub fn unit_cost_us(&self, key: ModelKey) -> f64 {
-        let mut network = None;
-        self.timings
-            .iter()
-            .map(|timing| {
-                timing.cached_batched_us(key, 1).unwrap_or_else(|| {
-                    let network = network.get_or_insert_with(|| key.network());
-                    timing.batched_us_for(key, network, 1)
-                })
-            })
-            .fold(f64::INFINITY, f64::min)
+        (0..self.timings.len()).map(self.price(key, 1)).fold(f64::INFINITY, f64::min)
     }
 
     /// Aggregate timing-cache hit rate across the pool's distinct models.
@@ -307,13 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_alternates_devices() {
-        let d = DeviceDispatcher::new(&mixed_pool(), DispatchPolicy::RoundRobin);
-        let devices: Vec<usize> = (0..4).map(|_| d.assign(bert(), 2).device).collect();
-        assert_eq!(devices, vec![0, 1, 0, 1]);
-    }
-
-    #[test]
     fn min_completion_time_prefers_the_less_backlogged_faster_device() {
         let d = DeviceDispatcher::new(&mixed_pool(), DispatchPolicy::MinCompletionTime);
         // Full VGG-16 batches show the widest modelled V100/A100 gap, so
@@ -350,28 +317,20 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_rotation_skips_ineligible_devices() {
-        let d = DeviceDispatcher::new(&mixed_pool(), DispatchPolicy::RoundRobin);
-        let key = bert();
-        // Device 0 is the rotation target but ineligible: the plan falls
-        // through to device 1, and committing it keeps the rotation moving.
-        let plan = d.plan(key, 2, &[false, true]).expect("device 1 eligible");
-        assert_eq!(plan.device, 1);
-        d.commit(plan);
-        assert_eq!(d.assign(key, 2).device, 0, "rotation resumes after the committed device");
-    }
-
-    #[test]
     fn assignments_advance_the_modelled_clock() {
-        let d = DeviceDispatcher::new(&mixed_pool(), DispatchPolicy::RoundRobin);
+        let d = DeviceDispatcher::new(&mixed_pool(), DispatchPolicy::MinCompletionTime);
         let a = d.assign(bert(), 2);
         assert!(a.modelled_batch_us > 0.0);
-        assert!((a.modelled_finish_us - a.modelled_batch_us).abs() < 1e-9);
-        let b = d.assign(bert(), 2);
-        let c = d.assign(bert(), 2);
-        assert_eq!(c.device, a.device);
-        assert!(c.modelled_finish_us > a.modelled_finish_us);
-        assert!(b.modelled_finish_us > 0.0);
+        assert!((a.modelled_finish_us - a.modelled_batch_us).abs() < 1e-9, "idle pool");
+        // Each later assignment advances the chosen device's clock, and
+        // only it, by the batch's price.
+        let mut horizon = d.busy_until_us();
+        for _ in 0..3 {
+            let next = d.assign(bert(), 2);
+            horizon[next.device] += next.modelled_batch_us;
+            assert!((next.modelled_finish_us - horizon[next.device]).abs() < 1e-9);
+            assert_eq!(d.busy_until_us(), horizon);
+        }
         assert!(d.timing_hit_rate() > 0.0, "repeat pricing hits the cache");
     }
 

@@ -25,8 +25,7 @@
 //! * [`DeviceDispatcher`] — routes every released batch onto a
 //!   [`DevicePool`] of (possibly heterogeneous) modelled GPUs — e.g. V100s
 //!   next to A100s — picking the device that minimises **modelled completion
-//!   time** via per-device [`BatchTimingModel`]s (round-robin is kept as the
-//!   baseline policy).
+//!   time** via per-device [`BatchTimingModel`]s.
 //! * [`WorkerPool`] — one pinned OS worker per device executing its batches
 //!   on that device's **own** dual-side SpGEMM kernel against the encoding
 //!   cached for its tiling, so heterogeneous devices coexist functionally;
@@ -128,9 +127,7 @@ pub use crate::model::{EncodedLayer, EncodedModel};
 pub use crate::net::{ClusterClient, WireClient, WireServer};
 pub use crate::request::{InferRequest, InferResponse, ModelId, ModelKey, Priority};
 pub use crate::server::{InferenceServer, PendingResponse, ServeError};
-pub use crate::stats::{
-    percentile, ClusterStats, DeviceStats, PriorityLatency, ServerStats, WireStats,
-};
+pub use crate::stats::{ClusterStats, DeviceStats, PriorityLatency, ServerStats, WireStats};
 pub use crate::store::{CacheBudget, EncodeCacheStats, ModelRepository, WarmBootReport};
 #[cfg(target_os = "linux")]
 pub use crate::telemetry::MetricsServer;

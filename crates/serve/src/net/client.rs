@@ -21,8 +21,8 @@ use std::time::{Duration, Instant};
 
 use crate::cluster::{shard_hash, HashRing, ShardMap};
 use crate::net::frame::{
-    encode_hello_into, encode_request_into, Frame, FrameDecoder, RequestFrame, ResponseBody,
-    ResponseFrame, WireError, WireStatus, RESPONSE_HEADROOM,
+    encode_hello_into, encode_request_into, Frame, FrameDecoder, ResponseBody, ResponseFrame,
+    WireError, WireStatus, RESPONSE_HEADROOM,
 };
 use crate::request::InferRequest;
 
@@ -113,13 +113,6 @@ impl WireClient {
         Ok(id)
     }
 
-    /// Sends an explicit pre-built frame (tests use this to craft hostile
-    /// input; [`WireClient::send`] is the normal path).
-    pub fn send_frame(&mut self, frame: &RequestFrame) -> Result<(), WireError> {
-        self.stream.write_all(&frame.to_bytes())?;
-        Ok(())
-    }
-
     /// Sends raw bytes verbatim (protocol-violation tests).
     pub fn send_raw(&mut self, bytes: &[u8]) -> Result<(), WireError> {
         self.stream.write_all(bytes)?;
@@ -208,7 +201,7 @@ impl WireClient {
 /// How many `NotMine` redirects one [`ClusterClient::infer`] follows
 /// before giving up (a stale map converges in one hop; more hops means the
 /// cluster is reconfiguring under us and the caller should retry).
-pub const DEFAULT_MAX_REDIRECTS: usize = 3;
+pub const MAX_REDIRECTS: usize = 3;
 
 /// A shard-aware client for a cluster of [`crate::net::WireServer`]s.
 ///
@@ -223,7 +216,7 @@ pub const DEFAULT_MAX_REDIRECTS: usize = 3;
 /// Failure handling mirrors the server's guarantees:
 ///
 /// * `NotMine` → follow the redirect's `owners=` list, bounded by
-///   [`DEFAULT_MAX_REDIRECTS`] per request.
+///   [`MAX_REDIRECTS`] per request.
 /// * An I/O error or truncation mid-request → the node is presumed dead:
 ///   drop its pooled connection and resend to the next replica (inference
 ///   is deterministic, so the resend is idempotent).
@@ -234,7 +227,6 @@ pub struct ClusterClient {
     token: Option<String>,
     conns: HashMap<String, WireClient>,
     max_frame_len: usize,
-    max_redirects: usize,
     redirects_followed: u64,
     failovers: u64,
 }
@@ -274,7 +266,6 @@ impl ClusterClient {
                         token: token.map(str::to_string),
                         conns,
                         max_frame_len,
-                        max_redirects: DEFAULT_MAX_REDIRECTS,
                         redirects_followed: 0,
                         failovers: 0,
                     });
@@ -287,12 +278,6 @@ impl ClusterClient {
             }
         }
         Err(last.unwrap_or(WireError::Malformed("no seed addresses given")))
-    }
-
-    /// Overrides the per-request redirect bound.
-    pub fn with_max_redirects(mut self, max_redirects: usize) -> Self {
-        self.max_redirects = max_redirects;
-        self
     }
 
     /// The shard map the client is currently routing by.
@@ -417,7 +402,7 @@ impl ClusterClient {
                 Ok(body) => return Ok(body),
                 Err(WireError::Rejected { status: WireStatus::NotMine, message }) => {
                     redirects += 1;
-                    if redirects > self.max_redirects {
+                    if redirects > MAX_REDIRECTS {
                         return Err(WireError::Rejected { status: WireStatus::NotMine, message });
                     }
                     self.redirects_followed += 1;

@@ -21,7 +21,7 @@ pub mod frame;
 pub(crate) mod poll;
 pub mod server;
 
-pub use client::{ClusterClient, WireClient, DEFAULT_MAX_REDIRECTS};
+pub use client::{ClusterClient, WireClient, MAX_REDIRECTS};
 pub use frame::{
     encode_error_into, encode_hello_into, encode_request_into, encode_response_into,
     encode_shard_map_into, Frame, FrameDecoder, HelloFrame, RequestFrame, ResponseBody,

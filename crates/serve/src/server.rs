@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use crate::batcher::{BatchPolicy, BatchScheduler, PendingRequest, Wake};
 use crate::config::ServeConfig;
-use crate::dispatch::DeviceDispatcher;
+use crate::dispatch::{DeviceDispatcher, DispatchPolicy};
 use crate::request::{InferRequest, InferResponse, Priority};
 use crate::stats::ServerStats;
 use crate::store::ModelRepository;
@@ -115,7 +115,8 @@ impl InferenceServer {
             repository = repository.with_disk_cache(dir.clone());
         }
         let repository = Arc::new(repository);
-        let dispatcher = Arc::new(DeviceDispatcher::new(&config.devices, config.dispatch));
+        let dispatcher =
+            Arc::new(DeviceDispatcher::new(&config.devices, DispatchPolicy::MinCompletionTime));
         if repository.disk_cache_dir().is_some() {
             // Boot-time warmer: restore (heal, or re-encode for the current
             // pool) every persisted artifact before the first request, so a

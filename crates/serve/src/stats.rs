@@ -401,15 +401,16 @@ impl WireStats {
     }
 }
 
-/// Nearest-rank percentile of an unsorted sample set (the exact helper
-/// clients such as `serve_client` use on their own samples, and the
-/// reference the histogram estimator is tested against).
+/// Nearest-rank percentile of an unsorted sample set: the exact reference
+/// the histogram estimator is tested against (nothing ships it — every
+/// served percentile is a histogram quantile).
 ///
 /// Defined for every input: an empty sample set yields 0, a single sample
 /// yields that sample for every `q`, `q = 0` yields the minimum, `q = 1`
 /// the maximum, and out-of-range or NaN `q` values are clamped into
 /// `[0, 1]` instead of indexing out of bounds.
-pub fn percentile(samples: &[f64], q: f64) -> f64 {
+#[cfg(test)]
+pub(crate) fn percentile(samples: &[f64], q: f64) -> f64 {
     if samples.is_empty() {
         return 0.0;
     }

@@ -137,11 +137,11 @@ impl WorkerPool {
 }
 
 /// Pulls released batches and hands each to the device that would complete
-/// it first (or round-robin, per the configured policy). The hand-off is
-/// non-blocking with fallback: if the planned device's bounded queue is
-/// full, the next-best device is planned instead, so a backed-up device
-/// never idles the rest of the pool; only when **every** device is backed
-/// up does the dispatcher block (genuine pool-wide backpressure).
+/// it first. The hand-off is non-blocking with fallback: if the planned
+/// device's bounded queue is full, the next-best device is planned instead,
+/// so a backed-up device never idles the rest of the pool; only when
+/// **every** device is backed up does the dispatcher block (genuine
+/// pool-wide backpressure).
 fn dispatch_loop(context: &WorkerContext, senders: Vec<SyncSender<DeviceJob>>) {
     // Dead-worker handling, shared by both send paths: fail fast instead
     // of letting callers block forever on responses nobody will produce —

@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 #[cfg(target_os = "linux")]
 use dsstc::serve::net::WireClient;
 #[cfg(target_os = "linux")]
-use dsstc::serve::{percentile, InferRequest, ModelId, Priority};
+use dsstc::serve::{InferRequest, ModelId, Priority};
 #[cfg(target_os = "linux")]
 use dsstc_tensor::{Matrix, SparsityPattern};
 
@@ -94,6 +94,15 @@ fn run_cluster(addr: std::net::SocketAddr, requests: u64) {
         percentile(&latencies_us, 0.50),
         percentile(&latencies_us, 0.99),
     );
+}
+
+/// Nearest-rank percentile of the client's own latency samples.
+#[cfg(target_os = "linux")]
+fn percentile(samples: &[f64], q: f64) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let rank = (sorted.len() as f64 * q).ceil() as usize;
+    sorted.get(rank.saturating_sub(1)).copied().unwrap_or(0.0)
 }
 
 /// The wire protocol client needs the epoll front-end (Linux-only).

@@ -177,28 +177,29 @@ fn the_admission_queue_bound_holds_under_a_tight_burst() {
 
 #[test]
 fn min_completion_time_dispatch_beats_round_robin_by_10_percent_on_a_mixed_pool() {
-    // The identical batch trace is replayed against two dispatchers over
-    // the same V100 + A100 pool; modelled throughput = requests handled per
-    // modelled makespan microsecond. The pure modelled clock makes this
-    // fully deterministic.
+    // One batch trace over a V100 + A100 pool, dispatched by completion
+    // time and — the baseline, computed here from the dispatcher's own
+    // prices — by rotating through the devices regardless of speed or
+    // backlog; modelled throughput = requests handled per modelled makespan
+    // microsecond. The pure modelled clock makes this fully deterministic.
     let pool = DevicePool::new(vec![GpuConfig::v100(), GpuConfig::a100()]);
+    let dispatcher = DeviceDispatcher::new(&pool, DispatchPolicy::MinCompletionTime);
     let vgg = ModelKey::new(ModelId::Vgg16, None);
     let resnet = ModelKey::new(ModelId::ResNet50, None);
     let trace: Vec<(ModelKey, usize)> =
         (0..40).map(|i| if i % 3 == 0 { (resnet, 8) } else { (vgg, 8) }).collect();
+    let requests: usize = trace.iter().map(|&(_, batch)| batch).sum();
 
-    let throughput = |policy: DispatchPolicy| {
-        let dispatcher = DeviceDispatcher::new(&pool, policy);
-        let mut requests = 0usize;
-        for &(key, batch) in &trace {
-            dispatcher.assign(key, batch);
-            requests += batch;
-        }
-        requests as f64 / dispatcher.makespan_us()
-    };
-
-    let smart = throughput(DispatchPolicy::MinCompletionTime);
-    let naive = throughput(DispatchPolicy::RoundRobin);
+    let mut round_robin_busy = [0.0f64; 2];
+    for (i, &(key, batch)) in trace.iter().enumerate() {
+        dispatcher.assign(key, batch);
+        round_robin_busy[i % 2] += dispatcher
+            .timing(i % 2)
+            .cached_batched_us(key, batch)
+            .expect("assign priced the batch on every device");
+    }
+    let smart = requests as f64 / dispatcher.makespan_us();
+    let naive = requests as f64 / round_robin_busy[0].max(round_robin_busy[1]);
     assert!(
         smart >= naive * 1.10,
         "completion-time dispatch {smart:.6} req/us should beat round-robin \
