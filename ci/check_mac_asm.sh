@@ -24,10 +24,11 @@ cargo rustc --release --offline -q -p dsstc-kernels --lib -- --emit asm
 ASM=$(ls "$DEPS"/dsstc_kernels-*.s)
 
 check() { # <function> <instruction that must be there> <on this vector register>
-    # The band-loop functions are generic over the A-side view and the output
-    # sink, so one name is several symbols (`execute_encoded`'s, and the
-    # fused forward's emitting and dense-output layers): every instantiation
-    # is held to the same rules.
+    # The band-loop functions are generic over the output sink, so one name
+    # is several symbols (the arena's emitter, which the fused forward's
+    # inner layers write, and the dense rows `execute_encoded` and a
+    # forward's last layer write): every instantiation is held to the same
+    # rules.
     local labels label body
     labels=$(grep -E "^_.*$1.*:\$" "$ASM" | tr -d ':') || true
     [ -n "$labels" ] || { echo "check_mac_asm: no $1 in $ASM"; exit 1; }
@@ -50,8 +51,8 @@ check() { # <function> <instruction that must be there> <on this vector register
 LEVEL_FNS=$(grep -c '^#\[target_feature' crates/kernels/src/bitmap_spgemm/simd.rs)
 [ "$LEVEL_FNS" = 3 ] || { echo "check_mac_asm: simd.rs has $LEVEL_FNS #[target_feature] functions, this script checks 3"; exit 1; }
 
-# <A-side view> x <sink>: encoding x dense rows, arena x emitter, arena x
-# dense rows.
-check run_bands_avx2 vmulps ymm 3
-check run_bands_avx512 vmulps zmm 3
+# One A operand, the arena, into each sink: arena -> emitter, arena -> dense
+# rows.
+check run_bands_avx2 vmulps ymm 2
+check run_bands_avx512 vmulps zmm 2
 check expand_b_avx512 vexpandps zmm 1

@@ -47,12 +47,12 @@ fn bench_functional_spgemm(c: &mut Criterion) {
 }
 
 /// The retained scalar reference against the word-parallel execution path
-/// over identical pre-built encodings, under Criterion's statistics. The
-/// last cell, A 90 % / B 99 % sparse, is the operand pair of `benchmark/`'s
-/// `gemm_extreme` workload, so the micro-cell and the end-to-end number name
-/// the same point. The word kernel keeps its staging buffers per thread, so
-/// every `word_parallel` cell is a warm-workspace number: a call allocates
-/// its output only.
+/// over identical pre-built encodings, under Criterion's statistics, and
+/// `encode_a` of the same A. The last pair, A 90 % / B 99 % sparse, is the
+/// operand pair of `benchmark/`'s `gemm_extreme` workload, so the
+/// micro-cells and the end-to-end number name the same point. The word
+/// kernel keeps its staging buffers per thread, so every `word_parallel`
+/// cell is a warm-workspace number: a call allocates its output only.
 fn bench_word_vs_scalar(c: &mut Criterion) {
     let mut group = c.benchmark_group("spgemm_word_vs_scalar_512");
     group.sample_size(10);
@@ -62,6 +62,11 @@ fn bench_word_vs_scalar(c: &mut Criterion) {
         let b = Matrix::random_sparse(512, 512, b_sparsity, SparsityPattern::Uniform, 42);
         let a_enc = kernel.encode_a(&a);
         let b_enc = kernel.encode_b(&b);
+        group.bench_with_input(
+            BenchmarkId::new("encode_a", format!("a{a_sparsity}_b{b_sparsity}")),
+            &a,
+            |bench, a| bench.iter(|| black_box(kernel.encode_a(a))),
+        );
         group.bench_with_input(
             BenchmarkId::new("scalar_reference", format!("a{a_sparsity}_b{b_sparsity}")),
             &(&a_enc, &b_enc),
@@ -150,8 +155,8 @@ fn bench_forward_hot_path(c: &mut Criterion) {
 
 /// One layer of the `serve_wire` benchmark workload: a 4-row batch against
 /// the 64-wide proxy's weights. Almost no MACs, so this is what a call pays
-/// before its first one — B expansion, A column words, the output's
-/// allocation.
+/// before its first one — B expansion, the band loop's step tests, the
+/// output's allocation.
 fn bench_tiny_call(c: &mut Criterion) {
     let mut group = c.benchmark_group("tiny_call_4x64x64");
     group.sample_size(200); // a 3 µs call: samples are cheap, a quiet one is rare

@@ -91,17 +91,6 @@ impl BitMatrix {
         }
     }
 
-    /// Overwrites the whole of row `row` with the packed word `word` (bit
-    /// `c` becomes `get(row, c)`), for matrices at most 64 columns wide —
-    /// the write-side sibling of [`Self::row_word`], for encoders that build
-    /// a row's mask while doing other per-element work in the same pass.
-    /// `word` must have no bit set at or past `cols()`.
-    pub(crate) fn set_row_word(&mut self, row: usize, word: u64) {
-        debug_assert!(row < self.rows && self.cols <= 64);
-        debug_assert!(self.cols == 64 || word >> self.cols == 0);
-        self.words[row] = word;
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows

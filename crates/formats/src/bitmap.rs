@@ -87,14 +87,13 @@ impl BitmapMatrix {
     /// Encodes the `tile_rows x tile_cols` window of `parent` whose top-left
     /// corner is `(row0, col0)`, zero-padded past the edges — identical to
     /// `encode(&parent.tile(..), layout)` but without materialising the
-    /// dense tile, which is what keeps the two-level encoder off the
-    /// allocator in the per-request serve hot path.
+    /// dense tile.
     ///
-    /// Cost: three allocations (bitmap words, offsets, values). A
-    /// column-major tile at most 64 columns wide — every A-operand tile —
-    /// is encoded in one sweep that tests each element once, then a scatter
-    /// over the set bits only; row-major and wider tiles test each element
-    /// two or three times over as many passes.
+    /// Cost: three allocations (bitmap words, offsets, values), plus the
+    /// column cursors of a column-major tile; each element is tested two or
+    /// three times over as many passes. Row-major tiles are the kernel's B
+    /// operand; column-major ones are the reference its A operand is held
+    /// to.
     pub(crate) fn encode_tile(
         parent: &Matrix,
         row0: usize,
@@ -138,93 +137,52 @@ impl BitmapMatrix {
         let copy_cols = tile_cols.min(parent.cols().saturating_sub(col0));
         let window = |r: usize| &parent.row(row0 + r)[col0..col0 + copy_cols];
         let mut bitmap = BitMatrix::new(tile_rows, tile_cols);
-        let (values, offsets) = if layout == VectorLayout::ColumnMajor && tile_cols <= 64 {
-            // One sweep builds each row's mask word and the per-column
-            // counts together (`keep` runs once per element); the scatter
-            // then walks only the set bits of the row words, so both passes
-            // read the parent rows sequentially and the column cursors live
-            // on the stack.
-            let mut cursors = [0usize; 64];
-            for r in 0..copy_rows {
-                let mut word = 0u64;
-                for (c, &x) in window(r).iter().enumerate() {
-                    let kept = keep(x);
-                    word |= u64::from(kept) << c;
-                    cursors[c] += usize::from(kept);
-                }
-                bitmap.set_row_word(r, word);
-            }
-            // Exclusive prefix sum: counts become each column's start.
-            let mut offsets = Vec::with_capacity(tile_cols + 1);
-            let mut nnz = 0usize;
-            for cursor in &mut cursors[..tile_cols] {
-                let count = *cursor;
-                *cursor = nnz;
-                offsets.push(nnz);
-                nnz += count;
-            }
-            offsets.push(nnz);
-            let mut values = vec![0.0f32; nnz];
-            for r in 0..copy_rows {
-                let row = window(r);
-                let mut bits = bitmap.row_word(r);
-                while bits != 0 {
-                    let c = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    values[cursors[c]] = store(row[c]);
-                    cursors[c] += 1;
-                }
-            }
-            (values, offsets)
-        } else {
-            for r in 0..copy_rows {
-                bitmap.fill_row_mask_with(r, window(r), keep);
-            }
-            let nnz = bitmap.count_ones();
-            match layout {
-                VectorLayout::RowMajor => {
-                    // Row vectors read straight off the parent's row slices.
-                    let mut values = Vec::with_capacity(nnz);
-                    let mut offsets = Vec::with_capacity(tile_rows + 1);
-                    offsets.push(0);
-                    for v in 0..tile_rows {
-                        if v < copy_rows {
-                            for &x in window(v) {
-                                if keep(x) {
-                                    values.push(store(x));
-                                }
-                            }
-                        }
-                        offsets.push(values.len());
-                    }
-                    (values, offsets)
-                }
-                VectorLayout::ColumnMajor => {
-                    // Tiles wider than one mask word. Column vectors would
-                    // read the parent with a `tile_cols` stride per element;
-                    // count-then-scatter keeps both passes walking the rows
-                    // sequentially instead.
-                    let mut offsets = vec![0usize; tile_cols + 1];
-                    for r in 0..copy_rows {
-                        for (c, &x) in window(r).iter().enumerate() {
-                            offsets[c + 1] += usize::from(keep(x));
-                        }
-                    }
-                    for c in 0..tile_cols {
-                        offsets[c + 1] += offsets[c];
-                    }
-                    let mut values = vec![0.0f32; nnz];
-                    let mut cursors = offsets[..tile_cols].to_vec();
-                    for r in 0..copy_rows {
-                        for (c, &x) in window(r).iter().enumerate() {
+        for r in 0..copy_rows {
+            bitmap.fill_row_mask_with(r, window(r), keep);
+        }
+        let nnz = bitmap.count_ones();
+        let (values, offsets) = match layout {
+            VectorLayout::RowMajor => {
+                // Row vectors read straight off the parent's row slices.
+                let mut values = Vec::with_capacity(nnz);
+                let mut offsets = Vec::with_capacity(tile_rows + 1);
+                offsets.push(0);
+                for v in 0..tile_rows {
+                    if v < copy_rows {
+                        for &x in window(v) {
                             if keep(x) {
-                                values[cursors[c]] = store(x);
-                                cursors[c] += 1;
+                                values.push(store(x));
                             }
                         }
                     }
-                    (values, offsets)
+                    offsets.push(values.len());
                 }
+                (values, offsets)
+            }
+            VectorLayout::ColumnMajor => {
+                // Column vectors would read the parent with a `tile_cols`
+                // stride per element; count-then-scatter keeps both passes
+                // walking the rows sequentially instead.
+                let mut offsets = vec![0usize; tile_cols + 1];
+                for r in 0..copy_rows {
+                    for (c, &x) in window(r).iter().enumerate() {
+                        offsets[c + 1] += usize::from(keep(x));
+                    }
+                }
+                for c in 0..tile_cols {
+                    offsets[c + 1] += offsets[c];
+                }
+                let mut values = vec![0.0f32; nnz];
+                let mut cursors = offsets[..tile_cols].to_vec();
+                for r in 0..copy_rows {
+                    for (c, &x) in window(r).iter().enumerate() {
+                        if keep(x) {
+                            values[cursors[c]] = store(x);
+                            cursors[c] += 1;
+                        }
+                    }
+                }
+                (values, offsets)
             }
         };
         BitmapMatrix { rows: tile_rows, cols: tile_cols, layout, bitmap, values, offsets }

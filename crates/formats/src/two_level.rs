@@ -59,15 +59,14 @@ impl TwoLevelBitmapMatrix {
 
     /// Encodes a dense matrix with FP16 value rounding fused into the tile
     /// encoder: bit-identical to `encode(&dense.to_f16_precision(), ..)`
-    /// without materialising the rounded matrix. Weights are encoded with
-    /// it once, at load time; the serve hot path encodes activations in the
-    /// kernel's fused forward instead, which is held bit-identical to this
-    /// (the Criterion cell `forward_hot_path_64x256x256/encode_a` times it).
+    /// without materialising the rounded matrix. Weights (row-major) are
+    /// encoded with it once, at load time; the kernel encodes activations
+    /// in a format of its own, which is held bit-identical to this one's
+    /// column-major encoding.
     ///
-    /// Cost: one significance test per element and one rounding per kept
-    /// value for column-major tiles at most 64 columns wide (the A operand;
-    /// see `BitmapMatrix::encode_tile`), three allocations per tile plus a
-    /// constant few for the tile grid.
+    /// Cost: a few significance tests per element and one rounding per kept
+    /// value (see `BitmapMatrix::encode_tile`), three allocations per tile
+    /// plus a constant few for the tile grid.
     ///
     /// # Panics
     /// Panics if either tile dimension is zero.

@@ -1,24 +1,26 @@
-//! The flat A operand a fused forward keeps between its layers.
+//! The A operand: the one encoding of activations the band loop reads.
 //!
-//! [`TwoLevelBitmapMatrix`](dsstc_formats::TwoLevelBitmapMatrix) is three
-//! allocations per tile and stores row words, which the band loop has to
-//! transpose back into the column words it reads. An [`Arena`] is the same
-//! encoding laid out the way [`super::word::run_bands`] consumes it, in three
-//! buffers whatever the tile count: per outer-product step one packed column
-//! word and one `u32` start into a value buffer, the values
-//! column-condensed and rounded to FP16 storage precision exactly as
-//! [`BitmapSpGemm::encode_a`](super::BitmapSpGemm::encode_a) stores them.
+//! An [`Arena`] holds a column-condensed operand the way
+//! [`super::word::run_bands`] consumes it, in four buffers whatever the tile
+//! count: per band (`warp_m` rows) and outer-product step one packed column
+//! word and one `u32` start, the values rounded to FP16 storage precision,
+//! and per band the base offset of its value segment. A step's starts count
+//! from its band's base, so bands are independent, and any producer that can
+//! hand [`Emitter`] row-major blocks of columns in ascending order can write
+//! one — the output pass of a layer, and a dense matrix.
 //!
-//! Every band (`warp_m` rows) is independent: its steps, its starts (which
-//! count from the band's own segment) and its value segment, sized at the
-//! dense bound `warp_m * cols`, sit at offsets the shape alone fixes. Bands
-//! can therefore be written by different threads, and by any builder that
-//! can hand [`Emitter`] row-major blocks of columns in ascending order — the
-//! output pass of the previous layer and the forward's dense input here.
+//! The segments come two ways. A fused forward's two workspace arenas size
+//! every band at the dense bound `warp_m * cols` (bases at fixed offsets), so
+//! threads can emit bands side by side without knowing what the others keep.
+//! An [`EncodedA`], the owned operand [`BitmapSpGemm::encode_a`] returns,
+//! packs them: it holds only its non-zeros, and the dense bound is staged
+//! for one band at a time.
+//!
+//! [`BitmapSpGemm::encode_a`]: super::BitmapSpGemm::encode_a
 
 use dsstc_tensor::{f16, Matrix};
 
-use super::word::{grow, AView, Sink};
+use super::word::{grow, Sink};
 
 /// The block the emitter transposes at a time: a native tile's rows by a
 /// cache line of columns.
@@ -26,13 +28,14 @@ const TILE_ROWS: usize = 32;
 const TILE_COLS: usize = 16;
 
 /// A column-condensed A operand in bands of `wm` rows and tiles of `wk`
-/// steps. The buffers outlive one operand and one shape: [`Arena::reset`]
-/// re-shapes them, growing only past what they have held, and an emitter
-/// writes every cell a reader then reads. The default holds nothing.
+/// steps. A workspace arena's buffers outlive one operand and one shape:
+/// [`Arena::reset`] re-shapes them, growing only past what they have held,
+/// and an emitter writes every cell a reader then reads. The default holds
+/// nothing.
 #[derive(Default)]
 pub(super) struct Arena {
-    /// What the last [`Arena::reset`] shaped this for: the operand's rows,
-    /// band height and tile depth, and the most columns it may have.
+    /// The operand's rows, band height and tile depth, and the most columns
+    /// it may have.
     rows: usize,
     wm: usize,
     wk: usize,
@@ -49,48 +52,58 @@ pub(super) struct Arena {
     /// of the band's segment. A tile is empty when its first and last starts
     /// are equal.
     starts: Vec<u32>,
-    /// Band `im`'s segment is `wm * cols` long from `im * wm * cols`.
+    /// Band `im`'s segment starts at `bases[im]`.
+    bases: Vec<usize>,
     values: Vec<f32>,
 }
 
 impl Arena {
+    /// Takes the shape of operands of `rows` rows and up to `max_cols`
+    /// columns in `wm x wk` tiles, and returns their band count.
+    ///
+    /// # Panics
+    /// Panics if a band's rows do not fit one word or its values a `u32`.
+    fn shape(&mut self, rows: usize, max_cols: usize, (wm, wk): (usize, usize)) -> usize {
+        assert!((1..=64).contains(&wm) && wk > 0, "a band's rows are the bits of one word");
+        assert!(u32::try_from(wm * max_cols).is_ok(), "a band's starts are u32");
+        (self.rows, self.wm, self.wk, self.max_cols) = (rows, wm, wk, max_cols);
+        (self.cols, self.steps) = (0, 0);
+        rows.div_ceil(wm)
+    }
+
     /// Makes this an arena for operands of `rows` rows and up to `max_cols`
     /// columns in `wm x wk` tiles, whatever it was before.
     ///
     /// # Panics
-    /// Panics if a band's rows do not fit one word or its values a `u32`.
-    pub(super) fn reset(&mut self, rows: usize, max_cols: usize, (wm, wk): (usize, usize)) {
-        assert!((1..=64).contains(&wm) && wk > 0, "a band's rows are the bits of one word");
-        assert!(u32::try_from(wm * max_cols).is_ok(), "a band's starts are u32");
-        let grid_m = rows.div_ceil(wm);
-        let max_steps = max_cols.div_ceil(wk) * wk;
-        (self.rows, self.wm, self.wk, self.max_cols) = (rows, wm, wk, max_cols);
-        (self.cols, self.steps) = (0, 0);
+    /// As [`Arena::shape`].
+    pub(super) fn reset(&mut self, rows: usize, max_cols: usize, tile: (usize, usize)) {
+        let grid_m = self.shape(rows, max_cols, tile);
+        let max_steps = max_cols.div_ceil(self.wk) * self.wk;
         grow(&mut self.words, grid_m * max_steps);
         grow(&mut self.starts, grid_m * (max_steps + 1));
-        grow(&mut self.values, grid_m * wm * max_cols);
+        grow(&mut self.bases, grid_m);
+        grow(&mut self.values, grid_m * self.wm * max_cols);
     }
 
-    /// Makes this a `cols`-wide operand and returns the writer of its bands.
-    /// With `relu`, what is emitted is `max(x, 0)`.
+    /// Makes this a `cols`-wide operand at the dense bound and returns the
+    /// writer of its bands. With `relu`, what is emitted is `max(x, 0)`.
     ///
     /// # Panics
     /// Panics if `cols` is past what the arena was reset for.
     pub(super) fn emitter(&mut self, cols: usize, relu: bool) -> Emitter<'_> {
         assert!(cols <= self.max_cols, "the arena was reset for narrower operands");
         (self.cols, self.steps) = (cols, cols.div_ceil(self.wk) * self.wk);
-        let (grid_m, steps) = (self.rows.div_ceil(self.wm), self.steps);
-        Emitter {
-            words: &mut self.words[..grid_m * steps],
-            starts: &mut self.starts[..grid_m * (steps + 1)],
-            values: &mut self.values[..grid_m * self.wm * cols],
-            wm: self.wm,
-            steps,
-            cols,
-            relu,
-            step: 0,
-            kept: 0,
+        let (grid_m, steps, segment) = (self.grid_m(), self.steps, self.wm * cols);
+        for (im, base) in self.bases[..grid_m].iter_mut().enumerate() {
+            *base = im * segment;
         }
+        Emitter::new(
+            &mut self.words[..grid_m * steps],
+            &mut self.starts[..grid_m * (steps + 1)],
+            &mut self.values[..grid_m * segment],
+            (self.wm, steps, cols),
+            relu,
+        )
     }
 
     /// Encodes `dense` (this arena's row count).
@@ -103,6 +116,37 @@ impl Arena {
             emitter.end_band(band);
         }
     }
+
+    /// Bands of the operand (`rows / wm`, rounded up).
+    pub(super) fn grid_m(&self) -> usize {
+        self.rows.div_ceil(self.wm)
+    }
+
+    /// Tile columns of the operand (`cols / wk`, rounded up).
+    #[inline(always)]
+    pub(super) fn grid_k(&self) -> usize {
+        self.steps / self.wk
+    }
+
+    /// `(warp_m, warp_k)`.
+    pub(super) fn tile_shape(&self) -> (usize, usize) {
+        (self.wm, self.wk)
+    }
+
+    /// The column word of every step of band `im`, `grid_k * warp_k` of
+    /// them; an empty tile is all-zero words.
+    #[inline(always)]
+    pub(super) fn band_words(&self, im: usize) -> &[u64] {
+        &self.words[im * self.steps..][..self.steps]
+    }
+
+    /// Tile `(im, kk)`, or `None` if it is empty.
+    #[inline(always)]
+    pub(super) fn tile(&self, im: usize, kk: usize) -> Option<ArenaTile<'_>> {
+        let starts = &self.starts[im * (self.steps + 1) + kk * self.wk..][..self.wk + 1];
+        (starts[0] != starts[self.wk])
+            .then(|| ArenaTile { starts, values: &self.values[self.bases[im]..] })
+    }
 }
 
 /// One non-empty tile of an [`Arena`]: its `wk + 1` starts and the segment
@@ -113,41 +157,116 @@ pub(super) struct ArenaTile<'a> {
     values: &'a [f32],
 }
 
-impl<'a> AView<'a> for &'a Arena {
-    type Tile = ArenaTile<'a>;
-
+impl<'a> ArenaTile<'a> {
+    /// The condensed values of step `k`, one per set bit of its column word,
+    /// ascending.
     #[inline(always)]
-    fn grid_k(self) -> usize {
-        self.steps / self.wk
-    }
-
-    #[inline(always)]
-    fn band_words<'s>(self, im: usize, _scratch: &'s mut Vec<u64>) -> &'s [u64]
-    where
-        'a: 's,
-    {
-        &self.words[im * self.steps..][..self.steps]
-    }
-
-    #[inline(always)]
-    fn tile(self, im: usize, kk: usize) -> Option<ArenaTile<'a>> {
-        let starts = &self.starts[im * (self.steps + 1) + kk * self.wk..][..self.wk + 1];
-        let segment = self.wm * self.cols;
-        (starts[0] != starts[self.wk])
-            .then(|| ArenaTile { starts, values: &self.values[im * segment..][..segment] })
-    }
-
-    #[inline(always)]
-    fn step_values(tile: ArenaTile<'a>, k: usize) -> &'a [f32] {
-        &tile.values[tile.starts[k] as usize..tile.starts[k + 1] as usize]
+    pub(super) fn step_values(self, k: usize) -> &'a [f32] {
+        &self.values[self.starts[k] as usize..self.starts[k + 1] as usize]
     }
 }
 
-/// Writes the bands of an [`Arena`] (all of them, or a thread's share after
-/// [`Sink::split_at_band`]): a band is `block`s of adjacent columns from
-/// column 0 up, then `end_band`. What it keeps, and what it stores for a kept
-/// value, is `encode_a` of the (ReLU'd) block, bit for bit: the keep test is
-/// [`f16::survives`], the stored value [`f16::round_f32`].
+/// An encoded A (activation) operand, as
+/// [`BitmapSpGemm::encode_a`](super::BitmapSpGemm::encode_a) builds it and
+/// [`BitmapSpGemm::execute_encoded`](super::BitmapSpGemm::execute_encoded)
+/// reads it: per `warp_m`-row band and outer-product step one packed column
+/// word, the column-condensed non-zeros rounded to FP16 storage precision,
+/// in a handful of buffers whatever the tile count. It owns its buffers and
+/// shares none with the kernel, so it can be kept, executed any number of
+/// times and sent to another thread.
+///
+/// It is an A operand and nothing else: a B encoding does not stand in for
+/// one, even where the tiles are square.
+///
+/// ```compile_fail
+/// # use dsstc_kernels::bitmap_spgemm::BitmapSpGemm;
+/// # use dsstc_sim::GpuConfig;
+/// # use dsstc_tensor::Matrix;
+/// let kernel = BitmapSpGemm::for_device(GpuConfig::a100()); // 32 x 32 x 32
+/// let b = kernel.encode_b(&Matrix::zeros(32, 32));
+/// let _ = kernel.execute_encoded(&b, &b);
+/// ```
+pub struct EncodedA {
+    arena: Arena,
+}
+
+impl EncodedA {
+    /// `dense` in `(wm, wk)` tiles: what the workspace arena's emitter writes,
+    /// band by band through a dense-bound staging segment, each band's kept
+    /// values then packed behind the previous band's. A first pass counts
+    /// them, so every buffer is allocated once, at its final size.
+    pub(super) fn encode(dense: &Matrix, tile: (usize, usize)) -> EncodedA {
+        let (rows, cols) = (dense.rows(), dense.cols());
+        let mut arena = Arena::default();
+        let grid_m = arena.shape(rows, cols, tile);
+        let (wm, steps) = (arena.wm, cols.div_ceil(arena.wk) * arena.wk);
+        (arena.cols, arena.steps) = (cols, steps);
+        let nnz = dense.as_slice().iter().filter(|&&x| f16::survives(x)).count();
+        arena.words = vec![0; grid_m * steps];
+        arena.starts = vec![0; grid_m * (steps + 1)];
+        arena.bases = Vec::with_capacity(grid_m);
+        arena.values = Vec::with_capacity(nnz);
+        let mut staged = vec![0.0; wm * cols];
+        let bands = dense.as_slice().chunks(wm * cols).zip(arena.words.chunks_exact_mut(steps));
+        for ((rows, words), starts) in bands.zip(arena.starts.chunks_exact_mut(steps + 1)) {
+            let mut emitter = Emitter::new(words, starts, &mut staged, (wm, steps, cols), false);
+            emitter.block(0, 0, cols, rows);
+            emitter.end_band(0);
+            let kept = emitter.kept;
+            arena.bases.push(arena.values.len());
+            arena.values.extend_from_slice(&staged[..kept]);
+        }
+        debug_assert_eq!(arena.values.len(), nnz, "the count pass keeps what the emitter does");
+        EncodedA { arena }
+    }
+
+    /// Rows of the dense operand.
+    pub fn rows(&self) -> usize {
+        self.arena.rows
+    }
+
+    /// Columns of the dense operand.
+    pub fn cols(&self) -> usize {
+        self.arena.cols
+    }
+
+    /// Kept (non-zero after FP16 rounding) values.
+    pub fn nnz(&self) -> usize {
+        self.arena.values.len()
+    }
+
+    /// The dense operand it encodes, values as stored (FP16-rounded).
+    pub fn decode(&self) -> Matrix {
+        let a = &self.arena;
+        let mut dense = Matrix::zeros(a.rows, a.cols);
+        for im in 0..a.grid_m() {
+            let words = a.band_words(im);
+            for kk in 0..a.grid_k() {
+                let Some(tile) = a.tile(im, kk) else { continue };
+                for k in 0..a.wk {
+                    let (c, mut bits) = (kk * a.wk + k, words[kk * a.wk + k]);
+                    for &v in tile.step_values(k) {
+                        dense[(im * a.wm + bits.trailing_zeros() as usize, c)] = v;
+                        bits &= bits - 1;
+                    }
+                }
+            }
+        }
+        dense
+    }
+
+    /// What the band loop reads.
+    pub(super) fn arena(&self) -> &Arena {
+        &self.arena
+    }
+}
+
+/// Writes the bands of an [`Arena`] at the dense bound (all of them, or a
+/// thread's share after [`Sink::split_at_band`]): a band is `block`s of
+/// adjacent columns from column 0 up, then `end_band`. What it keeps, and
+/// what it stores for a kept value, is the formats encoder's
+/// (`TwoLevelBitmapMatrix::encode_f16`) of the (ReLU'd) block, bit for bit:
+/// the keep test is [`f16::survives`], the stored value [`f16::round_f32`].
 pub(super) struct Emitter<'a> {
     words: &'a mut [u64],
     starts: &'a mut [u32],
@@ -189,7 +308,20 @@ impl Sink for Emitter<'_> {
     }
 }
 
-impl Emitter<'_> {
+impl<'a> Emitter<'a> {
+    /// The writer of bands of `wm` rows and `steps` steps, `cols` of them
+    /// dense: per band `steps` of `words`, `steps + 1` of `starts` and a
+    /// `wm * cols` segment of `values`.
+    fn new(
+        words: &'a mut [u64],
+        starts: &'a mut [u32],
+        values: &'a mut [f32],
+        (wm, steps, cols): (usize, usize, usize),
+        relu: bool,
+    ) -> Self {
+        Emitter { words, starts, values, wm, steps, cols, relu, step: 0, kept: 0 }
+    }
+
     /// Band `band`'s steps, starts (one more) and value segment.
     #[inline(always)]
     fn band_mut(&mut self, band: usize) -> (&mut [u64], &mut [u32], &mut [f32]) {

@@ -2,7 +2,8 @@
 //!
 //! [`BitmapSpGemm`] is the device-level kernel (Section III-C): the GEMM is
 //! tiled into 128x128 thread-block tiles made of 32x32x16 warp tiles, the
-//! operands are held in the two-level bitmap encoding, warp tiles whose
+//! operands are held in bitmap encodings (the weights two-level, the
+//! activations as per-band column words, [`EncodedA`]), warp tiles whose
 //! warp-bit is 0 on either side are skipped outright, and every surviving
 //! warp tile runs the warp-level algorithm of [`warp`] — predicated OHMMAs
 //! on condensed operands plus the gather-accumulate-scatter merge in the
@@ -20,6 +21,8 @@ mod word;
 /// per-level Criterion cells can name one.
 #[doc(hidden)]
 pub use simd::Level as SimdLevel;
+
+pub use arena::EncodedA;
 
 use dsstc_formats::{TwoLevelBitmapMatrix, VectorLayout};
 use dsstc_sim::tiling::{GemmTiling, TrafficInputs};
@@ -586,18 +589,16 @@ impl BitmapSpGemm {
         (profile, stats)
     }
 
-    /// Encodes the A (activation) operand of an SpGEMM into the two-level
-    /// bitmap layout this kernel's warp tiling expects (column-major
-    /// condensed vectors, `warp_m x warp_k` tiles), rounding values to FP16
-    /// storage precision as it encodes (fused — no whole-matrix rounding
-    /// pass, which matters because this runs per batch on the serve path).
-    pub fn encode_a(&self, a: &Matrix) -> TwoLevelBitmapMatrix {
-        TwoLevelBitmapMatrix::encode_f16(
-            a,
-            self.tiling.warp_m,
-            self.tiling.warp_k,
-            VectorLayout::ColumnMajor,
-        )
+    /// Encodes the A (activation) operand of an SpGEMM for this kernel's
+    /// warp tiling: per `warp_m`-row band and outer-product step one packed
+    /// column word, the column-condensed values rounded to FP16 storage
+    /// precision as they are encoded. It is written by the emitter the fused
+    /// [`Self::forward`] encodes its input with, holds only its non-zeros,
+    /// and stores bit for bit what
+    /// `TwoLevelBitmapMatrix::encode_f16(a, warp_m, warp_k, VectorLayout::ColumnMajor)`
+    /// does, in a constant few allocations whatever the tile count.
+    pub fn encode_a(&self, a: &Matrix) -> EncodedA {
+        EncodedA::encode(a, self.tiling.a_tile())
     }
 
     /// Encodes the B (weight) operand of an SpGEMM into the two-level bitmap
@@ -618,27 +619,40 @@ impl BitmapSpGemm {
     }
 
     /// Checks that encoded operands agree with each other and with this
-    /// kernel's [`Self::encoding_spec`] — tile shape **and** condensed-vector
-    /// layout, for both execution paths: on a square tiling a B-layout
-    /// operand has the A operand's tile shape too.
-    fn validate_encoded(&self, a_enc: &TwoLevelBitmapMatrix, b_enc: &TwoLevelBitmapMatrix) {
+    /// kernel's [`Self::encoding_spec`]: the A operand's tile shape (its
+    /// type is its layout), the B operand's tile shape and layout.
+    fn validate_encoded(&self, a_enc: &EncodedA, b_enc: &TwoLevelBitmapMatrix) {
         assert_eq!(a_enc.cols(), b_enc.rows(), "inner dimensions must agree");
-        let spec = self.encoding_spec();
-        validate_operand("A", a_enc, spec.matches_a(a_enc), spec.a_tile(), spec.a_layout);
+        let ((rows, cols), want) = (a_enc.arena().tile_shape(), self.tiling.a_tile());
+        assert!(
+            (rows, cols) == want,
+            "A operand encoding ({rows}x{cols} tiles) does not match the kernel's ({}x{})",
+            want.0,
+            want.1
+        );
         self.validate_b(b_enc);
     }
 
     /// Checks that `b_enc` is a B operand of this kernel's
-    /// [`Self::encoding_spec`].
+    /// [`Self::encoding_spec`]: on a square tiling an A-layout operand has
+    /// the B operand's tile shape too.
     fn validate_b(&self, b_enc: &TwoLevelBitmapMatrix) {
         let spec = self.encoding_spec();
-        validate_operand("B", b_enc, spec.matches_b(b_enc), spec.b_tile(), spec.b_layout);
+        let (rows, cols) = spec.b_tile();
+        assert!(
+            spec.matches_b(b_enc),
+            "B operand encoding ({}x{} tiles, {:?}) does not match the kernel's \
+             ({rows}x{cols}, {:?})",
+            b_enc.tile_rows(),
+            b_enc.tile_cols(),
+            b_enc.layout(),
+            spec.b_layout
+        );
     }
 
-    /// Functionally computes `A * B` over operands that are **already** in
-    /// the two-level bitmap encoding (see [`Self::encode_a`] /
-    /// [`Self::encode_b`]), skipping warp tiles whose warp-bit is 0 on
-    /// either side.
+    /// Functionally computes `A * B` over operands that are **already**
+    /// encoded (see [`Self::encode_a`] / [`Self::encode_b`]), skipping warp
+    /// tiles whose warp-bit is 0 on either side.
     ///
     /// This is the word-parallel hot path (the `word` submodule): per-step bitmaps
     /// are single `u64` words, each A non-zero is decoded once per block of
@@ -655,11 +669,7 @@ impl BitmapSpGemm {
     /// # Panics
     /// Panics if the operands' inner dimensions disagree or their tile
     /// shapes or layouts do not match this kernel's [`Self::encoding_spec`].
-    pub fn execute_encoded(
-        &self,
-        a_enc: &TwoLevelBitmapMatrix,
-        b_enc: &TwoLevelBitmapMatrix,
-    ) -> Matrix {
+    pub fn execute_encoded(&self, a_enc: &EncodedA, b_enc: &TwoLevelBitmapMatrix) -> Matrix {
         self.execute_encoded_at(a_enc, b_enc, simd::Level::detect())
     }
 
@@ -669,7 +679,7 @@ impl BitmapSpGemm {
     #[doc(hidden)]
     pub fn execute_encoded_at(
         &self,
-        a_enc: &TwoLevelBitmapMatrix,
+        a_enc: &EncodedA,
         b_enc: &TwoLevelBitmapMatrix,
         level: SimdLevel,
     ) -> Matrix {
@@ -677,19 +687,28 @@ impl BitmapSpGemm {
         word::execute(a_enc, b_enc, self.resolved_threads, level)
     }
 
-    /// The retained scalar reference for [`Self::execute_encoded`]: the
-    /// straightforward per-position loop over [`warp_spgemm`], against which
-    /// the word-parallel path is differentially tested bit-for-bit.
+    /// The retained scalar reference for [`Self::execute_encoded`], which the
+    /// differential tests and the `benchmark/` harness call: `a_enc` decoded,
+    /// re-encoded by the formats encoder
+    /// (`TwoLevelBitmapMatrix::encode_f16(.., VectorLayout::ColumnMajor)`)
+    /// and run through the straightforward per-position loop over
+    /// [`warp_spgemm`]. Not part of the API.
     ///
     /// # Panics
     /// Panics if the operands' inner dimensions disagree or their tile
     /// shapes or layouts do not match this kernel's [`Self::encoding_spec`].
-    pub fn execute_encoded_scalar(
-        &self,
-        a_enc: &TwoLevelBitmapMatrix,
-        b_enc: &TwoLevelBitmapMatrix,
-    ) -> Matrix {
+    #[doc(hidden)]
+    pub fn execute_encoded_scalar(&self, a_enc: &EncodedA, b_enc: &TwoLevelBitmapMatrix) -> Matrix {
         self.validate_encoded(a_enc, b_enc);
+        let (wm, wk) = self.tiling.a_tile();
+        let a_enc =
+            TwoLevelBitmapMatrix::encode_f16(&a_enc.decode(), wm, wk, VectorLayout::ColumnMajor);
+        self.scalar_product(&a_enc, b_enc)
+    }
+
+    /// The loop of [`Self::execute_encoded_scalar`] over a two-level A
+    /// operand of this kernel's tiling.
+    fn scalar_product(&self, a_enc: &TwoLevelBitmapMatrix, b_enc: &TwoLevelBitmapMatrix) -> Matrix {
         let (wm, wn) = (self.tiling.warp_m, self.tiling.warp_n);
         let mut out = Matrix::zeros(a_enc.rows(), b_enc.cols());
         for im in 0..a_enc.grid_rows() {
@@ -719,8 +738,8 @@ impl BitmapSpGemm {
     /// output pass applies ReLU, drops what FP16 storage flushes to zero,
     /// rounds what it keeps and writes column words and condensed values
     /// straight into the flat A operand the next layer's band loop reads
-    /// (the `arena` submodule), so no dense activation matrix, no
-    /// per-tile encoding and no transposition back exist between layers.
+    /// (the `arena` submodule, the format of [`EncodedA`]), so no dense
+    /// activation matrix and no separate encode exist between layers.
     /// Like [`Self::execute_encoded`], it stages its operands in buffers the
     /// calling thread keeps from call to call, so once a thread has run its
     /// largest call a call allocates its result and nothing else, at any
@@ -752,8 +771,7 @@ impl BitmapSpGemm {
         if layers.is_empty() {
             return input.clone();
         }
-        let band = (self.tiling.warp_m, self.tiling.warp_k);
-        word::forward(input, layers, band, self.resolved_threads, level)
+        word::forward(input, layers, self.tiling.a_tile(), self.resolved_threads, level)
     }
 
     /// Functionally computes `A * B` with the warp-level outer-product
@@ -768,25 +786,6 @@ impl BitmapSpGemm {
         let profile = self.profile(a, b);
         (out, profile)
     }
-}
-
-/// Panics unless `matches`: `enc` is not the `name` operand of a kernel whose
-/// spec asks for `rows x cols` tiles in `layout`.
-fn validate_operand(
-    name: &str,
-    enc: &TwoLevelBitmapMatrix,
-    matches: bool,
-    (rows, cols): (usize, usize),
-    layout: VectorLayout,
-) {
-    assert!(
-        matches,
-        "{name} operand encoding ({}x{} tiles, {:?}) does not match the kernel's \
-         ({rows}x{cols}, {layout:?})",
-        enc.tile_rows(),
-        enc.tile_cols(),
-        enc.layout()
-    );
 }
 
 /// Samples a `Binomial(n, p)` count: exact Bernoulli summation for small
@@ -887,6 +886,15 @@ mod tests {
                 .iter()
                 .zip(y.as_slice())
                 .all(|(a, b)| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()))
+    }
+
+    /// What `k` must compute for `a * B`: the scalar loop over the formats
+    /// encoder's A operand, so a differential test holds `encode_a` to an
+    /// encoder it shares no code with.
+    fn reference(k: &BitmapSpGemm, a: &Matrix, b_enc: &TwoLevelBitmapMatrix) -> Matrix {
+        let (wm, wk) = k.tiling().a_tile();
+        let a_enc = TwoLevelBitmapMatrix::encode_f16(a, wm, wk, VectorLayout::ColumnMajor);
+        k.scalar_product(&a_enc, b_enc)
     }
 
     #[test]
@@ -1113,7 +1121,7 @@ mod tests {
     #[should_panic(expected = "does not match the kernel's")]
     fn execute_encoded_rejects_foreign_tilings() {
         let k = kernel();
-        let a = TwoLevelBitmapMatrix::encode(&Matrix::zeros(8, 8), 8, 8, VectorLayout::ColumnMajor);
+        let a = kernel().with_tiling(warp_tiling(8, 8, 8)).encode_a(&Matrix::zeros(8, 8));
         let b = k.encode_b(&Matrix::zeros(8, 8));
         let _ = k.execute_encoded(&a, &b);
     }
@@ -1142,29 +1150,36 @@ mod tests {
     fn encodings_are_not_interchangeable_across_device_tilings() {
         let v100 = kernel();
         let a100 = BitmapSpGemm::for_device(GpuConfig::a100());
-        let b = v100.encode_b(&Matrix::zeros(48, 48));
-        let a = a100.encode_a(&Matrix::zeros(48, 48));
+        let a = v100.encode_a(&Matrix::zeros(48, 48));
+        let b = a100.encode_b(&Matrix::zeros(48, 48));
         let _ = a100.execute_encoded(&a, &b);
     }
 
-    // On a square tiling (A100: 32x32x32) both operands have the same tile
-    // shape, so only the layout tells an A encoding from a B encoding. The
-    // word path used to accept the wrong one and return a wrong product.
-
     #[test]
-    #[should_panic(expected = "A operand encoding (32x32 tiles, RowMajor) does not match")]
-    fn word_path_rejects_a_row_major_a_operand_on_a_square_tiling() {
-        let k = BitmapSpGemm::for_device(GpuConfig::a100());
-        let (a, b) = (random(32, 32, 0.5, 33), random(32, 32, 0.5, 34));
-        let _ = k.execute_encoded(&k.encode_b(&a), &k.encode_b(&b));
+    fn an_encoded_a_is_encoded_on_one_thread_and_executed_on_another() {
+        // The operand owns its buffers: no thread's workspace is in it.
+        let k = kernel();
+        let (a, b_enc) = (random(96, 70, 0.6, 35), k.encode_b(&random(70, 90, 0.5, 36)));
+        let want = reference(&k, &a, &b_enc);
+        let a_enc = std::thread::scope(|s| s.spawn(|| k.encode_a(&a)).join().expect("encoded"));
+        assert!(same_bits(&k.execute_encoded(&a_enc, &b_enc), &want), "here");
+        let there = std::thread::scope(|s| s.spawn(|| k.execute_encoded(&a_enc, &b_enc)).join());
+        assert!(same_bits(&there.expect("executed"), &want), "there");
     }
+
+    // On a square tiling (A100: 32x32x32) both operands have the same tile
+    // shape, so only the layout tells a column-major encoding from a B
+    // encoding. The word path used to accept the wrong one and return a
+    // wrong product. (An A operand is its own type: `EncodedA`'s
+    // `compile_fail` doctest.)
 
     #[test]
     #[should_panic(expected = "B operand encoding (32x32 tiles, ColumnMajor) does not match")]
     fn word_path_rejects_a_column_major_b_operand_on_a_square_tiling() {
         let k = BitmapSpGemm::for_device(GpuConfig::a100());
         let (a, b) = (random(32, 32, 0.5, 33), random(32, 32, 0.5, 34));
-        let _ = k.execute_encoded(&k.encode_a(&a), &k.encode_a(&b));
+        let b = TwoLevelBitmapMatrix::encode_f16(&b, 32, 32, VectorLayout::ColumnMajor);
+        let _ = k.execute_encoded(&k.encode_a(&a), &b);
     }
 
     #[test]
@@ -1184,7 +1199,8 @@ mod tests {
                 let b = random(kd, n, sb, 101);
                 for k in [kernel(), BitmapSpGemm::for_device(GpuConfig::a100())] {
                     let (a_enc, b_enc) = (k.encode_a(&a), k.encode_b(&b));
-                    let scalar = k.execute_encoded_scalar(&a_enc, &b_enc);
+                    let scalar = reference(&k, &a, &b_enc);
+                    assert_eq!(k.execute_encoded_scalar(&a_enc, &b_enc), scalar, "decoded");
                     for level in SimdLevel::available() {
                         let word = k.execute_encoded_at(&a_enc, &b_enc, level);
                         assert_eq!(word, scalar, "({m},{kd},{n}) at ({sa},{sb}), {level:?}");
@@ -1205,7 +1221,7 @@ mod tests {
         for base in [kernel(), kernel().with_tiling(warp_tiling(32, 24, 16))] {
             let (a_enc, b_enc) = (base.encode_a(&a), base.encode_b(&b));
             let serial = base.execute_encoded(&a_enc, &b_enc);
-            assert_eq!(serial, base.execute_encoded_scalar(&a_enc, &b_enc));
+            assert_eq!(serial, reference(&base, &a, &b_enc));
             assert!(serial.approx_eq(&a.matmul(&b), 1e-2));
             for threads in [0, 1, 2, 3, 7] {
                 let k = base.clone().with_execute_threads(threads);
@@ -1229,7 +1245,7 @@ mod tests {
             let b = random(40, 32 * grid_n - 5, 0.6, 111 + grid_n as u64);
             let k = kernel();
             let (a_enc, b_enc) = (k.encode_a(&a), k.encode_b(&b));
-            let scalar = k.execute_encoded_scalar(&a_enc, &b_enc);
+            let scalar = reference(&k, &a, &b_enc);
             for threads in [1, 2] {
                 let k = kernel().with_execute_threads(threads);
                 for level in SimdLevel::available() {
@@ -1256,7 +1272,7 @@ mod tests {
         }
         let k = kernel();
         let (a_enc, b_enc) = (k.encode_a(&a), k.encode_b(&b));
-        let scalar = k.execute_encoded_scalar(&a_enc, &b_enc);
+        let scalar = reference(&k, &a, &b_enc);
         for level in SimdLevel::available() {
             let word = k.execute_encoded_at(&a_enc, &b_enc, level);
             assert!(same_bits(&word, &scalar), "{level:?}");
@@ -1300,35 +1316,36 @@ mod tests {
 
     #[test]
     fn no_level_fuses_the_multiply_into_the_add() {
-        // x * x = 1 + 2^-11 + 2^-24 needs 25 significand bits and sits
-        // exactly between two floats; rounding it (ties to even) drops the
-        // 2^-24. Against an accumulator already holding -(1 + 2^-11), a
-        // rounded multiply then a rounded add therefore gives exactly 0,
-        // while a fused multiply-add keeps the product exact and gives
-        // 2^-24. Operands are encoded unrounded (FP16 products never need
-        // more than 22 bits) and fill whole rows, so every vector lane of
-        // every register of the MAC step is checked.
-        let x = 1.0 + 2.0f32.powi(-12);
-        let c = -(1.0 + 2.0f32.powi(-11));
-        assert_eq!(x * x + c, 0.0);
-        assert_eq!(x.mul_add(x, c), 2.0f32.powi(-24), "the case tells the two apart");
+        // x * y = 1 + 2^-10 + 2^-14 + 2^-24 needs 25 significand bits and
+        // sits exactly between two floats; rounding it (ties to even) drops
+        // the 2^-24. Against an accumulator already holding
+        // -(1 + 2^-10 + 2^-14), a rounded multiply then a rounded add
+        // therefore gives exactly 0, while a fused multiply-add keeps the
+        // product exact and gives 2^-24. The A values are FP16 values, which
+        // `encode_a` stores as they are; the B operand is encoded unrounded
+        // (FP16 products never need more than 22 bits). Both fill whole rows,
+        // so every vector lane of every register of the MAC step is checked.
+        let (x, y) = (1.0 + 2.0f32.powi(-10), 1.0 + 2.0f32.powi(-14));
+        let p = 1.0 + 2.0f32.powi(-10) + 2.0f32.powi(-14);
+        assert_eq!(x * y - p, 0.0);
+        assert_eq!(x.mul_add(y, -p), 2.0f32.powi(-24), "the case tells the two apart");
 
         // N = 32 runs the one-tile block, N = 128 the widest block of every
         // level (4 tiles at AVX-512, 2 at AVX2).
         for n in [32, 128] {
             let (mut a, mut b) = (Matrix::zeros(32, 16), Matrix::zeros(16, n));
             for i in 0..32 {
-                (a[(i, 0)], a[(i, 1)]) = (c, x);
+                (a[(i, 0)], a[(i, 1)]) = (-1.0, x);
             }
             for j in 0..n {
-                // Step 0 plants c in every accumulator; step 1 is the
+                // Step 0 plants -p in every accumulator; step 1 is the
                 // discriminating MAC.
-                (b[(0, j)], b[(1, j)]) = (1.0, x);
+                (b[(0, j)], b[(1, j)]) = (p, y);
             }
             let k = kernel();
-            let a_enc = TwoLevelBitmapMatrix::encode(&a, 32, 16, VectorLayout::ColumnMajor);
+            let a_enc = k.encode_a(&a);
             let b_enc = TwoLevelBitmapMatrix::encode(&b, 16, 32, VectorLayout::RowMajor);
-            let scalar = k.execute_encoded_scalar(&a_enc, &b_enc);
+            let scalar = reference(&k, &a, &b_enc);
             assert!(scalar.as_slice().iter().all(|v| v.to_bits() == 0), "reference is +0.0");
             for level in SimdLevel::available() {
                 let word = k.execute_encoded_at(&a_enc, &b_enc, level);
@@ -1382,7 +1399,7 @@ mod tests {
             seed_non_finite(&mut a, non_finite, seed ^ 0xa);
             seed_non_finite(&mut b, non_finite / 2, seed ^ 0xb);
             let (a_enc, b_enc) = (k.encode_a(&a), k.encode_b(&b));
-            let scalar = k.execute_encoded_scalar(&a_enc, &b_enc);
+            let scalar = reference(&k, &a, &b_enc);
             for level in SimdLevel::available() {
                 let word = k.execute_encoded_at(&a_enc, &b_enc, level);
                 proptest::prop_assert!(same_bits(&word, &scalar), "{:?}", level);
@@ -1391,7 +1408,7 @@ mod tests {
     }
 
     /// What [`BitmapSpGemm::forward`] must equal bit for bit: per layer,
-    /// `encode_a`, the scalar kernel and `relu`.
+    /// the formats encoder, the scalar kernel and `relu`.
     fn reference_forward(
         k: &BitmapSpGemm,
         input: &Matrix,
@@ -1399,7 +1416,7 @@ mod tests {
     ) -> Matrix {
         let mut x = input.clone();
         for &(weights, relu) in layers {
-            x = k.execute_encoded_scalar(&k.encode_a(&x), weights);
+            x = reference(k, &x, weights);
             if relu {
                 x = x.relu();
             }
@@ -1449,7 +1466,12 @@ mod tests {
     #[should_panic(expected = "B operand encoding (32x16 tiles, ColumnMajor) does not match")]
     fn forward_rejects_a_layer_in_the_a_layout() {
         let k = kernel();
-        let w = k.encode_a(&random(8, 8, 0.5, 127));
+        let w = TwoLevelBitmapMatrix::encode_f16(
+            &random(8, 8, 0.5, 127),
+            32,
+            16,
+            VectorLayout::ColumnMajor,
+        );
         let _ = k.forward(&Matrix::zeros(3, 8), &[(&w, true)]);
     }
 
@@ -1550,15 +1572,18 @@ mod tests {
         }
 
         /// Runs the call at every vector level on this thread and compares
-        /// each result, bit for bit, with the scalar kernel's (through the
-        /// unfused `encode_a` -> scalar -> `relu` walk for a stack).
-        fn check(&self) -> Result<(), String> {
+        /// each result, bit for bit, with the scalar kernel's on the formats
+        /// encoder's A operand (through the unfused walk for a stack); after
+        /// each, runs `previous`'s operand again, which must give its bits
+        /// again. Returns this call's input, encoded by `encode_a`, for the
+        /// next call to run again.
+        fn check(&self, previous: Option<&Leftover>) -> Result<Leftover, String> {
             let config = if self.a100 { GpuConfig::a100() } else { GpuConfig::v100() };
             let k = BitmapSpGemm::for_device(config);
             let mut input = random(self.rows, self.widths[0], self.sparsity, self.seed);
             seed_non_finite(&mut input, self.specials / 2, self.seed ^ 0xa);
             seed_rounding_edges(&mut input, self.specials, self.seed ^ 0xb);
-            let weights: Vec<TwoLevelBitmapMatrix> = self
+            let mut weights: Vec<TwoLevelBitmapMatrix> = self
                 .widths
                 .windows(2)
                 .enumerate()
@@ -1566,26 +1591,42 @@ mod tests {
                     k.encode_b(&random(w[0], w[1], self.sparsity, self.seed + 1 + i as u64))
                 })
                 .collect();
+            let layers: Vec<_> = weights
+                .iter()
+                .enumerate()
+                .map(|(i, w)| (w, self.relu_mask >> i & 1 == 1))
+                .collect();
+            let (a_enc, first) = (k.encode_a(&input), reference(&k, &input, &weights[0]));
+            let want = if layers.len() == 1 {
+                first.clone()
+            } else {
+                reference_forward(&k, &input, &layers)
+            };
             for level in SimdLevel::available() {
-                let (got, want) = if let [weights] = &weights[..] {
-                    let a_enc = k.encode_a(&input);
-                    let want = k.execute_encoded_scalar(&a_enc, weights);
-                    (k.execute_encoded_at(&a_enc, weights, level), want)
+                let got = if layers.len() == 1 {
+                    k.execute_encoded_at(&a_enc, &weights[0], level)
                 } else {
-                    let layers: Vec<_> = weights
-                        .iter()
-                        .enumerate()
-                        .map(|(i, w)| (w, self.relu_mask >> i & 1 == 1))
-                        .collect();
-                    let want = reference_forward(&k, &input, &layers);
-                    (k.forward_at(&input, &layers, level), want)
+                    k.forward_at(&input, &layers, level)
                 };
                 if !same_bits(&got, &want) {
                     return Err(format!("{level:?}: {self:?}"));
                 }
+                let Some(p) = previous else { continue };
+                if !same_bits(&p.k.execute_encoded_at(&p.a_enc, &p.weights, level), &p.want) {
+                    return Err(format!("{level:?}: the previous operand, run after {self:?}"));
+                }
             }
-            Ok(())
+            Ok(Leftover { k, a_enc, weights: weights.swap_remove(0), want: first })
         }
+    }
+
+    /// An `EncodedA` a call leaves behind, its kernel and B operand, and
+    /// what they must multiply out to.
+    struct Leftover {
+        k: BitmapSpGemm,
+        a_enc: EncodedA,
+        weights: TwoLevelBitmapMatrix,
+        want: Matrix,
     }
 
     #[test]
@@ -1597,7 +1638,8 @@ mod tests {
         // arenas; then 4-row batches (a serve worker's batch height changes
         // on every batch), the other device's tiling, a tiny GEMM and the
         // big shapes again each have to come out as if the thread had never
-        // run before.
+        // run before — and leave the operand `encode_a` built for the call
+        // before them as it was.
         let call = |a100, rows, widths: &[usize], sparsity, seed| WorkspaceCall {
             a100,
             rows,
@@ -1619,8 +1661,10 @@ mod tests {
             call(false, 1, &[1, 1], 0.0, 8),
             call(false, 96, &[130, 200], 0.99, 9),
         ];
+        let mut previous = None;
         for (i, call) in sequence.iter().enumerate() {
-            call.check().unwrap_or_else(|e| panic!("call {i}: {e}"));
+            let left = call.check(previous.as_ref()).unwrap_or_else(|e| panic!("call {i}: {e}"));
+            previous = Some(left);
         }
     }
 
@@ -1638,7 +1682,7 @@ mod tests {
             specials: 2,
             seed: 1,
         };
-        before.check().expect("the warm-up call");
+        let mut previous = before.check(None).expect("the warm-up call");
         let k = kernel();
         let (a, w) = (random(8, 9, 0.5, 2), k.encode_b(&random(10, 8, 0.5, 3)));
         let a_enc = k.encode_a(&a);
@@ -1648,7 +1692,7 @@ mod tests {
         assert!(refused.is_err(), "9 columns against 10 rows");
         for (rows, widths) in [(3, vec![20, 30]), (3, vec![20, 30, 10]), (80, vec![120, 140, 60])] {
             let after = WorkspaceCall { rows, widths, seed: 4, ..before.clone() };
-            after.check().expect("a good call after a refused one");
+            previous = after.check(Some(&previous)).expect("a good call after a refused one");
         }
     }
 
@@ -1657,7 +1701,8 @@ mod tests {
         // calls on one thread — GEMMs and stacks, both native tilings, every
         // vector level, shapes growing and shrinking in M, K and N, any
         // sparsity, operands seeded with non-finite values and the rounding
-        // edges — gives, call by call, the scalar reference's bits. (The
+        // edges — gives, call by call, the scalar reference's bits, and an
+        // `EncodedA` kept from the call before still gives its own. (The
         // cases themselves share the test's thread, so each also runs on
         // what every earlier case left behind.)
         #[test]
@@ -1665,10 +1710,12 @@ mod tests {
             seed in proptest::any::<u64>(),
             calls in 2usize..=5,
         ) {
-            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut rng, mut previous) = (StdRng::seed_from_u64(seed), None);
             for i in 0..calls {
-                let checked = WorkspaceCall::random(&mut rng).check();
-                proptest::prop_assert!(checked.is_ok(), "call {} of {}: {:?}", i, calls, checked);
+                match WorkspaceCall::random(&mut rng).check(previous.as_ref()) {
+                    Ok(left) => previous = Some(left),
+                    Err(e) => proptest::prop_assert!(false, "call {} of {}: {}", i, calls, e),
+                }
             }
         }
     }

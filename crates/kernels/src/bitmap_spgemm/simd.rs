@@ -27,7 +27,7 @@ use std::ops::Range;
 
 use dsstc_formats::TwoLevelBitmapMatrix;
 
-use super::word::{self, AView, ExpandedB, Gemm, InMemory, Scratch, Sink, NATIVE_WN};
+use super::word::{self, ExpandedB, Gemm, InMemory, Scratch, Sink, NATIVE_WN};
 
 /// The instruction sets the loops are compiled for, narrowest first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -290,19 +290,19 @@ impl Lanes for Zmm {
 
 /// [`word::run_bands`] compiled for `level`: register-held blocks at the
 /// native tile width, the row left in memory at any other.
-pub(super) fn run_bands<'a, A: AView<'a>, S: Sink>(
+pub(super) fn run_bands<S: Sink>(
     level: Level,
-    gemm: &Gemm<'_, A>,
+    gemm: &Gemm<'_>,
     bands: Range<usize>,
     sink: &mut S,
     scratch: &mut Scratch,
 ) {
     if gemm.tile_width() != NATIVE_WN {
-        return word::run_bands::<A, S, InMemory, InMemory>(gemm, bands, sink, scratch);
+        return word::run_bands::<S, InMemory, InMemory>(gemm, bands, sink, scratch);
     }
     match level.0 {
         Isa::Baseline => {
-            word::run_bands::<A, S, [Portable; 1], [Portable; 1]>(gemm, bands, sink, scratch)
+            word::run_bands::<S, [Portable; 1], [Portable; 1]>(gemm, bands, sink, scratch)
         }
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `run_bands_avx2` requires AVX2. A `Level` holding
@@ -320,24 +320,24 @@ pub(super) fn run_bands<'a, A: AView<'a>, S: Sink>(
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn run_bands_avx2<'a, A: AView<'a>, S: Sink>(
-    gemm: &Gemm<'_, A>,
+fn run_bands_avx2<S: Sink>(
+    gemm: &Gemm<'_>,
     bands: Range<usize>,
     sink: &mut S,
     scratch: &mut Scratch,
 ) {
-    word::run_bands::<A, S, [Ymm; 8], [Ymm; 4]>(gemm, bands, sink, scratch)
+    word::run_bands::<S, [Ymm; 8], [Ymm; 4]>(gemm, bands, sink, scratch)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vl,popcnt")]
-fn run_bands_avx512<'a, A: AView<'a>, S: Sink>(
-    gemm: &Gemm<'_, A>,
+fn run_bands_avx512<S: Sink>(
+    gemm: &Gemm<'_>,
     bands: Range<usize>,
     sink: &mut S,
     scratch: &mut Scratch,
 ) {
-    word::run_bands::<A, S, [Zmm; 8], [Zmm; 2]>(gemm, bands, sink, scratch)
+    word::run_bands::<S, [Zmm; 8], [Zmm; 2]>(gemm, bands, sink, scratch)
 }
 
 /// [`word::expand_b`] compiled for `level`. Only AVX-512 has an expand

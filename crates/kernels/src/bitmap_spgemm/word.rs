@@ -10,7 +10,9 @@
 //! reference" means, and why the shortcuts below keep it, is stated once, in
 //! `docs/ARCHITECTURE.md` ("Bit-identity contract").
 //!
-//! One GEMM runs three phases:
+//! One GEMM runs two phases over an A operand that is already the
+//! [`Arena`] the loop reads (per band and step one column word and one
+//! start):
 //!
 //! * **B expansion** ([`expand_b`]): every condensed B row is decoded into
 //!   one zero-padded dense row-major buffer (values and step words: two
@@ -19,9 +21,6 @@
 //!   then a contiguous `axpy`, while the step's packed word still
 //!   short-circuits empty steps and empty tiles. The expansion is shared
 //!   read-only across worker threads.
-//! * **A column words** ([`AView::band_words`]), per band: an [`Arena`]
-//!   stores them; a [`TwoLevelBitmapMatrix`] stores row words, which
-//!   [`col_words`] transposes eight columns at a time.
 //! * **Band loop** ([`run_bands`]): each output band (one `warp_m`-row
 //!   strip) walks `jn` in blocks of tile columns with `kk` innermost, and
 //!   one body ([`block_steps`]) runs every surviving step of a block: it
@@ -31,11 +30,11 @@
 //!   tilings that are not [`NATIVE_WN`] wide run one-tile blocks whose row
 //!   stays in memory. A finished block goes to the loop's [`Sink`].
 //!
-//! The band loop is one body, generic over the A operand it reads ([`AView`])
-//! and the sink it writes: [`execute`] reads an encoding and writes dense
-//! rows; [`forward`] reads an [`Arena`] and, between layers, writes the next
-//! one (the arena's emitter is the sink), so activations never leave the
-//! encoding.
+//! The band loop is one body, generic only over the sink it writes:
+//! [`execute`] reads an [`EncodedA`](super::EncodedA)'s arena and writes
+//! dense rows; [`forward`] reads a workspace arena and, between layers,
+//! writes the next one (the arena's emitter is the sink), so activations
+//! never leave the encoding.
 //!
 //! All of it is compiled once per vector level (baseline, AVX2, AVX-512;
 //! [`super::simd`]) and the level is picked from CPUID once per call. Output
@@ -50,10 +49,10 @@
 use std::cell::RefCell;
 use std::ops::Range;
 
-use dsstc_formats::{BitMatrix, BitmapMatrix, TwoLevelBitmapMatrix};
+use dsstc_formats::TwoLevelBitmapMatrix;
 use dsstc_tensor::Matrix;
 
-use super::arena::Arena;
+use super::arena::{Arena, ArenaTile, EncodedA};
 use super::simd::{self, Lanes, Level};
 
 /// Minimum number of warp tiles in the output grid before spawning threads
@@ -153,13 +152,13 @@ pub(super) fn grow<T: Clone + Default>(buf: &mut Vec<T>, len: usize) {
 
 /// What every band of one call shares: the operands and the warp tile
 /// `(warp_m, warp_n, warp_k)`.
-pub(super) struct Gemm<'g, A> {
-    a: A,
+pub(super) struct Gemm<'g> {
+    a: &'g Arena,
     b: &'g ExpandedB,
     dims: (usize, usize, usize),
 }
 
-impl<A> Gemm<'_, A> {
+impl Gemm<'_> {
     /// `warp_n`.
     pub(super) fn tile_width(&self) -> usize {
         self.dims.1
@@ -197,96 +196,6 @@ pub(super) fn expand_b<L: Lanes>(b_enc: &TwoLevelBitmapMatrix, b: &mut ExpandedB
                 }
             }
         }
-    }
-}
-
-/// Every column of `bits` (at most 64 rows) packed into one word each: bit
-/// `r` of `out[c]` is `bits.get(r, c)`, what [`BitMatrix::col_word`] gathers
-/// a bit at a time. Each row word is read once; eight columns at a time are
-/// then built in one register block by shifting the rows in, last first — a
-/// lane-parallel shift-mask-or with constant trip counts, compiled at the
-/// caller's vector width.
-#[inline(always)]
-fn col_words(bits: &BitMatrix, out: &mut [u64]) {
-    assert!(bits.rows() <= 64 && out.len() == bits.cols(), "one word per column");
-    for (word, out) in out.chunks_mut(64).enumerate() {
-        let mut rows = [0u64; 64];
-        for (r, row) in rows.iter_mut().enumerate().take(bits.rows()) {
-            *row = bits.row_words(r)[word];
-        }
-        for (j, chunk) in out.chunks_mut(8).enumerate() {
-            let mut cols = [0u64; 8];
-            for row in rows[..bits.rows()].iter().rev() {
-                for (i, col) in cols.iter_mut().enumerate() {
-                    *col = (*col << 1) | ((row >> (8 * j + i)) & 1);
-                }
-            }
-            chunk.copy_from_slice(&cols[..chunk.len()]);
-        }
-    }
-}
-
-/// The A operand as the band loop reads it: per band the packed column word
-/// of every step, per non-empty tile the condensed values of each step. A
-/// borrowed, copyable view, so one band loop serves the encoding
-/// [`BitmapSpGemm::encode_a`](super::BitmapSpGemm::encode_a) builds and the
-/// [`Arena`] a forward keeps between layers.
-pub(super) trait AView<'a>: Copy + Sync {
-    /// A non-empty tile: whatever [`Self::step_values`] needs to find a
-    /// step's values.
-    type Tile: Copy;
-
-    /// Tile columns of the grid (`K / warp_k`, rounded up).
-    fn grid_k(self) -> usize;
-
-    /// The column word of every step of band `im`, `grid_k * warp_k` of
-    /// them; an empty tile is all-zero words. A view that does not store
-    /// them builds them in `scratch`.
-    fn band_words<'s>(self, im: usize, scratch: &'s mut Vec<u64>) -> &'s [u64]
-    where
-        'a: 's;
-
-    /// Tile `(im, kk)`, or `None` if it is empty.
-    fn tile(self, im: usize, kk: usize) -> Option<Self::Tile>;
-
-    /// The condensed values of step `k` of `tile`, one per set bit of its
-    /// column word, ascending.
-    fn step_values(tile: Self::Tile, k: usize) -> &'a [f32];
-}
-
-impl<'a> AView<'a> for &'a TwoLevelBitmapMatrix {
-    type Tile = &'a BitmapMatrix;
-
-    #[inline(always)]
-    fn grid_k(self) -> usize {
-        self.grid_cols()
-    }
-
-    /// The tiles store row words: transpose them.
-    #[inline(always)]
-    fn band_words<'s>(self, im: usize, scratch: &'s mut Vec<u64>) -> &'s [u64]
-    where
-        'a: 's,
-    {
-        let wk = self.tile_cols();
-        scratch.resize(self.grid_cols() * wk, 0);
-        for (kk, tile_words) in scratch.chunks_exact_mut(wk).enumerate() {
-            match TwoLevelBitmapMatrix::tile(self, im, kk) {
-                Some(tile) => col_words(tile.bitmap(), tile_words),
-                None => tile_words.fill(0),
-            }
-        }
-        scratch
-    }
-
-    #[inline(always)]
-    fn tile(self, im: usize, kk: usize) -> Option<&'a BitmapMatrix> {
-        TwoLevelBitmapMatrix::tile(self, im, kk)
-    }
-
-    #[inline(always)]
-    fn step_values(tile: &'a BitmapMatrix, k: usize) -> &'a [f32] {
-        tile.vector_values(k)
     }
 }
 
@@ -419,9 +328,9 @@ impl BlockRow for InMemory {
 /// meet those zeros and takes the masked path (see the bit-identity
 /// contract the module docs point to).
 #[inline(always)]
-fn block_steps<'a, A: AView<'a>, R: BlockRow>(
+fn block_steps<R: BlockRow>(
     a_words: &[u64],
-    a_tile: A::Tile,
+    a_tile: ArenaTile<'_>,
     b: &ExpandedB,
     (kk, jn): (usize, usize),
     acc: &mut [f32],
@@ -438,7 +347,7 @@ fn block_steps<'a, A: AView<'a>, R: BlockRow>(
         }
         let held = R::hold(b_row);
         let mut bits = aw;
-        for &av in A::step_values(a_tile, k) {
+        for &av in a_tile.step_values(k) {
             let r = bits.trailing_zeros() as usize;
             bits &= bits - 1;
             let acc_row = &mut acc[r * width..(r + 1) * width];
@@ -462,12 +371,10 @@ fn block_steps<'a, A: AView<'a>, R: BlockRow>(
 }
 
 /// What a thread of the band loop writes besides its sink, grown by the
-/// calls that need more: the block accumulator and, for a view that has to
-/// build them, a band's A words.
+/// calls that need more: the block accumulator.
 #[derive(Default)]
 pub(super) struct Scratch {
     accs: CacheAligned,
-    a_words: Vec<u64>,
 }
 
 /// Executes `bands` into `sink`, whose first band is `bands.start`. Tile
@@ -475,8 +382,8 @@ pub(super) struct Scratch {
 /// single tile) at a time after that; when `Wide` is itself one tile the two
 /// are the same type.
 #[inline(always)]
-pub(super) fn run_bands<'a, A: AView<'a>, S: Sink, Wide: BlockRow, One: BlockRow>(
-    gemm: &Gemm<'_, A>,
+pub(super) fn run_bands<S: Sink, Wide: BlockRow, One: BlockRow>(
+    gemm: &Gemm<'_>,
     bands: Range<usize>,
     sink: &mut S,
     scratch: &mut Scratch,
@@ -488,7 +395,7 @@ pub(super) fn run_bands<'a, A: AView<'a>, S: Sink, Wide: BlockRow, One: BlockRow
     scratch.accs.reset(wm * Wide::width(wn));
     let accs = scratch.accs.as_mut_slice();
     for im in bands.clone() {
-        let a_words = a.band_words(im, &mut scratch.a_words);
+        let a_words = a.band_words(im);
         let band = im - bands.start;
         let mut jb = 0;
         while jb < grid_n {
@@ -500,9 +407,9 @@ pub(super) fn run_bands<'a, A: AView<'a>, S: Sink, Wide: BlockRow, One: BlockRow
                 let Some(a_tile) = a.tile(im, kk) else { continue };
                 let a_words = &a_words[kk * wk..(kk + 1) * wk];
                 if wide {
-                    block_steps::<A, Wide>(a_words, a_tile, b, (kk, jb), acc);
+                    block_steps::<Wide>(a_words, a_tile, b, (kk, jb), acc);
                 } else {
-                    block_steps::<A, One>(a_words, a_tile, b, (kk, jb), acc);
+                    block_steps::<One>(a_words, a_tile, b, (kk, jb), acc);
                 }
             }
             sink.block(band, jb * wn, width, acc);
@@ -517,9 +424,9 @@ pub(super) fn run_bands<'a, A: AView<'a>, S: Sink, Wide: BlockRow, One: BlockRow
 /// Bands go out contiguously and each thread's share of the sink is
 /// disjoint, so no synchronisation is needed and the result is bit-identical
 /// at any thread count.
-fn run_gemm<'a, A: AView<'a>, S: Sink>(
+fn run_gemm<S: Sink>(
     level: Level,
-    gemm: &Gemm<'_, A>,
+    gemm: &Gemm<'_>,
     grid_m: usize,
     mut sink: S,
     threads: usize,
@@ -573,26 +480,27 @@ thread_local! {
     static WORKSPACE: RefCell<Workspace> = RefCell::default();
 }
 
-/// Word-parallel `A * B` over two-level bitmap operands. `threads` is the
-/// resolved worker count (>= 1); small grids stay single-threaded
-/// regardless. `level` is the vector level every phase runs at; every level
-/// gives the same bits. The caller has already validated layouts and
-/// tilings and that `warp_m`/`warp_n` fit in a word.
+/// Word-parallel `A * B`: `a` an encoded A operand, `b_enc` a two-level
+/// bitmap B. `threads` is the resolved worker count (>= 1); small grids stay
+/// single-threaded regardless. `level` is the vector level every phase runs
+/// at; every level gives the same bits. The caller has already validated
+/// the tilings and that `warp_m`/`warp_n` fit in a word.
 pub(crate) fn execute(
-    a_enc: &TwoLevelBitmapMatrix,
+    a_enc: &EncodedA,
     b_enc: &TwoLevelBitmapMatrix,
     threads: usize,
     level: Level,
 ) -> Matrix {
-    let dims = (a_enc.tile_rows(), b_enc.tile_cols(), a_enc.tile_cols());
+    let a = a_enc.arena();
+    let (wm, wk) = a.tile_shape();
+    let dims = (wm, b_enc.tile_cols(), wk);
     WORKSPACE.with_borrow_mut(|Workspace { b, scratch, .. }| {
         // Dense-expand B once per call; each expanded row is reused `grid_m`
         // times within it.
         simd::expand_b(level, b_enc, b);
         let mut out = Matrix::zeros(a_enc.rows(), b_enc.cols());
-        let sink =
-            DenseRows { rows: out.as_mut_slice(), cols: b_enc.cols(), wm: dims.0, relu: false };
-        run_gemm(level, &Gemm { a: a_enc, b, dims }, a_enc.grid_rows(), sink, threads, scratch);
+        let sink = DenseRows { rows: out.as_mut_slice(), cols: b_enc.cols(), wm, relu: false };
+        run_gemm(level, &Gemm { a, b, dims }, a.grid_m(), sink, threads, scratch);
         out
     })
 }
@@ -644,25 +552,6 @@ mod tests {
     use dsstc_tensor::SparsityPattern;
 
     #[test]
-    fn col_words_agree_with_col_word_for_every_shape_up_to_64x64() {
-        // Every row count up to a full word, every column count up to one
-        // row word (partial last chunks of eight included), plus widths whose
-        // rows take two and three words.
-        let wide = [(1, 65), (33, 70), (64, 130)];
-        let shapes = (1..=64).flat_map(|r| (1..=64).map(move |c| (r, c))).chain(wide);
-        for (rows, cols) in shapes {
-            let seed = (rows * 131 + cols) as u64;
-            let dense = Matrix::random_sparse(rows, cols, 0.5, SparsityPattern::Uniform, seed);
-            let bits = BitMatrix::from_matrix(&dense);
-            let mut words = vec![u64::MAX; cols]; // stale contents must not survive
-            col_words(&bits, &mut words);
-            for (c, &word) in words.iter().enumerate() {
-                assert_eq!(word, bits.col_word(c), "{rows}x{cols}, column {c}");
-            }
-        }
-    }
-
-    #[test]
     fn expanded_b_is_the_padded_dense_operand_at_every_level() {
         // Rows 0..3 of every tile are an all-zero word, an all-one word and a
         // single bit at either end; the rest are random. Widths cover one
@@ -704,43 +593,56 @@ mod tests {
         }
     }
 
-    /// `arena` against the encoding `encode_a` builds of the same operand:
-    /// every step's column word and every step's values, bit for bit (any
-    /// NaN matching any NaN).
+    /// `arena` against the formats encoder's column-major encoding of the
+    /// same operand: every step's column word and every step's values, bit
+    /// for bit (any NaN matching any NaN).
     fn assert_arena_is(arena: &Arena, want: &TwoLevelBitmapMatrix, context: &str) {
         let wk = want.tile_cols();
-        let mut unused = Vec::new();
-        assert_eq!(arena.grid_k(), want.grid_cols(), "{context}");
+        assert_eq!((arena.grid_m(), arena.grid_k()), (want.grid_rows(), want.grid_cols()));
         for im in 0..want.grid_rows() {
-            let words = arena.band_words(im, &mut unused);
+            let words = arena.band_words(im);
             assert_eq!(words.len(), want.grid_cols() * wk, "{context}");
             for kk in 0..want.grid_cols() {
-                let (got, want) = (AView::tile(arena, im, kk), want.tile(im, kk));
+                let (got, want) = (arena.tile(im, kk), want.tile(im, kk));
                 assert_eq!(got.is_some(), want.is_some(), "{context}: tile ({im},{kk})");
                 for k in 0..wk {
                     let word = want.map_or(0, |tile| tile.bitmap().col_word(k));
                     assert_eq!(words[kk * wk + k], word, "{context}: word ({im},{kk},{k})");
                     let (Some(got), Some(want)) = (got, want) else { continue };
-                    let (got, want) = (<&Arena>::step_values(got, k), want.vector_values(k));
-                    let same = got.len() == want.len()
-                        && got
-                            .iter()
-                            .zip(want)
-                            .all(|(g, w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()));
+                    let (got, want) = (got.step_values(k), want.vector_values(k));
+                    let same = got.len() == want.len() && got.iter().zip(want).all(same_value);
                     assert!(same, "{context}: values ({im},{kk},{k}): {got:?} vs {want:?}");
                 }
             }
         }
     }
 
+    /// [`assert_arena_is`] for an owned operand, which also has to decode to
+    /// what the formats encoder's encoding does.
+    fn assert_encoded_a_is(a_enc: &EncodedA, want: &TwoLevelBitmapMatrix, context: &str) {
+        assert_arena_is(a_enc.arena(), want, context);
+        assert_eq!(
+            (a_enc.rows(), a_enc.cols(), a_enc.nnz()),
+            (want.rows(), want.cols(), want.nnz())
+        );
+        let (got, want) = (a_enc.decode(), want.decode());
+        assert!(got.as_slice().iter().zip(want.as_slice()).all(same_value), "{context}: decode");
+    }
+
+    /// Bit equality, any NaN matching any NaN.
+    fn same_value((g, w): (&f32, &f32)) -> bool {
+        g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan())
+    }
+
     #[test]
     fn emitted_arena_equals_encode_a_of_the_relu_of_the_dense_output() {
         // Ragged in M, K and N; the input carries values FP16 storage flushes,
         // rounds to subnormals and turns infinite, so the output pass meets
-        // NaN, infinities and negative zero-crossings. Both the dense-input
-        // encode and the output-pass emit are held to `encode_a`, on the
-        // native tiling (transposed tiles) and a 24-wide one (plain walk
-        // from in-memory blocks, `warp_n` not a multiple of `warp_k`).
+        // NaN, infinities and negative zero-crossings. The dense-input encode
+        // of a workspace arena, `encode_a` and the output-pass emit are all
+        // held to the formats encoder, on the native tiling (transposed
+        // tiles) and a 24-wide one (plain walk from in-memory blocks,
+        // `warp_n` not a multiple of `warp_k`).
         let (m, kd, n) = (70, 45, 150);
         let mut x = Matrix::random_sparse(m, kd, 0.4, SparsityPattern::Uniform, 31);
         let tiny = 2.0f32.powi(-24);
@@ -751,12 +653,14 @@ mod tests {
         }
         let w = Matrix::random_sparse(kd, n, 0.6, SparsityPattern::Uniform, 32);
         for (wm, wn, wk) in [(32, 32, 16), (32, 24, 16), (16, 64, 8)] {
-            let x_enc = TwoLevelBitmapMatrix::encode_f16(&x, wm, wk, VectorLayout::ColumnMajor);
+            let x_want = TwoLevelBitmapMatrix::encode_f16(&x, wm, wk, VectorLayout::ColumnMajor);
             let w_enc = TwoLevelBitmapMatrix::encode_f16(&w, wk, wn, VectorLayout::RowMajor);
+            let x_enc = EncodedA::encode(&x, (wm, wk));
+            assert_encoded_a_is(&x_enc, &x_want, &format!("encode_a, {wm}x{wn}x{wk}"));
             let mut src = Arena::default();
             src.reset(m, kd.max(n), (wm, wk));
             src.encode(&x);
-            assert_arena_is(&src, &x_enc, &format!("input, {wm}x{wn}x{wk}"));
+            assert_arena_is(&src, &x_want, &format!("input, {wm}x{wn}x{wk}"));
             for level in Level::available() {
                 let y = execute(&x_enc, &w_enc, 1, level);
                 for relu in [true, false] {
@@ -772,6 +676,7 @@ mod tests {
                     run_gemm(level, &gemm, m.div_ceil(wm), dst.emitter(n, relu), 1, &mut scratch);
                     let context = format!("{wm}x{wn}x{wk} {level:?} relu {relu}");
                     assert_arena_is(&dst, &want, &context);
+                    assert_encoded_a_is(&EncodedA::encode(&y, (wm, wk)), &want, &context);
                 }
             }
         }
@@ -782,8 +687,8 @@ mod tests {
         // A serve worker's batch height changes on every batch and a mixed
         // device pool changes the tiling: 64 rows, then 4, then 64 again, a
         // wider and a narrower operand, 16-row bands — each reset has to
-        // leave exactly `encode_a` of the new operand, whatever the buffers
-        // held.
+        // leave exactly the formats encoding of the new operand, whatever the
+        // buffers held, and so does `encode_a`, which holds nothing over.
         let mut arena = Arena::default();
         let batches = [
             (64, 100, (32, 16)),
@@ -799,7 +704,9 @@ mod tests {
             arena.reset(rows, cols, (wm, wk));
             arena.encode(&x);
             let want = TwoLevelBitmapMatrix::encode_f16(&x, wm, wk, VectorLayout::ColumnMajor);
-            assert_arena_is(&arena, &want, &format!("batch {i}: {rows}x{cols}, {wm}x{wk} tiles"));
+            let context = format!("batch {i}: {rows}x{cols}, {wm}x{wk} tiles");
+            assert_arena_is(&arena, &want, &context);
+            assert_encoded_a_is(&EncodedA::encode(&x, (wm, wk)), &want, &context);
         }
     }
 

@@ -63,13 +63,8 @@ impl EncodingSpec {
         self.tiling.b_tile()
     }
 
-    /// Whether `enc` is an A operand under this spec (tile shape and
-    /// layout both match).
-    pub fn matches_a(&self, enc: &TwoLevelBitmapMatrix) -> bool {
-        (enc.tile_rows(), enc.tile_cols()) == self.a_tile() && enc.layout() == self.a_layout
-    }
-
-    /// Whether `enc` is a B operand under this spec.
+    /// Whether `enc` is a B operand under this spec (tile shape and layout
+    /// both match).
     pub fn matches_b(&self, enc: &TwoLevelBitmapMatrix) -> bool {
         (enc.tile_rows(), enc.tile_cols()) == self.b_tile() && enc.layout() == self.b_layout
     }
@@ -121,7 +116,7 @@ mod tests {
         let dense = Matrix::random_sparse(64, 64, 0.7, SparsityPattern::Uniform, 5);
         let b = TwoLevelBitmapMatrix::encode(&dense, 16, 32, VectorLayout::RowMajor);
         assert!(spec.matches_b(&b));
-        assert!(!spec.matches_a(&b), "B tiling is not the A tiling");
+        assert_ne!(spec.a_tile(), spec.b_tile(), "B tiling is not the A tiling");
         let wrong_layout = TwoLevelBitmapMatrix::encode(&dense, 16, 32, VectorLayout::ColumnMajor);
         assert!(!spec.matches_b(&wrong_layout));
         let a100 = EncodingSpec::for_gpu(&GpuConfig::a100());

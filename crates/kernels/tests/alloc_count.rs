@@ -1,8 +1,8 @@
 //! Pins how often, and for how much, the serve hot path goes to the
 //! allocator: once its thread has run a call, a kernel call allocates its
 //! result and nothing else — at any tile grid, vector level, depth, or size
-//! not above the thread's largest so far — and the encoder stays at three
-//! allocations per non-empty tile.
+//! not above the thread's largest so far — and `encode_a` makes the same few
+//! allocations at any size, their bytes sized by the operand's non-zeros.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -79,9 +79,10 @@ fn operands(m: usize, k: usize, n: usize) -> (Matrix, Matrix) {
 
 #[test]
 fn execute_encoded_allocates_the_same_few_buffers_at_any_tile_count() {
-    // The expansion, the accumulator block and the A-word buffer are the
-    // thread's, so once it has run its largest GEMM a call's one allocation
-    // is the result: at 256 and 1024 warp tiles of B, at every vector level,
+    // The expansion and the accumulator block are the thread's, and the A
+    // operand is read as `encode_a` built it, so once the thread has run its
+    // largest GEMM a call's one allocation is the result: at 256 and 1024
+    // warp tiles of B, at every vector level,
     // on both native tilings (a V100 + A100 pool runs both), and for a small
     // ragged GEMM between two large ones, which must not size anything down.
     for config in [GpuConfig::v100(), GpuConfig::a100()] {
@@ -120,16 +121,24 @@ fn auto_thread_count_costs_no_allocation_per_call() {
 }
 
 #[test]
-fn encode_a_allocates_three_buffers_per_non_empty_tile() {
-    // Bitmap words, offsets and values per tile, plus the two-level
-    // container's own vectors (incl. the tile list's amortised growth).
+fn encode_a_allocates_a_constant_few_buffers_sized_by_its_non_zeros() {
+    // Column words and starts are sized by the shape, the values by a count
+    // pass, and the dense bound (`warp_m x cols`) is staged for one band
+    // only: the same allocations at any tile count, and bytes within 4 per
+    // kept value, 16 per step and one band's dense bound. A 512 x 512
+    // operand at 90 % sparsity does not hold the 1 MiB dense bound.
     let kernel = BitmapSpGemm::new(GpuConfig::v100());
-    for (m, k) in [(64, 256), (64, 512)] {
-        let (a, _) = operands(m, k, 1);
-        let (a_enc, (count, _)) = allocations_in(|| kernel.encode_a(&a));
-        let non_empty = a_enc.tile_count() - a_enc.empty_tiles();
-        assert!(count <= 3 * non_empty + 16, "{count} allocations for {non_empty} tiles");
-    }
+    let (wm, wk) = kernel.tiling().a_tile();
+    let counts = [(64, 256), (64, 512), (512, 512)].map(|(m, k)| {
+        let a = Matrix::random_sparse(m, k, 0.9, SparsityPattern::Uniform, 4);
+        let (a_enc, (count, bytes)) = allocations_in(|| kernel.encode_a(&a));
+        assert!(a_enc.nnz() > 0 && a_enc.nnz() < m * k / 5, "{m}x{k}: {} kept", a_enc.nnz());
+        let steps = m.div_ceil(wm) * k.div_ceil(wk) * wk;
+        let bound = 4 * a_enc.nnz() + 16 * steps + 4 * wm * k;
+        assert!(bytes <= bound, "{m}x{k}: {bytes} bytes, bound {bound}");
+        count
+    });
+    assert!(counts.iter().all(|&c| c == counts[0] && c <= 8), "{counts:?}");
 }
 
 #[test]
