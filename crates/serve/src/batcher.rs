@@ -62,7 +62,7 @@ pub struct BatchPolicy {
 }
 
 /// The wake-up a device worker follows its sends with when the receiver
-/// sleeps in something other than `recv` on the response channel: a wire
+/// sleeps in something other than `recv` on the response channel: the wire
 /// reactor blocked in its epoll wait implements this on its eventfd waker.
 pub(crate) trait Wake: std::fmt::Debug + Send + Sync {
     /// Makes the receiver look at its response channel.

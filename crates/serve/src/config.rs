@@ -299,13 +299,6 @@ pub struct ServeConfig {
     /// accepts beyond the limit are closed immediately (counted in
     /// [`crate::stats::WireStats::connections_rejected`]).
     pub max_connections: usize,
-    /// Number of wire front-end reactors: epoll event loops, one thread
-    /// each, that own a disjoint subset of the connections and drain their
-    /// own completion channel. The first reactor owns the listener and
-    /// hands accepted connections to the least-loaded reactor. `1` (the
-    /// default) is the single-loop front-end; `0` sizes to the host's
-    /// available parallelism when the [`crate::net::WireServer`] starts.
-    pub reactors: usize,
     /// Largest **request** frame body accepted, in bytes. A request
     /// declaring more is rejected from its ten-byte envelope, before any
     /// allocation. Responses to legal requests may exceed this by the
@@ -359,7 +352,6 @@ impl Default for ServeConfig {
             admission: None,
             listen: None,
             max_connections: 256,
-            reactors: 1,
             max_frame_len: 1 << 24,
             metrics_addr: None,
             trace_out: None,
@@ -461,10 +453,15 @@ impl ServeConfig {
         self
     }
 
-    /// Overrides the wire front-end's reactor count (`0` = size to the
-    /// host's available parallelism at start time).
-    pub fn with_reactors(mut self, reactors: usize) -> Self {
-        self.reactors = reactors;
+    /// Sets nothing: the wire front-end is one reactor. Kept only for the
+    /// `.with_reactors(1)` call in `benchmark/src/workloads/serve_wire.rs:75`;
+    /// the next `[benchmark]` change deletes that call and this builder.
+    ///
+    /// # Panics
+    /// Panics if `reactors` is not 1.
+    #[doc(hidden)]
+    pub fn with_reactors(self, reactors: usize) -> Self {
+        assert_eq!(reactors, 1, "the wire front-end is one reactor");
         self
     }
 
@@ -532,15 +529,24 @@ mod tests {
         assert!(c.max_batch > 1);
         assert!(c.proxy_dim % 32 == 0);
         assert_eq!(c.devices.primary().name, "Tesla V100");
-        assert_eq!(c.reactors, 1, "the default front-end is single-reactor");
     }
 
     #[test]
-    fn reactor_count_builds_on_and_zero_means_host_sized() {
-        let c = ServeConfig::default().with_reactors(4);
-        assert_eq!(c.reactors, 4);
-        // 0 is a valid setting: the wire server resolves it at start time.
-        assert_eq!(ServeConfig::default().with_reactors(0).reactors, 0);
+    #[should_panic(expected = "one reactor")]
+    fn more_than_one_reactor_is_refused() {
+        let _ = ServeConfig::default().with_reactors(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "one reactor")]
+    fn zero_reactors_are_refused() {
+        let _ = ServeConfig::default().with_reactors(0);
+    }
+
+    #[test]
+    fn one_reactor_is_accepted_and_changes_nothing() {
+        let c = ServeConfig::default().with_max_batch(3);
+        assert_eq!(format!("{:?}", c.clone().with_reactors(1)), format!("{c:?}"));
     }
 
     #[test]

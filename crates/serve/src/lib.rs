@@ -136,6 +136,6 @@ pub use crate::telemetry::{
     TraceSink,
 };
 pub use crate::timing::BatchTimingModel;
-pub use crate::traffic::{pace_until, PoissonArrivals};
+pub use crate::traffic::PoissonArrivals;
 pub use crate::worker::WorkerPool;
 pub use dsstc_kernels::EncodingSpec;

@@ -8,8 +8,8 @@
 //! * `poll` (crate-private) — a minimal mio-style epoll readiness loop
 //!   (the syscalls are `crate::sys`'s, against the already-linked C
 //!   library; no tokio, no crates).
-//! * [`server`] — the [`WireServer`]: N sharded epoll reactors (accept on
-//!   one listener, hand off to the least-loaded peer), decode, submit
+//! * [`server`] — the [`WireServer`]: one epoll reactor that accepts on
+//!   the listener, owns every connection, decodes, submits
 //!   through [`crate::InferenceServer::submit_with`], stream responses back
 //!   as batches complete; pipelining, connection limits, graceful drain.
 //! * [`client`] — the blocking [`WireClient`] used by tests, the

@@ -6,12 +6,9 @@
 //!
 //! The surface is deliberately tiny — level-triggered readiness over raw
 //! fds, a [`Token`] per registration, and a [`Waker`] (an `eventfd`) so
-//! other threads can interrupt a blocked [`Poller::wait`]. Each wire
-//! reactor owns one `Poller` + `Waker` pair: a device worker wakes it
-//! per response, and the acceptor wakes peer reactors after handing off a
-//! connection. Level-triggered readiness is what makes the hand-off safe —
-//! a socket adopted with bytes already pending fires `EPOLLIN` on the
-//! owner's next wait. Everything higher-level (buffers, framing,
+//! other threads can interrupt a blocked [`Poller::wait`]. The wire
+//! reactor owns one `Poller` + `Waker` pair, and a device worker wakes it
+//! per response. Everything higher-level (buffers, framing,
 //! connection state) lives in [`crate::net::server`].
 
 use std::fs::File;

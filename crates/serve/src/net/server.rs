@@ -4,18 +4,19 @@
 //!
 //! # Architecture
 //!
-//! The front-end is sharded across `N = ServeConfig::reactors` **reactors**
-//! (`0` sizes N to the host's available parallelism). Each reactor is
-//! **one thread** next to the serving runtime's own dispatcher + workers:
-//! a level-triggered epoll readiness loop (`crate::net::poll`) over the
-//! reactor's own disjoint subset of the client sockets, which owns
-//! everything about them.
+//! The front-end is **one reactor**: one thread next to the serving
+//! runtime's own dispatcher + workers, running a level-triggered epoll
+//! readiness loop (`crate::net::poll`) over the listener and every client
+//! socket. It owns everything about them.
 //!
+//! * **Accepts:** it accepts every pending connection, enforces
+//!   `max_connections` against its own connection table and registers the
+//!   socket with its poller.
 //! * **Reads:** it reads whatever bytes are ready, feeds them through
 //!   each connection's [`FrameDecoder`] (several pipelined frames per read
 //!   decode back-to-back), converts each request frame into an
 //!   [`crate::InferRequest`] and submits it through the same path
-//!   in-process callers use, with a clone of the reactor's completion
+//!   in-process callers use, with a clone of the loop's completion
 //!   channel and its `eventfd` `Waker`.
 //! * **Completions:** the device worker sends each
 //!   [`crate::InferResponse`] down that channel and wakes the epoll wait;
@@ -29,14 +30,6 @@
 //! * **Writes:** it flushes opportunistically and under `EPOLLOUT` when
 //!   a socket's send buffer fills.
 //!
-//! Reactor 0 additionally owns the single listener and is the **acceptor**:
-//! each accepted connection is handed to the least-loaded reactor
-//! (round-robin on ties) over a small mutex-guarded intake queue plus a
-//! waker nudge, or adopted directly when reactor 0 itself is least loaded.
-//! The owning reactor registers the socket with *its* poller and counts the
-//! accept in *its* [`WireStats`]; merged counters are the field-wise sum of
-//! the per-reactor counters ([`crate::stats::WireStats::merged`]).
-//!
 //! Responses stream back **as batches complete**, so pipelined requests on
 //! one connection may be answered out of submission order; the echoed id is
 //! the correlation contract. Request-level failures (unknown model, wrong
@@ -46,17 +39,16 @@
 //! so the server answers with a final error frame and closes that
 //! connection.
 //!
-//! Shutdown is graceful: the listener closes first, then every reactor
-//! independently keeps flushing until each of its in-flight requests has
-//! been answered and every outbound buffer drained (bounded by
-//! [`DRAIN_TIMEOUT`]), and only then is the inference runtime itself shut
-//! down.
+//! Shutdown is graceful: the listener closes first, then the loop keeps
+//! flushing until every in-flight request has been answered and every
+//! outbound buffer drained (bounded by [`DRAIN_TIMEOUT`]), and only then is
+//! the inference runtime itself shut down.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -83,7 +75,7 @@ pub const DRAIN_TIMEOUT: Duration = Duration::from_secs(30);
 const TOKEN_LISTENER: Token = Token(0);
 const TOKEN_WAKER: Token = Token(1);
 /// Connection ids start here; `Token(CONN_BASE + id)` addresses connection
-/// `id` (ids are per-reactor, like the tokens they map to).
+/// `id`.
 const CONN_BASE: u64 = 2;
 
 /// One wire request in flight through the batching runtime: which
@@ -93,13 +85,9 @@ struct PendingWire {
     client_id: u64,
 }
 
-/// Accepted sockets handed from the acceptor (reactor 0) to the reactor
-/// that will own them.
-type Intake = Arc<Mutex<Vec<TcpStream>>>;
-
-/// One reactor's counters. The reactor is their single writer; the mutex
-/// is only ever contended by a `stats()` call or a scrape reading them.
-type ReactorStats = Arc<Mutex<WireStats>>;
+/// The wire counters. The reactor is their single writer; the mutex is
+/// only ever contended by a `stats()` call or a scrape reading them.
+type SharedStats = Arc<Mutex<WireStats>>;
 
 fn counters(stats: &Mutex<WireStats>) -> MutexGuard<'_, WireStats> {
     stats.lock().expect("wire stats poisoned")
@@ -132,9 +120,9 @@ pub struct WireServer {
     server: Option<Arc<InferenceServer>>,
     local_addr: SocketAddr,
     shutdown_flag: Arc<AtomicBool>,
-    wakers: Vec<Arc<Waker>>,
-    stats: Vec<ReactorStats>,
-    event_loops: Vec<JoinHandle<()>>,
+    waker: Arc<Waker>,
+    stats: SharedStats,
+    event_loop: Option<JoinHandle<()>>,
     metrics: Option<MetricsServer>,
     cluster: Option<Arc<ClusterState>>,
     pinger: Option<JoinHandle<()>>,
@@ -143,7 +131,7 @@ pub struct WireServer {
 impl WireServer {
     /// Boots the inference runtime from `config`, binds the listener at
     /// `config.listen` (loopback with an OS-assigned port by default) and
-    /// spawns `config.reactors` event loops. On `Err` nothing is left
+    /// spawns the event loop. On `Err` nothing is left
     /// running and no socket stays bound.
     pub fn start(config: ServeConfig) -> io::Result<WireServer> {
         let listen = config.listen.unwrap_or_else(|| "127.0.0.1:0".parse().expect("literal addr"));
@@ -153,10 +141,6 @@ impl WireServer {
         let metrics_addr = config.metrics_addr;
         let cluster_config = config.cluster.clone();
         let auth_token = config.auth_token.clone();
-        let reactors = match config.reactors {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            n => n,
-        };
         let listener = TcpListener::bind(listen)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
@@ -170,34 +154,18 @@ impl WireServer {
 
         let server = Arc::new(InferenceServer::start(config));
         let shutdown_flag = Arc::new(AtomicBool::new(false));
-        // Open-connection counts per reactor, shared so the acceptor can
-        // enforce the global limit and pick the least-loaded target.
-        let loads: Arc<Vec<AtomicUsize>> =
-            Arc::new((0..reactors).map(|_| AtomicUsize::new(0)).collect());
-        let intakes: Vec<Intake> =
-            (0..reactors).map(|_| Arc::new(Mutex::new(Vec::new()))).collect();
-
-        // Every poller + waker pair exists before any thread spawns: the
-        // acceptor needs each peer's waker to signal hand-offs.
-        let mut pollers = Vec::with_capacity(reactors);
-        let mut wakers = Vec::with_capacity(reactors);
-        for index in 0..reactors {
-            let poller = Poller::new()?;
-            if index == 0 {
-                poller.register(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
-            }
-            wakers.push(Arc::new(Waker::new(&poller, TOKEN_WAKER)?));
-            pollers.push(poller);
-        }
-        let stats: Vec<ReactorStats> = (0..reactors).map(|_| ReactorStats::default()).collect();
+        let poller = Poller::new()?;
+        poller.register(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
+        let waker = Arc::new(Waker::new(&poller, TOKEN_WAKER)?);
+        let stats = SharedStats::default();
 
         // The last step that can fail, so an `Err` (say, `metrics_addr` in
-        // use) returns before any event loop exists: the listener, the
-        // pollers and the inference runtime all clean up by dropping.
+        // use) returns before the event loop exists: the listener, the
+        // poller and the inference runtime all clean up by dropping.
         let metrics = match metrics_addr {
             Some(addr) => {
                 let source_server = Arc::clone(&server);
-                let source_stats = stats.clone();
+                let source_stats = Arc::clone(&stats);
                 let source_cluster = cluster.clone();
                 Some(MetricsServer::start(
                     addr,
@@ -211,41 +179,31 @@ impl WireServer {
             None => None,
         };
 
-        let mut listener = Some(listener);
-        let mut event_loops = Vec::with_capacity(reactors);
-        for (index, poller) in pollers.into_iter().enumerate() {
-            let (completion_tx, completion_rx) = std::sync::mpsc::channel::<InferResponse>();
-            let mut state = Reactor {
-                index,
-                poller,
-                listener: if index == 0 { listener.take() } else { None },
-                wakers: wakers.clone(),
-                intakes: intakes.clone(),
-                loads: Arc::clone(&loads),
-                rr: 0,
-                server: Arc::clone(&server),
-                stats: Arc::clone(&stats[index]),
-                in_flight: HashMap::new(),
-                completion_tx,
-                completion_rx,
-                shutdown_flag: Arc::clone(&shutdown_flag),
-                conns: HashMap::new(),
-                next_conn_id: 0,
-                max_connections,
-                max_body_len,
-                max_outbound_bytes,
-                scratch: vec![0u8; 64 * 1024],
-                local_addr,
-                cluster: cluster.clone(),
-                auth_token: auth_token.clone(),
-            };
-            event_loops.push(
-                std::thread::Builder::new()
-                    .name(format!("dsstc-wire-loop-{index}"))
-                    .spawn(move || state.run())
-                    .expect("failed to spawn wire event loop"),
-            );
-        }
+        let (completion_tx, completion_rx) = std::sync::mpsc::channel::<InferResponse>();
+        let mut state = Reactor {
+            poller,
+            listener,
+            waker: Arc::clone(&waker),
+            server: Arc::clone(&server),
+            stats: Arc::clone(&stats),
+            in_flight: HashMap::new(),
+            completion_tx,
+            completion_rx,
+            shutdown_flag: Arc::clone(&shutdown_flag),
+            conns: HashMap::new(),
+            next_conn_id: 0,
+            max_connections,
+            max_body_len,
+            max_outbound_bytes,
+            scratch: vec![0u8; 64 * 1024],
+            local_addr,
+            cluster: cluster.clone(),
+            auth_token: auth_token.clone(),
+        };
+        let event_loop = std::thread::Builder::new()
+            .name("dsstc-wire-loop".into())
+            .spawn(move || state.run())
+            .expect("failed to spawn wire event loop");
 
         // Peer liveness: a plain thread dialling every configured peer each
         // `ping_interval` with the same hello exchange clients use. A peer
@@ -276,9 +234,9 @@ impl WireServer {
             server: Some(server),
             local_addr,
             shutdown_flag,
-            wakers,
+            waker,
             stats,
-            event_loops,
+            event_loop: Some(event_loop),
             metrics,
             cluster,
             pinger,
@@ -303,12 +261,6 @@ impl WireServer {
         self.metrics.as_ref().map(MetricsServer::local_addr)
     }
 
-    /// How many reactors the front-end is running (after resolving the
-    /// `reactors = 0` host-parallelism sentinel).
-    pub fn reactors(&self) -> usize {
-        self.stats.len()
-    }
-
     /// The inference runtime behind the front-end (for warm-up and
     /// inspection).
     ///
@@ -318,16 +270,9 @@ impl WireServer {
         self.server.as_ref().expect("wire server already shut down")
     }
 
-    /// A point-in-time snapshot of the per-connection / per-frame counters,
-    /// merged across every reactor.
+    /// A point-in-time snapshot of the per-connection / per-frame counters.
     pub fn wire_stats(&self) -> WireStats {
-        WireStats::merged(&self.reactor_stats())
-    }
-
-    /// Per-reactor counter snapshots, in reactor order (reactor 0 owns the
-    /// listener). Their field-wise sum is [`WireServer::wire_stats`].
-    pub fn reactor_stats(&self) -> Vec<WireStats> {
-        self.stats.iter().map(|s| counters(s).clone()).collect()
+        counters(&self.stats).clone()
     }
 
     /// The runtime's metrics snapshot with the wire counters attached.
@@ -339,7 +284,7 @@ impl WireServer {
     }
 
     /// Graceful shutdown: stop accepting, answer and flush everything in
-    /// flight on every reactor (bounded by [`DRAIN_TIMEOUT`]), close the
+    /// flight (bounded by [`DRAIN_TIMEOUT`]), close the
     /// connections, then shut the inference runtime down. Idempotent; also
     /// runs on drop.
     pub fn shutdown(&mut self) {
@@ -347,15 +292,13 @@ impl WireServer {
             metrics.shutdown();
         }
         self.shutdown_flag.store(true, Ordering::SeqCst);
-        for waker in &self.wakers {
-            waker.wake();
-        }
+        self.waker.wake();
         if let Some(handle) = self.pinger.take() {
             if let Err(panic) = handle.join() {
                 std::panic::resume_unwind(panic);
             }
         }
-        for handle in self.event_loops.drain(..) {
+        if let Some(handle) = self.event_loop.take() {
             if let Err(panic) = handle.join() {
                 std::panic::resume_unwind(panic);
             }
@@ -377,18 +320,16 @@ impl Drop for WireServer {
     }
 }
 
-/// The runtime's snapshot with the per-reactor wire counters, their merged
-/// sum and the cluster counters attached — the one builder behind both
-/// [`WireServer::stats`] and the `--metrics-addr` scrape.
+/// The runtime's snapshot with the wire and cluster counters attached —
+/// the one builder behind both [`WireServer::stats`] and the
+/// `--metrics-addr` scrape.
 fn wire_snapshot(
     server: &InferenceServer,
-    reactors: &[ReactorStats],
+    wire: &Mutex<WireStats>,
     cluster: Option<&Arc<ClusterState>>,
 ) -> ServerStats {
     let mut stats = server.stats();
-    let per_reactor: Vec<WireStats> = reactors.iter().map(|r| counters(r).clone()).collect();
-    stats.wire = Some(WireStats::merged(&per_reactor));
-    stats.wire_reactors = per_reactor;
+    stats.wire = Some(counters(wire).clone());
     stats.cluster = cluster.map(|c| c.snapshot());
     stats
 }
@@ -466,7 +407,7 @@ fn pinger_loop(
     }
 }
 
-/// Per-connection state owned by one reactor's event loop.
+/// Per-connection state owned by the event loop.
 struct Connection {
     stream: TcpStream,
     decoder: FrameDecoder,
@@ -531,28 +472,16 @@ impl Connection {
     }
 }
 
-/// One sharded event loop: a poller, the reactor's own connections, its
-/// in-flight table and completion channel, and — on reactor 0 only — the
-/// listener plus the hand-off state for every peer.
+/// The event loop: a poller, the listener, every connection, the
+/// in-flight table and the completion channel.
 struct Reactor {
-    index: usize,
     poller: Poller,
-    /// `Some` on reactor 0 (the acceptor), `None` everywhere else.
-    listener: Option<TcpListener>,
-    /// Every reactor's waker, indexable by reactor: `wakers[index]` drains
-    /// this reactor's own eventfd, which device workers write after sending
-    /// it a response; the acceptor nudges peers after a hand-off.
-    wakers: Vec<Arc<Waker>>,
-    /// Every reactor's hand-off queue; this reactor adopts from
-    /// `intakes[index]`.
-    intakes: Vec<Intake>,
-    /// Per-reactor open-connection counts (acceptor increments at
-    /// hand-off, owner decrements at close).
-    loads: Arc<Vec<AtomicUsize>>,
-    /// Round-robin cursor breaking least-loaded ties in `pick_reactor`.
-    rr: usize,
+    listener: TcpListener,
+    /// The loop's eventfd, which device workers write after sending it a
+    /// response.
+    waker: Arc<Waker>,
     server: Arc<InferenceServer>,
-    stats: ReactorStats,
+    stats: SharedStats,
     /// Server-assigned request id → where its response goes. Inserted
     /// after the submit, removed when the response frame is appended.
     in_flight: HashMap<u64, PendingWire>,
@@ -597,29 +526,23 @@ impl Reactor {
                             self.accept_ready();
                         }
                     }
-                    TOKEN_WAKER => self.wakers[self.index].drain(),
+                    TOKEN_WAKER => self.waker.drain(),
                     Token(t) => self.handle_conn_event(t - CONN_BASE, event),
                 }
             }
             events = drained_events;
-            self.drain_intake();
             self.drain_completions();
             if self.shutdown_flag.load(Ordering::SeqCst) && !draining {
                 draining = true;
                 drain_deadline = Instant::now() + DRAIN_TIMEOUT;
-                // Stop accepting: deregister the listener (reactor 0).
-                // Connected peers keep their sockets until the drain
-                // completes.
-                if let Some(listener) = &self.listener {
-                    let _ = self.poller.deregister(listener.as_raw_fd());
-                }
+                // Stop accepting: deregister the listener. Connected peers
+                // keep their sockets until the drain completes.
+                let _ = self.poller.deregister(self.listener.as_raw_fd());
                 // Final read sweep: requests already on the wire when the
                 // shutdown was requested may still sit unread in kernel
                 // buffers, invisible to the in-flight count. Pull them in
                 // now so "drained" really means "everything the clients
-                // sent before the shutdown is answered". (`drain_intake`
-                // above already adopted — and `adopt` read — any
-                // connection handed off just before the flag flipped.)
+                // sent before the shutdown is answered".
                 let ids: Vec<u64> = self.conns.keys().copied().collect();
                 for id in ids {
                     self.read_ready(id);
@@ -640,16 +563,13 @@ impl Reactor {
         }
     }
 
-    /// Accepts every pending connection (reactor 0 only) and hands each to
-    /// the least-loaded reactor — possibly itself. The global
-    /// `max_connections` limit is enforced here, against the sum of every
-    /// reactor's open count.
+    /// Accepts every pending connection and adopts each, enforcing
+    /// `max_connections` against the loop's own connection table.
     fn accept_ready(&mut self) {
         loop {
-            match self.listener.as_ref().expect("only the acceptor sees listener events").accept() {
+            match self.listener.accept() {
                 Ok((stream, _peer)) => {
-                    let open: usize = self.loads.iter().map(|l| l.load(Ordering::Relaxed)).sum();
-                    if open >= self.max_connections {
+                    if self.conns.len() >= self.max_connections {
                         counters(&self.stats).connections_rejected += 1;
                         drop(stream); // The client sees a closed socket.
                         continue;
@@ -659,16 +579,7 @@ impl Reactor {
                         continue;
                     }
                     let _ = stream.set_nodelay(true);
-                    let target = self.pick_reactor();
-                    // Claim the load slot before the hand-off so the next
-                    // accept in this burst sees it.
-                    self.loads[target].fetch_add(1, Ordering::Relaxed);
-                    if target == self.index {
-                        self.adopt(stream);
-                    } else {
-                        self.intakes[target].lock().expect("wire intake poisoned").push(stream);
-                        self.wakers[target].wake();
-                    }
+                    self.adopt(stream);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -677,47 +588,12 @@ impl Reactor {
         }
     }
 
-    /// The reactor the next accepted connection goes to: least-loaded,
-    /// with a rotating starting point so ties spread round-robin instead
-    /// of piling onto reactor 0.
-    fn pick_reactor(&mut self) -> usize {
-        let n = self.loads.len();
-        let mut best = self.rr % n;
-        let mut best_load = self.loads[best].load(Ordering::Relaxed);
-        for offset in 1..n {
-            let candidate = (self.rr + offset) % n;
-            let load = self.loads[candidate].load(Ordering::Relaxed);
-            if load < best_load {
-                best = candidate;
-                best_load = load;
-            }
-        }
-        self.rr = (self.rr + 1) % n;
-        best
-    }
-
-    /// Adopts every connection the acceptor handed to this reactor since
-    /// the last wake.
-    fn drain_intake(&mut self) {
-        let streams = {
-            let mut intake = self.intakes[self.index].lock().expect("wire intake poisoned");
-            std::mem::take(&mut *intake)
-        };
-        for stream in streams {
-            self.adopt(stream);
-        }
-    }
-
-    /// Registers a handed-off (or self-accepted) socket with this
-    /// reactor's poller; the **owning** reactor counts the accept, so
-    /// merged counters stay an exact per-reactor sum. The acceptor already
-    /// claimed the load slot, so a failed adopt must release it.
+    /// Registers an accepted socket with the poller and counts the accept.
     fn adopt(&mut self, stream: TcpStream) {
         let conn_id = self.next_conn_id;
         let token = Token(CONN_BASE + conn_id);
         if self.poller.register(stream.as_raw_fd(), EPOLLIN | EPOLLRDHUP, token).is_err() {
             counters(&self.stats).connections_rejected += 1;
-            self.loads[self.index].fetch_sub(1, Ordering::Relaxed);
             return;
         }
         self.next_conn_id += 1;
@@ -740,8 +616,7 @@ impl Reactor {
             },
         );
         // Bytes may already be waiting (clients often write immediately
-        // after connect, and the hand-off adds a scheduling delay): read
-        // now instead of waiting a full poll round.
+        // after connect): read now instead of waiting a full poll round.
         self.read_ready(conn_id);
     }
 
@@ -910,7 +785,7 @@ impl Reactor {
                 cluster.record_failover_serve();
             }
         }
-        let wake: Arc<dyn Wake> = self.wakers[self.index].clone();
+        let wake: Arc<dyn Wake> = self.waker.clone();
         let submitted = self
             .server
             .submit_traced(request, self.completion_tx.clone(), Some(wake), trace)
@@ -1101,7 +976,7 @@ impl Reactor {
             let PendingWire { conn_id, client_id } = self
                 .in_flight
                 .remove(&response.id)
-                .expect("only this reactor's submits answer on its completion channel");
+                .expect("only this loop's submits answer on its completion channel");
             counters(&self.stats).in_flight = self.in_flight.len() as u64;
             if let Some(conn) = self.conns.get_mut(&conn_id) {
                 conn.in_flight -= 1;
@@ -1124,7 +999,6 @@ impl Reactor {
         if let Some(conn) = self.conns.remove(&conn_id) {
             let _ = self.poller.deregister(conn.stream.as_raw_fd());
             counters(&self.stats).connections_closed += 1;
-            self.loads[self.index].fetch_sub(1, Ordering::Relaxed);
             // Responses that never cleared the socket still had their
             // request completed: record their traces without a flush stamp.
             for (_, trace) in conn.flush_marks {

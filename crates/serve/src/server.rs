@@ -200,8 +200,8 @@ impl InferenceServer {
     }
 
     /// Enqueues a request whose response goes to a caller-supplied channel
-    /// (several requests may share one channel — each reactor of the TCP
-    /// front-end funnels its wire requests into one completion stream this
+    /// (several requests may share one channel — the TCP front-end's
+    /// reactor funnels every wire request into one completion stream this
     /// way).
     /// Returns the server-assigned id the response will carry.
     pub fn submit_with(

@@ -125,14 +125,8 @@ pub struct ServerStats {
     pub timing_hit_rate: f64,
     /// Per-connection / per-frame counters of the TCP front-end, when the
     /// snapshot came from a [`crate::net::WireServer`] (`None` for a plain
-    /// in-process server). When the front-end runs more than one reactor
-    /// this is the field-wise sum of `wire_reactors`.
+    /// in-process server).
     pub wire: Option<WireStats>,
-    /// Per-reactor counter snapshots of a sharded wire front-end, in
-    /// reactor order (reactor 0 owns the listener). Empty for a plain
-    /// in-process server; a single-reactor front-end reports one entry
-    /// equal to `wire`.
-    pub wire_reactors: Vec<WireStats>,
     /// Cluster routing counters, when the snapshot came from a wire server
     /// (standalone servers report a single-node map; `None` for a plain
     /// in-process server). See [`crate::cluster`].
@@ -299,8 +293,8 @@ pub struct ClusterStats {
 }
 
 /// Per-connection / per-frame counters of the TCP front-end (see
-/// [`crate::net::WireServer::wire_stats`]). Each reactor is the single
-/// writer of its own instance, behind a mutex it shares with the readers.
+/// [`crate::net::WireServer::wire_stats`]). The wire event loop is their
+/// single writer, behind a mutex it shares with the readers.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WireStats {
     /// Connections accepted since boot.
@@ -366,38 +360,13 @@ impl WireStats {
     }
 
     /// Counts one request of `priority` rejected by admission control (the
-    /// owning reactor, when it answers with a `ShedLoad` error frame).
+    /// wire event loop, when it answers with a `ShedLoad` error frame).
     pub(crate) fn count_shed(&mut self, priority: Priority) {
         match priority {
             Priority::Low => self.shed_low += 1,
             Priority::Normal => self.shed_normal += 1,
             Priority::High => self.shed_high += 1,
         }
-    }
-
-    /// Field-wise sum of per-reactor snapshots. Every field — including the
-    /// `in_flight` gauge, which each reactor stores from its own table —
-    /// is owned by exactly one reactor, so the merged view is an exact sum,
-    /// not an approximation. A struct literal without `..`: a field added
-    /// to [`WireStats`] and not summed here does not compile.
-    pub fn merged(parts: &[WireStats]) -> WireStats {
-        parts.iter().fold(WireStats::default(), |t, p| WireStats {
-            connections_accepted: t.connections_accepted + p.connections_accepted,
-            connections_rejected: t.connections_rejected + p.connections_rejected,
-            connections_closed: t.connections_closed + p.connections_closed,
-            frames_received: t.frames_received + p.frames_received,
-            frames_sent: t.frames_sent + p.frames_sent,
-            error_frames_sent: t.error_frames_sent + p.error_frames_sent,
-            bytes_received: t.bytes_received + p.bytes_received,
-            bytes_sent: t.bytes_sent + p.bytes_sent,
-            decode_errors: t.decode_errors + p.decode_errors,
-            requests_rejected: t.requests_rejected + p.requests_rejected,
-            in_flight: t.in_flight + p.in_flight,
-            outbound_overflows: t.outbound_overflows + p.outbound_overflows,
-            shed_low: t.shed_low + p.shed_low,
-            shed_normal: t.shed_normal + p.shed_normal,
-            shed_high: t.shed_high + p.shed_high,
-        })
     }
 }
 
@@ -430,7 +399,6 @@ pub(crate) fn percentile(samples: &[f64], q: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::store::EncodeCacheStats;
-    use crate::telemetry::families::{Value, WIRE};
     use crate::telemetry::Telemetry;
 
     /// A snapshot percentile is its histogram bucket's upper bound: never
@@ -605,69 +573,6 @@ mod tests {
     }
 
     #[test]
-    fn merged_wire_stats_sum_every_field() {
-        let a = WireStats {
-            connections_accepted: 3,
-            connections_rejected: 1,
-            connections_closed: 2,
-            frames_received: 40,
-            frames_sent: 38,
-            error_frames_sent: 2,
-            bytes_received: 4000,
-            bytes_sent: 5000,
-            decode_errors: 1,
-            requests_rejected: 1,
-            in_flight: 2,
-            outbound_overflows: 1,
-            shed_low: 3,
-            shed_normal: 1,
-            shed_high: 0,
-        };
-        let b = WireStats {
-            connections_accepted: 5,
-            connections_rejected: 0,
-            connections_closed: 4,
-            frames_received: 60,
-            frames_sent: 61,
-            error_frames_sent: 0,
-            bytes_received: 6000,
-            bytes_sent: 7000,
-            decode_errors: 0,
-            requests_rejected: 0,
-            in_flight: 3,
-            outbound_overflows: 0,
-            shed_low: 2,
-            shed_normal: 0,
-            shed_high: 1,
-        };
-        // Every exported wire row of the merged view is the sum of the same
-        // row over the parts; the table covers every field, so one missing
-        // from `merged` fails here.
-        let merged = WireStats::merged(&[a.clone(), b.clone()]);
-        for row in WIRE {
-            match ((row.get)(&merged), (row.get)(&a), (row.get)(&b)) {
-                (Value::Int(m), Value::Int(x), Value::Int(y)) => {
-                    assert_eq!(m, x + y, "{}", row.name);
-                    assert!(m > 0, "{} is not exercised", row.name);
-                }
-                (Value::PerPriority(m), Value::PerPriority(x), Value::PerPriority(y)) => {
-                    for p in Priority::ALL.map(|p| p.index()) {
-                        assert_eq!(m[p], x[p] + y[p], "{}", row.name);
-                        assert!(m[p] > 0, "{} is not exercised", row.name);
-                    }
-                }
-                _ => panic!("{} changes shape between snapshots", row.name),
-            }
-        }
-        assert_eq!(merged.open_connections(), 2);
-        assert_eq!(merged.shed_total(), 7);
-        assert_eq!(merged.shed_for(Priority::Low), 5);
-        // Degenerate shapes behave: empty = zero, singleton = identity.
-        assert_eq!(WireStats::merged(&[]), WireStats::default());
-        assert_eq!(WireStats::merged(std::slice::from_ref(&a)), a);
-    }
-
-    #[test]
     fn record_shed_surfaces_per_priority_even_with_zero_completions() {
         let c = Telemetry::new();
         c.record_shed(Priority::Low);
@@ -688,7 +593,7 @@ mod tests {
 
     #[test]
     fn wire_collector_counts_shed_per_priority() {
-        // What a reactor does to its own counters on a `ShedLoad` answer.
+        // What the wire loop does to its counters on a `ShedLoad` answer.
         let mut s = WireStats::default();
         s.count_shed(Priority::Low);
         s.count_shed(Priority::High);

@@ -28,29 +28,18 @@ impl Value {
     }
 }
 
-/// Renders one family — under `name` and `help`, which differ from the
-/// row's own on the per-reactor walk — with the samples of every item.
+/// Renders every family of `table` with the samples of every item.
 /// `items` pairs each snapshot with its pre-rendered label set (empty for
 /// none).
-fn render_family<S>(
-    out: &mut String,
-    name: &str,
-    help: &str,
-    row: &Family<S>,
-    items: &[(String, &S)],
-) {
-    type_line(out, name, help, row.kind);
-    for (labels, item) in items {
-        for (extra, value) in (row.get)(item).samples() {
-            let labelled = with_labels(name, &join_labels(labels, &extra));
-            out.push_str(&format!("{labelled} {value}\n"));
-        }
-    }
-}
-
 fn render_table<S>(out: &mut String, table: &[Family<S>], items: &[(String, &S)]) {
     for row in table {
-        render_family(out, row.name, row.help, row, items);
+        type_line(out, row.name, row.help, row.kind);
+        for (labels, item) in items {
+            for (extra, value) in (row.get)(item).samples() {
+                let labelled = with_labels(row.name, &join_labels(labels, &extra));
+                out.push_str(&format!("{labelled} {value}\n"));
+            }
+        }
     }
 }
 
@@ -74,19 +63,6 @@ pub fn render_prometheus(stats: &ServerStats, registry: &MetricsRegistry) -> Str
     render_table(&mut out, ENCODE_CACHE, &unlabelled);
     if let Some(wire) = &stats.wire {
         render_table(&mut out, WIRE, &[(String::new(), wire)]);
-        let reactors: Vec<_> = stats
-            .wire_reactors
-            .iter()
-            .enumerate()
-            .map(|(index, r)| (format!("reactor=\"{index}\""), r))
-            .collect();
-        if !reactors.is_empty() {
-            for row in WIRE {
-                if let Some(help) = row.per_reactor {
-                    render_family(&mut out, &row.reactor_name(), help, row, &reactors);
-                }
-            }
-        }
     }
     if let Some(cluster) = &stats.cluster {
         render_table(&mut out, CLUSTER, &[(format!("node=\"{}\"", cluster.node_id), cluster)]);
@@ -418,43 +394,6 @@ mod tests {
                 shed_normal: 1,
                 shed_high: 0,
             }),
-            // A two-reactor split whose field-wise sum is `wire` above.
-            wire_reactors: vec![
-                WireStats {
-                    connections_accepted: 3,
-                    connections_rejected: 1,
-                    connections_closed: 2,
-                    frames_received: 70,
-                    frames_sent: 69,
-                    error_frames_sent: 1,
-                    bytes_received: 26_000,
-                    bytes_sent: 30_000,
-                    decode_errors: 1,
-                    requests_rejected: 1,
-                    in_flight: 0,
-                    outbound_overflows: 1,
-                    shed_low: 2,
-                    shed_normal: 1,
-                    shed_high: 0,
-                },
-                WireStats {
-                    connections_accepted: 2,
-                    connections_rejected: 0,
-                    connections_closed: 1,
-                    frames_received: 50,
-                    frames_sent: 49,
-                    error_frames_sent: 1,
-                    bytes_received: 18_000,
-                    bytes_sent: 22_000,
-                    decode_errors: 0,
-                    requests_rejected: 0,
-                    in_flight: 0,
-                    outbound_overflows: 0,
-                    shed_low: 1,
-                    shed_normal: 0,
-                    shed_high: 0,
-                },
-            ],
             cluster: Some(ClusterStats {
                 node_id: 2,
                 shard_map_version: 5,
@@ -486,10 +425,11 @@ mod tests {
         assert_eq!(text, include_str!("exposition.golden.txt"));
     }
 
-    /// `row` is rendered under `name` exactly once: one `# TYPE` line, then
-    /// one sample per item (per priority class, for those rows) carrying
-    /// the value the row's getter reads.
-    fn assert_family_rendered<S>(text: &str, name: &str, row: &Family<S>, items: &[&S]) {
+    /// `row` is rendered exactly once: one `# TYPE` line, then one sample
+    /// per item (per priority class, for those rows) carrying the value the
+    /// row's getter reads.
+    fn assert_family_rendered<S>(text: &str, row: &Family<S>, items: &[&S]) {
+        let name = row.name;
         let type_line = format!("# TYPE {name} {}\n", row.kind);
         assert_eq!(text.matches(&type_line).count(), 1, "{type_line}");
         let rendered: Vec<&str> = text
@@ -509,7 +449,7 @@ mod tests {
 
     fn assert_table_rendered<S>(text: &str, table: &[Family<S>], items: &[&S]) {
         for row in table {
-            assert_family_rendered(text, row.name, row, items);
+            assert_family_rendered(text, row, items);
         }
     }
 
@@ -523,18 +463,14 @@ mod tests {
         assert_table_rendered(&text, DEVICE, &stats.per_device.iter().collect::<Vec<_>>());
         assert_table_rendered(&text, ENCODE_CACHE, &[&stats]);
         assert_table_rendered(&text, WIRE, &[stats.wire.as_ref().unwrap()]);
-        let reactors: Vec<_> = stats.wire_reactors.iter().collect();
-        let sharded: Vec<_> = WIRE.iter().filter(|row| row.per_reactor.is_some()).collect();
-        assert_eq!(sharded.len(), 7);
-        for row in sharded {
-            assert_family_rendered(&text, &row.reactor_name(), row, &reactors);
-        }
         assert_table_rendered(&text, CLUSTER, &[stats.cluster.as_ref().unwrap()]);
         // Labels name the item each sample came from.
         assert!(text.contains("dsstc_priority_requests_total{priority=\"high\"} 40\n"));
         assert!(text.contains("dsstc_device_batches_total{device=\"0\",gpu=\"Tesla V100\"} 18\n"));
         assert!(text.contains("dsstc_wire_shed_total{priority=\"low\"} 3\n"));
-        assert!(text.contains("dsstc_wire_reactor_bytes_sent_total{reactor=\"1\"} 22000\n"));
+        // The front-end is one reactor: no per-reactor rows beside `WIRE`.
+        assert!(!text.contains("dsstc_wire_reactor_"), "{text}");
+        assert!(!text.contains("reactor="), "{text}");
         assert!(text.contains("dsstc_cluster_peers_alive{node=\"2\"} 2\n"));
         // Registry-backed live metrics ride along.
         assert!(text.contains("dsstc_traces_recorded_total 7"));
@@ -597,7 +533,6 @@ mod tests {
     fn exposition_without_wire_omits_wire_families() {
         let mut stats = sample_stats();
         stats.wire = None;
-        stats.wire_reactors = Vec::new();
         stats.cluster = None;
         let text = render_prometheus(&stats, &MetricsRegistry::new());
         assert!(!text.contains("dsstc_wire_"));

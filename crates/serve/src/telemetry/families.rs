@@ -33,29 +33,14 @@ pub(crate) struct Family<S: 'static> {
     pub(crate) kind: &'static str,
     pub(crate) help: &'static str,
     pub(crate) get: fn(&S) -> Value,
-    /// [`WIRE`] rows only: `Some(help)` also exports the row once per
-    /// reactor, labelled `reactor="i"`, with `_wire_reactor_` for `_wire_`
-    /// in its name.
-    pub(crate) per_reactor: Option<&'static str>,
 }
 
 const fn counter<S>(name: &'static str, help: &'static str, get: fn(&S) -> Value) -> Family<S> {
-    Family { name, kind: "counter", help, get, per_reactor: None }
+    Family { name, kind: "counter", help, get }
 }
 
 const fn gauge<S>(name: &'static str, help: &'static str, get: fn(&S) -> Value) -> Family<S> {
-    Family { name, kind: "gauge", help, get, per_reactor: None }
-}
-
-const fn per_reactor(help: &'static str, row: Family<WireStats>) -> Family<WireStats> {
-    Family { per_reactor: Some(help), ..row }
-}
-
-impl Family<WireStats> {
-    /// The name a [`WIRE`] row is exported under on the per-reactor walk.
-    pub(crate) fn reactor_name(&self) -> String {
-        self.name.replacen("_wire_", "_wire_reactor_", 1)
-    }
+    Family { name, kind: "gauge", help, get }
 }
 
 /// Request and batch totals.
@@ -138,57 +123,33 @@ pub(crate) const ENCODE_CACHE: &[Family<ServerStats>] = &[
     ),
 ];
 
-/// The wire front-end's counters: rendered once from the merged
-/// [`WireStats`], then once more — rows with a `per_reactor` help only —
-/// with one sample per reactor (reactor 0 owns the listener). Field-wise,
-/// the merged families are the exact sum of the per-reactor rows; CI
-/// scrapes both and asserts the equality.
+/// The wire front-end's counters, one sample each from its [`WireStats`].
 pub(crate) const WIRE: &[Family<WireStats>] = &[
-    per_reactor(
-        "Connections adopted per reactor",
-        counter("dsstc_wire_connections_accepted_total", "Connections accepted", |w| {
-            Int(w.connections_accepted)
-        }),
-    ),
+    counter("dsstc_wire_connections_accepted_total", "Connections accepted", |w| {
+        Int(w.connections_accepted)
+    }),
     counter("dsstc_wire_connections_rejected_total", "Connections refused over the limit", |w| {
         Int(w.connections_rejected)
     }),
-    per_reactor(
-        "Connections closed per reactor",
-        counter("dsstc_wire_connections_closed_total", "Connections closed", |w| {
-            Int(w.connections_closed)
-        }),
-    ),
+    counter("dsstc_wire_connections_closed_total", "Connections closed", |w| {
+        Int(w.connections_closed)
+    }),
     gauge("dsstc_wire_open_connections", "Connections currently open", |w| {
         Int(w.open_connections())
     }),
-    per_reactor(
-        "Request frames decoded per reactor",
-        counter("dsstc_wire_frames_received_total", "Request frames decoded", |w| {
-            Int(w.frames_received)
-        }),
-    ),
-    per_reactor(
-        "Response frames sent per reactor",
-        counter("dsstc_wire_frames_sent_total", "Response frames sent", |w| Int(w.frames_sent)),
-    ),
+    counter("dsstc_wire_frames_received_total", "Request frames decoded", |w| {
+        Int(w.frames_received)
+    }),
+    counter("dsstc_wire_frames_sent_total", "Response frames sent", |w| Int(w.frames_sent)),
     counter(
         "dsstc_wire_error_frames_total",
         "Error frames generated",
         |w| Int(w.error_frames_sent),
     ),
-    per_reactor(
-        "Raw bytes read off sockets per reactor",
-        counter("dsstc_wire_bytes_received_total", "Raw bytes read off sockets", |w| {
-            Int(w.bytes_received)
-        }),
-    ),
-    per_reactor(
-        "Raw bytes the sockets accepted per reactor",
-        counter("dsstc_wire_bytes_sent_total", "Raw bytes the sockets accepted", |w| {
-            Int(w.bytes_sent)
-        }),
-    ),
+    counter("dsstc_wire_bytes_received_total", "Raw bytes read off sockets", |w| {
+        Int(w.bytes_received)
+    }),
+    counter("dsstc_wire_bytes_sent_total", "Raw bytes the sockets accepted", |w| Int(w.bytes_sent)),
     counter("dsstc_wire_decode_errors_total", "Framing failures", |w| Int(w.decode_errors)),
     counter("dsstc_wire_requests_rejected_total", "Requests refused at submit time", |w| {
         Int(w.requests_rejected)
@@ -198,10 +159,7 @@ pub(crate) const WIRE: &[Family<WireStats>] = &[
         "Wire requests answered with a ShedLoad error frame, per priority class",
         |w| PerPriority(Priority::ALL.map(|p| w.shed_for(p))),
     ),
-    per_reactor(
-        "Wire requests inside the runtime per reactor",
-        gauge("dsstc_wire_in_flight", "Wire requests inside the runtime", |w| Int(w.in_flight)),
-    ),
+    gauge("dsstc_wire_in_flight", "Wire requests inside the runtime", |w| Int(w.in_flight)),
     counter(
         "dsstc_wire_outbound_overflows_total",
         "Connections poisoned for breaching the outbound buffer cap",

@@ -263,7 +263,6 @@ impl Telemetry {
             encode_hit_rate: encode.hit_rate(),
             timing_hit_rate,
             wire: None,
-            wire_reactors: Vec::new(),
             cluster: None,
         }
     }

@@ -9,56 +9,20 @@
 //! mean `1 / rate`, drawn from a seeded deterministic generator so a sweep
 //! cell is exactly reproducible.
 //!
-//! Two fidelity tools for **high** offered rates, where a single submitter
-//! thread pacing with `thread::sleep` falls behind its own arrival clock:
-//!
-//! * [`PoissonArrivals::split`] decomposes the process into independent
-//!   sub-processes of `rate / n` each — the superposition of independent
-//!   Poisson processes is a Poisson process at the summed rate, so driving
-//!   one sub-process per submitter thread offers the same aggregate load
-//!   with n× less pacing pressure per thread; and
-//! * [`pace_until`] sleeps coarsely and **busy-spins the final stretch**,
-//!   hitting arrival instants with microsecond-level accuracy instead of
-//!   the scheduler's wake-up granularity.
+//! The process only draws gaps; pacing is the caller's job (a sleeping
+//! submitter runs slightly late, never early, which is the open-loop
+//! contract).
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-
-/// How close to the deadline [`pace_until`] switches from sleeping to
-/// busy-spinning. Coarser than any OS wake-up jitter we care about, tiny
-/// enough that the spin burns microseconds, not milliseconds.
-const SPIN_WINDOW: Duration = Duration::from_micros(200);
-
-/// Waits until `deadline` with hybrid sleep + busy-spin pacing: coarse
-/// sleeps up to a fixed spin window (200 µs) before the deadline, then a
-/// spin loop. An
-/// open-loop submitter paced this way stays faithful to its arrival clock
-/// at offered rates well past 10k requests/second, where plain
-/// `thread::sleep` over-shoots every gap. Returns immediately when the
-/// deadline already passed (the open-loop contract: late, never early).
-pub fn pace_until(deadline: Instant) {
-    loop {
-        let now = Instant::now();
-        if now >= deadline {
-            return;
-        }
-        let remaining = deadline - now;
-        if remaining > SPIN_WINDOW {
-            std::thread::sleep(remaining - SPIN_WINDOW);
-        } else {
-            std::hint::spin_loop();
-        }
-    }
-}
 
 /// A seeded Poisson arrival process: an infinite iterator of inter-arrival
 /// gaps with exponential distribution at a configured mean rate.
 #[derive(Clone, Debug)]
 pub struct PoissonArrivals {
     rate_rps: f64,
-    seed: u64,
     rng: StdRng,
 }
 
@@ -70,17 +34,7 @@ impl PoissonArrivals {
     /// Panics if `rate_rps` is not strictly positive and finite.
     pub fn new(rate_rps: f64, seed: u64) -> Self {
         assert!(rate_rps > 0.0 && rate_rps.is_finite(), "arrival rate must be positive and finite");
-        PoissonArrivals { rate_rps, seed, rng: StdRng::seed_from_u64(seed) }
-    }
-
-    /// The configured mean arrival rate, requests per second.
-    pub fn rate_rps(&self) -> f64 {
-        self.rate_rps
-    }
-
-    /// The mean inter-arrival gap, `1 / rate`.
-    pub fn mean_gap(&self) -> Duration {
-        Duration::from_secs_f64(1.0 / self.rate_rps)
+        PoissonArrivals { rate_rps, rng: StdRng::seed_from_u64(seed) }
     }
 
     /// Draws the next inter-arrival gap: `-ln(1 - u) / rate` with `u`
@@ -89,26 +43,6 @@ impl PoissonArrivals {
     pub fn next_gap(&mut self) -> Duration {
         let u: f64 = self.rng.random_range(0.0f64..1.0);
         Duration::from_secs_f64(-(1.0 - u).ln() / self.rate_rps)
-    }
-
-    /// Splits the process into `parts` independent sub-processes of
-    /// `rate / parts` each, with seeds derived deterministically from this
-    /// process's seed. Their superposition is again Poisson at the full
-    /// rate, so one sub-process per submitter thread offers the same
-    /// aggregate load while each thread paces `parts`× fewer arrivals.
-    ///
-    /// # Panics
-    /// Panics if `parts` is zero.
-    pub fn split(&self, parts: usize) -> Vec<PoissonArrivals> {
-        assert!(parts > 0, "at least one sub-process is required");
-        (0..parts as u64)
-            .map(|i| {
-                PoissonArrivals::new(
-                    self.rate_rps / parts as f64,
-                    self.seed ^ (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                )
-            })
-            .collect()
     }
 }
 
@@ -145,8 +79,6 @@ mod tests {
             (mean - expected).abs() / expected < 0.05,
             "mean gap {mean} s vs expected {expected} s"
         );
-        assert_eq!(gen.rate_rps(), rate);
-        assert!((gen.mean_gap().as_secs_f64() - expected).abs() < 1e-12);
     }
 
     #[test]
@@ -166,75 +98,24 @@ mod tests {
     }
 
     #[test]
-    fn split_preserves_the_aggregate_rate_and_is_deterministic() {
-        let gen = PoissonArrivals::new(8000.0, 11);
-        let parts = gen.split(4);
-        assert_eq!(parts.len(), 4);
-        let total: f64 = parts.iter().map(PoissonArrivals::rate_rps).sum();
-        assert!((total - 8000.0).abs() < 1e-9);
-        // Deterministic: splitting again replays identical sub-streams.
-        let again = PoissonArrivals::new(8000.0, 11).split(4);
-        for (mut a, mut b) in parts.into_iter().zip(again) {
-            for _ in 0..64 {
-                assert_eq!(a.next_gap(), b.next_gap());
-            }
-        }
+    #[should_panic(expected = "positive and finite")]
+    fn infinite_rate_panics() {
+        let _ = PoissonArrivals::new(f64::INFINITY, 1);
     }
 
     #[test]
-    fn split_sub_streams_are_decorrelated_and_run_at_the_divided_rate() {
-        // Superposition property, checked empirically: each of the four
-        // sub-processes of a 2000 rps split runs at ~500 rps, so their
-        // merged stream offers the configured aggregate load.
-        let mut parts = PoissonArrivals::new(2000.0, 3).split(4);
-        let per_stream = 2500;
-        for p in &mut parts {
-            let span: f64 = (0..per_stream).map(|_| p.next_gap().as_secs_f64()).sum();
-            let rate = f64::from(per_stream) / span;
-            assert!((rate - 500.0).abs() / 500.0 < 0.1, "sub-stream rate {rate}");
-        }
-        // Distinct sub-streams draw distinct gaps.
-        let mut a = PoissonArrivals::new(2000.0, 3).split(2).remove(0);
-        let mut b = PoissonArrivals::new(2000.0, 3).split(2).remove(1);
-        let gaps_a: Vec<_> = (0..32).map(|_| a.next_gap()).collect();
-        let gaps_b: Vec<_> = (0..32).map(|_| b.next_gap()).collect();
-        assert_ne!(gaps_a, gaps_b);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one sub-process")]
-    fn zero_way_split_panics() {
-        let _ = PoissonArrivals::new(100.0, 1).split(0);
-    }
-
-    #[test]
-    fn pace_until_is_late_never_early_and_tight() {
-        // Sub-millisecond gaps paced back to back: every deadline is met
-        // (never early — the hard contract), and the *typical* overshoot
-        // stays far below the ~1 ms+ error plain sleep exhibits for
-        // microsecond gaps. The tightness bound is asserted on the median,
-        // not the worst case, so a single scheduler hiccup on a loaded CI
-        // runner cannot fail the test.
-        let gap = Duration::from_micros(250);
-        let mut deadline = Instant::now();
-        let mut overshoots = Vec::with_capacity(40);
-        for _ in 0..40 {
-            deadline += gap;
-            pace_until(deadline);
-            let now = Instant::now();
-            assert!(now >= deadline, "paced wake-up must never be early");
-            overshoots.push(now - deadline);
-        }
-        overshoots.sort();
-        let median = overshoots[overshoots.len() / 2];
-        assert!(
-            median < Duration::from_millis(5),
-            "median overshoot {median:?} is scheduler-bound, not spin-bound"
-        );
-        // A deadline in the past returns immediately.
-        let past = Instant::now() - Duration::from_millis(1);
-        let started = Instant::now();
-        pace_until(past);
-        assert!(started.elapsed() < Duration::from_millis(2));
+    fn gaps_have_the_exponential_spread() {
+        // An exponential's standard deviation equals its mean, and a gap
+        // outlasts the mean with probability 1/e: a constant or uniform
+        // generator with the right mean fails both.
+        let mut gen = PoissonArrivals::new(1000.0, 5);
+        let gaps: Vec<f64> = (0..20_000).map(|_| gen.next_gap().as_secs_f64()).collect();
+        let n = gaps.len() as f64;
+        let mean = gaps.iter().sum::<f64>() / n;
+        let var = gaps.iter().map(|g| (g - mean).powi(2)).sum::<f64>() / n;
+        let cv = var.sqrt() / mean;
+        assert!((cv - 1.0).abs() < 0.05, "coefficient of variation {cv}");
+        let over = gaps.iter().filter(|&&g| g > mean).count() as f64 / n;
+        assert!((over - (-1.0f64).exp()).abs() < 0.02, "share above the mean {over}");
     }
 }

@@ -7,10 +7,10 @@
 //! Completion routing is per-request, not per-ingress: every request
 //! carries its own response `Sender` (captured at submit time), so one
 //! batch can fan its responses out to any mix of in-process callers and
-//! wire reactors — each wire reactor submits with a clone of *its own*
-//! completion channel plus its waker, and the worker follows each such
-//! send with a wake, so the event loop itself receives only its own
-//! connections' responses back ([`crate::net::server`]).
+//! the wire reactor — it submits with a clone of its completion channel
+//! plus its waker, and the worker follows each such send with a wake, so
+//! the event loop itself receives its connections' responses back
+//! ([`crate::net::server`]).
 //!
 //! Device queues are **bounded to one in-flight batch** (`sync_channel(1)`)
 //! so the dispatcher barely runs ahead of the pool: requests wait in the

@@ -72,7 +72,6 @@ fn start_cluster(
                     .with_listen(addrs[i])
                     .with_max_queue_wait(Duration::from_millis(1))
                     .with_proxy_dim(PROXY_DIM)
-                    .with_reactors(1)
                     .with_cluster(cluster),
             )
             .expect("bind cluster node")

@@ -29,8 +29,7 @@
 //! the bound address, serves until `--wire-requests N` (default 48)
 //! responses have gone out (printing a one-line stats heartbeat roughly
 //! every 5 s along the way), then drains gracefully and asserts the wire
-//! counters. `--reactors N` shards the front-end across N event loops
-//! (0 = one per host core). `examples/serve_client.rs` is the matching
+//! counters. `examples/serve_client.rs` is the matching
 //! driver; the CI wire smoke runs the two against each other.
 //!
 //! Cluster knobs (see `docs/CLUSTER.md`): `--cluster-node ID` joins the
@@ -58,7 +57,7 @@ use dsstc_tensor::{Matrix, SparsityPattern};
 
 const USAGE: &str = "usage: serve_demo [--encode-cache-dir DIR] [--expect-warm] \
 [--store-budget-bytes N] [--trace-out PATH] \
-[--listen ADDR [--wire-requests N] [--reactors N] [--metrics-addr ADDR] \
+[--listen ADDR [--wire-requests N] [--metrics-addr ADDR] \
 [--auth-token TOKEN] [--cluster-node ID] [--cluster-peer ID=ADDR]... \
 [--cluster-replication N]]";
 
@@ -81,7 +80,6 @@ fn run_listen(config: ServeConfig, wire_requests: u64) {
     if let Some(addr) = server.metrics_addr() {
         println!("metrics on http://{addr}/metrics");
     }
-    println!("wire front-end sharded across {} reactor(s)", server.reactors());
     // The line clients (and the CI smoke) wait for before connecting.
     println!("listening on {}", server.local_addr());
     let mut last_heartbeat = std::time::Instant::now();
@@ -129,7 +127,6 @@ fn main() {
     let mut store_budget_bytes: Option<u64> = None;
     let mut listen: Option<std::net::SocketAddr> = None;
     let mut wire_requests: u64 = 48;
-    let mut reactors: Option<usize> = None;
     let mut metrics_addr: Option<std::net::SocketAddr> = None;
     let mut trace_out: Option<PathBuf> = None;
     let mut auth_token: Option<String> = None;
@@ -160,14 +157,6 @@ fn main() {
                 match iter.next().and_then(|v| v.parse().ok()).filter(|&n: &u64| n > 0) {
                     Some(n) => wire_requests = n,
                     None => usage_error("--wire-requests needs a positive integer"),
-                }
-            }
-            "--reactors" => {
-                // 0 is meaningful (one reactor per host core), so only a
-                // missing or non-numeric value is rejected.
-                match iter.next().and_then(|v| v.parse().ok()) {
-                    Some(n) => reactors = Some(n),
-                    None => usage_error("--reactors needs a non-negative integer"),
                 }
             }
             "--metrics-addr" => match iter.next().map(|v| v.parse()) {
@@ -242,9 +231,6 @@ fn main() {
     if let Some(addr) = metrics_addr {
         config = config.with_metrics_addr(addr);
     }
-    if reactors.is_some() && listen.is_none() {
-        usage_error("--reactors needs --listen (it shards the wire front-end)");
-    }
     if listen.is_none()
         && (auth_token.is_some()
             || cluster_node.is_some()
@@ -263,9 +249,6 @@ fn main() {
         #[cfg(target_os = "linux")]
         {
             let mut config = config.with_listen(addr);
-            if let Some(n) = reactors {
-                config = config.with_reactors(n);
-            }
             if let Some(token) = auth_token {
                 config = config.with_auth_token(token);
             }
