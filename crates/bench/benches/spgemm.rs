@@ -5,8 +5,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dsstc::DualSideSparseTensorCore;
 use dsstc_kernels::bitmap_spgemm::{BitmapSpGemm, SimdLevel};
 use dsstc_kernels::dense_gemm::DenseGemm;
+use dsstc_models::networks::{bert_base, resnet50};
+use dsstc_models::prune_magnitude;
 use dsstc_sim::GpuConfig;
-use dsstc_tensor::{GemmShape, Matrix, SparsityPattern};
+use dsstc_tensor::{GemmShape, Matrix, RandomMatrixBuilder, SparsityPattern};
 use std::hint::black_box;
 
 fn bench_scheme_estimation(c: &mut Criterion) {
@@ -50,9 +52,11 @@ fn bench_functional_spgemm(c: &mut Criterion) {
 /// over identical pre-built encodings, under Criterion's statistics, and
 /// `encode_a` of the same A. The last pair, A 90 % / B 99 % sparse, is the
 /// operand pair of `benchmark/`'s `gemm_extreme` workload, so the
-/// micro-cells and the end-to-end number name the same point. The word
-/// kernel keeps its staging buffers per thread, so every `word_parallel`
-/// cell is a warm-workspace number: a call allocates its output only.
+/// micro-cells and the end-to-end number name the same point; its A is also
+/// encoded pinned to each vector level this host has (`encode_a_at`). The
+/// word kernel keeps its staging buffers per thread, so every
+/// `word_parallel` cell is a warm-workspace number: a call allocates its
+/// output only.
 fn bench_word_vs_scalar(c: &mut Criterion) {
     let mut group = c.benchmark_group("spgemm_word_vs_scalar_512");
     group.sample_size(10);
@@ -78,6 +82,14 @@ fn bench_word_vs_scalar(c: &mut Criterion) {
             BenchmarkId::new("word_parallel", format!("a{a_sparsity}_b{b_sparsity}")),
             &(&a_enc, &b_enc),
             |bench, (a_enc, b_enc)| bench.iter(|| black_box(kernel.execute_encoded(a_enc, b_enc))),
+        );
+    }
+    let a = Matrix::random_sparse(512, 512, 0.9, SparsityPattern::Uniform, 21);
+    for level in SimdLevel::available() {
+        group.bench_with_input(
+            BenchmarkId::new("encode_a_at", level.name()),
+            &level,
+            |bench, &level| bench.iter(|| black_box(kernel.encode_a_at(&a, level))),
         );
     }
     group.finish();
@@ -170,6 +182,33 @@ fn bench_tiny_call(c: &mut Criterion) {
     group.finish();
 }
 
+/// A 4-row serve batch through a whole 64-wide proxy model, as a
+/// `dsstc-serve` worker runs it (`EncodedModel::forward`): every layer's
+/// band is ragged, so this is what a small batch pays per layer for the rows
+/// it does not have. ResNet-50 (13 layers, ReLU) and BERT (4, none).
+fn bench_tiny_forward(c: &mut Criterion) {
+    let mut group = c.benchmark_group("tiny_forward_4x64");
+    group.sample_size(100);
+    let kernel = BitmapSpGemm::new(GpuConfig::v100());
+    let input = Matrix::random_sparse(4, 64, 0.49, SparsityPattern::Uniform, 21);
+    for (name, network, relu) in [("resnet50", resnet50(), true), ("bert", bert_base(), false)] {
+        let weights: Vec<_> = (network.layers().iter().enumerate())
+            .map(|(i, layer)| {
+                let dense = RandomMatrixBuilder::new(64, 64)
+                    .seed(42 + i as u64)
+                    .value_range(-0.5, 0.5)
+                    .build();
+                kernel.encode_b(&prune_magnitude(&dense, layer.weight_sparsity))
+            })
+            .collect();
+        let layers: Vec<_> = weights.iter().map(|w| (w, relu)).collect();
+        group.bench_function(name, |bench| {
+            bench.iter(|| black_box(kernel.forward(&input, &layers)))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_scheme_estimation,
@@ -177,6 +216,7 @@ criterion_group!(
     bench_word_vs_scalar,
     bench_serve_hot_path,
     bench_forward_hot_path,
-    bench_tiny_call
+    bench_tiny_call,
+    bench_tiny_forward
 );
 criterion_main!(benches);

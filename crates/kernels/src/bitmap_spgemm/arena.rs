@@ -13,18 +13,23 @@
 //! every band at the dense bound `warp_m * cols` (bases at fixed offsets), so
 //! threads can emit bands side by side without knowing what the others keep.
 //! An [`EncodedA`], the owned operand [`BitmapSpGemm::encode_a`] returns,
-//! packs them: it holds only its non-zeros, and the dense bound is staged
-//! for one band at a time.
+//! packs them: a count pass places every band's base, and the emitter
+//! writes only the non-zeros, in place.
+//!
+//! A dense operand reaches the emitter through [`Emitter::encode`], which
+//! [`super::simd`] compiles per vector level; a layer's output pass reaches
+//! it as the band loop's sink, at the band loop's level.
 //!
 //! [`BitmapSpGemm::encode_a`]: super::BitmapSpGemm::encode_a
 
 use dsstc_tensor::{f16, Matrix};
 
+use super::simd::{self, Lanes, Level};
 use super::word::{grow, Sink};
 
 /// The block the emitter transposes at a time: a native tile's rows by a
 /// cache line of columns.
-const TILE_ROWS: usize = 32;
+pub(super) const TILE_ROWS: usize = 32;
 const TILE_COLS: usize = 16;
 
 /// A column-condensed A operand in bands of `wm` rows and tiles of `wk`
@@ -100,26 +105,28 @@ impl Arena {
         Emitter::new(
             &mut self.words[..grid_m * steps],
             &mut self.starts[..grid_m * (steps + 1)],
+            &self.bases[..grid_m],
             &mut self.values[..grid_m * segment],
             (self.wm, steps, cols),
             relu,
         )
     }
 
-    /// Encodes `dense` (this arena's row count).
-    pub(super) fn encode(&mut self, dense: &Matrix) {
+    /// Encodes `dense` (this arena's row count) at `level`.
+    pub(super) fn encode(&mut self, dense: &Matrix, level: Level) {
         assert_eq!(dense.rows(), self.rows, "the arena was reset for another batch");
-        let (wm, cols) = (self.wm, dense.cols());
-        let mut emitter = self.emitter(cols, false);
-        for (band, rows) in dense.as_slice().chunks(wm * cols).enumerate() {
-            emitter.block(band, 0, cols, rows);
-            emitter.end_band(band);
-        }
+        simd::encode(level, &mut self.emitter(dense.cols(), false), dense);
     }
 
     /// Bands of the operand (`rows / wm`, rounded up).
     pub(super) fn grid_m(&self) -> usize {
         self.rows.div_ceil(self.wm)
+    }
+
+    /// Rows of band `im`: `warp_m`, fewer in a ragged last band.
+    #[inline(always)]
+    pub(super) fn band_rows(&self, im: usize) -> usize {
+        self.wm.min(self.rows - im * self.wm)
     }
 
     /// Tile columns of the operand (`cols / wk`, rounded up).
@@ -191,33 +198,42 @@ pub struct EncodedA {
 }
 
 impl EncodedA {
-    /// `dense` in `(wm, wk)` tiles: what the workspace arena's emitter writes,
-    /// band by band through a dense-bound staging segment, each band's kept
-    /// values then packed behind the previous band's. A first pass counts
-    /// them, so every buffer is allocated once, at its final size.
-    pub(super) fn encode(dense: &Matrix, tile: (usize, usize)) -> EncodedA {
+    /// `dense` in `(wm, wk)` tiles at `level`: what the workspace arena's
+    /// emitter writes, but with each band's values packed behind the
+    /// previous band's. A first pass counts every band's survivors, so each
+    /// buffer is allocated once at its final size and every band's base is
+    /// known before the emitter writes its values there, in place.
+    pub(super) fn encode(dense: &Matrix, tile: (usize, usize), level: Level) -> EncodedA {
         let (rows, cols) = (dense.rows(), dense.cols());
-        let mut arena = Arena::default();
-        let grid_m = arena.shape(rows, cols, tile);
-        let (wm, steps) = (arena.wm, cols.div_ceil(arena.wk) * arena.wk);
-        (arena.cols, arena.steps) = (cols, steps);
-        let nnz = dense.as_slice().iter().filter(|&&x| f16::survives(x)).count();
-        arena.words = vec![0; grid_m * steps];
-        arena.starts = vec![0; grid_m * (steps + 1)];
-        arena.bases = Vec::with_capacity(grid_m);
-        arena.values = Vec::with_capacity(nnz);
-        let mut staged = vec![0.0; wm * cols];
-        let bands = dense.as_slice().chunks(wm * cols).zip(arena.words.chunks_exact_mut(steps));
-        for ((rows, words), starts) in bands.zip(arena.starts.chunks_exact_mut(steps + 1)) {
-            let mut emitter = Emitter::new(words, starts, &mut staged, (wm, steps, cols), false);
-            emitter.block(0, 0, cols, rows);
-            emitter.end_band(0);
-            let kept = emitter.kept;
-            arena.bases.push(arena.values.len());
-            arena.values.extend_from_slice(&staged[..kept]);
-        }
-        debug_assert_eq!(arena.values.len(), nnz, "the count pass keeps what the emitter does");
-        EncodedA { arena }
+        let mut a = Arena::default();
+        let grid_m = a.shape(rows, cols, tile);
+        (a.cols, a.steps) = (cols, cols.div_ceil(a.wk) * a.wk);
+        // A `u32` sum vectorises where a `usize` count does not, and a band's
+        // survivors fit one (`Arena::shape`).
+        let mut nnz = 0;
+        a.bases = (dense.as_slice().chunks(a.wm * cols))
+            .map(|band| {
+                let base = nnz;
+                nnz += band.iter().map(|&x| u32::from(f16::survives(x))).sum::<u32>() as usize;
+                base
+            })
+            .collect();
+        a.words = vec![0; grid_m * a.steps];
+        a.starts = vec![0; grid_m * (a.steps + 1)];
+        // Slack for what the tile compaction stores past the last kept value.
+        a.values = vec![0.0; nnz + TILE_ROWS];
+        let shape = (a.wm, a.steps, cols);
+        let mut emitter =
+            Emitter::new(&mut a.words, &mut a.starts, &a.bases, &mut a.values, shape, false);
+        simd::encode(level, &mut emitter, dense);
+        a.values.truncate(nnz);
+        debug_assert!(
+            (a.bases.iter().zip(a.bases.iter().skip(1).chain([&nnz])))
+                .zip(a.starts.chunks_exact(a.steps + 1))
+                .all(|((&base, &end), starts)| base + starts[a.steps] as usize == end),
+            "the count pass keeps what the emitter does"
+        );
+        EncodedA { arena: a }
     }
 
     /// Rows of the dense operand.
@@ -261,15 +277,18 @@ impl EncodedA {
     }
 }
 
-/// Writes the bands of an [`Arena`] at the dense bound (all of them, or a
-/// thread's share after [`Sink::split_at_band`]): a band is `block`s of
-/// adjacent columns from column 0 up, then `end_band`. What it keeps, and
-/// what it stores for a kept value, is the formats encoder's
-/// (`TwoLevelBitmapMatrix::encode_f16`) of the (ReLU'd) block, bit for bit:
-/// the keep test is [`f16::survives`], the stored value [`f16::round_f32`].
+/// Writes the bands of an [`Arena`] (all of them, or a thread's share after
+/// [`Sink::split_at_band`]): a band is `block`s of adjacent columns from
+/// column 0 up, then `end_band`. What it keeps, and what it stores for a
+/// kept value, is the formats encoder's (`TwoLevelBitmapMatrix::encode_f16`)
+/// of the (ReLU'd) block, bit for bit: the keep test is [`f16::survives`],
+/// the stored value [`f16::round_f32`].
 pub(super) struct Emitter<'a> {
     words: &'a mut [u64],
     starts: &'a mut [u32],
+    /// Where each band's values start, counted from the arena's first; the
+    /// first band's is the start of `values`.
+    bases: &'a [usize],
     values: &'a mut [f32],
     wm: usize,
     steps: usize,
@@ -282,11 +301,11 @@ pub(super) struct Emitter<'a> {
 
 impl Sink for Emitter<'_> {
     #[inline(always)]
-    fn block(&mut self, band: usize, col0: usize, width: usize, acc: &[f32]) {
+    fn block<L: Lanes>(&mut self, band: usize, col0: usize, width: usize, acc: &[f32]) {
         if self.relu {
-            self.emit::<true>(band, col0, width, acc);
+            self.emit::<L, true>(band, col0, width, acc);
         } else {
-            self.emit::<false>(band, col0, width, acc);
+            self.emit::<L, false>(band, col0, width, acc);
         }
     }
 
@@ -302,57 +321,92 @@ impl Sink for Emitter<'_> {
     fn split_at_band(self, bands: usize) -> (Self, Self) {
         let (words, words_tail) = self.words.split_at_mut(bands * self.steps);
         let (starts, starts_tail) = self.starts.split_at_mut(bands * (self.steps + 1));
-        let (values, values_tail) = self.values.split_at_mut(bands * self.wm * self.cols);
-        let tail = Emitter { words: words_tail, starts: starts_tail, values: values_tail, ..self };
-        (Emitter { words, starts, values, ..tail }, tail)
+        let (bases, bases_tail) = self.bases.split_at(bands);
+        let mid = bases_tail.first().map_or(self.values.len(), |&base| base - self.bases[0]);
+        let (values, values_tail) = self.values.split_at_mut(mid);
+        let tail = Emitter {
+            words: words_tail,
+            starts: starts_tail,
+            bases: bases_tail,
+            values: values_tail,
+            ..self
+        };
+        (Emitter { words, starts, bases, values, ..tail }, tail)
     }
 }
 
 impl<'a> Emitter<'a> {
     /// The writer of bands of `wm` rows and `steps` steps, `cols` of them
-    /// dense: per band `steps` of `words`, `steps + 1` of `starts` and a
-    /// `wm * cols` segment of `values`.
+    /// dense: per band `steps` of `words`, `steps + 1` of `starts` and the
+    /// `values` from its base on. Between a band's base and the next must be
+    /// room for what the band keeps, and past a band's last kept value room
+    /// for [`TILE_ROWS`] more, which a dense-bound segment has.
     fn new(
         words: &'a mut [u64],
         starts: &'a mut [u32],
+        bases: &'a [usize],
         values: &'a mut [f32],
         (wm, steps, cols): (usize, usize, usize),
         relu: bool,
     ) -> Self {
-        Emitter { words, starts, values, wm, steps, cols, relu, step: 0, kept: 0 }
+        Emitter { words, starts, bases, values, wm, steps, cols, relu, step: 0, kept: 0 }
     }
 
-    /// Band `band`'s steps, starts (one more) and value segment.
+    /// Band `band`'s steps, starts (one more) and values from its base on.
+    /// Bands are emitted in turn, so what a band stores past its own values
+    /// the next overwrites.
     #[inline(always)]
     fn band_mut(&mut self, band: usize) -> (&mut [u64], &mut [u32], &mut [f32]) {
-        let (steps, segment) = (self.steps, self.wm * self.cols);
+        let steps = self.steps;
         (
             &mut self.words[band * steps..][..steps],
             &mut self.starts[band * (steps + 1)..][..steps + 1],
-            &mut self.values[band * segment..][..segment],
+            &mut self.values[self.bases[band] - self.bases[0]..],
         )
+    }
+
+    /// Emits `dense`, the whole operand, a band at a time. `inline(always)`:
+    /// the body has to land inside the `#[target_feature]` callers of
+    /// [`super::simd`] to be compiled at their level.
+    #[inline(always)]
+    pub(super) fn encode<L: Lanes>(&mut self, dense: &Matrix) {
+        assert_eq!(dense.cols(), self.cols, "the emitter is for operands of another width");
+        for (band, rows) in dense.as_slice().chunks(self.wm * self.cols).enumerate() {
+            self.block::<L>(band, 0, self.cols, rows);
+            self.end_band(band);
+        }
     }
 
     /// Appends columns `col0..` of the band as steps: `acc` is row-major,
     /// `width` values per row, at most `wm` rows. Columns past the operand's
     /// width (the zero padding of the producer's last tile) are dropped.
     #[inline(always)]
-    fn emit<const RELU: bool>(&mut self, band: usize, col0: usize, width: usize, acc: &[f32]) {
+    fn emit<L: Lanes, const RELU: bool>(
+        &mut self,
+        band: usize,
+        col0: usize,
+        width: usize,
+        acc: &[f32],
+    ) {
         if col0 == 0 {
             (self.step, self.kept) = (0, 0);
         }
         assert_eq!(col0, self.step, "a band's blocks arrive in column order");
         let end = (col0 + width).min(self.cols);
-        let full_rows = acc.len() == TILE_ROWS * width;
+        // A ragged last band (a small batch) takes the tile path too, its
+        // missing rows the tile's zeros. Bands of another height do not: a
+        // 16-row band's dense bound has no room for a 32-row column stored
+        // past its last value.
+        let tiled = self.wm == TILE_ROWS;
         let mut kept = self.kept;
         let (words, starts, values) = self.band_mut(band);
         starts[col0] = kept as u32;
         let mut c = col0;
         while c < end {
             let chunk = TILE_COLS.min(end - c);
-            let done = full_rows && chunk == TILE_COLS && {
+            let done = tiled && chunk == TILE_COLS && {
                 let (words, starts) = (&mut words[c..c + chunk], &mut starts[c + 1..=c + chunk]);
-                emit_tile::<RELU>(acc, width, c - col0, words, starts, values, &mut kept)
+                emit_tile::<L, RELU>(acc, width, c - col0, words, starts, values, &mut kept)
             };
             if !done {
                 for c in c..c + chunk {
@@ -388,18 +442,18 @@ fn emit_column<const RELU: bool>(
     word
 }
 
-/// [`TILE_COLS`] columns of a [`TILE_ROWS`]-row block at once: round every
-/// element without a branch while transposing the tile onto the stack, then
-/// compact each column with an unconditional store and a conditional
-/// advance. The strided walk of [`emit_column`] with a rounding call per
-/// element made the fused forward slower than the unfused one; this is what
-/// pays for the fusion.
+/// [`TILE_COLS`] columns of a block of at most [`TILE_ROWS`] rows at once:
+/// round every element without a branch while transposing the tile onto the
+/// stack, then compact each column with the level's [`Lanes::compress`]. The
+/// strided walk of [`emit_column`] with a rounding call per element made the
+/// fused forward slower than the unfused one; this is what pays for the
+/// fusion.
 ///
-/// Returns `false`, having written nothing that counts, when the tile holds
-/// a magnitude the branch-free rounding does not cover (overflow, infinity,
-/// NaN): the caller redoes it the plain way.
+/// Returns `false`, having written nothing, when the tile holds a magnitude
+/// the branch-free rounding does not cover (overflow, infinity, NaN): the
+/// caller redoes it the plain way.
 #[inline(always)]
-fn emit_tile<const RELU: bool>(
+fn emit_tile<L: Lanes, const RELU: bool>(
     acc: &[f32],
     width: usize,
     c0: usize,
@@ -423,17 +477,12 @@ fn emit_tile<const RELU: bool>(
     let mut n = *kept;
     for ((column, word), start) in tile.iter().zip(words).zip(starts) {
         // A kept value rounds to a non-zero and everything else was stored
-        // as zero above. The column has room for all its rows: it starts at
-        // most `TILE_ROWS` values per earlier column into the segment.
-        let dst = &mut values[n..n + TILE_ROWS];
-        let (mut bits, mut k) = (0u64, 0usize);
-        for (r, &v) in column.iter().enumerate() {
-            let keep = v != 0.0;
-            dst[k] = v;
-            k += usize::from(keep);
-            bits |= u64::from(keep) << r;
-        }
-        n += k;
+        // as `+0.0` above, so "not zero" is the keep test. The column has
+        // room for all its rows: it starts at most `TILE_ROWS` values per
+        // earlier column into the band's dense bound, and a packed band's
+        // spill is the next band's to overwrite or the arena's slack.
+        let bits = L::compress(column, &mut values[n..]);
+        n += bits.count_ones() as usize;
         (*word, *start) = (bits, n as u32);
     }
     *kept = n;

@@ -15,8 +15,9 @@ mod simd;
 pub mod warp;
 mod word;
 
-/// A CPU vector level [`BitmapSpGemm::execute_encoded_at`] and
-/// [`BitmapSpGemm::forward_at`] can be pinned to.
+/// A CPU vector level [`BitmapSpGemm::encode_a_at`],
+/// [`BitmapSpGemm::execute_encoded_at`] and [`BitmapSpGemm::forward_at`] can
+/// be pinned to.
 /// Not part of the API: exported so the differential tests and the
 /// per-level Criterion cells can name one.
 #[doc(hidden)]
@@ -596,9 +597,18 @@ impl BitmapSpGemm {
     /// [`Self::forward`] encodes its input with, holds only its non-zeros,
     /// and stores bit for bit what
     /// `TwoLevelBitmapMatrix::encode_f16(a, warp_m, warp_k, VectorLayout::ColumnMajor)`
-    /// does, in a constant few allocations whatever the tile count.
+    /// does, in a constant few allocations whatever the tile count. Like
+    /// [`Self::execute_encoded`], it runs at the widest vector level the CPU
+    /// has, chosen once per call.
     pub fn encode_a(&self, a: &Matrix) -> EncodedA {
-        EncodedA::encode(a, self.tiling.a_tile())
+        self.encode_a_at(a, simd::Level::detect())
+    }
+
+    /// [`Self::encode_a`] with the vector level pinned instead of detected,
+    /// for tests and benches. Every level stores the same bits.
+    #[doc(hidden)]
+    pub fn encode_a_at(&self, a: &Matrix, level: SimdLevel) -> EncodedA {
+        EncodedA::encode(a, self.tiling.a_tile(), level)
     }
 
     /// Encodes the B (weight) operand of an SpGEMM into the two-level bitmap
@@ -1422,6 +1432,85 @@ mod tests {
             }
         }
         x
+    }
+
+    #[test]
+    fn encode_a_stores_what_the_formats_encoder_does_at_every_level() {
+        // Ragged bands (1, 4, 31 and 33 rows: a ragged band takes the tile
+        // path over zero rows), widths below, at and either side of one
+        // 16-column tile, and values FP16 storage flushes, rounds on an edge
+        // or turns non-finite (a tile holding one takes the plain walk), on
+        // 32-row bands and on 16-row ones, which never take the tile path.
+        let tilings =
+            [GemmTiling::paper_spgemm(), GpuConfig::a100().native_tiling(), warp_tiling(16, 64, 8)];
+        for (i, (rows, cols)) in [1, 4, 31, 33, 64]
+            .into_iter()
+            .flat_map(|rows| [1, 15, 16, 17, 64, 100].map(|cols| (rows, cols)))
+            .enumerate()
+        {
+            let seed = 200 + i as u64;
+            for (sparsity, specials) in [(0.0, 0), (0.5, 3), (0.9, 8)] {
+                let mut a = random(rows, cols, sparsity, seed);
+                seed_rounding_edges(&mut a, specials, seed ^ 0xa);
+                seed_non_finite(&mut a, specials / 3, seed ^ 0xb);
+                for tiling in tilings {
+                    let k = kernel().with_tiling(tiling);
+                    let (wm, wk) = k.tiling().a_tile();
+                    let want =
+                        TwoLevelBitmapMatrix::encode_f16(&a, wm, wk, VectorLayout::ColumnMajor);
+                    for level in SimdLevel::available() {
+                        let got = k.encode_a_at(&a, level);
+                        let context = format!("{rows}x{cols} at {sparsity}, {wm}x{wk}, {level:?}");
+                        assert_eq!(got.nnz(), want.nnz(), "{context}");
+                        assert!(same_bits(&got.decode(), &want.decode()), "{context}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn small_batches_forward_as_the_per_layer_reference_does_at_every_level() {
+        // A serve batch is a few rows: one ragged band whose block
+        // accumulator holds only its live rows and whose output pass emits
+        // over a zero-padded tile. Bit for bit per-layer `encode_a`,
+        // `execute_encoded_scalar` and `relu`, on both native tilings.
+        let dense = [random(64, 96, 0.6, 230), random(96, 64, 0.5, 231), random(64, 40, 0.7, 232)];
+        for k in [kernel(), BitmapSpGemm::for_device(GpuConfig::a100())] {
+            let weights = dense.each_ref().map(|w| k.encode_b(w));
+            let layers = [(&weights[0], true), (&weights[1], false), (&weights[2], true)];
+            for rows in [1, 4, 31, 33] {
+                let mut input = random(rows, 64, 0.4, 233 + rows as u64);
+                seed_rounding_edges(&mut input, 4, rows as u64);
+                seed_non_finite(&mut input, 1, rows as u64 ^ 0xa);
+                let mut want = input.clone();
+                for &(w, relu) in &layers {
+                    want = k.execute_encoded_scalar(&k.encode_a(&want), w);
+                    if relu {
+                        want = want.relu();
+                    }
+                }
+                for level in SimdLevel::available() {
+                    let got = k.forward_at(&input, &layers, level);
+                    assert!(same_bits(&got, &want), "{rows} rows, {:?}, {level:?}", k.tiling());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_dense_band_narrower_than_the_emitter_tile_stays_in_its_segment() {
+        // 16-row bands keep every value of a dense output: the band's dense
+        // bound has room for its values, not for a 32-row tile column past
+        // its last one, so such bands never take the tile path.
+        let k = kernel().with_tiling(warp_tiling(16, 64, 8)).with_execute_threads(1);
+        let w = k.encode_b(&Matrix::from_vec(64, 64, vec![1.0; 64 * 64]));
+        let input = Matrix::from_vec(32, 64, vec![1.0; 32 * 64]);
+        let want = reference_forward(&k, &input, &[(&w, true), (&w, true)]);
+        for level in SimdLevel::available() {
+            let got = k.forward_at(&input, &[(&w, true), (&w, true)], level);
+            assert!(same_bits(&got, &want), "{level:?}");
+        }
     }
 
     #[test]

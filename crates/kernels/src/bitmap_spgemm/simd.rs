@@ -1,11 +1,16 @@
 //! Runs the hot loops of [`super::word`] at the widest vector level the CPU
 //! has, picked at run time from CPUID.
 //!
-//! [`super::word`] writes the band loop and the B expansion once, over a
-//! small lane type ([`Lanes`]: one vector register of `f32`s). This module
-//! owns the lane types — a plain array for the baseline, `__m256` for AVX2,
-//! `__m512` for AVX-512F+VL — and instantiates the loops per level under
-//! `#[target_feature]`. **FMA is never enabled** and [`Lanes::mac`] is a
+//! [`super::word`] writes the band loop and the B expansion once, and
+//! [`super::arena`] the emitter (the A encode), over a small lane type
+//! ([`Lanes`]: one vector register of `f32`s). This module owns the lane
+//! types — a plain array for the baseline, `__m256` for AVX2, `__m512` for
+//! AVX-512F+VL — and instantiates the loops per level under
+//! `#[target_feature]`: the band loop (whose sink may be the emitter, which
+//! it hands its lane type), the B expansion and the dense-operand encode.
+//! AVX-512 overrides two lane ops with an instruction the other levels lack:
+//! a B row is decoded with `vexpandps`, an emitter column compacted with
+//! `vcompressps`. **FMA is never enabled** and [`Lanes::mac`] is a
 //! multiply then an add: a step stays a rounded multiply then a rounded add
 //! at every level, which is what keeps the word kernel bit-identical to the
 //! scalar reference (CI greps the emitted code for `vfmadd`, see
@@ -26,7 +31,9 @@ use std::arch::x86_64::*;
 use std::ops::Range;
 
 use dsstc_formats::TwoLevelBitmapMatrix;
+use dsstc_tensor::Matrix;
 
+use super::arena::{Emitter, TILE_ROWS};
 use super::word::{self, ExpandedB, Gemm, InMemory, Scratch, Sink, NATIVE_WN};
 
 /// The instruction sets the loops are compiled for, narrowest first.
@@ -136,6 +143,26 @@ pub(super) trait Lanes: Copy {
             bits &= bits - 1;
         }
     }
+
+    /// Compacts one column of an emitter tile: the values of `column` that
+    /// are not `0.0` go, in order, to the front of `dst`, and the returned
+    /// word has bit `r` set when `column[r]` was one of them. What `dst`
+    /// holds past them is unspecified.
+    ///
+    /// # Panics
+    /// Panics if `dst` is shorter than `column`.
+    #[inline(always)]
+    fn compress(column: &[f32; TILE_ROWS], dst: &mut [f32]) -> u64 {
+        let dst = &mut dst[..TILE_ROWS];
+        let (mut bits, mut k) = (0u64, 0usize);
+        for (r, &v) in column.iter().enumerate() {
+            let keep = v != 0.0;
+            dst[k] = v;
+            k += usize::from(keep);
+            bits |= u64::from(keep) << r;
+        }
+        bits
+    }
 }
 
 /// The portable lane type: a plain array one native tile wide, which LLVM
@@ -183,9 +210,10 @@ impl Lanes for Ymm {
 
     #[inline(always)]
     fn splat(x: f32) -> Self {
-        // SAFETY: needs AVX. `Ymm` is named only by `run_bands_avx2`, which
-        // runs only under a `Level` that `Level::available()` built after
-        // `is_x86_feature_detected!("avx2")` returned true.
+        // SAFETY: needs AVX. `Ymm` is named only by `run_bands_avx2` and
+        // `encode_avx2`, which run only under a `Level` that
+        // `Level::available()` built after `is_x86_feature_detected!("avx2")`
+        // returned true.
         Ymm(unsafe { _mm256_set1_ps(x) })
     }
 
@@ -223,10 +251,11 @@ impl Lanes for Zmm {
 
     #[inline(always)]
     fn splat(x: f32) -> Self {
-        // SAFETY: needs AVX-512F. `Zmm` is named only by `run_bands_avx512`
-        // and `expand_b_avx512`, which run only under a `Level` that
-        // `Level::available()` built after `is_x86_feature_detected!`
-        // returned true for `avx512f`, `avx512vl` and `popcnt`.
+        // SAFETY: needs AVX-512F. `Zmm` is named only by `run_bands_avx512`,
+        // `expand_b_avx512` and `encode_avx512`, which run only under a
+        // `Level` that `Level::available()` built after
+        // `is_x86_feature_detected!` returned true for `avx512f`, `avx512vl`
+        // and `popcnt`.
         Zmm(unsafe { _mm512_set1_ps(x) })
     }
 
@@ -277,6 +306,33 @@ impl Lanes for Zmm {
             }
         }
     }
+
+    /// `vcompressps`: per sixteen rows one compare against zero (`!=` as
+    /// the default body has it, NaN included) and one masked compress-store.
+    #[inline(always)]
+    fn compress(column: &[f32; TILE_ROWS], dst: &mut [f32]) -> u64 {
+        let dst = &mut dst[..TILE_ROWS];
+        let (mut bits, mut n) = (0u64, 0usize);
+        for (i, rows) in column.chunks_exact(16).enumerate() {
+            let dst = &mut dst[n..];
+            // SAFETY: `rows` is sixteen readable `f32`s (`chunks_exact`) and
+            // the load is unaligned. The compress-store writes one `f32` per
+            // set bit of `keep`, at most sixteen, contiguously from the start
+            // of `dst`; every earlier chunk kept at most sixteen, so `n` is
+            // at most `16 * i` and `dst`, which runs to the end of the
+            // `TILE_ROWS`-long slice above, has at least sixteen writable
+            // `f32`s. AVX-512F as in `splat` (`Level::available()`).
+            let keep = unsafe {
+                let v = _mm512_loadu_ps(rows.as_ptr());
+                let keep = _mm512_cmpneq_ps_mask(v, _mm512_setzero_ps());
+                _mm512_mask_compressstoreu_ps(dst.as_mut_ptr(), keep, v);
+                keep
+            };
+            bits |= u64::from(keep) << (16 * i);
+            n += keep.count_ones() as usize;
+        }
+        bits
+    }
 }
 
 // The band body holds a block step's B rows in eight registers whatever the
@@ -285,8 +341,8 @@ impl Lanes for Zmm {
 // native-width tiles at AVX-512, 2 at AVX2 and 1 at the baseline; the second
 // type is the one-tile block that remainders run. `fma` is deliberately
 // absent from both feature lists (see the module docs); `popcnt` is there
-// for the expand-load's value cursor, which is otherwise fifteen
-// instructions of bit-twiddling per sixteen columns.
+// for the expand-load's value cursor and the compress-store's, which are
+// otherwise fifteen instructions of bit-twiddling per sixteen lanes.
 
 /// [`word::run_bands`] compiled for `level`: register-held blocks at the
 /// native tile width, the row left in memory at any other.
@@ -358,6 +414,36 @@ pub(super) fn expand_b(level: Level, b_enc: &TwoLevelBitmapMatrix, b: &mut Expan
 #[target_feature(enable = "avx512f,avx512vl,popcnt")]
 fn expand_b_avx512(b_enc: &TwoLevelBitmapMatrix, b: &mut ExpandedB) {
     word::expand_b::<Zmm>(b_enc, b)
+}
+
+/// [`Emitter::encode`] compiled for `level`: the rounding and the transpose
+/// at the level's width, and at AVX-512 the compaction as compress-stores.
+pub(super) fn encode(level: Level, emitter: &mut Emitter<'_>, dense: &Matrix) {
+    match level.0 {
+        Isa::Baseline => emitter.encode::<Portable>(dense),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `encode_avx2` requires AVX2; as in `run_bands`, an
+        // `Isa::Avx2` level comes only from `Level::available()`, after the
+        // feature check passed.
+        Isa::Avx2 => unsafe { encode_avx2(emitter, dense) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `encode_avx512` requires AVX-512F, AVX-512VL and POPCNT;
+        // as in `run_bands`, an `Isa::Avx512` level comes only from
+        // `Level::available()`, after all three feature checks passed.
+        Isa::Avx512 => unsafe { encode_avx512(emitter, dense) },
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn encode_avx2(emitter: &mut Emitter<'_>, dense: &Matrix) {
+    emitter.encode::<Ymm>(dense)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vl,popcnt")]
+fn encode_avx512(emitter: &mut Emitter<'_>, dense: &Matrix) {
+    emitter.encode::<Zmm>(dense)
 }
 
 #[cfg(test)]

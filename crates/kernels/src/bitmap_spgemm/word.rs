@@ -53,7 +53,7 @@ use dsstc_formats::TwoLevelBitmapMatrix;
 use dsstc_tensor::Matrix;
 
 use super::arena::{Arena, ArenaTile, EncodedA};
-use super::simd::{self, Lanes, Level};
+use super::simd::{self, Lanes, Level, Portable};
 
 /// Minimum number of warp tiles in the output grid before spawning threads
 /// pays for itself (thread startup is ~10 µs; a tile step chain is ~1 µs).
@@ -202,10 +202,12 @@ pub(super) fn expand_b<L: Lanes>(b_enc: &TwoLevelBitmapMatrix, b: &mut ExpandedB
 /// Where a band's finished accumulator blocks go. Bands are numbered from
 /// the sink's own first band.
 pub(super) trait Sink: Sized + Send {
-    /// Columns `col0..col0 + width` of `band`: `acc` is row-major, `warp_m`
-    /// rows of `width`, zero in whatever pads the last tile row or column.
-    /// A band's blocks arrive in ascending column order.
-    fn block(&mut self, band: usize, col0: usize, width: usize, acc: &[f32]);
+    /// Columns `col0..col0 + width` of `band`: `acc` is row-major, one row of
+    /// `width` per live row of the band (`warp_m`, fewer in a ragged last
+    /// band), zero in whatever pads the last tile column. A band's blocks
+    /// arrive in ascending column order. `L` is the vector level's lane type,
+    /// for a sink whose work has a vector form.
+    fn block<L: Lanes>(&mut self, band: usize, col0: usize, width: usize, acc: &[f32]);
 
     /// `band` has had all its blocks.
     #[inline(always)]
@@ -226,7 +228,7 @@ struct DenseRows<'o> {
 
 impl Sink for DenseRows<'_> {
     #[inline(always)]
-    fn block(&mut self, band: usize, col0: usize, width: usize, acc: &[f32]) {
+    fn block<L: Lanes>(&mut self, band: usize, col0: usize, width: usize, acc: &[f32]) {
         let valid_c = width.min(self.cols - col0);
         let rows = self.rows[band * self.wm * self.cols..].chunks_exact_mut(self.cols);
         for (dst, acc_row) in rows.zip(acc.chunks_exact(width)) {
@@ -255,6 +257,10 @@ pub(super) trait BlockRow: Sized {
     /// operand at run time.
     const WIDTH: usize;
 
+    /// The lane type of the level the block runs at, which the band loop
+    /// hands on to its sink.
+    type Lanes: Lanes;
+
     /// Values per held row when tiles are `wn` wide. A constant wherever
     /// [`Self::WIDTH`] is one, so the loops over a row unroll.
     #[inline(always)]
@@ -278,6 +284,7 @@ pub(super) trait BlockRow: Sized {
 /// decode, one broadcast and `V` multiply / load-add / store triples.
 impl<L: Lanes, const V: usize> BlockRow for [L; V] {
     const WIDTH: usize = V * L::N;
+    type Lanes = L;
 
     #[inline(always)]
     fn hold(b_row: &[f32]) -> Self {
@@ -298,11 +305,12 @@ impl<L: Lanes, const V: usize> BlockRow for [L; V] {
 }
 
 /// One tile of a width known only at run time: nothing is held, the `axpy`
-/// is a runtime-trip-count loop over the row where it lies.
+/// is a runtime-trip-count loop over the row where it lies, at the baseline.
 pub(super) struct InMemory;
 
 impl BlockRow for InMemory {
     const WIDTH: usize = 0;
+    type Lanes = Portable;
 
     #[inline(always)]
     fn hold(_b_row: &[f32]) -> Self {
@@ -395,13 +403,15 @@ pub(super) fn run_bands<S: Sink, Wide: BlockRow, One: BlockRow>(
     scratch.accs.reset(wm * Wide::width(wn));
     let accs = scratch.accs.as_mut_slice();
     for im in bands.clone() {
-        let a_words = a.band_words(im);
+        let (a_words, rows) = (a.band_words(im), a.band_rows(im));
         let band = im - bands.start;
         let mut jb = 0;
         while jb < grid_n {
             let wide = grid_n - jb >= wide_tiles;
             let (tiles, width) = if wide { (wide_tiles, Wide::width(wn)) } else { (1, wn) };
-            let acc = &mut accs[..wm * width];
+            // Only the band's live rows: a ragged last band (a small batch)
+            // has no padding rows to zero, and its sink none to walk.
+            let acc = &mut accs[..rows * width];
             acc.fill(0.0);
             for kk in 0..grid_k {
                 let Some(a_tile) = a.tile(im, kk) else { continue };
@@ -412,7 +422,7 @@ pub(super) fn run_bands<S: Sink, Wide: BlockRow, One: BlockRow>(
                     block_steps::<One>(a_words, a_tile, b, (kk, jb), acc);
                 }
             }
-            sink.block(band, jb * wn, width, acc);
+            sink.block::<Wide::Lanes>(band, jb * wn, width, acc);
             jb += tiles;
         }
         sink.end_band(band);
@@ -530,7 +540,7 @@ pub(crate) fn forward(
         src.reset(input.rows(), widest, a_tile);
         dst.reset(input.rows(), widest, a_tile);
 
-        src.encode(input);
+        src.encode(input, level);
         for &(weights, relu) in inner {
             simd::expand_b(level, weights, b);
             let gemm = Gemm { a: &*src, b, dims };
@@ -655,13 +665,14 @@ mod tests {
         for (wm, wn, wk) in [(32, 32, 16), (32, 24, 16), (16, 64, 8)] {
             let x_want = TwoLevelBitmapMatrix::encode_f16(&x, wm, wk, VectorLayout::ColumnMajor);
             let w_enc = TwoLevelBitmapMatrix::encode_f16(&w, wk, wn, VectorLayout::RowMajor);
-            let x_enc = EncodedA::encode(&x, (wm, wk));
-            assert_encoded_a_is(&x_enc, &x_want, &format!("encode_a, {wm}x{wn}x{wk}"));
-            let mut src = Arena::default();
-            src.reset(m, kd.max(n), (wm, wk));
-            src.encode(&x);
-            assert_arena_is(&src, &x_want, &format!("input, {wm}x{wn}x{wk}"));
             for level in Level::available() {
+                let x_enc = EncodedA::encode(&x, (wm, wk), level);
+                let context = format!("{wm}x{wn}x{wk} {level:?}");
+                assert_encoded_a_is(&x_enc, &x_want, &format!("encode_a, {context}"));
+                let mut src = Arena::default();
+                src.reset(m, kd.max(n), (wm, wk));
+                src.encode(&x, level);
+                assert_arena_is(&src, &x_want, &format!("input, {context}"));
                 let y = execute(&x_enc, &w_enc, 1, level);
                 for relu in [true, false] {
                     let y = if relu { y.relu() } else { y.clone() };
@@ -674,9 +685,9 @@ mod tests {
                     let gemm = Gemm { a: &src, b: &b, dims: (wm, wn, wk) };
                     let mut scratch = Scratch::default();
                     run_gemm(level, &gemm, m.div_ceil(wm), dst.emitter(n, relu), 1, &mut scratch);
-                    let context = format!("{wm}x{wn}x{wk} {level:?} relu {relu}");
+                    let context = format!("{context} relu {relu}");
                     assert_arena_is(&dst, &want, &context);
-                    assert_encoded_a_is(&EncodedA::encode(&y, (wm, wk)), &want, &context);
+                    assert_encoded_a_is(&EncodedA::encode(&y, (wm, wk), level), &want, &context);
                 }
             }
         }
@@ -701,12 +712,14 @@ mod tests {
         ];
         for (i, (rows, cols, (wm, wk))) in batches.into_iter().enumerate() {
             let x = Matrix::random_sparse(rows, cols, 0.5, SparsityPattern::Uniform, 40 + i as u64);
-            arena.reset(rows, cols, (wm, wk));
-            arena.encode(&x);
             let want = TwoLevelBitmapMatrix::encode_f16(&x, wm, wk, VectorLayout::ColumnMajor);
-            let context = format!("batch {i}: {rows}x{cols}, {wm}x{wk} tiles");
-            assert_arena_is(&arena, &want, &context);
-            assert_encoded_a_is(&EncodedA::encode(&x, (wm, wk)), &want, &context);
+            for level in Level::available() {
+                arena.reset(rows, cols, (wm, wk));
+                arena.encode(&x, level);
+                let context = format!("batch {i}: {rows}x{cols}, {wm}x{wk} tiles, {level:?}");
+                assert_arena_is(&arena, &want, &context);
+                assert_encoded_a_is(&EncodedA::encode(&x, (wm, wk), level), &want, &context);
+            }
         }
     }
 
@@ -715,7 +728,7 @@ mod tests {
     fn an_arena_refuses_a_batch_it_was_not_reset_for() {
         let mut arena = Arena::default();
         arena.reset(64, 8, (32, 16));
-        arena.encode(&Matrix::zeros(4, 8));
+        arena.encode(&Matrix::zeros(4, 8), Level::detect());
     }
 
     #[test]

@@ -122,23 +122,27 @@ fn auto_thread_count_costs_no_allocation_per_call() {
 
 #[test]
 fn encode_a_allocates_a_constant_few_buffers_sized_by_its_non_zeros() {
-    // Column words and starts are sized by the shape, the values by a count
-    // pass, and the dense bound (`warp_m x cols`) is staged for one band
-    // only: the same allocations at any tile count, and bytes within 4 per
-    // kept value, 16 per step and one band's dense bound. A 512 x 512
-    // operand at 90 % sparsity does not hold the 1 MiB dense bound.
+    // Column words, starts and band bases are sized by the shape, the values
+    // by a count pass, and the emitter writes every band's values in place:
+    // the same allocations at any tile count and vector level, and bytes
+    // within 4 per kept value, 16 per step and one emitter tile column of
+    // slack. A 512 x 512 operand at 90 % sparsity holds no dense bound, not
+    // even one band's.
     let kernel = BitmapSpGemm::new(GpuConfig::v100());
     let (wm, wk) = kernel.tiling().a_tile();
-    let counts = [(64, 256), (64, 512), (512, 512)].map(|(m, k)| {
-        let a = Matrix::random_sparse(m, k, 0.9, SparsityPattern::Uniform, 4);
-        let (a_enc, (count, bytes)) = allocations_in(|| kernel.encode_a(&a));
-        assert!(a_enc.nnz() > 0 && a_enc.nnz() < m * k / 5, "{m}x{k}: {} kept", a_enc.nnz());
-        let steps = m.div_ceil(wm) * k.div_ceil(wk) * wk;
-        let bound = 4 * a_enc.nnz() + 16 * steps + 4 * wm * k;
-        assert!(bytes <= bound, "{m}x{k}: {bytes} bytes, bound {bound}");
-        count
-    });
-    assert!(counts.iter().all(|&c| c == counts[0] && c <= 8), "{counts:?}");
+    for level in SimdLevel::available() {
+        let counts = [(64, 256), (64, 512), (512, 512)].map(|(m, k)| {
+            let a = Matrix::random_sparse(m, k, 0.9, SparsityPattern::Uniform, 4);
+            let (a_enc, (count, bytes)) = allocations_in(|| kernel.encode_a_at(&a, level));
+            let nnz = a_enc.nnz();
+            assert!(nnz > 0 && nnz < m * k / 5, "{level:?} {m}x{k}: {nnz} kept");
+            let steps = m.div_ceil(wm) * k.div_ceil(wk) * wk;
+            let bound = 4 * (nnz + 32) + 16 * steps;
+            assert!(bytes <= bound, "{level:?} {m}x{k}: {bytes} bytes, bound {bound}");
+            count
+        });
+        assert!(counts.iter().all(|&c| c == counts[0] && c <= 8), "{level:?}: {counts:?}");
+    }
 }
 
 #[test]
