@@ -9,12 +9,13 @@
 //! hand [`Emitter`] row-major blocks of columns in ascending order can write
 //! one — the output pass of a layer, and a dense matrix.
 //!
-//! The segments come two ways. A fused forward's two workspace arenas size
-//! every band at the dense bound `warp_m * cols` (bases at fixed offsets), so
-//! threads can emit bands side by side without knowing what the others keep.
-//! An [`EncodedA`], the owned operand [`BitmapSpGemm::encode_a`] returns,
-//! packs them: a count pass places every band's base, and the emitter
-//! writes only the non-zeros, in place.
+//! The emitter writes the bands in turn, each band's values where the
+//! previous band's end, and records every base as it starts the band. Only
+//! the room behind them differs: a fused forward's two workspace arenas hold
+//! the dense bound, `warp_m * cols` per band, so any operand of their shape
+//! fits uncounted; an [`EncodedA`], the owned operand
+//! [`BitmapSpGemm::encode_a`] returns, counts its survivors first and holds
+//! exactly those, plus one tile column of slack.
 //!
 //! A dense operand reaches the emitter through [`Emitter::encode`], which
 //! [`super::simd`] compiles per vector level; a layer's output pass reaches
@@ -90,26 +91,15 @@ impl Arena {
         grow(&mut self.values, grid_m * self.wm * max_cols);
     }
 
-    /// Makes this a `cols`-wide operand at the dense bound and returns the
-    /// writer of its bands. With `relu`, what is emitted is `max(x, 0)`.
+    /// Makes this a `cols`-wide operand and returns the writer of its bands.
+    /// With `relu`, what is emitted is `max(x, 0)`.
     ///
     /// # Panics
     /// Panics if `cols` is past what the arena was reset for.
     pub(super) fn emitter(&mut self, cols: usize, relu: bool) -> Emitter<'_> {
         assert!(cols <= self.max_cols, "the arena was reset for narrower operands");
         (self.cols, self.steps) = (cols, cols.div_ceil(self.wk) * self.wk);
-        let (grid_m, steps, segment) = (self.grid_m(), self.steps, self.wm * cols);
-        for (im, base) in self.bases[..grid_m].iter_mut().enumerate() {
-            *base = im * segment;
-        }
-        Emitter::new(
-            &mut self.words[..grid_m * steps],
-            &mut self.starts[..grid_m * (steps + 1)],
-            &self.bases[..grid_m],
-            &mut self.values[..grid_m * segment],
-            (self.wm, steps, cols),
-            relu,
-        )
+        Emitter::new(self, relu)
     }
 
     /// Encodes `dense` (this arena's row count) at `level`.
@@ -199,33 +189,25 @@ pub struct EncodedA {
 
 impl EncodedA {
     /// `dense` in `(wm, wk)` tiles at `level`: what the workspace arena's
-    /// emitter writes, but with each band's values packed behind the
-    /// previous band's. A first pass counts every band's survivors, so each
-    /// buffer is allocated once at its final size and every band's base is
-    /// known before the emitter writes its values there, in place.
+    /// emitter writes, into buffers sized for it. A first pass counts the
+    /// survivors, so each buffer is allocated once at its final size and the
+    /// emitter writes the values in place.
     pub(super) fn encode(dense: &Matrix, tile: (usize, usize), level: Level) -> EncodedA {
         let (rows, cols) = (dense.rows(), dense.cols());
         let mut a = Arena::default();
         let grid_m = a.shape(rows, cols, tile);
         (a.cols, a.steps) = (cols, cols.div_ceil(a.wk) * a.wk);
-        // A `u32` sum vectorises where a `usize` count does not, and a band's
-        // survivors fit one (`Arena::shape`).
-        let mut nnz = 0;
-        a.bases = (dense.as_slice().chunks(a.wm * cols))
-            .map(|band| {
-                let base = nnz;
-                nnz += band.iter().map(|&x| u32::from(f16::survives(x))).sum::<u32>() as usize;
-                base
-            })
-            .collect();
+        // A `u32` sum per band vectorises where a `usize` count does not, and
+        // a band's survivors fit one (`Arena::shape`).
+        let nnz: usize = (dense.as_slice().chunks(a.wm * cols))
+            .map(|band| band.iter().map(|&x| u32::from(f16::survives(x))).sum::<u32>() as usize)
+            .sum();
         a.words = vec![0; grid_m * a.steps];
         a.starts = vec![0; grid_m * (a.steps + 1)];
+        a.bases = vec![0; grid_m];
         // Slack for what the tile compaction stores past the last kept value.
         a.values = vec![0.0; nnz + TILE_ROWS];
-        let shape = (a.wm, a.steps, cols);
-        let mut emitter =
-            Emitter::new(&mut a.words, &mut a.starts, &a.bases, &mut a.values, shape, false);
-        simd::encode(level, &mut emitter, dense);
+        simd::encode(level, &mut Emitter::new(&mut a, false), dense);
         a.values.truncate(nnz);
         debug_assert!(
             (a.bases.iter().zip(a.bases.iter().skip(1).chain([&nnz])))
@@ -277,26 +259,19 @@ impl EncodedA {
     }
 }
 
-/// Writes the bands of an [`Arena`] (all of them, or a thread's share after
-/// [`Sink::split_at_band`]): a band is `block`s of adjacent columns from
-/// column 0 up, then `end_band`. What it keeps, and what it stores for a
-/// kept value, is the formats encoder's (`TwoLevelBitmapMatrix::encode_f16`)
-/// of the (ReLU'd) block, bit for bit: the keep test is [`f16::survives`],
-/// the stored value [`f16::round_f32`].
+/// Writes the bands of an [`Arena`], in turn: a band is `block`s of adjacent
+/// columns from column 0 up, then `end_band`. What it keeps, and what it
+/// stores for a kept value, is the formats encoder's
+/// (`TwoLevelBitmapMatrix::encode_f16`) of the (ReLU'd) block, bit for bit:
+/// the keep test is [`f16::survives`], the stored value [`f16::round_f32`].
 pub(super) struct Emitter<'a> {
-    words: &'a mut [u64],
-    starts: &'a mut [u32],
-    /// Where each band's values start, counted from the arena's first; the
-    /// first band's is the start of `values`.
-    bases: &'a [usize],
-    values: &'a mut [f32],
-    wm: usize,
-    steps: usize,
-    cols: usize,
+    arena: &'a mut Arena,
     relu: bool,
     /// The band being written: its next step and the values it holds so far.
     step: usize,
     kept: usize,
+    /// What the bands before it hold: where its values start.
+    base: usize,
 }
 
 impl Sink for Emitter<'_> {
@@ -316,52 +291,28 @@ impl Sink for Emitter<'_> {
         let (words, starts, _) = self.band_mut(band);
         words[step..].fill(0);
         starts[step + 1..].fill(kept);
-    }
-
-    fn split_at_band(self, bands: usize) -> (Self, Self) {
-        let (words, words_tail) = self.words.split_at_mut(bands * self.steps);
-        let (starts, starts_tail) = self.starts.split_at_mut(bands * (self.steps + 1));
-        let (bases, bases_tail) = self.bases.split_at(bands);
-        let mid = bases_tail.first().map_or(self.values.len(), |&base| base - self.bases[0]);
-        let (values, values_tail) = self.values.split_at_mut(mid);
-        let tail = Emitter {
-            words: words_tail,
-            starts: starts_tail,
-            bases: bases_tail,
-            values: values_tail,
-            ..self
-        };
-        (Emitter { words, starts, bases, values, ..tail }, tail)
+        self.base += self.kept;
     }
 }
 
 impl<'a> Emitter<'a> {
-    /// The writer of bands of `wm` rows and `steps` steps, `cols` of them
-    /// dense: per band `steps` of `words`, `steps + 1` of `starts` and the
-    /// `values` from its base on. Between a band's base and the next must be
-    /// room for what the band keeps, and past a band's last kept value room
-    /// for [`TILE_ROWS`] more, which a dense-bound segment has.
-    fn new(
-        words: &'a mut [u64],
-        starts: &'a mut [u32],
-        bases: &'a [usize],
-        values: &'a mut [f32],
-        (wm, steps, cols): (usize, usize, usize),
-        relu: bool,
-    ) -> Self {
-        Emitter { words, starts, bases, values, wm, steps, cols, relu, step: 0, kept: 0 }
+    /// The writer of `arena`'s bands, as shaped and as wide as the arena is.
+    /// Behind the bands' values must be room for what they keep, and past a
+    /// band's last kept value room for [`TILE_ROWS`] more, which the next
+    /// band overwrites.
+    fn new(arena: &'a mut Arena, relu: bool) -> Self {
+        Emitter { arena, relu, step: 0, kept: 0, base: 0 }
     }
 
     /// Band `band`'s steps, starts (one more) and values from its base on.
-    /// Bands are emitted in turn, so what a band stores past its own values
-    /// the next overwrites.
     #[inline(always)]
     fn band_mut(&mut self, band: usize) -> (&mut [u64], &mut [u32], &mut [f32]) {
-        let steps = self.steps;
+        let Arena { steps, words, starts, bases, values, .. } = &mut *self.arena;
+        let steps = *steps;
         (
-            &mut self.words[band * steps..][..steps],
-            &mut self.starts[band * (steps + 1)..][..steps + 1],
-            &mut self.values[self.bases[band] - self.bases[0]..],
+            &mut words[band * steps..][..steps],
+            &mut starts[band * (steps + 1)..][..steps + 1],
+            &mut values[bases[band]..],
         )
     }
 
@@ -370,9 +321,10 @@ impl<'a> Emitter<'a> {
     /// [`super::simd`] to be compiled at their level.
     #[inline(always)]
     pub(super) fn encode<L: Lanes>(&mut self, dense: &Matrix) {
-        assert_eq!(dense.cols(), self.cols, "the emitter is for operands of another width");
-        for (band, rows) in dense.as_slice().chunks(self.wm * self.cols).enumerate() {
-            self.block::<L>(band, 0, self.cols, rows);
+        let (wm, cols) = (self.arena.wm, self.arena.cols);
+        assert_eq!(dense.cols(), cols, "the emitter is for operands of another width");
+        for (band, rows) in dense.as_slice().chunks(wm * cols).enumerate() {
+            self.block::<L>(band, 0, cols, rows);
             self.end_band(band);
         }
     }
@@ -390,14 +342,15 @@ impl<'a> Emitter<'a> {
     ) {
         if col0 == 0 {
             (self.step, self.kept) = (0, 0);
+            self.arena.bases[band] = self.base;
         }
         assert_eq!(col0, self.step, "a band's blocks arrive in column order");
-        let end = (col0 + width).min(self.cols);
+        let end = (col0 + width).min(self.arena.cols);
         // A ragged last band (a small batch) takes the tile path too, its
         // missing rows the tile's zeros. Bands of another height do not: a
         // 16-row band's dense bound has no room for a 32-row column stored
         // past its last value.
-        let tiled = self.wm == TILE_ROWS;
+        let tiled = self.arena.wm == TILE_ROWS;
         let mut kept = self.kept;
         let (words, starts, values) = self.band_mut(band);
         starts[col0] = kept as u32;
@@ -478,9 +431,10 @@ fn emit_tile<L: Lanes, const RELU: bool>(
     for ((column, word), start) in tile.iter().zip(words).zip(starts) {
         // A kept value rounds to a non-zero and everything else was stored
         // as `+0.0` above, so "not zero" is the keep test. The column has
-        // room for all its rows: it starts at most `TILE_ROWS` values per
-        // earlier column into the band's dense bound, and a packed band's
-        // spill is the next band's to overwrite or the arena's slack.
+        // room for all its rows: in a workspace arena it starts at most
+        // `TILE_ROWS` values per earlier column past a base no further than
+        // the earlier bands' dense bounds, and an `EncodedA` has a column of
+        // slack past its last value. What a band spills the next overwrites.
         let bits = L::compress(column, &mut values[n..]);
         n += bits.count_ones() as usize;
         (*word, *start) = (bits, n as u32);

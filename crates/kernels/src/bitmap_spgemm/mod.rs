@@ -196,13 +196,6 @@ pub struct BitmapSpGemm {
     config: GpuConfig,
     tiling: GemmTiling,
     options: BitmapSpGemmOptions,
-    /// Worker threads [`Self::execute_encoded`] may fan output tiles across,
-    /// as configured (`0` = one per available core).
-    execute_threads: usize,
-    /// `execute_threads` with `0` resolved, once, when it was set: asking the
-    /// OS reads cgroup files (≈ 13 µs and 4 allocations), far too much to
-    /// pay per GEMM.
-    resolved_threads: usize,
 }
 
 impl BitmapSpGemm {
@@ -214,8 +207,6 @@ impl BitmapSpGemm {
             config,
             tiling: GemmTiling::paper_spgemm(),
             options: BitmapSpGemmOptions::default(),
-            execute_threads: 1,
-            resolved_threads: 1,
         }
     }
 
@@ -260,24 +251,15 @@ impl BitmapSpGemm {
         self
     }
 
-    /// Sets how many worker threads [`Self::execute_encoded`] may spread a
-    /// single GEMM's output tiles across (`0` = one per available core,
-    /// resolved here, once, not when a GEMM runs). The default is `1`
-    /// (serial). Grids too small to amortise thread startup always run
-    /// serially, and the result is bit-identical at every thread count —
-    /// each thread owns a disjoint band of output rows.
-    pub fn with_execute_threads(mut self, threads: usize) -> Self {
-        self.execute_threads = threads;
-        self.resolved_threads = match threads {
-            0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            n => n,
-        };
+    /// Sets nothing, for any `threads`: a kernel call runs on the thread that
+    /// makes it. Kept only for `benchmark/`'s calls
+    /// (`with_execute_threads(1)` in `workloads/gemm_extreme.rs` and
+    /// `workloads/forward_batch.rs`, `with_execute_threads(0)` in
+    /// `workloads/gemm_extreme.rs`); the next change to `benchmark/` deletes
+    /// them and this builder.
+    #[doc(hidden)]
+    pub fn with_execute_threads(self, _threads: usize) -> Self {
         self
-    }
-
-    /// The configured within-GEMM worker thread count (`0` = auto).
-    pub fn execute_threads(&self) -> usize {
-        self.execute_threads
     }
 
     /// The options in use.
@@ -667,11 +649,10 @@ impl BitmapSpGemm {
     /// This is the word-parallel hot path (the `word` submodule): per-step bitmaps
     /// are single `u64` words, each A non-zero is decoded once per block of
     /// output tile columns and multiplied into B rows held in registers, the
-    /// tile grid is cache-blocked, every phase runs at the widest vector
+    /// tile grid is cache-blocked, and every phase runs at the widest vector
     /// level the CPU has (chosen once per call; no level fuses the multiply
-    /// and the add), and large grids fan output bands across
-    /// [`Self::with_execute_threads`] scoped threads. The B expansion and
-    /// the band loop's scratch are the calling thread's, grown to its
+    /// and the add). The call runs on the calling thread, and the B
+    /// expansion and the block accumulator are that thread's, grown to its
     /// largest call and reused, so a call allocates only the matrix it
     /// returns. Results are bit-identical to
     /// [`Self::execute_encoded_scalar`].
@@ -694,7 +675,7 @@ impl BitmapSpGemm {
         level: SimdLevel,
     ) -> Matrix {
         self.validate_encoded(a_enc, b_enc);
-        word::execute(a_enc, b_enc, self.resolved_threads, level)
+        word::execute(a_enc, b_enc, level)
     }
 
     /// The retained scalar reference for [`Self::execute_encoded`], which the
@@ -781,7 +762,7 @@ impl BitmapSpGemm {
         if layers.is_empty() {
             return input.clone();
         }
-        word::forward(input, layers, self.tiling.a_tile(), self.resolved_threads, level)
+        word::forward(input, layers, self.tiling.a_tile(), level)
     }
 
     /// Functionally computes `A * B` with the warp-level outer-product
@@ -1221,26 +1202,29 @@ mod tests {
     }
 
     #[test]
-    fn word_path_is_bit_identical_across_thread_counts() {
-        // Big enough that the threaded path actually engages (>= 64 output
-        // tiles): every thread count must produce the same bits.
-        // The native tiling runs register-held blocks, the 24-wide one the
-        // in-memory row.
+    fn word_path_on_a_many_band_grid_matches_the_scalar_reference() {
+        // 32 bands x 4 (or 6) tile columns: every band of a large grid goes
+        // through one band loop and one sink, bit for bit. The native tiling
+        // runs register-held blocks, the 24-wide one the in-memory row.
         let a = random(1024, 128, 0.8, 102);
         let b = random(128, 128, 0.7, 103);
-        for base in [kernel(), kernel().with_tiling(warp_tiling(32, 24, 16))] {
-            let (a_enc, b_enc) = (base.encode_a(&a), base.encode_b(&b));
-            let serial = base.execute_encoded(&a_enc, &b_enc);
-            assert_eq!(serial, reference(&base, &a, &b_enc));
-            assert!(serial.approx_eq(&a.matmul(&b), 1e-2));
-            for threads in [0, 1, 2, 3, 7] {
-                let k = base.clone().with_execute_threads(threads);
-                assert_eq!(k.execute_threads(), threads, "the configured value, `0` included");
-                for level in SimdLevel::available() {
-                    let out = k.execute_encoded_at(&a_enc, &b_enc, level);
-                    assert_eq!(out, serial, "threads {threads} {level:?}");
-                }
+        for k in [kernel(), kernel().with_tiling(warp_tiling(32, 24, 16))] {
+            let (a_enc, b_enc) = (k.encode_a(&a), k.encode_b(&b));
+            let scalar = reference(&k, &a, &b_enc);
+            assert!(scalar.approx_eq(&a.matmul(&b), 1e-2));
+            for level in SimdLevel::available() {
+                let out = k.execute_encoded_at(&a_enc, &b_enc, level);
+                assert_eq!(out, scalar, "{:?} {level:?}", k.tiling());
             }
+        }
+    }
+
+    #[test]
+    fn the_execute_threads_builder_changes_nothing() {
+        // Kept for callers outside the workspace; any count is the same kernel.
+        let k = BitmapSpGemm::for_device(GpuConfig::a100());
+        for threads in [0, 1, 7] {
+            assert_eq!(format!("{:?}", k.clone().with_execute_threads(threads)), format!("{k:?}"));
         }
     }
 
@@ -1249,19 +1233,16 @@ mod tests {
         // A block is 1, 2 or 4 tile columns depending on the level, so 1..=9
         // of them cover, at every level: no full block, exactly one, one plus
         // every possible remainder, and two plus a remainder. N, M and K are
-        // all ragged; 8 bands x (8 or 9) tile columns engage the threads.
+        // all ragged.
         let a = random(250, 40, 0.5, 110);
         for grid_n in 1..=9 {
             let b = random(40, 32 * grid_n - 5, 0.6, 111 + grid_n as u64);
             let k = kernel();
             let (a_enc, b_enc) = (k.encode_a(&a), k.encode_b(&b));
             let scalar = reference(&k, &a, &b_enc);
-            for threads in [1, 2] {
-                let k = kernel().with_execute_threads(threads);
-                for level in SimdLevel::available() {
-                    let word = k.execute_encoded_at(&a_enc, &b_enc, level);
-                    assert!(same_bits(&word, &scalar), "grid_n {grid_n} x{threads} {level:?}");
-                }
+            for level in SimdLevel::available() {
+                let word = k.execute_encoded_at(&a_enc, &b_enc, level);
+                assert!(same_bits(&word, &scalar), "grid_n {grid_n} {level:?}");
             }
         }
     }
@@ -1378,9 +1359,9 @@ mod tests {
         // 32-wide tilings on register-held blocks — up to 7 tile columns, so
         // a full block plus a remainder at every level; 8-, 24- and 64-wide
         // ones, incl. a non-square 16x8x8, on the in-memory row), sparsities
-        // (incl. 0.0 and ~1.0), edge-tile shapes, thread counts, operands
-        // seeded with values FP16 storage turns non-finite, and every
-        // vector level the host has.
+        // (incl. 0.0 and ~1.0), edge-tile shapes, operands seeded with
+        // values FP16 storage turns non-finite, and every vector level the
+        // host has.
         #[test]
         fn word_and_scalar_paths_agree_bitwise(
             seed in proptest::any::<u64>(),
@@ -1390,7 +1371,6 @@ mod tests {
             sa_idx in 0usize..6,
             sb_idx in 0usize..6,
             tiling_idx in 0usize..5,
-            threads in 1usize..=3,
             non_finite in 0usize..=4,
         ) {
             const SPARSITIES: [f64; 6] = [0.0, 0.3, 0.75, 0.95, 0.999, 1.0];
@@ -1401,9 +1381,7 @@ mod tests {
                 3 => warp_tiling(32, 24, 16),
                 _ => warp_tiling(16, 64, 8),
             };
-            let k = BitmapSpGemm::new(GpuConfig::v100())
-                .with_tiling(tiling)
-                .with_execute_threads(threads);
+            let k = BitmapSpGemm::new(GpuConfig::v100()).with_tiling(tiling);
             let mut a = random(m, kd, SPARSITIES[sa_idx], seed);
             let mut b = random(kd, n, SPARSITIES[sb_idx], seed ^ 0x9e37_79b9);
             seed_non_finite(&mut a, non_finite, seed ^ 0xa);
@@ -1503,7 +1481,7 @@ mod tests {
         // 16-row bands keep every value of a dense output: the band's dense
         // bound has room for its values, not for a 32-row tile column past
         // its last one, so such bands never take the tile path.
-        let k = kernel().with_tiling(warp_tiling(16, 64, 8)).with_execute_threads(1);
+        let k = kernel().with_tiling(warp_tiling(16, 64, 8));
         let w = k.encode_b(&Matrix::from_vec(64, 64, vec![1.0; 64 * 64]));
         let input = Matrix::from_vec(32, 64, vec![1.0; 32 * 64]);
         let want = reference_forward(&k, &input, &[(&w, true), (&w, true)]);
@@ -1514,24 +1492,21 @@ mod tests {
     }
 
     #[test]
-    fn forward_is_bit_identical_across_thread_counts() {
-        // 16 bands x 4 tile columns = 64 tiles, so the threads engage, in
-        // the emitting layers as in the last one; the 24-wide tiling emits
-        // from the in-memory row's blocks.
+    fn forward_on_a_many_band_grid_matches_the_reference() {
+        // 16 bands x 4 (or 6) tile columns, in the emitting layers as in the
+        // last one: every band's values follow the band before in one arena.
+        // The 24-wide tiling emits from the in-memory row's blocks.
         let input = random(512, 96, 0.4, 120);
         let dense =
             [random(96, 128, 0.6, 121), random(128, 128, 0.7, 122), random(128, 128, 0.5, 123)];
-        for base in [kernel(), kernel().with_tiling(warp_tiling(32, 24, 16))] {
-            let weights = dense.each_ref().map(|w| base.encode_b(w));
+        for k in [kernel(), kernel().with_tiling(warp_tiling(32, 24, 16))] {
+            let weights = dense.each_ref().map(|w| k.encode_b(w));
             let layers = [(&weights[0], true), (&weights[1], false), (&weights[2], true)];
-            let want = reference_forward(&base, &input, &layers);
+            let want = reference_forward(&k, &input, &layers);
             assert!(want.nnz() > 0, "the stack keeps something alive");
-            for threads in [1, 2, 0, 5] {
-                let k = base.clone().with_execute_threads(threads);
-                for level in SimdLevel::available() {
-                    let got = k.forward_at(&input, &layers, level);
-                    assert!(same_bits(&got, &want), "threads {threads} {level:?}");
-                }
+            for level in SimdLevel::available() {
+                let got = k.forward_at(&input, &layers, level);
+                assert!(same_bits(&got, &want), "{:?} {level:?}", k.tiling());
             }
         }
     }
@@ -1583,7 +1558,6 @@ mod tests {
             s_input in 0usize..6,
             scale_idx in 0usize..4,
             tiling_idx in 0usize..4,
-            threads in 1usize..=2,
             specials in 0usize..=4,
         ) {
             const SPARSITIES: [f64; 6] = [0.0, 0.3, 0.75, 0.95, 0.999, 1.0];
@@ -1593,9 +1567,7 @@ mod tests {
                 2 => warp_tiling(32, 24, 16),
                 _ => warp_tiling(16, 64, 8),
             };
-            let k = BitmapSpGemm::new(GpuConfig::v100())
-                .with_tiling(tiling)
-                .with_execute_threads(threads);
+            let k = BitmapSpGemm::new(GpuConfig::v100()).with_tiling(tiling);
             let scale = [2.0f32.powi(-20), 2.0f32.powi(-10), 1.0, 4096.0][scale_idx];
             // The width of every operand along the stack, and each layer's
             // weight sparsity.

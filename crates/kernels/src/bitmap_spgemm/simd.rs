@@ -28,13 +28,12 @@
 
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
-use std::ops::Range;
 
 use dsstc_formats::TwoLevelBitmapMatrix;
 use dsstc_tensor::Matrix;
 
 use super::arena::{Emitter, TILE_ROWS};
-use super::word::{self, ExpandedB, Gemm, InMemory, Scratch, Sink, NATIVE_WN};
+use super::word::{self, CacheAligned, ExpandedB, Gemm, InMemory, Sink, NATIVE_WN};
 
 /// The instruction sets the loops are compiled for, narrowest first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -349,51 +348,38 @@ impl Lanes for Zmm {
 pub(super) fn run_bands<S: Sink>(
     level: Level,
     gemm: &Gemm<'_>,
-    bands: Range<usize>,
     sink: &mut S,
-    scratch: &mut Scratch,
+    accs: &mut CacheAligned,
 ) {
     if gemm.tile_width() != NATIVE_WN {
-        return word::run_bands::<S, InMemory, InMemory>(gemm, bands, sink, scratch);
+        return word::run_bands::<S, InMemory, InMemory>(gemm, sink, accs);
     }
     match level.0 {
-        Isa::Baseline => {
-            word::run_bands::<S, [Portable; 1], [Portable; 1]>(gemm, bands, sink, scratch)
-        }
+        Isa::Baseline => word::run_bands::<S, [Portable; 1], [Portable; 1]>(gemm, sink, accs),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `run_bands_avx2` requires AVX2. A `Level` holding
         // `Isa::Avx2` is built only by `Level::available()`, and only after
         // `is_x86_feature_detected!("avx2")` returned true on this CPU.
-        Isa::Avx2 => unsafe { run_bands_avx2(gemm, bands, sink, scratch) },
+        Isa::Avx2 => unsafe { run_bands_avx2(gemm, sink, accs) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `run_bands_avx512` requires AVX-512F, AVX-512VL and
         // POPCNT. A `Level` holding `Isa::Avx512` is built only by
         // `Level::available()`, and only after `is_x86_feature_detected!`
         // returned true for `avx512f`, `avx512vl` and `popcnt` on this CPU.
-        Isa::Avx512 => unsafe { run_bands_avx512(gemm, bands, sink, scratch) },
+        Isa::Avx512 => unsafe { run_bands_avx512(gemm, sink, accs) },
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn run_bands_avx2<S: Sink>(
-    gemm: &Gemm<'_>,
-    bands: Range<usize>,
-    sink: &mut S,
-    scratch: &mut Scratch,
-) {
-    word::run_bands::<S, [Ymm; 8], [Ymm; 4]>(gemm, bands, sink, scratch)
+fn run_bands_avx2<S: Sink>(gemm: &Gemm<'_>, sink: &mut S, accs: &mut CacheAligned) {
+    word::run_bands::<S, [Ymm; 8], [Ymm; 4]>(gemm, sink, accs)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vl,popcnt")]
-fn run_bands_avx512<S: Sink>(
-    gemm: &Gemm<'_>,
-    bands: Range<usize>,
-    sink: &mut S,
-    scratch: &mut Scratch,
-) {
-    word::run_bands::<S, [Zmm; 8], [Zmm; 2]>(gemm, bands, sink, scratch)
+fn run_bands_avx512<S: Sink>(gemm: &Gemm<'_>, sink: &mut S, accs: &mut CacheAligned) {
+    word::run_bands::<S, [Zmm; 8], [Zmm; 2]>(gemm, sink, accs)
 }
 
 /// [`word::expand_b`] compiled for `level`. Only AVX-512 has an expand

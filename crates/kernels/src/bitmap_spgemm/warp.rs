@@ -20,20 +20,6 @@ pub struct WarpTileProfile {
     pub conflict_cycles: u64,
 }
 
-/// Computes the per-step condensed non-zero counts of a column-major A tile
-/// (one entry per column, i.e. per `k`).
-pub fn a_step_nnz(a_tile: &BitmapMatrix) -> Vec<usize> {
-    assert_eq!(a_tile.layout(), VectorLayout::ColumnMajor, "A tile must be column-major");
-    (0..a_tile.vector_count()).map(|k| a_tile.vector_nnz(k)).collect()
-}
-
-/// Computes the per-step condensed non-zero counts of a row-major B tile
-/// (one entry per row, i.e. per `k`).
-pub fn b_step_nnz(b_tile: &BitmapMatrix) -> Vec<usize> {
-    assert_eq!(b_tile.layout(), VectorLayout::RowMajor, "B tile must be row-major");
-    (0..b_tile.vector_count()).map(|k| b_tile.vector_nnz(k)).collect()
-}
-
 /// Architectural cost of one warp tile given the per-step non-zero counts.
 ///
 /// `use_collector` selects whether the accumulation buffer's operand
@@ -119,25 +105,6 @@ mod tests {
         let mut acc = bias.clone();
         warp_spgemm(&a_enc, &b_enc, &mut acc);
         assert!(acc.approx_eq(&bias.add(&a.matmul(&b)), 1e-3));
-    }
-
-    #[test]
-    fn step_nnz_extraction() {
-        let (_, _, a_enc, b_enc) = encode_pair(0.5, 0.5, 16);
-        let a_nnz = a_step_nnz(&a_enc);
-        let b_nnz = b_step_nnz(&b_enc);
-        assert_eq!(a_nnz.len(), 16);
-        assert_eq!(b_nnz.len(), 16);
-        assert_eq!(a_nnz.iter().sum::<usize>(), a_enc.nnz());
-        assert_eq!(b_nnz.iter().sum::<usize>(), b_enc.nnz());
-    }
-
-    #[test]
-    #[should_panic(expected = "column-major")]
-    fn a_step_nnz_rejects_row_major() {
-        let m = Matrix::zeros(4, 4);
-        let enc = BitmapMatrix::encode(&m, VectorLayout::RowMajor);
-        let _ = a_step_nnz(&enc);
     }
 
     #[test]

@@ -19,8 +19,7 @@
 //!   buffers, whatever the tile count) — with the level's expand instruction
 //!   where it has one, a bit-walk scatter elsewhere. A step's accumulation is
 //!   then a contiguous `axpy`, while the step's packed word still
-//!   short-circuits empty steps and empty tiles. The expansion is shared
-//!   read-only across worker threads.
+//!   short-circuits empty steps and empty tiles.
 //! * **Band loop** ([`run_bands`]): each output band (one `warp_m`-row
 //!   strip) walks `jn` in blocks of tile columns with `kk` innermost, and
 //!   one body ([`block_steps`]) runs every surviving step of a block: it
@@ -37,27 +36,21 @@
 //! never leave the encoding.
 //!
 //! All of it is compiled once per vector level (baseline, AVX2, AVX-512;
-//! [`super::simd`]) and the level is picked from CPUID once per call. Output
-//! bands are distributed over scoped [`std::thread`]s; each thread owns a
-//! disjoint band range of the sink, so the result is deterministic and
-//! bit-identical at any thread count.
+//! [`super::simd`]) and the level is picked from CPUID once per call. A call
+//! runs on the thread that makes it, every band in turn: the paper's
+//! parallelism is one device per serve worker, not threads inside a GEMM.
 //!
-//! What a call stages — the expansion, the band loop's scratch, a forward's
+//! What a call stages — the expansion, the block accumulator, a forward's
 //! two arenas — it borrows from its thread's [`Workspace`], so after a
 //! thread's first call the only allocation is the result.
 
 use std::cell::RefCell;
-use std::ops::Range;
 
 use dsstc_formats::TwoLevelBitmapMatrix;
 use dsstc_tensor::Matrix;
 
 use super::arena::{Arena, ArenaTile, EncodedA};
 use super::simd::{self, Lanes, Level, Portable};
-
-/// Minimum number of warp tiles in the output grid before spawning threads
-/// pays for itself (thread startup is ~10 µs; a tile step chain is ~1 µs).
-const MIN_TILES_FOR_THREADS: usize = 64;
 
 /// The device-native `warp_n` (V100 and A100 both): the only tile width
 /// whose block rows are held in registers.
@@ -72,7 +65,7 @@ const LINE: usize = 64 / std::mem::size_of::<f32>();
 /// (measured on the 64x256x256 layer at AVX-512: band loop 140 -> 82 µs).
 /// The default is empty and unallocated.
 #[derive(Default)]
-struct CacheAligned {
+pub(super) struct CacheAligned {
     buf: Vec<f32>,
     start: usize,
     len: usize,
@@ -199,9 +192,8 @@ pub(super) fn expand_b<L: Lanes>(b_enc: &TwoLevelBitmapMatrix, b: &mut ExpandedB
     }
 }
 
-/// Where a band's finished accumulator blocks go. Bands are numbered from
-/// the sink's own first band.
-pub(super) trait Sink: Sized + Send {
+/// Where a band's finished accumulator blocks go.
+pub(super) trait Sink {
     /// Columns `col0..col0 + width` of `band`: `acc` is row-major, one row of
     /// `width` per live row of the band (`warp_m`, fewer in a ragged last
     /// band), zero in whatever pads the last tile column. A band's blocks
@@ -212,14 +204,10 @@ pub(super) trait Sink: Sized + Send {
     /// `band` has had all its blocks.
     #[inline(always)]
     fn end_band(&mut self, _band: usize) {}
-
-    /// This sink's first `bands` bands, and the rest.
-    fn split_at_band(self, bands: usize) -> (Self, Self);
 }
 
-/// The dense output rows of some bands, optionally through ReLU.
+/// The dense output rows, optionally through ReLU.
 struct DenseRows<'o> {
-    /// Whole rows of the output, from the first band's first row.
     rows: &'o mut [f32],
     cols: usize,
     wm: usize,
@@ -241,12 +229,6 @@ impl Sink for DenseRows<'_> {
                 dst.copy_from_slice(src);
             }
         }
-    }
-
-    fn split_at_band(self, bands: usize) -> (Self, Self) {
-        let mid = (bands * self.wm * self.cols).min(self.rows.len());
-        let (rows, tail) = self.rows.split_at_mut(mid);
-        (DenseRows { rows, ..self }, DenseRows { rows: tail, ..self })
     }
 }
 
@@ -378,33 +360,24 @@ fn block_steps<R: BlockRow>(
     }
 }
 
-/// What a thread of the band loop writes besides its sink, grown by the
-/// calls that need more: the block accumulator.
-#[derive(Default)]
-pub(super) struct Scratch {
-    accs: CacheAligned,
-}
-
-/// Executes `bands` into `sink`, whose first band is `bands.start`. Tile
-/// columns are taken `Wide` at a time while that many remain and `One` (a
-/// single tile) at a time after that; when `Wide` is itself one tile the two
-/// are the same type.
+/// Executes every band of `gemm` into `sink`, in turn, with `accs` as the
+/// block accumulator. Tile columns are taken `Wide` at a time while that
+/// many remain and `One` (a single tile) at a time after that; when `Wide`
+/// is itself one tile the two are the same type.
 #[inline(always)]
 pub(super) fn run_bands<S: Sink, Wide: BlockRow, One: BlockRow>(
     gemm: &Gemm<'_>,
-    bands: Range<usize>,
     sink: &mut S,
-    scratch: &mut Scratch,
+    accs: &mut CacheAligned,
 ) {
     let &Gemm { a, b, dims: (wm, wn, wk) } = gemm;
     let (grid_k, grid_n) = (a.grid_k(), b.grid_n);
     assert!(Wide::width(wn) % wn == 0 && One::width(wn) == wn, "blocks are whole tiles");
     let wide_tiles = Wide::width(wn) / wn;
-    scratch.accs.reset(wm * Wide::width(wn));
-    let accs = scratch.accs.as_mut_slice();
-    for im in bands.clone() {
+    accs.reset(wm * Wide::width(wn));
+    let accs = accs.as_mut_slice();
+    for im in 0..a.grid_m() {
         let (a_words, rows) = (a.band_words(im), a.band_rows(im));
-        let band = im - bands.start;
         let mut jb = 0;
         while jb < grid_n {
             let wide = grid_n - jb >= wide_tiles;
@@ -422,46 +395,11 @@ pub(super) fn run_bands<S: Sink, Wide: BlockRow, One: BlockRow>(
                     block_steps::<One>(a_words, a_tile, b, (kk, jb), acc);
                 }
             }
-            sink.block::<Wide::Lanes>(band, jb * wn, width, acc);
+            sink.block::<Wide::Lanes>(im, jb * wn, width, acc);
             jb += tiles;
         }
-        sink.end_band(band);
+        sink.end_band(im);
     }
-}
-
-/// Runs every band of `gemm` (`grid_m` of them) into `sink`, on up to
-/// `threads` scoped threads when the grid is big enough to pay for them.
-/// Bands go out contiguously and each thread's share of the sink is
-/// disjoint, so no synchronisation is needed and the result is bit-identical
-/// at any thread count.
-fn run_gemm<S: Sink>(
-    level: Level,
-    gemm: &Gemm<'_>,
-    grid_m: usize,
-    mut sink: S,
-    threads: usize,
-    scratch: &mut Scratch,
-) {
-    let small = grid_m * gemm.b.grid_n < MIN_TILES_FOR_THREADS;
-    let threads = if small { 1 } else { threads.min(grid_m) };
-    if threads <= 1 {
-        return simd::run_bands(level, gemm, 0..grid_m, &mut sink, scratch);
-    }
-    let bands_per_thread = grid_m.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let mut rest = sink;
-        let mut band_lo = 0;
-        while band_lo < grid_m {
-            let band_hi = (band_lo + bands_per_thread).min(grid_m);
-            let (mut share, tail) = rest.split_at_band(band_hi - band_lo);
-            rest = tail;
-            scope.spawn(move || {
-                let mut scratch = Scratch::default();
-                simd::run_bands(level, gemm, band_lo..band_hi, &mut share, &mut scratch)
-            });
-            band_lo = band_hi;
-        }
-    });
 }
 
 /// Everything a kernel call stages besides its result: the software stand-in
@@ -479,9 +417,8 @@ fn run_gemm<S: Sink>(
 #[derive(Default)]
 struct Workspace {
     b: ExpandedB,
-    /// The calling thread's; the scoped threads of [`run_gemm`] bring their
-    /// own.
-    scratch: Scratch,
+    /// The band loop's block accumulator.
+    accs: CacheAligned,
     /// A forward's source and destination operands, swapped per layer.
     arenas: [Arena; 2],
 }
@@ -491,26 +428,20 @@ thread_local! {
 }
 
 /// Word-parallel `A * B`: `a` an encoded A operand, `b_enc` a two-level
-/// bitmap B. `threads` is the resolved worker count (>= 1); small grids stay
-/// single-threaded regardless. `level` is the vector level every phase runs
-/// at; every level gives the same bits. The caller has already validated
-/// the tilings and that `warp_m`/`warp_n` fit in a word.
-pub(crate) fn execute(
-    a_enc: &EncodedA,
-    b_enc: &TwoLevelBitmapMatrix,
-    threads: usize,
-    level: Level,
-) -> Matrix {
+/// bitmap B. `level` is the vector level every phase runs at; every level
+/// gives the same bits. The caller has already validated the tilings and
+/// that `warp_m`/`warp_n` fit in a word.
+pub(crate) fn execute(a_enc: &EncodedA, b_enc: &TwoLevelBitmapMatrix, level: Level) -> Matrix {
     let a = a_enc.arena();
     let (wm, wk) = a.tile_shape();
     let dims = (wm, b_enc.tile_cols(), wk);
-    WORKSPACE.with_borrow_mut(|Workspace { b, scratch, .. }| {
+    WORKSPACE.with_borrow_mut(|Workspace { b, accs, .. }| {
         // Dense-expand B once per call; each expanded row is reused `grid_m`
         // times within it.
         simd::expand_b(level, b_enc, b);
         let mut out = Matrix::zeros(a_enc.rows(), b_enc.cols());
-        let sink = DenseRows { rows: out.as_mut_slice(), cols: b_enc.cols(), wm, relu: false };
-        run_gemm(level, &Gemm { a, b, dims }, a.grid_m(), sink, threads, scratch);
+        let mut sink = DenseRows { rows: out.as_mut_slice(), cols: b_enc.cols(), wm, relu: false };
+        simd::run_bands(level, &Gemm { a, b, dims }, &mut sink, accs);
         out
     })
 }
@@ -526,16 +457,14 @@ pub(crate) fn forward(
     input: &Matrix,
     layers: &[(&TwoLevelBitmapMatrix, bool)],
     a_tile: (usize, usize),
-    threads: usize,
     level: Level,
 ) -> Matrix {
     let (&(last, last_relu), inner) = layers.split_last().expect("at least one layer");
     let (wm, wk) = a_tile;
     let dims = (wm, last.tile_cols(), wk);
-    let grid_m = input.rows().div_ceil(wm);
     let widest = layers.iter().map(|(w, _)| w.rows()).max().expect("at least one layer");
 
-    WORKSPACE.with_borrow_mut(|Workspace { b, scratch, arenas: [src, dst] }| {
+    WORKSPACE.with_borrow_mut(|Workspace { b, accs, arenas: [src, dst] }| {
         let (mut src, mut dst) = (src, dst);
         src.reset(input.rows(), widest, a_tile);
         dst.reset(input.rows(), widest, a_tile);
@@ -543,14 +472,15 @@ pub(crate) fn forward(
         src.encode(input, level);
         for &(weights, relu) in inner {
             simd::expand_b(level, weights, b);
-            let gemm = Gemm { a: &*src, b, dims };
-            run_gemm(level, &gemm, grid_m, dst.emitter(weights.cols(), relu), threads, scratch);
+            let mut sink = dst.emitter(weights.cols(), relu);
+            simd::run_bands(level, &Gemm { a: &*src, b, dims }, &mut sink, accs);
             std::mem::swap(&mut src, &mut dst);
         }
         simd::expand_b(level, last, b);
         let mut out = Matrix::zeros(input.rows(), last.cols());
-        let sink = DenseRows { rows: out.as_mut_slice(), cols: last.cols(), wm, relu: last_relu };
-        run_gemm(level, &Gemm { a: &*src, b, dims }, grid_m, sink, threads, scratch);
+        let mut sink =
+            DenseRows { rows: out.as_mut_slice(), cols: last.cols(), wm, relu: last_relu };
+        simd::run_bands(level, &Gemm { a: &*src, b, dims }, &mut sink, accs);
         out
     })
 }
@@ -673,7 +603,7 @@ mod tests {
                 src.reset(m, kd.max(n), (wm, wk));
                 src.encode(&x, level);
                 assert_arena_is(&src, &x_want, &format!("input, {context}"));
-                let y = execute(&x_enc, &w_enc, 1, level);
+                let y = execute(&x_enc, &w_enc, level);
                 for relu in [true, false] {
                     let y = if relu { y.relu() } else { y.clone() };
                     let want =
@@ -683,8 +613,8 @@ mod tests {
                     let mut dst = Arena::default();
                     dst.reset(m, kd.max(n), (wm, wk));
                     let gemm = Gemm { a: &src, b: &b, dims: (wm, wn, wk) };
-                    let mut scratch = Scratch::default();
-                    run_gemm(level, &gemm, m.div_ceil(wm), dst.emitter(n, relu), 1, &mut scratch);
+                    let mut accs = CacheAligned::default();
+                    simd::run_bands(level, &gemm, &mut dst.emitter(n, relu), &mut accs);
                     let context = format!("{context} relu {relu}");
                     assert_arena_is(&dst, &want, &context);
                     assert_encoded_a_is(&EncodedA::encode(&y, (wm, wk), level), &want, &context);

@@ -25,6 +25,9 @@
 // One module may say `unsafe`: `bitmap_spgemm::simd`, which runs the MAC
 // step under `#[target_feature]`. CI greps for a second.
 #![deny(unsafe_code)]
+// A kernel call runs on the thread that makes it: no non-test code here says
+// `std::thread` or `available_parallelism` (a serve device worker is the unit
+// of parallelism, as an SM is on the device). CI greps for it.
 
 pub mod bitmap_spgemm;
 pub mod conv;

@@ -86,7 +86,7 @@ fn execute_encoded_allocates_the_same_few_buffers_at_any_tile_count() {
     // on both native tilings (a V100 + A100 pool runs both), and for a small
     // ragged GEMM between two large ones, which must not size anything down.
     for config in [GpuConfig::v100(), GpuConfig::a100()] {
-        let kernel = BitmapSpGemm::for_device(config).with_execute_threads(1);
+        let kernel = BitmapSpGemm::for_device(config);
         let encoded = |(m, k, n)| {
             let (a, b) = operands(m, k, n);
             (kernel.encode_a(&a), kernel.encode_b(&b))
@@ -102,22 +102,6 @@ fn execute_encoded_allocates_the_same_few_buffers_at_any_tile_count() {
             }
         }
     }
-}
-
-#[test]
-fn auto_thread_count_costs_no_allocation_per_call() {
-    // `with_execute_threads(0)` asks the OS for the core count, which reads
-    // cgroup files (4 allocations, ≈ 13 µs); it must do so when the kernel
-    // is built, never per GEMM. 16 output tiles stay under the threading
-    // threshold, so both kernels run the same serial path.
-    let (a, b) = operands(64, 256, 256);
-    let counts = [1, 1, 0].map(|threads| {
-        let kernel = BitmapSpGemm::new(GpuConfig::v100()).with_execute_threads(threads);
-        let (a_enc, b_enc) = (kernel.encode_a(&a), kernel.encode_b(&b));
-        allocations_in(|| kernel.execute_encoded(&a_enc, &b_enc)).1 .0
-    });
-    // The first call is the thread's warm-up.
-    assert_eq!(counts[2], counts[1], "threads 0 vs threads 1");
 }
 
 #[test]
@@ -154,7 +138,7 @@ fn forward_allocates_the_same_few_buffers_at_any_depth() {
     // forward` adds one allocation per call above this, its `Vec` of layer
     // refs (`crates/serve/src/model.rs`); it is left there rather than
     // cached.
-    let kernel = BitmapSpGemm::new(GpuConfig::v100()).with_execute_threads(1);
+    let kernel = BitmapSpGemm::new(GpuConfig::v100());
     let (input, weights) = operands(64, 256, 256);
     let small = Matrix::random_sparse(4, 256, 0.5, SparsityPattern::Uniform, 3);
     let weights = kernel.encode_b(&weights);
@@ -165,5 +149,15 @@ fn forward_allocates_the_same_few_buffers_at_any_depth() {
             let (out, counted) = allocations_in(|| kernel.forward_at(input, &layers, level));
             assert_eq!(counted, only(&out), "{level:?}: {} rows, depth {depth}", input.rows());
         }
+    }
+    // 1024 rows are 32 bands x 8 tile columns, 256 output tiles per layer:
+    // a grid that size runs on the calling thread too, and once the thread
+    // holds arenas that tall it allocates its result alone.
+    let tall = Matrix::random_sparse(1024, 256, 0.5, SparsityPattern::Uniform, 4);
+    let layers = [(&weights, true); 3];
+    let _warm_up = kernel.forward(&tall, &layers);
+    for level in SimdLevel::available() {
+        let (out, counted) = allocations_in(|| kernel.forward_at(&tall, &layers, level));
+        assert_eq!(counted, only(&out), "{level:?}: 1024 rows, depth 3");
     }
 }

@@ -315,11 +315,6 @@ pub struct ServeConfig {
     /// (`--trace-out` in the demo binary). `None` keeps traces in the
     /// bounded in-memory ring only.
     pub trace_out: Option<PathBuf>,
-    /// Threads each device worker may fan a single large-M GEMM across
-    /// (see [`dsstc_kernels::BitmapSpGemm::with_execute_threads`]). `0`
-    /// (the default) sizes to the host's available parallelism; small
-    /// GEMMs always run serially regardless.
-    pub execute_threads: usize,
     /// Largest number of unflushed response bytes the wire front-end
     /// buffers for one connection. A client that stops reading while
     /// responses keep completing breaches the cap; the server then drops
@@ -355,7 +350,6 @@ impl Default for ServeConfig {
             max_frame_len: 1 << 24,
             metrics_addr: None,
             trace_out: None,
-            execute_threads: 0,
             // Four max-size response frames of headroom before a
             // non-reading client is declared stuck.
             max_outbound_bytes: 1 << 26,
@@ -488,10 +482,12 @@ impl ServeConfig {
         self
     }
 
-    /// Overrides the per-GEMM execute-thread fan-out (`0` = size to the
-    /// host's available parallelism).
-    pub fn with_execute_threads(mut self, execute_threads: usize) -> Self {
-        self.execute_threads = execute_threads;
+    /// Sets nothing, for any count: a device worker runs each kernel call on
+    /// its own thread. Kept only for the `.with_execute_threads(1)` call in
+    /// `benchmark/src/workloads/serve_wire.rs`; the next change to
+    /// `benchmark/` deletes that call and this builder.
+    #[doc(hidden)]
+    pub fn with_execute_threads(self, _execute_threads: usize) -> Self {
         self
     }
 
@@ -581,10 +577,12 @@ mod tests {
     #[test]
     fn execute_threads_and_outbound_cap_have_safe_defaults_and_builders() {
         let c = ServeConfig::default();
-        assert_eq!(c.execute_threads, 0, "default sizes to the host");
         assert!(c.max_outbound_bytes >= c.max_frame_len, "cap must admit a full response");
-        let c = c.with_execute_threads(3).with_max_outbound_bytes(1 << 20);
-        assert_eq!(c.execute_threads, 3);
+        for threads in [0, 1, 3] {
+            let same = format!("{:?}", c.clone().with_execute_threads(threads));
+            assert_eq!(same, format!("{c:?}"), "the execute-threads builder sets nothing");
+        }
+        let c = c.with_max_outbound_bytes(1 << 20);
         assert_eq!(c.max_outbound_bytes, 1 << 20);
     }
 

@@ -129,7 +129,7 @@ impl InferenceServer {
             }
             let _ = repository.warm_boot(&specs, WARM_BOOT_THREADS);
         }
-        let kernels = WorkerContext::kernels_for(&repository, &dispatcher, config.execute_threads);
+        let kernels = dispatcher.specs().iter().map(|&spec| repository.kernel_for(spec)).collect();
         let telemetry = match &config.trace_out {
             Some(path) => Telemetry::with_trace_out(path)
                 .unwrap_or_else(|e| panic!("cannot open trace output {}: {e}", path.display())),

@@ -42,27 +42,9 @@ pub(crate) struct WorkerContext {
     pub dispatcher: Arc<DeviceDispatcher>,
     pub telemetry: Arc<Telemetry>,
     /// One SpGEMM kernel per pooled device, running that device's native
-    /// tiling — worker `i` executes its batches on `kernels[i]` against
-    /// encodings fetched for `dispatcher.spec(i)`.
+    /// tiling — worker `i` executes its batches on `kernels[i]`, on its own
+    /// thread, against encodings fetched for `dispatcher.spec(i)`.
     pub kernels: Vec<BitmapSpGemm>,
-}
-
-impl WorkerContext {
-    /// Builds the per-device kernels from the dispatcher's encoding specs,
-    /// each allowed to fan a single large-M GEMM across `execute_threads`
-    /// threads (`0` = size to the host; see
-    /// [`BitmapSpGemm::with_execute_threads`]).
-    pub(crate) fn kernels_for(
-        repository: &ModelRepository,
-        dispatcher: &DeviceDispatcher,
-        execute_threads: usize,
-    ) -> Vec<BitmapSpGemm> {
-        dispatcher
-            .specs()
-            .iter()
-            .map(|&spec| repository.kernel_for(spec).with_execute_threads(execute_threads))
-            .collect()
-    }
 }
 
 /// One batch routed to one device, priced by the dispatcher. The worker
@@ -304,7 +286,7 @@ mod tests {
     fn context(max_batch: usize, pool: DevicePool) -> Arc<WorkerContext> {
         let repository = Arc::new(ModelRepository::new(pool.primary().clone(), 32));
         let dispatcher = Arc::new(DeviceDispatcher::new(&pool, DispatchPolicy::MinCompletionTime));
-        let kernels = WorkerContext::kernels_for(&repository, &dispatcher, 1);
+        let kernels = dispatcher.specs().iter().map(|&spec| repository.kernel_for(spec)).collect();
         Arc::new(WorkerContext {
             scheduler: Arc::new(BatchScheduler::new(BatchPolicy {
                 max_batch,

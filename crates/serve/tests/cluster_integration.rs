@@ -1,6 +1,7 @@
 //! End-to-end tests of cluster-scale serving: a real 3-node loopback
 //! cluster with consistent-hash sharding, replica groups, hello/shard-map
-//! exchange, `NotMine` redirects, peer liveness and client failover.
+//! exchange (tokenless, and against nodes that require an auth token),
+//! `NotMine` redirects, peer liveness and client failover.
 //!
 //! The acceptance bar mirrors `docs/CLUSTER.md`: the cluster serves a full
 //! sweep **bit-identical** to a single-node baseline, and killing a node
@@ -12,8 +13,8 @@ use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
 
 use dsstc_serve::cluster::shard_hash;
-use dsstc_serve::net::{ClusterClient, WireClient, WireServer, WireStatus};
-use dsstc_serve::{ClusterConfig, InferRequest, ModelId, Priority, ServeConfig};
+use dsstc_serve::net::{ClusterClient, WireClient, WireError, WireServer, WireStatus};
+use dsstc_serve::{ClusterConfig, InferRequest, InferenceServer, ModelId, Priority, ServeConfig};
 use dsstc_tensor::{Matrix, SparsityPattern};
 
 const PROXY_DIM: usize = 32;
@@ -58,6 +59,16 @@ fn start_cluster(
     replication: usize,
     ping: Duration,
 ) -> (Vec<WireServer>, Vec<SocketAddr>) {
+    start_cluster_from(ServeConfig::default(), n, replication, ping)
+}
+
+/// [`start_cluster`] with every node configured from `base`.
+fn start_cluster_from(
+    base: ServeConfig,
+    n: usize,
+    replication: usize,
+    ping: Duration,
+) -> (Vec<WireServer>, Vec<SocketAddr>) {
     let addrs = free_addrs(n);
     let servers = (0..n)
         .map(|i| {
@@ -68,7 +79,7 @@ fn start_cluster(
                 .with_seed(RING_SEED)
                 .with_ping(ping, 2);
             WireServer::start(
-                ServeConfig::default()
+                base.clone()
                     .with_listen(addrs[i])
                     .with_max_queue_wait(Duration::from_millis(1))
                     .with_proxy_dim(PROXY_DIM)
@@ -122,6 +133,56 @@ fn three_node_cluster_serves_a_sweep_bit_identical_to_a_single_node() {
         server.shutdown();
     }
     baseline.shutdown();
+}
+
+/// Two nodes that require the hello token `"sesame"` (their pingers hold it
+/// too, so neither marks the other dead).
+fn start_authenticated_pair() -> (Vec<WireServer>, Vec<SocketAddr>) {
+    let base = ServeConfig::default().with_auth_token("sesame");
+    start_cluster_from(base, 2, 2, Duration::from_millis(200))
+}
+
+#[test]
+fn a_cluster_client_with_the_token_serves_a_sweep_bit_identical_to_in_process() {
+    let (mut servers, addrs) = start_authenticated_pair();
+    let mut reference = InferenceServer::start(
+        ServeConfig::default()
+            .with_max_queue_wait(Duration::from_millis(1))
+            .with_proxy_dim(PROXY_DIM),
+    );
+    let max_frame_len = ServeConfig::default().max_frame_len;
+    let mut client = ClusterClient::connect_with(&addrs, Some("sesame"), max_frame_len)
+        .expect("authenticated cluster hello");
+    assert_eq!(client.map().nodes.len(), 2);
+    for seed in 0..12u64 {
+        let clustered = client.infer(&request(seed)).expect("served by the cluster");
+        let single = reference.infer(request(seed)).expect("in-process reference");
+        assert_eq!(clustered.output, single.output, "seed {seed}");
+    }
+    // Every pooled connection the client opened presented the token.
+    let refused: u64 =
+        servers.iter().map(|s| s.stats().cluster.expect("stats").auth_failures).sum();
+    assert_eq!(refused, 0);
+    for server in &mut servers {
+        server.shutdown();
+    }
+    reference.shutdown();
+}
+
+#[test]
+fn a_cluster_client_without_the_token_is_refused_at_the_first_seed() {
+    let (mut servers, addrs) = start_authenticated_pair();
+    match ClusterClient::connect(&addrs) {
+        Err(WireError::Rejected { status, .. }) => assert_eq!(status, WireStatus::Unauthorized),
+        other => panic!("expected an Unauthorized rejection, got {other:?}"),
+    }
+    // Fail fast: the rejection repeats at every seed, so the second is
+    // never asked.
+    let refused = servers.iter().map(|s| s.stats().cluster.expect("stats").auth_failures);
+    assert_eq!(refused.collect::<Vec<_>>(), [1, 0]);
+    for server in &mut servers {
+        server.shutdown();
+    }
 }
 
 #[test]
