@@ -7,7 +7,9 @@
 //! and per band the base offset of its value segment. A step's starts count
 //! from its band's base, so bands are independent, and any producer that can
 //! hand [`Emitter`] row-major blocks of columns in ascending order can write
-//! one — the output pass of a layer, and a dense matrix.
+//! one — the output pass of a layer, and a dense matrix. A row-major B
+//! operand is one already, transposed: [`Arena::transpose_b`] copies it in
+//! tile by tile for a call that runs `D^T = B^T * A^T`.
 //!
 //! The emitter writes the bands in turn, each band's values where the
 //! previous band's end, and records every base as it starts the band. Only
@@ -23,6 +25,7 @@
 //!
 //! [`BitmapSpGemm::encode_a`]: super::BitmapSpGemm::encode_a
 
+use dsstc_formats::TwoLevelBitmapMatrix;
 use dsstc_tensor::{f16, Matrix};
 
 use super::simd::{self, Lanes, Level};
@@ -106,6 +109,47 @@ impl Arena {
     pub(super) fn encode(&mut self, dense: &Matrix, level: Level) {
         assert_eq!(dense.rows(), self.rows, "the arena was reset for another batch");
         simd::encode(level, &mut self.emitter(dense.cols(), false), dense);
+    }
+
+    /// Makes this `b_enc` (a row-major B operand) transposed, whatever it
+    /// was before: band `jn` is B's tile column `jn` and step `k` B's row
+    /// `k`, so a step's column word is B's row word and its values are B's
+    /// condensed row, as B stores them — one copy per tile. The values take
+    /// exactly `b_enc.nnz()` cells.
+    pub(super) fn transpose_b(&mut self, b_enc: &TwoLevelBitmapMatrix) {
+        let (wk, wn) = (b_enc.tile_rows(), b_enc.tile_cols());
+        let grid_n = self.shape(b_enc.cols(), b_enc.rows(), (wn, wk));
+        let steps = b_enc.grid_rows() * wk;
+        (self.cols, self.steps) = (b_enc.rows(), steps);
+        grow(&mut self.words, grid_n * steps);
+        grow(&mut self.starts, grid_n * (steps + 1));
+        grow(&mut self.bases, grid_n);
+        grow(&mut self.values, b_enc.nnz());
+        let mut base = 0;
+        for jn in 0..grid_n {
+            self.bases[jn] = base;
+            let words = &mut self.words[jn * steps..][..steps];
+            let starts = &mut self.starts[jn * (steps + 1)..][..steps + 1];
+            let mut kept = 0;
+            starts[0] = 0;
+            for (kk, (words, starts)) in
+                words.chunks_exact_mut(wk).zip(starts[1..].chunks_exact_mut(wk)).enumerate()
+            {
+                let Some(tile) = b_enc.tile(kk, jn) else {
+                    words.fill(0);
+                    starts.fill(kept);
+                    continue;
+                };
+                let values = tile.values();
+                self.values[base + kept as usize..][..values.len()].copy_from_slice(values);
+                for (k, (word, start)) in words.iter_mut().zip(starts).enumerate() {
+                    *word = tile.bitmap().row_word(k);
+                    kept += word.count_ones();
+                    *start = kept;
+                }
+            }
+            base += kept as usize;
+        }
     }
 
     /// Bands of the operand (`rows / wm`, rounded up).

@@ -117,8 +117,10 @@ impl SyntheticGemmSpec {
     /// whole-step skip when its condensed column is empty, whereas the B side
     /// only skips at 16-element (50 %) granularity (paper Section III-B3), so
     /// a GEMM library built on this kernel computes `D^T = B^T * A^T`
-    /// whenever the B operand is the sparser one. The byte footprints follow
-    /// their operands through the swap.
+    /// whenever the B operand is the sparser one — as the functional
+    /// [`BitmapSpGemm::execute_encoded`] does, from the operands' non-zero
+    /// counts (and only where the transposed grid runs no more block
+    /// passes). The byte footprints follow their operands through the swap.
     pub fn oriented(
         shape: GemmShape,
         a_sparsity: f64,
@@ -651,11 +653,15 @@ impl BitmapSpGemm {
     /// output tile columns and multiplied into B rows held in registers, the
     /// tile grid is cache-blocked, and every phase runs at the widest vector
     /// level the CPU has (chosen once per call; no level fuses the multiply
-    /// and the add). The call runs on the calling thread, and the B
-    /// expansion and the block accumulator are that thread's, grown to its
-    /// largest call and reused, so a call allocates only the matrix it
-    /// returns. Results are bit-identical to
-    /// [`Self::execute_encoded_scalar`].
+    /// and the add). When the weights keep fewer values per output element
+    /// than the activations and that costs no more block passes, the call
+    /// runs `D^T = B^T * A^T` instead, so that the sparser operand's empty
+    /// rows skip whole steps (paper Section III-B3); the operands' non-zero
+    /// counts and shapes decide it, per call. The call runs on the calling
+    /// thread, and what it stages (an expansion, the transposed weights, the
+    /// block accumulator) is that thread's, grown to its largest call and
+    /// reused, so a call allocates only the matrix it returns. Results are
+    /// bit-identical to [`Self::execute_encoded_scalar`] either way.
     ///
     /// # Panics
     /// Panics if the operands' inner dimensions disagree or their tile
@@ -1233,17 +1239,15 @@ mod tests {
         // A block is 1, 2 or 4 tile columns depending on the level, so 1..=9
         // of them cover, at every level: no full block, exactly one, one plus
         // every possible remainder, and two plus a remainder. N, M and K are
-        // all ragged.
+        // all ragged. Transposed, the 250 rows are 2 full blocks at AVX-512
+        // and 4 at AVX2, over 1..=9 bands.
         let a = random(250, 40, 0.5, 110);
         for grid_n in 1..=9 {
             let b = random(40, 32 * grid_n - 5, 0.6, 111 + grid_n as u64);
             let k = kernel();
             let (a_enc, b_enc) = (k.encode_a(&a), k.encode_b(&b));
             let scalar = reference(&k, &a, &b_enc);
-            for level in SimdLevel::available() {
-                let word = k.execute_encoded_at(&a_enc, &b_enc, level);
-                assert!(same_bits(&word, &scalar), "grid_n {grid_n} {level:?}");
-            }
+            assert_both_orientations_give(&k, &a_enc, &b_enc, &scalar, &format!("grid_n {grid_n}"));
         }
     }
 
@@ -1282,7 +1286,9 @@ mod tests {
         // exactly one MAC per non-zero, so every other output of that row
         // stays zero instead of `inf * 0`. At N = 160 the B row has values
         // in tiles 0 and 4 only: tiles 1..=3 are the empty rows of a
-        // surviving block (at AVX-512), tile 4 a remainder tile.
+        // surviving block (at AVX-512), tile 4 a remainder tile. Transposed,
+        // the infinity is in A's column, which is expanded, and meets B's
+        // values only.
         for (n, b_cols) in [(32, vec![7]), (160, vec![7, 128 + 9])] {
             let mut a = Matrix::zeros(32, 16);
             a[(3, 5)] = f32::INFINITY;
@@ -1293,14 +1299,17 @@ mod tests {
             }
             let k = kernel();
             let (a_enc, b_enc) = (k.encode_a(&a), k.encode_b(&b));
-            for level in SimdLevel::available() {
-                let out = k.execute_encoded_at(&a_enc, &b_enc, level);
+            for (level, transposed) in
+                SimdLevel::available().flat_map(|level| [(level, false), (level, true)])
+            {
+                let out = word::execute_as(&a_enc, &b_enc, level, transposed);
+                let context = format!("N {n} {level:?} transposed {transposed}");
                 for &c in &b_cols {
-                    assert_eq!(out[(3, c)], f32::INFINITY, "N {n} {level:?}");
-                    assert_eq!(out[(4, c)], 3.0, "N {n} {level:?}");
+                    assert_eq!(out[(3, c)], f32::INFINITY, "{context}");
+                    assert_eq!(out[(4, c)], 3.0, "{context}");
                 }
                 let macs = 2 * b_cols.len();
-                assert_eq!(out.nnz(), macs, "N {n} {level:?}: a NaN beside an infinite product");
+                assert_eq!(out.nnz(), macs, "{context}: a NaN beside an infinite product");
             }
         }
     }
@@ -1322,10 +1331,12 @@ mod tests {
         assert_eq!(x.mul_add(y, -p), 2.0f32.powi(-24), "the case tells the two apart");
 
         // N = 32 runs the one-tile block, N = 128 the widest block of every
-        // level (4 tiles at AVX-512, 2 at AVX2).
-        for n in [32, 128] {
-            let (mut a, mut b) = (Matrix::zeros(32, 16), Matrix::zeros(16, n));
-            for i in 0..32 {
+        // level (4 tiles at AVX-512, 2 at AVX2); transposed, where A's
+        // columns are the held rows and B's values the broadcast ones,
+        // M = 128 runs the widest block.
+        for (m, n) in [(32, 32), (32, 128), (128, 32)] {
+            let (mut a, mut b) = (Matrix::zeros(m, 16), Matrix::zeros(16, n));
+            for i in 0..m {
                 (a[(i, 0)], a[(i, 1)]) = (-1.0, x);
             }
             for j in 0..n {
@@ -1338,11 +1349,131 @@ mod tests {
             let b_enc = TwoLevelBitmapMatrix::encode(&b, 16, 32, VectorLayout::RowMajor);
             let scalar = reference(&k, &a, &b_enc);
             assert!(scalar.as_slice().iter().all(|v| v.to_bits() == 0), "reference is +0.0");
-            for level in SimdLevel::available() {
-                let word = k.execute_encoded_at(&a_enc, &b_enc, level);
-                assert!(same_bits(&word, &scalar), "N {n}: {level:?} contracted a multiply-add");
+            let context = format!("{m}x{n}: a contracted multiply-add");
+            assert_both_orientations_give(&k, &a_enc, &b_enc, &scalar, &context);
+        }
+    }
+
+    /// Both orientations of `a * B` at every vector level, each held bit
+    /// for bit to `want`.
+    fn assert_both_orientations_give(
+        k: &BitmapSpGemm,
+        a_enc: &EncodedA,
+        b_enc: &TwoLevelBitmapMatrix,
+        want: &Matrix,
+        context: &str,
+    ) {
+        for level in SimdLevel::available() {
+            for transposed in [false, true] {
+                let got = word::execute_as(a_enc, b_enc, level, transposed);
+                let context =
+                    format!("{context}, {:?}, transposed {transposed}, {level:?}", k.tiling());
+                assert!(same_bits(&got, want), "{context}");
             }
         }
+    }
+
+    #[test]
+    fn both_orientations_are_bit_identical_to_the_reference() {
+        // `D^T = B^T * A^T` condenses B and expands A: on the native tilings
+        // (register-held blocks both ways), a 24-wide one (whose transpose
+        // runs register-held blocks of A's 32-row bands over 24-row bands of
+        // B's columns) and a 16x64x8 one (64-row bands of B, the in-memory
+        // row); ragged in M, K and N, up to several bands and blocks either
+        // way; non-finite values on neither side, on A only, on B only and
+        // on both, so the masked path runs on the condensed side and
+        // non-finite values sit in the expanded rows.
+        let tilings = [
+            GemmTiling::paper_spgemm(),
+            GpuConfig::a100().native_tiling(),
+            warp_tiling(32, 24, 16),
+            warp_tiling(16, 64, 8),
+        ];
+        for (i, (m, kd, n)) in
+            [(1, 20, 5), (33, 17, 65), (50, 30, 70), (130, 45, 97), (257, 40, 33)]
+                .into_iter()
+                .enumerate()
+        {
+            for (specials_a, specials_b) in [(0, 0), (3, 0), (0, 3), (2, 2)] {
+                let seed = 300 + i as u64;
+                let mut a = random(m, kd, 0.6, seed);
+                let mut b = random(kd, n, 0.8, seed ^ 0x9e37);
+                seed_non_finite(&mut a, specials_a, seed ^ 0xa);
+                seed_non_finite(&mut b, specials_b, seed ^ 0xb);
+                for tiling in tilings {
+                    let k = kernel().with_tiling(tiling);
+                    let (a_enc, b_enc) = (k.encode_a(&a), k.encode_b(&b));
+                    let want = reference(&k, &a, &b_enc);
+                    let context = format!("{m}x{kd}x{n}, {specials_a}/{specials_b} non-finite");
+                    assert_both_orientations_give(&k, &a_enc, &b_enc, &want, &context);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_a_column_inside_a_surviving_transposed_block_leaves_positive_zeros() {
+        // The twin of `an_empty_b_row_inside_a_surviving_block_leaves_positive_zeros`
+        // for `D^T = B^T * A^T`: M = 128 is one 4-tile block of A^T at
+        // AVX-512 and two 2-tile blocks at AVX2. Step 0's A column has
+        // values in bands 0, 2 and 3 and none in band 1, so the block
+        // survives and the accumulators of D's rows 32..64 get `bv * 0.0` —
+        // with every weight negative that is `-0.0`, which must leave `+0.0`.
+        let (mut a, mut b) = (Matrix::zeros(128, 16), Matrix::zeros(16, 32));
+        for r in (0..32).chain(64..128) {
+            a[(r, 0)] = 1.0 + r as f32;
+        }
+        for c in 0..32 {
+            b[(0, c)] = -(1.0 + c as f32);
+        }
+        let k = kernel();
+        let (a_enc, b_enc) = (k.encode_a(&a), k.encode_b(&b));
+        let scalar = reference(&k, &a, &b_enc);
+        assert_both_orientations_give(&k, &a_enc, &b_enc, &scalar, "empty A column");
+        for level in SimdLevel::available() {
+            let word = word::execute_as(&a_enc, &b_enc, level, true);
+            for c in 0..32 {
+                assert!((32..64).all(|r| word[(r, c)].to_bits() == 0), "{level:?}: column {c}");
+                assert!(word[(0, c)] < 0.0 && word[(127, c)] < 0.0, "{level:?}: column {c}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_sparser_weights_are_condensed_only_where_that_runs_no_more_blocks() {
+        // `execute_encoded` runs `D^T = B^T * A^T` when B keeps strictly
+        // fewer values per output element and the transposed band loop
+        // makes no more block passes (at AVX-512: a pass per 4-tile block
+        // and per remainder tile). Each case reports whether B is the
+        // sparser operand and which way the rule went.
+        let k = kernel();
+        let rule = |m, kd, n, sa, sb| {
+            let (a, b) = (random(m, kd, sa, 1), random(kd, n, sb, 2));
+            let (a_nnz, b_nnz) = (k.encode_a(&a).nnz(), k.encode_b(&b).nnz());
+            (b_nnz * m < a_nnz * n, word::transposes((a_nnz, b_nnz), (m, n), (32, 32)))
+        };
+        // `gemm_extreme`: 512-cubed at A 90 % / B 99 %, 64 passes either way.
+        assert_eq!(rule(512, 512, 512, 0.9, 0.99), (true, true));
+        // A `forward_batch` layer: B is sparser, but the transposed loop
+        // would make 16 passes (8 bands of B's columns, 2 remainder tiles of
+        // A's rows each) against 4 (2 bands, 2 blocks).
+        assert_eq!(rule(64, 256, 256, 0.49, 0.68), (true, false));
+        // One row against 256 columns: 8 passes against 2.
+        assert_eq!(rule(1, 256, 256, 0.5, 0.7), (true, false));
+        // 200 rows against 400 columns: 13 bands of 1 block and 3 remainder
+        // tiles against 7 bands of 3 blocks and 1 remainder tile.
+        assert_eq!(rule(200, 300, 400, 0.3, 0.5), (true, false));
+        // One row against 64 columns is 2 passes either way.
+        assert_eq!(rule(1, 64, 64, 0.0, 0.99), (true, true));
+        // A tie in values per output element stays as it is.
+        assert!(!word::transposes((1000, 2000), (256, 512), (32, 32)));
+        assert!(word::transposes((1000, 1999), (256, 512), (32, 32)));
+        // Off the native width every block is one tile, so the passes tie
+        // and the values decide; a 24-wide B tiling transposes into 32-wide
+        // register-held blocks, so the transposed loop makes fewer.
+        assert!(word::transposes((1000, 999), (1, 4096), (16, 64)));
+        assert!(word::transposes((1000, 999), (96, 96), (32, 24)));
+        assert!(!word::transposes((1000, 1000), (96, 96), (32, 24)));
     }
 
     #[test]
@@ -1361,11 +1492,13 @@ mod tests {
         // ones, incl. a non-square 16x8x8, on the in-memory row), sparsities
         // (incl. 0.0 and ~1.0), edge-tile shapes, operands seeded with
         // values FP16 storage turns non-finite, and every vector level the
-        // host has.
+        // host has. Up to 200 rows, so that calls whose B is the sparser
+        // operand also run transposed (at the native tilings, for one, 97 to
+        // 128 rows against more than 128 columns).
         #[test]
         fn word_and_scalar_paths_agree_bitwise(
             seed in proptest::any::<u64>(),
-            m in 1usize..=80,
+            m in 1usize..=200,
             kd in 1usize..=72,
             n in 1usize..=200,
             sa_idx in 0usize..6,
@@ -1599,7 +1732,9 @@ mod tests {
     /// One kernel call as the thread-local workspace sees it: which device's
     /// native tiling, the batch height, the operand widths along the stack
     /// (one weight matrix is a plain `execute_encoded_at`, more are a
-    /// `forward_at` with `relu_mask`'s bits per layer) and how sparse.
+    /// `forward_at` with `relu_mask`'s bits per layer) and how sparse the
+    /// input and the weights are (a sparser weight matrix may run the plain
+    /// call transposed).
     #[derive(Clone, Debug)]
     struct WorkspaceCall {
         a100: bool,
@@ -1607,6 +1742,7 @@ mod tests {
         widths: Vec<usize>,
         relu_mask: usize,
         sparsity: f64,
+        weight_sparsity: f64,
         specials: usize,
         seed: u64,
     }
@@ -1627,6 +1763,7 @@ mod tests {
                 widths: (0..=depth).map(|_| dim(rng)).collect(),
                 relu_mask: rng.random_range(0..16usize),
                 sparsity: SPARSITIES[rng.random_range(0..SPARSITIES.len())],
+                weight_sparsity: SPARSITIES[rng.random_range(0..SPARSITIES.len())],
                 specials: rng.random_range(0..4usize),
                 seed: rng.random_range(0..u64::MAX),
             }
@@ -1649,7 +1786,8 @@ mod tests {
                 .windows(2)
                 .enumerate()
                 .map(|(i, w)| {
-                    k.encode_b(&random(w[0], w[1], self.sparsity, self.seed + 1 + i as u64))
+                    let seed = self.seed + 1 + i as u64;
+                    k.encode_b(&random(w[0], w[1], self.weight_sparsity, seed))
                 })
                 .collect();
             let layers: Vec<_> = weights
@@ -1695,11 +1833,13 @@ mod tests {
         // One thread, one workspace: a dense 96x130x200 GEMM fills the
         // expansion and the scratch, and the same shape with an all-zero B
         // (every tile empty, a non-finite activation on the masked path)
-        // must find none of its step words; a 64-row stack fills both
-        // arenas; then 4-row batches (a serve worker's batch height changes
-        // on every batch), the other device's tiling, a tiny GEMM and the
-        // big shapes again each have to come out as if the thread had never
-        // run before — and leave the operand `encode_a` built for the call
+        // must find none of its step words; the same shape transposed (B
+        // condensed into a forward arena, A expanded) and a 64-row stack
+        // each find what the other left; then 4-row batches (a serve
+        // worker's batch height changes on every batch), the other device's
+        // tiling, a tiny GEMM and the big shapes again, plain and
+        // transposed, each have to come out as if the thread had never run
+        // before — and leave the operand `encode_a` built for the call
         // before them as it was.
         let call = |a100, rows, widths: &[usize], sparsity, seed| WorkspaceCall {
             a100,
@@ -1707,24 +1847,39 @@ mod tests {
             widths: widths.to_vec(),
             relu_mask: 0b0101,
             sparsity,
+            weight_sparsity: sparsity,
             specials: 3,
             seed,
+        };
+        // 128 rows (one block) against 97 to 200 columns transpose when B
+        // is the sparser.
+        let transposed = |a100, widths: &[usize], seed| WorkspaceCall {
+            weight_sparsity: 0.95,
+            ..call(a100, 128, widths, 0.3, seed)
         };
         let sequence = [
             call(false, 96, &[130, 200], 0.0, 1),
             call(false, 96, &[130, 200], 1.0, 10),
+            transposed(false, &[130, 200], 11),
             call(false, 64, &[100, 90, 80], 0.3, 2),
             call(false, 4, &[100, 90, 80], 0.3, 3),
             call(true, 4, &[33, 65, 17, 40], 0.5, 4),
             call(true, 5, &[7, 9], 0.9, 5),
             call(false, 64, &[100, 90, 80], 0.9, 6),
             call(true, 70, &[40, 150, 150, 3], 0.0, 7),
+            transposed(true, &[70, 150], 12),
             call(false, 1, &[1, 1], 0.0, 8),
             call(false, 96, &[130, 200], 0.99, 9),
+            transposed(false, &[33, 97], 13),
         ];
         let mut previous = None;
         for (i, call) in sequence.iter().enumerate() {
             let left = call.check(previous.as_ref()).unwrap_or_else(|e| panic!("call {i}: {e}"));
+            if call.weight_sparsity > call.sparsity {
+                let (a_nnz, b_nnz) = (left.a_enc.nnz(), left.weights.nnz());
+                let (m, n) = (left.a_enc.rows(), left.weights.cols());
+                assert!(word::transposes((a_nnz, b_nnz), (m, n), (32, 32)), "call {i} is plain");
+            }
             previous = Some(left);
         }
     }
@@ -1740,6 +1895,7 @@ mod tests {
             widths: vec![120, 140, 60],
             relu_mask: 1,
             sparsity: 0.2,
+            weight_sparsity: 0.2,
             specials: 2,
             seed: 1,
         };

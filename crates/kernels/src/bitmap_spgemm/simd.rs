@@ -1,16 +1,18 @@
 //! Runs the hot loops of [`super::word`] at the widest vector level the CPU
 //! has, picked at run time from CPUID.
 //!
-//! [`super::word`] writes the band loop and the B expansion once, and
-//! [`super::arena`] the emitter (the A encode), over a small lane type
-//! ([`Lanes`]: one vector register of `f32`s). This module owns the lane
-//! types — a plain array for the baseline, `__m256` for AVX2, `__m512` for
-//! AVX-512F+VL — and instantiates the loops per level under
-//! `#[target_feature]`: the band loop (whose sink may be the emitter, which
-//! it hands its lane type), the B expansion and the dense-operand encode.
-//! AVX-512 overrides two lane ops with an instruction the other levels lack:
-//! a B row is decoded with `vexpandps`, an emitter column compacted with
-//! `vcompressps`. **FMA is never enabled** and [`Lanes::mac`] is a
+//! [`super::word`] writes the band loop and the two expansions (of B, and
+//! of A transposed) once, and [`super::arena`] the emitter (the A encode),
+//! over a small lane type ([`Lanes`]: one vector register of `f32`s). This
+//! module owns the lane types — a plain array for the baseline, `__m256`
+//! for AVX2, `__m512` for AVX-512F+VL — and instantiates the loops per
+//! level under `#[target_feature]`: the band loop (whose sink may be the
+//! emitter or the transposed rows, which it hands its lane type), the
+//! expansions and the dense-operand encode. AVX-512 overrides two lane ops
+//! with an instruction the other levels lack: a row is decoded with
+//! `vexpandps`, an emitter column compacted with `vcompressps`; AVX2 and
+//! AVX-512 transpose a square of lanes in registers. **FMA is never
+//! enabled** and [`Lanes::mac`] is a
 //! multiply then an add: a step stays a rounded multiply then a rounded add
 //! at every level, which is what keeps the word kernel bit-identical to the
 //! scalar reference (CI greps the emitted code for `vfmadd`, see
@@ -32,8 +34,8 @@ use std::arch::x86_64::*;
 use dsstc_formats::TwoLevelBitmapMatrix;
 use dsstc_tensor::Matrix;
 
-use super::arena::{Emitter, TILE_ROWS};
-use super::word::{self, CacheAligned, ExpandedB, Gemm, InMemory, Sink, NATIVE_WN};
+use super::arena::{Arena, Emitter, TILE_ROWS};
+use super::word::{self, BlockRow, CacheAligned, ExpandedB, Gemm, InMemory, Sink, NATIVE_WN};
 
 /// The instruction sets the loops are compiled for, narrowest first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -143,6 +145,21 @@ pub(super) trait Lanes: Copy {
         }
     }
 
+    /// Transposes the `N x N` square at the front of `src`, whose rows are
+    /// `src_stride` values apart, into `dst`, whose rows are `dst_stride`
+    /// apart: `dst[c * dst_stride + r]` becomes `src[r * src_stride + c]`.
+    ///
+    /// # Panics
+    /// Panics if either slice ends inside its square.
+    #[inline(always)]
+    fn transpose(src: &[f32], src_stride: usize, dst: &mut [f32], dst_stride: usize) {
+        for r in 0..Self::N {
+            for c in 0..Self::N {
+                dst[c * dst_stride + r] = src[r * src_stride + c];
+            }
+        }
+    }
+
     /// Compacts one column of an emitter tile: the values of `column` that
     /// are not `0.0` go, in order, to the front of `dst`, and the returned
     /// word has bit `r` set when `column[r]` was one of them. What `dst`
@@ -237,6 +254,61 @@ impl Lanes for Ymm {
         // SAFETY: AVX as in `splat` (`Level::available()`); register-only.
         Ymm(unsafe { _mm256_add_ps(acc.0, _mm256_mul_ps(x.0, self.0)) })
     }
+
+    /// Eight row loads, the 24 shuffles of an 8 x 8 transpose in registers,
+    /// eight column stores.
+    #[inline(always)]
+    fn transpose(src: &[f32], src_stride: usize, dst: &mut [f32], dst_stride: usize) {
+        let rows: [__m256; 8] = std::array::from_fn(|r| Ymm::load(&src[r * src_stride..]).0);
+        // SAFETY: AVX as in `splat` (`Level::available()`); register-only.
+        let cols = unsafe { transpose_8x8(rows) };
+        for (c, col) in cols.into_iter().enumerate() {
+            Ymm(col).store(&mut dst[c * dst_stride..]);
+        }
+    }
+}
+
+/// `r` (eight rows) transposed. Each step interleaves what the one before
+/// paired: rows, then pairs of rows, so that `u[4 * q + j]` holds column
+/// `4 * l + j` of rows `4 * q..4 * q + 4` in 128-bit lane `l`; the lanes then
+/// gather into columns.
+///
+/// # Safety
+/// Needs AVX.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn transpose_8x8(r: [__m256; 8]) -> [__m256; 8] {
+    // SAFETY: AVX is the caller's obligation, which `Ymm::transpose` meets
+    // as in `splat` (`Level::available()`); every operation is
+    // register-only.
+    unsafe {
+        let t: [__m256; 8] = std::array::from_fn(|i| {
+            let (x, y) = (r[i & !1], r[i | 1]);
+            if i % 2 == 0 {
+                _mm256_unpacklo_ps(x, y)
+            } else {
+                _mm256_unpackhi_ps(x, y)
+            }
+        });
+        let u: [__m256d; 8] = std::array::from_fn(|i| {
+            let (q, j) = (i / 4, i % 4);
+            let x = _mm256_castps_pd(t[4 * q + j / 2]);
+            let y = _mm256_castps_pd(t[4 * q + j / 2 + 2]);
+            if j % 2 == 0 {
+                _mm256_unpacklo_pd(x, y)
+            } else {
+                _mm256_unpackhi_pd(x, y)
+            }
+        });
+        std::array::from_fn(|i| {
+            let (x, y) = (_mm256_castpd_ps(u[i % 4]), _mm256_castpd_ps(u[4 + i % 4]));
+            if i < 4 {
+                _mm256_permute2f128_ps::<0x20>(x, y)
+            } else {
+                _mm256_permute2f128_ps::<0x31>(x, y)
+            }
+        })
+    }
 }
 
 /// Sixteen lanes in a `zmm` register. Private: see the module docs.
@@ -251,7 +323,8 @@ impl Lanes for Zmm {
     #[inline(always)]
     fn splat(x: f32) -> Self {
         // SAFETY: needs AVX-512F. `Zmm` is named only by `run_bands_avx512`,
-        // `expand_b_avx512` and `encode_avx512`, which run only under a
+        // `expand_b_avx512`, `expand_at_avx512` and `encode_avx512` (and a
+        // compile-time width check), which run only under a
         // `Level` that `Level::available()` built after
         // `is_x86_feature_detected!` returned true for `avx512f`, `avx512vl`
         // and `popcnt`.
@@ -306,6 +379,19 @@ impl Lanes for Zmm {
         }
     }
 
+    /// Sixteen row loads, the 64 shuffles of a 16 x 16 transpose in
+    /// registers, sixteen column stores.
+    #[inline(always)]
+    fn transpose(src: &[f32], src_stride: usize, dst: &mut [f32], dst_stride: usize) {
+        let rows: [__m512; 16] = std::array::from_fn(|r| Zmm::load(&src[r * src_stride..]).0);
+        // SAFETY: AVX-512F as in `splat` (`Level::available()`);
+        // register-only.
+        let cols = unsafe { transpose_16x16(rows) };
+        for (c, col) in cols.into_iter().enumerate() {
+            Zmm(col).store(&mut dst[c * dst_stride..]);
+        }
+    }
+
     /// `vcompressps`: per sixteen rows one compare against zero (`!=` as
     /// the default body has it, NaN included) and one masked compress-store.
     #[inline(always)]
@@ -334,6 +420,61 @@ impl Lanes for Zmm {
     }
 }
 
+/// `r` (sixteen rows) transposed: [`transpose_8x8`]'s two interleaving
+/// steps, after which `u[4 * q + j]` holds column `4 * l + j` of rows
+/// `4 * q..4 * q + 4` in 128-bit lane `l`, then two rounds of 128-bit lane
+/// shuffles that gather each column's four lanes.
+///
+/// # Safety
+/// Needs AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn transpose_16x16(r: [__m512; 16]) -> [__m512; 16] {
+    // SAFETY: AVX-512F is the caller's obligation, which `Zmm::transpose`
+    // meets as in `splat` (`Level::available()`); every operation is
+    // register-only.
+    unsafe {
+        let t: [__m512; 16] = std::array::from_fn(|i| {
+            let (x, y) = (r[i & !1], r[i | 1]);
+            if i % 2 == 0 {
+                _mm512_unpacklo_ps(x, y)
+            } else {
+                _mm512_unpackhi_ps(x, y)
+            }
+        });
+        let u: [__m512; 16] = std::array::from_fn(|i| {
+            let (q, j) = (i / 4, i % 4);
+            let x = _mm512_castps_pd(t[4 * q + j / 2]);
+            let y = _mm512_castps_pd(t[4 * q + j / 2 + 2]);
+            _mm512_castpd_ps(if j % 2 == 0 {
+                _mm512_unpacklo_pd(x, y)
+            } else {
+                _mm512_unpackhi_pd(x, y)
+            })
+        });
+        // Lanes 0-1 and 2-3 of rows 0-7, then of rows 8-15; then lane `l`
+        // of all four quarters.
+        let w: [__m512; 16] = std::array::from_fn(|i| {
+            let (j, half) = (i % 4, i / 4);
+            let (x, y) = (u[8 * (half / 2) + j], u[8 * (half / 2) + 4 + j]);
+            if half % 2 == 0 {
+                _mm512_shuffle_f32x4::<0x44>(x, y)
+            } else {
+                _mm512_shuffle_f32x4::<0xee>(x, y)
+            }
+        });
+        std::array::from_fn(|i| {
+            let (l, j) = (i / 4, i % 4);
+            let (x, y) = (w[4 * (l / 2) + j], w[8 + 4 * (l / 2) + j]);
+            if l % 2 == 0 {
+                _mm512_shuffle_f32x4::<0x88>(x, y)
+            } else {
+                _mm512_shuffle_f32x4::<0xdd>(x, y)
+            }
+        })
+    }
+}
+
 // The band body holds a block step's B rows in eight registers whatever the
 // level — what the smallest register file (sixteen) leaves once the
 // accumulator row streaming past them has its share — so a block is 4
@@ -342,6 +483,12 @@ impl Lanes for Zmm {
 // absent from both feature lists (see the module docs); `popcnt` is there
 // for the expand-load's value cursor and the compress-store's, which are
 // otherwise fifteen instructions of bit-twiddling per sixteen lanes.
+
+/// Native tiles in the widest block any level holds: AVX-512's.
+pub(super) const WIDEST_BLOCK_TILES: usize = 4;
+
+#[cfg(target_arch = "x86_64")]
+const _: () = assert!(<[Zmm; 8] as BlockRow>::WIDTH == WIDEST_BLOCK_TILES * NATIVE_WN);
 
 /// [`word::run_bands`] compiled for `level`: register-held blocks at the
 /// native tile width, the row left in memory at any other.
@@ -400,6 +547,25 @@ pub(super) fn expand_b(level: Level, b_enc: &TwoLevelBitmapMatrix, b: &mut Expan
 #[target_feature(enable = "avx512f,avx512vl,popcnt")]
 fn expand_b_avx512(b_enc: &TwoLevelBitmapMatrix, b: &mut ExpandedB) {
     word::expand_b::<Zmm>(b_enc, b)
+}
+
+/// [`word::expand_at`] compiled for `level`, with the same split as
+/// [`expand_b`].
+pub(super) fn expand_at(level: Level, a: &Arena, b: &mut ExpandedB) {
+    match level.0 {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `expand_at_avx512` requires AVX-512F, AVX-512VL and
+        // POPCNT; as in `run_bands`, an `Isa::Avx512` level comes only from
+        // `Level::available()`, after all three feature checks passed.
+        Isa::Avx512 => unsafe { expand_at_avx512(a, b) },
+        _ => word::expand_at::<Portable>(a, b),
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vl,popcnt")]
+fn expand_at_avx512(a: &Arena, b: &mut ExpandedB) {
+    word::expand_at::<Zmm>(a, b)
 }
 
 /// [`Emitter::encode`] compiled for `level`: the rounding and the transpose

@@ -35,14 +35,23 @@
 //! writes the next one (the arena's emitter is the sink), so activations
 //! never leave the encoding.
 //!
+//! Only the condensed operand skips a whole step when its word is empty,
+//! so [`execute`] condenses the sparser one, as the paper's library does:
+//! when B keeps fewer values per output element and that costs no more
+//! block passes ([`transposes`]), it runs `D^T = B^T * A^T` — B's tiles
+//! copied into a workspace arena ([`Arena::transpose_b`]), A's steps
+//! expanded ([`expand_at`]) and each block written out transposed
+//! ([`TransposedRows`]). Same loop, same bits.
+//!
 //! All of it is compiled once per vector level (baseline, AVX2, AVX-512;
 //! [`super::simd`]) and the level is picked from CPUID once per call. A call
 //! runs on the thread that makes it, every band in turn: the paper's
 //! parallelism is one device per serve worker, not threads inside a GEMM.
 //!
 //! What a call stages — the expansion, the block accumulator, a forward's
-//! two arenas — it borrows from its thread's [`Workspace`], so after a
-//! thread's first call the only allocation is the result.
+//! two arenas (the first also a transposed call's `B^T`) — it borrows from
+//! its thread's [`Workspace`], so after a thread's first call the only
+//! allocation is the result.
 
 use std::cell::RefCell;
 
@@ -115,12 +124,11 @@ pub(super) struct ExpandedB {
 }
 
 impl ExpandedB {
-    /// Takes `b_enc`'s shape and makes room for its expansion.
-    fn reserve(&mut self, b_enc: &TwoLevelBitmapMatrix) {
-        (self.grid_n, self.wn) = (b_enc.grid_cols(), b_enc.tile_cols());
-        let steps = b_enc.grid_rows() * b_enc.tile_rows() * self.grid_n;
-        self.rows.reset(steps * self.wn);
-        grow(&mut self.words, steps);
+    /// Makes room for `rows` step rows of `grid_n` tiles `wn` wide.
+    fn reserve(&mut self, rows: usize, grid_n: usize, wn: usize) {
+        (self.grid_n, self.wn) = (grid_n, wn);
+        self.rows.reset(rows * grid_n * wn);
+        grow(&mut self.words, rows * grid_n);
     }
 
     /// Step row `row` (`kk * warp_k + k`) of the `tiles` tile columns from
@@ -167,7 +175,7 @@ impl Gemm<'_> {
 pub(super) fn expand_b<L: Lanes>(b_enc: &TwoLevelBitmapMatrix, b: &mut ExpandedB) {
     let (wk, wn) = (b_enc.tile_rows(), b_enc.tile_cols());
     let (grid_k, grid_n) = (b_enc.grid_rows(), b_enc.grid_cols());
-    b.reserve(b_enc);
+    b.reserve(grid_k * wk, grid_n, wn);
     // Every cell in use is written, so nothing of the previous operand
     // survives and nothing has to be cleared first.
     let values = b.rows.as_mut_slice();
@@ -186,6 +194,32 @@ pub(super) fn expand_b<L: Lanes>(b_enc: &TwoLevelBitmapMatrix, b: &mut ExpandedB
                         b.words[cell] = 0;
                         dst.fill(0.0);
                     }
+                }
+            }
+        }
+    }
+}
+
+/// Decodes `a`, transposed, into `b` with `L`'s [`Lanes::expand_row`]: the
+/// B operand of `D^T = B^T * A^T`. Step `k` of A's band `im` (its column
+/// word and values) is row `k` of `A^T`'s tile column `im`, so every step is
+/// one row decode, as in [`expand_b`]. `inline(always)` for the same reason.
+#[inline(always)]
+pub(super) fn expand_at<L: Lanes>(a: &Arena, b: &mut ExpandedB) {
+    let (wm, wk) = a.tile_shape();
+    let (grid_k, grid_n) = (a.grid_k(), a.grid_m());
+    b.reserve(grid_k * wk, grid_n, wm);
+    let values = b.rows.as_mut_slice();
+    for kk in 0..grid_k {
+        for im in 0..grid_n {
+            let tile = a.tile(im, kk);
+            for (k, &word) in a.band_words(im)[kk * wk..][..wk].iter().enumerate() {
+                let cell = (kk * wk + k) * grid_n + im;
+                let dst = &mut values[cell * wm..][..wm];
+                b.words[cell] = word;
+                match tile {
+                    Some(tile) => L::expand_row(word, tile.step_values(k), dst),
+                    None => dst.fill(0.0), // an empty tile's words are zero
                 }
             }
         }
@@ -227,6 +261,39 @@ impl Sink for DenseRows<'_> {
                 }
             } else {
                 dst.copy_from_slice(src);
+            }
+        }
+    }
+}
+
+/// The dense output rows of `D = A * B`, written from the blocks of `D^T`:
+/// a band is `wm` columns of `D` and a block's columns are rows of `D`, so
+/// every block goes out transposed.
+struct TransposedRows<'o> {
+    rows: &'o mut [f32],
+    cols: usize,
+    wm: usize,
+}
+
+impl Sink for TransposedRows<'_> {
+    /// Whole `L::N`-square pieces with the level's [`Lanes::transpose`], the
+    /// ragged rest (a ragged band, the padding of `D`'s last rows) a value
+    /// at a time.
+    #[inline(always)]
+    fn block<L: Lanes>(&mut self, band: usize, col0: usize, width: usize, acc: &[f32]) {
+        let (live, cols) = (acc.len() / width, self.cols);
+        let height = width.min(self.rows.len() / cols - col0);
+        let dst = &mut self.rows[col0 * cols + band * self.wm..];
+        let (whole_r, whole_c) = (live - live % L::N, height - height % L::N);
+        for r in (0..whole_r).step_by(L::N) {
+            for c in (0..whole_c).step_by(L::N) {
+                L::transpose(&acc[r * width + c..], width, &mut dst[c * cols + r..], cols);
+            }
+        }
+        for c in 0..height {
+            let rest = if c < whole_c { whole_r } else { 0 };
+            for r in rest..live {
+                dst[c * cols + r] = acc[r * width + c];
             }
         }
     }
@@ -419,7 +486,8 @@ struct Workspace {
     b: ExpandedB,
     /// The band loop's block accumulator.
     accs: CacheAligned,
-    /// A forward's source and destination operands, swapped per layer.
+    /// A forward's source and destination operands, swapped per layer; the
+    /// first is also a transposed call's `B^T`.
     arenas: [Arena; 2],
 }
 
@@ -427,23 +495,74 @@ thread_local! {
     static WORKSPACE: RefCell<Workspace> = RefCell::default();
 }
 
+/// Whether a call runs as `D^T = B^T * A^T`, given how many values each
+/// operand keeps, the output's `(rows, cols)` and the `(warp_m, warp_n)` of
+/// its bands and tiles. It does when B keeps strictly fewer values per
+/// output element — the transposed loop runs one `axpy` per B value over
+/// `rows` where the plain one runs one per A value over `cols` — and the
+/// transposed loop makes no more block passes, each a test of every step,
+/// than the plain one. Only the operands' counts and shapes decide it.
+pub(super) fn transposes(
+    (a_nnz, b_nnz): (usize, usize),
+    (m, n): (usize, usize),
+    (wm, wn): (usize, usize),
+) -> bool {
+    let fewer_macs = (b_nnz as u128) * (m as u128) < (a_nnz as u128) * (n as u128);
+    fewer_macs && block_passes(n, m, (wn, wm)) <= block_passes(m, n, (wm, wn))
+}
+
+/// The block passes the band loop makes over a `rows x cols` output in
+/// `band`-row bands of `tile`-wide tiles, at the widest block any level
+/// holds: per band, one per whole block and one per remainder tile.
+fn block_passes(rows: usize, cols: usize, (band, tile): (usize, usize)) -> usize {
+    let block = if tile == NATIVE_WN { simd::WIDEST_BLOCK_TILES } else { 1 };
+    let tiles = cols.div_ceil(tile);
+    rows.div_ceil(band) * (tiles / block + tiles % block)
+}
+
 /// Word-parallel `A * B`: `a` an encoded A operand, `b_enc` a two-level
-/// bitmap B. `level` is the vector level every phase runs at; every level
-/// gives the same bits. The caller has already validated the tilings and
-/// that `warp_m`/`warp_n` fit in a word.
+/// bitmap B, in the orientation [`transposes`] picks. `level` is the vector
+/// level every phase runs at; every level gives the same bits. The caller
+/// has already validated the tilings and that `warp_m`/`warp_n` fit in a
+/// word.
 pub(crate) fn execute(a_enc: &EncodedA, b_enc: &TwoLevelBitmapMatrix, level: Level) -> Matrix {
+    let (wm, _) = a_enc.arena().tile_shape();
+    let counts = (a_enc.nnz(), b_enc.nnz());
+    let transposed = transposes(counts, (a_enc.rows(), b_enc.cols()), (wm, b_enc.tile_cols()));
+    execute_as(a_enc, b_enc, level, transposed)
+}
+
+/// [`execute`] in the orientation given: `A`'s arena against `B` expanded,
+/// or, `transposed`, `B^T` condensed into the workspace arena against `A^T`
+/// expanded, each product `b * a` where the plain loop has `a * b` and the
+/// block written out transposed. Either way every output element adds the
+/// same rounded products in the same `k` order, so both give the same bits.
+pub(super) fn execute_as(
+    a_enc: &EncodedA,
+    b_enc: &TwoLevelBitmapMatrix,
+    level: Level,
+    transposed: bool,
+) -> Matrix {
     let a = a_enc.arena();
     let (wm, wk) = a.tile_shape();
-    let dims = (wm, b_enc.tile_cols(), wk);
-    WORKSPACE.with_borrow_mut(|Workspace { b, accs, .. }| {
-        // Dense-expand B once per call; each expanded row is reused `grid_m`
-        // times within it.
-        simd::expand_b(level, b_enc, b);
-        let mut out = Matrix::zeros(a_enc.rows(), b_enc.cols());
-        let mut sink = DenseRows { rows: out.as_mut_slice(), cols: b_enc.cols(), wm, relu: false };
-        simd::run_bands(level, &Gemm { a, b, dims }, &mut sink, accs);
-        out
-    })
+    let (cols, wn) = (b_enc.cols(), b_enc.tile_cols());
+    let mut out = Matrix::zeros(a_enc.rows(), cols);
+    let rows = out.as_mut_slice();
+    WORKSPACE.with_borrow_mut(|Workspace { b, accs, arenas: [bt, _] }| {
+        // The expanded operand is staged once per call; each expanded row is
+        // reused by every band of the condensed one.
+        if transposed {
+            bt.transpose_b(b_enc);
+            simd::expand_at(level, a, b);
+            let mut sink = TransposedRows { rows, cols, wm: wn };
+            simd::run_bands(level, &Gemm { a: bt, b, dims: (wn, wm, wk) }, &mut sink, accs);
+        } else {
+            simd::expand_b(level, b_enc, b);
+            let mut sink = DenseRows { rows, cols, wm, relu: false };
+            simd::run_bands(level, &Gemm { a, b, dims: (wm, wn, wk) }, &mut sink, accs);
+        }
+    });
+    out
 }
 
 /// `input` through `layers` (`(weights, relu)`, at least one, dimensions

@@ -1,7 +1,8 @@
 //! Pins how often, and for how much, the serve hot path goes to the
 //! allocator: once its thread has run a call, a kernel call allocates its
-//! result and nothing else — at any tile grid, vector level, depth, or size
-//! not above the thread's largest so far — and `encode_a` makes the same few
+//! result and nothing else — at any tile grid, vector level, depth,
+//! orientation, or size not above the thread's largest so far — and
+//! `encode_a` makes the same few
 //! allocations at any size, their bytes sized by the operand's non-zeros.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -85,21 +86,52 @@ fn execute_encoded_allocates_the_same_few_buffers_at_any_tile_count() {
     // warp tiles of B, at every vector level,
     // on both native tilings (a V100 + A100 pool runs both), and for a small
     // ragged GEMM between two large ones, which must not size anything down.
+    // The weights are the sparser operand, so the 128-row and the ragged
+    // call run transposed (no more block passes that way); the warm-up runs
+    // the largest call of each orientation.
     for config in [GpuConfig::v100(), GpuConfig::a100()] {
         let kernel = BitmapSpGemm::for_device(config);
         let encoded = |(m, k, n)| {
             let (a, b) = operands(m, k, n);
             (kernel.encode_a(&a), kernel.encode_b(&b))
         };
-        let (a_enc, b_enc) = encoded((64, 512, 512));
-        let _warm_up = kernel.execute_encoded(&a_enc, &b_enc);
+        for shape in [(64, 512, 512), (128, 512, 512)] {
+            let (a_enc, b_enc) = encoded(shape);
+            let _warm_up = kernel.execute_encoded(&a_enc, &b_enc);
+        }
         for level in SimdLevel::available() {
-            for shape in [(64, 256, 256), (64, 512, 512), (40, 100, 70), (64, 512, 512)] {
+            let plain = [(64, 256, 256), (64, 512, 512)];
+            for shape in plain.into_iter().chain([(40, 100, 70), (128, 512, 512)]).chain(plain) {
                 let (a_enc, b_enc) = encoded(shape);
                 let (out, counted) =
                     allocations_in(|| kernel.execute_encoded_at(&a_enc, &b_enc, level));
                 assert_eq!(counted, only(&out), "{level:?}: {shape:?}");
             }
+        }
+    }
+}
+
+#[test]
+fn a_transposed_call_allocates_its_output_and_nothing_else() {
+    // Against 99 %-sparse weights a 128 x 512 x 512 call runs as
+    // D^T = B^T * A^T: B is condensed into one of the thread's forward
+    // arenas and A expanded into the buffer B's expansion uses, so once the
+    // thread has run a transposed call that size a warm one allocates its
+    // result alone — at every vector level, and with plain calls (50 %
+    // weights) in between, which must not size anything down.
+    let kernel = BitmapSpGemm::new(GpuConfig::v100());
+    let a = Matrix::random_sparse(128, 512, 0.9, SparsityPattern::Uniform, 5);
+    let a_enc = kernel.encode_a(&a);
+    let [transposed, plain] = [(0.99, 6), (0.5, 7)].map(|(sparsity, seed)| {
+        kernel.encode_b(&Matrix::random_sparse(512, 512, sparsity, SparsityPattern::Uniform, seed))
+    });
+    let _warm_up = kernel.execute_encoded(&a_enc, &transposed);
+    let _warm_up = kernel.execute_encoded(&a_enc, &plain);
+    for level in SimdLevel::available() {
+        for (i, b_enc) in [&transposed, &plain, &transposed, &transposed, &plain].iter().enumerate()
+        {
+            let (out, counted) = allocations_in(|| kernel.execute_encoded_at(&a_enc, b_enc, level));
+            assert_eq!(counted, only(&out), "{level:?}: call {i}");
         }
     }
 }
