@@ -459,16 +459,6 @@ impl ServeConfig {
         self
     }
 
-    /// Overrides the wire frame-body size bound.
-    ///
-    /// # Panics
-    /// Panics if `max_frame_len` cannot hold even an empty feature matrix.
-    pub fn with_max_frame_len(mut self, max_frame_len: usize) -> Self {
-        assert!(max_frame_len >= 64, "frame bodies need room for the fixed request fields");
-        self.max_frame_len = max_frame_len;
-        self
-    }
-
     /// Enables the Prometheus-style metrics endpoint on `addr` (e.g.
     /// `"127.0.0.1:9114"`).
     pub fn with_metrics_addr(mut self, addr: SocketAddr) -> Self {

@@ -43,10 +43,10 @@
 //!   latency-vs-offered-load measurements (the `benchmark/` harness's
 //!   `serve_wire` workload paces its requests with it).
 //! * [`ServerStats`] — a snapshot of the server's one [`Telemetry`] hub:
-//!   throughput, aggregate **and per-priority** queue/execute latency
-//!   percentiles (read from the same histograms `/metrics` renders), the
-//!   batch-size histogram, per-device modelled utilisation and the
-//!   encode-cache hit rate.
+//!   request and batch counts, per-priority queue percentiles (read from
+//!   the same histograms `/metrics` renders), the batch-size histogram,
+//!   per-device modelled utilisation and the encode-cache counters.
+//!   [`render_prometheus`] is its one text rendering.
 //!
 //! # Quickstart
 //!

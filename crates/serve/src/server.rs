@@ -393,7 +393,6 @@ mod tests {
         assert_eq!(stats.encode_misses, 1);
         assert!(stats.encode_hits >= 1);
         assert!(stats.encode_hit_rate > 0.0);
-        assert!(stats.throughput_rps > 0.0);
     }
 
     #[test]
@@ -558,6 +557,57 @@ mod tests {
         assert_eq!(stats.encode_fresh, 0, "the warmed artifact serves from memory");
         assert!(stats.encode_hits >= 1);
         drop(warm);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The value of the unlabelled sample `family` in a scrape of `server`.
+    fn scraped(server: &InferenceServer, family: &str) -> u64 {
+        let text = crate::render_prometheus(&server.stats(), server.telemetry().registry());
+        let prefix = format!("{family} ");
+        let line = text.lines().find_map(|l| l.strip_prefix(prefix.as_str()));
+        line.unwrap_or_else(|| panic!("no {family} sample:\n{text}")).parse().expect("integer")
+    }
+
+    #[test]
+    fn boot_store_state_reaches_the_scrape() {
+        use crate::store::CacheBudget;
+        let dir = std::env::temp_dir().join(format!(
+            "dsstc-server-scrape-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = || {
+            ServeConfig::default()
+                .with_workers(1)
+                .with_max_batch(2)
+                .with_max_queue_wait(Duration::from_millis(1))
+                .with_proxy_dim(32)
+                .with_encode_cache_dir(&dir)
+        };
+        {
+            let cold = InferenceServer::start(config());
+            for model in [ModelId::RnnLm, ModelId::BertBase] {
+                cold.infer(InferRequest::new(model, features(1))).expect("served");
+            }
+            assert_eq!(scraped(&cold, "dsstc_cache_warm_restored_total"), 0);
+        }
+        {
+            // A restart restores both artifacts at boot, nothing stale or
+            // corrupt.
+            let warm = InferenceServer::start(config());
+            assert_eq!(scraped(&warm, "dsstc_cache_warm_restored_total"), 2);
+            assert_eq!(scraped(&warm, "dsstc_cache_warm_reencoded_total"), 0);
+            assert_eq!(scraped(&warm, "dsstc_cache_warm_healed_total"), 0);
+            assert_eq!(scraped(&warm, "dsstc_cache_store_entries"), 2);
+        }
+        // A 1-byte store budget: boot GC shrinks the store to its
+        // one-artifact floor.
+        let budget = CacheBudget { max_entries: usize::MAX, max_bytes: 1 };
+        let shrunk = InferenceServer::start(config().with_encode_store_budget(budget));
+        assert_eq!(scraped(&shrunk, "dsstc_cache_store_entries"), 1);
+        assert!(scraped(&shrunk, "dsstc_cache_store_gc_removed_total") >= 1);
+        drop(shrunk);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

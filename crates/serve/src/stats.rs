@@ -1,7 +1,9 @@
-//! Server metrics: throughput, latency percentiles (aggregate and
-//! per-priority), batch-size histogram, per-device utilisation and cache
-//! hit rates — the snapshot the [`crate::telemetry::Telemetry`] hub
-//! produces, plus the wire front-end's counters.
+//! Server metrics: request and batch counts, queue / execute medians,
+//! per-priority queue percentiles, batch-size histogram, per-device
+//! utilisation and cache counters — the snapshot the
+//! [`crate::telemetry::Telemetry`] hub produces, plus the wire front-end's
+//! counters. Its one text rendering is the `/metrics` exposition,
+//! [`crate::telemetry::render_prometheus`].
 //!
 //! No latency sample is retained: every percentile field is
 //! [`crate::telemetry::LogHistogram::quantile`] of the histogram a scrape
@@ -27,12 +29,6 @@ pub struct PriorityLatency {
     pub queue_p50_us: f64,
     /// 99th-percentile wall-clock queue wait, µs; bucket upper bound.
     pub queue_p99_us: f64,
-    /// Median wall-clock batch-execution time seen by this class (one
-    /// sample per request), µs; bucket upper bound.
-    pub execute_p50_us: f64,
-    /// 99th-percentile wall-clock batch-execution time seen by this class,
-    /// µs; bucket upper bound.
-    pub execute_p99_us: f64,
 }
 
 /// Modelled load of one pooled device.
@@ -56,8 +52,6 @@ pub struct ServerStats {
     pub completed_requests: u64,
     /// Batches executed so far.
     pub executed_batches: u64,
-    /// Completed requests per wall-clock second since the server started.
-    pub throughput_rps: f64,
     /// Mean requests per executed batch.
     pub mean_batch_size: f64,
     /// Largest batch observed.
@@ -68,17 +62,10 @@ pub struct ServerStats {
     /// request, µs; histogram bucket upper bound (≤ 25 % above exact, never
     /// below — as are all the percentile fields here).
     pub queue_p50_us: f64,
-    /// 99th-percentile wall-clock queue wait, µs; bucket upper bound.
-    pub queue_p99_us: f64,
     /// Median wall-clock batch-execution time (one sample per batch), µs;
     /// bucket upper bound.
     pub execute_p50_us: f64,
-    /// 99th-percentile wall-clock batch-execution time, µs; bucket upper
-    /// bound.
-    pub execute_p99_us: f64,
-    /// Median modelled per-request GPU latency, µs; bucket upper bound.
-    pub modelled_p50_us: f64,
-    /// Queue / execute percentiles split by priority class, `Low` first
+    /// Counts and queue percentiles split by priority class, `Low` first
     /// (indexable via [`Priority::index`] or [`ServerStats::for_priority`]).
     pub per_priority: Vec<PriorityLatency>,
     /// Per-device modelled load, in pool order.
@@ -134,12 +121,6 @@ pub struct ServerStats {
 }
 
 impl ServerStats {
-    /// Number of devices (= pinned workers) that executed at least one
-    /// batch.
-    pub fn active_workers(&self) -> usize {
-        self.per_device.iter().filter(|d| d.batches > 0).count()
-    }
-
     /// The latency summary of one priority class.
     pub fn for_priority(&self, priority: Priority) -> &PriorityLatency {
         &self.per_priority[priority.index()]
@@ -148,119 +129,6 @@ impl ServerStats {
     /// Requests rejected by admission control across every priority class.
     pub fn total_shed(&self) -> u64 {
         self.per_priority.iter().map(|p| p.shed).sum()
-    }
-
-    /// Renders the snapshot as a small text report.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "requests: {}  batches: {}  throughput: {:.1} req/s\n",
-            self.completed_requests, self.executed_batches, self.throughput_rps
-        ));
-        out.push_str(&format!(
-            "batch size: mean {:.2}  max {}  histogram {:?}\n",
-            self.mean_batch_size, self.max_batch_size, self.batch_histogram
-        ));
-        out.push_str(&format!(
-            "queue wait us: p50 {:.0}  p99 {:.0}   execute us: p50 {:.0}  p99 {:.0}\n",
-            self.queue_p50_us, self.queue_p99_us, self.execute_p50_us, self.execute_p99_us
-        ));
-        for p in &self.per_priority {
-            if p.completed > 0 || p.shed > 0 {
-                out.push_str(&format!(
-                    "  priority {:<7} {:>6} requests   queue us: p50 {:.0}  p99 {:.0}   shed {}\n",
-                    p.priority, p.completed, p.queue_p50_us, p.queue_p99_us, p.shed
-                ));
-            }
-        }
-        out.push_str(&format!("modelled GPU us/request: p50 {:.1}\n", self.modelled_p50_us));
-        for d in &self.per_device {
-            out.push_str(&format!(
-                "  device {:<12} {:>5} batches   modelled busy {:>10.1} us   utilisation {:>4.0}%\n",
-                d.name,
-                d.batches,
-                d.modelled_busy_us,
-                d.utilisation * 100.0
-            ));
-        }
-        out.push_str(&format!(
-            "encode cache: {} hits / {} misses ({:.0}% hit rate)   timing cache: {:.0}% hit rate\n",
-            self.encode_hits,
-            self.encode_misses,
-            self.encode_hit_rate * 100.0,
-            self.timing_hit_rate * 100.0
-        ));
-        out.push_str(&format!(
-            "  misses paid: {} fresh encodes ({:.1} ms) + {} disk restores ({:.1} ms)   evictions: {}\n",
-            self.encode_fresh,
-            self.encode_fresh_ms,
-            self.encode_disk_loads,
-            self.encode_disk_ms,
-            self.encode_evictions
-        ));
-        let warm_activity = self.encode_warm_restored
-            + self.encode_warm_reencoded
-            + self.encode_warm_healed
-            + self.store_gc_removed;
-        if self.store_entries > 0 || warm_activity > 0 {
-            out.push_str(&format!(
-                "  store: {} artifacts / {} B   warm boot: {} restored + {} re-encoded + {} healed   gc removed: {}\n",
-                self.store_entries,
-                self.store_bytes,
-                self.encode_warm_restored,
-                self.encode_warm_reencoded,
-                self.encode_warm_healed,
-                self.store_gc_removed
-            ));
-        }
-        out.push_str(&format!(
-            "active workers: {} {:?}\n",
-            self.active_workers(),
-            self.per_device.iter().map(|d| d.batches).collect::<Vec<_>>()
-        ));
-        if let Some(wire) = &self.wire {
-            out.push_str(&format!(
-                "wire: {} conns ({} open, {} rejected)   frames {} in / {} out ({} errors)   {} B in / {} B out\n",
-                wire.connections_accepted,
-                wire.open_connections(),
-                wire.connections_rejected,
-                wire.frames_received,
-                wire.frames_sent,
-                wire.error_frames_sent,
-                wire.bytes_received,
-                wire.bytes_sent,
-            ));
-            out.push_str(&format!(
-                "  decode errors: {}   requests rejected: {}   in flight: {}   outbound overflows: {}   shed {} ({} low / {} normal / {} high)\n",
-                wire.decode_errors,
-                wire.requests_rejected,
-                wire.in_flight,
-                wire.outbound_overflows,
-                wire.shed_total(),
-                wire.shed_low,
-                wire.shed_normal,
-                wire.shed_high,
-            ));
-        }
-        if let Some(cluster) = &self.cluster {
-            out.push_str(&format!(
-                "cluster: node {}  shard map v{}  peers {}/{} alive\n",
-                cluster.node_id,
-                cluster.shard_map_version,
-                cluster.peers_alive,
-                cluster.peers_total,
-            ));
-            out.push_str(&format!(
-                "  redirects: {}   failover serves: {}   hellos: {} ({} auth failures)   peer probes: {} ({} failed)\n",
-                cluster.redirects,
-                cluster.failover_serves,
-                cluster.hellos,
-                cluster.auth_failures,
-                cluster.peer_probes,
-                cluster.peer_failures,
-            ));
-        }
-        out
     }
 }
 
@@ -399,7 +267,7 @@ pub(crate) fn percentile(samples: &[f64], q: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::store::EncodeCacheStats;
-    use crate::telemetry::Telemetry;
+    use crate::telemetry::{render_prometheus, Telemetry};
 
     /// A snapshot percentile is its histogram bucket's upper bound: never
     /// below the exact value, at most 25 % (+1 for the unit-wide buckets)
@@ -481,15 +349,12 @@ mod tests {
         assert!((s.mean_batch_size - 1.5).abs() < 1e-12);
         assert_eq!(s.max_batch_size, 2);
         assert_bucket_bound(s.queue_p50_us, 20.0);
-        // One execute sample per batch, one modelled sample per request.
+        // One execute sample per batch: the median of {100, 50} is 50.
         assert_bucket_bound(s.execute_p50_us, 50.0);
-        assert_bucket_bound(s.execute_p99_us, 100.0);
-        assert_bucket_bound(s.modelled_p50_us, 5.0);
         assert!((s.encode_hit_rate - 0.75).abs() < 1e-12);
-        assert_eq!(s.active_workers(), 2);
-        assert!(s.throughput_rps > 0.0);
-        // Device accounting: busy 10 us vs 9 us, makespan 10 us.
-        assert_eq!(s.per_device.len(), 2);
+        // Device accounting: one batch each, busy 10 us vs 9 us, makespan
+        // 10 us.
+        assert_eq!(s.per_device.iter().map(|d| d.batches).collect::<Vec<_>>(), [1, 1]);
         assert!((s.modelled_makespan_us - 10.0).abs() < 1e-12);
         assert!((s.per_device[0].utilisation - 1.0).abs() < 1e-12);
         assert!((s.per_device[1].utilisation - 0.9).abs() < 1e-12);
@@ -512,9 +377,6 @@ mod tests {
         assert_eq!(s.for_priority(Priority::Normal).completed, 0);
         assert_eq!(s.for_priority(Priority::Normal).queue_p99_us, 0.0);
         assert!(high.queue_p99_us < low.queue_p99_us);
-        assert_bucket_bound(high.execute_p50_us, 40.0);
-        // The class-wide execute stream is per request: low saw 40 and 60.
-        assert_bucket_bound(low.execute_p99_us, 60.0);
     }
 
     #[test]
@@ -526,50 +388,6 @@ mod tests {
         assert_eq!(s.encode_hit_rate, 0.0);
         assert_eq!(s.modelled_makespan_us, 0.0);
         assert_eq!(s.per_device[0].utilisation, 0.0);
-        assert!(s.render().contains("requests: 0"));
-    }
-
-    #[test]
-    fn render_of_populated_snapshot_covers_every_line_in_order() {
-        let text = crate::telemetry::export::sample_stats().render();
-        // Each fragment must appear after the previous one: the report's
-        // line order is part of its (loose) contract.
-        let fragments = [
-            "requests: 120",
-            "batches: 30",
-            "throughput: 240.5 req/s",
-            "batch size: mean 4.00  max 8",
-            "queue wait us: p50 150  p99 900",
-            "priority low",
-            "shed 6",
-            "priority normal",
-            "shed 2",
-            "priority high",
-            "shed 0",
-            "modelled GPU us/request: p50 85.5",
-            "Tesla V100",
-            "A100",
-            "encode cache: 28 hits / 4 misses (88% hit rate)",
-            "misses paid: 1 fresh encodes (120.5 ms) + 3 disk restores (6.2 ms)   evictions: 2",
-            "store: 4 artifacts / 88000 B   warm boot: 3 restored + 1 re-encoded + 1 healed   gc removed: 2",
-            "active workers: 2",
-            "wire: 5 conns (2 open, 1 rejected)",
-            "frames 120 in / 118 out (2 errors)",
-            "44000 B in / 52000 B out",
-            "decode errors: 1   requests rejected: 1   in flight: 0",
-            "shed 4 (3 low / 1 normal / 0 high)",
-            "cluster: node 2  shard map v5  peers 2/3 alive",
-            "redirects: 7   failover serves: 3",
-            "hellos: 12 (1 auth failures)",
-            "peer probes: 40 (4 failed)",
-        ];
-        let mut cursor = 0;
-        for fragment in fragments {
-            match text[cursor..].find(fragment) {
-                Some(at) => cursor += at + fragment.len(),
-                None => panic!("missing or out of order: {fragment:?}\nreport:\n{text}"),
-            }
-        }
     }
 
     #[test]
@@ -584,11 +402,10 @@ mod tests {
         assert_eq!(s.for_priority(Priority::Normal).shed, 1);
         assert_eq!(s.for_priority(Priority::High).shed, 0);
         assert_eq!(s.for_priority(Priority::Low).completed, 0);
-        // A class that only shed still earns its report line.
-        let text = s.render();
-        assert!(text.contains("priority low"), "report:\n{text}");
-        assert!(text.contains("shed 2"), "report:\n{text}");
-        assert!(!text.contains("priority high"), "report:\n{text}");
+        // A class that only shed still shows in the scrape.
+        let text = render_prometheus(&s, c.registry());
+        assert!(text.contains("dsstc_shed_requests_total{priority=\"low\"} 2\n"), "{text}");
+        assert!(text.contains("dsstc_shed_requests_total{priority=\"high\"} 0\n"), "{text}");
     }
 
     #[test]
@@ -623,28 +440,16 @@ mod tests {
         assert_eq!(s.store_entries, 6);
         assert_eq!(s.store_bytes, 1234);
         assert_eq!(s.store_gc_removed, 3);
-        let text = s.render();
-        assert!(
-            text.contains(
-                "store: 6 artifacts / 1234 B   warm boot: 5 restored + 0 re-encoded + 1 healed   gc removed: 3"
-            ),
-            "report:\n{text}"
-        );
-        // Without store or warm activity the line is omitted entirely.
-        let idle = c.snapshot(enc(0, 0), 0.0, &["gpu0".to_string()]).render();
-        assert!(!idle.contains("store:"), "report:\n{idle}");
-    }
-
-    #[test]
-    fn render_mentions_key_metrics() {
-        let c = Telemetry::new();
-        c.record_batch(0, &[(Priority::High, 1.0)], 2.0, 3.0, 3.0);
-        let text = c.snapshot(enc(1, 1), 0.5, &["Tesla V100".to_string()]).render();
-        assert!(text.contains("throughput"));
-        assert!(text.contains("encode cache"));
-        assert!(text.contains("active workers"));
-        assert!(text.contains("priority high"));
-        assert!(text.contains("Tesla V100"));
-        assert!(text.contains("utilisation"));
+        let text = render_prometheus(&s, c.registry());
+        for line in [
+            "dsstc_cache_warm_restored_total 5",
+            "dsstc_cache_warm_reencoded_total 0",
+            "dsstc_cache_warm_healed_total 1",
+            "dsstc_cache_store_entries 6",
+            "dsstc_cache_store_bytes 1234",
+            "dsstc_cache_store_gc_removed_total 3",
+        ] {
+            assert!(text.lines().any(|l| l == line), "{line} missing:\n{text}");
+        }
     }
 }

@@ -308,29 +308,21 @@ mod listener {
 }
 
 #[cfg(test)]
-pub(crate) use tests::sample_stats;
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::request::Priority;
     use crate::stats::{ClusterStats, DeviceStats, PriorityLatency, ServerStats, WireStats};
 
-    /// A fully-populated snapshot for exposition tests (and the render
-    /// golden test in `stats.rs`).
-    pub(crate) fn sample_stats() -> ServerStats {
+    /// A fully-populated snapshot for the exposition tests.
+    fn sample_stats() -> ServerStats {
         ServerStats {
             completed_requests: 120,
             executed_batches: 30,
-            throughput_rps: 240.5,
             mean_batch_size: 4.0,
             max_batch_size: 8,
             batch_histogram: vec![2, 4, 8, 16],
             queue_p50_us: 150.0,
-            queue_p99_us: 900.0,
             execute_p50_us: 400.0,
-            execute_p99_us: 1200.0,
-            modelled_p50_us: 85.5,
             per_priority: Priority::ALL
                 .iter()
                 .map(|&priority| PriorityLatency {
@@ -343,8 +335,6 @@ mod tests {
                     },
                     queue_p50_us: 100.0,
                     queue_p99_us: 800.0,
-                    execute_p50_us: 350.0,
-                    execute_p99_us: 1100.0,
                 })
                 .collect(),
             per_device: vec![
@@ -529,6 +519,46 @@ mod tests {
         assert!(!text.contains("quantile="), "{text}");
     }
 
+    /// The scrape of a quiescent server reads what its `stats()` reads:
+    /// after a mixed-priority burst is fully answered, every snapshot-table
+    /// sample equals its row's getter on a second snapshot.
+    #[test]
+    fn quiescent_server_scrape_equals_its_stats() {
+        use crate::{InferRequest, InferenceServer, ModelId, ServeConfig};
+        use dsstc_tensor::{Matrix, SparsityPattern};
+        let server = InferenceServer::start(
+            ServeConfig::default()
+                .with_workers(2)
+                .with_max_batch(4)
+                .with_max_queue_wait(std::time::Duration::from_millis(1))
+                .with_proxy_dim(32),
+        );
+        let pending: Vec<_> = (0..12u64)
+            .map(|i| {
+                let features = Matrix::random_sparse(2, 32, 0.4, SparsityPattern::Uniform, i);
+                let model = if i % 2 == 0 { ModelId::RnnLm } else { ModelId::BertBase };
+                let request = InferRequest::new(model, features)
+                    .with_priority(Priority::ALL[i as usize % Priority::ALL.len()]);
+                server.submit(request).expect("queued")
+            })
+            .collect();
+        for p in pending {
+            p.wait().expect("served");
+        }
+        let text = render_prometheus(&server.stats(), server.telemetry().registry());
+        let stats = server.stats();
+        assert_table_rendered(&text, SERVER, &[&stats]);
+        assert_table_rendered(&text, DEVICE, &stats.per_device.iter().collect::<Vec<_>>());
+        assert_table_rendered(&text, ENCODE_CACHE, &[&stats]);
+        // The burst itself: four requests per class, two models encoded once.
+        assert!(text.contains("dsstc_requests_completed_total 12\n"), "{text}");
+        for p in Priority::ALL {
+            let line = format!("dsstc_priority_requests_total{{priority=\"{}\"}} 4\n", p.name());
+            assert!(text.contains(&line), "{line}{text}");
+        }
+        assert!(text.contains("dsstc_encode_cache_fresh_encodes_total 2\n"), "{text}");
+    }
+
     #[test]
     fn exposition_without_wire_omits_wire_families() {
         let mut stats = sample_stats();
@@ -580,14 +610,8 @@ mod tests {
         }
         assert_eq!(scrapes.load(Ordering::SeqCst), 3);
         server.shutdown();
-        // The port is released after shutdown.
-        assert!(
-            std::net::TcpStream::connect(addr).is_err() || {
-                // A TIME_WAIT race can still connect; a second shutdown is a
-                // no-op either way.
-                true
-            }
-        );
+        // The listener closed with the thread: nothing accepts on the port.
+        assert!(std::net::TcpStream::connect(addr).is_err());
     }
 
     /// A scraper that half-closes right behind its request (`nc -N`) can

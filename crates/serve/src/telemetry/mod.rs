@@ -4,8 +4,9 @@
 //!
 //! One [`Telemetry`] hub is created per server and threaded through the
 //! scheduler, dispatcher, workers and (when enabled) the wire front-end,
-//! so every layer stamps the same trace and feeds the same registry; the
-//! [`crate::ServerStats`] report is a snapshot of that hub. See
+//! so every layer stamps the same trace and feeds the same registry;
+//! [`crate::ServerStats`] is a snapshot of that hub and
+//! [`render_prometheus`] its one text rendering. See
 //! `docs/OBSERVABILITY.md` for the metric families, the trace event
 //! schema and scrape examples.
 
@@ -18,7 +19,6 @@ use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use crate::request::Priority;
 use crate::stats::{DeviceStats, PriorityLatency, ServerStats};
@@ -36,7 +36,6 @@ pub use self::trace::{now_us, CacheOutcome, RequestTrace, Stage, TraceSink, STAG
 /// lock while serving. [`crate::ServerStats`] is a snapshot of this hub.
 #[derive(Debug)]
 pub struct Telemetry {
-    started: Instant,
     registry: MetricsRegistry,
     sink: TraceSink,
     traces_recorded: Arc<Counter>,
@@ -93,7 +92,6 @@ impl Telemetry {
                 .collect()
         };
         Telemetry {
-            started: Instant::now(),
             traces_recorded: registry.counter(
                 "dsstc_traces_recorded_total",
                 "",
@@ -192,7 +190,6 @@ impl Telemetry {
         device_names: &[String],
     ) -> ServerStats {
         let counts = self.batches.lock().expect("batch counters poisoned");
-        let elapsed = self.started.elapsed().as_secs_f64().max(1e-9);
         let completed_requests: u64 = counts.completed.iter().sum();
         let executed_batches: u64 = counts.batch_histogram.iter().sum();
         let queue_us = LogHistogram::new();
@@ -209,8 +206,6 @@ impl Telemetry {
                     shed: self.shed[p].load(Ordering::Relaxed),
                     queue_p50_us: self.queue_us[p].quantile(0.50),
                     queue_p99_us: self.queue_us[p].quantile(0.99),
-                    execute_p50_us: self.priority_execute_us[p].quantile(0.50),
-                    execute_p99_us: self.priority_execute_us[p].quantile(0.99),
                 }
             })
             .collect();
@@ -231,7 +226,6 @@ impl Telemetry {
         ServerStats {
             completed_requests,
             executed_batches,
-            throughput_rps: completed_requests as f64 / elapsed,
             mean_batch_size: if executed_batches == 0 {
                 0.0
             } else {
@@ -240,10 +234,7 @@ impl Telemetry {
             max_batch_size: counts.batch_histogram.len(),
             batch_histogram: counts.batch_histogram.clone(),
             queue_p50_us: queue_us.quantile(0.50),
-            queue_p99_us: queue_us.quantile(0.99),
             execute_p50_us: self.execute_us.quantile(0.50),
-            execute_p99_us: self.execute_us.quantile(0.99),
-            modelled_p50_us: self.modelled_request_us.quantile(0.50),
             per_priority,
             per_device,
             modelled_makespan_us: makespan,
@@ -356,9 +347,9 @@ mod tests {
         let normal = s.for_priority(Priority::Normal);
         for (reported, q) in [
             (s.queue_p50_us, 0.50),
-            (s.queue_p99_us, 0.99),
-            (s.execute_p99_us, 0.99),
-            (normal.execute_p50_us, 0.50),
+            (s.execute_p50_us, 0.50),
+            (normal.queue_p50_us, 0.50),
+            (normal.queue_p99_us, 0.99),
         ] {
             let exact = crate::stats::percentile(&stream, q);
             assert!(exact <= reported && reported <= 1.25 * exact + 1.0, "q={q}: {reported}");

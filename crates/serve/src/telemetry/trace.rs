@@ -226,8 +226,8 @@ pub fn now_us() -> u64 {
     trace_epoch().elapsed().as_micros() as u64
 }
 
-/// Where completed traces go: a bounded in-memory ring (always on, for
-/// tests and the heartbeat) plus an optional JSONL writer opened from
+/// Where completed traces go: a bounded in-memory ring (always on, read by
+/// `benchmark/` and the tests) plus an optional JSONL writer opened from
 /// `--trace-out`.
 #[derive(Debug)]
 pub struct TraceSink {

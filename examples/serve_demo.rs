@@ -8,9 +8,11 @@
 //! time, executed by pinned worker threads on the dual-side SpGEMM kernel,
 //! and answered with output features plus the modelled device latency of
 //! the real network at each batch's size. The run ends with the server's
-//! metrics: throughput, aggregate and per-priority queue/execute
-//! percentiles, the batch-size histogram, per-device utilisation and the
-//! encode-cache hit rate (one encode per model, everything after is a hit).
+//! metrics as its `/metrics` exposition renders them (sample lines only:
+//! no `# HELP` / `# TYPE` comments, no histogram buckets): request counts
+//! per priority, per-device batches and modelled busy time, the
+//! encode-cache counters (one encode per model, everything after is a
+//! hit) and each latency histogram's `_sum` / `_count`.
 //!
 //! Run with `cargo run --release -p dsstc --example serve_demo`. Pass
 //! `--encode-cache-dir DIR` to persist encoded weights across runs (the
@@ -19,7 +21,9 @@
 //! additionally assert the run was a pure warm start — the boot warmer
 //! restored artifacts and zero fresh encodes were paid, so even the first
 //! request hit the cache (the CI warm-start smoke runs the demo twice this
-//! way). `--store-budget-bytes N` caps the on-disk store: warm boot GCs
+//! way). With a cache directory the demo prints the `dsstc_cache_*` lines
+//! at boot, before any traffic: what the warmer restored and what GC
+//! removed. `--store-budget-bytes N` caps the on-disk store: warm boot GCs
 //! least-recently-restored artifacts until the store fits (the CI GC
 //! negative case doctors an oversized store this way and asserts it
 //! shrinks).
@@ -27,10 +31,10 @@
 //! Pass `--listen ADDR` to serve over TCP instead of driving in-process
 //! traffic: the demo boots the wire front-end, warms the catalogue, prints
 //! the bound address, serves until `--wire-requests N` (default 48)
-//! responses have gone out (printing a one-line stats heartbeat roughly
-//! every 5 s along the way), then drains gracefully and asserts the wire
-//! counters. `examples/serve_client.rs` is the matching
-//! driver; the CI wire smoke runs the two against each other.
+//! responses have gone out, prints the exposition (wire families
+//! included), then drains gracefully and asserts the wire counters. Watch
+//! a live server through `--metrics-addr`. `examples/serve_client.rs` is
+//! the matching driver; the CI wire smoke runs the two against each other.
 //!
 //! Cluster knobs (see `docs/CLUSTER.md`): `--cluster-node ID` joins the
 //! listener to a consistent-hash serving cluster, `--cluster-peer ID=ADDR`
@@ -49,8 +53,8 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use dsstc::serve::{
-    CacheBudget, ClusterConfig, DevicePool, InferRequest, InferenceServer, ModelId, Priority,
-    ServeConfig,
+    render_prometheus, CacheBudget, ClusterConfig, DevicePool, InferRequest, InferenceServer,
+    MetricsRegistry, ModelId, Priority, ServeConfig, ServerStats,
 };
 use dsstc_sim::GpuConfig;
 use dsstc_tensor::{Matrix, SparsityPattern};
@@ -64,6 +68,19 @@ const USAGE: &str = "usage: serve_demo [--encode-cache-dir DIR] [--expect-warm] 
 fn usage_error(message: &str) -> ! {
     eprintln!("serve_demo: {message}\n{USAGE}");
     std::process::exit(2);
+}
+
+/// Prints the sample lines of the server's `/metrics` exposition whose
+/// family name starts with `prefix`, skipping the `# HELP` / `# TYPE`
+/// comments and the histograms' `_bucket` rows.
+fn print_scrape(stats: &ServerStats, registry: &MetricsRegistry, prefix: &str) {
+    for line in render_prometheus(stats, registry).lines() {
+        let name = line.split(['{', ' ']).next().unwrap_or_default();
+        if name.starts_with(prefix) && !name.ends_with("_bucket") {
+            println!("{line}");
+        }
+    }
+    println!();
 }
 
 /// `--listen` mode: expose the pool over TCP, serve `wire_requests`
@@ -82,32 +99,15 @@ fn run_listen(config: ServeConfig, wire_requests: u64) {
     }
     // The line clients (and the CI smoke) wait for before connecting.
     println!("listening on {}", server.local_addr());
-    let mut last_heartbeat = std::time::Instant::now();
     loop {
         let wire = server.wire_stats();
         if wire.frames_sent + wire.error_frames_sent >= wire_requests {
             break;
         }
-        // A one-line liveness pulse roughly every 5 s while serving.
-        if last_heartbeat.elapsed() >= Duration::from_secs(5) {
-            last_heartbeat = std::time::Instant::now();
-            let stats = server.stats();
-            println!(
-                "heartbeat: {} requests ({:.1} req/s, queue p99 {:.0} us) | {} conns open, \
-                 frames {} in / {} out, {} in flight",
-                stats.completed_requests,
-                stats.throughput_rps,
-                stats.queue_p99_us,
-                wire.open_connections(),
-                wire.frames_received,
-                wire.frames_sent,
-                wire.in_flight,
-            );
-        }
         std::thread::sleep(Duration::from_millis(50));
     }
     let stats = server.stats();
-    println!("{}", stats.render());
+    print_scrape(&stats, server.server().telemetry().registry(), "dsstc_");
     let wire = stats.wire.clone().expect("wire counters attached");
     server.shutdown();
     assert!(wire.frames_received >= wire_requests, "expected {wire_requests} request frames");
@@ -285,18 +285,8 @@ fn main() {
     if encode_cache_dir.is_some() {
         // The boot-time store state, before any traffic touches the cache:
         // what the warmer restored/healed and what GC removed to fit the
-        // budget. The CI GC negative case greps this line.
-        let boot = server.stats();
-        println!(
-            "boot store: {} artifacts / {} B, warm boot restored {} + re-encoded {} + healed {}, \
-             gc removed {}\n",
-            boot.store_entries,
-            boot.store_bytes,
-            boot.encode_warm_restored,
-            boot.encode_warm_reencoded,
-            boot.encode_warm_healed,
-            boot.store_gc_removed,
-        );
+        // budget. The CI warm-start and GC smokes grep these lines.
+        print_scrape(&server.stats(), server.telemetry().registry(), "dsstc_cache_");
     }
 
     // Deploy-time warm-up: obtain both models' encoded weights for every
@@ -350,7 +340,7 @@ fn main() {
     println!("devices that executed batches: {}\n", devices_seen.len());
 
     let stats = server.stats();
-    println!("{}", stats.render());
+    print_scrape(&stats, server.telemetry().registry(), "dsstc_");
     server.shutdown();
 
     // The properties this demo exists to demonstrate.
