@@ -308,8 +308,9 @@ pub struct ServeConfig {
     pub max_frame_len: usize,
     /// Listen address of the Prometheus-style metrics endpoint
     /// (`--metrics-addr` in the demo binary). `None` (the default) serves
-    /// no endpoint; set, the wire front-end boots a
-    /// [`crate::telemetry::MetricsServer`] on a dedicated listener.
+    /// no endpoint; set, the wire front-end's event loop also listens here
+    /// and answers every request with the [`crate::render_prometheus`]
+    /// exposition (scrapes hold no `max_connections` slot).
     pub metrics_addr: Option<SocketAddr>,
     /// File that receives completed request traces as chrome-trace JSONL
     /// (`--trace-out` in the demo binary). `None` keeps traces in the

@@ -129,8 +129,6 @@ pub use crate::request::{InferRequest, InferResponse, ModelId, ModelKey, Priorit
 pub use crate::server::{InferenceServer, PendingResponse, ServeError};
 pub use crate::stats::{ClusterStats, DeviceStats, PriorityLatency, ServerStats, WireStats};
 pub use crate::store::{CacheBudget, EncodeCacheStats, ModelRepository, WarmBootReport};
-#[cfg(target_os = "linux")]
-pub use crate::telemetry::MetricsServer;
 pub use crate::telemetry::{
     render_prometheus, CacheOutcome, LogHistogram, MetricsRegistry, RequestTrace, Stage, Telemetry,
     TraceSink,

@@ -48,17 +48,33 @@ impl WireClient {
     /// [`WireClient::with_max_frame_len`] to match, or its largest legal
     /// responses would trip the client's own decoder.
     pub fn connect(addr: SocketAddr) -> std::io::Result<WireClient> {
+        Ok(WireClient::over(TcpStream::connect(addr)?))
+    }
+
+    /// [`WireClient::connect`] with the connect and every later read and
+    /// write bounded by `timeout`: a peer that stops answering fails the
+    /// call instead of blocking it (the cluster's liveness probe).
+    pub(crate) fn connect_timeout(
+        addr: SocketAddr,
+        timeout: Duration,
+    ) -> std::io::Result<WireClient> {
+        let stream = TcpStream::connect_timeout(&addr, timeout)?;
+        stream.set_read_timeout(Some(timeout))?;
+        stream.set_write_timeout(Some(timeout))?;
+        Ok(WireClient::over(stream))
+    }
+
+    fn over(stream: TcpStream) -> WireClient {
         let max_frame_len = crate::config::ServeConfig::default().max_frame_len;
-        let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
-        Ok(WireClient {
+        WireClient {
             stream,
             decoder: FrameDecoder::new(max_frame_len + RESPONSE_HEADROOM),
             scratch: vec![0u8; 64 * 1024],
             encode_buf: Vec::new(),
             next_id: 0,
             max_frame_len,
-        })
+        }
     }
 
     /// Matches the client to a server running a non-default

@@ -12,6 +12,8 @@
 //!   the listener, owns every connection, decodes, submits
 //!   through [`crate::InferenceServer::submit_with`], stream responses back
 //!   as batches complete; pipelining, connection limits, graceful drain.
+//!   The same reactor answers `/metrics` scrapes on the `metrics_addr`
+//!   listener.
 //! * [`client`] — the blocking [`WireClient`] used by tests, the
 //!   `serve_client` example and the `benchmark/` harness, and the
 //!   shard-aware [`ClusterClient`] layered on top of it.

@@ -6,12 +6,13 @@
 //!
 //! The front-end is **one reactor**: one thread next to the serving
 //! runtime's own dispatcher + workers, running a level-triggered epoll
-//! readiness loop (`crate::net::poll`) over the listener and every client
-//! socket. It owns everything about them.
+//! readiness loop (`crate::net::poll`) over the listener, the
+//! `metrics_addr` listener when one is configured, and every socket
+//! either accepts. It owns everything about them.
 //!
 //! * **Accepts:** it accepts every pending connection, enforces
-//!   `max_connections` against its own connection table and registers the
-//!   socket with its poller.
+//!   `max_connections` on wire clients and registers the socket with its
+//!   poller.
 //! * **Reads:** it reads whatever bytes are ready, feeds them through
 //!   each connection's [`FrameDecoder`] (several pipelined frames per read
 //!   decode back-to-back), converts each request frame into an
@@ -29,6 +30,12 @@
 //!   connection really is finished.
 //! * **Writes:** it flushes opportunistically and under `EPOLLOUT` when
 //!   a socket's send buffer fills.
+//! * **Scrapes:** a connection accepted on the metrics listener collects
+//!   an HTTP request head instead of frames. At the blank line the loop
+//!   answers with [`render_prometheus`] of the current snapshot (any path,
+//!   HTTP/1.0, `Connection: close`) and retires the connection the way it
+//!   retires a poisoned one. Scrapes are not wire clients: they move no
+//!   [`WireStats`] counter and do not count against `max_connections`.
 //!
 //! Responses stream back **as batches complete**, so pipelined requests on
 //! one connection may be answered out of submission order; the echoed id is
@@ -39,10 +46,10 @@
 //! so the server answers with a final error frame and closes that
 //! connection.
 //!
-//! Shutdown is graceful: the listener closes first, then the loop keeps
-//! flushing until every in-flight request has been answered and every
-//! outbound buffer drained (bounded by [`DRAIN_TIMEOUT`]), and only then is
-//! the inference runtime itself shut down.
+//! Shutdown is graceful: both listeners are deregistered first, then the
+//! loop keeps flushing until every in-flight request has been answered and
+//! every outbound buffer drained (bounded by [`DRAIN_TIMEOUT`]), and only
+//! then is the inference runtime itself shut down.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -57,15 +64,16 @@ use std::time::{Duration, Instant};
 use crate::batcher::Wake;
 use crate::cluster::{constant_time_eq, shard_hash, ClusterState, ShardMap};
 use crate::config::ServeConfig;
+use crate::net::client::WireClient;
 use crate::net::frame::{
-    encode_error_into, encode_hello_into, encode_response_into, encode_shard_map_into, Frame,
-    FrameDecoder, HelloFrame, RequestFrame, WireError, WireStatus, POISON_ID,
+    encode_error_into, encode_response_into, encode_shard_map_into, Frame, FrameDecoder,
+    HelloFrame, RequestFrame, WireError, WireStatus, POISON_ID,
 };
 use crate::net::poll::{Event, Poller, Token, Waker, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::request::InferResponse;
 use crate::server::{InferenceServer, ServeError};
 use crate::stats::{ServerStats, WireStats};
-use crate::telemetry::{render_prometheus, MetricsServer, RequestTrace, Stage};
+use crate::telemetry::{render_prometheus, RequestTrace, Stage};
 
 /// Bound on how long a graceful shutdown keeps draining in-flight requests
 /// and unflushed response bytes before force-closing the remaining
@@ -74,9 +82,13 @@ pub const DRAIN_TIMEOUT: Duration = Duration::from_secs(30);
 
 const TOKEN_LISTENER: Token = Token(0);
 const TOKEN_WAKER: Token = Token(1);
+const TOKEN_METRICS: Token = Token(2);
 /// Connection ids start here; `Token(CONN_BASE + id)` addresses connection
 /// `id`.
-const CONN_BASE: u64 = 2;
+const CONN_BASE: u64 = 3;
+/// A scrape whose request head grows past this without a blank line is
+/// closed unanswered.
+const MAX_SCRAPE_HEAD: usize = 8 * 1024;
 
 /// One wire request in flight through the batching runtime: which
 /// connection it came from and the id the client chose for it.
@@ -86,7 +98,7 @@ struct PendingWire {
 }
 
 /// The wire counters. The reactor is their single writer; the mutex is
-/// only ever contended by a `stats()` call or a scrape reading them.
+/// only ever contended by a `stats()` call reading them.
 type SharedStats = Arc<Mutex<WireStats>>;
 
 fn counters(stats: &Mutex<WireStats>) -> MutexGuard<'_, WireStats> {
@@ -123,27 +135,36 @@ pub struct WireServer {
     waker: Arc<Waker>,
     stats: SharedStats,
     event_loop: Option<JoinHandle<()>>,
-    metrics: Option<MetricsServer>,
+    metrics_addr: Option<SocketAddr>,
     cluster: Option<Arc<ClusterState>>,
     pinger: Option<JoinHandle<()>>,
 }
 
 impl WireServer {
-    /// Boots the inference runtime from `config`, binds the listener at
-    /// `config.listen` (loopback with an OS-assigned port by default) and
-    /// spawns the event loop. On `Err` nothing is left
+    /// Binds the listener at `config.listen` (loopback with an
+    /// OS-assigned port by default) and the `config.metrics_addr` one,
+    /// boots the inference runtime from `config` and spawns the event loop.
+    /// Every step that can fail comes first, so on `Err` nothing is left
     /// running and no socket stays bound.
     pub fn start(config: ServeConfig) -> io::Result<WireServer> {
         let listen = config.listen.unwrap_or_else(|| "127.0.0.1:0".parse().expect("literal addr"));
         let max_connections = config.max_connections;
         let max_body_len = config.max_frame_len;
         let max_outbound_bytes = config.max_outbound_bytes;
-        let metrics_addr = config.metrics_addr;
         let cluster_config = config.cluster.clone();
         let auth_token = config.auth_token.clone();
         let listener = TcpListener::bind(listen)?;
+        let metrics = config.metrics_addr.map(TcpListener::bind).transpose()?;
+        let poller = Poller::new()?;
         listener.set_nonblocking(true)?;
+        poller.register(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
+        if let Some(metrics) = &metrics {
+            metrics.set_nonblocking(true)?;
+            poller.register(metrics.as_raw_fd(), EPOLLIN, TOKEN_METRICS)?;
+        }
+        let waker = Arc::new(Waker::new(&poller, TOKEN_WAKER)?);
         let local_addr = listener.local_addr()?;
+        let metrics_addr = metrics.as_ref().map(TcpListener::local_addr).transpose()?;
 
         let cluster: Option<Arc<ClusterState>> = cluster_config.as_ref().map(|cluster_config| {
             Arc::new(ClusterState::new(
@@ -154,35 +175,12 @@ impl WireServer {
 
         let server = Arc::new(InferenceServer::start(config));
         let shutdown_flag = Arc::new(AtomicBool::new(false));
-        let poller = Poller::new()?;
-        poller.register(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
-        let waker = Arc::new(Waker::new(&poller, TOKEN_WAKER)?);
         let stats = SharedStats::default();
-
-        // The last step that can fail, so an `Err` (say, `metrics_addr` in
-        // use) returns before the event loop exists: the listener, the
-        // poller and the inference runtime all clean up by dropping.
-        let metrics = match metrics_addr {
-            Some(addr) => {
-                let source_server = Arc::clone(&server);
-                let source_stats = Arc::clone(&stats);
-                let source_cluster = cluster.clone();
-                Some(MetricsServer::start(
-                    addr,
-                    Arc::new(move || {
-                        let snapshot =
-                            wire_snapshot(&source_server, &source_stats, source_cluster.as_ref());
-                        render_prometheus(&snapshot, source_server.telemetry().registry())
-                    }),
-                )?)
-            }
-            None => None,
-        };
-
         let (completion_tx, completion_rx) = std::sync::mpsc::channel::<InferResponse>();
         let mut state = Reactor {
             poller,
             listener,
+            metrics,
             waker: Arc::clone(&waker),
             server: Arc::clone(&server),
             stats: Arc::clone(&stats),
@@ -237,7 +235,7 @@ impl WireServer {
             waker,
             stats,
             event_loop: Some(event_loop),
-            metrics,
+            metrics_addr,
             cluster,
             pinger,
         })
@@ -258,7 +256,7 @@ impl WireServer {
     /// The bound metrics endpoint address, when
     /// [`ServeConfig::metrics_addr`](crate::ServeConfig) was set.
     pub fn metrics_addr(&self) -> Option<SocketAddr> {
-        self.metrics.as_ref().map(MetricsServer::local_addr)
+        self.metrics_addr
     }
 
     /// The inference runtime behind the front-end (for warm-up and
@@ -288,9 +286,6 @@ impl WireServer {
     /// connections, then shut the inference runtime down. Idempotent; also
     /// runs on drop.
     pub fn shutdown(&mut self) {
-        if let Some(mut metrics) = self.metrics.take() {
-            metrics.shutdown();
-        }
         self.shutdown_flag.store(true, Ordering::SeqCst);
         self.waker.wake();
         if let Some(handle) = self.pinger.take() {
@@ -334,36 +329,6 @@ fn wire_snapshot(
     stats
 }
 
-/// Dials `addr`, performs the hello exchange (carrying this cluster's
-/// `token`, if any) and reports whether the peer answered with a shard-map
-/// frame before `timeout`. Anything else — refused connect, timeout, an
-/// error frame, garbage — counts as a failed probe.
-fn probe_peer(addr: &str, token: Option<&str>, timeout: Duration) -> bool {
-    let Ok(sockaddr) = addr.parse::<SocketAddr>() else { return false };
-    let Ok(mut stream) = TcpStream::connect_timeout(&sockaddr, timeout) else { return false };
-    let _ = stream.set_read_timeout(Some(timeout));
-    let _ = stream.set_write_timeout(Some(timeout));
-    let _ = stream.set_nodelay(true);
-    let mut hello = Vec::new();
-    encode_hello_into(&mut hello, token);
-    if stream.write_all(&hello).is_err() {
-        return false;
-    }
-    let mut decoder = FrameDecoder::new(1 << 20);
-    let mut buf = [0u8; 4096];
-    loop {
-        match decoder.next_frame() {
-            Ok(Some(Frame::ShardMap(_))) => return true,
-            Ok(Some(_)) | Err(_) => return false,
-            Ok(None) => {}
-        }
-        match stream.read(&mut buf) {
-            Ok(0) | Err(_) => return false,
-            Ok(n) => decoder.feed(&buf[..n]),
-        }
-    }
-}
-
 /// The peer-liveness thread: probes every configured peer once per
 /// `interval`, declaring a peer dead after `threshold` consecutive failures
 /// and alive again on the first success. Liveness transitions go through
@@ -391,7 +356,14 @@ fn pinger_loop(
             if shutdown_flag.load(Ordering::SeqCst) {
                 return;
             }
-            let ok = probe_peer(addr, token.as_deref(), interval);
+            // Alive = the hello exchange clients use answers with a shard
+            // map within `interval`; a refused connect, a timeout, an error
+            // frame or garbage is a failed probe.
+            let ok = addr
+                .parse()
+                .ok()
+                .and_then(|a| WireClient::connect_timeout(a, interval).ok())
+                .is_some_and(|mut client| client.hello(token.as_deref()).is_ok());
             cluster.record_peer_probe(!ok);
             let count = failures.entry(*id).or_insert(0);
             if ok {
@@ -407,10 +379,18 @@ fn pinger_loop(
     }
 }
 
+/// What a connection's input is read into.
+enum Inbound {
+    /// A wire client's byte stream.
+    Frames(FrameDecoder),
+    /// A scrape's HTTP request head, up to [`MAX_SCRAPE_HEAD`] bytes.
+    ScrapeHead(Vec<u8>),
+}
+
 /// Per-connection state owned by the event loop.
 struct Connection {
     stream: TcpStream,
-    decoder: FrameDecoder,
+    inbound: Inbound,
     /// Encoded response bytes not yet accepted by the socket; `written` is
     /// the already-flushed prefix.
     outbound: Vec<u8>,
@@ -420,8 +400,9 @@ struct Connection {
     /// Requests submitted from this connection whose response frame has
     /// not been appended (or dropped) yet.
     in_flight: usize,
-    /// Framing is poisoned or the peer sent EOF: read nothing more, flush
-    /// what is buffered, close once that and everything in flight is out.
+    /// Framing is poisoned, the peer sent EOF or a scrape was answered:
+    /// read nothing more, flush what is buffered, close once that and
+    /// everything in flight is out.
     closing: bool,
     /// The outbound buffer breached `max_outbound_bytes` (the peer stopped
     /// reading): the backlog was dropped and replaced with a final error
@@ -446,6 +427,10 @@ struct Connection {
 }
 
 impl Connection {
+    fn is_scrape(&self) -> bool {
+        matches!(self.inbound, Inbound::ScrapeHead(_))
+    }
+
     fn has_backlog(&self) -> bool {
         self.written < self.outbound.len()
     }
@@ -472,11 +457,13 @@ impl Connection {
     }
 }
 
-/// The event loop: a poller, the listener, every connection, the
+/// The event loop: a poller, the listeners, every connection, the
 /// in-flight table and the completion channel.
 struct Reactor {
     poller: Poller,
     listener: TcpListener,
+    /// The `metrics_addr` listener; what it accepts are scrapes.
+    metrics: Option<TcpListener>,
     /// The loop's eventfd, which device workers write after sending it a
     /// response.
     waker: Arc<Waker>,
@@ -521,9 +508,9 @@ impl Reactor {
             let drained_events = std::mem::take(&mut events);
             for event in &drained_events {
                 match event.token {
-                    TOKEN_LISTENER => {
+                    TOKEN_LISTENER | TOKEN_METRICS => {
                         if !draining {
-                            self.accept_ready();
+                            self.accept_ready(event.token == TOKEN_METRICS);
                         }
                     }
                     TOKEN_WAKER => self.waker.drain(),
@@ -535,9 +522,12 @@ impl Reactor {
             if self.shutdown_flag.load(Ordering::SeqCst) && !draining {
                 draining = true;
                 drain_deadline = Instant::now() + DRAIN_TIMEOUT;
-                // Stop accepting: deregister the listener. Connected peers
-                // keep their sockets until the drain completes.
+                // Stop accepting: deregister both listeners. Connected
+                // peers keep their sockets until the drain completes.
                 let _ = self.poller.deregister(self.listener.as_raw_fd());
+                if let Some(metrics) = &self.metrics {
+                    let _ = self.poller.deregister(metrics.as_raw_fd());
+                }
                 // Final read sweep: requests already on the wire when the
                 // shutdown was requested may still sit unread in kernel
                 // buffers, invisible to the in-flight count. Pull them in
@@ -563,23 +553,26 @@ impl Reactor {
         }
     }
 
-    /// Accepts every pending connection and adopts each, enforcing
-    /// `max_connections` against the loop's own connection table.
-    fn accept_ready(&mut self) {
+    /// Accepts every pending connection on the wire listener, or on the
+    /// metrics one when `scrape`, and adopts each. Wire clients are held to
+    /// `max_connections` and counted; scrapes are neither.
+    fn accept_ready(&mut self, scrape: bool) {
         loop {
-            match self.listener.accept() {
+            let listener = if scrape { self.metrics.as_ref() } else { Some(&self.listener) };
+            let Some(listener) = listener else { return };
+            match listener.accept() {
+                Ok((stream, _peer)) if scrape => {
+                    let _ = self.adopt(stream, Inbound::ScrapeHead(Vec::new()));
+                }
                 Ok((stream, _peer)) => {
-                    if self.conns.len() >= self.max_connections {
+                    // Accepted minus closed is the wire connections open:
+                    // the scrapes in `conns` are not among them.
+                    let open = counters(&self.stats).open_connections();
+                    let decoder = Inbound::Frames(FrameDecoder::new(self.max_body_len));
+                    // Over the limit, the client sees a closed socket.
+                    if open >= self.max_connections as u64 || self.adopt(stream, decoder).is_err() {
                         counters(&self.stats).connections_rejected += 1;
-                        drop(stream); // The client sees a closed socket.
-                        continue;
                     }
-                    if stream.set_nonblocking(true).is_err() {
-                        counters(&self.stats).connections_rejected += 1;
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    self.adopt(stream);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -588,21 +581,23 @@ impl Reactor {
         }
     }
 
-    /// Registers an accepted socket with the poller and counts the accept.
-    fn adopt(&mut self, stream: TcpStream) {
+    /// Registers an accepted socket with the poller, counts a wire accept
+    /// and reads what already arrived.
+    fn adopt(&mut self, stream: TcpStream, inbound: Inbound) -> io::Result<()> {
+        stream.set_nonblocking(true)?;
+        let _ = stream.set_nodelay(true);
         let conn_id = self.next_conn_id;
         let token = Token(CONN_BASE + conn_id);
-        if self.poller.register(stream.as_raw_fd(), EPOLLIN | EPOLLRDHUP, token).is_err() {
-            counters(&self.stats).connections_rejected += 1;
-            return;
-        }
+        self.poller.register(stream.as_raw_fd(), EPOLLIN | EPOLLRDHUP, token)?;
         self.next_conn_id += 1;
-        counters(&self.stats).connections_accepted += 1;
+        if matches!(inbound, Inbound::Frames(_)) {
+            counters(&self.stats).connections_accepted += 1;
+        }
         self.conns.insert(
             conn_id,
             Connection {
                 stream,
-                decoder: FrameDecoder::new(self.max_body_len),
+                inbound,
                 outbound: Vec::new(),
                 written: 0,
                 interest: EPOLLIN | EPOLLRDHUP,
@@ -618,6 +613,7 @@ impl Reactor {
         // Bytes may already be waiting (clients often write immediately
         // after connect): read now instead of waiting a full poll round.
         self.read_ready(conn_id);
+        Ok(())
     }
 
     fn handle_conn_event(&mut self, conn_id: u64, event: &Event) {
@@ -633,8 +629,8 @@ impl Reactor {
     }
 
     /// Reads every byte the socket has, feeding the frame decoder and
-    /// submitting each complete request. Stops at `WouldBlock`, EOF or a
-    /// framing error.
+    /// submitting each complete request (or collecting a scrape's head).
+    /// Stops at `WouldBlock`, EOF or a framing error.
     fn read_ready(&mut self, conn_id: u64) {
         loop {
             let Some(conn) = self.conns.get_mut(&conn_id) else { return };
@@ -656,11 +652,17 @@ impl Reactor {
                     }
                     return;
                 }
-                Ok(n) => {
-                    counters(&self.stats).bytes_received += n as u64;
-                    conn.decoder.feed(&self.scratch[..n]);
-                    self.decode_ready(conn_id);
-                }
+                Ok(n) => match &mut conn.inbound {
+                    Inbound::Frames(decoder) => {
+                        counters(&self.stats).bytes_received += n as u64;
+                        decoder.feed(&self.scratch[..n]);
+                        self.decode_ready(conn_id);
+                    }
+                    Inbound::ScrapeHead(head) => {
+                        head.extend_from_slice(&self.scratch[..n]);
+                        self.answer_scrape(conn_id);
+                    }
+                },
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
@@ -674,8 +676,12 @@ impl Reactor {
     /// Pulls every complete frame out of the connection's decoder.
     fn decode_ready(&mut self, conn_id: u64) {
         loop {
-            let Some(conn) = self.conns.get_mut(&conn_id) else { return };
-            let next = conn.decoder.next_frame();
+            let Some(Connection { inbound: Inbound::Frames(decoder), .. }) =
+                self.conns.get_mut(&conn_id)
+            else {
+                return;
+            };
+            let next = decoder.next_frame();
             match next {
                 Ok(Some(Frame::Request(frame))) => {
                     counters(&self.stats).frames_received += 1;
@@ -723,6 +729,36 @@ impl Reactor {
                 }
             }
         }
+    }
+
+    /// Answers a scrape once its head is in — a blank line ends it; the
+    /// body, none expected from `GET`, is ignored — with the exposition of
+    /// the current snapshot, and marks the connection `closing` so the
+    /// flush that writes the last byte retires it. A head past
+    /// [`MAX_SCRAPE_HEAD`] is closed unanswered.
+    fn answer_scrape(&mut self, conn_id: u64) {
+        let Some(Connection { inbound: Inbound::ScrapeHead(head), .. }) = self.conns.get(&conn_id)
+        else {
+            return;
+        };
+        if head.len() > MAX_SCRAPE_HEAD {
+            self.close_conn(conn_id);
+            return;
+        }
+        if !head.windows(4).any(|w| w == b"\r\n\r\n") && !head.windows(2).any(|w| w == b"\n\n") {
+            return;
+        }
+        let snapshot = wire_snapshot(&self.server, &self.stats, self.cluster.as_ref());
+        let body = render_prometheus(&snapshot, self.server.telemetry().registry());
+        let conn = self.conns.get_mut(&conn_id).expect("looked up above");
+        conn.closing = true;
+        conn.outbound = format!(
+            "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4; \
+             charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len()
+        )
+        .into_bytes();
+        self.flush_conn(conn_id);
     }
 
     /// Answers a hello: checks the auth token (constant-time compare;
@@ -941,7 +977,9 @@ impl Reactor {
             }
         }
         conn.flushed_total += sent;
-        counters(&self.stats).bytes_sent += sent;
+        if !conn.is_scrape() {
+            counters(&self.stats).bytes_sent += sent;
+        }
         while conn.flush_marks.front().is_some_and(|(mark, _)| *mark <= conn.flushed_total) {
             let (_, mut trace) = conn.flush_marks.pop_front().expect("front checked");
             trace.record(Stage::WireFlushed);
@@ -998,7 +1036,9 @@ impl Reactor {
     fn close_conn(&mut self, conn_id: u64) {
         if let Some(conn) = self.conns.remove(&conn_id) {
             let _ = self.poller.deregister(conn.stream.as_raw_fd());
-            counters(&self.stats).connections_closed += 1;
+            if !conn.is_scrape() {
+                counters(&self.stats).connections_closed += 1;
+            }
             // Responses that never cleared the socket still had their
             // request completed: record their traces without a flush stamp.
             for (_, trace) in conn.flush_marks {

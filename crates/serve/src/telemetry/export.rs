@@ -1,8 +1,7 @@
 //! Metrics exposition: renders a [`ServerStats`] snapshot plus the live
-//! [`MetricsRegistry`] in Prometheus text format, and (on Linux) serves it
-//! over HTTP on a dedicated `--metrics-addr` listener built on the same
-//! dependency-free epoll loop as the wire front-end
-//! (`crate::net::poll`). Metric families and names are catalogued in
+//! [`MetricsRegistry`] in Prometheus text format. The wire front-end's
+//! event loop answers `--metrics-addr` scrapes with it; this module only
+//! renders. Metric families and names are catalogued in
 //! `docs/OBSERVABILITY.md`.
 
 use crate::request::Priority;
@@ -69,242 +68,6 @@ pub fn render_prometheus(stats: &ServerStats, registry: &MetricsRegistry) -> Str
     }
     registry.render(&mut out);
     out
-}
-
-#[cfg(target_os = "linux")]
-pub use self::listener::MetricsServer;
-
-#[cfg(target_os = "linux")]
-mod listener {
-    //! The `--metrics-addr` scrape listener: a tiny single-threaded
-    //! HTTP/1.0 responder on the `crate::net::poll` epoll loop. Every
-    //! request — whatever the path — is answered with the current
-    //! exposition payload and `Connection: close`, which is all a
-    //! Prometheus scraper (or `curl`) needs.
-
-    use std::collections::HashMap;
-    use std::io::{self, Read, Write};
-    use std::net::{SocketAddr, TcpListener, TcpStream};
-    use std::os::fd::AsRawFd;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    use std::thread::JoinHandle;
-
-    use crate::net::poll::{Poller, Token, Waker, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-
-    /// The function producing the exposition payload on every scrape.
-    pub type MetricsSource = Arc<dyn Fn() -> String + Send + Sync>;
-
-    const LISTENER: Token = Token(0);
-    const WAKER: Token = Token(1);
-    /// Request headers larger than this poison the connection.
-    const MAX_REQUEST_BYTES: usize = 8 * 1024;
-
-    struct ScrapeConn {
-        stream: TcpStream,
-        inbound: Vec<u8>,
-        outbound: Vec<u8>,
-        written: usize,
-    }
-
-    /// A metrics endpoint bound to its own address, serving scrapes from
-    /// a dedicated thread until [`shutdown`](MetricsServer::shutdown).
-    pub struct MetricsServer {
-        local_addr: SocketAddr,
-        stop: Arc<AtomicBool>,
-        waker: Arc<Waker>,
-        handle: Option<JoinHandle<()>>,
-    }
-
-    impl std::fmt::Debug for MetricsServer {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("MetricsServer").field("local_addr", &self.local_addr).finish()
-        }
-    }
-
-    impl MetricsServer {
-        /// Binds `addr` and starts answering scrapes with `source`'s
-        /// output. Fails fast on bind/epoll errors.
-        pub fn start(addr: SocketAddr, source: MetricsSource) -> io::Result<Self> {
-            let listener = TcpListener::bind(addr)?;
-            listener.set_nonblocking(true)?;
-            let local_addr = listener.local_addr()?;
-            let poller = Poller::new()?;
-            poller.register(listener.as_raw_fd(), EPOLLIN, LISTENER)?;
-            let waker = Arc::new(Waker::new(&poller, WAKER)?);
-            let stop = Arc::new(AtomicBool::new(false));
-            let thread_stop = Arc::clone(&stop);
-            let thread_waker = Arc::clone(&waker);
-            let handle = std::thread::Builder::new()
-                .name("dsstc-metrics".into())
-                .spawn(move || run(listener, poller, thread_waker, thread_stop, source))
-                .expect("spawn metrics thread");
-            Ok(MetricsServer { local_addr, stop, waker, handle: Some(handle) })
-        }
-
-        /// The bound address (useful with port 0).
-        pub fn local_addr(&self) -> SocketAddr {
-            self.local_addr
-        }
-
-        /// Stops the listener thread and closes every open scrape
-        /// connection.
-        pub fn shutdown(&mut self) {
-            self.stop.store(true, Ordering::SeqCst);
-            self.waker.wake();
-            if let Some(handle) = self.handle.take() {
-                let _ = handle.join();
-            }
-        }
-    }
-
-    impl Drop for MetricsServer {
-        fn drop(&mut self) {
-            self.shutdown();
-        }
-    }
-
-    fn run(
-        listener: TcpListener,
-        poller: Poller,
-        waker: Arc<Waker>,
-        stop: Arc<AtomicBool>,
-        source: MetricsSource,
-    ) {
-        let mut conns: HashMap<u64, ScrapeConn> = HashMap::new();
-        let mut next_token = 2u64;
-        let mut events = Vec::new();
-        while !stop.load(Ordering::SeqCst) {
-            events.clear();
-            if poller.wait(&mut events, None).is_err() {
-                break;
-            }
-            for event in &events {
-                match event.token {
-                    WAKER => waker.drain(),
-                    LISTENER => loop {
-                        match listener.accept() {
-                            Ok((stream, _)) => {
-                                if stream.set_nonblocking(true).is_err() {
-                                    continue;
-                                }
-                                let token = next_token;
-                                next_token += 1;
-                                if poller
-                                    .register(
-                                        stream.as_raw_fd(),
-                                        EPOLLIN | EPOLLRDHUP,
-                                        Token(token),
-                                    )
-                                    .is_err()
-                                {
-                                    continue;
-                                }
-                                conns.insert(
-                                    token,
-                                    ScrapeConn {
-                                        stream,
-                                        inbound: Vec::new(),
-                                        outbound: Vec::new(),
-                                        written: 0,
-                                    },
-                                );
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                            Err(_) => break,
-                        }
-                    },
-                    Token(token) => {
-                        let done = match conns.get_mut(&token) {
-                            Some(conn) => service(
-                                conn,
-                                event.readable(),
-                                event.writable(),
-                                &source,
-                                &poller,
-                                token,
-                            ),
-                            None => continue,
-                        };
-                        if done {
-                            if let Some(conn) = conns.remove(&token) {
-                                let _ = poller.deregister(conn.stream.as_raw_fd());
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // Shutdown: drop every connection (deregistered by fd close).
-        conns.clear();
-    }
-
-    /// Advances one scrape connection; returns true when it should close.
-    fn service(
-        conn: &mut ScrapeConn,
-        readable: bool,
-        writable: bool,
-        source: &MetricsSource,
-        poller: &Poller,
-        token: u64,
-    ) -> bool {
-        if readable && conn.outbound.is_empty() {
-            let mut buffer = [0u8; 1024];
-            let mut eof = false;
-            loop {
-                match conn.stream.read(&mut buffer) {
-                    Ok(0) => {
-                        eof = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        conn.inbound.extend_from_slice(&buffer[..n]);
-                        if conn.inbound.len() > MAX_REQUEST_BYTES {
-                            return true;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => return true,
-                }
-            }
-            // A blank line ends the request head; the body (none expected
-            // from GET) is ignored. A scraper may half-close right behind
-            // its request (`nc -N`), so the FIN can arrive in the same read
-            // as a complete head: that still gets its answer.
-            if conn.inbound.windows(4).any(|w| w == b"\r\n\r\n")
-                || conn.inbound.windows(2).any(|w| w == b"\n\n")
-            {
-                let body = source();
-                conn.outbound = format!(
-                    "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4; \
-                     charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-                    body.len()
-                )
-                .into_bytes();
-                let _ = poller.reregister(conn.stream.as_raw_fd(), EPOLLOUT, Token(token));
-            } else if eof {
-                return true; // EOF before a full request
-            }
-        }
-        if (writable || !conn.outbound.is_empty()) && conn.written < conn.outbound.len() {
-            loop {
-                match conn.stream.write(&conn.outbound[conn.written..]) {
-                    Ok(0) => return true,
-                    Ok(n) => {
-                        conn.written += n;
-                        if conn.written == conn.outbound.len() {
-                            return true; // fully flushed: Connection: close
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => return true,
-                }
-            }
-        }
-        false
-    }
 }
 
 #[cfg(test)]
@@ -580,67 +343,5 @@ mod tests {
             text.contains("dsstc_device_modelled_busy_us_total{device=\"1\",gpu=\"A100\"} 0.000")
         );
         assert!(text.contains("dsstc_timing_cache_hit_rate 0.000"));
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn metrics_server_answers_scrapes() {
-        use std::io::{Read, Write};
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
-
-        let scrapes = Arc::new(AtomicU64::new(0));
-        let counted = Arc::clone(&scrapes);
-        let source: super::listener::MetricsSource = Arc::new(move || {
-            let n = counted.fetch_add(1, Ordering::SeqCst) + 1;
-            format!("dsstc_scrapes_total {n}\n")
-        });
-        let mut server =
-            MetricsServer::start("127.0.0.1:0".parse().unwrap(), source).expect("bind metrics");
-        let addr = server.local_addr();
-        for expected in 1..=3u64 {
-            let mut stream = std::net::TcpStream::connect(addr).expect("connect");
-            stream.write_all(b"GET /metrics HTTP/1.0\r\nHost: test\r\n\r\n").expect("send request");
-            let mut response = String::new();
-            stream.read_to_string(&mut response).expect("read response");
-            assert!(response.starts_with("HTTP/1.0 200 OK\r\n"), "{response}");
-            assert!(response.contains("Content-Type: text/plain"), "{response}");
-            let body = response.split("\r\n\r\n").nth(1).expect("body");
-            assert_eq!(body, format!("dsstc_scrapes_total {expected}\n"));
-        }
-        assert_eq!(scrapes.load(Ordering::SeqCst), 3);
-        server.shutdown();
-        // The listener closed with the thread: nothing accepts on the port.
-        assert!(std::net::TcpStream::connect(addr).is_err());
-    }
-
-    /// A scraper that half-closes right behind its request (`nc -N`) can
-    /// have its FIN read together with the complete head; it is still owed
-    /// the payload.
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn half_closing_scraper_still_gets_an_answer() {
-        use std::io::{Read, Write};
-        use std::sync::Arc;
-
-        let source: super::listener::MetricsSource = Arc::new(|| "dsstc_up 1\n".to_string());
-        let mut server =
-            MetricsServer::start("127.0.0.1:0".parse().unwrap(), source).expect("bind metrics");
-        for round in 0..50 {
-            let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");
-            stream.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").expect("send request");
-            stream.shutdown(std::net::Shutdown::Write).expect("half-close");
-            let mut response = String::new();
-            stream.read_to_string(&mut response).expect("read response");
-            assert!(response.ends_with("\r\n\r\ndsstc_up 1\n"), "round {round}: {response:?}");
-        }
-        // A half-close before the head is complete is still just dropped.
-        let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");
-        stream.write_all(b"GET /metrics HTTP/1.0\r\n").expect("send partial request");
-        stream.shutdown(std::net::Shutdown::Write).expect("half-close");
-        let mut response = String::new();
-        stream.read_to_string(&mut response).expect("read EOF");
-        assert_eq!(response, "");
-        server.shutdown();
     }
 }

@@ -6,7 +6,8 @@
 //! scheduler, dispatcher, workers and (when enabled) the wire front-end,
 //! so every layer stamps the same trace and feeds the same registry;
 //! [`crate::ServerStats`] is a snapshot of that hub and
-//! [`render_prometheus`] its one text rendering. See
+//! [`render_prometheus`] its one text rendering. Nothing here does I/O on
+//! a socket: the wire front-end's event loop answers the scrapes. See
 //! `docs/OBSERVABILITY.md` for the metric families, the trace event
 //! schema and scrape examples.
 
@@ -25,8 +26,6 @@ use crate::stats::{DeviceStats, PriorityLatency, ServerStats};
 use crate::store::EncodeCacheStats;
 
 pub use self::export::render_prometheus;
-#[cfg(target_os = "linux")]
-pub use self::export::MetricsServer;
 pub use self::metrics::{Counter, LogHistogram, MetricsRegistry, HISTOGRAM_BUCKETS};
 pub use self::trace::{now_us, CacheOutcome, RequestTrace, Stage, TraceSink, STAGES};
 

@@ -888,3 +888,99 @@ fn live_metrics_scrape_is_consistent_with_wire_stats() {
     );
     server.shutdown();
 }
+
+/// A wire server with a metrics endpoint on an OS-assigned loopback port.
+fn metrics_server(config: ServeConfig) -> (WireServer, std::net::SocketAddr) {
+    let metrics_bind = "127.0.0.1:0".parse().expect("literal addr");
+    let server = WireServer::start(
+        config
+            .with_max_queue_wait(Duration::from_millis(1))
+            .with_proxy_dim(PROXY_DIM)
+            .with_metrics_addr(metrics_bind),
+    )
+    .expect("bind loopback");
+    let metrics_addr = server.metrics_addr().expect("metrics endpoint bound");
+    (server, metrics_addr)
+}
+
+/// Sends `head` to the metrics endpoint, half-closing right behind it when
+/// `half_close`, and returns every byte the server answered before closing.
+fn scrape_raw(addr: std::net::SocketAddr, head: &[u8], half_close: bool) -> String {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect metrics endpoint");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    stream.write_all(head).expect("send request head");
+    if half_close {
+        stream.shutdown(std::net::Shutdown::Write).expect("half-close");
+    }
+    let mut response = Vec::new();
+    // A close with request bytes still unread reaches the client as a reset.
+    if let Err(e) = stream.read_to_end(&mut response) {
+        assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}");
+    }
+    String::from_utf8(response).expect("an HTTP response is text")
+}
+
+/// Consecutive scrapes are each answered from the snapshot of their
+/// moment: a request served between two scrapes is in the second one. The
+/// endpoint closes with the server.
+#[test]
+fn metrics_endpoint_answers_scrapes() {
+    let (mut server, metrics_addr) = metrics_server(ServeConfig::default());
+    let mut client = WireClient::connect(server.local_addr()).expect("connect");
+    for expected in 1..=3u64 {
+        client.infer(&request(expected)).expect("served over the wire");
+        let response =
+            scrape_raw(metrics_addr, b"GET /metrics HTTP/1.0\r\nHost: test\r\n\r\n", false);
+        assert!(response.starts_with("HTTP/1.0 200 OK\r\n"), "{response}");
+        assert!(response.contains("Content-Type: text/plain"), "{response}");
+        let body = response.split("\r\n\r\n").nth(1).expect("body");
+        assert_eq!(metric_value(body, "dsstc_wire_frames_received_total") as u64, expected);
+    }
+    server.shutdown();
+    // The listener closed with the event loop: nothing accepts on the port.
+    assert!(std::net::TcpStream::connect(metrics_addr).is_err());
+}
+
+/// A scraper that half-closes right behind its request (`nc -N`) can have
+/// its FIN read together with the complete head; it is still owed the
+/// payload. A half-close before the head is complete is just dropped.
+#[test]
+fn half_closing_scraper_still_gets_an_answer() {
+    let (mut server, metrics_addr) = metrics_server(ServeConfig::default());
+    for round in 0..50 {
+        let response = scrape_raw(metrics_addr, b"GET /metrics HTTP/1.0\r\n\r\n", true);
+        let (headers, body) = response.split_once("\r\n\r\n").expect("an HTTP response");
+        assert!(headers.starts_with("HTTP/1.0 200 OK\r\n"), "round {round}: {headers}");
+        assert!(headers.contains(&format!("Content-Length: {}\r\n", body.len())), "{headers}");
+        assert!(body.contains("\ndsstc_wire_frames_received_total 0\n"), "round {round}");
+    }
+    assert_eq!(scrape_raw(metrics_addr, b"GET /metrics HTTP/1.0\r\n", true), "");
+    server.shutdown();
+}
+
+/// Scrapes share the wire loop but are not wire clients: they take no
+/// `max_connections` slot and move no wire counter, and an oversized head
+/// is dropped without disturbing the connected client.
+#[test]
+fn scrapes_are_not_wire_clients() {
+    let (mut server, metrics_addr) = metrics_server(ServeConfig::default().with_max_connections(1));
+    let mut first = WireClient::connect(server.local_addr()).expect("connect");
+    first.infer(&request(0)).expect("served");
+    let before = server.wire_stats();
+    let body = scrape_metrics(metrics_addr);
+    assert_eq!(metric_value(&body, "dsstc_wire_connections_accepted_total") as u64, 1);
+    // A 9 KiB head with no blank line passes the 8 KiB cap: no answer.
+    assert_eq!(scrape_raw(metrics_addr, &[b'a'; 9 * 1024], false), "");
+    assert_eq!(server.wire_stats(), before, "a scrape moved a wire counter");
+    // The one slot is still the first client's.
+    let mut second = WireClient::connect(server.local_addr()).expect("TCP connect still succeeds");
+    assert!(second.infer(&request(1)).is_err(), "over-limit connection must not be served");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.wire_stats().connections_rejected == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(server.wire_stats().connections_rejected, 1);
+    first.infer(&request(2)).expect("the connected client is still served");
+    server.shutdown();
+}

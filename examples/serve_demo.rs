@@ -46,7 +46,7 @@
 //! Observability knobs (see `docs/OBSERVABILITY.md`): `--trace-out PATH`
 //! streams one chrome-trace JSON line per completed request, and
 //! `--metrics-addr ADDR` (with `--listen`) binds a Prometheus-text scrape
-//! endpoint next to the wire listener.
+//! endpoint next to the wire listener, served by the same event loop.
 
 use std::collections::HashSet;
 use std::path::PathBuf;
