@@ -1,26 +1,11 @@
-//! Criterion bench behind the warp-level skip model (paper Fig. 5/6): cost
-//! of evaluating warp-tile OHMMA-skip counts across sparsity levels, and the
-//! functional warp-level SpGEMM step.
+//! Criterion bench of the functional warp-level SpGEMM step (paper Fig. 5/7)
+//! across sparsity levels.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dsstc_formats::{BitmapMatrix, VectorLayout};
-use dsstc_kernels::bitmap_spgemm::warp::{warp_spgemm, warp_tile_profile};
-use dsstc_sim::OtcConfig;
+use dsstc_kernels::bitmap_spgemm::warp::warp_spgemm;
 use dsstc_tensor::{Matrix, SparsityPattern};
 use std::hint::black_box;
-
-fn bench_warp_tile_profile(c: &mut Criterion) {
-    let otc = OtcConfig::paper();
-    let mut group = c.benchmark_group("warp_tile_profile");
-    for &nnz in &[32usize, 20, 8, 1] {
-        let a = vec![nnz; 16];
-        let b = vec![nnz; 16];
-        group.bench_with_input(BenchmarkId::from_parameter(nnz), &nnz, |bench, _| {
-            bench.iter(|| black_box(warp_tile_profile(&a, &b, 32, &otc, true)));
-        });
-    }
-    group.finish();
-}
 
 fn bench_warp_spgemm_functional(c: &mut Criterion) {
     let mut group = c.benchmark_group("warp_spgemm_32x32x16");
@@ -40,5 +25,5 @@ fn bench_warp_spgemm_functional(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_warp_tile_profile, bench_warp_spgemm_functional);
+criterion_group!(benches, bench_warp_spgemm_functional);
 criterion_main!(benches);

@@ -32,7 +32,7 @@ use dsstc_tensor::{GemmShape, Matrix};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use warp::{warp_spgemm, warp_tile_profile};
+use warp::warp_spgemm;
 
 /// Description of a synthetic (statistically sampled) SpGEMM problem, used
 /// when the matrices are too large to materialise — the Fig. 21 sparsity
@@ -280,116 +280,37 @@ impl BitmapSpGemm {
     }
 
     /// Builds the workload profile (and skip statistics) of `A * B` for
-    /// dense input matrices of arbitrary sparsity.
+    /// dense input matrices of arbitrary sparsity: both operands encoded as
+    /// [`Self::execute`] encodes them, and every step's non-zero counts read
+    /// off their bitmaps, as the `POPC`s of paper Fig. 5 read them. A value
+    /// FP16 storage flushes to zero is not encoded, so it is not counted.
+    ///
+    /// # Panics
+    /// Panics if the inner dimensions disagree.
     pub fn profile_with_stats(&self, a: &Matrix, b: &Matrix) -> (WorkloadProfile, SpGemmStats) {
         assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-        let shape = GemmShape::new(a.rows(), b.cols(), a.cols());
-        let (wm, wn, wk) = (self.tiling.warp_m, self.tiling.warp_n, self.tiling.warp_k);
-        let grid_m = shape.m.div_ceil(wm);
-        let grid_n = shape.n.div_ceil(wn);
-        let grid_k = shape.k.div_ceil(wk);
-
-        // Per-tile, per-step condensed non-zero counts, gathered in one pass
-        // over each operand.
-        let mut a_counts = vec![vec![0usize; wk]; grid_m * grid_k];
-        let mut a_tile_nnz = vec![0u32; grid_m * grid_k];
-        for r in 0..shape.m {
-            for c in 0..shape.k {
-                if a[(r, c)] != 0.0 {
-                    let idx = (r / wm) * grid_k + c / wk;
-                    a_counts[idx][c % wk] += 1;
-                    a_tile_nnz[idx] += 1;
-                }
-            }
-        }
-        let mut b_counts = vec![vec![0usize; wk]; grid_k * grid_n];
-        let mut b_tile_nnz = vec![0u32; grid_k * grid_n];
-        for r in 0..shape.k {
-            for c in 0..shape.n {
-                if b[(r, c)] != 0.0 {
-                    let idx = (r / wk) * grid_n + c / wn;
-                    b_counts[idx][r % wk] += 1;
-                    b_tile_nnz[idx] += 1;
-                }
-            }
-        }
-
-        let otc = &self.config.otc;
-        let mut profile = WorkloadProfile::new(format!("bitmap-spgemm-{shape}"));
-        let mut stats = SpGemmStats {
-            total_warp_tiles: (grid_m * grid_n * grid_k) as u64,
-            ..Default::default()
-        };
-        let mut partial_nnz_total: u64 = 0;
-
-        for im in 0..grid_m {
-            for kk in 0..grid_k {
-                let a_idx = im * grid_k + kk;
-                let a_empty = a_tile_nnz[a_idx] == 0;
-                for jn in 0..grid_n {
-                    let b_idx = kk * grid_n + jn;
-                    if self.options.two_level && (a_empty || b_tile_nnz[b_idx] == 0) {
-                        stats.skipped_warp_tiles += 1;
-                        stats.dense_ohmma += (wk as u64)
-                            * dsstc_sim::OtcStepCost::dense_ohmma_count(wm.max(wn), otc);
-                        profile.scalar_ops += 1; // warp-bitmap check
-                        continue;
-                    }
-                    let tile = warp_tile_profile(
-                        &a_counts[a_idx],
-                        &b_counts[b_idx],
-                        wm.max(wn),
-                        otc,
-                        self.options.operand_collector,
-                    );
-                    profile.ohmma_instructions += tile.cost.steps.ohmma_issued;
-                    profile.bohmma_instructions += tile.cost.steps.bohmma;
-                    profile.popc_instructions += tile.cost.steps.popc;
-                    profile.merge_cycles += tile.cost.steps.merge_cycles;
-                    profile.accum_conflict_cycles += tile.conflict_cycles;
-                    profile.scalar_ops += 32; // tile address generation
-                    partial_nnz_total += tile.cost.steps.partial_nnz;
-                    stats.skipped_ohmma += tile.cost.steps.ohmma_skipped;
-                    stats.dense_ohmma += tile.cost.dense_ohmma(wm.max(wn), otc);
-                }
-            }
-        }
-
-        // DRAM traffic with the two-level encoded operand footprints.
-        let a_nnz: u64 = a_tile_nnz.iter().map(|&x| x as u64).sum();
-        let b_nnz: u64 = b_tile_nnz.iter().map(|&x| x as u64).sum();
-        let a_bytes =
-            a_nnz * 2 + ((shape.m * shape.k) as u64).div_ceil(8) + (grid_m * grid_k) as u64 / 8 + 1;
-        let b_bytes =
-            b_nnz * 2 + ((shape.k * shape.n) as u64).div_ceil(8) + (grid_k * grid_n) as u64 / 8 + 1;
-        let d_bytes = (shape.m * shape.n) as u64 * 4;
-        let traffic = self.tiling.dram_traffic(&TrafficInputs {
-            a_bytes,
-            b_bytes,
-            d_bytes,
-            shape,
-            l2_bytes: self.config.l2_bytes as u64,
-            concurrent_blocks: (self.config.num_sms * self.config.max_blocks_per_sm) as u64,
-        });
-        profile.dram_bytes_read = traffic.read_bytes;
-        profile.dram_bytes_written = traffic.write_bytes;
-        profile.shared_bytes = a_bytes + b_bytes; // staged once per resident tile
-        profile.thread_blocks = self.tiling.grid_blocks(&shape);
-
-        if !self.options.two_level {
-            // One-level encoding (Fig. 8a): partial-matrix non-zeros scatter
-            // beyond the warp's local buffer and have to round-trip through
-            // the memory hierarchy.
-            profile.shared_bytes += partial_nnz_total * 8;
-            profile.scalar_ops += partial_nnz_total * 2;
-        }
-
-        (profile, stats)
+        self.profile_encoded(&self.encode_a(a), &self.encode_b(b))
     }
 
     /// Builds only the workload profile of `A * B`.
     pub fn profile(&self, a: &Matrix, b: &Matrix) -> WorkloadProfile {
         self.profile_with_stats(a, b).0
+    }
+
+    /// The profile of `A * B` over operands of this kernel's encoding, in
+    /// the paper's orientation.
+    fn profile_encoded(
+        &self,
+        a_enc: &EncodedA,
+        b_enc: &TwoLevelBitmapMatrix,
+    ) -> (WorkloadProfile, SpGemmStats) {
+        let shape = GemmShape::new(a_enc.rows(), b_enc.cols(), a_enc.cols());
+        let (a_counts, b_counts) = step_counts(a_enc, b_enc);
+        let (grid_m, grid_k) = (a_enc.arena().grid_m(), a_enc.arena().grid_k());
+        let a_bytes = encoded_bytes(a_enc.nnz() as u64, shape.m * shape.k, grid_m * grid_k);
+        let b_bytes = encoded_bytes(b_enc.nnz() as u64, shape.k * shape.n, b_enc.tile_count());
+        let name = format!("bitmap-spgemm-{shape}");
+        self.sweep(name, shape, grid_m, &a_counts, &b_counts, (a_bytes, b_bytes))
     }
 
     /// Builds the workload profile of a large SpGEMM from a *statistical*
@@ -399,8 +320,8 @@ impl BitmapSpGemm {
     /// distribution implied by the operand sparsities (non-zeros placed
     /// uniformly at random), which is the distribution the materialised path
     /// produces for [`dsstc_tensor::SparsityPattern::Uniform`] data. A
-    /// 33x33 lookup table of step costs keeps the warp-tile sweep cheap even
-    /// for 4096-cubed problems.
+    /// `(warp_dim + 1)²` lookup table of step costs keeps the warp-tile sweep
+    /// cheap even for 4096-cubed problems.
     pub fn profile_synthetic(&self, spec: &SyntheticGemmSpec) -> (WorkloadProfile, SpGemmStats) {
         self.profile_synthetic_capped(spec, usize::MAX)
     }
@@ -430,8 +351,6 @@ impl BitmapSpGemm {
         let grid_m = full_grid_m.min(max_m_tiles);
         let grid_n = shape.n.div_ceil(wn);
         let grid_k = shape.k.div_ceil(wk);
-        let otc = &self.config.otc;
-        let warp_dim = wm.max(wn);
         let mut rng = StdRng::seed_from_u64(spec.seed);
 
         // Sample per-(im,kk) A-step and per-(kk,jn) B-step non-zero counts.
@@ -457,7 +376,7 @@ impl BitmapSpGemm {
                 })
                 .collect()
         };
-        let mut a_counts: Vec<Vec<u16>> = Vec::with_capacity(grid_m * grid_k);
+        let mut a_counts: StepCounts = Vec::with_capacity(grid_m * grid_k);
         for im in 0..grid_m {
             let rows = wm.min(shape.m - im * wm);
             for kk in 0..grid_k {
@@ -465,7 +384,7 @@ impl BitmapSpGemm {
                 a_counts.push(sample_counts(&mut rng, rows, steps, a_density, spec.a_clustering));
             }
         }
-        let mut b_counts: Vec<Vec<u16>> = Vec::with_capacity(grid_k * grid_n);
+        let mut b_counts: StepCounts = Vec::with_capacity(grid_k * grid_n);
         for kk in 0..grid_k {
             let steps = wk.min(shape.k - kk * wk);
             for jn in 0..grid_n {
@@ -475,6 +394,42 @@ impl BitmapSpGemm {
             }
         }
 
+        let a_nnz = ((shape.m * shape.k) as f64 * a_density) as u64;
+        let b_nnz = ((shape.k * shape.n) as f64 * b_density) as u64;
+        let a_bytes = spec
+            .a_bytes_override
+            .unwrap_or_else(|| encoded_bytes(a_nnz, shape.m * shape.k, full_grid_m * grid_k));
+        let b_bytes = spec
+            .b_bytes_override
+            .unwrap_or_else(|| encoded_bytes(b_nnz, shape.k * shape.n, grid_k * grid_n));
+        let name = format!("bitmap-spgemm-synthetic-{shape}");
+        self.sweep(name, shape, grid_m, &a_counts, &b_counts, (a_bytes, b_bytes))
+    }
+
+    /// The model's one walk over the warp tiles, which both profiles price
+    /// their step counts with. `a_counts` holds per-step non-zero counts of
+    /// the A tiles `(im, kk)` of the first `grid_m` tile rows, `b_counts`
+    /// those of every B tile `(kk, jn)`, both row-major; a tile's steps are
+    /// the outer-product steps it covers. The compute-side events of the
+    /// sampled rows are scaled to the full M grid; the DRAM traffic of the
+    /// two encoded footprints `bytes` and the launch geometry are over the
+    /// full shape.
+    fn sweep(
+        &self,
+        name: String,
+        shape: GemmShape,
+        grid_m: usize,
+        a_counts: &[Vec<u16>],
+        b_counts: &[Vec<u16>],
+        (a_bytes, b_bytes): (u64, u64),
+    ) -> (WorkloadProfile, SpGemmStats) {
+        let (wm, wn, wk) = (self.tiling.warp_m, self.tiling.warp_n, self.tiling.warp_k);
+        let full_grid_m = shape.m.div_ceil(wm);
+        let grid_n = shape.n.div_ceil(wn);
+        let grid_k = shape.k.div_ceil(wk);
+        let otc = &self.config.otc;
+        let warp_dim = wm.max(wn);
+
         // Lookup table of step costs indexed by (a_nnz, b_nnz).
         let table: Vec<OtcStepCost> = (0..=warp_dim)
             .flat_map(|a| (0..=warp_dim).map(move |b| (a, b)))
@@ -483,10 +438,11 @@ impl BitmapSpGemm {
         let step_cost =
             |a: u16, b: u16| -> &OtcStepCost { &table[a as usize * (warp_dim + 1) + b as usize] };
 
+        // Each issued OHMMA delivers up to 16 scattered outputs to the banks.
         let buffer = AccumulationBuffer::from_otc(otc);
         let conflict_factor = buffer.conflict_factor_estimate(16, self.options.operand_collector);
 
-        let mut profile = WorkloadProfile::new(format!("bitmap-spgemm-synthetic-{shape}"));
+        let mut profile = WorkloadProfile::new(name);
         let mut stats = SpGemmStats {
             total_warp_tiles: (full_grid_m * grid_n * grid_k) as u64,
             ..Default::default()
@@ -503,7 +459,7 @@ impl BitmapSpGemm {
                     stats.dense_ohmma += dense_per_step * a_steps.len() as u64;
                     if self.options.two_level && (a_empty || b_steps.iter().all(|&c| c == 0)) {
                         stats.skipped_warp_tiles += 1;
-                        profile.scalar_ops += 1;
+                        profile.scalar_ops += 1; // warp-bitmap check
                         continue;
                     }
                     let mut merge = 0u64;
@@ -519,7 +475,7 @@ impl BitmapSpGemm {
                     profile.merge_cycles += merge;
                     profile.accum_conflict_cycles +=
                         ((conflict_factor - 1.0) * merge as f64).round() as u64;
-                    profile.scalar_ops += 32;
+                    profile.scalar_ops += 32; // tile address generation
                 }
             }
         }
@@ -541,19 +497,6 @@ impl BitmapSpGemm {
             stats.dense_ohmma = scale_u(stats.dense_ohmma);
         }
 
-        // Encoded operand footprints (values + element bitmap + warp bitmap).
-        let a_nnz = ((shape.m * shape.k) as f64 * a_density) as u64;
-        let b_nnz = ((shape.k * shape.n) as f64 * b_density) as u64;
-        let a_bytes = spec.a_bytes_override.unwrap_or(
-            a_nnz * 2
-                + ((shape.m * shape.k) as u64).div_ceil(8)
-                + ((full_grid_m * grid_k) as u64).div_ceil(8),
-        );
-        let b_bytes = spec.b_bytes_override.unwrap_or(
-            b_nnz * 2
-                + ((shape.k * shape.n) as u64).div_ceil(8)
-                + ((grid_k * grid_n) as u64).div_ceil(8),
-        );
         let d_bytes = (shape.m * shape.n) as u64 * 4;
         let traffic = self.tiling.dram_traffic(&TrafficInputs {
             a_bytes,
@@ -565,9 +508,12 @@ impl BitmapSpGemm {
         });
         profile.dram_bytes_read = traffic.read_bytes;
         profile.dram_bytes_written = traffic.write_bytes;
-        profile.shared_bytes = a_bytes + b_bytes;
+        profile.shared_bytes = a_bytes + b_bytes; // staged once per resident tile
         profile.thread_blocks = self.tiling.grid_blocks(&shape);
         if !self.options.two_level {
+            // One-level encoding (Fig. 8a): partial-matrix non-zeros scatter
+            // beyond the warp's local buffer and have to round-trip through
+            // the memory hierarchy.
             profile.shared_bytes += partial_nnz_total * 8;
             profile.scalar_ops += partial_nnz_total * 2;
         }
@@ -773,16 +719,47 @@ impl BitmapSpGemm {
 
     /// Functionally computes `A * B` with the warp-level outer-product
     /// algorithm over two-level bitmap operands, returning the product and
-    /// the profile.
+    /// the profile. Each operand is encoded once; the product and the
+    /// profile ([`Self::profile`]'s) both read those encodings. The profile
+    /// models the paper's orientation, `A * B`, even where
+    /// [`Self::execute_encoded`] ran the call as `D^T = B^T * A^T`.
     ///
     /// # Panics
     /// Panics if the inner dimensions disagree.
     pub fn execute(&self, a: &Matrix, b: &Matrix) -> (Matrix, WorkloadProfile) {
         assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-        let out = self.execute_encoded(&self.encode_a(a), &self.encode_b(b));
-        let profile = self.profile(a, b);
-        (out, profile)
+        let (a_enc, b_enc) = (self.encode_a(a), self.encode_b(b));
+        (self.execute_encoded(&a_enc, &b_enc), self.profile_encoded(&a_enc, &b_enc).0)
     }
+}
+
+/// Per-step non-zero counts of warp tiles, a `Vec` a tile.
+type StepCounts = Vec<Vec<u16>>;
+
+/// The per-step non-zero counts of every A tile `(im, kk)` and every B tile
+/// `(kk, jn)`, row-major, `warp_k` steps a tile (a ragged edge's padding
+/// steps count 0): the `POPC` of each step's A column word and B row word.
+fn step_counts(a_enc: &EncodedA, b_enc: &TwoLevelBitmapMatrix) -> (StepCounts, StepCounts) {
+    let (a, wk) = (a_enc.arena(), b_enc.tile_rows());
+    let a_counts = (0..a.grid_m())
+        .flat_map(|im| a.band_words(im).chunks_exact(wk))
+        .map(|tile| tile.iter().map(|w| w.count_ones() as u16).collect())
+        .collect();
+    let b_counts = (0..b_enc.grid_rows())
+        .flat_map(|kk| (0..b_enc.grid_cols()).map(move |jn| b_enc.tile(kk, jn)))
+        .map(|tile| match tile {
+            Some(tile) => (0..wk).map(|k| tile.vector_nnz(k) as u16).collect(),
+            None => vec![0; wk],
+        })
+        .collect();
+    (a_counts, b_counts)
+}
+
+/// Bytes of a two-level encoded operand of `elements` elements, `nnz` of
+/// them kept, in `tiles` warp tiles: FP16 values, the element bitmap and the
+/// warp bitmap.
+fn encoded_bytes(nnz: u64, elements: usize, tiles: usize) -> u64 {
+    nnz * 2 + (elements as u64).div_ceil(8) + (tiles as u64).div_ceil(8)
 }
 
 /// Samples a `Binomial(n, p)` count: exact Bernoulli summation for small
@@ -1005,6 +982,154 @@ mod tests {
         let (_, exec_profile) = k.execute(&a, &b);
         let profile = k.profile(&a, &b);
         assert_eq!(exec_profile, profile);
+    }
+
+    /// The model's inputs read off the dense operands, one pass over each:
+    /// per-step non-zero counts of every warp tile, `warp_k` steps a tile,
+    /// and the two encoded footprints. The reference the bitmaps' counts
+    /// are held to.
+    fn dense_counts(
+        k: &BitmapSpGemm,
+        a: &Matrix,
+        b: &Matrix,
+    ) -> (StepCounts, StepCounts, (u64, u64)) {
+        let (wm, wn, wk) = (k.tiling.warp_m, k.tiling.warp_n, k.tiling.warp_k);
+        let (grid_m, grid_n) = (a.rows().div_ceil(wm), b.cols().div_ceil(wn));
+        let grid_k = a.cols().div_ceil(wk);
+        let mut a_counts = vec![vec![0u16; wk]; grid_m * grid_k];
+        for r in 0..a.rows() {
+            for c in (0..a.cols()).filter(|&c| a[(r, c)] != 0.0) {
+                a_counts[(r / wm) * grid_k + c / wk][c % wk] += 1;
+            }
+        }
+        let mut b_counts = vec![vec![0u16; wk]; grid_k * grid_n];
+        for r in 0..b.rows() {
+            for c in (0..b.cols()).filter(|&c| b[(r, c)] != 0.0) {
+                b_counts[(r / wk) * grid_n + c / wn][r % wk] += 1;
+            }
+        }
+        let bytes = |x: &Matrix, tiles| encoded_bytes(x.nnz() as u64, x.rows() * x.cols(), tiles);
+        (a_counts, b_counts, (bytes(a, grid_m * grid_k), bytes(b, grid_k * grid_n)))
+    }
+
+    /// What the model makes of [`dense_counts`].
+    fn dense_profile(k: &BitmapSpGemm, a: &Matrix, b: &Matrix) -> (WorkloadProfile, SpGemmStats) {
+        let (a_counts, b_counts, bytes) = dense_counts(k, a, b);
+        let shape = GemmShape::new(a.rows(), b.cols(), a.cols());
+        let grid_m = shape.m.div_ceil(k.tiling.warp_m);
+        k.sweep(format!("bitmap-spgemm-{shape}"), shape, grid_m, &a_counts, &b_counts, bytes)
+    }
+
+    #[test]
+    fn the_bitmaps_give_the_counts_and_the_profile_the_dense_scan_does() {
+        let kernels = [kernel(), BitmapSpGemm::for_device(GpuConfig::a100())];
+        for (k, two_level) in kernels.iter().flat_map(|k| [(k, true), (k, false)]) {
+            let k =
+                k.clone().with_options(BitmapSpGemmOptions { operand_collector: true, two_level });
+            for (i, (m, n, kk)) in [(33, 17, 65), (40, 100, 70)].into_iter().enumerate() {
+                for (sa, sb) in [(0.6, 0.8), (0.97, 0.9)] {
+                    let a = random(m, kk, sa, 60 + i as u64);
+                    let b = random(kk, n, sb, 70 + i as u64);
+                    let (a_counts, b_counts, _) = dense_counts(&k, &a, &b);
+                    let encoded = step_counts(&k.encode_a(&a), &k.encode_b(&b));
+                    assert_eq!(encoded, (a_counts, b_counts), "{m}x{n}x{kk} at ({sa},{sb})");
+                    assert_eq!(k.profile_with_stats(&a, &b), dense_profile(&k, &a, &b));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_value_fp16_storage_flushes_is_neither_encoded_nor_counted() {
+        let k = kernel();
+        let mut a = Matrix::zeros(40, 70);
+        a[(5, 3)] = 1e-9;
+        let b = random(70, 100, 0.0, 61);
+        // The dense scan counts it: one A tile survives, against every B tile.
+        let (dense, dense_stats) = dense_profile(&k, &a, &b);
+        assert!(dense.ohmma_instructions > 0);
+        assert_eq!(dense_stats.skipped_warp_tiles, dense_stats.total_warp_tiles - 4);
+        // The kernel never multiplies it, and the model charges nothing for it.
+        let (encoded, stats) = k.profile_with_stats(&a, &b);
+        assert_eq!(encoded.ohmma_instructions, 0);
+        assert_eq!(stats.skipped_warp_tiles, stats.total_warp_tiles);
+        assert_eq!((encoded, stats), k.profile_with_stats(&Matrix::zeros(40, 70), &b));
+        assert_eq!(k.execute(&a, &b).0, Matrix::zeros(40, 100));
+    }
+
+    #[test]
+    fn a_warp_bitmap_of_whole_bytes_is_charged_no_extra_byte() {
+        // 64^3 at the paper tiling: 2 x 4 warp tiles an operand, one byte of
+        // warp bitmap, beside 4096 FP16 values and 512 bytes of element bitmap.
+        let k = kernel();
+        let shape = GemmShape::new(64, 64, 64);
+        let (exact, _) = k.profile_with_stats(&random(64, 64, 0.0, 3), &random(64, 64, 0.0, 4));
+        assert_eq!(exact.dram_bytes_read, 2 * (4096 * 2 + 512 + 1));
+        assert_eq!(exact.dram_bytes_read, 17_410);
+        let (synthetic, _) = k.profile_synthetic(&SyntheticGemmSpec::new(shape, 0.0, 0.0, 5));
+        assert_eq!(synthetic.dram_bytes_read, exact.dram_bytes_read);
+    }
+
+    #[test]
+    fn synthetic_profiles_price_what_they_always_have() {
+        fn numbers((p, s): &(WorkloadProfile, SpGemmStats)) -> [u64; 15] {
+            [
+                p.hmma_instructions,
+                p.ohmma_instructions,
+                p.bohmma_instructions,
+                p.popc_instructions,
+                p.scalar_ops,
+                p.accum_conflict_cycles,
+                p.merge_cycles,
+                p.dram_bytes_read,
+                p.dram_bytes_written,
+                p.shared_bytes,
+                p.thread_blocks,
+                s.skipped_warp_tiles,
+                s.total_warp_tiles,
+                s.skipped_ohmma,
+                s.dense_ohmma,
+            ]
+        }
+        let capped = SyntheticGemmSpec::new(GemmShape::new(1000, 300, 700), 0.5, 0.9, 7);
+        let clustered = SyntheticGemmSpec::new(GemmShape::new(256, 512, 128), 0.9, 0.5, 9)
+            .with_clustering(0.3, 0.4);
+        let mut overridden = SyntheticGemmSpec::new(GemmShape::new(40, 100, 70), 0.7, 0.3, 11);
+        overridden.a_bytes_override = Some(12_345);
+        // What the timing model has always been given: the serve layer
+        // prices its batches with these calls, so they must not move.
+        let want: [[[u64; 15]; 3]; 2] = [
+            [
+                [
+                    0, 514539, 210720, 448000, 450560, 0, 213600, 855979, 1200000, 855979, 24, 0,
+                    14080, 1277461, 1792000,
+                ],
+                [
+                    0, 14020, 6739, 32768, 32768, 0, 9865, 84400, 524288, 84400, 8, 0, 1024,
+                    117052, 131072,
+                ],
+                [0, 1268, 540, 1120, 1280, 0, 823, 23023, 16000, 23023, 1, 0, 40, 3212, 4480],
+            ],
+            [
+                [
+                    0, 513408, 210208, 448000, 225280, 0, 212917, 855864, 1200000, 855864, 24, 0,
+                    7040, 1278592, 1792000,
+                ],
+                [
+                    0, 13962, 6722, 32768, 16384, 0, 9864, 84388, 524288, 84388, 8, 0, 512, 117110,
+                    131072,
+                ],
+                [0, 1269, 540, 1120, 768, 0, 817, 23022, 16000, 23022, 1, 0, 24, 3211, 4480],
+            ],
+        ];
+        let specs = [(capped, 3), (clustered, usize::MAX), (overridden, usize::MAX)];
+        let kernels = [kernel(), BitmapSpGemm::for_device(GpuConfig::a100())];
+        for (k, want) in kernels.iter().zip(want) {
+            for ((spec, cap), want) in specs.iter().zip(want) {
+                let got = k.profile_synthetic_capped(spec, *cap);
+                assert_eq!(numbers(&got), want, "{} at {:?}", got.0.name, k.tiling());
+            }
+        }
     }
 
     #[test]

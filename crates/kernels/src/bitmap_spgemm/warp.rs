@@ -5,39 +5,11 @@
 //! condensed B row. Functionally each step is a sparse outer product merged
 //! into the tile (gather–accumulate–scatter, Fig. 7); architecturally each
 //! step costs a `BOHMMA`, two `POPC`s, the predicated `OHMMA`s and the merge
-//! cycles counted by [`dsstc_sim::otc`].
+//! cycles counted by [`dsstc_sim::otc`]; the kernel's profiles price a warp
+//! tile from the step counts its bitmaps hold.
 
 use dsstc_formats::{BitmapMatrix, VectorLayout};
-use dsstc_sim::{AccumulationBuffer, OtcConfig, WarpTileCost};
 use dsstc_tensor::Matrix;
-
-/// Cost summary of one warp tile including accumulation-buffer conflicts.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct WarpTileProfile {
-    /// Instruction/merge counts from the OTC model.
-    pub cost: WarpTileCost,
-    /// Extra cycles lost to accumulation-buffer bank conflicts.
-    pub conflict_cycles: u64,
-}
-
-/// Architectural cost of one warp tile given the per-step non-zero counts.
-///
-/// `use_collector` selects whether the accumulation buffer's operand
-/// collector is present; without it, scatter conflicts inflate the merge.
-pub fn warp_tile_profile(
-    a_nnz: &[usize],
-    b_nnz: &[usize],
-    warp_dim: usize,
-    otc: &OtcConfig,
-    use_collector: bool,
-) -> WarpTileProfile {
-    let cost = WarpTileCost::from_step_nnz(a_nnz, b_nnz, warp_dim, otc);
-    let buffer = AccumulationBuffer::from_otc(otc);
-    // Each issued OHMMA delivers up to 16 scattered outputs to the banks.
-    let factor = buffer.conflict_factor_estimate(16, use_collector);
-    let conflict_cycles = ((factor - 1.0) * cost.steps.merge_cycles as f64).round() as u64;
-    WarpTileProfile { cost, conflict_cycles }
-}
 
 /// Functional warp-level SpGEMM: accumulates `A_tile * B_tile` into `acc`
 /// using the outer-product / gather-scatter formulation.
@@ -73,8 +45,10 @@ pub fn warp_spgemm(a_tile: &BitmapMatrix, b_tile: &BitmapMatrix, acc: &mut Matri
 
 #[cfg(test)]
 mod tests {
+    use super::super::{BitmapSpGemm, BitmapSpGemmOptions, SpGemmStats};
     use super::*;
-    use dsstc_tensor::SparsityPattern;
+    use dsstc_sim::{GpuConfig, WorkloadProfile};
+    use dsstc_tensor::{GemmShape, SparsityPattern};
 
     fn encode_pair(
         sparsity_a: f64,
@@ -107,30 +81,44 @@ mod tests {
         assert!(acc.approx_eq(&bias.add(&a.matmul(&b)), 1e-3));
     }
 
+    /// The model's cost of one warp tile of the paper's tiling whose steps
+    /// hold `a` and `b` non-zeros, as the profiles' warp-tile walk prices it.
+    fn tile_cost(a: &[u16], b: &[u16], use_collector: bool) -> (WorkloadProfile, SpGemmStats) {
+        let options = BitmapSpGemmOptions { operand_collector: use_collector, two_level: true };
+        let kernel = BitmapSpGemm::new(GpuConfig::v100()).with_options(options);
+        let shape = GemmShape::new(32, 32, 16);
+        kernel.sweep(String::new(), shape, 1, &[a.to_vec()], &[b.to_vec()], (0, 0))
+    }
+
     #[test]
     fn profile_dense_tile_issues_all_ohmmas_without_conflicts_when_collected() {
-        let otc = OtcConfig::paper();
-        let p = warp_tile_profile(&[32; 16], &[32; 16], 32, &otc, true);
-        assert_eq!(p.cost.steps.ohmma_issued, 16 * 8);
-        assert_eq!(p.conflict_cycles, 0);
+        let (p, stats) = tile_cost(&[32; 16], &[32; 16], true);
+        assert_eq!(p.ohmma_instructions, 16 * 8);
+        assert_eq!((stats.skipped_ohmma, stats.dense_ohmma), (0, 16 * 8));
+        assert_eq!(p.accum_conflict_cycles, 0);
     }
 
     #[test]
     fn removing_the_operand_collector_costs_conflict_cycles() {
-        let otc = OtcConfig::paper();
-        let with = warp_tile_profile(&[20; 16], &[20; 16], 32, &otc, true);
-        let without = warp_tile_profile(&[20; 16], &[20; 16], 32, &otc, false);
-        assert_eq!(with.cost, without.cost);
-        assert!(without.conflict_cycles > with.conflict_cycles);
+        let (with, _) = tile_cost(&[20; 16], &[20; 16], true);
+        let (without, _) = tile_cost(&[20; 16], &[20; 16], false);
+        assert_eq!(with.ohmma_instructions, without.ohmma_instructions);
+        assert_eq!(with.merge_cycles, without.merge_cycles);
+        assert!(without.accum_conflict_cycles > with.accum_conflict_cycles);
     }
 
     #[test]
     fn sparse_tile_skips_ohmmas() {
-        let otc = OtcConfig::paper();
         // Paper Fig. 5: a 20-nnz column and 11-nnz row skip 5 of 8 OHMMAs.
-        let p = warp_tile_profile(&[20], &[11], 32, &otc, true);
-        assert_eq!(p.cost.steps.ohmma_issued, 3);
-        assert_eq!(p.cost.steps.ohmma_skipped, 5);
+        let (p, stats) = tile_cost(&[20], &[11], true);
+        assert_eq!(p.ohmma_instructions, 3);
+        assert_eq!(stats.skipped_ohmma, 5);
+        // A tile's steps add up, an empty step skipping all 8: 8 + 3 + 0 + 1
+        // of 32 issued.
+        let (p, stats) = tile_cost(&[32, 20, 0, 8], &[32, 11, 16, 16], true);
+        assert_eq!(p.ohmma_instructions, 12);
+        assert_eq!((stats.skipped_ohmma, stats.dense_ohmma), (20, 32));
+        assert_eq!(stats.skipped_warp_tiles, 0);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! * **profiling** (`profile*`) counts the architectural events — tensor
 //!   core instructions after sparsity skipping, scalar/POPC work, DRAM
 //!   traffic under the tiling/L2-reuse model, merge and bank-conflict
-//!   cycles — that [`dsstc_sim::GpuTimingModel`] turns into time.
+//!   cycles — that [`dsstc_sim::GpuTimingModel`] turns into time. The
+//!   dual-side kernel reads its per-step non-zero counts off the operands'
+//!   encodings, as the hardware's `POPC`s read them off the bitmaps.
 //!
 //! The kernels implemented are exactly the schemes the paper evaluates:
 //!

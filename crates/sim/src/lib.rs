@@ -50,6 +50,6 @@ pub use crate::accum_buffer::{AccumulationBuffer, ScatterStats};
 pub use crate::config::{GpuConfig, OtcConfig};
 pub use crate::engine::GpuTimingModel;
 pub use crate::isa::{predicate_mask, MachineInstruction, SpWmmaSet, WarpProgram};
-pub use crate::otc::{OtcStepCost, WarpTileCost};
+pub use crate::otc::OtcStepCost;
 pub use crate::stats::{KernelEstimate, WorkloadProfile};
 pub use crate::tiling::{GemmTiling, TrafficEstimate, TrafficInputs};

@@ -70,74 +70,6 @@ impl OtcStepCost {
     pub fn dense_ohmma_count(warp_dim: usize, otc: &OtcConfig) -> u64 {
         (warp_dim.div_ceil(otc.tile_m) * warp_dim.div_ceil(otc.tile_n)) as u64
     }
-
-    /// Adds another step's cost.
-    pub fn accumulate(&mut self, other: &OtcStepCost) {
-        self.ohmma_issued += other.ohmma_issued;
-        self.ohmma_skipped += other.ohmma_skipped;
-        self.bohmma += other.bohmma;
-        self.popc += other.popc;
-        self.partial_nnz += other.partial_nnz;
-        self.merge_cycles += other.merge_cycles;
-    }
-}
-
-/// Aggregated cost of a whole warp tile (`32 x 32 x K`), i.e. `K` steps.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WarpTileCost {
-    /// Summed step costs.
-    pub steps: OtcStepCost,
-    /// Number of `k` steps the tile covered.
-    pub k_steps: u64,
-    /// Steps that were skipped entirely (either vector empty).
-    pub skipped_steps: u64,
-}
-
-impl WarpTileCost {
-    /// Accumulates the costs of all `k` steps of a warp tile given the
-    /// per-step condensed non-zero counts of A columns and B rows.
-    ///
-    /// # Panics
-    /// Panics if the two slices have different lengths.
-    pub fn from_step_nnz(
-        a_nnz: &[usize],
-        b_nnz: &[usize],
-        warp_dim: usize,
-        otc: &OtcConfig,
-    ) -> Self {
-        assert_eq!(a_nnz.len(), b_nnz.len(), "A and B must supply the same number of k steps");
-        let mut tile = WarpTileCost { k_steps: a_nnz.len() as u64, ..Default::default() };
-        for (&a, &b) in a_nnz.iter().zip(b_nnz) {
-            let step = OtcStepCost::for_vectors(a, b, warp_dim, otc);
-            if step.ohmma_issued == 0 {
-                tile.skipped_steps += 1;
-            }
-            tile.steps.accumulate(&step);
-        }
-        tile
-    }
-
-    /// The dense OHMMA count the same tile would have cost, for speedup
-    /// accounting.
-    pub fn dense_ohmma(&self, warp_dim: usize, otc: &OtcConfig) -> u64 {
-        self.k_steps * OtcStepCost::dense_ohmma_count(warp_dim, otc)
-    }
-
-    /// Fraction of OHMMA instructions skipped relative to dense execution.
-    pub fn skip_ratio(&self, warp_dim: usize, otc: &OtcConfig) -> f64 {
-        let dense = self.dense_ohmma(warp_dim, otc);
-        if dense == 0 {
-            return 0.0;
-        }
-        1.0 - self.steps.ohmma_issued as f64 / dense as f64
-    }
-
-    /// Adds another tile's cost (used when accumulating a whole kernel).
-    pub fn accumulate(&mut self, other: &WarpTileCost) {
-        self.steps.accumulate(&other.steps);
-        self.k_steps += other.k_steps;
-        self.skipped_steps += other.skipped_steps;
-    }
 }
 
 #[cfg(test)]
@@ -205,41 +137,9 @@ mod tests {
     }
 
     #[test]
-    fn warp_tile_accumulates_steps() {
-        let a = vec![32, 20, 0, 8];
-        let b = vec![32, 11, 16, 16];
-        let tile = WarpTileCost::from_step_nnz(&a, &b, 32, &otc());
-        assert_eq!(tile.k_steps, 4);
-        assert_eq!(tile.skipped_steps, 1);
-        // 8 + 3 + 0 + 1 = 12 issued of 32 dense.
-        assert_eq!(tile.steps.ohmma_issued, 12);
-        assert_eq!(tile.dense_ohmma(32, &otc()), 32);
-        assert!((tile.skip_ratio(32, &otc()) - 0.625).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dense_tile_has_zero_skip_ratio() {
-        let a = vec![32; 16];
-        let b = vec![32; 16];
-        let tile = WarpTileCost::from_step_nnz(&a, &b, 32, &otc());
-        assert_eq!(tile.skip_ratio(32, &otc()), 0.0);
-        assert_eq!(tile.steps.ohmma_issued, 128);
-    }
-
-    #[test]
     fn merge_cycles_track_partial_nnz() {
         let step = OtcStepCost::for_vectors(16, 16, 32, &otc());
         assert_eq!(step.partial_nnz, 256);
         assert_eq!(step.merge_cycles, 2); // 256 / 128-way accumulators
-    }
-
-    #[test]
-    fn tile_accumulate_combines() {
-        let a = WarpTileCost::from_step_nnz(&[32], &[32], 32, &otc());
-        let mut b = WarpTileCost::from_step_nnz(&[0], &[32], 32, &otc());
-        b.accumulate(&a);
-        assert_eq!(b.k_steps, 2);
-        assert_eq!(b.skipped_steps, 1);
-        assert_eq!(b.steps.ohmma_issued, 8);
     }
 }
