@@ -14,7 +14,7 @@
 //! kind    : u8       (1 = BitmapMatrix, 2 = TwoLevelBitmapMatrix)
 //! length  : u64 LE   payload byte count
 //! payload : `length` bytes (kind-specific, little-endian)
-//! checksum: u64 LE   FNV-1a over the payload
+//! checksum: u64 LE   word-lane checksum over the payload (see [`checksum`])
 //! ```
 //!
 //! Decoding **never panics**: a truncated stream, wrong magic, unsupported
@@ -35,7 +35,8 @@ pub const MAGIC: [u8; 4] = *b"DSTC";
 
 /// Current container format version. Bump on any layout change; readers
 /// reject every other version with [`CodecError::UnsupportedVersion`].
-pub const FORMAT_VERSION: u16 = 1;
+/// Version 2 replaced version 1's byte-serial FNV-1a with [`checksum`].
+pub const FORMAT_VERSION: u16 = 2;
 
 const KIND_BITMAP: u8 = 1;
 const KIND_TWO_LEVEL: u8 = 2;
@@ -103,7 +104,9 @@ impl From<std::io::Error> for CodecError {
     }
 }
 
-/// FNV-1a 64-bit hash of `bytes` — the container checksum.
+/// FNV-1a 64-bit hash of `bytes`: the cluster ring's placement hash
+/// (`dsstc_serve::cluster`), not an integrity check — containers and wire
+/// frames are sealed with [`checksum`].
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -111,6 +114,58 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+/// xxHash64's lane round: a bijection of `acc` for every `word`, and of
+/// `word` for every `acc`.
+fn round(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(P2)).rotate_left(31).wrapping_mul(P1)
+}
+
+fn le_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("8-byte chunk"))
+}
+
+/// The integrity checksum of the `DSTC` container and the wire frames.
+///
+/// Four independent lanes take the 8-byte little-endian words of each
+/// 32-byte block through xxHash64's round (constants and round from
+/// xxHash64; the output is not xxHash64's), so the multiplies of one block
+/// overlap instead of waiting on each other as FNV-1a's do byte by byte.
+/// The length, the lanes and the < 32-byte tail are then folded in one at
+/// a time, and the result is avalanched. Every step is a bijection of the
+/// state, so a change confined to one word — any single flipped bit —
+/// always changes the checksum.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let mut lanes = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            *lane = round(*lane, le_u64(&block[8 * i..8 * i + 8]));
+        }
+    }
+    let mut hash = P5.wrapping_add(bytes.len() as u64);
+    for lane in lanes {
+        hash = (hash ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4);
+    }
+    let mut words = blocks.remainder().chunks_exact(8);
+    for word in &mut words {
+        hash = (hash ^ round(0, le_u64(word))).rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
+    }
+    for &byte in words.remainder() {
+        hash = (hash ^ u64::from(byte).wrapping_mul(P5)).rotate_left(11).wrapping_mul(P1);
+    }
+    hash ^= hash >> 33;
+    hash = hash.wrapping_mul(P2);
+    hash ^= hash >> 29;
+    hash = hash.wrapping_mul(P3);
+    hash ^ (hash >> 32)
 }
 
 // ---------------------------------------------------------------------------
@@ -151,9 +206,16 @@ impl<'a> Cursor<'a> {
         usize::try_from(self.u64()?).map_err(|_| CodecError::Malformed("length exceeds usize"))
     }
 
-    fn f32(&mut self) -> Result<f32, CodecError> {
-        let b = self.take(4)?;
-        Ok(f32::from_le_bytes(b.try_into().expect("4-byte slice")))
+    /// The next `count` little-endian `N`-byte values, decoded slice-wise.
+    /// The bytes must be present before anything is allocated, so a bogus
+    /// huge count fails as `Truncated`.
+    fn values<const N: usize, T>(
+        &mut self,
+        count: usize,
+        from_le: impl Fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, CodecError> {
+        let bytes = self.take(count.checked_mul(N).ok_or(CodecError::Truncated)?)?;
+        Ok(bytes.chunks_exact(N).map(|c| from_le(c.try_into().expect("N-byte chunk"))).collect())
     }
 
     fn finished(&self) -> bool {
@@ -163,6 +225,19 @@ impl<'a> Cursor<'a> {
 
 fn push_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends `values` little-endian, slice-wise.
+fn push_values<const N: usize, T: Copy>(
+    out: &mut Vec<u8>,
+    values: &[T],
+    to_le: impl Fn(T) -> [u8; N],
+) {
+    let start = out.len();
+    out.resize(start + values.len() * N, 0);
+    for (dst, &v) in out[start..].chunks_exact_mut(N).zip(values) {
+        dst.copy_from_slice(&to_le(v));
+    }
 }
 
 fn layout_tag(layout: VectorLayout) -> u8 {
@@ -187,9 +262,7 @@ fn layout_from_tag(tag: u8) -> Result<VectorLayout, CodecError> {
 fn write_bit_matrix(out: &mut Vec<u8>, b: &BitMatrix) {
     push_u64(out, b.rows() as u64);
     push_u64(out, b.cols() as u64);
-    for &word in b.words() {
-        push_u64(out, word);
-    }
+    push_values(out, b.words(), u64::to_le_bytes);
 }
 
 fn read_bit_matrix(cur: &mut Cursor<'_>) -> Result<BitMatrix, CodecError> {
@@ -201,15 +274,7 @@ fn read_bit_matrix(cur: &mut Cursor<'_>) -> Result<BitMatrix, CodecError> {
     let word_count = rows
         .checked_mul(cols.div_ceil(64))
         .ok_or(CodecError::Malformed("bit matrix dimensions overflow"))?;
-    // Guard the allocation against a bogus huge dimension: the words must
-    // actually be present in the payload.
-    if cur.bytes.len().saturating_sub(cur.pos) < word_count.saturating_mul(8) {
-        return Err(CodecError::Truncated);
-    }
-    let mut words = Vec::with_capacity(word_count);
-    for _ in 0..word_count {
-        words.push(cur.u64()?);
-    }
+    let words = cur.values(word_count, u64::from_le_bytes)?;
     BitMatrix::from_words(rows, cols, words).map_err(CodecError::Malformed)
 }
 
@@ -217,22 +282,14 @@ fn write_bitmap_payload(out: &mut Vec<u8>, m: &BitmapMatrix) {
     out.push(layout_tag(m.layout()));
     write_bit_matrix(out, m.bitmap());
     push_u64(out, m.nnz() as u64);
-    for &v in m.values() {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
+    push_values(out, m.values(), f32::to_le_bytes);
 }
 
 fn read_bitmap_payload(cur: &mut Cursor<'_>) -> Result<BitmapMatrix, CodecError> {
     let layout = layout_from_tag(cur.u8()?)?;
     let bitmap = read_bit_matrix(cur)?;
     let nnz = cur.usize()?;
-    if cur.bytes.len().saturating_sub(cur.pos) < nnz.saturating_mul(4) {
-        return Err(CodecError::Truncated);
-    }
-    let mut values = Vec::with_capacity(nnz);
-    for _ in 0..nnz {
-        values.push(cur.f32()?);
-    }
+    let values = cur.values(nnz, f32::from_le_bytes)?;
     BitmapMatrix::from_parts(layout, bitmap, values).map_err(CodecError::Malformed)
 }
 
@@ -278,7 +335,7 @@ fn write_container<W: Write>(w: &mut W, kind: u8, payload: &[u8]) -> Result<(), 
     w.write_all(&[kind])?;
     w.write_all(&(payload.len() as u64).to_le_bytes())?;
     w.write_all(payload)?;
-    w.write_all(&fnv1a(payload).to_le_bytes())?;
+    w.write_all(&checksum(payload).to_le_bytes())?;
     Ok(())
 }
 
@@ -302,16 +359,17 @@ fn read_container<R: Read>(r: &mut R, expected_kind: u8) -> Result<Vec<u8>, Code
     let mut len = [0u8; 8];
     r.read_exact(&mut len)?;
     let len = u64::from_le_bytes(len);
-    // Incremental read: a bogus length on a truncated stream yields
-    // Truncated instead of a huge up-front allocation.
-    let mut payload = Vec::new();
+    // Reserve at most 1 MiB up front, then read incrementally: a bogus
+    // length on a truncated stream yields Truncated instead of a huge
+    // allocation.
+    let mut payload = Vec::with_capacity(usize::try_from(len).map_or(0, |len| len.min(1 << 20)));
     let read = r.take(len).read_to_end(&mut payload)?;
     if (read as u64) < len {
         return Err(CodecError::Truncated);
     }
-    let mut checksum = [0u8; 8];
-    r.read_exact(&mut checksum)?;
-    if u64::from_le_bytes(checksum) != fnv1a(&payload) {
+    let mut declared = [0u8; 8];
+    r.read_exact(&mut declared)?;
+    if u64::from_le_bytes(declared) != checksum(&payload) {
         return Err(CodecError::ChecksumMismatch);
     }
     Ok(payload)
@@ -468,6 +526,9 @@ mod tests {
         ));
     }
 
+    /// Container bytes before the payload: magic, version, kind, length.
+    const PAYLOAD_AT: usize = 4 + 2 + 1 + 8;
+
     #[test]
     fn payload_corruption_fails_the_checksum() {
         let mut bytes = sample_two_level(8).to_bytes();
@@ -475,8 +536,78 @@ mod tests {
         bytes[mid] ^= 0x40;
         assert!(matches!(
             TwoLevelBitmapMatrix::from_bytes(&bytes),
-            Err(CodecError::ChecksumMismatch | CodecError::Malformed(_))
+            Err(CodecError::ChecksumMismatch)
         ));
+    }
+
+    #[test]
+    fn every_single_bit_payload_flip_fails_the_checksum() {
+        let dense = Matrix::random_sparse(24, 64, 0.7, SparsityPattern::Uniform, 11);
+        let bytes = TwoLevelBitmapMatrix::encode(&dense, 16, 32, VectorLayout::RowMajor).to_bytes();
+        let payload_len = bytes.len() - PAYLOAD_AT - 8;
+        // Long enough for many 32-byte blocks, and a tail after them.
+        assert!(
+            payload_len >= 1024 && !payload_len.is_multiple_of(32),
+            "payload of {payload_len} bytes"
+        );
+        let mut doctored = bytes.clone();
+        for at in PAYLOAD_AT..PAYLOAD_AT + payload_len {
+            for bit in 0..8 {
+                doctored[at] ^= 1 << bit;
+                assert!(
+                    matches!(
+                        TwoLevelBitmapMatrix::from_bytes(&doctored),
+                        Err(CodecError::ChecksumMismatch)
+                    ),
+                    "bit {bit} of payload byte {}",
+                    at - PAYLOAD_AT
+                );
+                doctored[at] ^= 1 << bit;
+            }
+        }
+        assert_eq!(doctored, bytes);
+    }
+
+    #[test]
+    fn top_bits_of_two_words_in_one_lane_do_not_cancel() {
+        let mut bytes = sample_two_level(12).to_bytes();
+        // Payload words 0 and 4 share a lane; byte 7 of a little-endian
+        // word holds its bit 63.
+        let (first, second) = (PAYLOAD_AT + 7, PAYLOAD_AT + 32 + 7);
+        // A word-wise FNV lane (`acc = (acc ^ word) * prime`) cancels this
+        // pair: bit 63 of the product only follows bit 63 of its input.
+        let fnv_lane = |bytes: &[u8]| {
+            bytes[PAYLOAD_AT..].chunks_exact(32).fold(0xcbf2_9ce4_8422_2325u64, |acc, block| {
+                (acc ^ le_u64(&block[..8])).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        let before = fnv_lane(&bytes);
+        bytes[first] ^= 0x80;
+        bytes[second] ^= 0x80;
+        assert_eq!(fnv_lane(&bytes), before);
+        assert!(matches!(
+            TwoLevelBitmapMatrix::from_bytes(&bytes),
+            Err(CodecError::ChecksumMismatch)
+        ));
+    }
+
+    /// The checksum is part of the on-disk and on-wire formats: these
+    /// values may only change together with `FORMAT_VERSION` and
+    /// `WIRE_VERSION`.
+    #[test]
+    fn checksum_is_pinned() {
+        let pinned: [(usize, u64); 6] = [
+            (0, 0xc162_0d0a_2dca_a9d2),
+            (1, 0x03fa_0d18_e148_ff6c),
+            (31, 0x28a1_affe_8ae7_2b54),
+            (32, 0xeeb2_e800_a8e2_717b),
+            (33, 0xb742_3b28_3dca_66d1),
+            (100, 0x1d78_e51b_9190_3011),
+        ];
+        for (len, expected) in pinned {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            assert_eq!(checksum(&bytes), expected, "checksum of {len} bytes");
+        }
     }
 
     #[test]

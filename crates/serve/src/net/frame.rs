@@ -12,7 +12,7 @@
 //! version : u16 LE    WIRE_VERSION
 //! length  : u32 LE    body byte count
 //! body    : `length` bytes (direction-specific, little-endian)
-//! checksum: u64 LE    FNV-1a over the body
+//! checksum: u64 LE    dsstc_formats::serialize::checksum over the body
 //! ```
 //!
 //! The request body carries the client-chosen request id, the model key
@@ -33,7 +33,7 @@
 //! frame at a time — several pipelined frames per read, or one frame
 //! arriving a byte at a time, both decode identically.
 
-use dsstc_formats::serialize::fnv1a;
+use dsstc_formats::serialize::checksum;
 use dsstc_tensor::Matrix;
 
 use crate::cluster::{NodeEntry, ShardMap};
@@ -58,8 +58,9 @@ pub const SHARD_MAP_MAGIC: [u8; 4] = *b"DSMP";
 /// answers with a [`WireStatus::UnsupportedVersion`] error frame first, so
 /// old clients get a diagnosis instead of a dead socket). Version 2 added
 /// the hello / shard-map frame kinds and the `NotMine` / `Unauthorized`
-/// statuses.
-pub const WIRE_VERSION: u16 = 2;
+/// statuses; version 3 replaced the FNV-1a frame checksum with the
+/// `DSTC` container's word-lane [`checksum`].
+pub const WIRE_VERSION: u16 = 3;
 
 /// Envelope bytes around the body: magic + version + length prefix.
 pub const HEADER_LEN: usize = 4 + 2 + 4;
@@ -585,8 +586,8 @@ fn seal_into(out: &mut Vec<u8>, magic: [u8; 4], fill: impl FnOnce(&mut Vec<u8>))
     let body_len: u32 =
         (out.len() - body_start).try_into().expect("frame bodies are bounded well below 4 GiB");
     out[length_at..length_at + 4].copy_from_slice(&body_len.to_le_bytes());
-    let checksum = fnv1a(&out[body_start..]);
-    put_u64(out, checksum);
+    let sum = checksum(&out[body_start..]);
+    put_u64(out, sum);
 }
 
 /// A request's sparsity override and deadline in frame terms. The deadline
@@ -737,7 +738,7 @@ pub fn decode_frame(
     let body = &bytes[HEADER_LEN..HEADER_LEN + body_len];
     let declared =
         u64::from_le_bytes(bytes[HEADER_LEN + body_len..total].try_into().expect("8-byte slice"));
-    if fnv1a(body) != declared {
+    if checksum(body) != declared {
         return Err(WireError::ChecksumMismatch);
     }
     let frame = match magic {
@@ -1157,7 +1158,7 @@ mod tests {
         for (status, message) in [
             (WireStatus::InvalidRequest, "features have 9 columns"),
             (WireStatus::ShuttingDown, ""),
-            (WireStatus::UnsupportedVersion, "unsupported wire version 1, this peer speaks 2"),
+            (WireStatus::UnsupportedVersion, "unsupported wire version 2, this peer speaks 3"),
             (WireStatus::ShedLoad, "load shed: projected queue delay 125000 us"),
             (WireStatus::NotMine, "owners=127.0.0.1:7401;version=3"),
             (WireStatus::Unauthorized, "hello token rejected"),
@@ -1188,13 +1189,43 @@ mod tests {
         }
     }
 
-    /// Append-only regression guard for the version-2 wire tables: the
-    /// magics, version and status bytes below are the protocol. Any edit
-    /// that changes an existing value (rather than appending a new one)
-    /// breaks deployed peers and must bump `WIRE_VERSION` instead.
+    /// The worked examples of `docs/WIRE_PROTOCOL.md` are what the codec
+    /// writes, byte for byte: the document's two hex dumps are the request
+    /// frame and the error frame answering it.
+    #[test]
+    fn the_documented_frames_encode_to_the_documented_bytes() {
+        let doc = include_str!("../../../../docs/WIRE_PROTOCOL.md");
+        let mut dumps: Vec<Vec<u8>> = Vec::new();
+        for line in doc.lines() {
+            let Some((offset, row)) = line.split_once("  ") else { continue };
+            if offset.len() != 4 || !offset.bytes().all(|b| b.is_ascii_hexdigit()) {
+                continue;
+            }
+            if offset == "0000" {
+                dumps.push(Vec::new());
+            }
+            let dump = dumps.last_mut().expect("a dump starts at offset 0000");
+            dump.extend(row.split_whitespace().map(|b| u8::from_str_radix(b, 16).expect("hex")));
+        }
+        let request = RequestFrame {
+            id: 7,
+            model: ModelId::RnnLm,
+            sparsity_permille: Some(900),
+            priority: Priority::High,
+            deadline_us: Some(2000),
+            features: Matrix::from_vec(1, 4, vec![1.0, 0.5, 0.0, 2.0]),
+        };
+        let error = ResponseFrame::error(7, WireStatus::InvalidRequest, "bad");
+        assert_eq!(dumps, [request.to_bytes(), error.to_bytes()]);
+    }
+
+    /// Append-only regression guard for the wire tables: the magics,
+    /// version and status bytes below are the protocol. Any edit that
+    /// changes an existing value (rather than appending a new one) breaks
+    /// deployed peers and must bump `WIRE_VERSION` instead.
     #[test]
     fn wire_tables_are_append_only() {
-        assert_eq!(WIRE_VERSION, 2, "version 2 added hello/shard-map + NotMine/Unauthorized");
+        assert_eq!(WIRE_VERSION, 3, "version 3 replaced the FNV-1a frame checksum");
         assert_eq!(REQUEST_MAGIC, *b"DSRQ");
         assert_eq!(RESPONSE_MAGIC, *b"DSRS");
         assert_eq!(HELLO_MAGIC, *b"DSHI");

@@ -957,6 +957,9 @@ impl Reactor {
         let Some(conn) = self.conns.get_mut(&conn_id) else { return };
         let mut dead = false;
         let mut sent = 0u64;
+        // Held across the writes: a client already holding these bytes must
+        // find them counted in its next snapshot.
+        let mut stats = (!conn.is_scrape()).then(|| counters(&self.stats));
         while conn.written < conn.outbound.len() {
             let result = conn.stream.write(&conn.outbound[conn.written..]);
             match result {
@@ -977,9 +980,10 @@ impl Reactor {
             }
         }
         conn.flushed_total += sent;
-        if !conn.is_scrape() {
-            counters(&self.stats).bytes_sent += sent;
+        if let Some(stats) = stats.as_mut() {
+            stats.bytes_sent += sent;
         }
+        drop(stats);
         while conn.flush_marks.front().is_some_and(|(mark, _)| *mark <= conn.flushed_total) {
             let (_, mut trace) = conn.flush_marks.pop_front().expect("front checked");
             trace.record(Stage::WireFlushed);

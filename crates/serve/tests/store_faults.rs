@@ -1,12 +1,12 @@
 //! Fault-injection property tests for the on-disk encoding store.
 //!
 //! Every case doctors a freshly seeded store — truncating, bit-flipping or
-//! zeroing an artifact at an arbitrary offset, falsifying the artifacts'
-//! mtimes (the store's LRU key), planting files that are not artifacts —
-//! then proves the lifecycle self-heals: warm boot and lookups never panic,
-//! corrupt artifacts fall back to a fresh encode and are rewritten, GC
-//! still shrinks the store to its budget, and the bytes served always match
-//! a clean encode.
+//! zeroing an artifact at an arbitrary offset, stamping an older container
+//! format version on it, falsifying the artifacts' mtimes (the store's LRU
+//! key), planting files that are not artifacts — then proves the lifecycle
+//! self-heals: warm boot and lookups never panic, corrupt artifacts fall
+//! back to a fresh encode and are rewritten, GC still shrinks the store to
+//! its budget, and the bytes served always match a clean encode.
 //!
 //! Case count honours `PROPTEST_CASES` (CI runs the suite in release mode
 //! with 64 cases).
@@ -15,6 +15,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
+use dsstc_formats::serialize::{FORMAT_VERSION, MAGIC};
 use dsstc_serve::{CacheBudget, EncodingSpec, ModelId, ModelKey, ModelRepository};
 use dsstc_sim::GpuConfig;
 use dsstc_tensor::{Matrix, SparsityPattern};
@@ -326,4 +327,36 @@ fn a_lookup_on_a_poisoned_store_falls_back_and_rewrites() {
     assert_eq!(m.forward(r.kernel(), &probe_input()).as_slice().to_vec(), reference_output());
     let r2 = repo(store.path());
     assert!(r2.get_for(key(), spec()).from_disk, "the fallback rewrote the artifact");
+}
+
+/// An artifact written by an older container format is refused and healed
+/// by the same path as a corrupt one: the lookup re-encodes, serves the
+/// clean bytes and rewrites the file at the current version.
+#[test]
+fn a_format_v1_artifact_is_re_encoded_and_rewritten() {
+    let store = TempStore::new("v1");
+    let path = store.path().join(seed_store(store.path()));
+    let container_version = |bytes: &[u8]| {
+        let at = bytes.windows(4).position(|w| w == MAGIC).expect("a DSTC container") + 4;
+        (at, u16::from_le_bytes([bytes[at], bytes[at + 1]]))
+    };
+    let mut bytes = std::fs::read(&path).expect("read artifact");
+    let (at, version) = container_version(&bytes);
+    assert_eq!(version, FORMAT_VERSION);
+    bytes[at..at + 2].copy_from_slice(&1u16.to_le_bytes());
+    std::fs::write(&path, &bytes).expect("write v1 artifact");
+
+    let r = repo(store.path());
+    let m = r.get_for(key(), spec());
+    assert!(!m.from_disk, "a v1 artifact must not be served");
+    assert_eq!(r.counters().fresh_encodes, 1);
+    assert_eq!(m.forward(r.kernel(), &probe_input()).as_slice().to_vec(), reference_output());
+
+    let rewritten = std::fs::read(&path).expect("read rewritten artifact");
+    assert_eq!(container_version(&rewritten).1, FORMAT_VERSION);
+    let r2 = repo(store.path());
+    let m2 = r2.get_for(key(), spec());
+    assert!(m2.from_disk, "the rewritten artifact restores cleanly");
+    assert_eq!(r2.counters().fresh_encodes, 0);
+    assert_eq!(m2.forward(r2.kernel(), &probe_input()).as_slice().to_vec(), reference_output());
 }

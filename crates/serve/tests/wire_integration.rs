@@ -718,7 +718,7 @@ fn metric_value(body: &str, name: &str) -> f64 {
         .expect("numeric sample")
 }
 
-/// Version-bump regression (wire v2): a client still speaking the previous
+/// Version-bump regression: a client still speaking the previous
 /// `WIRE_VERSION` must get an `UnsupportedVersion` error frame whose
 /// **envelope is encoded in the server's version** — the reply names what
 /// the server speaks, it does not parrot the client's version back.
@@ -727,11 +727,11 @@ fn previous_version_client_gets_an_error_encoded_in_the_servers_version() {
     use std::io::{Read, Write};
     let mut server = wire_server();
     let mut bytes = dsstc_serve::net::RequestFrame::from_request(1, &request(0)).to_bytes();
-    // The checksum only covers the body, so patching the envelope version
-    // is exactly what a not-yet-upgraded v1 client's frames look like.
+    // The version is checked before the checksum, so patching the envelope
+    // version is all a not-yet-upgraded client's frame needs to look like.
     bytes[4..6].copy_from_slice(&(WIRE_VERSION - 1).to_le_bytes());
     let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");
-    stream.write_all(&bytes).expect("send v1 frame");
+    stream.write_all(&bytes).expect("send previous-version frame");
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw).expect("read until server close");
     assert!(raw.len() > 6, "a final error frame precedes the close");
