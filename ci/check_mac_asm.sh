@@ -2,7 +2,7 @@
 # Fails if a vector-level instantiation of the SpGEMM hot loops
 # (crates/kernels/src/bitmap_spgemm/simd.rs) was compiled with a fused
 # multiply-add, without its level's lane ops: a packed multiply on the level's
-# registers for the band loop, the expand instruction for the AVX-512
+# registers for the band loops, the expand instruction for the AVX-512
 # expansions of B and of A transposed, the compress instruction for the
 # AVX-512 emitter, and the interleaves of the transposing sink's in-register
 # transpose.
@@ -78,7 +78,7 @@ check_one() { # <function> <instruction> <on this vector register> <instantiatio
 
 # Every per-level function simd.rs defines must be named here.
 LEVEL_FNS=$(grep -c '^#\[target_feature' crates/kernels/src/bitmap_spgemm/simd.rs)
-[ "$LEVEL_FNS" = 6 ] || { echo "check_mac_asm: simd.rs has $LEVEL_FNS #[target_feature] functions, this script checks 6"; exit 1; }
+[ "$LEVEL_FNS" = 7 ] || { echo "check_mac_asm: simd.rs has $LEVEL_FNS #[target_feature] functions, this script checks 7"; exit 1; }
 
 # One condensed operand, the arena, into each sink: arena -> emitter, arena
 # -> dense rows, arena -> transposed rows. Only the emitter compresses; only
@@ -88,6 +88,16 @@ check run_bands_avx512 vmulps zmm 3
 check_one run_bands_avx512 vcompressps zmm 3 "the emitter's instantiation"
 check_one run_bands_avx2 vunpcklps ymm 3 "the transposed rows' instantiation"
 check_one run_bands_avx512 vunpcklps zmm 3 "the transposed rows' instantiation"
+# A forward's small band (at most SMALL_ROWS live rows) into the emitter and
+# into the dense rows, its accumulators held in zmm registers.
+check run_small_band_avx512 vmulps zmm 2
+# Its row loop unrolls, so each of the 8 x 2 accumulators has a multiply of
+# its own; a loop left rolled indexes them in memory and shows two.
+for label in $(labels run_small_band_avx512 2); do
+    n=$(body "$label" | grep -c 'vmulps.*%zmm')
+    [ "$n" -ge 16 ] \
+        || { echo "check_mac_asm: $label has $n vmulps on zmm, expected >= 16 (row loop rolled)"; exit 1; }
+done
 check expand_b_avx512 vexpandps zmm 1
 check expand_at_avx512 vexpandps zmm 1
 # A dense operand into the emitter. It multiplies nothing: at AVX2 the lane

@@ -1458,8 +1458,9 @@ mod tests {
         // N = 32 runs the one-tile block, N = 128 the widest block of every
         // level (4 tiles at AVX-512, 2 at AVX2); transposed, where A's
         // columns are the held rows and B's values the broadcast ones,
-        // M = 128 runs the widest block.
-        for (m, n) in [(32, 32), (32, 128), (128, 32)] {
+        // M = 128 runs the widest block. Through `forward`, M = 8 runs the
+        // small-band body at AVX-512, its accumulators held in registers.
+        for (m, n) in [(32, 32), (32, 128), (128, 32), (8, 32)] {
             let (mut a, mut b) = (Matrix::zeros(m, 16), Matrix::zeros(16, n));
             for i in 0..m {
                 (a[(i, 0)], a[(i, 1)]) = (-1.0, x);
@@ -1476,6 +1477,10 @@ mod tests {
             assert!(scalar.as_slice().iter().all(|v| v.to_bits() == 0), "reference is +0.0");
             let context = format!("{m}x{n}: a contracted multiply-add");
             assert_both_orientations_give(&k, &a_enc, &b_enc, &scalar, &context);
+            for level in SimdLevel::available() {
+                let got = k.forward_at(&a, &[(&b_enc, false)], level);
+                assert!(same_bits(&got, &scalar), "{context}, forward at {level:?}");
+            }
         }
     }
 
@@ -1709,16 +1714,26 @@ mod tests {
     fn small_batches_forward_as_the_per_layer_reference_does_at_every_level() {
         // A serve batch is a few rows: one ragged band whose block
         // accumulator holds only its live rows and whose output pass emits
-        // over a zero-padded tile. Bit for bit per-layer `encode_a`,
-        // `execute_encoded_scalar` and `relu`, on both native tilings.
-        let dense = [random(64, 96, 0.6, 230), random(96, 64, 0.5, 231), random(64, 40, 0.7, 232)];
+        // over a zero-padded tile. Rows 1 to 9 cross the small-band body's
+        // bound (8 at AVX-512); 31 and 33 are one band and two. Bit for bit
+        // per-layer `encode_a`, `execute_encoded_scalar` and `relu`, on both
+        // native tilings, with a `+inf` and a NaN activation and an
+        // all-empty weight tile (32 rows cover `warp_k` on both tilings).
+        let mut dense =
+            [random(64, 96, 0.6, 230), random(96, 64, 0.5, 231), random(64, 40, 0.7, 232)];
+        for (r, c) in (0..32).flat_map(|r| (32..64).map(move |c| (r, c))) {
+            dense[0][(r, c)] = 0.0;
+        }
         for k in [kernel(), BitmapSpGemm::for_device(GpuConfig::a100())] {
             let weights = dense.each_ref().map(|w| k.encode_b(w));
+            assert!(weights[0].tile(0, 1).is_none(), "{:?}: tile (0, 1) is empty", k.tiling());
             let layers = [(&weights[0], true), (&weights[1], false), (&weights[2], true)];
-            for rows in [1, 4, 31, 33] {
+            for rows in (1..=9).chain([31, 33]) {
                 let mut input = random(rows, 64, 0.4, 233 + rows as u64);
                 seed_rounding_edges(&mut input, 4, rows as u64);
                 seed_non_finite(&mut input, 1, rows as u64 ^ 0xa);
+                input[(0, 5)] = f32::INFINITY;
+                input[(rows - 1, 40)] = f32::NAN;
                 let mut want = input.clone();
                 for &(w, relu) in &layers {
                     want = k.execute_encoded_scalar(&k.encode_a(&want), w);

@@ -529,6 +529,51 @@ fn run_bands_avx512<S: Sink>(gemm: &Gemm<'_>, sink: &mut S, accs: &mut CacheAlig
     word::run_bands::<S, [Zmm; 8], [Zmm; 2]>(gemm, sink, accs)
 }
 
+/// Live rows [`word::run_small_band`] holds at AVX-512: 8 rows of one
+/// native tile, 2 `zmm` each, are 16 of its 32 registers, which leaves the
+/// decoded B row, the broadcast and the loop's own. At the narrower levels a
+/// tile row is 4 or 8 of 16 registers, too few rows to pay for the body.
+pub(super) const SMALL_ROWS: usize = 8;
+
+#[cfg(target_arch = "x86_64")]
+const _: () = assert!(SMALL_ROWS * NATIVE_WN / <Zmm as Lanes>::N == 16);
+
+/// Rows at or under which a forward's band runs [`word::run_small_band`] at
+/// `level`: [`SMALL_ROWS`] at AVX-512, none elsewhere.
+pub(super) fn small_rows(level: Level) -> usize {
+    match level.0 {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => SMALL_ROWS,
+        _ => 0,
+    }
+}
+
+/// [`word::run_small_band`] compiled for `level`.
+///
+/// # Panics
+/// Panics if `level` has no small-band body ([`small_rows`] is 0).
+pub(super) fn run_small_band<S: Sink>(
+    level: Level,
+    a: &Arena,
+    b_enc: &TwoLevelBitmapMatrix,
+    sink: &mut S,
+) {
+    match level.0 {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `run_small_band_avx512` requires AVX-512F, AVX-512VL and
+        // POPCNT; as in `run_bands`, an `Isa::Avx512` level comes only from
+        // `Level::available()`, after all three feature checks passed.
+        Isa::Avx512 => unsafe { run_small_band_avx512(a, b_enc, sink) },
+        _ => panic!("{} has no small-band body", level.name()),
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vl,popcnt")]
+fn run_small_band_avx512<S: Sink>(a: &Arena, b_enc: &TwoLevelBitmapMatrix, sink: &mut S) {
+    word::run_small_band::<S, Zmm, 2, SMALL_ROWS>(a, b_enc, sink)
+}
+
 /// [`word::expand_b`] compiled for `level`. Only AVX-512 has an expand
 /// instruction; the other levels share the bit-walk scatter, which no vector
 /// width helps.

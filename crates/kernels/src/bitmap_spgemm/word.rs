@@ -35,6 +35,17 @@
 //! writes the next one (the arena's emitter is the sink), so activations
 //! never leave the encoding.
 //!
+//! A forward whose batch is one band of at most [`simd::small_rows`] live
+//! rows (a serve worker's batch of one or two requests) runs each layer
+//! through a second body instead, [`run_small_band`], at the levels that
+//! have one. Expanding B costs the same whatever the batch, and a few rows
+//! meet few of its rows: the body skips the expansion, decodes only the B
+//! rows of steps that survive both words, and keeps the whole block
+//! accumulator (8 rows of a tile at AVX-512) in registers across every step,
+//! where the band loop streams an accumulator row through memory per A
+//! non-zero. Taller bands reuse each expanded row often enough to pay for
+//! the expansion and keep the band loop.
+//!
 //! Only the condensed operand skips a whole step when its word is empty,
 //! so [`execute`] condenses the sparser one, as the paper's library does:
 //! when B keeps fewer values per output element and that costs no more
@@ -469,6 +480,86 @@ pub(super) fn run_bands<S: Sink, Wide: BlockRow, One: BlockRow>(
     }
 }
 
+/// [`run_bands`] for an A operand that is one band of at most `ROWS` live
+/// rows, with `b_enc`, tiles `V` registers of `L` wide, read where it lies.
+/// Per tile column the block accumulator is `ROWS` rows of `V` registers,
+/// held across every step; a step that survives both words decodes its B
+/// row with [`Lanes::expand_row`] into one row on the stack, and the row
+/// loop, a constant trip count over the A word's bits, unrolls, so each
+/// accumulator stays the register it is. Same products, added in the same
+/// `k` order as [`block_steps`], so the same bits; a step with a non-finite
+/// `av` puts the block in memory for [`block_steps`]' walk.
+#[inline(always)]
+pub(super) fn run_small_band<S: Sink, L: Lanes, const V: usize, const ROWS: usize>(
+    a: &Arena,
+    b_enc: &TwoLevelBitmapMatrix,
+    sink: &mut S,
+) {
+    let (wk, wn) = (b_enc.tile_rows(), b_enc.tile_cols());
+    assert!(wn == NATIVE_WN && V * L::N == wn, "a tile row is the held registers");
+    assert!(a.grid_m() == 1 && a.band_rows(0) <= ROWS, "one band of at most ROWS rows");
+    let (a_words, rows) = (a.band_words(0), a.band_rows(0));
+    let mut b_row = [0.0f32; NATIVE_WN];
+    let mut out = [[0.0f32; NATIVE_WN]; ROWS];
+    let spill = |acc: &[[L; V]; ROWS], out: &mut [[f32; NATIVE_WN]; ROWS]| {
+        for (acc_row, row) in acc.iter().zip(out) {
+            for (v, acc) in acc_row.iter().enumerate() {
+                acc.store(&mut row[v * L::N..]);
+            }
+        }
+    };
+    for jn in 0..b_enc.grid_cols() {
+        let mut acc = [[L::splat(0.0); V]; ROWS];
+        for kk in 0..a.grid_k() {
+            let (Some(a_tile), Some(b_tile)) = (a.tile(0, kk), b_enc.tile(kk, jn)) else {
+                continue;
+            };
+            for (k, &aw) in a_words[kk * wk..][..wk].iter().enumerate() {
+                let bw = b_tile.bitmap().row_word(k);
+                if aw == 0 || bw == 0 {
+                    continue;
+                }
+                L::expand_row(bw, b_tile.vector_values(k), &mut b_row);
+                let values = a_tile.step_values(k);
+                if values.iter().all(|av| av.is_finite()) {
+                    let held: [L; V] = std::array::from_fn(|v| L::load(&b_row[v * L::N..]));
+                    let mut next = 0;
+                    for (r, acc_row) in acc.iter_mut().enumerate() {
+                        if aw >> r & 1 != 0 {
+                            let av = L::splat(values[next]);
+                            next += 1;
+                            for (acc, reg) in acc_row.iter_mut().zip(&held) {
+                                *acc = reg.mac(av, *acc);
+                            }
+                        }
+                    }
+                } else {
+                    // `block_steps`' walk, on the block in memory: a
+                    // non-finite `av` meets only the set B bits.
+                    spill(&acc, &mut out);
+                    let mut bits = aw;
+                    for &av in values {
+                        let row = &mut out[bits.trailing_zeros() as usize];
+                        bits &= bits - 1;
+                        let mut cols = if av.is_finite() { u64::MAX >> (64 - wn) } else { bw };
+                        while cols != 0 {
+                            let c = cols.trailing_zeros() as usize;
+                            cols &= cols - 1;
+                            row[c] += av * b_row[c];
+                        }
+                    }
+                    acc = std::array::from_fn(|r| {
+                        std::array::from_fn(|v| L::load(&out[r][v * L::N..]))
+                    });
+                }
+            }
+        }
+        spill(&acc, &mut out);
+        sink.block::<L>(0, jn * wn, wn, out[..rows].as_flattened());
+    }
+    sink.end_band(0);
+}
+
 /// Everything a kernel call stages besides its result: the software stand-in
 /// for the Tensor Core's fixed operand staging and accumulation buffer. One
 /// per thread, so a serve device worker owns its own without a lock. Every
@@ -565,6 +656,28 @@ pub(super) fn execute_as(
     out
 }
 
+/// One layer of [`forward`], `a * weights` into `sink`. A band of at most
+/// [`simd::small_rows`] rows pays more for expanding all of B than for
+/// decoding the rows its steps meet, so it runs [`run_small_band`]; any
+/// other runs [`expand_b`] and [`run_bands`] with `b` and `accs`.
+fn layer<S: Sink>(
+    level: Level,
+    a: &Arena,
+    weights: &TwoLevelBitmapMatrix,
+    b: &mut ExpandedB,
+    dims: (usize, usize, usize),
+    sink: &mut S,
+    accs: &mut CacheAligned,
+) {
+    let small = a.grid_m() == 1 && a.band_rows(0) <= simd::small_rows(level);
+    if small && dims.1 == NATIVE_WN {
+        simd::run_small_band(level, a, weights, sink);
+    } else {
+        simd::expand_b(level, weights, b);
+        simd::run_bands(level, &Gemm { a, b, dims }, sink, accs);
+    }
+}
+
 /// `input` through `layers` (`(weights, relu)`, at least one, dimensions
 /// chained and tilings validated by the caller; `a_tile` is the A operand's
 /// `(warp_m, warp_k)`): bit for bit what `encode_a`, [`execute`] and `relu`
@@ -590,16 +703,14 @@ pub(crate) fn forward(
 
         src.encode(input, level);
         for &(weights, relu) in inner {
-            simd::expand_b(level, weights, b);
             let mut sink = dst.emitter(weights.cols(), relu);
-            simd::run_bands(level, &Gemm { a: &*src, b, dims }, &mut sink, accs);
+            layer(level, src, weights, b, dims, &mut sink, accs);
             std::mem::swap(&mut src, &mut dst);
         }
-        simd::expand_b(level, last, b);
         let mut out = Matrix::zeros(input.rows(), last.cols());
         let mut sink =
             DenseRows { rows: out.as_mut_slice(), cols: last.cols(), wm, relu: last_relu };
-        simd::run_bands(level, &Gemm { a: &*src, b, dims }, &mut sink, accs);
+        layer(level, src, last, b, dims, &mut sink, accs);
         out
     })
 }

@@ -1,19 +1,24 @@
 //! Dynamic, SLO-aware request batching.
 //!
 //! Requests accumulate per compatibility class (one per `(model,
-//! sparsity)` key, the classes in first-arrival order); the device
-//! dispatcher asking for work receives a **batch**: up to `max_batch`
-//! queued requests sharing one key. A class is released as soon as it
-//! reaches `max_batch` requests, when any of its members is about to miss
-//! its queue deadline (the per-request SLO capped at `max_queue_wait`), or
-//! when the scheduler is draining for shutdown — so latency is bounded even
-//! under trickle traffic, full batches of one model never wait behind an
+//! sparsity)` key, the classes in first-arrival order); an idle device
+//! worker asking for work receives a **batch** at once: up to `max_batch`
+//! queued requests sharing one key. The scheduler is work-conserving:
+//! `next_batch` blocks only on an empty queue, so a batch is the compatible
+//! work that queued while every worker was busy, and under trickle traffic
+//! a request runs alone as soon as it arrives.
+//!
+//! Each request's queue deadline (its SLO, capped at `max_queue_wait`)
+//! orders release and extraction; it never delays a batch. A class that is
+//! full, holds a member past its deadline or is draining for shutdown goes
+//! before any other, so full batches of one model never wait behind an
 //! unfull head of another, and unrelated models queued behind the head
 //! cannot starve it.
 //!
 //! Two SLO-aware refinements over a plain FIFO batcher:
 //!
-//! * **release order** — when several classes are releasable, the one whose
+//! * **release order** — among the classes that are due (full, past a
+//!   deadline or draining), and otherwise among all of them, the one whose
 //!   most urgent member is closest to (or furthest past) its deadline goes
 //!   first, higher priority breaking ties; and
 //! * **extraction order** — when a class holds more requests than fit in
@@ -56,8 +61,9 @@ use crate::telemetry::{RequestTrace, Stage};
 pub struct BatchPolicy {
     /// Largest number of requests merged into one batch.
     pub max_batch: usize,
-    /// How long any queued request may wait before its batch is flushed
-    /// even if it is not full (also the cap on per-request SLO deadlines).
+    /// The cap on a request's queue deadline (its SLO, or this when it
+    /// has none), which orders release and extraction. It holds no batch:
+    /// an idle worker takes queued work at once.
     pub max_queue_wait: Duration,
 }
 
@@ -237,58 +243,41 @@ impl BatchScheduler {
             }
         };
         state.classes[at].lanes[request.priority.index()].insert((deadline, seq), request);
-        // Wake every waiting worker: some class may just have become full,
-        // and a worker watching a deadline needs to re-evaluate.
-        self.cv.notify_all();
+        // One request is work for one idle worker.
+        self.cv.notify_one();
         true
     }
 
-    /// Blocks until a batch is ready (or the scheduler is shut down **and**
-    /// drained, in which case `None` tells the worker to exit).
-    ///
-    /// A class is releasable as soon as it holds `max_batch` compatible
-    /// requests (so a full batch never waits on anyone's deadline), as soon
-    /// as any of its members reaches its queue deadline, or unconditionally
-    /// while draining. Among releasable classes, the one whose most urgent
-    /// member is closest to violation goes first.
+    /// Blocks while the queue is empty, then releases a batch at once — the
+    /// caller is an idle worker — of the class [`Self::release_index`]
+    /// picks. Returns `None` once the scheduler is shut down **and**
+    /// drained, telling the worker to exit.
     pub(crate) fn next_batch(&self) -> Option<Batch> {
         let mut state = self.state.lock().expect("scheduler mutex poisoned");
-        loop {
-            if state.classes.is_empty() {
-                if !state.open {
-                    return None;
-                }
-                state = self.cv.wait(state).expect("scheduler mutex poisoned");
-                continue;
+        while state.classes.is_empty() {
+            if !state.open {
+                return None;
             }
-            let now = Instant::now();
-            if let Some(at) = self.release_index(&state, now) {
-                return Some(self.extract(&mut state, at, now));
-            }
-            // Nothing full or expired yet: sleep until the most urgent
-            // deadline or the next enqueue, whichever comes first.
-            let earliest =
-                state.classes.iter().map(ClassQueue::min_deadline).min().expect("non-empty queue");
-            let wait = earliest.saturating_duration_since(now);
-            let (next, _timed_out) =
-                self.cv.wait_timeout(state, wait).expect("scheduler mutex poisoned");
-            state = next;
+            state = self.cv.wait(state).expect("scheduler mutex poisoned");
         }
+        let now = Instant::now();
+        let at = self.release_index(&state, now);
+        Some(self.extract(&mut state, at, now))
     }
 
-    /// The class to release now, if any: releasable classes (full, past a
-    /// member deadline, or draining) ordered by urgency — earliest deadline
-    /// first, higher priority breaking ties, first arrival breaking those
-    /// (`min_by_key` keeps the first of equals, and `classes` is in
-    /// first-arrival order). Each aggregate is a map length or first key,
-    /// so the decision is O(classes).
-    fn release_index(&self, state: &QueueState, now: Instant) -> Option<usize> {
+    /// The class to release now: due classes (full, past a member
+    /// deadline, or draining) before the rest, then by urgency — earliest
+    /// deadline first, higher priority breaking ties, first arrival
+    /// breaking those (`min_by_key` keeps the first of equals, and
+    /// `classes` is in first-arrival order). Each aggregate is a map length
+    /// or first key, so the decision is O(classes).
+    fn release_index(&self, state: &QueueState, now: Instant) -> usize {
         let max_batch = self.policy.max_batch;
+        let due = |c: &ClassQueue| !state.open || c.len() >= max_batch || c.min_deadline() <= now;
         let classes = state.classes.iter().enumerate();
-        classes
-            .filter(|(_, c)| !state.open || c.len() >= max_batch || c.min_deadline() <= now)
-            .min_by_key(|(_, c)| (c.min_deadline(), Reverse(c.max_priority())))
-            .map(|(at, _)| at)
+        let most_urgent =
+            classes.min_by_key(|(_, c)| (!due(c), c.min_deadline(), Reverse(c.max_priority())));
+        most_urgent.map(|(at, _)| at).expect("a non-empty queue")
     }
 
     /// Stops accepting requests; queued work is still drained by
@@ -400,38 +389,51 @@ mod tests {
         let sizes: Vec<usize> = (0..2).map(|_| s.next_batch().unwrap().len()).collect();
         assert_eq!(sizes, vec![4, 4]);
         assert_eq!(s.queue_len(), 2);
-        // The remaining two are not a full batch; they flush on shutdown.
+        // The remaining two are not a full batch; the next ask, here the
+        // drain, takes them together.
         s.shutdown();
         assert_eq!(s.next_batch().unwrap().len(), 2);
         assert!(s.next_batch().is_none());
     }
 
     #[test]
-    fn deadline_flushes_a_partial_batch() {
-        let s = BatchScheduler::new(policy(64, 30));
-        let t0 = Instant::now();
+    fn a_partial_batch_leaves_at_once_earliest_deadline_first() {
+        // Nothing is full and nothing is due a minute from now, yet an idle
+        // worker asking gets a batch at once: the class whose member has the
+        // earlier queue deadline (admitted 30 ms before the other), alone.
+        let s = BatchScheduler::new(policy(64, 60_000));
+        let mut older = request(ModelId::BertBase);
+        older.enqueued -= Duration::from_millis(30);
         assert!(s.enqueue(request(ModelId::ResNet50)));
-        let batch = s.next_batch().unwrap();
+        assert!(s.enqueue(older));
+        let t0 = Instant::now();
+        let first = s.next_batch().unwrap();
+        assert_eq!((first.key.model, first.len()), (ModelId::BertBase, 1));
+        let second = s.next_batch().unwrap();
+        assert_eq!((second.key.model, second.len()), (ModelId::ResNet50, 1));
         let waited = t0.elapsed();
-        assert_eq!(batch.len(), 1);
-        assert!(waited >= Duration::from_millis(25), "flushed after {waited:?}");
-        assert!(waited < Duration::from_secs(5), "flushed after {waited:?}");
+        assert!(waited < Duration::from_secs(1), "released after {waited:?}, cap 60 s");
+        assert_eq!(s.queue_len(), 0);
     }
 
     #[test]
-    fn per_request_slo_flushes_before_max_queue_wait() {
-        // max_queue_wait is a whole minute, but the request carries a 20 ms
-        // SLO: its batch must flush on the SLO, not the policy cap.
+    fn a_tighter_slo_sends_its_class_first() {
+        // max_queue_wait is a whole minute; the BERT request, admitted last,
+        // carries a 20 ms SLO, so its class is the most urgent and leaves
+        // first, at once, ahead of two ResNet-50 requests admitted before it.
         let s = BatchScheduler::new(policy(64, 60_000));
-        let mut r = request(ModelId::BertBase);
-        r.slo = Some(Duration::from_millis(20));
+        let mut tight = request(ModelId::BertBase);
+        tight.slo = Some(Duration::from_millis(20));
+        assert!(s.enqueue(request(ModelId::ResNet50)));
+        assert!(s.enqueue(request(ModelId::ResNet50)));
+        assert!(s.enqueue(tight));
         let t0 = Instant::now();
-        assert!(s.enqueue(r));
-        let batch = s.next_batch().unwrap();
+        let first = s.next_batch().unwrap();
         let waited = t0.elapsed();
-        assert_eq!(batch.len(), 1);
-        assert!(waited >= Duration::from_millis(15), "flushed after {waited:?}");
-        assert!(waited < Duration::from_secs(5), "flushed after {waited:?}");
+        assert_eq!((first.key.model, first.len()), (ModelId::BertBase, 1));
+        assert!(waited < Duration::from_secs(1), "released after {waited:?}, cap 60 s");
+        let second = s.next_batch().unwrap();
+        assert_eq!((second.key.model, second.len()), (ModelId::ResNet50, 2));
     }
 
     #[test]
@@ -479,8 +481,7 @@ mod tests {
     #[test]
     fn release_prefers_the_class_closest_to_violation() {
         // Two unfull classes; the BERT member has the tighter SLO, so even
-        // though ResNet-50 arrived first, BERT's batch is released first
-        // once deadlines drive the flush.
+        // though ResNet-50 arrived first, BERT's batch is released first.
         let s = BatchScheduler::new(policy(8, 60));
         let mut early = request(ModelId::BertBase);
         early.slo = Some(Duration::from_millis(10));

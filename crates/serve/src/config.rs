@@ -267,8 +267,9 @@ pub struct ServeConfig {
     pub devices: DevicePool,
     /// Largest number of requests merged into one batch.
     pub max_batch: usize,
-    /// How long any queued request may wait before its batch is flushed
-    /// even if it is not full (also the cap on per-request SLO deadlines).
+    /// The cap on a request's queue deadline (its SLO, or this when it has
+    /// none). Deadlines order release and extraction; they hold no batch:
+    /// an idle worker takes queued work at once.
     pub max_queue_wait: Duration,
     /// Feature dimension of the functional proxy GEMMs each request flows
     /// through (the modelled latency always uses the network's *real*
@@ -386,7 +387,7 @@ impl ServeConfig {
         self
     }
 
-    /// Overrides the queue-flush deadline.
+    /// Overrides the cap on queue deadlines.
     pub fn with_max_queue_wait(mut self, wait: Duration) -> Self {
         self.max_queue_wait = wait;
         self

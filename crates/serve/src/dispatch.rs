@@ -45,9 +45,8 @@ pub struct DeviceAssignment {
 }
 
 /// A planned (not yet committed) dispatch decision: the chosen device and
-/// its modelled batch time, with the modelled clock untouched. Lets the
-/// caller attempt a bounded hand-off first and re-plan on a different
-/// device if the chosen one is backed up.
+/// its modelled batch time, with the modelled clock untouched. The worker
+/// pool plans over the devices idle at release and commits at once.
 #[derive(Clone, Copy, Debug)]
 pub struct DevicePlan {
     /// Index of the chosen device in the pool.
@@ -183,8 +182,7 @@ impl DeviceDispatcher {
         }
     }
 
-    /// Plans and immediately commits over the whole pool: the single-step
-    /// assignment used when no hand-off fallback is needed.
+    /// Plans and immediately commits over the whole pool, idle or not.
     ///
     /// # Panics
     /// Panics if `batch` is zero.

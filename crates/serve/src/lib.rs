@@ -16,19 +16,20 @@
 //!   (`encode_cache_dir`) persists artifacts in a versioned, checksummed
 //!   binary format so a restarted server skips the prune+encode warm-up
 //!   entirely.
-//! * [`BatchScheduler`] — accepts [`InferRequest`]s on a queue and
-//!   dynamically merges compatible requests into larger-M GEMM batches,
-//!   bounded by a maximum batch size and per-request SLO deadlines. Requests
-//!   carry a [`Priority`]: when a class holds more requests than fit in one
-//!   batch, higher priorities are extracted first (FIFO within a priority),
-//!   and a request about to miss its deadline flushes its batch early.
+//! * [`BatchScheduler`] — accepts [`InferRequest`]s on a queue and merges
+//!   compatible requests into larger-M GEMM batches of at most `max_batch`;
+//!   an idle worker takes queued work at once, so batches grow with the
+//!   backlog. Per-request SLO deadlines order release; within a class,
+//!   deadline-expired requests go first, then higher [`Priority`], FIFO
+//!   within a priority.
 //! * [`DeviceDispatcher`] — routes every released batch onto a
 //!   [`DevicePool`] of (possibly heterogeneous) modelled GPUs — e.g. V100s
-//!   next to A100s — picking the device that minimises **modelled completion
-//!   time** via per-device [`BatchTimingModel`]s.
-//! * [`WorkerPool`] — one pinned OS worker per device executing its batches
-//!   on that device's **own** dual-side SpGEMM kernel against the encoding
-//!   cached for its tiling, so heterogeneous devices coexist functionally;
+//!   next to A100s — picking the idle device that minimises **modelled
+//!   completion time** via per-device [`BatchTimingModel`]s.
+//! * the worker pool — one pinned OS worker per device pulling batches when
+//!   idle and executing them on that device's **own** dual-side SpGEMM
+//!   kernel against the encoding cached for its tiling, so heterogeneous
+//!   devices coexist functionally;
 //!   every request receives an [`InferResponse`] carrying its output
 //!   features, the encoding it executed and the modelled GPU latency of the
 //!   real network at the batch's size.
@@ -66,8 +67,8 @@
 //!         .with_proxy_dim(32),
 //! );
 //!
-//! // Submit a burst of BERT requests; the scheduler batches them and the
-//! // dispatcher spreads batches over the mixed V100 + A100 pool.
+//! // Submit a burst of BERT requests; idle workers take them as they queue
+//! // and each batch goes to the idle device that would finish it first.
 //! let pending: Vec<_> = (0..4)
 //!     .map(|seed| {
 //!         let features = Matrix::random_sparse(2, 32, 0.3, SparsityPattern::Uniform, seed);
@@ -83,10 +84,10 @@
 //!     assert!(response.device < 2);
 //! }
 //!
-//! // The first request encoded the weights; the rest reused the cache.
+//! // Each idle device's first batch encoded its own tiling; the rest hit.
 //! let stats = server.stats();
 //! assert_eq!(stats.completed_requests, 4);
-//! assert_eq!(stats.encode_misses, 1);
+//! assert!((1..=2).contains(&stats.encode_misses), "{} encodes", stats.encode_misses);
 //! assert_eq!(stats.per_device.len(), 2);
 //! server.shutdown();
 //! ```
@@ -110,7 +111,7 @@ mod sys;
 pub mod telemetry;
 pub mod timing;
 pub mod traffic;
-pub mod worker;
+mod worker;
 
 /// The [`ModelRepository`] unit tests (`store/tests.rs`), under the module
 /// path their test ids were recorded with.
@@ -135,5 +136,4 @@ pub use crate::telemetry::{
 };
 pub use crate::timing::BatchTimingModel;
 pub use crate::traffic::PoissonArrivals;
-pub use crate::worker::WorkerPool;
 pub use dsstc_kernels::EncodingSpec;

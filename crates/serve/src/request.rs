@@ -13,8 +13,9 @@ use crate::telemetry::RequestTrace;
 /// Priorities order extraction within a batch's compatibility class: when
 /// more compatible requests are queued than fit in one batch, higher
 /// priorities go out first (FIFO within one priority level). A request's
-/// SLO deadline (see [`InferRequest::with_deadline`]) additionally makes the
-/// scheduler flush its batch early when the deadline is about to be missed.
+/// SLO deadline (see [`InferRequest::with_deadline`]) additionally orders
+/// it: the class with the most urgent deadline is released first, and a
+/// request past its deadline is extracted ahead of higher priorities.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Priority {
     /// Background traffic: batched last, still bounded by the queue

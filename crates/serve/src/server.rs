@@ -101,11 +101,24 @@ pub struct InferenceServer {
 impl InferenceServer {
     /// Boots the server: builds the shared state (one encoding spec, timing
     /// model and kernel per pooled device; the repository optionally backed
-    /// by a persistent `encode_cache_dir`) and spawns the dispatcher plus
-    /// one pinned worker per device. Models are encoded lazily on their
-    /// first request — or restored from the on-disk store when a previous
-    /// run already encoded them.
+    /// by a persistent `encode_cache_dir`) and spawns one pinned worker per
+    /// device. Models are encoded lazily on their first request — or
+    /// restored from the on-disk store when a previous run already encoded
+    /// them.
     pub fn start(config: ServeConfig) -> Self {
+        let mut server = Self::without_workers(config);
+        server.spawn_workers();
+        server
+    }
+
+    fn spawn_workers(&mut self) {
+        self.pool = Some(WorkerPool::spawn(Arc::clone(&self.context)));
+    }
+
+    /// [`Self::start`] without the workers: nothing drains the queue until
+    /// `spawn_workers` (the admission tests probe a held queue this way,
+    /// since an idle worker takes a request the moment it is queued).
+    fn without_workers(config: ServeConfig) -> Self {
         assert!(config.max_batch > 0, "batches need at least one request");
         let mut repository =
             ModelRepository::new(config.devices.primary().clone(), config.proxy_dim)
@@ -145,8 +158,7 @@ impl InferenceServer {
             telemetry: Arc::new(telemetry),
             kernels,
         });
-        let pool = WorkerPool::spawn(Arc::clone(&context));
-        InferenceServer { config, context, pool: Some(pool), next_id: AtomicU64::new(0) }
+        InferenceServer { config, context, pool: None, next_id: AtomicU64::new(0) }
     }
 
     /// The configuration the server was booted with.
@@ -452,12 +464,11 @@ mod tests {
     #[test]
     fn admission_sheds_low_priority_once_the_queue_exhausts_its_slo() {
         use crate::config::AdmissionControl;
-        // One worker, batches of 8, a long batching window: submitted
-        // requests sit visibly in the queue while we probe admission.
-        // The low class gets a 1 us SLO (any backlog sheds it); normal and
-        // high get an hour (projection never sheds them).
+        // One worker, batches of 8, and a queue nothing drains while we
+        // probe admission. The low class gets a 1 us SLO (any backlog sheds
+        // it); normal and high get an hour (projection never sheds them).
         let hour = Duration::from_secs(3600);
-        let server = InferenceServer::start(
+        let mut server = InferenceServer::without_workers(
             ServeConfig::default()
                 .with_workers(1)
                 .with_max_batch(8)
@@ -475,7 +486,7 @@ mod tests {
                 .with_priority(Priority::Normal);
             pending.push(server.submit(request).expect("normal class has headroom"));
         }
-        assert!(server.queue_len() > 0, "requests should still be queued");
+        assert_eq!(server.queue_len(), 3, "the requests are still queued");
         let low = InferRequest::new(ModelId::BertBase, features(10)).with_priority(Priority::Low);
         match server.submit(low) {
             Err(ServeError::ShedLoad { priority, projected_us }) => {
@@ -491,6 +502,7 @@ mod tests {
         assert_eq!(stats.total_shed(), 1);
         assert_eq!(stats.for_priority(Priority::Low).shed, 1);
         assert_eq!(stats.for_priority(Priority::High).shed, 0);
+        server.spawn_workers();
         for p in pending {
             p.wait().expect("admitted requests complete");
         }
@@ -499,8 +511,11 @@ mod tests {
     #[test]
     fn the_queue_bound_sheds_every_class_even_high() {
         use crate::config::AdmissionControl;
+        // A queue nothing drains until the probe is done, bounded at two:
+        // the third request is shed although it is High and every SLO is an
+        // hour, and the two admitted ones are answered once workers start.
         let hour = Duration::from_secs(3600);
-        let server = InferenceServer::start(
+        let mut server = InferenceServer::without_workers(
             ServeConfig::default()
                 .with_workers(1)
                 .with_max_batch(8)
@@ -514,12 +529,14 @@ mod tests {
                 InferRequest::new(ModelId::BertBase, features(seed)).with_priority(Priority::High);
             pending.push(server.submit(request).expect("under the bound"));
         }
+        assert_eq!(server.queue_len(), 2);
         let over = InferRequest::new(ModelId::BertBase, features(5)).with_priority(Priority::High);
         match server.submit(over) {
             Err(ServeError::ShedLoad { priority, .. }) => assert_eq!(priority, Priority::High),
             other => panic!("expected ShedLoad, got {other:?}"),
         }
         assert_eq!(server.stats().for_priority(Priority::High).shed, 1);
+        server.spawn_workers();
         for p in pending {
             p.wait().expect("admitted requests complete");
         }

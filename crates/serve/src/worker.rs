@@ -1,8 +1,17 @@
-//! The worker pool: a dispatcher thread routing released batches to the
-//! device minimising modelled completion time, plus one pinned OS worker
-//! thread per device that executes its batches through the pre-encoded
-//! model on the dual-side SpGEMM kernel and fans responses back out per
-//! request.
+//! The worker pool: one pinned OS worker thread per device that, whenever
+//! it is idle, pulls a released batch from the batch scheduler, executes it
+//! through the pre-encoded model on its device's dual-side SpGEMM kernel and
+//! fans responses back out per request.
+//!
+//! The pull is work-conserving: the scheduler releases a batch as soon as
+//! an idle worker asks, so a request never waits while a worker could run
+//! it, and batches grow only with what queued up while every worker was
+//! busy. One idle worker at a time waits in the scheduler; the rest wait on
+//! the pool's roster. The worker that receives a batch prices it with
+//! the [`DeviceDispatcher`] over the devices idle at that moment and commits
+//! it to the one that would complete it first — itself, in a pool of one —
+//! stamping [`Stage::Dispatched`]; a batch routed to another idle device is
+//! handed to that device's worker, and the asker asks again.
 //!
 //! Completion routing is per-request, not per-ingress: every request
 //! carries its own response `Sender` (captured at submit time), so one
@@ -11,17 +20,9 @@
 //! plus its waker, and the worker follows each such send with a wake, so
 //! the event loop itself receives its connections' responses back
 //! ([`crate::net::server`]).
-//!
-//! Device queues are **bounded to one in-flight batch** (`sync_channel(1)`)
-//! so the dispatcher barely runs ahead of the pool: requests wait in the
-//! priority-aware scheduler — where SLO flushes and priority extraction
-//! still apply to them — rather than in a FIFO channel that would freeze
-//! their order the moment they were released. A full queue redirects the
-//! batch to the next-best device; the dispatcher blocks only when every
-//! device is backed up.
 
-use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::Arc;
+use std::panic::AssertUnwindSafe;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -34,7 +35,7 @@ use crate::request::InferResponse;
 use crate::store::ModelRepository;
 use crate::telemetry::{Stage, Telemetry};
 
-/// Everything the dispatcher and worker threads need, shared by `Arc`.
+/// Everything the worker threads need, shared by `Arc`.
 #[derive(Debug)]
 pub(crate) struct WorkerContext {
     pub scheduler: Arc<BatchScheduler>,
@@ -47,70 +48,109 @@ pub(crate) struct WorkerContext {
     pub kernels: Vec<BitmapSpGemm>,
 }
 
-/// One batch routed to one device, priced by the dispatcher. The worker
-/// fetches the encoded model itself, so a cold model's prune+encode stalls
-/// only its own device, never the dispatcher.
+/// A batch committed to one device, with its modelled time there, µs.
+type Job = (Batch, f64);
+
+/// What the workers share under one lock, beside the condition the idle
+/// ones wait on: who is idle, which is what a released batch is routed
+/// among.
 #[derive(Debug)]
-struct DeviceJob {
-    batch: Batch,
-    modelled_batch_us: f64,
+struct Roster {
+    idle: Vec<bool>,
+    /// Per device, a batch another worker committed to it.
+    routed: Vec<Option<Job>>,
+    /// An idle worker is already waiting in the scheduler.
+    asking: bool,
+    /// The scheduler is shut down and drained: idle workers exit.
+    drained: bool,
 }
 
-/// A pool of per-device worker threads fed by a dispatcher thread draining
-/// the batch scheduler.
+type Shared = (Mutex<Roster>, Condvar);
+
+fn lock(roster: &Mutex<Roster>) -> MutexGuard<'_, Roster> {
+    roster.lock().expect("a worker panicked holding the roster")
+}
+
+/// Marks `device` idle and blocks until it has a batch to run — one another
+/// worker routed to it, or one it asked the scheduler for and committed to
+/// itself — or the scheduler has drained (`None`).
+fn next_job(device: usize, context: &WorkerContext, (roster, cv): &Shared) -> Option<Job> {
+    let mut state = lock(roster);
+    state.idle[device] = true;
+    loop {
+        if let Some(job) = state.routed[device].take() {
+            return Some(job);
+        }
+        if state.drained {
+            return None;
+        }
+        if state.asking {
+            state = cv.wait(state).expect("a worker panicked holding the roster");
+            continue;
+        }
+        state.asking = true;
+        drop(state);
+        let batch = context.scheduler.next_batch();
+        state = lock(roster);
+        state.asking = false;
+        cv.notify_all(); // another idle worker may ask now, or see the drain
+        let Some(mut batch) = batch else {
+            state.drained = true;
+            return None;
+        };
+        let plan = context.dispatcher.plan(batch.key, batch.len(), &state.idle);
+        let assignment = context.dispatcher.commit(plan.expect("the asking worker is idle"));
+        for request in &mut batch.requests {
+            request.trace.record(Stage::Dispatched);
+        }
+        state.idle[assignment.device] = false;
+        let job = (batch, assignment.modelled_batch_us);
+        if assignment.device == device {
+            return Some(job);
+        }
+        state.routed[assignment.device] = Some(job);
+    }
+}
+
+/// A pool of per-device worker threads pulling from the batch scheduler.
 #[derive(Debug)]
-pub struct WorkerPool {
-    dispatcher: Option<JoinHandle<()>>,
+pub(crate) struct WorkerPool {
     workers: Vec<JoinHandle<()>>,
 }
 
 impl WorkerPool {
-    /// Spawns one pinned worker per pooled device plus the dispatcher
-    /// thread; all run until the scheduler shuts down and drains.
+    /// Spawns one pinned worker per pooled device; all run until the
+    /// scheduler shuts down and drains.
     pub(crate) fn spawn(context: Arc<WorkerContext>) -> Self {
         let devices = context.dispatcher.len();
-        let mut senders: Vec<SyncSender<DeviceJob>> = Vec::with_capacity(devices);
+        let roster = Roster {
+            idle: vec![false; devices],
+            routed: std::iter::repeat_with(|| None).take(devices).collect(),
+            asking: false,
+            drained: false,
+        };
+        let shared = Arc::new((Mutex::new(roster), Condvar::new()));
         let workers = (0..devices)
             .map(|device| {
-                // Capacity 1: each device holds one executing batch plus one
-                // queued batch; everything else stays schedulable.
-                let (tx, rx) = std::sync::mpsc::sync_channel::<DeviceJob>(1);
-                senders.push(tx);
-                let context = Arc::clone(&context);
+                let (context, shared) = (Arc::clone(&context), Arc::clone(&shared));
                 std::thread::Builder::new()
                     .name(format!("dsstc-serve-worker-{device}"))
-                    .spawn(move || worker_loop(device, &context, rx))
+                    .spawn(move || worker_loop(device, &context, &shared))
                     .expect("failed to spawn worker thread")
             })
             .collect();
-        let dispatcher = {
-            let context = Arc::clone(&context);
-            std::thread::Builder::new()
-                .name("dsstc-serve-dispatch".to_string())
-                .spawn(move || dispatch_loop(&context, senders))
-                .expect("failed to spawn dispatcher thread")
-        };
-        WorkerPool { dispatcher: Some(dispatcher), workers }
+        WorkerPool { workers }
     }
 
-    /// Number of worker threads (one per device; the dispatcher is extra).
-    pub fn len(&self) -> usize {
+    /// Number of worker threads (one per device).
+    pub(crate) fn len(&self) -> usize {
         self.workers.len()
     }
 
-    /// Whether the pool has no workers (never true for a spawned pool).
-    pub fn is_empty(&self) -> bool {
-        self.workers.is_empty()
-    }
-
-    /// Waits for the dispatcher and every worker to exit (call after the
-    /// scheduler's `shutdown`).
-    pub fn join(mut self) {
-        // The dispatcher exits once the scheduler drains; dropping its
-        // senders then closes every device queue and the workers follow.
-        for handle in self.dispatcher.take().into_iter().chain(self.workers) {
-            // A panicking thread already poisoned the shared state; surface
-            // it instead of hanging the caller.
+    /// Waits for every worker to exit (call after the scheduler's
+    /// `shutdown`), surfacing a worker's panic instead of hanging.
+    pub(crate) fn join(self) {
+        for handle in self.workers {
             if let Err(panic) = handle.join() {
                 std::panic::resume_unwind(panic);
             }
@@ -118,73 +158,24 @@ impl WorkerPool {
     }
 }
 
-/// Pulls released batches and hands each to the device that would complete
-/// it first. The hand-off is non-blocking with fallback: if the planned
-/// device's bounded queue is full, the next-best device is planned instead,
-/// so a backed-up device never idles the rest of the pool; only when
-/// **every** device is backed up does the dispatcher block (genuine
-/// pool-wide backpressure).
-fn dispatch_loop(context: &WorkerContext, senders: Vec<SyncSender<DeviceJob>>) {
-    // Dead-worker handling, shared by both send paths: fail fast instead
-    // of letting callers block forever on responses nobody will produce —
-    // reject new submissions and drop everything still queued, so every
-    // in-flight wait() resolves to ShuttingDown. join() surfaces the
-    // worker's panic.
-    let fail_fast = || {
+/// Runs batches until the scheduler drains. A worker that panics first
+/// rejects new submissions and drops everything still queued — so every
+/// in-flight `wait()` resolves to `ShuttingDown` instead of waiting on a
+/// response nobody will produce — and lets the idle workers exit;
+/// `WorkerPool::join` re-raises the panic.
+fn worker_loop(device: usize, context: &WorkerContext, shared: &Shared) {
+    let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        while let Some((batch, modelled_batch_us)) = next_job(device, context, shared) {
+            execute_batch(device, context, batch, modelled_batch_us);
+        }
+    }));
+    if let Err(panic) = run {
         context.scheduler.shutdown();
         while context.scheduler.next_batch().is_some() {}
-    };
-    // Stamping right before each hand-off attempt means a batch bounced
-    // off a full queue keeps the timestamp of its *successful* dispatch.
-    let stamp_dispatched = |job: &mut DeviceJob| {
-        for request in &mut job.batch.requests {
-            request.trace.record(Stage::Dispatched);
-        }
-    };
-    'batches: while let Some(batch) = context.scheduler.next_batch() {
-        let (key, size) = (batch.key, batch.len());
-        let mut job = DeviceJob { batch, modelled_batch_us: 0.0 };
-        let mut eligible = vec![true; senders.len()];
-        loop {
-            let Some(plan) = context.dispatcher.plan(key, size, &eligible) else {
-                // Every device's queue is full: block on the overall best.
-                let plan = context
-                    .dispatcher
-                    .plan(key, size, &vec![true; senders.len()])
-                    .expect("non-empty device pool");
-                let assignment = context.dispatcher.commit(plan);
-                job.modelled_batch_us = assignment.modelled_batch_us;
-                stamp_dispatched(&mut job);
-                if senders[assignment.device].send(job).is_err() {
-                    fail_fast();
-                    return;
-                }
-                continue 'batches;
-            };
-            job.modelled_batch_us = plan.modelled_batch_us;
-            stamp_dispatched(&mut job);
-            match senders[plan.device].try_send(job) {
-                Ok(()) => {
-                    context.dispatcher.commit(plan);
-                    continue 'batches;
-                }
-                Err(std::sync::mpsc::TrySendError::Full(returned)) => {
-                    job = returned;
-                    eligible[plan.device] = false;
-                }
-                Err(std::sync::mpsc::TrySendError::Disconnected(_)) => {
-                    fail_fast();
-                    return;
-                }
-            }
-        }
-    }
-    // Scheduler drained: dropping the senders closes the device queues.
-}
-
-fn worker_loop(device: usize, context: &WorkerContext, jobs: Receiver<DeviceJob>) {
-    while let Ok(job) = jobs.recv() {
-        execute_batch(device, context, job.batch, job.modelled_batch_us);
+        // A flag, valid whatever a panicking holder left undone.
+        shared.0.lock().unwrap_or_else(PoisonError::into_inner).drained = true;
+        shared.1.notify_all();
+        std::panic::resume_unwind(panic);
     }
 }
 
@@ -422,5 +413,46 @@ mod tests {
         ctx.scheduler.shutdown();
         workers.join();
         assert!(!devices_seen.is_empty());
+    }
+
+    #[test]
+    fn a_panicking_worker_fails_every_waiter_instead_of_hanging() {
+        // The V100 worker is handed an A100 kernel, so its first forward
+        // panics on the encoding mismatch; the request of another model
+        // queued behind it must not wait for a response nobody will produce.
+        let ctx = context(4, single_v100());
+        let a100 = dsstc_kernels::EncodingSpec::for_gpu(&GpuConfig::a100());
+        let ctx = Arc::new(WorkerContext {
+            scheduler: Arc::clone(&ctx.scheduler),
+            repository: Arc::clone(&ctx.repository),
+            dispatcher: Arc::clone(&ctx.dispatcher),
+            telemetry: Arc::clone(&ctx.telemetry),
+            kernels: vec![ctx.repository.kernel_for(a100)],
+        });
+        let mut rxs = Vec::new();
+        for (id, model) in [ModelId::BertBase, ModelId::RnnLm].into_iter().enumerate() {
+            let (tx, rx) = mpsc::channel();
+            assert!(ctx.scheduler.enqueue(PendingRequest {
+                id: id as u64,
+                key: ModelKey::new(model, None),
+                priority: Priority::Normal,
+                slo: None,
+                features: Matrix::zeros(1, 32),
+                response_tx: tx,
+                wake: None,
+                enqueued: Instant::now(),
+                trace: crate::telemetry::RequestTrace::new(),
+            }));
+            rxs.push(rx);
+        }
+        let pool = WorkerPool::spawn(Arc::clone(&ctx));
+        for rx in &rxs {
+            let outcome = rx.recv_timeout(Duration::from_secs(30));
+            assert_eq!(outcome.err(), Some(mpsc::RecvTimeoutError::Disconnected));
+        }
+        assert!(!ctx.scheduler.is_open(), "the scheduler takes no new work");
+        assert_eq!(ctx.scheduler.queue_len(), 0);
+        let joined = std::panic::catch_unwind(AssertUnwindSafe(|| pool.join()));
+        assert!(joined.is_err(), "join re-raises the worker's panic");
     }
 }

@@ -201,20 +201,22 @@ fn batches_never_exceed_max_batch() {
 }
 
 #[test]
-fn a_lone_request_flushes_on_the_deadline() {
-    let wait = Duration::from_millis(20);
+fn a_lone_request_is_answered_at_once_by_an_idle_worker() {
+    // The queue deadline is five seconds and the batch could hold 64, yet
+    // an idle worker takes the lone request the moment it is queued: a
+    // batch of one, answered well inside the deadline.
+    let wait = Duration::from_secs(5);
     let server = InferenceServer::start(
         config().with_workers(1).with_max_batch(64).with_max_queue_wait(wait),
     );
-    // Warm the encode cache so the measured wait is queue time, not encode
+    // Warm the encode cache so the measured time is queue time, not encode
     // time.
     server.infer(InferRequest::new(ModelId::RnnLm, features(0))).expect("warm-up");
     let t0 = Instant::now();
     let response = server.infer(InferRequest::new(ModelId::RnnLm, features(1))).expect("response");
     let elapsed = t0.elapsed();
     assert_eq!(response.batch_size, 1);
-    assert!(elapsed >= wait, "answered after {elapsed:?}, deadline {wait:?}");
-    assert!(elapsed < wait * 50, "answered after {elapsed:?}");
+    assert!(elapsed < Duration::from_secs(1), "answered after {elapsed:?}, deadline {wait:?}");
 }
 
 #[test]

@@ -7,6 +7,7 @@
 
 use std::time::{Duration, Instant};
 
+use dsstc_serve::net::frame::encode_request_into;
 use dsstc_serve::net::{WireClient, WireError, WireServer, WireStatus, WIRE_VERSION};
 use dsstc_serve::{
     AdmissionControl, DevicePool, InferRequest, ModelId, PoissonArrivals, Priority, ServeConfig,
@@ -628,10 +629,12 @@ fn graceful_drain_answers_every_connections_in_flight() {
 #[test]
 fn shed_requests_answer_with_shed_load_frames_and_reconcile_with_metrics() {
     // Admission control with a 1 us low-priority SLO: any backlog sheds the
-    // low class. Three pipelined normal requests sit in the 500 ms batching
-    // window, so the low request that follows them on the same connection
-    // is rejected synchronously with a ShedLoad error frame — and the
-    // connection survives to serve more traffic.
+    // low class. One write carries four frames, which the reactor submits
+    // back to back: a 1 024-row VGG-16 request the idle worker takes alone
+    // (admitted first, its class is the most urgent), two BERT requests that
+    // queue behind its run, and a low-priority BERT request that meets them
+    // there and is rejected synchronously with a ShedLoad error frame — and
+    // the connection survives to serve more traffic.
     let hour = Duration::from_secs(3600);
     let metrics_bind: std::net::SocketAddr = "127.0.0.1:0".parse().expect("literal addr");
     let mut server = WireServer::start(
@@ -652,13 +655,21 @@ fn shed_requests_answer_with_shed_load_frames_and_reconcile_with_metrics() {
     let mut client = WireClient::connect(server.local_addr()).expect("connect");
     let normal =
         |seed| InferRequest::new(ModelId::BertBase, features(seed)).with_priority(Priority::Normal);
-    for seed in 0..3 {
-        client.send(&normal(seed)).expect("send normal");
-    }
+    let heavy = Matrix::random_sparse(1024, PROXY_DIM, 0.4, SparsityPattern::Uniform, 8);
     let low = InferRequest::new(ModelId::BertBase, features(9)).with_priority(Priority::Low);
-    let low_id = client.send(&low).expect("send low");
+    let low_id = 103;
+    let mut burst = Vec::new();
+    for (id, request) in (100..).zip([
+        InferRequest::new(ModelId::Vgg16, heavy).with_priority(Priority::Normal),
+        normal(0),
+        normal(1),
+        low,
+    ]) {
+        encode_request_into(&mut burst, id, &request);
+    }
+    client.send_raw(&burst).expect("send the burst");
     // The shed frame is generated at submit time, so it overtakes the
-    // normal responses still waiting out the batching window.
+    // normal responses still queued or running.
     let response = client.recv().expect("shed frame");
     assert_eq!(response.id, low_id);
     assert_eq!(response.status, WireStatus::ShedLoad);

@@ -300,14 +300,19 @@ fn main() {
     println!();
 
     // One burst of mixed traffic: even ids are ResNet-50 images, odd ids are
-    // BERT token windows; every third request is latency-critical.
-    // Submitting faster than the workers drain the queue is what gives the
-    // scheduler something to batch — and the priorities something to jump.
+    // BERT token windows; every third request is latency-critical. The
+    // features are generated first, so the submit loop outruns the workers:
+    // an idle worker takes queued work at once, and a backlog is what gives
+    // the scheduler something to batch — and the priorities something to
+    // jump.
+    let features: Vec<Matrix> = (0..REQUESTS)
+        .map(|i| Matrix::random_sparse(4, 64, 0.4, SparsityPattern::Uniform, i))
+        .collect();
     let pending: Vec<_> = (0..REQUESTS)
-        .map(|i| {
+        .zip(features)
+        .map(|(i, features)| {
             let model = if i % 2 == 0 { ModelId::ResNet50 } else { ModelId::BertBase };
             let priority = if i % 3 == 0 { Priority::High } else { Priority::Normal };
-            let features = Matrix::random_sparse(4, 64, 0.4, SparsityPattern::Uniform, i);
             server
                 .submit(InferRequest::new(model, features).with_priority(priority))
                 .expect("server accepts requests")
