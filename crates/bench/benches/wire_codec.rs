@@ -1,5 +1,5 @@
 //! Wire-codec hot-path benches: pipelined-burst decode through the
-//! [`FrameDecoder`] read-offset cursor, and zero-copy frame encode.
+//! [`FrameDecoder`] read-offset cursor, and in-place request encode.
 //!
 //! The decode group is the satellite proof for the PR that removed the
 //! O(buffer) `drain(..consumed)` memmove per frame: a burst of pipelined
@@ -12,7 +12,7 @@
 #[cfg(target_os = "linux")]
 mod linux {
     use criterion::{criterion_group, BenchmarkId, Criterion};
-    use dsstc_serve::net::{encode_request_into, FrameDecoder, RequestFrame};
+    use dsstc_serve::net::{encode_request_into, FrameDecoder};
     use dsstc_serve::{InferRequest, ModelId, ServeConfig};
     use dsstc_tensor::{Matrix, SparsityPattern};
     use std::hint::black_box;
@@ -59,13 +59,7 @@ mod linux {
     fn bench_request_encode_into(c: &mut Criterion) {
         let req = request(7);
         let mut group = c.benchmark_group("wire_request_encode");
-        // The old path: build an owned frame (features cloned), then
-        // serialise it.
-        group.bench_function("frame_to_bytes", |b| {
-            b.iter(|| black_box(RequestFrame::from_request(1, &req).to_bytes()));
-        });
-        // The hot path: serialise straight from the borrowed request into
-        // a reused buffer.
+        // Serialise straight from the borrowed request into a reused buffer.
         group.bench_function("encode_into_reused_buffer", |b| {
             let mut out = Vec::new();
             b.iter(|| {

@@ -16,7 +16,7 @@ use crate::store::CacheBudget;
 /// queue delay a new request would see from the **modelled** completion
 /// time of the work already queued at or above its priority (queued
 /// requests × the key's modelled unit cost ÷ pool size — the same
-/// [`crate::BatchTimingModel`] pricing the dispatcher plans with, so the
+/// [`crate::BatchTimingModel`] pricing the dispatcher routes with, so the
 /// decision is deterministic and testable). When the projection exceeds the
 /// class SLO scaled by `headroom`, the request is **shed** — rejected at
 /// submit with [`crate::ServeError::ShedLoad`] (a `ShedLoad` error frame on
@@ -192,11 +192,12 @@ impl ClusterConfig {
 /// A pool of modelled GPUs batches are dispatched onto.
 ///
 /// Each device gets one pinned worker thread and its own
-/// [`crate::BatchTimingModel`]; the dispatcher routes every released batch
-/// to the device minimising modelled completion time (see
-/// [`crate::DeviceDispatcher`]). Pools may be heterogeneous — e.g. a mix of
-/// [`GpuConfig::v100`] and [`GpuConfig::a100`] — in which case the faster
-/// devices naturally absorb a larger share of the traffic.
+/// [`crate::BatchTimingModel`]. An idle worker pulls each released batch and
+/// routes it to the cheapest device idle at that moment — itself on a tie
+/// (see [`crate::DeviceDispatcher`]). Pools may be heterogeneous — e.g. a
+/// mix of [`GpuConfig::v100`] and [`GpuConfig::a100`] — in which case a
+/// faster device runs every batch it is idle for, and a slower one takes
+/// what arrives while the faster ones are busy.
 #[derive(Clone, Debug)]
 pub struct DevicePool {
     devices: Vec<GpuConfig>,
@@ -256,11 +257,12 @@ impl Default for DevicePool {
 
 /// Configuration of an [`crate::InferenceServer`].
 ///
-/// The defaults (two pooled V100s, batches of up to eight requests flushed
-/// after two milliseconds, a 64-wide proxy feature dimension,
-/// completion-time-aware dispatch) are sized so the serving smoke tests and
-/// the demo run in seconds; a throughput deployment grows the pool and
-/// `max_batch`.
+/// The defaults (two pooled V100s, batches of up to eight requests, a
+/// two-millisecond cap on queue deadlines, a 64-wide proxy feature
+/// dimension) are sized so the serving smoke tests and the demo run in
+/// seconds; a throughput deployment grows the pool and `max_batch`. The
+/// in-memory encode-cache tier is always bounded by [`CacheBudget`]'s
+/// default.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// The modelled devices; one pinned worker thread each.
@@ -280,8 +282,6 @@ pub struct ServeConfig {
     /// restarted server restores encoded artifacts from disk and skips the
     /// prune+encode warm-up entirely.
     pub encode_cache_dir: Option<PathBuf>,
-    /// Entry/byte bound on the in-memory encode-cache tier.
-    pub encode_cache_budget: CacheBudget,
     /// Entry/**file**-byte bound on the on-disk store tier. The store is
     /// GC'd back under this budget (LRU by last restore) at boot and on
     /// every store touch; see `docs/ENCODING_CACHE.md`.
@@ -344,7 +344,6 @@ impl Default for ServeConfig {
             max_queue_wait: Duration::from_millis(2),
             proxy_dim: 64,
             encode_cache_dir: None,
-            encode_cache_budget: CacheBudget::default(),
             encode_store_budget: CacheBudget::store_default(),
             admission: None,
             listen: None,
@@ -412,12 +411,6 @@ impl ServeConfig {
     /// Enables the persistent encoded-weight store under `dir`.
     pub fn with_encode_cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.encode_cache_dir = Some(dir.into());
-        self
-    }
-
-    /// Overrides the in-memory encode-cache budget.
-    pub fn with_encode_cache_budget(mut self, budget: CacheBudget) -> Self {
-        self.encode_cache_budget = budget;
         self
     }
 
@@ -544,14 +537,12 @@ mod tests {
             .with_max_batch(3)
             .with_max_queue_wait(Duration::from_millis(7))
             .with_proxy_dim(96)
-            .with_encode_cache_dir("/tmp/dsstc-test-cache")
-            .with_encode_cache_budget(CacheBudget { max_entries: 4, max_bytes: 1 << 20 });
+            .with_encode_cache_dir("/tmp/dsstc-test-cache");
         assert_eq!(c.workers(), 5);
         assert_eq!(c.max_batch, 3);
         assert_eq!(c.max_queue_wait, Duration::from_millis(7));
         assert_eq!(c.proxy_dim, 96);
         assert_eq!(c.encode_cache_dir, Some(PathBuf::from("/tmp/dsstc-test-cache")));
-        assert_eq!(c.encode_cache_budget, CacheBudget { max_entries: 4, max_bytes: 1 << 20 });
     }
 
     #[test]
@@ -588,8 +579,9 @@ mod tests {
     fn encode_cache_defaults_to_memory_only_with_a_bounded_budget() {
         let c = ServeConfig::default();
         assert_eq!(c.encode_cache_dir, None);
-        assert!(c.encode_cache_budget.max_entries < usize::MAX);
-        assert!(c.encode_cache_budget.max_bytes < u64::MAX);
+        // The server's memory tier runs at the default budget.
+        assert!(CacheBudget::default().max_entries < usize::MAX);
+        assert!(CacheBudget::default().max_bytes < u64::MAX);
     }
 
     #[test]
@@ -625,7 +617,7 @@ mod tests {
     fn store_lifecycle_knobs_default_sanely_and_build_on() {
         let c = ServeConfig::default();
         assert_eq!(c.encode_store_budget, CacheBudget::store_default());
-        assert!(c.encode_store_budget.max_bytes > c.encode_cache_budget.max_bytes);
+        assert!(c.encode_store_budget.max_bytes > CacheBudget::default().max_bytes);
         let c = c.with_encode_store_budget(CacheBudget { max_entries: 8, max_bytes: 1 << 16 });
         assert_eq!(c.encode_store_budget, CacheBudget { max_entries: 8, max_bytes: 1 << 16 });
     }

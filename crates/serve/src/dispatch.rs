@@ -1,19 +1,17 @@
-//! Completion-time-aware batch-to-device dispatch.
+//! Price-aware batch-to-device routing.
 //!
 //! Every device in the pool has a [`BatchTimingModel`] — one per
 //! *distinct* [`dsstc_sim::GpuConfig`], shared by identical pool members,
-//! since a price depends on the configuration alone — and its own modelled
-//! clock: the instant (in modelled microseconds since server start) at
-//! which the work already assigned to it will have finished.
-//! Assigning a batch prices it on each candidate device and routes it to
-//! the one that would **complete** it first — so a slower V100 still
-//! absorbs traffic whenever the faster A100's backlog outweighs its speed
-//! advantage, and the pool's modelled makespan stays near the optimum a
-//! greedy list scheduler can reach. That is the only policy: the
-//! round-robin baseline it is compared against is computed in
-//! `tests/serve_slo.rs` from this dispatcher's own prices.
+//! since a price depends on the configuration alone. A released batch is
+//! only ever routed among the devices idle at that moment, and an idle
+//! device has no backlog: its modelled completion time is its price. So
+//! routing prices the batch on each idle device and picks the cheapest —
+//! the faster A100 over an idle V100 — keeping it with the asking worker on
+//! a tie, so a pool of identical devices never hands a batch to another
+//! thread. Routing keeps no state; what each device ran is counted once, by
+//! the telemetry hub (`dsstc_device_modelled_busy_us_total`).
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use dsstc_kernels::EncodingSpec;
 
@@ -27,31 +25,17 @@ use crate::timing::BatchTimingModel;
 /// (the next `[benchmark]` PR drops both).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DispatchPolicy {
-    /// Price the batch on every device and pick the one minimising modelled
-    /// completion time (modelled backlog + modelled batch time).
+    /// Price the batch on every idle device and pick the one minimising
+    /// modelled completion time — for an idle device, its price.
     MinCompletionTime,
 }
 
-/// One dispatch decision.
-#[derive(Clone, Copy, Debug)]
+/// One routing decision.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DeviceAssignment {
     /// Index of the chosen device in the pool.
     pub device: usize,
     /// Modelled time of this batch on the chosen device, µs.
-    pub modelled_batch_us: f64,
-    /// Modelled instant (µs since start) at which the chosen device will
-    /// have finished this batch.
-    pub modelled_finish_us: f64,
-}
-
-/// A planned (not yet committed) dispatch decision: the chosen device and
-/// its modelled batch time, with the modelled clock untouched. The worker
-/// pool plans over the devices idle at release and commits at once.
-#[derive(Clone, Copy, Debug)]
-pub struct DevicePlan {
-    /// Index of the chosen device in the pool.
-    pub device: usize,
-    /// Modelled time of the batch on that device, µs.
     pub modelled_batch_us: f64,
 }
 
@@ -61,8 +45,6 @@ pub struct DeviceDispatcher {
     timings: Vec<Arc<BatchTimingModel>>,
     names: Vec<String>,
     specs: Vec<EncodingSpec>,
-    /// Per-device modelled backlog horizon, µs since start.
-    busy_until_us: Mutex<Vec<f64>>,
 }
 
 impl DeviceDispatcher {
@@ -81,12 +63,7 @@ impl DeviceDispatcher {
             timings.push(timing);
         }
         let specs = devices.iter().map(EncodingSpec::for_gpu).collect();
-        DeviceDispatcher {
-            timings,
-            names: pool.names(),
-            specs,
-            busy_until_us: Mutex::new(vec![0.0; pool.len()]),
-        }
+        DeviceDispatcher { timings, names: pool.names(), specs }
     }
 
     /// Number of devices.
@@ -127,7 +104,7 @@ impl DeviceDispatcher {
     }
 
     /// The per-device price, µs, of `batch` requests of `key` — the pricing
-    /// [`Self::plan`] documents. The layer table is built at most once per
+    /// [`Self::route`] documents. The layer table is built at most once per
     /// returned closure, and only when a device's bucket is not priced yet.
     fn price(&self, key: ModelKey, batch: usize) -> impl FnMut(usize) -> f64 + '_ {
         let mut network = None;
@@ -139,78 +116,55 @@ impl DeviceDispatcher {
         }
     }
 
-    /// Prices a batch of `batch` requests of `key`'s model on every device
-    /// marked `eligible` and returns the plan minimising modelled
-    /// completion time, without advancing the modelled clock. Returns
-    /// `None` when no device is eligible.
+    /// Routes a batch of `batch` requests of `key`'s model that the idle
+    /// device `asker` pulled: prices it on `asker` and on every other device
+    /// marked `idle`, and returns the cheapest — `asker` itself unless
+    /// another idle device is strictly cheaper.
     ///
     /// Pricing uses the timing caches, falling back to the key's layer
     /// table (never the encode cache) for cold buckets — a cold model's
-    /// slow prune+encode cannot head-of-line block dispatch, and on the
-    /// steady-state hot path no layer table is built at all. The modelled
-    /// clock's lock is taken only to compare two priced candidates, so
-    /// pricing a cold bucket never holds it.
+    /// slow prune+encode cannot head-of-line block routing, and on the
+    /// steady-state hot path no layer table is built at all.
     ///
     /// # Panics
-    /// Panics if `batch` is zero or `eligible` does not match the pool
-    /// size.
-    pub fn plan(&self, key: ModelKey, batch: usize, eligible: &[bool]) -> Option<DevicePlan> {
-        assert_eq!(eligible.len(), self.timings.len(), "one eligibility flag per device");
+    /// Panics if `batch` is zero, `idle` does not match the pool size or
+    /// `asker` is out of range.
+    pub fn route(
+        &self,
+        key: ModelKey,
+        batch: usize,
+        idle: &[bool],
+        asker: usize,
+    ) -> DeviceAssignment {
+        assert_eq!(idle.len(), self.timings.len(), "one idle flag per device");
         let mut price = self.price(key, batch);
-        (0..eligible.len())
-            .filter(|&device| eligible[device])
-            .map(|device| (device, price(device)))
-            .min_by(|(da, ca), (db, cb)| {
-                // Both candidates are priced by now: the lock is held for
-                // the comparison alone, never while a cold bucket is priced.
-                let busy = self.busy_until_us.lock().expect("dispatch mutex poisoned");
-                let (fa, fb) = (busy[*da] + ca, busy[*db] + cb);
-                fa.partial_cmp(&fb).expect("modelled times are finite")
-            })
-            .map(|(device, modelled_batch_us)| DevicePlan { device, modelled_batch_us })
-    }
-
-    /// Commits a plan: advances the chosen device's modelled clock and
-    /// returns the final assignment.
-    pub fn commit(&self, plan: DevicePlan) -> DeviceAssignment {
-        let mut busy = self.busy_until_us.lock().expect("dispatch mutex poisoned");
-        busy[plan.device] += plan.modelled_batch_us;
-        DeviceAssignment {
-            device: plan.device,
-            modelled_batch_us: plan.modelled_batch_us,
-            modelled_finish_us: busy[plan.device],
+        let mut best = DeviceAssignment { device: asker, modelled_batch_us: price(asker) };
+        for device in (0..idle.len()).filter(|&device| idle[device] && device != asker) {
+            let modelled_batch_us = price(device);
+            if modelled_batch_us < best.modelled_batch_us {
+                best = DeviceAssignment { device, modelled_batch_us };
+            }
         }
+        best
     }
 
-    /// Plans and immediately commits over the whole pool, idle or not.
+    /// The cheapest device of the whole pool for a batch of `batch`
+    /// requests of `key` (the first such device on a tie).
     ///
     /// # Panics
     /// Panics if `batch` is zero.
     pub fn assign(&self, key: ModelKey, batch: usize) -> DeviceAssignment {
-        let plan =
-            self.plan(key, batch, &vec![true; self.timings.len()]).expect("non-empty device pool");
-        self.commit(plan)
-    }
-
-    /// Per-device modelled backlog horizons, µs since start.
-    pub fn busy_until_us(&self) -> Vec<f64> {
-        self.busy_until_us.lock().expect("dispatch mutex poisoned").clone()
-    }
-
-    /// Modelled makespan of everything assigned so far: the latest device
-    /// backlog horizon, µs.
-    pub fn makespan_us(&self) -> f64 {
-        self.busy_until_us().into_iter().fold(0.0, f64::max)
+        self.route(key, batch, &vec![true; self.timings.len()], 0)
     }
 
     /// Modelled microseconds one request of `key` costs on the fastest
     /// pooled device (batch of one): the admission controller's unit price
     /// for turning queue depth into projected queue delay. Same pricing as
-    /// [`Self::plan`] — timing caches first, the key's layer table for
+    /// [`Self::route`] — timing caches first, the key's layer table for
     /// cold buckets — so the admission decision is deterministic and never
     /// consults a wall clock.
     pub fn unit_cost_us(&self, key: ModelKey) -> f64 {
-        (0..self.timings.len()).map(self.price(key, 1)).fold(f64::INFINITY, f64::min)
+        self.assign(key, 1).modelled_batch_us
     }
 
     /// Aggregate timing-cache hit rate across the pool's distinct models.
@@ -279,57 +233,49 @@ mod tests {
     }
 
     #[test]
-    fn min_completion_time_prefers_the_less_backlogged_faster_device() {
+    fn a_pulled_batch_runs_on_the_cheapest_idle_device_or_stays_on_a_tie() {
+        let (v100, a100) = (0, 1);
         let d = DeviceDispatcher::new(&mixed_pool(), DispatchPolicy::MinCompletionTime);
-        // Full VGG-16 batches show the widest modelled V100/A100 gap, so
-        // the balanced split is visibly asymmetric.
-        let key = ModelKey::new(ModelId::Vgg16, None);
-        // Empty pool: both finish at their own batch cost; the faster A100
-        // wins. Its backlog then grows until the idle V100 becomes the
-        // earlier finisher, so both devices end up utilised.
-        let mut seen = [0usize; 2];
-        for _ in 0..12 {
-            seen[d.assign(key, 8).device] += 1;
+        let models = [ModelId::BertBase, ModelId::ResNet50, ModelId::Vgg16, ModelId::RnnLm];
+        let cases = models.map(|model| (ModelKey::new(model, None), 1));
+        for (key, batch) in cases.into_iter().chain([(bert(), 8)]) {
+            // Both idle and the V100 asks: the faster A100 runs the batch, at
+            // its own price, and so it does when the A100 asks.
+            let both = d.route(key, batch, &[true, true], v100);
+            let a100_us = d.timing(a100).cached_batched_us(key, batch).expect("priced");
+            assert_eq!(both, DeviceAssignment { device: a100, modelled_batch_us: a100_us });
+            assert_eq!(d.route(key, batch, &[true, true], a100), both);
+            assert_eq!(d.assign(key, batch), both, "the cheapest of the whole pool");
+            // The A100 busy: the asking V100 runs it.
+            let alone = d.route(key, batch, &[true, false], v100);
+            assert_eq!(alone.device, v100, "{key:?} x{batch}");
+            assert!(alone.modelled_batch_us > both.modelled_batch_us);
+            // Routing keeps no state: asking again changes nothing.
+            for _ in 0..3 {
+                assert_eq!(d.route(key, batch, &[true, true], v100), both);
+                assert_eq!(d.route(key, batch, &[true, false], v100), alone);
+            }
         }
-        assert!(seen[0] > 0, "V100 absorbed no work: {seen:?}");
-        assert!(seen[1] > seen[0], "A100 should take the larger share: {seen:?}");
-        let busy = d.busy_until_us();
-        assert!(d.makespan_us() >= busy[0].max(busy[1]) - 1e-9);
-    }
-
-    #[test]
-    fn plan_respects_eligibility_and_only_commit_advances_the_clock() {
-        let d = DeviceDispatcher::new(&mixed_pool(), DispatchPolicy::MinCompletionTime);
-        let key = bert();
-        let plan = d.plan(key, 2, &[true, true]).expect("some device");
-        assert_eq!(d.makespan_us(), 0.0, "planning must not advance the modelled clock");
-        // Excluding the planned device forces the fallback to the other.
-        let only_other: Vec<bool> = (0..2).map(|i| i != plan.device).collect();
-        let fallback = d.plan(key, 2, &only_other).expect("other device");
-        assert_ne!(fallback.device, plan.device);
-        assert!(d.plan(key, 2, &[false, false]).is_none(), "no eligible device, no plan");
-        let committed = d.commit(plan);
-        assert_eq!(committed.device, plan.device);
-        assert!(committed.modelled_finish_us > 0.0);
-        assert!(d.makespan_us() > 0.0);
-    }
-
-    #[test]
-    fn assignments_advance_the_modelled_clock() {
-        let d = DeviceDispatcher::new(&mixed_pool(), DispatchPolicy::MinCompletionTime);
-        let a = d.assign(bert(), 2);
-        assert!(a.modelled_batch_us > 0.0);
-        assert!((a.modelled_finish_us - a.modelled_batch_us).abs() < 1e-9, "idle pool");
-        // Each later assignment advances the chosen device's clock, and
-        // only it, by the batch's price.
-        let mut horizon = d.busy_until_us();
-        for _ in 0..3 {
-            let next = d.assign(bert(), 2);
-            horizon[next.device] += next.modelled_batch_us;
-            assert!((next.modelled_finish_us - horizon[next.device]).abs() < 1e-9);
-            assert_eq!(d.busy_until_us(), horizon);
+        // Two identical idle devices tie on every price: the asker runs it.
+        let twins = DevicePool::homogeneous(GpuConfig::v100(), 2);
+        let d = DeviceDispatcher::new(&twins, DispatchPolicy::MinCompletionTime);
+        for asker in 0..2 {
+            assert_eq!(d.route(bert(), 4, &[true, true], asker).device, asker);
         }
         assert!(d.timing_hit_rate() > 0.0, "repeat pricing hits the cache");
+    }
+
+    #[test]
+    fn route_skips_busy_devices_however_cheap() {
+        let pool = DevicePool::new(vec![GpuConfig::v100(), GpuConfig::a100(), GpuConfig::a100()]);
+        let d = DeviceDispatcher::new(&pool, DispatchPolicy::MinCompletionTime);
+        let key = bert();
+        // The first A100 is busy: the idle twin runs the batch.
+        assert_eq!(d.route(key, 2, &[true, false, true], 0).device, 2);
+        // Both A100s busy: the asker is the one candidate left.
+        assert_eq!(d.route(key, 2, &[true, false, false], 0).device, 0);
+        // An asking A100 keeps the batch over its idle twin.
+        assert_eq!(d.route(key, 2, &[true, true, true], 2).device, 2);
     }
 
     #[test]
@@ -342,10 +288,8 @@ mod tests {
         let v100 = d.timing(0).batched_us_for(key, &network, 1);
         let a100 = d.timing(1).batched_us_for(key, &network, 1);
         assert!((unit - v100.min(a100)).abs() < 1e-9, "min over devices");
-        // Pure pricing: repeated calls agree and never advance the
-        // modelled clock (nothing to drain, nothing time-dependent).
+        // Pure pricing: repeated calls agree (nothing time-dependent).
         assert_eq!(d.unit_cost_us(key), unit);
-        assert_eq!(d.makespan_us(), 0.0);
         // Heavier models price strictly higher.
         let vgg = d.unit_cost_us(ModelKey::new(ModelId::Vgg16, None));
         assert!(vgg > unit, "VGG-16 {vgg} us should out-price BERT {unit} us");

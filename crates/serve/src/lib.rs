@@ -22,10 +22,12 @@
 //!   backlog. Per-request SLO deadlines order release; within a class,
 //!   deadline-expired requests go first, then higher [`Priority`], FIFO
 //!   within a priority.
-//! * [`DeviceDispatcher`] — routes every released batch onto a
+//! * [`DeviceDispatcher`] — prices a batch on each device of a
 //!   [`DevicePool`] of (possibly heterogeneous) modelled GPUs — e.g. V100s
-//!   next to A100s — picking the idle device that minimises **modelled
-//!   completion time** via per-device [`BatchTimingModel`]s.
+//!   next to A100s — via per-device [`BatchTimingModel`]s. An idle device
+//!   has no backlog, so the worker that pulls a released batch routes it to
+//!   the **cheapest idle device**, keeping it on a tie; routing keeps no
+//!   state.
 //! * the worker pool — one pinned OS worker per device pulling batches when
 //!   idle and executing them on that device's **own** dual-side SpGEMM
 //!   kernel against the encoding cached for its tiling, so heterogeneous
@@ -46,7 +48,8 @@
 //! * [`ServerStats`] — a snapshot of the server's one [`Telemetry`] hub:
 //!   request and batch counts, per-priority queue percentiles (read from
 //!   the same histograms `/metrics` renders), the batch-size histogram,
-//!   per-device modelled utilisation and the encode-cache counters.
+//!   per-device batches and modelled busy time, and the encode-cache
+//!   counters.
 //!   [`render_prometheus`] is its one text rendering.
 //!
 //! # Quickstart
@@ -68,7 +71,7 @@
 //! );
 //!
 //! // Submit a burst of BERT requests; idle workers take them as they queue
-//! // and each batch goes to the idle device that would finish it first.
+//! // and each batch goes to the cheapest idle device.
 //! let pending: Vec<_> = (0..4)
 //!     .map(|seed| {
 //!         let features = Matrix::random_sparse(2, 32, 0.3, SparsityPattern::Uniform, seed);

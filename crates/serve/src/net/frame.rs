@@ -235,19 +235,6 @@ pub struct RequestFrame {
 }
 
 impl RequestFrame {
-    /// Builds a frame from the in-process request type.
-    pub fn from_request(id: u64, request: &InferRequest) -> Self {
-        let (sparsity_permille, deadline_us) = wire_terms(request);
-        RequestFrame {
-            id,
-            model: request.model,
-            sparsity_permille,
-            priority: request.priority,
-            deadline_us,
-            features: request.features.clone(),
-        }
-    }
-
     /// Converts the frame into the in-process request type.
     pub fn into_request(self) -> InferRequest {
         let mut request = InferRequest::new(self.model, self.features).with_priority(self.priority);
@@ -258,14 +245,6 @@ impl RequestFrame {
             request = request.with_deadline(std::time::Duration::from_micros(u64::from(us)));
         }
         request
-    }
-
-    /// Encodes the frame, envelope and checksum included.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let RequestFrame { id, model, sparsity_permille, priority, deadline_us, features } = self;
-        let mut out = Vec::new();
-        seal_request(&mut out, *id, *model, *sparsity_permille, *priority, *deadline_us, features);
-        out
     }
 
     /// Decodes one request body (the envelope already stripped and the
@@ -330,26 +309,6 @@ pub struct ResponseBody {
 }
 
 impl ResponseFrame {
-    /// Builds an `Ok` frame from the in-process response type.
-    pub fn from_response(id: u64, response: &InferResponse) -> Self {
-        ResponseFrame {
-            id,
-            status: WireStatus::Ok,
-            body: Some(ResponseBody {
-                model: response.model,
-                priority: response.priority,
-                device: response.device.min(usize::from(u16::MAX)) as u16,
-                batch_size: response.batch_size.min(usize::from(u16::MAX)) as u16,
-                queue_us: response.queue_us,
-                execute_us: response.execute_us,
-                modelled_batch_us: response.modelled_batch_us,
-                modelled_request_us: response.modelled_request_us,
-                output: response.output.clone(),
-            }),
-            message: String::new(),
-        }
-    }
-
     /// Unwraps the served payload: `Ok` frames yield their body, error
     /// frames become [`WireError::Rejected`].
     pub fn into_body(self) -> Result<ResponseBody, WireError> {
@@ -357,32 +316,6 @@ impl ResponseFrame {
             return Err(WireError::Rejected { status: self.status, message: self.message });
         }
         self.body.ok_or(WireError::Malformed("Ok response without a body"))
-    }
-
-    /// Builds an error frame.
-    pub fn error(id: u64, status: WireStatus, message: impl Into<String>) -> Self {
-        debug_assert!(status != WireStatus::Ok, "error frames carry a non-Ok status");
-        ResponseFrame { id, status, body: None, message: message.into() }
-    }
-
-    /// Encodes the frame, envelope and checksum included.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match &self.body {
-            Some(ok) => seal_served(
-                &mut out,
-                self.id,
-                self.status,
-                ok.model,
-                ok.priority,
-                ok.device,
-                ok.batch_size,
-                [ok.queue_us, ok.execute_us, ok.modelled_batch_us, ok.modelled_request_us],
-                &ok.output,
-            ),
-            None => encode_error_into(&mut out, self.id, self.status, &self.message),
-        }
-        out
     }
 
     /// Decodes one response body (envelope stripped, checksum verified).
@@ -447,13 +380,6 @@ pub struct HelloFrame {
 const HELLO_HAS_TOKEN: u8 = 0b0000_0001;
 
 impl HelloFrame {
-    /// Encodes the frame, envelope and checksum included.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        encode_hello_into(&mut out, self.token.as_deref());
-        out
-    }
-
     /// Decodes one hello body (envelope stripped, checksum verified).
     fn from_body(body: &[u8]) -> Result<Self, WireError> {
         let mut cursor = Cursor::new(body);
@@ -484,13 +410,6 @@ pub struct ShardMapFrame {
 }
 
 impl ShardMapFrame {
-    /// Encodes the frame, envelope and checksum included.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        encode_shard_map_into(&mut out, &self.map);
-        out
-    }
-
     /// Decodes one shard-map body (envelope stripped, checksum verified).
     fn from_body(body: &[u8]) -> Result<Self, WireError> {
         let mut cursor = Cursor::new(body);
@@ -524,8 +443,8 @@ impl ShardMapFrame {
     }
 }
 
-/// Serialises a hello frame directly into `out` — byte-identical to
-/// `HelloFrame { token }.to_bytes()`.
+/// Appends the hello frame presenting `token` (if any) to `out`, envelope
+/// and checksum included.
 pub fn encode_hello_into(out: &mut Vec<u8>, token: Option<&str>) {
     seal_into(out, HELLO_MAGIC, |body| match token {
         Some(token) => {
@@ -538,8 +457,8 @@ pub fn encode_hello_into(out: &mut Vec<u8>, token: Option<&str>) {
     });
 }
 
-/// Serialises a shard-map frame directly into `out` — byte-identical to
-/// `ShardMapFrame { map }.to_bytes()`.
+/// Appends the shard-map frame carrying `map` to `out`, envelope and
+/// checksum included.
 pub fn encode_shard_map_into(out: &mut Vec<u8>, map: &ShardMap) {
     seal_into(out, SHARD_MAP_MAGIC, |body| {
         put_u64(body, map.version);
@@ -590,102 +509,52 @@ fn seal_into(out: &mut Vec<u8>, magic: [u8; 4], fill: impl FnOnce(&mut Vec<u8>))
     put_u64(out, sum);
 }
 
-/// A request's sparsity override and deadline in frame terms. The deadline
-/// is clamped to >= 1 µs: the wire encodes "no deadline" as 0, and a
-/// sub-microsecond SLO must stay an (expired) SLO on the far side, not
-/// silently become the server default.
-fn wire_terms(request: &InferRequest) -> (Option<u16>, Option<u32>) {
+/// Appends the request frame for `request` under the client-chosen `id` to
+/// `out`, envelope and checksum included, serialising the borrowed feature
+/// matrix in place. The deadline is clamped to >= 1 µs: the wire encodes
+/// "no deadline" as 0, and a sub-microsecond SLO must stay an (expired) SLO
+/// on the far side, not silently become the server default.
+pub fn encode_request_into(out: &mut Vec<u8>, id: u64, request: &InferRequest) {
     let sparsity = crate::ModelKey::new(request.model, request.weight_sparsity).sparsity_permille;
     let deadline = request.deadline.map(|d| d.as_micros().clamp(1, u128::from(u32::MAX)) as u32);
-    (sparsity, deadline)
-}
-
-/// The request frame's one layout: [`RequestFrame::to_bytes`] and
-/// [`encode_request_into`] differ only in where the fields come from.
-fn seal_request(
-    out: &mut Vec<u8>,
-    id: u64,
-    model: ModelId,
-    sparsity_permille: Option<u16>,
-    priority: Priority,
-    deadline_us: Option<u32>,
-    features: &Matrix,
-) {
+    let features = &request.features;
     out.reserve(HEADER_LEN + 24 + features.as_slice().len() * 4 + CHECKSUM_LEN);
     seal_into(out, REQUEST_MAGIC, |body| {
         put_u64(body, id);
-        body.push(model.wire_code());
-        put_u16(body, sparsity_permille.unwrap_or(SPARSITY_NONE));
-        body.push(priority.wire_code());
-        put_u32(body, deadline_us.unwrap_or(0));
+        body.push(request.model.wire_code());
+        put_u16(body, sparsity.unwrap_or(SPARSITY_NONE));
+        body.push(request.priority.wire_code());
+        put_u32(body, deadline.unwrap_or(0));
         put_matrix(body, features);
     });
 }
 
-/// The served-response frame's one layout, behind
-/// [`ResponseFrame::to_bytes`] and [`encode_response_into`]. `timings_us`
-/// is queue, execute, modelled batch, modelled request.
-#[allow(clippy::too_many_arguments)] // one parameter per wire field, in layout order
-fn seal_served(
-    out: &mut Vec<u8>,
-    id: u64,
-    status: WireStatus,
-    model: ModelId,
-    priority: Priority,
-    device: u16,
-    batch_size: u16,
-    timings_us: [f64; 4],
-    output: &Matrix,
-) {
+/// Appends the `Ok` response frame answering `id` to `out`, envelope and
+/// checksum included, serialising the borrowed output matrix in place.
+pub fn encode_response_into(out: &mut Vec<u8>, id: u64, response: &InferResponse) {
+    let output = &response.output;
     out.reserve(HEADER_LEN + 55 + output.as_slice().len() * 4 + CHECKSUM_LEN);
     seal_into(out, RESPONSE_MAGIC, |body| {
         put_u64(body, id);
-        body.push(status.code());
-        body.push(model.wire_code());
-        body.push(priority.wire_code());
-        put_u16(body, device);
-        put_u16(body, batch_size);
-        for us in timings_us {
+        body.push(WireStatus::Ok.code());
+        body.push(response.model.wire_code());
+        body.push(response.priority.wire_code());
+        put_u16(body, response.device.min(usize::from(u16::MAX)) as u16);
+        put_u16(body, response.batch_size.min(usize::from(u16::MAX)) as u16);
+        for us in [
+            response.queue_us,
+            response.execute_us,
+            response.modelled_batch_us,
+            response.modelled_request_us,
+        ] {
             put_f64(body, us);
         }
         put_matrix(body, output);
     });
 }
 
-/// Serialises the request frame for `request` under the client-chosen `id`
-/// directly into `out` — byte-identical to
-/// `RequestFrame::from_request(id, request).to_bytes()` without cloning the
-/// feature matrix or allocating an intermediate body.
-pub fn encode_request_into(out: &mut Vec<u8>, id: u64, request: &InferRequest) {
-    let (sparsity, deadline) = wire_terms(request);
-    seal_request(out, id, request.model, sparsity, request.priority, deadline, &request.features);
-}
-
-/// Serialises the `Ok` response frame answering `id` directly into `out` —
-/// byte-identical to `ResponseFrame::from_response(id, response).to_bytes()`
-/// without cloning the output matrix or allocating an intermediate body.
-pub fn encode_response_into(out: &mut Vec<u8>, id: u64, response: &InferResponse) {
-    seal_served(
-        out,
-        id,
-        WireStatus::Ok,
-        response.model,
-        response.priority,
-        response.device.min(usize::from(u16::MAX)) as u16,
-        response.batch_size.min(usize::from(u16::MAX)) as u16,
-        [
-            response.queue_us,
-            response.execute_us,
-            response.modelled_batch_us,
-            response.modelled_request_us,
-        ],
-        &response.output,
-    );
-}
-
-/// Serialises an error frame directly into `out`: the error-response
-/// frame's one layout ([`ResponseFrame::to_bytes`] calls this for its
-/// error arm).
+/// Appends the error frame answering `id` with `status` and `message` to
+/// `out`, envelope and checksum included.
 pub fn encode_error_into(out: &mut Vec<u8>, id: u64, status: WireStatus, message: &str) {
     debug_assert!(status != WireStatus::Ok, "error frames carry a non-Ok status");
     seal_into(out, RESPONSE_MAGIC, |body| {
@@ -950,19 +819,53 @@ mod tests {
         decode_frame(bytes, 1 << 24)
     }
 
+    /// `frame`'s wire bytes, written by the one request encoder.
+    fn request_bytes(frame: &RequestFrame) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_request_into(&mut out, frame.id, &frame.clone().into_request());
+        out
+    }
+
+    /// An error frame's wire bytes and the frame they must decode to.
+    fn error_frame(id: u64, status: WireStatus, message: &str) -> (Vec<u8>, ResponseFrame) {
+        let mut out = Vec::new();
+        encode_error_into(&mut out, id, status, message);
+        (out, ResponseFrame { id, status, body: None, message: message.to_owned() })
+    }
+
     #[test]
     fn request_roundtrips_bit_for_bit() {
         for seed in 0..24 {
             let sent = frame(seed);
-            let bytes = sent.to_bytes();
-            let (decoded, consumed) = decode_one(&bytes).expect("decodes").expect("complete");
-            assert_eq!(consumed, bytes.len());
+            let mut bytes = vec![0xAA; 5]; // the encoder appends, never clobbers
+            encode_request_into(&mut bytes, sent.id, &sent.clone().into_request());
+            assert_eq!(&bytes[..5], &[0xAA; 5]);
+            let (decoded, consumed) = decode_one(&bytes[5..]).expect("decodes").expect("complete");
+            assert_eq!(consumed, bytes.len() - 5);
             assert_eq!(decoded, Frame::Request(sent));
         }
     }
 
     #[test]
     fn response_roundtrips_bit_for_bit() {
+        let response = InferResponse {
+            id: 4242, // the server's id; the frame carries the client's
+            model: ModelId::BertBase,
+            output: Matrix::random_sparse(4, 64, 0.3, SparsityPattern::Uniform, 9),
+            queue_us: 12.5,
+            execute_us: 99.25,
+            modelled_batch_us: 1234.5,
+            modelled_request_us: 176.357,
+            batch_size: 7,
+            device: 3,
+            encoding: dsstc_kernels::EncodingSpec::for_gpu(&dsstc_sim::GpuConfig::v100()),
+            priority: Priority::High,
+            trace: crate::telemetry::RequestTrace::new(),
+        };
+        let mut bytes = Vec::new();
+        encode_response_into(&mut bytes, 42, &response);
+        let (decoded, consumed) = decode_one(&bytes).expect("decodes").expect("complete");
+        assert_eq!(consumed, bytes.len());
         let sent = ResponseFrame {
             id: 42,
             status: WireStatus::Ok,
@@ -975,21 +878,50 @@ mod tests {
                 execute_us: 99.25,
                 modelled_batch_us: 1234.5,
                 modelled_request_us: 176.357,
-                output: Matrix::random_sparse(4, 64, 0.3, SparsityPattern::Uniform, 9),
+                output: response.output,
             }),
             message: String::new(),
         };
-        let bytes = sent.to_bytes();
-        let (decoded, _) = decode_one(&bytes).expect("decodes").expect("complete");
         assert_eq!(decoded, Frame::Response(sent));
     }
 
     #[test]
-    fn error_frame_roundtrips_with_message() {
-        let sent = ResponseFrame::error(7, WireStatus::InvalidRequest, "features have 9 columns");
-        let bytes = sent.to_bytes();
+    fn oversized_device_and_batch_counts_saturate_on_the_wire() {
+        let response = InferResponse {
+            id: 1,
+            model: ModelId::RnnLm,
+            output: Matrix::zeros(1, 4),
+            queue_us: 0.0,
+            execute_us: 0.0,
+            modelled_batch_us: 0.0,
+            modelled_request_us: 0.0,
+            batch_size: 70_000,
+            device: usize::MAX,
+            encoding: dsstc_kernels::EncodingSpec::for_gpu(&dsstc_sim::GpuConfig::v100()),
+            priority: Priority::Low,
+            trace: crate::telemetry::RequestTrace::new(),
+        };
+        let mut bytes = Vec::new();
+        encode_response_into(&mut bytes, 5, &response);
         let (decoded, _) = decode_one(&bytes).expect("decodes").expect("complete");
-        assert_eq!(decoded, Frame::Response(sent));
+        let Frame::Response(frame) = decoded else { panic!("response frame") };
+        let body = frame.into_body().expect("an Ok frame");
+        assert_eq!((body.device, body.batch_size), (u16::MAX, u16::MAX));
+    }
+
+    #[test]
+    fn error_frame_roundtrips_with_message() {
+        for (status, message) in [
+            (WireStatus::InvalidRequest, "features have 9 columns"),
+            (WireStatus::ShuttingDown, ""),
+            (WireStatus::UnsupportedVersion, "unsupported wire version 2, this peer speaks 3"),
+            (WireStatus::NotMine, "owners=127.0.0.1:7401;version=3"),
+            (WireStatus::Unauthorized, "hello token rejected"),
+        ] {
+            let (bytes, sent) = error_frame(7, status, message);
+            let (decoded, _) = decode_one(&bytes).expect("decodes").expect("complete");
+            assert_eq!(decoded, Frame::Response(sent));
+        }
     }
 
     #[test]
@@ -1002,8 +934,8 @@ mod tests {
             crate::ModelKey::new(request.model, request.weight_sparsity).sparsity_permille,
             sent.sparsity_permille
         );
-        let back = RequestFrame::from_request(sent.id, &request);
-        assert_eq!(back, sent);
+        let (back, _) = decode_one(&request_bytes(&sent)).expect("decodes").expect("complete");
+        assert_eq!(back, Frame::Request(sent));
     }
 
     #[test]
@@ -1011,19 +943,19 @@ mod tests {
         use std::time::Duration;
         let request = InferRequest::new(ModelId::RnnLm, Matrix::zeros(1, 8))
             .with_deadline(Duration::from_nanos(500));
-        let frame = RequestFrame::from_request(0, &request);
-        // Encoded as the minimum expressible SLO, never the 0 = "server
-        // default" sentinel.
-        assert_eq!(frame.deadline_us, Some(1));
-        let bytes = frame.to_bytes();
+        let mut bytes = Vec::new();
+        encode_request_into(&mut bytes, 0, &request);
         let (decoded, _) = decode_one(&bytes).expect("decodes").expect("complete");
         let Frame::Request(decoded) = decoded else { panic!("request frame") };
+        // Encoded as the minimum expressible SLO, never the 0 = "server
+        // default" sentinel.
+        assert_eq!(decoded.deadline_us, Some(1));
         assert_eq!(decoded.into_request().deadline, Some(Duration::from_micros(1)));
     }
 
     #[test]
     fn truncation_at_any_length_never_panics() {
-        let bytes = frame(11).to_bytes();
+        let bytes = request_bytes(&frame(11));
         for len in 0..bytes.len() {
             match decode_one(&bytes[..len]) {
                 Ok(None) => {}
@@ -1047,17 +979,17 @@ mod tests {
 
     #[test]
     fn version_and_size_bounds_are_enforced() {
-        let mut bytes = frame(5).to_bytes();
+        let mut bytes = request_bytes(&frame(5));
         bytes[4] = 0xFF; // version low byte
         assert!(matches!(decode_one(&bytes), Err(WireError::UnsupportedVersion(_))));
 
-        let bytes = frame(5).to_bytes();
+        let bytes = request_bytes(&frame(5));
         assert!(matches!(decode_frame(&bytes, 4), Err(WireError::Oversized { limit: 4, .. })));
     }
 
     #[test]
     fn flipped_body_byte_fails_the_checksum() {
-        let mut bytes = frame(9).to_bytes();
+        let mut bytes = request_bytes(&frame(9));
         let body_byte = HEADER_LEN + 3;
         bytes[body_byte] ^= 0x40;
         assert!(matches!(decode_one(&bytes), Err(WireError::ChecksumMismatch)));
@@ -1068,7 +1000,7 @@ mod tests {
         let frames: Vec<RequestFrame> = (0..5).map(frame).collect();
         let mut stream = Vec::new();
         for f in &frames {
-            stream.extend_from_slice(&f.to_bytes());
+            stream.extend_from_slice(&request_bytes(f));
         }
         // Feed in awkward 7-byte fragments.
         let mut decoder = FrameDecoder::new(1 << 24);
@@ -1094,9 +1026,9 @@ mod tests {
         let frames: Vec<RequestFrame> = (10..30).map(frame).collect();
         let mut stream = Vec::new();
         for f in &frames {
-            stream.extend_from_slice(&f.to_bytes());
+            stream.extend_from_slice(&request_bytes(f));
         }
-        let tail = frame(99).to_bytes();
+        let tail = request_bytes(&frame(99));
         stream.extend_from_slice(&tail[..tail.len() - 3]);
 
         let mut decoder = FrameDecoder::new(1 << 24);
@@ -1115,59 +1047,6 @@ mod tests {
         let last = decoder.next_frame().expect("in sync").expect("complete");
         assert_eq!(last, Frame::Request(frame(99)));
         assert_eq!(decoder.pending_bytes(), 0);
-    }
-
-    #[test]
-    fn encode_request_into_matches_the_frame_builder_byte_for_byte() {
-        for seed in 0..24 {
-            let request = frame(seed).into_request();
-            let id = seed * 31 + 7;
-            let built = RequestFrame::from_request(id, &request).to_bytes();
-            let mut direct = vec![0xAA; 5]; // must append, not clobber
-            encode_request_into(&mut direct, id, &request);
-            assert_eq!(&direct[..5], &[0xAA; 5]);
-            assert_eq!(&direct[5..], &built[..], "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn encode_response_into_matches_the_frame_builder_byte_for_byte() {
-        let response = InferResponse {
-            id: 4242,
-            model: ModelId::BertBase,
-            output: Matrix::random_sparse(3, 48, 0.3, SparsityPattern::Uniform, 21),
-            queue_us: 17.25,
-            execute_us: 310.5,
-            modelled_batch_us: 88.875,
-            modelled_request_us: 29.625,
-            batch_size: 3,
-            device: 1,
-            encoding: dsstc_kernels::EncodingSpec::for_gpu(&dsstc_sim::GpuConfig::v100()),
-            priority: Priority::High,
-            trace: crate::telemetry::RequestTrace::new(),
-        };
-        let client_id = 9;
-        let built = ResponseFrame::from_response(client_id, &response).to_bytes();
-        let mut direct = Vec::new();
-        encode_response_into(&mut direct, client_id, &response);
-        assert_eq!(direct, built);
-    }
-
-    #[test]
-    fn encode_error_into_matches_the_frame_builder_byte_for_byte() {
-        for (status, message) in [
-            (WireStatus::InvalidRequest, "features have 9 columns"),
-            (WireStatus::ShuttingDown, ""),
-            (WireStatus::UnsupportedVersion, "unsupported wire version 2, this peer speaks 3"),
-            (WireStatus::ShedLoad, "load shed: projected queue delay 125000 us"),
-            (WireStatus::NotMine, "owners=127.0.0.1:7401;version=3"),
-            (WireStatus::Unauthorized, "hello token rejected"),
-        ] {
-            let built = ResponseFrame::error(17, status, message).to_bytes();
-            let mut direct = Vec::new();
-            encode_error_into(&mut direct, 17, status, message);
-            assert_eq!(direct, built);
-        }
     }
 
     #[test]
@@ -1215,8 +1094,8 @@ mod tests {
             deadline_us: Some(2000),
             features: Matrix::from_vec(1, 4, vec![1.0, 0.5, 0.0, 2.0]),
         };
-        let error = ResponseFrame::error(7, WireStatus::InvalidRequest, "bad");
-        assert_eq!(dumps, [request.to_bytes(), error.to_bytes()]);
+        let (error, _) = error_frame(7, WireStatus::InvalidRequest, "bad");
+        assert_eq!(dumps, [request_bytes(&request), error]);
     }
 
     /// Append-only regression guard for the wire tables: the magics,
@@ -1261,25 +1140,25 @@ mod tests {
     #[test]
     fn hello_and_shard_map_frames_round_trip() {
         for token in [None, Some(String::new()), Some("open sesame".to_string())] {
-            let sent = HelloFrame { token };
-            let bytes = sent.to_bytes();
+            let mut bytes = Vec::new();
+            encode_hello_into(&mut bytes, token.as_deref());
             let (decoded, consumed) = decode_one(&bytes).expect("decodes").expect("complete");
             assert_eq!(consumed, bytes.len());
-            assert_eq!(decoded, Frame::Hello(sent));
+            assert_eq!(decoded, Frame::Hello(HelloFrame { token }));
         }
-        let sent = ShardMapFrame { map: sample_map() };
-        let bytes = sent.to_bytes();
+        let mut bytes = Vec::new();
+        encode_shard_map_into(&mut bytes, &sample_map());
         let (decoded, consumed) = decode_one(&bytes).expect("decodes").expect("complete");
         assert_eq!(consumed, bytes.len());
-        assert_eq!(decoded, Frame::ShardMap(sent));
+        assert_eq!(decoded, Frame::ShardMap(ShardMapFrame { map: sample_map() }));
     }
 
     #[test]
     fn hello_and_shard_map_truncation_never_panics() {
-        for bytes in [
-            HelloFrame { token: Some("t".into()) }.to_bytes(),
-            ShardMapFrame { map: sample_map() }.to_bytes(),
-        ] {
+        let (mut hello, mut shard_map) = (Vec::new(), Vec::new());
+        encode_hello_into(&mut hello, Some("t"));
+        encode_shard_map_into(&mut shard_map, &sample_map());
+        for bytes in [hello, shard_map] {
             for len in 0..bytes.len() {
                 match decode_one(&bytes[..len]) {
                     Ok(None) => {}
@@ -1322,9 +1201,8 @@ mod tests {
 
     #[test]
     fn a_shed_load_error_frame_round_trips() {
-        let sent =
-            ResponseFrame::error(88, WireStatus::ShedLoad, "load shed: projected queue delay");
-        let bytes = sent.to_bytes();
+        let (bytes, sent) =
+            error_frame(88, WireStatus::ShedLoad, "load shed: projected queue delay");
         let (decoded, consumed) = decode_one(&bytes).expect("decodes").expect("complete");
         assert_eq!(consumed, bytes.len());
         assert_eq!(decoded, Frame::Response(sent.clone()));
@@ -1343,7 +1221,7 @@ mod tests {
         #[test]
         fn any_request_roundtrips(seed in proptest::any::<u64>()) {
             let sent = frame(seed);
-            let bytes = sent.to_bytes();
+            let bytes = request_bytes(&sent);
             let (decoded, consumed) = decode_one(&bytes).expect("decodes").expect("complete");
             prop_assert_eq!(consumed, bytes.len());
             prop_assert_eq!(decoded, Frame::Request(sent));
@@ -1351,7 +1229,7 @@ mod tests {
 
         #[test]
         fn any_truncation_is_need_more_not_panic(seed in proptest::any::<u64>(), cut in 0usize..=1) {
-            let bytes = frame(seed).to_bytes();
+            let bytes = request_bytes(&frame(seed));
             // Cut either within the envelope or within the body/checksum.
             let len = if cut == 0 { bytes.len().min(seed as usize % (HEADER_LEN + 1)) }
                       else { HEADER_LEN + (seed as usize % (bytes.len() - HEADER_LEN)) };
@@ -1365,7 +1243,7 @@ mod tests {
             bit in 0u8..8,
         ) {
             let sent = frame(seed);
-            let mut bytes = sent.to_bytes();
+            let mut bytes = request_bytes(&sent);
             let at = (flip % bytes.len() as u64) as usize;
             bytes[at] ^= 1 << bit;
             // Any outcome but a panic or a silently different frame is fine:

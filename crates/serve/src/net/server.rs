@@ -5,7 +5,7 @@
 //! # Architecture
 //!
 //! The front-end is **one reactor**: one thread next to the serving
-//! runtime's own dispatcher + workers, running a level-triggered epoll
+//! runtime's device workers, running a level-triggered epoll
 //! readiness loop (`crate::net::poll`) over the listener, the
 //! `metrics_addr` listener when one is configured, and every socket
 //! either accepts. It owns everything about them.

@@ -122,7 +122,6 @@ impl InferenceServer {
         assert!(config.max_batch > 0, "batches need at least one request");
         let mut repository =
             ModelRepository::new(config.devices.primary().clone(), config.proxy_dim)
-                .with_budget(config.encode_cache_budget)
                 .with_store_budget(config.encode_store_budget);
         if let Some(dir) = &config.encode_cache_dir {
             repository = repository.with_disk_cache(dir.clone());
@@ -307,7 +306,8 @@ impl InferenceServer {
     }
 
     /// The batch-to-device dispatcher (exposed for inspection: per-device
-    /// timing models, modelled backlog horizons and makespan).
+    /// timing models, encoding specs and the price of a batch on each
+    /// device).
     pub fn dispatcher(&self) -> &Arc<DeviceDispatcher> {
         &self.context.dispatcher
     }
@@ -442,7 +442,7 @@ mod tests {
         let stats = server.stats();
         assert_eq!(stats.for_priority(Priority::High).completed, 1);
         assert_eq!(stats.per_device.len(), 2);
-        assert!(stats.modelled_makespan_us > 0.0);
+        assert!(stats.per_device.iter().any(|d| d.modelled_busy_us > 0.0));
     }
 
     #[test]
@@ -626,6 +626,162 @@ mod tests {
         assert!(scraped(&shrunk, "dsstc_cache_store_gc_removed_total") >= 1);
         drop(shrunk);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn overloaded_server_gives_high_priority_strictly_lower_p99_queue_latency() {
+        // One worker, small batches, one model: a burst of 64 heavy requests
+        // (16 rows each through the VGG-16 proxy, 13 layers) is queued
+        // before the worker starts, so extraction order alone decides who
+        // waits.
+        let mut server = InferenceServer::without_workers(
+            ServeConfig::default()
+                .with_workers(1)
+                .with_max_batch(4)
+                .with_max_queue_wait(Duration::from_millis(5))
+                .with_proxy_dim(64),
+        );
+        server.warm_model(ModelId::Vgg16, None);
+        let pending: Vec<_> = (0..64)
+            .map(|i| {
+                let priority = if i % 2 == 0 { Priority::High } else { Priority::Low };
+                let input =
+                    Matrix::random_sparse(16, 64, 0.4, dsstc_tensor::SparsityPattern::Uniform, i);
+                let request = InferRequest::new(ModelId::Vgg16, input).with_priority(priority);
+                server.submit(request).expect("queued")
+            })
+            .collect();
+        assert_eq!(server.queue_len(), 64, "nothing drains before the worker starts");
+        server.spawn_workers();
+        for p in pending {
+            let response = p.wait().expect("response");
+            assert!(response.batch_size <= 4);
+        }
+        let stats = server.stats();
+        let high = stats.for_priority(Priority::High);
+        let low = stats.for_priority(Priority::Low);
+        assert_eq!(high.completed, 32);
+        assert_eq!(low.completed, 32);
+        assert!(
+            high.queue_p99_us < low.queue_p99_us,
+            "high-priority p99 queue {:.0} us must beat low-priority {:.0} us",
+            high.queue_p99_us,
+            low.queue_p99_us
+        );
+        // The median separates too: the whole high class drains before the
+        // bulk of the low class under overload.
+        assert!(
+            high.queue_p50_us < low.queue_p50_us,
+            "high-priority p50 queue {:.0} us vs low-priority {:.0} us",
+            high.queue_p50_us,
+            low.queue_p50_us
+        );
+    }
+
+    #[test]
+    fn mixed_pool_server_spreads_batches_over_both_devices() {
+        use crate::config::DevicePool;
+        use dsstc_sim::GpuConfig;
+        // A burst queued before the workers start. The A100 runs every batch
+        // it is idle for — the first one, whichever worker pulls it — and a
+        // batch pulled while it is busy runs on the V100. 128-row requests
+        // keep each batch running well past the V100's next pull.
+        let mut server = InferenceServer::without_workers(
+            ServeConfig::default()
+                .with_devices(DevicePool::new(vec![GpuConfig::v100(), GpuConfig::a100()]))
+                .with_max_batch(4)
+                .with_max_queue_wait(Duration::from_millis(1))
+                .with_proxy_dim(64),
+        );
+        server.warm_model(ModelId::BertBase, None);
+        let pending: Vec<_> = (0..48)
+            .map(|i| {
+                let input =
+                    Matrix::random_sparse(128, 64, 0.4, dsstc_tensor::SparsityPattern::Uniform, i);
+                server.submit(InferRequest::new(ModelId::BertBase, input)).expect("queued")
+            })
+            .collect();
+        server.spawn_workers();
+        for p in pending {
+            p.wait().expect("response");
+        }
+        let stats = server.stats();
+        assert_eq!(stats.completed_requests, 48);
+        assert_eq!(stats.per_device.len(), 2);
+        assert_eq!(stats.per_device[0].name, "Tesla V100");
+        assert_eq!(stats.per_device[1].name, "A100");
+        let executed: u64 = stats.per_device.iter().map(|d| d.batches).sum();
+        assert_eq!(executed, stats.executed_batches);
+        assert!(
+            stats.per_device.iter().all(|d| d.batches > 0 && d.modelled_busy_us > 0.0),
+            "both devices executed batches: {:?}",
+            stats.per_device
+        );
+    }
+
+    #[test]
+    fn two_device_pool_serves_device_native_encodings_bit_for_bit() {
+        use crate::config::DevicePool;
+        use dsstc_sim::GpuConfig;
+        // A mixed V100 + A100 pool: every response must carry the encoding
+        // native to the device that executed it, and its output must equal
+        // the single-device baseline of that device type **bit for bit**.
+        // The burst is queued before the workers start, in six batches of
+        // 512 rows: the A100 runs the first, and a batch pulled while it is
+        // busy runs on the V100.
+        let config = || {
+            ServeConfig::default().with_proxy_dim(32).with_max_queue_wait(Duration::from_millis(2))
+        };
+        let pool = DevicePool::new(vec![GpuConfig::v100(), GpuConfig::a100()]);
+        let inputs: Vec<Matrix> = (0..24)
+            .map(|i| Matrix::random_sparse(128, 32, 0.4, dsstc_tensor::SparsityPattern::Uniform, i))
+            .collect();
+
+        // Single-device baselines, one per device type, batches of one.
+        let mut baselines: Vec<Vec<Matrix>> = Vec::new();
+        for gpu in pool.devices() {
+            let server = InferenceServer::start(
+                config().with_devices(DevicePool::homogeneous(gpu.clone(), 1)).with_max_batch(1),
+            );
+            let outputs = inputs.iter().map(|f| {
+                let request = InferRequest::new(ModelId::ResNet18, f.clone());
+                server.infer(request).expect("baseline response").output
+            });
+            baselines.push(outputs.collect());
+        }
+
+        let mut server =
+            InferenceServer::without_workers(config().with_devices(pool.clone()).with_max_batch(4));
+        let pending: Vec<_> = inputs
+            .iter()
+            .map(|f| {
+                server.submit(InferRequest::new(ModelId::ResNet18, f.clone())).expect("queued")
+            })
+            .collect();
+        server.spawn_workers();
+        for (i, p) in pending.into_iter().enumerate() {
+            let response = p.wait().expect("response");
+            let device = response.device;
+            // The executed encoding's tiling matches the chosen device's
+            // native kernel tiling.
+            assert_eq!(
+                response.encoding.tiling,
+                pool.devices()[device].native_tiling(),
+                "request {i} on device {device} ran a foreign encoding"
+            );
+            // Bit-for-bit equality with that device type's baseline (exact
+            // float equality, not approx).
+            assert_eq!(
+                response.output, baselines[device][i],
+                "request {i} on device {device} diverged from the single-device baseline"
+            );
+        }
+        let stats = server.stats();
+        assert!(
+            stats.per_device.iter().all(|d| d.batches > 0),
+            "both devices executed batches: {:?}",
+            stats.per_device
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Server metrics: request and batch counts, queue / execute medians,
 //! per-priority queue percentiles, batch-size histogram, per-device
-//! utilisation and cache counters — the snapshot the
+//! modelled load and cache counters — the snapshot the
 //! [`crate::telemetry::Telemetry`] hub produces, plus the wire front-end's
 //! counters. Its one text rendering is the `/metrics` exposition,
 //! [`crate::telemetry::render_prometheus`].
@@ -40,9 +40,6 @@ pub struct DeviceStats {
     pub batches: u64,
     /// Total modelled busy time charged to this device, µs.
     pub modelled_busy_us: f64,
-    /// Share of the pool's modelled makespan this device was busy
-    /// (`modelled_busy_us / makespan`), in `[0, 1]`.
-    pub utilisation: f64,
 }
 
 /// A point-in-time snapshot of the server's metrics.
@@ -70,9 +67,6 @@ pub struct ServerStats {
     pub per_priority: Vec<PriorityLatency>,
     /// Per-device modelled load, in pool order.
     pub per_device: Vec<DeviceStats>,
-    /// Modelled makespan across the pool: the largest per-device modelled
-    /// busy total, µs.
-    pub modelled_makespan_us: f64,
     /// Encode-cache (model repository) in-memory hits.
     pub encode_hits: u64,
     /// Encode-cache misses (each became a disk restore or a fresh
@@ -352,12 +346,10 @@ mod tests {
         // One execute sample per batch: the median of {100, 50} is 50.
         assert_bucket_bound(s.execute_p50_us, 50.0);
         assert!((s.encode_hit_rate - 0.75).abs() < 1e-12);
-        // Device accounting: one batch each, busy 10 us vs 9 us, makespan
-        // 10 us.
+        // Device accounting: one batch each, busy 10 us vs 9 us.
         assert_eq!(s.per_device.iter().map(|d| d.batches).collect::<Vec<_>>(), [1, 1]);
-        assert!((s.modelled_makespan_us - 10.0).abs() < 1e-12);
-        assert!((s.per_device[0].utilisation - 1.0).abs() < 1e-12);
-        assert!((s.per_device[1].utilisation - 0.9).abs() < 1e-12);
+        assert!((s.per_device[0].modelled_busy_us - 10.0).abs() < 1e-12);
+        assert!((s.per_device[1].modelled_busy_us - 9.0).abs() < 1e-12);
         assert_eq!(s.per_device[0].name, "gpu0");
     }
 
@@ -386,8 +378,7 @@ mod tests {
         assert_eq!(s.completed_requests, 0);
         assert_eq!(s.mean_batch_size, 0.0);
         assert_eq!(s.encode_hit_rate, 0.0);
-        assert_eq!(s.modelled_makespan_us, 0.0);
-        assert_eq!(s.per_device[0].utilisation, 0.0);
+        assert_eq!(s.per_device[0].modelled_busy_us, 0.0);
     }
 
     #[test]

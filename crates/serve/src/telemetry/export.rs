@@ -105,16 +105,9 @@ mod tests {
                     name: "Tesla V100".to_string(),
                     batches: 18,
                     modelled_busy_us: 9000.0,
-                    utilisation: 1.0,
                 },
-                DeviceStats {
-                    name: "A100".to_string(),
-                    batches: 12,
-                    modelled_busy_us: 6300.0,
-                    utilisation: 0.7,
-                },
+                DeviceStats { name: "A100".to_string(), batches: 12, modelled_busy_us: 6300.0 },
             ],
-            modelled_makespan_us: 9000.0,
             encode_hits: 28,
             encode_misses: 4,
             encode_disk_loads: 3,

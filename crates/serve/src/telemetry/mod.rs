@@ -3,7 +3,7 @@
 //! tracing ([`trace`]) and Prometheus-style exposition ([`export`]).
 //!
 //! One [`Telemetry`] hub is created per server and threaded through the
-//! scheduler, dispatcher, workers and (when enabled) the wire front-end,
+//! admission path, the device workers and (when enabled) the wire front-end,
 //! so every layer stamps the same trace and feeds the same registry;
 //! [`crate::ServerStats`] is a snapshot of that hub and
 //! [`render_prometheus`] its one text rendering. Nothing here does I/O on
@@ -208,18 +208,13 @@ impl Telemetry {
                 }
             })
             .collect();
-        let makespan = counts.device_busy_modelled_us.iter().copied().fold(0.0, f64::max);
         let per_device = device_names
             .iter()
             .enumerate()
-            .map(|(d, name)| {
-                let busy = counts.device_busy_modelled_us.get(d).copied().unwrap_or(0.0);
-                DeviceStats {
-                    name: name.clone(),
-                    batches: counts.device_batches.get(d).copied().unwrap_or(0),
-                    modelled_busy_us: busy,
-                    utilisation: if makespan > 0.0 { busy / makespan } else { 0.0 },
-                }
+            .map(|(d, name)| DeviceStats {
+                name: name.clone(),
+                batches: counts.device_batches.get(d).copied().unwrap_or(0),
+                modelled_busy_us: counts.device_busy_modelled_us.get(d).copied().unwrap_or(0.0),
             })
             .collect();
         ServerStats {
@@ -236,7 +231,6 @@ impl Telemetry {
             execute_p50_us: self.execute_us.quantile(0.50),
             per_priority,
             per_device,
-            modelled_makespan_us: makespan,
             encode_hits: encode.hits,
             encode_misses: encode.misses,
             encode_disk_loads: encode.disk_loads,

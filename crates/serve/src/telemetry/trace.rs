@@ -30,7 +30,8 @@ pub enum Stage {
     Enqueued = 2,
     /// The scheduler released the batch holding the request.
     Released = 3,
-    /// The dispatcher handed the batch to a device worker queue.
+    /// The worker that pulled the batch routed it to a device: itself, or
+    /// another idle device's worker.
     Dispatched = 4,
     /// The worker resolved the encoded weights (hit, restore or encode).
     CacheResolved = 5,
@@ -135,9 +136,8 @@ impl RequestTrace {
         RequestTrace::default()
     }
 
-    /// Stamps `stage` with the current time. Re-stamping a stage moves it
-    /// forward (e.g. a batch re-dispatched after a full worker queue keeps
-    /// the *successful* dispatch time).
+    /// Stamps `stage` with the current time; re-stamping a stage moves it
+    /// forward.
     pub fn record(&mut self, stage: Stage) {
         self.stamps[stage as usize] = Some(now_us());
     }

@@ -8,10 +8,10 @@
 //! it, and batches grow only with what queued up while every worker was
 //! busy. One idle worker at a time waits in the scheduler; the rest wait on
 //! the pool's roster. The worker that receives a batch prices it with
-//! the [`DeviceDispatcher`] over the devices idle at that moment and commits
-//! it to the one that would complete it first — itself, in a pool of one —
-//! stamping [`Stage::Dispatched`]; a batch routed to another idle device is
-//! handed to that device's worker, and the asker asks again.
+//! the [`DeviceDispatcher`] over the devices idle at that moment and routes
+//! it to the cheapest — itself on a tie, and in a pool of one — stamping
+//! [`Stage::Dispatched`]; a batch routed to another idle device is handed to
+//! that device's worker, and the asker asks again.
 //!
 //! Completion routing is per-request, not per-ingress: every request
 //! carries its own response `Sender` (captured at submit time), so one
@@ -48,7 +48,7 @@ pub(crate) struct WorkerContext {
     pub kernels: Vec<BitmapSpGemm>,
 }
 
-/// A batch committed to one device, with its modelled time there, µs.
+/// A batch routed to one device, with its modelled time there, µs.
 type Job = (Batch, f64);
 
 /// What the workers share under one lock, beside the condition the idle
@@ -56,8 +56,10 @@ type Job = (Batch, f64);
 /// among.
 #[derive(Debug)]
 struct Roster {
+    /// Per device, whether it has no batch. A worker that has not started
+    /// yet is idle too: a batch routed to it waits in its `routed` slot.
     idle: Vec<bool>,
-    /// Per device, a batch another worker committed to it.
+    /// Per device, a batch another worker routed to it.
     routed: Vec<Option<Job>>,
     /// An idle worker is already waiting in the scheduler.
     asking: bool,
@@ -72,15 +74,15 @@ fn lock(roster: &Mutex<Roster>) -> MutexGuard<'_, Roster> {
 }
 
 /// Marks `device` idle and blocks until it has a batch to run — one another
-/// worker routed to it, or one it asked the scheduler for and committed to
+/// worker routed to it, or one it asked the scheduler for and routed to
 /// itself — or the scheduler has drained (`None`).
 fn next_job(device: usize, context: &WorkerContext, (roster, cv): &Shared) -> Option<Job> {
     let mut state = lock(roster);
-    state.idle[device] = true;
     loop {
         if let Some(job) = state.routed[device].take() {
-            return Some(job);
+            return Some(job); // the router marked this device busy
         }
+        state.idle[device] = true;
         if state.drained {
             return None;
         }
@@ -98,8 +100,7 @@ fn next_job(device: usize, context: &WorkerContext, (roster, cv): &Shared) -> Op
             state.drained = true;
             return None;
         };
-        let plan = context.dispatcher.plan(batch.key, batch.len(), &state.idle);
-        let assignment = context.dispatcher.commit(plan.expect("the asking worker is idle"));
+        let assignment = context.dispatcher.route(batch.key, batch.len(), &state.idle, device);
         for request in &mut batch.requests {
             request.trace.record(Stage::Dispatched);
         }
@@ -124,7 +125,7 @@ impl WorkerPool {
     pub(crate) fn spawn(context: Arc<WorkerContext>) -> Self {
         let devices = context.dispatcher.len();
         let roster = Roster {
-            idle: vec![false; devices],
+            idle: vec![true; devices],
             routed: std::iter::repeat_with(|| None).take(devices).collect(),
             asking: false,
             drained: false,
@@ -413,6 +414,39 @@ mod tests {
         ctx.scheduler.shutdown();
         workers.join();
         assert!(!devices_seen.is_empty());
+    }
+
+    #[test]
+    fn a_bursts_first_batch_runs_on_the_cheapest_device_whoever_pulls_it() {
+        // Every device is idle before its worker starts: if the V100's worker
+        // pulls the batch first, it routes it to the A100's slot, where the
+        // A100's worker finds it when it starts.
+        for _ in 0..4 {
+            let ctx = context(4, DevicePool::new(vec![GpuConfig::v100(), GpuConfig::a100()]));
+            let mut rxs = Vec::new();
+            for id in 0..4u64 {
+                let (tx, rx) = mpsc::channel();
+                assert!(ctx.scheduler.enqueue(PendingRequest {
+                    id,
+                    key: ModelKey::new(ModelId::BertBase, None),
+                    priority: Priority::Normal,
+                    slo: None,
+                    features: Matrix::zeros(1, 32),
+                    response_tx: tx,
+                    wake: None,
+                    enqueued: Instant::now(),
+                    trace: crate::telemetry::RequestTrace::new(),
+                }));
+                rxs.push(rx);
+            }
+            let workers = WorkerPool::spawn(Arc::clone(&ctx));
+            for rx in &rxs {
+                let r = rx.recv_timeout(Duration::from_secs(30)).expect("response arrives");
+                assert_eq!((r.device, r.batch_size), (1, 4), "one batch, on the A100");
+            }
+            ctx.scheduler.shutdown();
+            workers.join();
+        }
     }
 
     #[test]

@@ -132,7 +132,8 @@ fn unsupported_version_is_reported_then_closed() {
     let mut client = WireClient::connect(server.local_addr()).expect("connect");
     // A valid frame with a patched version field (the checksum only covers
     // the body, so this is exactly what a future-version client looks like).
-    let mut bytes = dsstc_serve::net::RequestFrame::from_request(1, &request(0)).to_bytes();
+    let mut bytes = Vec::new();
+    dsstc_serve::net::encode_request_into(&mut bytes, 1, &request(0));
     let future = (WIRE_VERSION + 1).to_le_bytes();
     bytes[4..6].copy_from_slice(&future);
     client.send_raw(&bytes).expect("send");
@@ -737,7 +738,8 @@ fn metric_value(body: &str, name: &str) -> f64 {
 fn previous_version_client_gets_an_error_encoded_in_the_servers_version() {
     use std::io::{Read, Write};
     let mut server = wire_server();
-    let mut bytes = dsstc_serve::net::RequestFrame::from_request(1, &request(0)).to_bytes();
+    let mut bytes = Vec::new();
+    dsstc_serve::net::encode_request_into(&mut bytes, 1, &request(0));
     // The version is checked before the checksum, so patching the envelope
     // version is all a not-yet-upgraded client's frame needs to look like.
     bytes[4..6].copy_from_slice(&(WIRE_VERSION - 1).to_le_bytes());
