@@ -17,7 +17,7 @@ fn options(collector: bool, two_level: bool) -> BitmapSpGemmOptions {
 fn print_ablation_summary() {
     let model = GpuTimingModel::v100();
     let shape = GemmShape::new(2048, 2048, 2048);
-    let spec = SyntheticGemmSpec::new(shape, 0.9, 0.9, 11);
+    let spec = SyntheticGemmSpec::new(shape, 0.9, 0.9);
     println!("Ablation (modelled time, 2048^3, 90%/90% sparsity):");
     for (name, opts) in [
         ("full design", options(true, true)),
@@ -33,7 +33,7 @@ fn print_ablation_summary() {
 fn bench_ablations(c: &mut Criterion) {
     print_ablation_summary();
     let shape = GemmShape::new(1024, 1024, 1024);
-    let spec = SyntheticGemmSpec::new(shape, 0.9, 0.9, 11);
+    let spec = SyntheticGemmSpec::new(shape, 0.9, 0.9);
     let mut group = c.benchmark_group("spgemm_ablations");
     group.sample_size(10);
     for (name, opts) in [

@@ -119,14 +119,7 @@ impl DualSideSparseTensorCore {
         a_sparsity: f64,
         b_sparsity: f64,
     ) -> KernelEstimate {
-        let spec = SyntheticGemmSpec::oriented(
-            shape,
-            a_sparsity,
-            b_sparsity,
-            None,
-            None,
-            fig_seed(shape, a_sparsity, b_sparsity),
-        );
+        let spec = SyntheticGemmSpec::oriented(shape, a_sparsity, b_sparsity, None, None);
         let (profile, _) = self.spgemm_kernel().profile_synthetic(&spec);
         self.model.estimate(&profile)
     }
@@ -208,20 +201,6 @@ impl DualSideSparseTensorCore {
             self.config.clock_ghz,
         )
     }
-}
-
-/// Deterministic seed for synthetic sweeps, derived from the problem
-/// parameters so repeated calls agree.
-fn fig_seed(shape: GemmShape, a_sparsity: f64, b_sparsity: f64) -> u64 {
-    (shape.m as u64)
-        .wrapping_mul(0x9E37_79B9)
-        .wrapping_add(shape.n as u64)
-        .wrapping_mul(0x85EB_CA6B)
-        .wrapping_add(shape.k as u64)
-        .wrapping_mul(0xC2B2_AE35)
-        .wrapping_add((a_sparsity * 10_000.0) as u64)
-        .wrapping_mul(31)
-        .wrapping_add((b_sparsity * 10_000.0) as u64)
 }
 
 #[cfg(test)]

@@ -235,8 +235,7 @@ impl InferenceEstimator {
     }
 
     fn gemm_dual_us(&self, shape: GemmShape, a_sparsity: f64, b_sparsity: f64) -> f64 {
-        let seed = shape.m as u64 ^ (shape.n as u64) << 20 ^ (shape.k as u64) << 40;
-        let spec = SyntheticGemmSpec::oriented(shape, a_sparsity, b_sparsity, None, None, seed);
+        let spec = SyntheticGemmSpec::oriented(shape, a_sparsity, b_sparsity, None, None);
         let (profile, _) = BitmapSpGemm::new(self.config.clone()).profile_synthetic(&spec);
         self.model.estimate(&profile).time_us()
     }

@@ -82,12 +82,13 @@ mod tests {
     }
 
     /// The model's cost of one warp tile of the paper's tiling whose steps
-    /// hold `a` and `b` non-zeros, as the profiles' warp-tile walk prices it.
+    /// hold `a` and `b` non-zeros, as the exact walk and the profiles' tail price it.
     fn tile_cost(a: &[u16], b: &[u16], use_collector: bool) -> (WorkloadProfile, SpGemmStats) {
         let options = BitmapSpGemmOptions { operand_collector: use_collector, two_level: true };
         let kernel = BitmapSpGemm::new(GpuConfig::v100()).with_options(options);
         let shape = GemmShape::new(32, 32, 16);
-        kernel.sweep(String::new(), shape, 1, &[a.to_vec()], &[b.to_vec()], (0, 0))
+        let events = kernel.walk(1, &[a.to_vec()], &[b.to_vec()]);
+        kernel.finish(String::new(), shape, &events, (0, 0))
     }
 
     #[test]

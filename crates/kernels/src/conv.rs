@@ -130,7 +130,6 @@ impl ConvKernel {
         let shape = &workload.shape;
         let gemm = workload.lowered_gemm();
         let dense_im2col = DenseIm2col::new();
-        let seed = layer_seed(workload);
         match scheme {
             ConvScheme::DenseExplicit => {
                 let im2col =
@@ -171,7 +170,6 @@ impl ConvKernel {
                     workload.weight_sparsity,
                     Some(a_bytes),
                     Some(b_bytes),
-                    seed,
                 );
                 let (mut gemm_profile, _) =
                     BitmapSpGemm::new(self.config.clone()).profile_synthetic(&spec);
@@ -232,24 +230,6 @@ impl FeatureMapCostProxy {
             dram_bytes_written: 0,
         }
     }
-}
-
-/// Deterministic per-layer seed so repeated estimates are reproducible.
-fn layer_seed(workload: &ConvWorkload) -> u64 {
-    let s = &workload.shape;
-    (s.h as u64)
-        .wrapping_mul(31)
-        .wrapping_add(s.w as u64)
-        .wrapping_mul(31)
-        .wrapping_add(s.c as u64)
-        .wrapping_mul(31)
-        .wrapping_add(s.n as u64)
-        .wrapping_mul(31)
-        .wrapping_add(s.k as u64)
-        .wrapping_mul(31)
-        .wrapping_add((workload.activation_sparsity * 1000.0) as u64)
-        .wrapping_mul(31)
-        .wrapping_add((workload.weight_sparsity * 1000.0) as u64)
 }
 
 #[cfg(test)]

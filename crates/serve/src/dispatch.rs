@@ -1,8 +1,7 @@
 //! Price-aware batch-to-device routing.
 //!
-//! Every device in the pool has a [`BatchTimingModel`] — one per
-//! *distinct* [`dsstc_sim::GpuConfig`], shared by identical pool members,
-//! since a price depends on the configuration alone. A released batch is
+//! Every device in the pool has its own [`BatchTimingModel`], which prices
+//! a batch in closed form at the batch's own size. A released batch is
 //! only ever routed among the devices idle at that moment, and an idle
 //! device has no backlog: its modelled completion time is its price. So
 //! routing prices the batch on each idle device and picks the cheapest —
@@ -10,8 +9,6 @@
 //! a tie, so a pool of identical devices never hands a batch to another
 //! thread. Routing keeps no state; what each device ran is counted once, by
 //! the telemetry hub (`dsstc_device_modelled_busy_us_total`).
-
-use std::sync::Arc;
 
 use dsstc_kernels::EncodingSpec;
 
@@ -42,26 +39,17 @@ pub struct DeviceAssignment {
 /// Routes batches onto a (possibly heterogeneous) device pool.
 #[derive(Debug)]
 pub struct DeviceDispatcher {
-    timings: Vec<Arc<BatchTimingModel>>,
+    timings: Vec<BatchTimingModel>,
     names: Vec<String>,
     specs: Vec<EncodingSpec>,
 }
 
 impl DeviceDispatcher {
-    /// Builds one encoding spec (the device's native tiling) per pooled
-    /// device and one timing model per distinct device configuration:
-    /// identical devices price every `(model, bucket)` identically, so they
-    /// share one model and one cache instead of each computing the table.
+    /// Builds one encoding spec (the device's native tiling) and one timing
+    /// model per pooled device.
     pub fn new(pool: &DevicePool, _policy: DispatchPolicy) -> Self {
         let devices = pool.devices();
-        let mut timings: Vec<Arc<BatchTimingModel>> = Vec::with_capacity(devices.len());
-        for (i, gpu) in devices.iter().enumerate() {
-            let timing = match devices[..i].iter().position(|earlier| earlier == gpu) {
-                Some(twin) => Arc::clone(&timings[twin]),
-                None => Arc::new(BatchTimingModel::new(gpu.clone())),
-            };
-            timings.push(timing);
-        }
+        let timings = devices.iter().map(|gpu| BatchTimingModel::new(gpu.clone())).collect();
         let specs = devices.iter().map(EncodingSpec::for_gpu).collect();
         DeviceDispatcher { timings, names: pool.names(), specs }
     }
@@ -85,7 +73,7 @@ impl DeviceDispatcher {
     ///
     /// # Panics
     /// Panics if `device` is out of range.
-    pub fn timing(&self, device: usize) -> &Arc<BatchTimingModel> {
+    pub fn timing(&self, device: usize) -> &BatchTimingModel {
         &self.timings[device]
     }
 
@@ -103,28 +91,15 @@ impl DeviceDispatcher {
         &self.specs
     }
 
-    /// The per-device price, µs, of `batch` requests of `key` — the pricing
-    /// [`Self::route`] documents. The layer table is built at most once per
-    /// returned closure, and only when a device's bucket is not priced yet.
-    fn price(&self, key: ModelKey, batch: usize) -> impl FnMut(usize) -> f64 + '_ {
-        let mut network = None;
-        move |device| {
-            let timing = &self.timings[device];
-            timing.cached_batched_us(key, batch).unwrap_or_else(|| {
-                timing.batched_us_for(key, network.get_or_insert_with(|| key.network()), batch)
-            })
-        }
-    }
-
     /// Routes a batch of `batch` requests of `key`'s model that the idle
     /// device `asker` pulled: prices it on `asker` and on every other device
     /// marked `idle`, and returns the cheapest — `asker` itself unless
     /// another idle device is strictly cheaper.
     ///
-    /// Pricing uses the timing caches, falling back to the key's layer
-    /// table (never the encode cache) for cold buckets — a cold model's
-    /// slow prune+encode cannot head-of-line block routing, and on the
-    /// steady-state hot path no layer table is built at all.
+    /// Pricing reads the key's layer table alone (never the encode cache),
+    /// so a cold model's slow prune+encode cannot head-of-line block
+    /// routing. A key's first price on a device builds its layers in
+    /// closed form; later prices read them.
     ///
     /// # Panics
     /// Panics if `batch` is zero, `idle` does not match the pool size or
@@ -137,7 +112,7 @@ impl DeviceDispatcher {
         asker: usize,
     ) -> DeviceAssignment {
         assert_eq!(idle.len(), self.timings.len(), "one idle flag per device");
-        let mut price = self.price(key, batch);
+        let price = |device: usize| self.timings[device].batched_us_for(key, batch);
         let mut best = DeviceAssignment { device: asker, modelled_batch_us: price(asker) };
         for device in (0..idle.len()).filter(|&device| idle[device] && device != asker) {
             let modelled_batch_us = price(device);
@@ -160,28 +135,10 @@ impl DeviceDispatcher {
     /// Modelled microseconds one request of `key` costs on the fastest
     /// pooled device (batch of one): the admission controller's unit price
     /// for turning queue depth into projected queue delay. Same pricing as
-    /// [`Self::route`] — timing caches first, the key's layer table for
-    /// cold buckets — so the admission decision is deterministic and never
-    /// consults a wall clock.
+    /// [`Self::route`], from the key's layer table alone, so the admission
+    /// decision is deterministic and never consults a wall clock.
     pub fn unit_cost_us(&self, key: ModelKey) -> f64 {
         self.assign(key, 1).modelled_batch_us
-    }
-
-    /// Aggregate timing-cache hit rate across the pool's distinct models.
-    pub fn timing_hit_rate(&self) -> f64 {
-        let (mut hits, mut misses) = (0u64, 0u64);
-        for (i, timing) in self.timings.iter().enumerate() {
-            // A shared model is counted once, at its first device.
-            if !self.timings[..i].iter().any(|earlier| Arc::ptr_eq(earlier, timing)) {
-                hits += timing.hit_count();
-                misses += timing.miss_count();
-            }
-        }
-        if hits + misses == 0 {
-            0.0
-        } else {
-            hits as f64 / (hits + misses) as f64
-        }
     }
 }
 
@@ -209,26 +166,25 @@ mod tests {
     }
 
     #[test]
-    fn identical_devices_share_one_timing_model_and_distinct_devices_do_not() {
-        let twins = DevicePool::homogeneous(GpuConfig::v100(), 2);
-        let d = DeviceDispatcher::new(&twins, DispatchPolicy::MinCompletionTime);
-        assert!(Arc::ptr_eq(d.timing(0), d.timing(1)));
-        let d = DeviceDispatcher::new(&mixed_pool(), DispatchPolicy::MinCompletionTime);
-        assert!(!Arc::ptr_eq(d.timing(0), d.timing(1)));
-        // A later twin finds its model past a different device in between.
+    fn identical_devices_price_alike_and_distinct_devices_do_not() {
+        // Each device prices on its own model; a price depends on the device
+        // configuration alone, so twins agree wherever they sit in the pool.
         let pool = DevicePool::new(vec![GpuConfig::v100(), GpuConfig::a100(), GpuConfig::v100()]);
         let d = DeviceDispatcher::new(&pool, DispatchPolicy::MinCompletionTime);
-        assert!(Arc::ptr_eq(d.timing(0), d.timing(2)));
-        assert!(!Arc::ptr_eq(d.timing(1), d.timing(2)));
+        for (key, batch) in [(bert(), 1), (bert(), 6), (ModelKey::new(ModelId::ResNet50, None), 3)]
+        {
+            let [v100, a100, twin] = [0, 1, 2].map(|i| d.timing(i).batched_us_for(key, batch));
+            assert_eq!(v100, twin, "{key:?} x{batch}");
+            assert_ne!(v100, a100, "{key:?} x{batch}");
+        }
     }
 
     #[test]
     fn a100_models_faster_than_v100() {
         let d = DeviceDispatcher::new(&mixed_pool(), DispatchPolicy::MinCompletionTime);
         let key = bert();
-        let network = key.network();
-        let v100 = d.timing(0).batched_us_for(key, &network, 4);
-        let a100 = d.timing(1).batched_us_for(key, &network, 4);
+        let v100 = d.timing(0).batched_us_for(key, 4);
+        let a100 = d.timing(1).batched_us_for(key, 4);
         assert!(a100 < v100, "A100 {a100} us should beat V100 {v100} us");
     }
 
@@ -242,7 +198,7 @@ mod tests {
             // Both idle and the V100 asks: the faster A100 runs the batch, at
             // its own price, and so it does when the A100 asks.
             let both = d.route(key, batch, &[true, true], v100);
-            let a100_us = d.timing(a100).cached_batched_us(key, batch).expect("priced");
+            let a100_us = d.timing(a100).batched_us_for(key, batch);
             assert_eq!(both, DeviceAssignment { device: a100, modelled_batch_us: a100_us });
             assert_eq!(d.route(key, batch, &[true, true], a100), both);
             assert_eq!(d.assign(key, batch), both, "the cheapest of the whole pool");
@@ -262,7 +218,6 @@ mod tests {
         for asker in 0..2 {
             assert_eq!(d.route(bert(), 4, &[true, true], asker).device, asker);
         }
-        assert!(d.timing_hit_rate() > 0.0, "repeat pricing hits the cache");
     }
 
     #[test]
@@ -282,11 +237,10 @@ mod tests {
     fn unit_cost_is_the_fastest_devices_single_request_price_and_is_stable() {
         let d = DeviceDispatcher::new(&mixed_pool(), DispatchPolicy::MinCompletionTime);
         let key = bert();
-        let network = key.network();
         let unit = d.unit_cost_us(key);
         assert!(unit > 0.0 && unit.is_finite());
-        let v100 = d.timing(0).batched_us_for(key, &network, 1);
-        let a100 = d.timing(1).batched_us_for(key, &network, 1);
+        let v100 = d.timing(0).batched_us_for(key, 1);
+        let a100 = d.timing(1).batched_us_for(key, 1);
         assert!((unit - v100.min(a100)).abs() < 1e-9, "min over devices");
         // Pure pricing: repeated calls agree (nothing time-dependent).
         assert_eq!(d.unit_cost_us(key), unit);

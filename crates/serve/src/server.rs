@@ -182,25 +182,21 @@ impl InferenceServer {
 
     /// Warm-up: loads, prunes and pre-encodes `model` at `weight_sparsity`
     /// for **every distinct device encoding in the pool** (restoring from
-    /// the persistent store when possible) and pre-prices every batch
-    /// bucket on every pooled device, so no live request pays the one-time
-    /// encode or pricing cost. Returns the total milliseconds spent
-    /// obtaining the artifacts (zero-ish when everything was already
-    /// cached; disk restores cost a fraction of a fresh encode).
+    /// the persistent store when possible), so no live request pays the
+    /// one-time encode cost. Pricing needs no warm-up: a key's first price
+    /// on a device builds its layers in closed form, in about a millisecond.
+    /// Returns the total milliseconds spent obtaining the artifacts
+    /// (zero-ish when everything was already cached; disk restores cost a
+    /// fraction of a fresh encode).
     pub fn warm_model(&self, model: crate::ModelId, weight_sparsity: Option<f64>) -> f64 {
         let key = crate::ModelKey::new(model, weight_sparsity);
-        let mut warmed: Vec<crate::EncodingSpec> = Vec::new();
-        let mut total_ms = 0.0;
-        for device in 0..self.context.dispatcher.len() {
-            let spec = self.context.dispatcher.spec(device);
-            let encoded = self.context.repository.get_for(key, spec);
-            if !warmed.contains(&spec) {
-                warmed.push(spec);
-                total_ms += encoded.encode_ms;
-            }
-            self.context.dispatcher.timing(device).warm(&encoded, self.config.max_batch);
-        }
-        total_ms
+        let specs = self.context.dispatcher.specs();
+        specs
+            .iter()
+            .enumerate()
+            .filter(|&(i, spec)| !specs[..i].contains(spec))
+            .map(|(_, &spec)| self.context.repository.get_for(key, spec).encode_ms)
+            .sum()
     }
 
     /// Enqueues a request; the returned handle resolves to its response.
@@ -298,11 +294,9 @@ impl InferenceServer {
 
     /// A point-in-time metrics snapshot of the telemetry hub.
     pub fn stats(&self) -> ServerStats {
-        self.context.telemetry.snapshot(
-            self.context.repository.counters(),
-            self.context.dispatcher.timing_hit_rate(),
-            self.context.dispatcher.names(),
-        )
+        self.context
+            .telemetry
+            .snapshot(self.context.repository.counters(), self.context.dispatcher.names())
     }
 
     /// The batch-to-device dispatcher (exposed for inspection: per-device
@@ -408,15 +402,36 @@ mod tests {
     }
 
     #[test]
-    fn warm_model_prices_each_bucket_once_for_identical_devices() {
-        let misses_after_warm = |workers: usize| {
-            let server = tiny_server(workers, 4);
-            server.warm_model(ModelId::RnnLm, None);
-            server.context.dispatcher.timing(0).miss_count()
+    fn a_never_warmed_keys_route_price_equals_its_price_after_warm_model() {
+        use crate::config::DevicePool;
+        use dsstc_sim::GpuConfig;
+        // Warm-up only encodes, and a price is a pure function of the key,
+        // the batch and the device: nothing seeded or remembered can differ.
+        let pool = DevicePool::new(vec![GpuConfig::v100(), GpuConfig::a100(), GpuConfig::v100()]);
+        let boot = || {
+            InferenceServer::without_workers(
+                ServeConfig::default().with_devices(pool.clone()).with_proxy_dim(32),
+            )
         };
-        let one_device = misses_after_warm(1);
-        assert_eq!(one_device, 3, "buckets 1, 2 and 4");
-        assert_eq!(misses_after_warm(2), one_device, "the twin V100 re-priced the buckets");
+        let (cold, warm) = (boot(), boot());
+        for model in [ModelId::ResNet50, ModelId::BertBase] {
+            let key = crate::ModelKey::new(model, None);
+            let prices = |server: &InferenceServer| {
+                let mut routed = Vec::new();
+                for (batch, asker) in
+                    [1, 3, 8].into_iter().flat_map(|b| (0..3).map(move |a| (b, a)))
+                {
+                    let idle = [true, asker != 1, true];
+                    routed.push(server.dispatcher().route(key, batch, &idle, asker));
+                }
+                routed
+            };
+            let never_warmed = prices(&cold);
+            assert!(warm.warm_model(model, None) > 0.0, "{model} was encoded");
+            assert_eq!(never_warmed, prices(&warm), "{model}");
+        }
+        // Two models, each encoded once per distinct device encoding.
+        assert_eq!((cold.stats().encode_fresh, warm.stats().encode_fresh), (0, 4));
     }
 
     #[test]

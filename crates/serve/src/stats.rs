@@ -102,8 +102,6 @@ pub struct ServerStats {
     pub store_gc_removed: u64,
     /// Fraction of repository lookups served from the in-memory cache.
     pub encode_hit_rate: f64,
-    /// Fraction of modelled-latency lookups served from the cache.
-    pub timing_hit_rate: f64,
     /// Per-connection / per-frame counters of the TCP front-end, when the
     /// snapshot came from a [`crate::net::WireServer`] (`None` for a plain
     /// in-process server).
@@ -336,7 +334,7 @@ mod tests {
         let c = Telemetry::new();
         c.record_batch(0, &normal(&[10.0, 20.0]), 100.0, 10.0, 5.0);
         c.record_batch(1, &normal(&[30.0]), 50.0, 9.0, 9.0);
-        let s = c.snapshot(enc(3, 1), 0.75, &["gpu0".to_string(), "gpu1".to_string()]);
+        let s = c.snapshot(enc(3, 1), &["gpu0".to_string(), "gpu1".to_string()]);
         assert_eq!(s.completed_requests, 3);
         assert_eq!(s.executed_batches, 2);
         assert_eq!(s.batch_histogram, vec![1, 1]); // one 1-batch, one 2-batch
@@ -358,7 +356,7 @@ mod tests {
         let c = Telemetry::new();
         c.record_batch(0, &[(Priority::High, 5.0), (Priority::Low, 500.0)], 40.0, 8.0, 4.0);
         c.record_batch(0, &[(Priority::Low, 700.0)], 60.0, 8.0, 8.0);
-        let s = c.snapshot(enc(0, 0), 0.0, &["gpu0".to_string()]);
+        let s = c.snapshot(enc(0, 0), &["gpu0".to_string()]);
         let high = s.for_priority(Priority::High);
         let low = s.for_priority(Priority::Low);
         assert_eq!(high.completed, 1);
@@ -374,7 +372,7 @@ mod tests {
     #[test]
     fn snapshot_of_idle_server_is_zeroed() {
         let c = Telemetry::new();
-        let s = c.snapshot(enc(0, 0), 0.0, &["gpu0".to_string()]);
+        let s = c.snapshot(enc(0, 0), &["gpu0".to_string()]);
         assert_eq!(s.completed_requests, 0);
         assert_eq!(s.mean_batch_size, 0.0);
         assert_eq!(s.encode_hit_rate, 0.0);
@@ -387,7 +385,7 @@ mod tests {
         c.record_shed(Priority::Low);
         c.record_shed(Priority::Low);
         c.record_shed(Priority::Normal);
-        let s = c.snapshot(enc(0, 0), 0.0, &["gpu0".to_string()]);
+        let s = c.snapshot(enc(0, 0), &["gpu0".to_string()]);
         assert_eq!(s.total_shed(), 3);
         assert_eq!(s.for_priority(Priority::Low).shed, 2);
         assert_eq!(s.for_priority(Priority::Normal).shed, 1);
@@ -424,7 +422,7 @@ mod tests {
             store_gc_removed: 3,
             ..Default::default()
         };
-        let s = c.snapshot(encode, 0.0, &["gpu0".to_string()]);
+        let s = c.snapshot(encode, &["gpu0".to_string()]);
         assert_eq!(s.encode_warm_restored, 5);
         assert_eq!(s.encode_warm_reencoded, 0);
         assert_eq!(s.encode_warm_healed, 1);

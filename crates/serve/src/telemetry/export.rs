@@ -122,7 +122,6 @@ mod tests {
             store_bytes: 88_000,
             store_gc_removed: 2,
             encode_hit_rate: 0.875,
-            timing_hit_rate: 0.9,
             wire: Some(WireStats {
                 connections_accepted: 5,
                 connections_rejected: 1,
@@ -329,12 +328,14 @@ mod tests {
     #[test]
     fn non_finite_gauges_render_as_zero() {
         let mut stats = sample_stats();
+        stats.per_device[0].modelled_busy_us = f64::INFINITY;
         stats.per_device[1].modelled_busy_us = f64::NAN;
-        stats.timing_hit_rate = f64::INFINITY;
         let text = render_prometheus(&stats, &MetricsRegistry::new());
-        assert!(
-            text.contains("dsstc_device_modelled_busy_us_total{device=\"1\",gpu=\"A100\"} 0.000")
-        );
-        assert!(text.contains("dsstc_timing_cache_hit_rate 0.000"));
+        for (device, gpu) in [(0, "Tesla V100"), (1, "A100")] {
+            let sample = format!(
+                "dsstc_device_modelled_busy_us_total{{device=\"{device}\",gpu=\"{gpu}\"}} 0.000"
+            );
+            assert!(text.contains(&sample), "{sample}");
+        }
     }
 }

@@ -67,7 +67,7 @@ pub(crate) const DEVICE: &[Family<DeviceStats>] = &[
     ),
 ];
 
-/// The two-tier encode cache, its on-disk store and the timing cache.
+/// The two-tier encode cache and its on-disk store.
 pub(crate) const ENCODE_CACHE: &[Family<ServerStats>] = &[
     counter("dsstc_encode_cache_hits_total", "In-memory encode-cache hits", |s| Int(s.encode_hits)),
     counter("dsstc_encode_cache_misses_total", "Encode-cache misses", |s| Int(s.encode_misses)),
@@ -115,11 +115,6 @@ pub(crate) const ENCODE_CACHE: &[Family<ServerStats>] = &[
         "dsstc_cache_store_gc_removed_total",
         "Artifacts removed from the on-disk store by garbage collection",
         |s| Int(s.store_gc_removed),
-    ),
-    gauge(
-        "dsstc_timing_cache_hit_rate",
-        "Fraction of modelled-latency lookups served from cache",
-        |s| Float(s.timing_hit_rate),
     ),
 ];
 

@@ -179,13 +179,12 @@ impl Telemetry {
     }
 
     /// Produces a snapshot, folding in the cache counters maintained by the
-    /// repository and dispatcher plus the pool's device names. Counters are
+    /// repository plus the pool's device names. Counters are
     /// exact; every percentile is [`LogHistogram::quantile`] of the
     /// histogram the scrape renders.
     pub(crate) fn snapshot(
         &self,
         encode: EncodeCacheStats,
-        timing_hit_rate: f64,
         device_names: &[String],
     ) -> ServerStats {
         let counts = self.batches.lock().expect("batch counters poisoned");
@@ -245,7 +244,6 @@ impl Telemetry {
             store_bytes: encode.store_bytes,
             store_gc_removed: encode.store_gc_removed,
             encode_hit_rate: encode.hit_rate(),
-            timing_hit_rate,
             wire: None,
             cluster: None,
         }
@@ -335,7 +333,7 @@ mod tests {
         for &us in &stream {
             telemetry.record_batch(0, &[(Priority::Normal, us)], us, 1.0, 1.0);
         }
-        let s = telemetry.snapshot(EncodeCacheStats::default(), 0.0, &["gpu0".to_string()]);
+        let s = telemetry.snapshot(EncodeCacheStats::default(), &["gpu0".to_string()]);
         assert_eq!(s.completed_requests, 100_000);
         let normal = s.for_priority(Priority::Normal);
         for (reported, q) in [
@@ -373,7 +371,7 @@ mod tests {
             }
         });
         let names = ["gpu0".to_string(), "gpu1".to_string()];
-        let s = telemetry.snapshot(EncodeCacheStats::default(), 0.0, &names);
+        let s = telemetry.snapshot(EncodeCacheStats::default(), &names);
         let batches = (THREADS * BATCHES) as u64;
         let requests = batches + batches / 2;
         assert_eq!(s.executed_batches, batches);

@@ -1,40 +1,34 @@
 //! Modelled GPU latency of a batched network execution.
 //!
 //! Responses report the dual-side sparse Tensor Core time of the **real**
-//! network (not the functional proxy) at the executing batch's size: every
-//! layer's lowered GEMM has its M dimension scaled by the number of
-//! batched requests and is charged through the same synthetic-profile path
-//! `dsstc::InferenceEstimator` uses. Because the profile is deterministic
-//! for a `(model, sparsity, batch)` triple, results are memoised — the
-//! latency cache sits next to the encode cache as the second artifact the
-//! serving layer amortises across requests.
+//! network (not the functional proxy) at the executing batch's own size:
+//! every layer's lowered GEMM has its M dimension scaled by the number of
+//! batched requests and is priced by the closed-form profile
+//! `dsstc::InferenceEstimator` uses
+//! ([`BitmapSpGemm::profile_synthetic`]). A batch changes only how many
+//! warp-tile lines that dimension has, so each model's layers are turned
+//! once into [`BatchedSyntheticGemm`]s — the expected events of a full line
+//! and of each remainder line — and every price after that is `O(layers)`
+//! arithmetic on them plus the timing model. Nothing is sampled, bucketed
+//! or remembered per batch size.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-use dsstc_kernels::bitmap_spgemm::{BitmapSpGemm, SyntheticGemmSpec};
-use dsstc_models::Network;
+use dsstc_kernels::bitmap_spgemm::{BatchedSyntheticGemm, BitmapSpGemm};
 use dsstc_sim::{GpuConfig, GpuTimingModel};
-use dsstc_tensor::GemmShape;
 
 use crate::model::EncodedModel;
 use crate::request::ModelKey;
 
-/// How many M-dimension warp-tile rows each layer's synthetic profile
-/// samples. 64 rows keep the per-batch-size pricing under a millisecond per
-/// layer while staying within a few percent of the exact profile (the
-/// per-tile statistics are i.i.d. across rows).
-const M_SAMPLE_TILES: usize = 64;
-
-/// Estimates (and memoises) the modelled time of batched network runs.
+/// Prices batched network runs on one GPU configuration.
 #[derive(Debug)]
 pub struct BatchTimingModel {
     kernel: BitmapSpGemm,
     model: GpuTimingModel,
-    cache: Mutex<HashMap<(ModelKey, usize), f64>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    /// Per model, its layers in closed form: built on the model's first
+    /// price, immutable after.
+    layers: Mutex<HashMap<ModelKey, Arc<[BatchedSyntheticGemm]>>>,
 }
 
 impl BatchTimingModel {
@@ -46,9 +40,7 @@ impl BatchTimingModel {
         BatchTimingModel {
             kernel: BitmapSpGemm::for_device(gpu.clone()),
             model: GpuTimingModel::new(gpu),
-            cache: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            layers: Mutex::new(HashMap::new()),
         }
     }
 
@@ -56,117 +48,54 @@ impl BatchTimingModel {
     /// batch size `batch` (each layer's lowered-GEMM M dimension scales with
     /// the batch).
     ///
-    /// Batch sizes are **bucketed to the next power of two** for pricing —
-    /// the profile is computed at the bucket size and interpolated linearly
-    /// down to `batch` — so a server only ever prices
-    /// `log2(max_batch) + 1` distinct shapes per model and the cache
-    /// converges after the first few batches regardless of traffic shape.
-    ///
     /// # Panics
     /// Panics if `batch` is zero.
     pub fn batched_us(&self, model: &EncodedModel, batch: usize) -> f64 {
-        self.batched_us_for(model.key, &model.network, batch)
+        self.batched_us_for(model.key, batch)
     }
 
     /// Like [`Self::batched_us`], but priced from the key's layer table
     /// alone — no encoded weights required, so the dispatcher can price a
     /// cold model without paying (or waiting on) its prune+encode.
     ///
-    /// # Panics
-    /// Panics if `batch` is zero.
-    pub fn batched_us_for(&self, key: ModelKey, network: &Network, batch: usize) -> f64 {
-        assert!(batch > 0, "batch must be non-empty");
-        let bucket = batch.next_power_of_two();
-        let bucket_us = self.bucket_us(key, network, bucket);
-        bucket_us * batch as f64 / bucket as f64
-    }
-
-    /// Cache-only lookup: the modelled batched time if this `(key, batch)`
-    /// bucket is already priced, `None` otherwise (no profiling is
-    /// performed). Lets the dispatcher skip building the layer table
-    /// entirely on the steady-state hot path.
+    /// The key's first price builds its layers in closed form (a
+    /// millisecond or two for the largest networks); every price after that
+    /// reads them.
     ///
     /// # Panics
     /// Panics if `batch` is zero.
-    pub fn cached_batched_us(&self, key: ModelKey, batch: usize) -> Option<f64> {
+    pub fn batched_us_for(&self, key: ModelKey, batch: usize) -> f64 {
         assert!(batch > 0, "batch must be non-empty");
-        let bucket = batch.next_power_of_two();
-        let us = *self.cache.lock().expect("timing mutex poisoned").get(&(key, bucket))?;
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(us * batch as f64 / bucket as f64)
+        let layers = self.layers(key);
+        layers
+            .iter()
+            .map(|layer| {
+                self.model.estimate(&self.kernel.profile_batched(layer, batch).0).time_us()
+            })
+            .sum()
     }
 
-    /// Prices one power-of-two bucket, memoised.
-    fn bucket_us(&self, key: ModelKey, network: &Network, bucket: usize) -> f64 {
-        let cache_key = (key, bucket);
-        if let Some(&us) = self.cache.lock().expect("timing mutex poisoned").get(&cache_key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return us;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut total = 0.0;
-        for (i, layer) in network.layers().iter().enumerate() {
-            let base = layer.kind.lowered_gemm();
-            let shape = GemmShape::new(base.m * bucket, base.n, base.k);
-            let spec = SyntheticGemmSpec::oriented(
-                shape,
-                layer.activation_sparsity,
-                layer.weight_sparsity,
-                None,
-                None,
-                timing_seed(key, i, bucket),
-            );
-            let (profile, _) = self.kernel.profile_synthetic_capped(&spec, M_SAMPLE_TILES);
-            total += self.model.estimate(&profile).time_us();
-        }
-        self.cache.lock().expect("timing mutex poisoned").insert(cache_key, total);
-        total
+    /// `key`'s layers in closed form, built on first use.
+    fn layers(&self, key: ModelKey) -> Arc<[BatchedSyntheticGemm]> {
+        let built = self.layers.lock().expect("timing mutex poisoned").get(&key).cloned();
+        built.unwrap_or_else(|| {
+            let layers: Arc<[BatchedSyntheticGemm]> = key
+                .network()
+                .layers()
+                .iter()
+                .map(|layer| {
+                    let gemm = layer.kind.lowered_gemm();
+                    self.kernel.batched_synthetic(
+                        gemm,
+                        layer.activation_sparsity,
+                        layer.weight_sparsity,
+                    )
+                })
+                .collect();
+            let mut all = self.layers.lock().expect("timing mutex poisoned");
+            Arc::clone(all.entry(key).or_insert(layers))
+        })
     }
-
-    /// Pre-prices every power-of-two bucket up to `max_batch` so no request
-    /// pays a pricing miss (used by server warm-up).
-    pub fn warm(&self, model: &EncodedModel, max_batch: usize) {
-        let mut bucket = 1;
-        loop {
-            let _ = self.bucket_us(model.key, &model.network, bucket);
-            if bucket >= max_batch {
-                break;
-            }
-            bucket *= 2;
-        }
-    }
-
-    /// Latency-cache hits so far.
-    pub fn hit_count(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Latency-cache misses so far.
-    pub fn miss_count(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Fraction of lookups served from the cache.
-    pub fn hit_rate(&self) -> f64 {
-        let hits = self.hit_count();
-        let total = hits + self.miss_count();
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
-        }
-    }
-}
-
-/// Deterministic seed for a layer's synthetic profile at one batch size.
-fn timing_seed(key: ModelKey, layer_index: usize, batch: usize) -> u64 {
-    let mut seed: u64 = 0xBA7C_4ED0;
-    for b in key.model.name().bytes() {
-        seed = seed.rotate_left(5) ^ u64::from(b).wrapping_mul(0x9E37_79B9);
-    }
-    seed ^ ((layer_index as u64) << 32)
-        ^ ((batch as u64) << 16)
-        ^ u64::from(key.sparsity_permille.map_or(0xFFFF, |p| p))
 }
 
 #[cfg(test)]
@@ -174,6 +103,8 @@ mod tests {
     use super::*;
     use crate::request::{ModelId, ModelKey};
     use crate::store::ModelRepository;
+    use dsstc_kernels::bitmap_spgemm::SyntheticGemmSpec;
+    use dsstc_tensor::GemmShape;
 
     fn bert() -> (ModelRepository, BatchTimingModel) {
         (ModelRepository::new(GpuConfig::v100(), 32), BatchTimingModel::new(GpuConfig::v100()))
@@ -192,49 +123,69 @@ mod tests {
     }
 
     #[test]
-    fn repeated_lookups_hit_the_cache_and_agree() {
-        let (repo, timing) = bert();
-        let m = repo.get(ModelKey::new(ModelId::BertBase, None));
-        let a = timing.batched_us(&m, 2);
-        let b = timing.batched_us(&m, 2);
-        assert_eq!(a, b);
-        assert_eq!((timing.hit_count(), timing.miss_count()), (1, 1));
-        assert!((timing.hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn non_power_of_two_batches_share_their_bucket() {
-        let (repo, timing) = bert();
-        let m = repo.get(ModelKey::new(ModelId::BertBase, None));
-        let five = timing.batched_us(&m, 5);
-        let eight = timing.batched_us(&m, 8);
-        // 5 is priced off the 8-bucket (one miss total) and interpolated.
-        assert_eq!(timing.miss_count(), 1);
-        assert!((five - eight * 5.0 / 8.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn warm_prices_every_bucket_up_front() {
-        let (repo, timing) = bert();
-        let m = repo.get(ModelKey::new(ModelId::BertBase, None));
-        timing.warm(&m, 8);
-        assert_eq!(timing.miss_count(), 4); // buckets 1, 2, 4, 8
-        for batch in 1..=8 {
-            let _ = timing.batched_us(&m, batch);
+    fn a_price_is_a_pure_function_of_key_and_batch() {
+        let key = ModelKey::new(ModelId::ResNet50, None);
+        let (first, second) = (BatchTimingModel::new(GpuConfig::v100()), bert().1);
+        for batch in [5, 1, 8, 5] {
+            let price = first.batched_us_for(key, batch);
+            assert_eq!(first.batched_us_for(key, batch), price, "repeated, batch {batch}");
+            assert_eq!(second.batched_us_for(key, batch), price, "another model, batch {batch}");
         }
-        assert_eq!(timing.miss_count(), 4, "warmed buckets absorb all traffic");
     }
 
     #[test]
-    fn cached_lookup_hits_only_after_pricing() {
+    fn a_batch_is_priced_at_its_own_size() {
         let (_, timing) = bert();
-        let key = ModelKey::new(ModelId::BertBase, None);
-        assert_eq!(timing.cached_batched_us(key, 3), None);
-        assert_eq!(timing.hit_count(), 0, "a cache-only miss is not counted");
-        let priced = timing.batched_us_for(key, &key.network(), 3);
-        let cached = timing.cached_batched_us(key, 3).expect("bucket now priced");
-        assert_eq!(priced, cached);
-        assert_eq!((timing.hit_count(), timing.miss_count()), (1, 1));
+        for model in [ModelId::BertBase, ModelId::ResNet50] {
+            let key = ModelKey::new(model, None);
+            let [two, three, four] = [2, 3, 4].map(|batch| timing.batched_us_for(key, batch));
+            assert!(two < three && three < four, "{model}: {two} < {three} < {four}");
+            assert!((three - four * 0.75).abs() > 1e-6 * four, "{model}: 3 is not 3/4 of 4");
+        }
+    }
+
+    #[test]
+    fn a_price_is_the_closed_form_of_every_batched_layer() {
+        // What `InferenceEstimator` charges a layer, summed over the network
+        // with each lowered GEMM's M scaled by the batch.
+        let timing = BatchTimingModel::new(GpuConfig::a100());
+        let kernel = BitmapSpGemm::for_device(GpuConfig::a100());
+        let model = GpuTimingModel::new(GpuConfig::a100());
+        for id in [ModelId::ResNet50, ModelId::BertBase, ModelId::RnnLm] {
+            let key = ModelKey::new(id, Some(0.8));
+            for batch in [1, 3, 7] {
+                let want: f64 = key
+                    .network()
+                    .layers()
+                    .iter()
+                    .map(|layer| {
+                        let g = layer.kind.lowered_gemm();
+                        let shape = GemmShape::new(g.m * batch, g.n, g.k);
+                        let (a, w) = (layer.activation_sparsity, layer.weight_sparsity);
+                        let spec = SyntheticGemmSpec::oriented(shape, a, w, None, None);
+                        model.estimate(&kernel.profile_synthetic(&spec).0).time_us()
+                    })
+                    .sum();
+                let got = timing.batched_us_for(key, batch);
+                assert!((got - want).abs() <= 1e-6 * want, "{id} x{batch}: {got} vs {want}");
+            }
+        }
+    }
+
+    #[test]
+    fn each_key_builds_its_layers_once() {
+        let (_, timing) = bert();
+        let keys = [ModelKey::new(ModelId::BertBase, None), ModelKey::new(ModelId::Vgg16, None)];
+        for key in keys {
+            let built = timing.layers(key);
+            assert_eq!(built.len(), key.network().layers().len());
+            for batch in 1..=64 {
+                let _ = timing.batched_us_for(key, batch);
+            }
+            assert!(Arc::ptr_eq(&built, &timing.layers(key)), "{key:?} was rebuilt");
+        }
+        // One entry per key, however many batch sizes were priced.
+        assert_eq!(timing.layers.lock().expect("timing mutex").len(), keys.len());
     }
 
     #[test]
@@ -242,13 +193,10 @@ mod tests {
         let (repo, timing) = bert();
         let key = ModelKey::new(ModelId::BertBase, Some(0.9));
         // Price from the layer table alone (no encoded weights)...
-        let from_key = timing.batched_us_for(key, &key.network(), 4);
-        assert_eq!(timing.miss_count(), 1);
-        // ...then through the encoded model: same cache entry, same value.
+        let from_key = timing.batched_us_for(key, 4);
+        // ...then through the encoded model: the same layers, the same value.
         let m = repo.get(key);
-        let from_model = timing.batched_us(&m, 4);
-        assert_eq!(from_key, from_model);
-        assert_eq!((timing.hit_count(), timing.miss_count()), (1, 1));
+        assert_eq!(timing.batched_us(&m, 4), from_key);
     }
 
     #[test]

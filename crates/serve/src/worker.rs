@@ -340,8 +340,7 @@ mod tests {
             assert!(response.modelled_batch_us > 0.0);
             assert!((response.modelled_request_us - response.modelled_batch_us / 3.0).abs() < 1e-9);
         }
-        let stats =
-            ctx.telemetry.snapshot(ctx.repository.counters(), 0.0, &["Tesla V100".to_string()]);
+        let stats = ctx.telemetry.snapshot(ctx.repository.counters(), &["Tesla V100".to_string()]);
         assert_eq!(stats.completed_requests, 3);
         assert_eq!(stats.executed_batches, 1);
         assert_eq!(stats.per_device[0].batches, 1);
@@ -374,11 +373,9 @@ mod tests {
         }
         ctx.scheduler.shutdown();
         pool.join();
-        let stats = ctx.telemetry.snapshot(
-            ctx.repository.counters(),
-            0.0,
-            &["gpu0".to_string(), "gpu1".to_string()],
-        );
+        let stats = ctx
+            .telemetry
+            .snapshot(ctx.repository.counters(), &["gpu0".to_string(), "gpu1".to_string()]);
         assert_eq!(stats.completed_requests, 5);
         assert!(stats.batch_histogram.len() <= 2, "batches of at most max_batch");
     }

@@ -531,8 +531,6 @@ fn two_hundred_concurrent_connections_on_a_mixed_pool_answer_bit_identically() {
     let mut server = WireServer::start(
         ServeConfig::default()
             .with_devices(DevicePool::new(vec![GpuConfig::v100(), GpuConfig::a100()]))
-            // Two timing buckets per (model, device): pricing one costs a
-            // debug build more than serving a hundred of these requests.
             .with_max_batch(2)
             .with_max_queue_wait(Duration::from_millis(1))
             .with_proxy_dim(PROXY_DIM)

@@ -291,8 +291,7 @@ fn main() {
 
     // Deploy-time warm-up: obtain both models' encoded weights for every
     // pooled device tiling (fresh prune+encode on a cold start, restored
-    // from the persistent store on a warm one) and pre-price the batch
-    // buckets, before traffic arrives.
+    // from the persistent store on a warm one) before traffic arrives.
     for model in [ModelId::ResNet50, ModelId::BertBase] {
         let encode_ms = server.warm_model(model, None);
         println!("warmed {model}: encoded weights obtained in {encode_ms:.1} ms");

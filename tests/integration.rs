@@ -114,7 +114,7 @@ fn hardware_overhead_scales_with_the_gpu_and_stays_small() {
 fn ablations_never_improve_on_the_full_design() {
     use dsstc_kernels::bitmap_spgemm::{BitmapSpGemm, BitmapSpGemmOptions, SyntheticGemmSpec};
     let model = GpuTimingModel::v100();
-    let spec = SyntheticGemmSpec::new(GemmShape::new(1024, 1024, 1024), 0.85, 0.85, 5);
+    let spec = SyntheticGemmSpec::new(GemmShape::new(1024, 1024, 1024), 0.85, 0.85);
     let time = |opts: BitmapSpGemmOptions| {
         let (p, _) =
             BitmapSpGemm::new(GpuConfig::v100()).with_options(opts).profile_synthetic(&spec);
