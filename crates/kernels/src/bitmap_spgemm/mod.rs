@@ -727,19 +727,21 @@ impl StepCosts {
 type StepCounts = Vec<Vec<u16>>;
 
 /// The per-step non-zero counts of every A tile `(im, kk)` and every B tile
-/// `(kk, jn)`, row-major, `warp_k` steps a tile (a ragged edge's padding
-/// steps count 0): the `POPC` of each step's A column word and B row word.
+/// `(kk, jn)`, row-major: the `POPC` of each step's A column word and B row
+/// word, one per step the tile really has (`warp_k`, fewer on a ragged K
+/// edge, whose padding steps are not charged).
 fn step_counts(a_enc: &EncodedA, b_enc: &TwoLevelBitmapMatrix) -> (StepCounts, StepCounts) {
     let (a, wk) = (a_enc.arena(), b_enc.tile_rows());
+    let steps = |kk: usize| wk.min(b_enc.rows() - kk * wk);
     let a_counts = (0..a.grid_m())
-        .flat_map(|im| a.band_words(im).chunks_exact(wk))
-        .map(|tile| tile.iter().map(|w| w.count_ones() as u16).collect())
+        .flat_map(|im| a.band_words(im).chunks_exact(wk).enumerate())
+        .map(|(kk, tile)| tile[..steps(kk)].iter().map(|w| w.count_ones() as u16).collect())
         .collect();
     let b_counts = (0..b_enc.grid_rows())
-        .flat_map(|kk| (0..b_enc.grid_cols()).map(move |jn| b_enc.tile(kk, jn)))
-        .map(|tile| match tile {
-            Some(tile) => (0..wk).map(|k| tile.vector_nnz(k) as u16).collect(),
-            None => vec![0; wk],
+        .flat_map(|kk| (0..b_enc.grid_cols()).map(move |jn| (kk, b_enc.tile(kk, jn))))
+        .map(|(kk, tile)| match tile {
+            Some(tile) => (0..steps(kk)).map(|k| tile.vector_nnz(k) as u16).collect(),
+            None => vec![0; steps(kk)],
         })
         .collect();
     (a_counts, b_counts)
@@ -949,8 +951,9 @@ mod tests {
     }
 
     /// The model's inputs read off the dense operands, one pass over each:
-    /// per-step non-zero counts of every warp tile, `warp_k` steps a tile,
-    /// and the two encoded footprints. The reference the bitmaps' counts
+    /// per-step non-zero counts of every warp tile, one per step the tile
+    /// really has (fewer than `warp_k` on a ragged K edge), and the two
+    /// encoded footprints. The reference the bitmaps' counts
     /// are held to.
     fn dense_counts(
         k: &BitmapSpGemm,
@@ -960,13 +963,14 @@ mod tests {
         let (wm, wn, wk) = (k.tiling.warp_m, k.tiling.warp_n, k.tiling.warp_k);
         let (grid_m, grid_n) = (a.rows().div_ceil(wm), b.cols().div_ceil(wn));
         let grid_k = a.cols().div_ceil(wk);
-        let mut a_counts = vec![vec![0u16; wk]; grid_m * grid_k];
+        let steps = |kk: usize| vec![0u16; wk.min(a.cols() - kk * wk)];
+        let mut a_counts: StepCounts = (0..grid_m * grid_k).map(|t| steps(t % grid_k)).collect();
         for r in 0..a.rows() {
             for c in (0..a.cols()).filter(|&c| a[(r, c)] != 0.0) {
                 a_counts[(r / wm) * grid_k + c / wk][c % wk] += 1;
             }
         }
-        let mut b_counts = vec![vec![0u16; wk]; grid_k * grid_n];
+        let mut b_counts: StepCounts = (0..grid_k * grid_n).map(|t| steps(t / grid_n)).collect();
         for r in 0..b.rows() {
             for c in (0..b.cols()).filter(|&c| b[(r, c)] != 0.0) {
                 b_counts[(r / wk) * grid_n + c / wn][r % wk] += 1;
@@ -1141,9 +1145,8 @@ mod tests {
         // as the spec describes, so it is held to the mean of
         // `profile_with_stats` over seeded draws: uniform and clustered, both
         // orientations, most tiles skipped, the one-level encoding, the raw
-        // bank-conflict factor, and both device tilings. M and N are ragged;
-        // K is a whole number of tiles, because the exact walk also charges
-        // the empty padding steps of a ragged K edge.
+        // bank-conflict factor, and both device tilings. M, N and K are
+        // ragged.
         const DRAWS: u64 = 24;
         let a100 = BitmapSpGemm::for_device(GpuConfig::a100());
         let one_level = BitmapSpGemmOptions { operand_collector: true, two_level: false };
@@ -1156,7 +1159,9 @@ mod tests {
             (a100.clone(), shape, (0.6, 0.9), (0.5, 0.2)),
             (a100.clone(), GemmShape::new(500, 450, 256), (0.999, 0.99), (0.0, 0.0)),
             (kernel().with_options(one_level), shape, (0.9, 0.8), (0.3, 0.0)),
-            (a100.with_options(no_collector), shape, (0.5, 0.7), (0.0, 0.2)),
+            (a100.clone().with_options(no_collector), shape, (0.5, 0.7), (0.0, 0.2)),
+            (kernel(), GemmShape::new(200, 150, 100), (0.6, 0.7), (0.0, 0.0)),
+            (a100.with_options(no_collector), GemmShape::new(90, 70, 100), (0.5, 0.8), (0.2, 0.0)),
         ];
         for (i, (k, shape, (sa, sb), (ca, cb))) in cases.into_iter().enumerate() {
             let spec =

@@ -8,6 +8,7 @@
 //! the paper measures a flat ~1.86x over CUTLASS on large GEMMs regardless of
 //! the other operand's sparsity (Fig. 21).
 
+use dsstc_models::prune_n_of_m;
 use dsstc_sim::tiling::{GemmTiling, TrafficInputs};
 use dsstc_sim::{GpuConfig, WorkloadProfile};
 use dsstc_tensor::{GemmShape, Matrix};
@@ -89,30 +90,14 @@ impl VectorSparseGemm {
 }
 
 /// Vector-wise magnitude pruning: within every group of `group` consecutive
-/// elements of a row, only the `keep` largest-magnitude values survive.
+/// elements of a row, only the `keep` largest-magnitude values survive —
+/// [`prune_n_of_m`] with `n = keep`, `m = group`.
 ///
 /// # Panics
 /// Panics if `keep > group` or `group == 0`.
 pub fn prune_vector_wise(m: &Matrix, group: usize, keep: usize) -> Matrix {
     assert!(group > 0 && keep <= group, "invalid pruning group");
-    let mut out = Matrix::zeros(m.rows(), m.cols());
-    for r in 0..m.rows() {
-        for g0 in (0..m.cols()).step_by(group) {
-            let glen = group.min(m.cols() - g0);
-            let gkeep = (keep * glen).div_ceil(group).min(glen);
-            let mut idx: Vec<usize> = (0..glen).collect();
-            idx.sort_by(|&i, &j| {
-                m[(r, g0 + j)]
-                    .abs()
-                    .partial_cmp(&m[(r, g0 + i)].abs())
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-            for &i in idx.iter().take(gkeep) {
-                out[(r, g0 + i)] = m[(r, g0 + i)];
-            }
-        }
-    }
-    out
+    prune_n_of_m(m, keep, group)
 }
 
 #[cfg(test)]
@@ -127,6 +112,19 @@ mod tests {
         let m = Matrix::from_rows(&[&[1.0, -5.0, 2.0, 0.5, 3.0, -0.1, 0.2, 4.0]]);
         let p = prune_vector_wise(&m, 4, 2);
         assert_eq!(p.row(0), &[0.0, -5.0, 2.0, 0.0, 3.0, 0.0, 0.0, 4.0]);
+    }
+
+    #[test]
+    fn prune_vector_wise_keeps_a_nan_like_the_largest_magnitude() {
+        let mut m = Matrix::random_sparse(4, 64, 0.0, SparsityPattern::Uniform, 7);
+        m[(2, 9)] = f32::INFINITY;
+        let with_inf = prune_vector_wise(&m, 32, 8);
+        m[(2, 9)] = f32::NAN;
+        let with_nan = prune_vector_wise(&m, 32, 8);
+        assert!(with_nan[(2, 9)].is_nan());
+        for (i, (x, y)) in with_nan.as_slice().iter().zip(with_inf.as_slice()).enumerate() {
+            assert!(i == 2 * 64 + 9 || x.to_bits() == y.to_bits(), "weight {i}");
+        }
     }
 
     #[test]

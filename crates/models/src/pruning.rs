@@ -65,6 +65,15 @@ pub fn agp_target_sparsity(final_sparsity: f64, progress: f64) -> f64 {
 /// Magnitude pruning: zeroes the smallest-magnitude weights until the matrix
 /// reaches `target_sparsity`.
 ///
+/// Exactly `round(len * target_sparsity)` weights are zeroed: the threshold
+/// is that many-th smallest magnitude, found by linear-time selection
+/// (`O(n)`, no sort), and the weights whose magnitude is at most the
+/// threshold are zeroed in storage (row-major) order until the count is
+/// reached, so among weights tied at the threshold the earliest go. `±0.0`
+/// have the same magnitude. Magnitudes are ranked by their bit patterns,
+/// which order every non-NaN magnitude numerically and rank a NaN above
+/// `+inf` (so a NaN weight is the last to be pruned).
+///
 /// # Panics
 /// Panics if `target_sparsity` is outside `[0, 1]`.
 pub fn prune_magnitude(weights: &Matrix, target_sparsity: f64) -> Matrix {
@@ -74,16 +83,15 @@ pub fn prune_magnitude(weights: &Matrix, target_sparsity: f64) -> Matrix {
     if prune_count == 0 {
         return weights.clone();
     }
-    let mut magnitudes: Vec<f32> = weights.as_slice().iter().map(|x| x.abs()).collect();
-    magnitudes.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let threshold = magnitudes[(prune_count - 1).min(total - 1)];
+    let mut ranks: Vec<u32> = weights.as_slice().iter().map(|&x| magnitude_rank(x)).collect();
+    let threshold = *ranks.select_nth_unstable(prune_count - 1).1;
     let mut out = weights.clone();
     let mut pruned = 0usize;
     for v in out.as_mut_slice() {
         if pruned >= prune_count {
             break;
         }
-        if v.abs() <= threshold {
+        if magnitude_rank(*v) <= threshold {
             *v = 0.0;
             pruned += 1;
         }
@@ -91,10 +99,18 @@ pub fn prune_magnitude(weights: &Matrix, target_sparsity: f64) -> Matrix {
     out
 }
 
+/// The rank of `|x|`: its bit pattern, which for non-NaN values orders the
+/// same as the magnitude (`±0.0` both rank 0) and puts a NaN above `+inf`.
+fn magnitude_rank(x: f32) -> u32 {
+    x.to_bits() & 0x7fff_ffff
+}
+
 /// N:M structured pruning: within every group of `m` consecutive row
 /// elements only the `n` largest-magnitude values survive. `n = 2, m = 4`
 /// gives Ampere's 2:4 pattern; `n = 8, m = 32` gives the vector-wise pattern
-/// of the Sparse Tensor Core baseline.
+/// of the Sparse Tensor Core baseline. A ragged last group of `g` elements
+/// keeps `ceil(n * g / m)`. Magnitudes are ordered by [`f32::total_cmp`], so
+/// a NaN ranks above `+inf`, and ties keep the earlier element.
 ///
 /// # Panics
 /// Panics if `m == 0` or `n > m`.
@@ -106,12 +122,7 @@ pub fn prune_n_of_m(weights: &Matrix, n: usize, m: usize) -> Matrix {
             let glen = m.min(weights.cols() - g0);
             let gkeep = (n * glen).div_ceil(m).min(glen);
             let mut idx: Vec<usize> = (0..glen).collect();
-            idx.sort_by(|&i, &j| {
-                weights[(r, g0 + j)]
-                    .abs()
-                    .partial_cmp(&weights[(r, g0 + i)].abs())
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
+            idx.sort_by(|&i, &j| weights[(r, g0 + j)].abs().total_cmp(&weights[(r, g0 + i)].abs()));
             for &i in idx.iter().take(gkeep) {
                 out[(r, g0 + i)] = weights[(r, g0 + i)];
             }
@@ -124,6 +135,144 @@ pub fn prune_n_of_m(weights: &Matrix, n: usize, m: usize) -> Matrix {
 mod tests {
     use super::*;
     use dsstc_tensor::SparsityPattern;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// The comparison-sort pruner [`prune_magnitude`] replaced, kept as its
+    /// reference: the same threshold read off fully sorted magnitudes, the
+    /// same storage-order zeroing. Defined for inputs without NaN.
+    fn prune_magnitude_by_sort(weights: &Matrix, target_sparsity: f64) -> Matrix {
+        assert!((0.0..=1.0).contains(&target_sparsity), "sparsity must be in [0,1]");
+        let total = weights.rows() * weights.cols();
+        let prune_count = (total as f64 * target_sparsity).round() as usize;
+        if prune_count == 0 {
+            return weights.clone();
+        }
+        let mut magnitudes: Vec<f32> = weights.as_slice().iter().map(|x| x.abs()).collect();
+        magnitudes.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        let threshold = magnitudes[(prune_count - 1).min(total - 1)];
+        let mut out = weights.clone();
+        let mut pruned = 0usize;
+        for v in out.as_mut_slice() {
+            if pruned >= prune_count {
+                break;
+            }
+            if v.abs() <= threshold {
+                *v = 0.0;
+                pruned += 1;
+            }
+        }
+        out
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A `rows x cols` matrix built to collide: each weight is one of a few
+    /// per-matrix magnitudes with either sign, a special value (`±0.0`,
+    /// subnormals, `±inf`, `±MAX`) or a fresh uniform draw.
+    fn colliding_matrix(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
+        const SPECIALS: [f32; 10] = [
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE / 2.0,
+            1.0e-45,
+            -1.0e-45,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            -f32::MAX,
+        ];
+        let repeated: Vec<f32> =
+            (0..rng.random_range(1usize..5)).map(|_| rng.random_range(-1.0f32..1.0)).collect();
+        let data = (0..rows * cols)
+            .map(|_| match rng.random_range(0u32..10) {
+                0..=3 => {
+                    let x = repeated[rng.random_range(0..repeated.len())];
+                    if rng.random_bool(0.5) {
+                        -x
+                    } else {
+                        x
+                    }
+                }
+                4 => SPECIALS[rng.random_range(0..SPECIALS.len())],
+                _ => rng.random_range(-1.0f32..1.0),
+            })
+            .collect();
+        Matrix::from_vec(rows, cols, data)
+    }
+
+    proptest! {
+        #[test]
+        fn prune_magnitude_matches_the_sort_bit_for_bit(
+            rows in 1usize..=70,
+            cols in 1usize..=70,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let w = colliding_matrix(rows, cols, &mut rng);
+            let total = (rows * cols) as f64;
+            // 0 and 1, a uniform draw, and either side of the half-way
+            // points where `round(total * s)` steps from k to k + 1.
+            let k = rng.random_range(0..rows * cols) as f64;
+            let edge = (k + 0.5) / total;
+            let mut targets = vec![0.0, 1.0, rng.random_range(0.0..1.0), edge.min(1.0)];
+            targets.extend([edge.next_down(), edge.next_up()].map(|t| t.clamp(0.0, 1.0)));
+            for target in targets {
+                prop_assert_eq!(
+                    bits(&prune_magnitude(&w, target)),
+                    bits(&prune_magnitude_by_sort(&w, target)),
+                    "{}x{} at sparsity {}", rows, cols, target
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn magnitude_pruning_ranks_nan_above_infinity() {
+        // A NaN weight is kept like the largest magnitude: swapping it for
+        // +inf changes no other weight's fate, and it survives.
+        for seed in 0..200 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (rows, cols) = (rng.random_range(2usize..25), rng.random_range(2usize..25));
+            let mut w = colliding_matrix(rows, cols, &mut rng);
+            let at = rng.random_range(0..rows * cols);
+            let target = rng.random_range(0.0..0.9);
+            w.as_mut_slice()[at] = f32::INFINITY;
+            let with_inf = prune_magnitude(&w, target);
+            w.as_mut_slice()[at] = f32::NAN;
+            let with_nan = prune_magnitude(&w, target);
+            assert!(with_nan.as_slice()[at].is_nan(), "seed {seed}: the NaN was pruned");
+            for (i, (x, y)) in with_nan.as_slice().iter().zip(with_inf.as_slice()).enumerate() {
+                assert!(i == at || x.to_bits() == y.to_bits(), "seed {seed}, weight {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn n_of_m_pruning_ranks_nan_above_infinity() {
+        // Under `total_cmp` a NaN is the largest magnitude, so no group
+        // holding one trips the sort's total-order check (groups of more
+        // than 20 elements are sorted by code that panics on an inconsistent
+        // comparator), and every finite weight keeps its fate. 80 columns
+        // leave a ragged last group of 16.
+        for seed in 0..200 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut w = Matrix::random_sparse(4, 80, 0.2, SparsityPattern::Uniform, seed);
+            let (r, c) = (rng.random_range(0usize..4), rng.random_range(0usize..80));
+            w[(r, c)] = f32::INFINITY;
+            let with_inf = prune_n_of_m(&w, 8, 32);
+            w[(r, c)] = f32::NAN;
+            let with_nan = prune_n_of_m(&w, 8, 32);
+            assert!(with_nan[(r, c)].is_nan(), "seed {seed}: the NaN was pruned");
+            for (i, (x, y)) in with_nan.as_slice().iter().zip(with_inf.as_slice()).enumerate() {
+                assert!(i == r * 80 + c || x.to_bits() == y.to_bits(), "seed {seed}, weight {i}");
+            }
+        }
+    }
 
     #[test]
     fn agp_schedule_endpoints_and_monotonicity() {

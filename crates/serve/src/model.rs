@@ -66,6 +66,12 @@ pub struct EncodedModel {
 impl EncodedModel {
     /// Prunes + encodes `key`'s `proxy_dim`-wide proxy for `kernel`'s
     /// encoding spec (the cold path behind a miss in both cache tiers).
+    ///
+    /// Per layer: seeded weights, [`prune_magnitude`] to the layer's weight
+    /// sparsity (a linear-time threshold selection) and
+    /// [`BitmapSpGemm::encode_b`], three stages of similar cost. The result
+    /// is bit for bit what the on-disk store persists and restores for
+    /// `key`; the golden checksums in this module's tests pin it.
     pub(crate) fn encode_fresh(kernel: &BitmapSpGemm, key: ModelKey, proxy_dim: usize) -> Self {
         let started = Instant::now();
         // The real layer table with the uniform sparsity override applied,
@@ -138,4 +144,40 @@ fn proxy_seed(key: ModelKey, layer_index: usize) -> u64 {
     }
     seed ^ (u64::from(key.sparsity_permille.map_or(0xFFFF, |p| p)) << 40)
         ^ ((layer_index as u64) << 8)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::request::ModelId;
+    use dsstc_formats::serialize::checksum;
+    use dsstc_sim::GpuConfig;
+
+    /// Per model, `serialize::checksum` of its layers' serialised weights
+    /// (concatenated in layer order) after a fresh encode at proxy 64 on the
+    /// V100 tiling: at the table's sparsities, then at a uniform 90 %.
+    /// Recorded from the sort-based magnitude pruner. A persisted artifact is
+    /// trusted as if it were a fresh encode, so a change to generation,
+    /// pruning or encoding that moves one byte must move one of these.
+    const GOLDEN: [(ModelId, u64, u64); 6] = [
+        (ModelId::Vgg16, 0x52ea_401f_e9be_fcf0, 0xad7e_5b35_6f93_5547),
+        (ModelId::ResNet18, 0xe4aa_266e_b50d_928b, 0x1ae1_817e_78da_e0e6),
+        (ModelId::ResNet50, 0x163a_f064_1d66_8703, 0x3b01_fe86_2acb_c6e3),
+        (ModelId::MaskRcnn, 0xd5fc_3144_8cdd_cafb, 0x2956_b7a9_0ff0_a7b1),
+        (ModelId::BertBase, 0xc62b_fe49_9d90_4795, 0x4fd2_dd04_c100_137d),
+        (ModelId::RnnLm, 0x018e_2693_7f34_3959, 0xdc5f_2d04_94ac_6dd5),
+    ];
+
+    #[test]
+    fn fresh_encodes_match_the_golden_artifacts() {
+        let kernel = BitmapSpGemm::for_device(GpuConfig::v100());
+        for (model, table, uniform) in GOLDEN {
+            for (sparsity, want) in [(None, table), (Some(0.9), uniform)] {
+                let fresh = EncodedModel::encode_fresh(&kernel, ModelKey::new(model, sparsity), 64);
+                let bytes: Vec<u8> =
+                    fresh.layers.iter().flat_map(|l| l.weights.to_bytes()).collect();
+                assert_eq!(checksum(&bytes), want, "{model:?} at sparsity {sparsity:?}");
+            }
+        }
+    }
 }
