@@ -33,17 +33,7 @@
 //! the release decision is O(classes) — member count, most urgent deadline
 //! and highest priority are map lengths and first keys — and extraction is
 //! O(`max_batch` · log n), popping first entries without scanning, sorting
-//! or rebuilding the class. µs per `next_batch` with N one-row requests of
-//! one class queued (`max_batch` 8, release build, a fresh process per
-//! cell, median of three; "before" kept a deque, a deadline set and a
-//! priority histogram per class and sorted the class per extraction):
-//!
-//! | N queued | one priority, before → now | priorities mixed, before → now |
-//! |---------:|---------------------------:|-------------------------------:|
-//! |      100 |                  4.6 → 2.3 |                     10.0 → 2.9 |
-//! |    1 000 |                 15.3 → 2.4 |                    108.9 → 2.8 |
-//! |   10 000 |                132.4 → 3.2 |                  1 380.9 → 2.9 |
-//! |   50 000 |              1 478.3 → 3.9 |                  8 510.3 → 3.9 |
+//! or rebuilding the class.
 
 use std::cmp::Reverse;
 use std::collections::BTreeMap;

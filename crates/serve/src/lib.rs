@@ -48,9 +48,9 @@
 //! * [`ServerStats`] — a snapshot of the server's one [`Telemetry`] hub:
 //!   request and batch counts, per-priority queue percentiles (read from
 //!   the same histograms `/metrics` renders), the batch-size histogram,
-//!   per-device batches and modelled busy time, and the encode-cache
-//!   counters.
-//!   [`render_prometheus`] is its one text rendering.
+//!   per-device batches and modelled busy time, and the repository's
+//!   [`EncodeCacheStats`]. [`render_prometheus`] is its one text
+//!   rendering, and renders the hub's histograms beside it.
 //!
 //! # Quickstart
 //!
@@ -90,7 +90,7 @@
 //! // Each idle device's first batch encoded its own tiling; the rest hit.
 //! let stats = server.stats();
 //! assert_eq!(stats.completed_requests, 4);
-//! assert!((1..=2).contains(&stats.encode_misses), "{} encodes", stats.encode_misses);
+//! assert!((1..=2).contains(&stats.encode.misses), "{} encodes", stats.encode.misses);
 //! assert_eq!(stats.per_device.len(), 2);
 //! server.shutdown();
 //! ```
@@ -134,8 +134,7 @@ pub use crate::server::{InferenceServer, PendingResponse, ServeError};
 pub use crate::stats::{ClusterStats, DeviceStats, PriorityLatency, ServerStats, WireStats};
 pub use crate::store::{CacheBudget, EncodeCacheStats, ModelRepository, WarmBootReport};
 pub use crate::telemetry::{
-    render_prometheus, CacheOutcome, LogHistogram, MetricsRegistry, RequestTrace, Stage, Telemetry,
-    TraceSink,
+    render_prometheus, CacheOutcome, LogHistogram, RequestTrace, Stage, Telemetry, TraceSink,
 };
 pub use crate::timing::BatchTimingModel;
 pub use crate::traffic::PoissonArrivals;

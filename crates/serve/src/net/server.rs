@@ -749,7 +749,7 @@ impl Reactor {
             return;
         }
         let snapshot = wire_snapshot(&self.server, &self.stats, self.cluster.as_ref());
-        let body = render_prometheus(&snapshot, self.server.telemetry().registry());
+        let body = render_prometheus(&snapshot, self.server.telemetry());
         let conn = self.conns.get_mut(&conn_id).expect("looked up above");
         conn.closing = true;
         conn.outbound = format!(

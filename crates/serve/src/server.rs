@@ -306,7 +306,7 @@ impl InferenceServer {
         &self.context.dispatcher
     }
 
-    /// The telemetry hub: the live metrics registry and the completed
+    /// The telemetry hub: the live latency histograms and the completed
     /// request-trace sink.
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.context.telemetry
@@ -396,8 +396,8 @@ mod tests {
         assert!(stats.executed_batches >= 2);
         assert!(stats.mean_batch_size >= 1.0);
         // One miss (first batch encodes), the rest hit.
-        assert_eq!(stats.encode_misses, 1);
-        assert!(stats.encode_hits >= 1);
+        assert_eq!(stats.encode.misses, 1);
+        assert!(stats.encode.hits >= 1);
         assert!(stats.encode_hit_rate > 0.0);
     }
 
@@ -431,7 +431,7 @@ mod tests {
             assert_eq!(never_warmed, prices(&warm), "{model}");
         }
         // Two models, each encoded once per distinct device encoding.
-        assert_eq!((cold.stats().encode_fresh, warm.stats().encode_fresh), (0, 4));
+        assert_eq!((cold.stats().encode.fresh_encodes, warm.stats().encode.fresh_encodes), (0, 4));
     }
 
     #[test]
@@ -577,24 +577,24 @@ mod tests {
             let cold = InferenceServer::start(config());
             cold.infer(InferRequest::new(ModelId::RnnLm, features(1))).expect("served");
             let stats = cold.stats();
-            assert_eq!(stats.encode_fresh, 1, "first run pays the encode");
-            assert_eq!(stats.encode_warm_restored, 0, "nothing to warm on an empty store");
+            assert_eq!(stats.encode.fresh_encodes, 1, "first run pays the encode");
+            assert_eq!(stats.encode.warm_restored, 0, "nothing to warm on an empty store");
         }
         let warm = InferenceServer::start(config());
         let booted = warm.stats();
-        assert_eq!(booted.encode_warm_restored, 1, "the artifact is restored at boot");
-        assert!(booted.store_entries >= 1);
+        assert_eq!(booted.encode.warm_restored, 1, "the artifact is restored at boot");
+        assert!(booted.encode.store_entries >= 1);
         warm.infer(InferRequest::new(ModelId::RnnLm, features(2))).expect("served");
         let stats = warm.stats();
-        assert_eq!(stats.encode_fresh, 0, "the warmed artifact serves from memory");
-        assert!(stats.encode_hits >= 1);
+        assert_eq!(stats.encode.fresh_encodes, 0, "the warmed artifact serves from memory");
+        assert!(stats.encode.hits >= 1);
         drop(warm);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The value of the unlabelled sample `family` in a scrape of `server`.
     fn scraped(server: &InferenceServer, family: &str) -> u64 {
-        let text = crate::render_prometheus(&server.stats(), server.telemetry().registry());
+        let text = crate::render_prometheus(&server.stats(), server.telemetry());
         let prefix = format!("{family} ");
         let line = text.lines().find_map(|l| l.strip_prefix(prefix.as_str()));
         line.unwrap_or_else(|| panic!("no {family} sample:\n{text}")).parse().expect("integer")

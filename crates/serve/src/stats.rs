@@ -11,6 +11,7 @@
 //! percentile — never below the exact value, at most 25 % (+1 µs) above.
 
 use crate::request::Priority;
+use crate::store::EncodeCacheStats;
 
 /// Latency percentiles of one priority class (bucket upper bounds, see the
 /// module docs).
@@ -67,48 +68,21 @@ pub struct ServerStats {
     pub per_priority: Vec<PriorityLatency>,
     /// Per-device modelled load, in pool order.
     pub per_device: Vec<DeviceStats>,
-    /// Encode-cache (model repository) in-memory hits.
-    pub encode_hits: u64,
-    /// Encode-cache misses (each became a disk restore or a fresh
-    /// prune+encode).
-    pub encode_misses: u64,
-    /// Misses served by restoring a persisted artifact from the on-disk
-    /// store (the warm-start path).
-    pub encode_disk_loads: u64,
-    /// Misses that paid the full prune+encode (the cold path).
-    pub encode_fresh: u64,
-    /// Artifacts LRU-evicted from the bounded in-memory tier.
-    pub encode_evictions: u64,
-    /// Cumulative wall-clock milliseconds spent prune+encoding — what a
-    /// warm-started server skips.
-    pub encode_fresh_ms: f64,
-    /// Cumulative wall-clock milliseconds spent restoring artifacts from
-    /// disk.
-    pub encode_disk_ms: f64,
-    /// Artifacts restored into the memory tier by the boot-time warmer
-    /// ([`crate::ModelRepository::warm_boot`]).
-    pub encode_warm_restored: u64,
-    /// Stale-spec artifacts the warmer re-encoded for the current device
-    /// pool.
-    pub encode_warm_reencoded: u64,
-    /// Corrupt artifacts the warmer healed with a fresh encode.
-    pub encode_warm_healed: u64,
-    /// Artifacts in the on-disk store at its last directory scan.
-    pub store_entries: u64,
-    /// File bytes of those artifacts.
-    pub store_bytes: u64,
-    /// Artifacts removed from the on-disk store by garbage collection
-    /// (budget evictions plus orphan sweeps).
-    pub store_gc_removed: u64,
-    /// Fraction of repository lookups served from the in-memory cache.
+    /// The two-tier encode cache's counters (model repository): memory
+    /// hits, misses split into disk restores and fresh encodes, evictions,
+    /// the boot warmer's outcomes and the on-disk store's gauges.
+    pub encode: EncodeCacheStats,
+    /// Fraction of repository lookups served from the in-memory cache,
+    /// [`EncodeCacheStats::hit_rate`] of `encode`.
     pub encode_hit_rate: f64,
     /// Per-connection / per-frame counters of the TCP front-end, when the
     /// snapshot came from a [`crate::net::WireServer`] (`None` for a plain
     /// in-process server).
     pub wire: Option<WireStats>,
     /// Cluster routing counters, when the snapshot came from a wire server
-    /// (standalone servers report a single-node map; `None` for a plain
-    /// in-process server). See [`crate::cluster`].
+    /// booted as a cluster node ([`crate::ServeConfig::cluster`]); `None`
+    /// for a standalone wire server and a plain in-process one. See
+    /// [`crate::cluster`].
     pub cluster: Option<ClusterStats>,
 }
 
@@ -258,7 +232,6 @@ pub(crate) fn percentile(samples: &[f64], q: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::EncodeCacheStats;
     use crate::telemetry::{render_prometheus, Telemetry};
 
     /// A snapshot percentile is its histogram bucket's upper bound: never
@@ -392,7 +365,7 @@ mod tests {
         assert_eq!(s.for_priority(Priority::High).shed, 0);
         assert_eq!(s.for_priority(Priority::Low).completed, 0);
         // A class that only shed still shows in the scrape.
-        let text = render_prometheus(&s, c.registry());
+        let text = render_prometheus(&s, &c);
         assert!(text.contains("dsstc_shed_requests_total{priority=\"low\"} 2\n"), "{text}");
         assert!(text.contains("dsstc_shed_requests_total{priority=\"high\"} 0\n"), "{text}");
     }
@@ -423,13 +396,8 @@ mod tests {
             ..Default::default()
         };
         let s = c.snapshot(encode, &["gpu0".to_string()]);
-        assert_eq!(s.encode_warm_restored, 5);
-        assert_eq!(s.encode_warm_reencoded, 0);
-        assert_eq!(s.encode_warm_healed, 1);
-        assert_eq!(s.store_entries, 6);
-        assert_eq!(s.store_bytes, 1234);
-        assert_eq!(s.store_gc_removed, 3);
-        let text = render_prometheus(&s, c.registry());
+        assert_eq!(s.encode, encode);
+        let text = render_prometheus(&s, &c);
         for line in [
             "dsstc_cache_warm_restored_total 5",
             "dsstc_cache_warm_reencoded_total 0",

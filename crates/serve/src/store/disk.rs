@@ -6,7 +6,7 @@
 //! needed), its size, and its mtime — the GC's LRU key, stamped on every
 //! restore and persist. Artifact payloads are published by unique temp
 //! name + rename and need no lock; the bookkeeping that follows (stamp, GC,
-//! the warm-boot sweep) runs under a cross-process `flock` so two servers
+//! the warm-boot sweep) runs under a cross-process file lock so two servers
 //! sharing one directory never interleave one's GC with the other's (see
 //! [`DiskStore::locked`]).
 
@@ -61,14 +61,15 @@ pub(super) struct DiskStore {
     gc_removed: AtomicU64,
 }
 
-/// Takes `flock(LOCK_EX)` on the store's lock file, waiting for it unless
-/// `nonblocking`; the returned handle holds the lock until dropped. `None`
-/// when it is held elsewhere (non-blocking) or the lock file cannot even be
-/// created — bookkeeping is then skipped, matching the store's best-effort
-/// posture. The lock is advisory and lives on an open file descriptor, so a
-/// crashed server never wedges the store; being per open-file-description
-/// it also excludes a second handle *within one process*, which is why it
-/// is never held across a lookup (whose bookkeeping takes it again).
+/// Takes an exclusive [`File::lock`] on the store's lock file, waiting for
+/// it unless `nonblocking`; the returned handle holds the lock until
+/// dropped. `None` when it is held elsewhere (non-blocking) or the lock
+/// file cannot even be created — bookkeeping is then skipped, matching the
+/// store's best-effort posture. The lock is advisory and lives on an open
+/// file descriptor, so a crashed server never wedges the store; being per
+/// open-file-description it also excludes a second handle *within one
+/// process*, which is why it is never held across a lookup (whose
+/// bookkeeping takes it again).
 pub(crate) fn lock_store(dir: &Path, nonblocking: bool) -> Option<File> {
     let file = File::options()
         .create(true)
@@ -76,7 +77,8 @@ pub(crate) fn lock_store(dir: &Path, nonblocking: bool) -> Option<File> {
         .write(true)
         .open(dir.join(STORE_LOCK_NAME))
         .ok()?;
-    crate::sys::lock_exclusive(&file, nonblocking).then_some(file)
+    let locked = if nonblocking { file.try_lock().is_ok() } else { file.lock().is_ok() };
+    locked.then_some(file)
 }
 
 fn unix_us(time: SystemTime) -> u64 {

@@ -19,7 +19,7 @@
 //!
 //! One job per file: `memory` is the bounded LRU tier with its single-flight
 //! set, `disk` the artifact store (naming, persist, restore, LRU-by-mtime GC
-//! under a cross-process `flock`), `warm` the boot-time warmer, this file
+//! under a cross-process file lock), `warm` the boot-time warmer, this file
 //! the facade over them. Operational reference: `docs/ENCODING_CACHE.md`.
 
 mod disk;
@@ -75,7 +75,7 @@ impl Default for CacheBudget {
     }
 }
 
-/// Point-in-time counters of the two cache tiers, consumed by
+/// Point-in-time counters of the two cache tiers, carried by
 /// [`crate::ServerStats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct EncodeCacheStats {

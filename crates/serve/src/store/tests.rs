@@ -545,7 +545,7 @@ pub(crate) mod tests {
         std::fs::create_dir_all(dir.path()).unwrap();
         let first = lock_store(dir.path(), true);
         assert!(first.is_some(), "uncontended lock acquires");
-        // flock is per open-file-description, so a second handle in this
+        // The lock is per open-file-description, so a second handle in this
         // process stands in for a second server sharing the store.
         assert!(lock_store(dir.path(), true).is_none(), "held lock excludes a second holder");
         drop(first);

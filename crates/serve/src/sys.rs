@@ -93,24 +93,3 @@ mod linux {
         cvt(n).map(|n| n as usize)
     }
 }
-
-/// `flock`s `file` exclusively; blocking unless `nonblocking`.
-#[cfg(unix)]
-pub(crate) fn lock_exclusive(file: &std::fs::File, nonblocking: bool) -> bool {
-    use std::os::fd::AsRawFd;
-    const LOCK_EX: i32 = 2;
-    const LOCK_NB: i32 = 4;
-    extern "C" {
-        fn flock(fd: i32, operation: i32) -> i32;
-    }
-    let op = if nonblocking { LOCK_EX | LOCK_NB } else { LOCK_EX };
-    // SAFETY: plain syscall on a descriptor `file` keeps open, no pointers.
-    unsafe { flock(file.as_raw_fd(), op) == 0 }
-}
-
-/// Without `flock` the lock degrades to single-process semantics —
-/// temp+rename keeps individual files consistent either way.
-#[cfg(not(unix))]
-pub(crate) fn lock_exclusive(_file: &std::fs::File, _nonblocking: bool) -> bool {
-    true
-}

@@ -1,54 +1,84 @@
 //! Metrics exposition: renders a [`ServerStats`] snapshot plus the live
-//! [`MetricsRegistry`] in Prometheus text format. The wire front-end's
-//! event loop answers `--metrics-addr` scrapes with it; this module only
-//! renders. Metric families and names are catalogued in
-//! `docs/OBSERVABILITY.md`.
+//! [`Telemetry`] hub in Prometheus text format, one family per row of
+//! `telemetry/families.rs`. The wire front-end's event loop answers
+//! `--metrics-addr` scrapes with it; this module only renders. Metric
+//! families and names are catalogued in `docs/OBSERVABILITY.md`.
+
+use std::fmt::Display;
 
 use crate::request::Priority;
 use crate::stats::ServerStats;
-use crate::telemetry::families::{Family, Value, CLUSTER, DEVICE, ENCODE_CACHE, SERVER, WIRE};
-use crate::telemetry::metrics::{join_labels, type_line, with_labels, MetricsRegistry};
+use crate::telemetry::families::{Family, Value, CLUSTER, DEVICE, ENCODE_CACHE, HUB, SERVER, WIRE};
+use crate::telemetry::{LogHistogram, Telemetry};
 
-impl Value {
-    /// The samples of one family for one labelled item: the extra label
-    /// each carries (empty for none) and its rendered value.
-    fn samples(&self) -> Vec<(String, String)> {
+impl Value<'_> {
+    /// Writes this value's samples of family `name` for an item labelled
+    /// `labels` (a pre-rendered label set, empty for none).
+    fn render(&self, out: &mut String, name: &str, labels: &str) {
+        let per_priority =
+            |p: &Priority| join_labels(labels, &format!("priority=\"{}\"", p.name()));
         match *self {
-            Value::Int(v) => vec![(String::new(), v.to_string())],
+            Value::Int(v) => sample(out, name, labels, v),
             Value::Float(v) => {
-                vec![(String::new(), format!("{:.3}", if v.is_finite() { v } else { 0.0 }))]
+                sample(out, name, labels, format!("{:.3}", if v.is_finite() { v } else { 0.0 }))
             }
-            Value::PerPriority(values) => Priority::ALL
-                .iter()
-                .zip(values)
-                .map(|(p, v)| (format!("priority=\"{}\"", p.name()), v.to_string()))
-                .collect(),
+            Value::PerPriority(values) => {
+                for (p, v) in Priority::ALL.iter().zip(values) {
+                    sample(out, name, &per_priority(p), v);
+                }
+            }
+            Value::Histogram(h) => histogram(out, name, labels, h),
+            Value::PerPriorityHistogram(hs) => {
+                for (p, h) in Priority::ALL.iter().zip(hs) {
+                    histogram(out, name, &per_priority(p), h);
+                }
+            }
         }
     }
+}
+
+/// One sample line: `name{labels} value`.
+fn sample(out: &mut String, name: &str, labels: &str, value: impl Display) {
+    let braced = if labels.is_empty() { String::new() } else { format!("{{{labels}}}") };
+    out.push_str(&format!("{name}{braced} {value}\n"));
+}
+
+/// One histogram's samples: a cumulative `_bucket` per non-empty bucket
+/// plus `+Inf`, then `_sum` and `_count`.
+fn histogram(out: &mut String, name: &str, labels: &str, h: &LogHistogram) {
+    let bucket = format!("{name}_bucket");
+    let count = h.count();
+    for (upper, cumulative) in h.cumulative_buckets() {
+        sample(out, &bucket, &join_labels(labels, &format!("le=\"{upper}\"")), cumulative);
+    }
+    sample(out, &bucket, &join_labels(labels, "le=\"+Inf\""), count);
+    sample(out, &format!("{name}_sum"), labels, h.sum());
+    sample(out, &format!("{name}_count"), labels, count);
+}
+
+/// Two pre-rendered label sets as one; either may be empty.
+fn join_labels(a: &str, b: &str) -> String {
+    let separator = if a.is_empty() || b.is_empty() { "" } else { "," };
+    format!("{a}{separator}{b}")
 }
 
 /// Renders every family of `table` with the samples of every item.
-/// `items` pairs each snapshot with its pre-rendered label set (empty for
+/// `items` pairs each struct with its pre-rendered label set (empty for
 /// none).
 fn render_table<S>(out: &mut String, table: &[Family<S>], items: &[(String, &S)]) {
     for row in table {
-        type_line(out, row.name, row.help, row.kind);
+        let (name, help, kind) = (row.name, row.help, row.kind);
+        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
         for (labels, item) in items {
-            for (extra, value) in (row.get)(item).samples() {
-                let labelled = with_labels(row.name, &join_labels(labels, &extra));
-                out.push_str(&format!("{labelled} {value}\n"));
-            }
+            (row.get)(item).render(out, name, labels);
         }
     }
 }
 
-/// Renders the full exposition payload: the snapshot-derived family tables
-/// of `telemetry/families.rs` (server, per-device, encode-cache,
-/// wire and cluster) followed by everything registered in `registry` (live
-/// counters and the log-bucketed latency histograms — each latency is
-/// exposed once, as a histogram family; the snapshot's percentile fields
-/// are read from the same histograms and are not rendered a second time).
-pub fn render_prometheus(stats: &ServerStats, registry: &MetricsRegistry) -> String {
+/// Renders the full exposition payload: the snapshot tables of
+/// `telemetry/families.rs` (server, per-device, encode-cache, wire and
+/// cluster) followed by the hub's live families.
+pub fn render_prometheus(stats: &ServerStats, telemetry: &Telemetry) -> String {
     let mut out = String::new();
     let unlabelled = [(String::new(), stats)];
     render_table(&mut out, SERVER, &unlabelled);
@@ -66,15 +96,16 @@ pub fn render_prometheus(stats: &ServerStats, registry: &MetricsRegistry) -> Str
     if let Some(cluster) = &stats.cluster {
         render_table(&mut out, CLUSTER, &[(format!("node=\"{}\"", cluster.node_id), cluster)]);
     }
-    registry.render(&mut out);
+    render_table(&mut out, HUB, &[(String::new(), telemetry)]);
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::Priority;
-    use crate::stats::{ClusterStats, DeviceStats, PriorityLatency, ServerStats, WireStats};
+    use crate::stats::{ClusterStats, DeviceStats, PriorityLatency, WireStats};
+    use crate::store::EncodeCacheStats;
+    use crate::telemetry::{RequestTrace, Stage};
 
     /// A fully-populated snapshot for the exposition tests.
     fn sample_stats() -> ServerStats {
@@ -108,19 +139,21 @@ mod tests {
                 },
                 DeviceStats { name: "A100".to_string(), batches: 12, modelled_busy_us: 6300.0 },
             ],
-            encode_hits: 28,
-            encode_misses: 4,
-            encode_disk_loads: 3,
-            encode_fresh: 1,
-            encode_evictions: 2,
-            encode_fresh_ms: 120.5,
-            encode_disk_ms: 6.25,
-            encode_warm_restored: 3,
-            encode_warm_reencoded: 1,
-            encode_warm_healed: 1,
-            store_entries: 4,
-            store_bytes: 88_000,
-            store_gc_removed: 2,
+            encode: EncodeCacheStats {
+                hits: 28,
+                misses: 4,
+                disk_loads: 3,
+                fresh_encodes: 1,
+                evictions: 2,
+                fresh_encode_ms: 120.5,
+                disk_load_ms: 6.25,
+                warm_restored: 3,
+                warm_reencoded: 1,
+                warm_healed: 1,
+                store_entries: 4,
+                store_bytes: 88_000,
+                store_gc_removed: 2,
+            },
             encode_hit_rate: 0.875,
             wire: Some(WireStats {
                 connections_accepted: 5,
@@ -154,20 +187,40 @@ mod tests {
         }
     }
 
-    /// The live metrics the exposition tests render next to `sample_stats()`.
-    fn sample_registry() -> MetricsRegistry {
-        let registry = MetricsRegistry::new();
-        registry.counter("dsstc_traces_recorded_total", "", "traces").add(7);
-        registry.histogram("dsstc_e2e_us", "priority=\"high\"", "end-to-end latency").record(333);
-        registry
+    /// The hub the exposition tests render next to `sample_stats()`: two
+    /// batches over three classes and two completed traces, so every hub
+    /// family carries samples (and `trace_e2e_us` an empty class).
+    fn sample_telemetry() -> Telemetry {
+        let telemetry = Telemetry::new();
+        let members = [(Priority::High, 120.0), (Priority::Low, 900.0)];
+        telemetry.record_batch(0, &members, 400.0, 800.0, 400.0);
+        telemetry.record_batch(1, &[(Priority::Normal, 35.0)], 2_500.0, 300.0, 300.0);
+        for (priority, responded_us) in [(Priority::High, 333), (Priority::Low, 1_480)] {
+            let mut trace = RequestTrace::new();
+            trace.priority = Some(priority);
+            trace.record_at(Stage::Admitted, 0);
+            trace.record_at(Stage::Responded, responded_us);
+            telemetry.record_completed(trace);
+        }
+        telemetry
     }
 
     /// The whole payload, byte for byte: family order, `HELP` text, number
     /// formatting and every label set.
     #[test]
     fn exposition_matches_the_checked_in_golden() {
-        let text = render_prometheus(&sample_stats(), &sample_registry());
+        let text = render_prometheus(&sample_stats(), &sample_telemetry());
         assert_eq!(text, include_str!("exposition.golden.txt"));
+    }
+
+    /// The rendered samples of a snapshot value (finite floats only).
+    fn values(value: Value) -> Vec<String> {
+        match value {
+            Value::Int(v) => vec![v.to_string()],
+            Value::Float(v) => vec![format!("{v:.3}")],
+            Value::PerPriority(values) => values.iter().map(u64::to_string).collect(),
+            Value::Histogram(_) | Value::PerPriorityHistogram(_) => unreachable!("a hub row"),
+        }
     }
 
     /// `row` is rendered exactly once: one `# TYPE` line, then one sample
@@ -181,11 +234,7 @@ mod tests {
             .lines()
             .filter(|l| l.strip_prefix(name).is_some_and(|rest| rest.starts_with([' ', '{'])))
             .collect();
-        let expected: Vec<String> = items
-            .iter()
-            .flat_map(|item| (row.get)(item).samples())
-            .map(|(_, value)| value)
-            .collect();
+        let expected: Vec<String> = items.iter().flat_map(|item| values((row.get)(item))).collect();
         assert_eq!(rendered.len(), expected.len(), "{name}: {rendered:?}");
         for (line, value) in rendered.iter().zip(&expected) {
             assert!(line.ends_with(&format!(" {value}")), "{line} should read {value}");
@@ -203,7 +252,7 @@ mod tests {
     #[test]
     fn exposition_covers_every_family() {
         let stats = sample_stats();
-        let text = render_prometheus(&stats, &sample_registry());
+        let text = render_prometheus(&stats, &sample_telemetry());
         assert_table_rendered(&text, SERVER, &[&stats]);
         assert_table_rendered(&text, DEVICE, &stats.per_device.iter().collect::<Vec<_>>());
         assert_table_rendered(&text, ENCODE_CACHE, &[&stats]);
@@ -217,10 +266,10 @@ mod tests {
         assert!(!text.contains("dsstc_wire_reactor_"), "{text}");
         assert!(!text.contains("reactor="), "{text}");
         assert!(text.contains("dsstc_cluster_peers_alive{node=\"2\"} 2\n"));
-        // Registry-backed live metrics ride along.
-        assert!(text.contains("dsstc_traces_recorded_total 7"));
-        assert!(text.contains("dsstc_e2e_us_bucket{priority=\"high\",le=\"+Inf\"} 1"));
-        assert!(text.contains("dsstc_e2e_us_count{priority=\"high\"} 1"));
+        // The hub's live metrics ride along.
+        assert!(text.contains("dsstc_traces_recorded_total 2\n"));
+        assert!(text.contains("dsstc_trace_e2e_us_bucket{priority=\"high\",le=\"+Inf\"} 1\n"));
+        assert!(text.contains("dsstc_trace_e2e_us_count{priority=\"high\"} 1\n"));
         // Every family announces its type exactly once.
         for line in text.lines().filter(|l| l.starts_with("# TYPE")) {
             assert_eq!(text.matches(line).count(), 1, "duplicate {line}");
@@ -233,8 +282,7 @@ mod tests {
     #[test]
     fn observability_doc_lists_exactly_the_exported_families() {
         let doc = include_str!("../../../../docs/OBSERVABILITY.md");
-        let text =
-            render_prometheus(&sample_stats(), crate::telemetry::Telemetry::new().registry());
+        let text = render_prometheus(&sample_stats(), &Telemetry::new());
         let exported: Vec<&str> = text
             .lines()
             .filter_map(|l| l.strip_prefix("# TYPE "))
@@ -261,7 +309,7 @@ mod tests {
         let features = dsstc_tensor::Matrix::zeros(1, 32);
         let request = InferRequest::new(ModelId::RnnLm, features).with_priority(Priority::High);
         server.infer(request).expect("served");
-        let text = render_prometheus(&server.stats(), server.telemetry().registry());
+        let text = render_prometheus(&server.stats(), server.telemetry());
         let types: Vec<&str> = text.lines().filter(|l| l.starts_with("# TYPE")).collect();
         for line in &types {
             assert_eq!(types.iter().filter(|t| t == &line).count(), 1, "duplicate {line}");
@@ -300,7 +348,7 @@ mod tests {
         for p in pending {
             p.wait().expect("served");
         }
-        let text = render_prometheus(&server.stats(), server.telemetry().registry());
+        let text = render_prometheus(&server.stats(), server.telemetry());
         let stats = server.stats();
         assert_table_rendered(&text, SERVER, &[&stats]);
         assert_table_rendered(&text, DEVICE, &stats.per_device.iter().collect::<Vec<_>>());
@@ -314,12 +362,83 @@ mod tests {
         assert!(text.contains("dsstc_encode_cache_fresh_encodes_total 2\n"), "{text}");
     }
 
+    /// Each hub family's `_count` (the counter's value, for the one counter)
+    /// is the number of samples `sample_telemetry()` fed it: one queue,
+    /// per-priority execute and modelled sample per request, one execute
+    /// sample per batch, one end-to-end sample per completed trace.
+    #[test]
+    fn hub_families_count_every_recorded_sample() {
+        let text = render_prometheus(&sample_stats(), &sample_telemetry());
+        let expected = [
+            ("dsstc_traces_recorded_total", vec!["dsstc_traces_recorded_total 2"]),
+            (
+                "dsstc_queue_us",
+                vec![
+                    "dsstc_queue_us_count{priority=\"low\"} 1",
+                    "dsstc_queue_us_count{priority=\"normal\"} 1",
+                    "dsstc_queue_us_count{priority=\"high\"} 1",
+                ],
+            ),
+            ("dsstc_execute_us", vec!["dsstc_execute_us_count 2"]),
+            (
+                "dsstc_priority_execute_us",
+                vec![
+                    "dsstc_priority_execute_us_count{priority=\"low\"} 1",
+                    "dsstc_priority_execute_us_count{priority=\"normal\"} 1",
+                    "dsstc_priority_execute_us_count{priority=\"high\"} 1",
+                ],
+            ),
+            ("dsstc_modelled_request_us", vec!["dsstc_modelled_request_us_count 3"]),
+            (
+                "dsstc_trace_e2e_us",
+                vec![
+                    "dsstc_trace_e2e_us_count{priority=\"low\"} 1",
+                    "dsstc_trace_e2e_us_count{priority=\"normal\"} 0",
+                    "dsstc_trace_e2e_us_count{priority=\"high\"} 1",
+                ],
+            ),
+        ];
+        let names: Vec<&str> = HUB.iter().map(|row| row.name).collect();
+        assert_eq!(names, expected.each_ref().map(|(name, _)| *name), "one row each");
+        for (_, lines) in &expected {
+            for line in lines {
+                assert_eq!(text.lines().filter(|l| l == line).count(), 1, "{line}\n{text}");
+            }
+        }
+    }
+
+    /// A histogram's `_bucket` samples are cumulative and non-decreasing,
+    /// each `le` is its bucket's upper bound, `+Inf` equals `_count`, and
+    /// `_sum` adds the recorded samples.
+    #[test]
+    fn histogram_samples_are_cumulative_and_sum_the_recorded_values() {
+        let telemetry = Telemetry::new();
+        let samples = [3u64, 3, 90, 1_000, 1_001, 70_000];
+        for &us in &samples {
+            telemetry.record_batch(0, &[(Priority::Normal, 1.0)], us as f64, 1.0, 1.0);
+        }
+        let mut out = String::new();
+        histogram(&mut out, "h", "", &telemetry.execute_us);
+        let buckets: Vec<(String, u64)> = out
+            .lines()
+            .filter_map(|l| l.strip_prefix("h_bucket{le=\""))
+            .map(|rest| {
+                let (le, count) = rest.split_once("\"} ").expect("bucket line");
+                (le.to_string(), count.parse().expect("count"))
+            })
+            .collect();
+        let bounds = ["4", "96", "1024", "81920", "+Inf"];
+        assert_eq!(buckets.iter().map(|(le, _)| le.as_str()).collect::<Vec<_>>(), bounds);
+        assert_eq!(buckets.iter().map(|(_, n)| *n).collect::<Vec<_>>(), [2, 3, 5, 6, 6]);
+        assert!(out.ends_with(&format!("h_sum {}\nh_count 6\n", samples.iter().sum::<u64>())));
+    }
+
     #[test]
     fn exposition_without_wire_omits_wire_families() {
         let mut stats = sample_stats();
         stats.wire = None;
         stats.cluster = None;
-        let text = render_prometheus(&stats, &MetricsRegistry::new());
+        let text = render_prometheus(&stats, &Telemetry::new());
         assert!(!text.contains("dsstc_wire_"));
         assert!(!text.contains("dsstc_cluster_"));
         assert!(text.contains("dsstc_requests_completed_total 120"));
@@ -330,7 +449,7 @@ mod tests {
         let mut stats = sample_stats();
         stats.per_device[0].modelled_busy_us = f64::INFINITY;
         stats.per_device[1].modelled_busy_us = f64::NAN;
-        let text = render_prometheus(&stats, &MetricsRegistry::new());
+        let text = render_prometheus(&stats, &Telemetry::new());
         for (device, gpu) in [(0, "Tesla V100"), (1, "A100")] {
             let sample = format!(
                 "dsstc_device_modelled_busy_us_total{{device=\"{device}\",gpu=\"{gpu}\"}} 0.000"

@@ -1,21 +1,22 @@
-//! What a scrape exports from a [`ServerStats`] snapshot: one row per
-//! metric family — name, kind, help text and the getter that reads its
-//! value — grouped by the snapshot struct the getter reads.
-//! [`super::export::render_prometheus`] walks these tables in order;
+//! What a scrape exports: one row per metric family — name, kind, help
+//! text and the getter that reads its value — grouped by the struct the
+//! getter reads, a [`ServerStats`] snapshot's or the live [`Telemetry`]
+//! hub's. [`super::export::render_prometheus`] walks these tables in order;
 //! `docs/OBSERVABILITY.md` names the operator question each family answers
 //! (a unit test holds the two together). A family name is spelled here and
 //! nowhere else in the crate's non-test code (CI greps for a second).
 //!
-//! A new exported number is a field on the snapshot struct, one row here
-//! and its increment.
+//! A new exported number is a field on the snapshot struct or the hub, one
+//! row here and its increment.
 
 use crate::request::Priority;
 use crate::stats::{ClusterStats, DeviceStats, ServerStats, WireStats};
+use crate::telemetry::{LogHistogram, Telemetry};
 
-use self::Value::{Float, Int, PerPriority};
+use self::Value::{Float, Histogram, Int, PerPriority, PerPriorityHistogram};
 
-/// What a getter reads off a snapshot.
-pub(crate) enum Value {
+/// What a getter reads off a snapshot or the hub.
+pub(crate) enum Value<'a> {
     /// One integer sample.
     Int(u64),
     /// One float sample, rendered fixed-point (non-finite as zero) so the
@@ -24,23 +25,36 @@ pub(crate) enum Value {
     /// One integer sample per priority class, in [`Priority::ALL`] order,
     /// each labelled `priority="<name>"`.
     PerPriority([u64; Priority::ALL.len()]),
+    /// One histogram: its non-empty cumulative `_bucket`s, `_sum` and
+    /// `_count`.
+    Histogram(&'a LogHistogram),
+    /// One histogram per priority class, labelled as [`Value::PerPriority`].
+    PerPriorityHistogram(&'a [LogHistogram; Priority::ALL.len()]),
 }
 
-/// One metric family exported from a snapshot struct `S`.
+/// One metric family exported from a struct `S`.
 pub(crate) struct Family<S: 'static> {
     pub(crate) name: &'static str,
-    /// `counter` or `gauge`.
+    /// `counter`, `gauge` or `histogram`.
     pub(crate) kind: &'static str,
     pub(crate) help: &'static str,
-    pub(crate) get: fn(&S) -> Value,
+    pub(crate) get: fn(&S) -> Value<'_>,
 }
 
-const fn counter<S>(name: &'static str, help: &'static str, get: fn(&S) -> Value) -> Family<S> {
+const fn counter<S>(name: &'static str, help: &'static str, get: fn(&S) -> Value<'_>) -> Family<S> {
     Family { name, kind: "counter", help, get }
 }
 
-const fn gauge<S>(name: &'static str, help: &'static str, get: fn(&S) -> Value) -> Family<S> {
+const fn gauge<S>(name: &'static str, help: &'static str, get: fn(&S) -> Value<'_>) -> Family<S> {
     Family { name, kind: "gauge", help, get }
+}
+
+const fn histogram<S>(
+    name: &'static str,
+    help: &'static str,
+    get: fn(&S) -> Value<'_>,
+) -> Family<S> {
+    Family { name, kind: "histogram", help, get }
 }
 
 /// Request and batch totals.
@@ -69,52 +83,52 @@ pub(crate) const DEVICE: &[Family<DeviceStats>] = &[
 
 /// The two-tier encode cache and its on-disk store.
 pub(crate) const ENCODE_CACHE: &[Family<ServerStats>] = &[
-    counter("dsstc_encode_cache_hits_total", "In-memory encode-cache hits", |s| Int(s.encode_hits)),
-    counter("dsstc_encode_cache_misses_total", "Encode-cache misses", |s| Int(s.encode_misses)),
+    counter("dsstc_encode_cache_hits_total", "In-memory encode-cache hits", |s| Int(s.encode.hits)),
+    counter("dsstc_encode_cache_misses_total", "Encode-cache misses", |s| Int(s.encode.misses)),
     counter(
         "dsstc_encode_cache_disk_restores_total",
         "Misses served by restoring a persisted artifact",
-        |s| Int(s.encode_disk_loads),
+        |s| Int(s.encode.disk_loads),
     ),
     counter(
         "dsstc_encode_cache_fresh_encodes_total",
         "Misses that paid the full prune+encode",
-        |s| Int(s.encode_fresh),
+        |s| Int(s.encode.fresh_encodes),
     ),
     counter(
         "dsstc_encode_cache_evictions_total",
         "Artifacts LRU-evicted from the in-memory tier",
-        |s| Int(s.encode_evictions),
+        |s| Int(s.encode.evictions),
     ),
     counter(
         "dsstc_cache_warm_restored_total",
         "Artifacts the boot-time warmer restored into the memory tier",
-        |s| Int(s.encode_warm_restored),
+        |s| Int(s.encode.warm_restored),
     ),
     counter(
         "dsstc_cache_warm_reencoded_total",
         "Stale-spec artifacts the warmer re-encoded for the current pool",
-        |s| Int(s.encode_warm_reencoded),
+        |s| Int(s.encode.warm_reencoded),
     ),
     counter(
         "dsstc_cache_warm_healed_total",
         "Corrupt artifacts the warmer healed with a fresh encode",
-        |s| Int(s.encode_warm_healed),
+        |s| Int(s.encode.warm_healed),
     ),
     gauge(
         "dsstc_cache_store_entries",
         "Artifacts in the on-disk store at its last directory scan",
-        |s| Int(s.store_entries),
+        |s| Int(s.encode.store_entries),
     ),
     gauge(
         "dsstc_cache_store_bytes",
         "Bytes of artifact files in the on-disk store at its last directory scan",
-        |s| Int(s.store_bytes),
+        |s| Int(s.encode.store_bytes),
     ),
     counter(
         "dsstc_cache_store_gc_removed_total",
         "Artifacts removed from the on-disk store by garbage collection",
-        |s| Int(s.store_gc_removed),
+        |s| Int(s.encode.store_gc_removed),
     ),
 ];
 
@@ -193,4 +207,36 @@ pub(crate) const CLUSTER: &[Family<ClusterStats>] = &[
     counter("dsstc_cluster_peer_failures_total", "Peer liveness probes that failed", |c| {
         Int(c.peer_failures)
     }),
+];
+
+/// The hub's live families: every latency is exposed once, as a histogram
+/// (the snapshot's percentile fields are read from the same histograms and
+/// are not rendered a second time).
+pub(crate) const HUB: &[Family<Telemetry>] = &[
+    counter("dsstc_traces_recorded_total", "Completed request traces recorded by the sink", |t| {
+        Int(t.traces_recorded())
+    }),
+    histogram(
+        "dsstc_queue_us",
+        "Queue wait per request (enqueued to worker pick-up), microseconds",
+        |t| PerPriorityHistogram(&t.queue_us),
+    ),
+    histogram(
+        "dsstc_execute_us",
+        "Wall-clock execution time per batch (worker pick-up to outputs ready), microseconds",
+        |t| Histogram(&t.execute_us),
+    ),
+    histogram(
+        "dsstc_priority_execute_us",
+        "Batch execution time seen per request, microseconds",
+        |t| PerPriorityHistogram(&t.priority_execute_us),
+    ),
+    histogram("dsstc_modelled_request_us", "Modelled GPU latency per request, microseconds", |t| {
+        Histogram(&t.modelled_request_us)
+    }),
+    histogram(
+        "dsstc_trace_e2e_us",
+        "End-to-end latency (admitted to responded) from request traces, microseconds",
+        |t| PerPriorityHistogram(&t.e2e_us),
+    ),
 ];

@@ -1,15 +1,11 @@
-//! The metrics core: lock-free named counters plus fixed log-bucketed
-//! latency histograms, collected in a [`MetricsRegistry`], and the
-//! Prometheus text-line helpers every exposition writer shares.
-//!
-//! The histograms are the server's only latency store: cheap enough to
-//! update on every request, mergeable across threads, bounded in memory no
-//! matter how long the server runs, read back as the percentiles of
-//! [`crate::ServerStats`] and rendered as Prometheus-style cumulative
+//! The server's latency store: a fixed log-bucketed histogram, cheap
+//! enough to update on every request, mergeable across threads and bounded
+//! in memory no matter how long the server runs. The [`super::Telemetry`]
+//! hub holds one per latency family; they are read back as the percentiles
+//! of [`crate::ServerStats`] and rendered as Prometheus-style cumulative
 //! buckets for live scraping (see [`crate::telemetry::export`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// Sub-bucket resolution: each power-of-two octave is split into
 /// `2^SUB_BITS` linear sub-buckets, bounding the relative width of any
@@ -22,34 +18,6 @@ const LINEAR_MAX: u64 = (SUB as u64) << 1;
 /// Total bucket count: the exact linear range plus `SUB` sub-buckets for
 /// every octave up to `2^63`.
 pub const HISTOGRAM_BUCKETS: usize = LINEAR_MAX as usize + (64 - SUB_BITS as usize - 1) * SUB;
-
-/// A monotonically increasing atomic counter.
-#[derive(Debug, Default)]
-pub struct Counter {
-    value: AtomicU64,
-}
-
-impl Counter {
-    /// A counter starting at zero.
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
-    /// Adds one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`.
-    pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// The current count.
-    pub fn value(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
 
 /// A fixed-size log-bucketed histogram of `u64` samples (latencies in µs).
 ///
@@ -198,156 +166,11 @@ impl LogHistogram {
     }
 }
 
-/// What a registry entry is named: the metric family, an optional
-/// pre-rendered label set (e.g. `priority="high"`) and a help line.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct MetricMeta {
-    family: String,
-    labels: String,
-    help: String,
-}
-
-#[derive(Debug, Default)]
-struct RegistryInner {
-    counters: Vec<(MetricMeta, Arc<Counter>)>,
-    histograms: Vec<(MetricMeta, Arc<LogHistogram>)>,
-}
-
-/// A registry of named metrics.
-///
-/// Registration (and rendering) takes a short mutex; the returned `Arc`
-/// handles update lock-free on the hot path. Registering the same
-/// `(family, labels)` twice returns the existing handle.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    inner: Mutex<RegistryInner>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        MetricsRegistry::default()
-    }
-
-    /// Gets or registers a counter. `labels` is a pre-rendered Prometheus
-    /// label set without braces (empty for none).
-    pub fn counter(&self, family: &str, labels: &str, help: &str) -> Arc<Counter> {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        if let Some((_, c)) =
-            inner.counters.iter().find(|(m, _)| m.family == family && m.labels == labels)
-        {
-            return Arc::clone(c);
-        }
-        let handle = Arc::new(Counter::new());
-        inner.counters.push((meta(family, labels, help), Arc::clone(&handle)));
-        handle
-    }
-
-    /// Gets or registers a histogram.
-    pub fn histogram(&self, family: &str, labels: &str, help: &str) -> Arc<LogHistogram> {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        if let Some((_, h)) =
-            inner.histograms.iter().find(|(m, _)| m.family == family && m.labels == labels)
-        {
-            return Arc::clone(h);
-        }
-        let handle = Arc::new(LogHistogram::new());
-        inner.histograms.push((meta(family, labels, help), Arc::clone(&handle)));
-        handle
-    }
-
-    /// Renders every registered metric in Prometheus text exposition
-    /// style, `# HELP` / `# TYPE` emitted once per family.
-    pub fn render(&self, out: &mut String) {
-        let inner = self.inner.lock().expect("metrics registry poisoned");
-        let mut seen: Vec<&str> = Vec::new();
-        for (m, c) in &inner.counters {
-            type_line_once(out, &mut seen, m, "counter");
-            out.push_str(&format!("{} {}\n", with_labels(&m.family, &m.labels), c.value()));
-        }
-        let mut seen: Vec<&str> = Vec::new();
-        for (m, h) in &inner.histograms {
-            type_line_once(out, &mut seen, m, "histogram");
-            let count = h.count();
-            for (upper, cumulative) in h.cumulative_buckets() {
-                let labels = join_labels(&m.labels, &format!("le=\"{upper}\""));
-                out.push_str(&format!("{}_bucket{{{labels}}} {cumulative}\n", m.family));
-            }
-            let inf = join_labels(&m.labels, "le=\"+Inf\"");
-            out.push_str(&format!("{}_bucket{{{inf}}} {count}\n", m.family));
-            out.push_str(&format!("{}_sum{} {}\n", m.family, braced(&m.labels), h.sum()));
-            out.push_str(&format!("{}_count{} {count}\n", m.family, braced(&m.labels)));
-        }
-    }
-}
-
-fn meta(family: &str, labels: &str, help: &str) -> MetricMeta {
-    MetricMeta { family: family.to_string(), labels: labels.to_string(), help: help.to_string() }
-}
-
-fn type_line_once<'a>(out: &mut String, seen: &mut Vec<&'a str>, m: &'a MetricMeta, kind: &str) {
-    if !seen.contains(&m.family.as_str()) {
-        seen.push(&m.family);
-        type_line(out, &m.family, &m.help, kind);
-    }
-}
-
-/// Opens a metric family: its `# HELP` and `# TYPE` lines.
-pub(super) fn type_line(out: &mut String, family: &str, help: &str, kind: &str) {
-    out.push_str(&format!("# HELP {family} {help}\n# TYPE {family} {kind}\n"));
-}
-
-/// `family{labels}`, or the bare family for an empty label set. `labels`
-/// is a pre-rendered Prometheus label set without braces.
-pub(super) fn with_labels(family: &str, labels: &str) -> String {
-    format!("{family}{}", braced(labels))
-}
-
-/// Two pre-rendered label sets as one; either may be empty.
-pub(super) fn join_labels(a: &str, b: &str) -> String {
-    let separator = if a.is_empty() || b.is_empty() { "" } else { "," };
-    format!("{a}{separator}{b}")
-}
-
-fn braced(labels: &str) -> String {
-    if labels.is_empty() {
-        String::new()
-    } else {
-        format!("{{{labels}}}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::stats::percentile;
     use proptest::prelude::*;
-
-    #[test]
-    fn counters_and_gauges_update_through_registry_handles() {
-        let registry = MetricsRegistry::new();
-        let c = registry.counter("dsstc_test_total", "", "test counter");
-        c.inc();
-        c.add(4);
-        // Re-registering returns the same handle.
-        assert_eq!(registry.counter("dsstc_test_total", "", "test counter").value(), 5);
-        let mut out = String::new();
-        registry.render(&mut out);
-        assert!(out.contains("# TYPE dsstc_test_total counter"));
-        assert!(out.contains("dsstc_test_total 5"));
-    }
-
-    #[test]
-    fn labelled_families_emit_one_type_line() {
-        let registry = MetricsRegistry::new();
-        registry.counter("dsstc_by_class_total", "priority=\"high\"", "per-class").inc();
-        registry.counter("dsstc_by_class_total", "priority=\"low\"", "per-class").add(2);
-        let mut out = String::new();
-        registry.render(&mut out);
-        assert_eq!(out.matches("# TYPE dsstc_by_class_total counter").count(), 1);
-        assert!(out.contains("dsstc_by_class_total{priority=\"high\"} 1"));
-        assert!(out.contains("dsstc_by_class_total{priority=\"low\"} 2"));
-    }
 
     #[test]
     fn bucket_boundaries_are_exact() {

@@ -1,10 +1,10 @@
-//! End-to-end telemetry for the serving stack: a lock-free metrics
-//! registry with log-bucketed histograms ([`metrics`]), per-request stage
-//! tracing ([`trace`]) and Prometheus-style exposition ([`export`]).
+//! End-to-end telemetry for the serving stack: log-bucketed latency
+//! histograms ([`metrics`]), per-request stage tracing ([`trace`]) and
+//! Prometheus-style exposition ([`export`]).
 //!
 //! One [`Telemetry`] hub is created per server and threaded through the
 //! admission path, the device workers and (when enabled) the wire front-end,
-//! so every layer stamps the same trace and feeds the same registry;
+//! so every layer stamps the same trace and feeds the same histograms;
 //! [`crate::ServerStats`] is a snapshot of that hub and
 //! [`render_prometheus`] its one text rendering. Nothing here does I/O on
 //! a socket: the wire front-end's event loop answers the scrapes. See
@@ -19,35 +19,37 @@ pub mod trace;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use crate::request::Priority;
 use crate::stats::{DeviceStats, PriorityLatency, ServerStats};
 use crate::store::EncodeCacheStats;
 
 pub use self::export::render_prometheus;
-pub use self::metrics::{Counter, LogHistogram, MetricsRegistry, HISTOGRAM_BUCKETS};
+pub use self::metrics::{LogHistogram, HISTOGRAM_BUCKETS};
 pub use self::trace::{now_us, CacheOutcome, RequestTrace, Stage, TraceSink, STAGES};
 
+/// Histograms of one latency, one per priority class.
+type PerPriority = [LogHistogram; Priority::ALL.len()];
+
 /// The per-server telemetry hub, the server's one stats pipeline: the
-/// metrics registry, the trace sink, the exact per-batch counters and
-/// pre-registered hot-path handles so workers never touch the registry
-/// lock while serving. [`crate::ServerStats`] is a snapshot of this hub.
-#[derive(Debug)]
+/// latency histograms, the trace sink and the exact per-batch counters.
+/// [`crate::ServerStats`] is a snapshot of this hub, and the `HUB` rows of
+/// `telemetry/families.rs` export its histograms.
+#[derive(Debug, Default)]
 pub struct Telemetry {
-    registry: MetricsRegistry,
     sink: TraceSink,
-    traces_recorded: Arc<Counter>,
+    traces_recorded: AtomicU64,
     /// Queue wait (enqueued → worker pick-up) per priority, per request.
-    queue_us: Vec<Arc<LogHistogram>>,
+    queue_us: PerPriority,
     /// Wall-clock batch execution, one sample per batch.
-    execute_us: Arc<LogHistogram>,
+    execute_us: LogHistogram,
     /// The batch execution time each request saw, per priority.
-    priority_execute_us: Vec<Arc<LogHistogram>>,
+    priority_execute_us: PerPriority,
     /// Modelled per-request GPU latency, one sample per request.
-    modelled_request_us: Arc<LogHistogram>,
+    modelled_request_us: LogHistogram,
     /// Admitted → responded, from completed traces.
-    e2e_us: Vec<Arc<LogHistogram>>,
+    e2e_us: PerPriority,
     /// Requests rejected at submit by admission control, per priority
     /// class; atomics so the submit path never takes the batch mutex.
     shed: [AtomicU64; Priority::ALL.len()],
@@ -64,12 +66,6 @@ struct BatchCounts {
     device_busy_modelled_us: Vec<f64>,
 }
 
-impl Default for Telemetry {
-    fn default() -> Self {
-        Telemetry::with_sink(TraceSink::new())
-    }
-}
-
 impl Telemetry {
     /// A hub with the in-memory trace ring only.
     pub fn new() -> Self {
@@ -79,56 +75,7 @@ impl Telemetry {
     /// A hub that additionally streams chrome-trace JSONL to `path`
     /// (the `--trace-out` file).
     pub fn with_trace_out(path: &Path) -> io::Result<Self> {
-        Ok(Telemetry::with_sink(TraceSink::with_output(path)?))
-    }
-
-    fn with_sink(sink: TraceSink) -> Self {
-        let registry = MetricsRegistry::new();
-        let per_priority = |family: &str, help: &str| -> Vec<Arc<LogHistogram>> {
-            Priority::ALL
-                .iter()
-                .map(|p| registry.histogram(family, &format!("priority=\"{}\"", p.name()), help))
-                .collect()
-        };
-        Telemetry {
-            traces_recorded: registry.counter(
-                "dsstc_traces_recorded_total",
-                "",
-                "Completed request traces recorded by the sink",
-            ),
-            queue_us: per_priority(
-                "dsstc_queue_us",
-                "Queue wait per request (enqueued to worker pick-up), microseconds",
-            ),
-            execute_us: registry.histogram(
-                "dsstc_execute_us",
-                "",
-                "Wall-clock execution time per batch (worker pick-up to outputs ready), \
-                 microseconds",
-            ),
-            priority_execute_us: per_priority(
-                "dsstc_priority_execute_us",
-                "Batch execution time seen per request, microseconds",
-            ),
-            modelled_request_us: registry.histogram(
-                "dsstc_modelled_request_us",
-                "",
-                "Modelled GPU latency per request, microseconds",
-            ),
-            e2e_us: per_priority(
-                "dsstc_trace_e2e_us",
-                "End-to-end latency (admitted to responded) from request traces, microseconds",
-            ),
-            registry,
-            sink,
-            shed: Default::default(),
-            batches: Mutex::default(),
-        }
-    }
-
-    /// The live metrics registry (rendered into every scrape).
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
+        Ok(Telemetry { sink: TraceSink::with_output(path)?, ..Telemetry::default() })
     }
 
     /// The completed-trace sink.
@@ -230,20 +177,8 @@ impl Telemetry {
             execute_p50_us: self.execute_us.quantile(0.50),
             per_priority,
             per_device,
-            encode_hits: encode.hits,
-            encode_misses: encode.misses,
-            encode_disk_loads: encode.disk_loads,
-            encode_fresh: encode.fresh_encodes,
-            encode_evictions: encode.evictions,
-            encode_fresh_ms: encode.fresh_encode_ms,
-            encode_disk_ms: encode.disk_load_ms,
-            encode_warm_restored: encode.warm_restored,
-            encode_warm_reencoded: encode.warm_reencoded,
-            encode_warm_healed: encode.warm_healed,
-            store_entries: encode.store_entries,
-            store_bytes: encode.store_bytes,
-            store_gc_removed: encode.store_gc_removed,
             encode_hit_rate: encode.hit_rate(),
+            encode,
             wire: None,
             cluster: None,
         }
@@ -258,13 +193,13 @@ impl Telemetry {
         if let Some(us) = trace.span_us(Stage::Admitted, Stage::Responded) {
             self.e2e_us[priority].record(us);
         }
-        self.traces_recorded.inc();
+        self.traces_recorded.fetch_add(1, Ordering::Relaxed);
         self.sink.record(trace);
     }
 
     /// Completed traces recorded so far (exact, unlike the bounded ring).
     pub fn traces_recorded(&self) -> u64 {
-        self.traces_recorded.value()
+        self.traces_recorded.load(Ordering::Relaxed)
     }
 }
 
@@ -298,9 +233,9 @@ mod tests {
         assert_eq!(telemetry.execute_us.count(), 0);
         let kept = &telemetry.sink().recent()[0];
         assert_eq!(kept.span_us(Stage::Enqueued, Stage::Released), Some(100));
-        // The histograms surface in the registry render.
-        let mut out = String::new();
-        telemetry.registry().render(&mut out);
+        // The histograms surface in the scrape.
+        let snapshot = telemetry.snapshot(EncodeCacheStats::default(), &[]);
+        let out = render_prometheus(&snapshot, &telemetry);
         assert!(out.contains("dsstc_trace_e2e_us_count{priority=\"high\"} 1"));
         assert!(out.contains("dsstc_traces_recorded_total 1"));
     }

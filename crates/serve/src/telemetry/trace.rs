@@ -233,7 +233,6 @@ pub fn now_us() -> u64 {
 pub struct TraceSink {
     ring: Mutex<VecDeque<RequestTrace>>,
     writer: Option<Mutex<BufWriter<File>>>,
-    capacity: usize,
 }
 
 /// How many completed traces the in-memory ring retains.
@@ -248,11 +247,7 @@ impl Default for TraceSink {
 impl TraceSink {
     /// A sink with only the in-memory ring.
     pub fn new() -> Self {
-        TraceSink {
-            ring: Mutex::new(VecDeque::with_capacity(64)),
-            writer: None,
-            capacity: RING_CAPACITY,
-        }
+        TraceSink { ring: Mutex::new(VecDeque::with_capacity(64)), writer: None }
     }
 
     /// A sink that additionally appends chrome-trace JSONL events to
@@ -273,7 +268,7 @@ impl TraceSink {
             }
         }
         let mut ring = self.ring.lock().expect("trace ring poisoned");
-        if ring.len() == self.capacity {
+        if ring.len() == RING_CAPACITY {
             ring.pop_front();
         }
         ring.push_back(trace);

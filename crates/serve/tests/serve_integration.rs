@@ -60,12 +60,12 @@ fn restart_with_populated_cache_dir_skips_prune_and_encode() {
         }
         let stats = server.stats();
         if expect_warm {
-            assert_eq!(stats.encode_fresh, 0, "a warm restart must not prune+encode");
-            assert!(stats.encode_disk_loads >= 1, "the artifact must come from disk");
-            assert!(stats.encode_disk_ms >= 0.0);
+            assert_eq!(stats.encode.fresh_encodes, 0, "a warm restart must not prune+encode");
+            assert!(stats.encode.disk_loads >= 1, "the artifact must come from disk");
+            assert!(stats.encode.disk_load_ms >= 0.0);
         } else {
-            assert!(stats.encode_fresh >= 1, "the first run pays the encode");
-            assert!(stats.encode_fresh_ms > 0.0);
+            assert!(stats.encode.fresh_encodes >= 1, "the first run pays the encode");
+            assert!(stats.encode.fresh_encode_ms > 0.0);
         }
         cold_ms
     };
@@ -169,14 +169,14 @@ fn encode_cache_hits_after_the_first_request() {
     }
     let stats = server.stats();
     // Four single-request batches against one model: one encode, three hits.
-    assert_eq!(stats.encode_misses, 1);
-    assert_eq!(stats.encode_hits, 3);
+    assert_eq!(stats.encode.misses, 1);
+    assert_eq!(stats.encode.hits, 3);
     assert!((stats.encode_hit_rate - 0.75).abs() < 1e-12);
     // Same model at a different sparsity is a different artifact.
     server
         .infer(InferRequest::new(ModelId::BertBase, features(9)).with_weight_sparsity(0.5))
         .expect("response");
-    assert_eq!(server.stats().encode_misses, 2);
+    assert_eq!(server.stats().encode.misses, 2);
 }
 
 #[test]

@@ -54,7 +54,7 @@ use std::time::Duration;
 
 use dsstc::serve::{
     render_prometheus, CacheBudget, ClusterConfig, DevicePool, InferRequest, InferenceServer,
-    MetricsRegistry, ModelId, Priority, ServeConfig, ServerStats,
+    ModelId, Priority, ServeConfig, ServerStats, Telemetry,
 };
 use dsstc_sim::GpuConfig;
 use dsstc_tensor::{Matrix, SparsityPattern};
@@ -73,8 +73,8 @@ fn usage_error(message: &str) -> ! {
 /// Prints the sample lines of the server's `/metrics` exposition whose
 /// family name starts with `prefix`, skipping the `# HELP` / `# TYPE`
 /// comments and the histograms' `_bucket` rows.
-fn print_scrape(stats: &ServerStats, registry: &MetricsRegistry, prefix: &str) {
-    for line in render_prometheus(stats, registry).lines() {
+fn print_scrape(stats: &ServerStats, telemetry: &Telemetry, prefix: &str) {
+    for line in render_prometheus(stats, telemetry).lines() {
         let name = line.split(['{', ' ']).next().unwrap_or_default();
         if name.starts_with(prefix) && !name.ends_with("_bucket") {
             println!("{line}");
@@ -107,7 +107,7 @@ fn run_listen(config: ServeConfig, wire_requests: u64) {
         std::thread::sleep(Duration::from_millis(50));
     }
     let stats = server.stats();
-    print_scrape(&stats, server.server().telemetry().registry(), "dsstc_");
+    print_scrape(&stats, server.server().telemetry(), "dsstc_");
     let wire = stats.wire.clone().expect("wire counters attached");
     server.shutdown();
     assert!(wire.frames_received >= wire_requests, "expected {wire_requests} request frames");
@@ -286,7 +286,7 @@ fn main() {
         // The boot-time store state, before any traffic touches the cache:
         // what the warmer restored/healed and what GC removed to fit the
         // budget. The CI warm-start and GC smokes grep these lines.
-        print_scrape(&server.stats(), server.telemetry().registry(), "dsstc_cache_");
+        print_scrape(&server.stats(), server.telemetry(), "dsstc_cache_");
     }
 
     // Deploy-time warm-up: obtain both models' encoded weights for every
@@ -344,7 +344,7 @@ fn main() {
     println!("devices that executed batches: {}\n", devices_seen.len());
 
     let stats = server.stats();
-    print_scrape(&stats, server.telemetry().registry(), "dsstc_");
+    print_scrape(&stats, server.telemetry(), "dsstc_");
     server.shutdown();
 
     // The properties this demo exists to demonstrate.
@@ -361,19 +361,19 @@ fn main() {
         // tier before traffic arrives, nothing prune+encodes, and the
         // first request is already a cache hit.
         assert_eq!(
-            stats.encode_fresh, 0,
+            stats.encode.fresh_encodes, 0,
             "--expect-warm: {} artifacts were freshly encoded ({:.1} ms wasted)",
-            stats.encode_fresh, stats.encode_fresh_ms
+            stats.encode.fresh_encodes, stats.encode.fresh_encode_ms
         );
-        assert!(stats.encode_disk_loads > 0, "--expect-warm: nothing was restored from disk");
+        assert!(stats.encode.disk_loads > 0, "--expect-warm: nothing was restored from disk");
         assert!(
-            stats.encode_warm_restored > 0,
+            stats.encode.warm_restored > 0,
             "--expect-warm: the boot warmer restored nothing at startup"
         );
         println!(
             "warm start confirmed: {} artifacts restored from disk in {:.1} ms ({} at boot), \
              0 fresh encodes",
-            stats.encode_disk_loads, stats.encode_disk_ms, stats.encode_warm_restored
+            stats.encode.disk_loads, stats.encode.disk_load_ms, stats.encode.warm_restored
         );
     }
     println!(
