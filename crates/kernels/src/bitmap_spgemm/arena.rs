@@ -241,11 +241,7 @@ impl EncodedA {
         let mut a = Arena::default();
         let grid_m = a.shape(rows, cols, tile);
         (a.cols, a.steps) = (cols, cols.div_ceil(a.wk) * a.wk);
-        // A `u32` sum per band vectorises where a `usize` count does not, and
-        // a band's survivors fit one (`Arena::shape`).
-        let nnz: usize = (dense.as_slice().chunks(a.wm * cols))
-            .map(|band| band.iter().map(|&x| u32::from(f16::survives(x))).sum::<u32>() as usize)
-            .sum();
+        let nnz = simd::survivors(level, dense.as_slice());
         a.words = vec![0; grid_m * a.steps];
         a.starts = vec![0; grid_m * (a.steps + 1)];
         a.bases = vec![0; grid_m];
@@ -395,6 +391,9 @@ impl<'a> Emitter<'a> {
         // 16-row band's dense bound has no room for a 32-row column stored
         // past its last value.
         let tiled = self.arena.wm == TILE_ROWS;
+        // Every tile of the block writes the same live rows of it, so the
+        // rows past them stay the zeros they start as.
+        let mut tile = [[0.0f32; TILE_ROWS]; TILE_COLS];
         let mut kept = self.kept;
         let (words, starts, values) = self.band_mut(band);
         starts[col0] = kept as u32;
@@ -403,7 +402,8 @@ impl<'a> Emitter<'a> {
             let chunk = TILE_COLS.min(end - c);
             let done = tiled && chunk == TILE_COLS && {
                 let (words, starts) = (&mut words[c..c + chunk], &mut starts[c + 1..=c + chunk]);
-                emit_tile::<L, RELU>(acc, width, c - col0, words, starts, values, &mut kept)
+                let out = (words, starts, &mut *values);
+                emit_tile::<L, RELU>(acc, (width, c - col0), &mut tile, out, &mut kept)
             };
             if !done {
                 for c in c..c + chunk {
@@ -439,36 +439,59 @@ fn emit_column<const RELU: bool>(
     word
 }
 
-/// [`TILE_COLS`] columns of a block of at most [`TILE_ROWS`] rows at once:
-/// round every element without a branch while transposing the tile onto the
-/// stack, then compact each column with the level's [`Lanes::compress`]. The
-/// strided walk of [`emit_column`] with a rounding call per element made the
-/// fused forward slower than the unfused one; this is what pays for the
-/// fusion.
+/// [`TILE_COLS`] columns of a block of at most [`TILE_ROWS`] rows at once,
+/// from column `c0` of `acc` (`width` values a row): moved transposed into
+/// `tile`, whose rows past the live ones must be zeros, and rounded without
+/// a branch, then each column compacted with the level's
+/// [`Lanes::compress`]. Whole `L::N`-row groups go through the level's
+/// in-register [`Lanes::transpose`] and are rounded a register of a column
+/// at a time; the rows past them (all of a small batch's band) are rounded a
+/// row at a time and stored a value at a time, so the work scales with the
+/// live rows. The strided walk of [`emit_column`] with a rounding call per
+/// element made the fused forward slower than the unfused one; this is what
+/// pays for the fusion.
 ///
-/// Returns `false`, having written nothing, when the tile holds a magnitude
-/// the branch-free rounding does not cover (overflow, infinity, NaN): the
-/// caller redoes it the plain way.
+/// Returns `false`, having written nothing to the arena, when the tile holds
+/// a magnitude the branch-free rounding does not cover (overflow, infinity,
+/// NaN): the caller redoes it the plain way.
 #[inline(always)]
 fn emit_tile<L: Lanes, const RELU: bool>(
     acc: &[f32],
-    width: usize,
-    c0: usize,
-    words: &mut [u64],
-    starts: &mut [u32],
-    values: &mut [f32],
+    (width, c0): (usize, usize),
+    tile: &mut [[f32; TILE_ROWS]; TILE_COLS],
+    (words, starts, values): (&mut [u64], &mut [u32], &mut [f32]),
     kept: &mut usize,
 ) -> bool {
-    let mut tile = [[0.0f32; TILE_ROWS]; TILE_COLS];
-    let mut in_pattern = true;
-    for (r, row) in acc.chunks_exact(width).enumerate() {
-        for (c, &x) in row[c0..c0 + TILE_COLS].iter().enumerate() {
-            let x = if RELU { x.max(0.0) } else { x };
-            in_pattern &= f16::fits_finite(x);
-            tile[c][r] = if f16::survives(x) { f16::round_f32_in_pattern(x) } else { 0.0 };
+    let live = acc.len() / width;
+    // The level's squares tile the block's columns at every level but the
+    // baseline, whose register is a whole native tile wide.
+    let whole = if TILE_COLS.is_multiple_of(L::N) { live - live % L::N } else { 0 };
+    for r in (0..whole).step_by(L::N) {
+        for c in (0..TILE_COLS).step_by(L::N) {
+            let dst = &mut tile.as_flattened_mut()[c * TILE_ROWS + r..];
+            L::transpose(&acc[r * width + c0 + c..], width, dst, TILE_ROWS);
         }
     }
-    if !in_pattern {
+    // The widest magnitude per row of a group and per column of the rest,
+    // kept apart so that each loop's maximum stays in its lanes.
+    let mut widest_rows = [0u32; TILE_ROWS];
+    for column in tile.iter_mut() {
+        let rows = column[..whole].chunks_exact_mut(L::N);
+        for (lanes, widest) in rows.zip(widest_rows.chunks_exact_mut(L::N)) {
+            for (x, widest) in lanes.iter_mut().zip(widest) {
+                *x = round::<RELU>(*x, widest);
+            }
+        }
+    }
+    let mut widest_cols = [0u32; TILE_COLS];
+    for (r, row) in acc.chunks_exact(width).enumerate().skip(whole) {
+        let row = &row[c0..c0 + TILE_COLS];
+        for ((column, &x), widest) in tile.iter_mut().zip(row).zip(&mut widest_cols) {
+            column[r] = round::<RELU>(x, widest);
+        }
+    }
+    let widest = widest_rows.into_iter().chain(widest_cols).fold(0, u32::max);
+    if !f16::fits_finite(f32::from_bits(widest)) {
         return false;
     }
     let mut n = *kept;
@@ -485,4 +508,20 @@ fn emit_tile<L: Lanes, const RELU: bool>(
     }
     *kept = n;
     true
+}
+
+/// What [`emit_tile`] stores for `x`, without a branch: `x` (through ReLU
+/// with `RELU`) rounded to FP16 storage precision, or `+0.0` if it does not
+/// survive. Raises `widest` to the bit pattern of its magnitude, which the
+/// rounding covers while [`f16::fits_finite`] holds for it (NaN's pattern
+/// is above every finite one's).
+#[inline(always)]
+fn round<const RELU: bool>(x: f32, widest: &mut u32) -> f32 {
+    let x = if RELU { x.max(0.0) } else { x };
+    *widest = (*widest).max(x.to_bits() & 0x7FFF_FFFF);
+    if f16::survives(x) {
+        f16::round_f32_in_pattern(x)
+    } else {
+        0.0
+    }
 }

@@ -1722,14 +1722,16 @@ mod tests {
 
     #[test]
     fn encode_a_stores_what_the_formats_encoder_does_at_every_level() {
-        // Ragged bands (1, 4, 31 and 33 rows: a ragged band takes the tile
-        // path over zero rows), widths below, at and either side of one
-        // 16-column tile, and values FP16 storage flushes, rounds on an edge
-        // or turns non-finite (a tile holding one takes the plain walk), on
-        // 32-row bands and on 16-row ones, which never take the tile path.
+        // Ragged bands (1, 4, 15, 16, 17, 31, 33 and 48 rows: a ragged band
+        // takes the tile path over zero rows, its live rows either side of
+        // a 16-row (AVX-512) or 8-row (AVX2) in-register transpose group),
+        // widths below, at and either side of one 16-column tile, and values
+        // FP16 storage flushes, rounds on an edge or turns non-finite (a tile
+        // holding one takes the plain walk), on 32-row bands and on 16-row
+        // ones, which never take the tile path.
         let tilings =
             [GemmTiling::paper_spgemm(), GpuConfig::a100().native_tiling(), warp_tiling(16, 64, 8)];
-        for (i, (rows, cols)) in [1, 4, 31, 33, 64]
+        for (i, (rows, cols)) in [1, 4, 15, 16, 17, 31, 33, 48, 64]
             .into_iter()
             .flat_map(|rows| [1, 15, 16, 17, 64, 100].map(|cols| (rows, cols)))
             .enumerate()

@@ -8,11 +8,16 @@
 //! for AVX2, `__m512` for AVX-512F+VL — and instantiates the loops per
 //! level under `#[target_feature]`: the band loop (whose sink may be the
 //! emitter or the transposed rows, which it hands its lane type), the
-//! expansions and the dense-operand encode. AVX-512 overrides two lane ops
-//! with an instruction the other levels lack: a row is decoded with
-//! `vexpandps`, an emitter column compacted with `vcompressps`; AVX2 and
-//! AVX-512 transpose a square of lanes in registers. **FMA is never
-//! enabled** and [`Lanes::mac`] is a
+//! expansions, the dense-operand encode and the survivor count that sizes
+//! an owned A operand before it. AVX-512 overrides three lane ops with an
+//! instruction the other levels lack: a row is decoded with `vexpandps`, an
+//! emitter column compacted with `vcompressps`, survivors counted with a
+//! compare mask and `popcnt`; AVX2 and AVX-512 transpose a square of lanes
+//! in registers (the transposing sink's blocks, the emitter's tiles). Lane
+//! helpers that only shuffle registers loop a constant number of times
+//! rather than build arrays with `std::array::from_fn`, whose closure LLVM
+//! may outline, intrinsics and all, into a function compiled without the
+//! level's features. **FMA is never enabled** and [`Lanes::mac`] is a
 //! multiply then an add: a step stays a rounded multiply then a rounded add
 //! at every level, which is what keeps the word kernel bit-identical to the
 //! scalar reference (CI greps the emitted code for `vfmadd`, see
@@ -32,7 +37,7 @@
 use std::arch::x86_64::*;
 
 use dsstc_formats::TwoLevelBitmapMatrix;
-use dsstc_tensor::Matrix;
+use dsstc_tensor::{f16, Matrix};
 
 use super::arena::{Arena, Emitter, TILE_ROWS};
 use super::word::{self, BlockRow, CacheAligned, ExpandedB, Gemm, InMemory, Sink, NATIVE_WN};
@@ -160,6 +165,15 @@ pub(super) trait Lanes: Copy {
         }
     }
 
+    /// How many of `values` [`f16::survives`] keeps, NaN included.
+    #[inline(always)]
+    fn survivors(values: &[f32]) -> usize {
+        // A `u32` sum per chunk vectorises where a `usize` count does not.
+        (values.chunks(u32::MAX as usize))
+            .map(|chunk| chunk.iter().map(|&x| u32::from(f16::survives(x))).sum::<u32>() as usize)
+            .sum()
+    }
+
     /// Compacts one column of an emitter tile: the values of `column` that
     /// are not `0.0` go, in order, to the front of `dst`, and the returned
     /// word has bit `r` set when `column[r]` was one of them. What `dst`
@@ -226,10 +240,9 @@ impl Lanes for Ymm {
 
     #[inline(always)]
     fn splat(x: f32) -> Self {
-        // SAFETY: needs AVX. `Ymm` is named only by `run_bands_avx2` and
-        // `encode_avx2`, which run only under a `Level` that
-        // `Level::available()` built after `is_x86_feature_detected!("avx2")`
-        // returned true.
+        // SAFETY: needs AVX. `Ymm` is named only by the `*_avx2` functions
+        // below, which run only under a `Level` that `Level::available()`
+        // built after `is_x86_feature_detected!("avx2")` returned true.
         Ymm(unsafe { _mm256_set1_ps(x) })
     }
 
@@ -259,7 +272,10 @@ impl Lanes for Ymm {
     /// eight column stores.
     #[inline(always)]
     fn transpose(src: &[f32], src_stride: usize, dst: &mut [f32], dst_stride: usize) {
-        let rows: [__m256; 8] = std::array::from_fn(|r| Ymm::load(&src[r * src_stride..]).0);
+        let mut rows = [Ymm::splat(0.0).0; 8];
+        for (r, row) in rows.iter_mut().enumerate() {
+            *row = Ymm::load(&src[r * src_stride..]).0;
+        }
         // SAFETY: AVX as in `splat` (`Level::available()`); register-only.
         let cols = unsafe { transpose_8x8(rows) };
         for (c, col) in cols.into_iter().enumerate() {
@@ -282,32 +298,27 @@ unsafe fn transpose_8x8(r: [__m256; 8]) -> [__m256; 8] {
     // as in `splat` (`Level::available()`); every operation is
     // register-only.
     unsafe {
-        let t: [__m256; 8] = std::array::from_fn(|i| {
-            let (x, y) = (r[i & !1], r[i | 1]);
-            if i % 2 == 0 {
-                _mm256_unpacklo_ps(x, y)
-            } else {
-                _mm256_unpackhi_ps(x, y)
+        let mut t = r;
+        for i in (0..8).step_by(2) {
+            t[i] = _mm256_unpacklo_ps(r[i], r[i + 1]);
+            t[i + 1] = _mm256_unpackhi_ps(r[i], r[i + 1]);
+        }
+        let mut u = [_mm256_setzero_pd(); 8];
+        for q in 0..2 {
+            for p in 0..2 {
+                let x = _mm256_castps_pd(t[4 * q + p]);
+                let y = _mm256_castps_pd(t[4 * q + p + 2]);
+                u[4 * q + 2 * p] = _mm256_unpacklo_pd(x, y);
+                u[4 * q + 2 * p + 1] = _mm256_unpackhi_pd(x, y);
             }
-        });
-        let u: [__m256d; 8] = std::array::from_fn(|i| {
-            let (q, j) = (i / 4, i % 4);
-            let x = _mm256_castps_pd(t[4 * q + j / 2]);
-            let y = _mm256_castps_pd(t[4 * q + j / 2 + 2]);
-            if j % 2 == 0 {
-                _mm256_unpacklo_pd(x, y)
-            } else {
-                _mm256_unpackhi_pd(x, y)
-            }
-        });
-        std::array::from_fn(|i| {
-            let (x, y) = (_mm256_castpd_ps(u[i % 4]), _mm256_castpd_ps(u[4 + i % 4]));
-            if i < 4 {
-                _mm256_permute2f128_ps::<0x20>(x, y)
-            } else {
-                _mm256_permute2f128_ps::<0x31>(x, y)
-            }
-        })
+        }
+        let mut out = r;
+        for j in 0..4 {
+            let (x, y) = (_mm256_castpd_ps(u[j]), _mm256_castpd_ps(u[4 + j]));
+            out[j] = _mm256_permute2f128_ps::<0x20>(x, y);
+            out[4 + j] = _mm256_permute2f128_ps::<0x31>(x, y);
+        }
+        out
     }
 }
 
@@ -322,10 +333,9 @@ impl Lanes for Zmm {
 
     #[inline(always)]
     fn splat(x: f32) -> Self {
-        // SAFETY: needs AVX-512F. `Zmm` is named only by `run_bands_avx512`,
-        // `expand_b_avx512`, `expand_at_avx512` and `encode_avx512` (and a
-        // compile-time width check), which run only under a
-        // `Level` that `Level::available()` built after
+        // SAFETY: needs AVX-512F. `Zmm` is named only by the `*_avx512`
+        // functions below (and compile-time width checks), which run only
+        // under a `Level` that `Level::available()` built after
         // `is_x86_feature_detected!` returned true for `avx512f`, `avx512vl`
         // and `popcnt`.
         Zmm(unsafe { _mm512_set1_ps(x) })
@@ -383,7 +393,10 @@ impl Lanes for Zmm {
     /// registers, sixteen column stores.
     #[inline(always)]
     fn transpose(src: &[f32], src_stride: usize, dst: &mut [f32], dst_stride: usize) {
-        let rows: [__m512; 16] = std::array::from_fn(|r| Zmm::load(&src[r * src_stride..]).0);
+        let mut rows = [Zmm::splat(0.0).0; 16];
+        for (r, row) in rows.iter_mut().enumerate() {
+            *row = Zmm::load(&src[r * src_stride..]).0;
+        }
         // SAFETY: AVX-512F as in `splat` (`Level::available()`);
         // register-only.
         let cols = unsafe { transpose_16x16(rows) };
@@ -418,7 +431,44 @@ impl Lanes for Zmm {
         }
         bits
     }
+
+    /// Per sixteen values one compare of their magnitudes against the least
+    /// kept one, not-less-than and unordered so that NaN counts as
+    /// [`f16::survives`] has it, and one popcount of the mask; the ragged
+    /// tail through a masked load.
+    #[inline(always)]
+    fn survivors(values: &[f32]) -> usize {
+        let least = Zmm::splat(LEAST_KEPT).0;
+        let chunks = values.chunks_exact(16);
+        let tail = chunks.remainder();
+        let mut n = 0;
+        for chunk in chunks {
+            // SAFETY: `chunk` is sixteen readable `f32`s (`chunks_exact`)
+            // and the load is unaligned. AVX-512F as in `splat`
+            // (`Level::available()`).
+            let kept = unsafe {
+                let v = _mm512_loadu_ps(chunk.as_ptr());
+                _mm512_cmp_ps_mask::<_CMP_NLT_UQ>(_mm512_abs_ps(v), least)
+            };
+            n += kept.count_ones() as usize;
+        }
+        let live = ((1u32 << tail.len()) - 1) as u16;
+        // SAFETY: the masked load reads the lanes set in `live`, the
+        // `tail.len()` (fewer than sixteen) low ones, which are `tail`; it
+        // does not access masked-off lanes. AVX-512F as in `splat`
+        // (`Level::available()`).
+        let kept = unsafe {
+            let v = _mm512_maskz_loadu_ps(live, tail.as_ptr());
+            _mm512_mask_cmp_ps_mask::<_CMP_NLT_UQ>(live, _mm512_abs_ps(v), least)
+        };
+        n + kept.count_ones() as usize
+    }
 }
+
+/// The least magnitude [`f16::survives`] keeps: 2^-24, FP16's least
+/// subnormal.
+#[cfg(target_arch = "x86_64")]
+const LEAST_KEPT: f32 = 1.0 / 16_777_216.0;
 
 /// `r` (sixteen rows) transposed: [`transpose_8x8`]'s two interleaving
 /// steps, after which `u[4 * q + j]` holds column `4 * l + j` of rows
@@ -434,44 +484,39 @@ unsafe fn transpose_16x16(r: [__m512; 16]) -> [__m512; 16] {
     // meets as in `splat` (`Level::available()`); every operation is
     // register-only.
     unsafe {
-        let t: [__m512; 16] = std::array::from_fn(|i| {
-            let (x, y) = (r[i & !1], r[i | 1]);
-            if i % 2 == 0 {
-                _mm512_unpacklo_ps(x, y)
-            } else {
-                _mm512_unpackhi_ps(x, y)
+        let mut t = r;
+        for i in (0..16).step_by(2) {
+            t[i] = _mm512_unpacklo_ps(r[i], r[i + 1]);
+            t[i + 1] = _mm512_unpackhi_ps(r[i], r[i + 1]);
+        }
+        let mut u = r;
+        for q in 0..4 {
+            for p in 0..2 {
+                let x = _mm512_castps_pd(t[4 * q + p]);
+                let y = _mm512_castps_pd(t[4 * q + p + 2]);
+                u[4 * q + 2 * p] = _mm512_castpd_ps(_mm512_unpacklo_pd(x, y));
+                u[4 * q + 2 * p + 1] = _mm512_castpd_ps(_mm512_unpackhi_pd(x, y));
             }
-        });
-        let u: [__m512; 16] = std::array::from_fn(|i| {
-            let (q, j) = (i / 4, i % 4);
-            let x = _mm512_castps_pd(t[4 * q + j / 2]);
-            let y = _mm512_castps_pd(t[4 * q + j / 2 + 2]);
-            _mm512_castpd_ps(if j % 2 == 0 {
-                _mm512_unpacklo_pd(x, y)
-            } else {
-                _mm512_unpackhi_pd(x, y)
-            })
-        });
+        }
         // Lanes 0-1 and 2-3 of rows 0-7, then of rows 8-15; then lane `l`
         // of all four quarters.
-        let w: [__m512; 16] = std::array::from_fn(|i| {
-            let (j, half) = (i % 4, i / 4);
-            let (x, y) = (u[8 * (half / 2) + j], u[8 * (half / 2) + 4 + j]);
-            if half % 2 == 0 {
-                _mm512_shuffle_f32x4::<0x44>(x, y)
-            } else {
-                _mm512_shuffle_f32x4::<0xee>(x, y)
+        let mut w = r;
+        for h in 0..2 {
+            for j in 0..4 {
+                let (x, y) = (u[8 * h + j], u[8 * h + 4 + j]);
+                w[8 * h + j] = _mm512_shuffle_f32x4::<0x44>(x, y);
+                w[8 * h + 4 + j] = _mm512_shuffle_f32x4::<0xee>(x, y);
             }
-        });
-        std::array::from_fn(|i| {
-            let (l, j) = (i / 4, i % 4);
-            let (x, y) = (w[4 * (l / 2) + j], w[8 + 4 * (l / 2) + j]);
-            if l % 2 == 0 {
-                _mm512_shuffle_f32x4::<0x88>(x, y)
-            } else {
-                _mm512_shuffle_f32x4::<0xdd>(x, y)
+        }
+        let mut out = r;
+        for g in 0..2 {
+            for j in 0..4 {
+                let (x, y) = (w[4 * g + j], w[8 + 4 * g + j]);
+                out[8 * g + j] = _mm512_shuffle_f32x4::<0x88>(x, y);
+                out[8 * g + 4 + j] = _mm512_shuffle_f32x4::<0xdd>(x, y);
             }
-        })
+        }
+        out
     }
 }
 
@@ -643,6 +688,39 @@ fn encode_avx512(emitter: &mut Emitter<'_>, dense: &Matrix) {
     emitter.encode::<Zmm>(dense)
 }
 
+/// [`Lanes::survivors`] of `values` at `level`: how many an [`EncodedA`]
+/// keeps, which it counts before [`encode`] writes them. At AVX-512 a
+/// compare mask and a popcount per sixteen values.
+///
+/// [`EncodedA`]: super::EncodedA
+pub(super) fn survivors(level: Level, values: &[f32]) -> usize {
+    match level.0 {
+        Isa::Baseline => Portable::survivors(values),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `survivors_avx2` requires AVX2; as in `run_bands`, an
+        // `Isa::Avx2` level comes only from `Level::available()`, after the
+        // feature check passed.
+        Isa::Avx2 => unsafe { survivors_avx2(values) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `survivors_avx512` requires AVX-512F, AVX-512VL and
+        // POPCNT; as in `run_bands`, an `Isa::Avx512` level comes only from
+        // `Level::available()`, after all three feature checks passed.
+        Isa::Avx512 => unsafe { survivors_avx512(values) },
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn survivors_avx2(values: &[f32]) -> usize {
+    Ymm::survivors(values)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vl,popcnt")]
+fn survivors_avx512(values: &[f32]) -> usize {
+    Zmm::survivors(values)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -652,5 +730,43 @@ mod tests {
         let levels: Vec<Level> = Level::available().collect();
         assert_eq!(levels[0].name(), "baseline");
         assert_eq!(*levels.last().unwrap(), Level::detect());
+    }
+
+    #[test]
+    fn every_level_counts_the_values_f16_survives_keeps() {
+        // The keep threshold 2^-24 and its two f32 neighbours, signed zeros,
+        // f32 subnormals, infinities and NaN, in every position of every
+        // length up to past four sixteen-lane chunks, so that every level's
+        // whole chunks and ragged tail both meet each of them.
+        let tiny = 2.0f32.powi(-24);
+        let specials = [
+            tiny,
+            -tiny,
+            f32::from_bits(tiny.to_bits() - 1),
+            -f32::from_bits(tiny.to_bits() - 1),
+            f32::from_bits(tiny.to_bits() + 1),
+            -f32::from_bits(tiny.to_bits() + 1),
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::MIN_POSITIVE / 2.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            1.0,
+            -7.0e4,
+        ];
+        for len in 0..=70 {
+            for shift in 0..specials.len() {
+                let values: Vec<f32> =
+                    (0..len).map(|i| specials[(i * 7 + shift) % specials.len()]).collect();
+                let want = values.iter().filter(|&&x| f16::survives(x)).count();
+                for level in Level::available() {
+                    let got = survivors(level, &values);
+                    assert_eq!(got, want, "{level:?}, {len} values from {shift}");
+                }
+            }
+        }
     }
 }

@@ -27,7 +27,9 @@
 //!   updates that row of a row-major block accumulator. The block width is
 //!   the lane type's ([`BlockRow`]); remainders run one-tile blocks, and
 //!   tilings that are not [`NATIVE_WN`] wide run one-tile blocks whose row
-//!   stays in memory. A finished block goes to the loop's [`Sink`].
+//!   stays in memory. A finished block goes to the loop's [`Sink`], which
+//!   takes the bands in turn or, if it asks to ([`Sink::BLOCKS_IN_TURN`]),
+//!   the blocks in turn, every band of a block before the next block.
 //!
 //! The band loop is one body, generic only over the sink it writes:
 //! [`execute`] reads an [`EncodedA`](super::EncodedA)'s arena and writes
@@ -52,7 +54,9 @@
 //! block passes ([`transposes`]), it runs `D^T = B^T * A^T` — B's tiles
 //! copied into a workspace arena ([`Arena::transpose_b`]), A's steps
 //! expanded ([`expand_at`]) and each block written out transposed
-//! ([`TransposedRows`]). Same loop, same bits.
+//! ([`TransposedRows`], which takes the blocks in turn, so that it can
+//! append the output a block of rows at a time instead of zeroing it
+//! first). Same loop, same bits.
 //!
 //! All of it is compiled once per vector level (baseline, AVX2, AVX-512;
 //! [`super::simd`]) and the level is picked from CPUID once per call. A call
@@ -60,9 +64,10 @@
 //! parallelism is one device per serve worker, not threads inside a GEMM.
 //!
 //! What a call stages — the expansion, the block accumulator, a forward's
-//! two arenas (the first also a transposed call's `B^T`) — it borrows from
-//! its thread's [`Workspace`], so after a thread's first call the only
-//! allocation is the result.
+//! two arenas (the first also a transposed call's `B^T`), a transposed
+//! call's block of output rows — it borrows from its thread's
+//! [`Workspace`], so after a thread's first call the only allocation is the
+//! result.
 
 use std::cell::RefCell;
 
@@ -239,11 +244,16 @@ pub(super) fn expand_at<L: Lanes>(a: &Arena, b: &mut ExpandedB) {
 
 /// Where a band's finished accumulator blocks go.
 pub(super) trait Sink {
+    /// Whether the sink takes the blocks in turn — every band of one block,
+    /// in band order, before the next block — rather than the bands in turn,
+    /// each band's blocks in ascending column order.
+    const BLOCKS_IN_TURN: bool = false;
+
     /// Columns `col0..col0 + width` of `band`: `acc` is row-major, one row of
     /// `width` per live row of the band (`warp_m`, fewer in a ragged last
-    /// band), zero in whatever pads the last tile column. A band's blocks
-    /// arrive in ascending column order. `L` is the vector level's lane type,
-    /// for a sink whose work has a vector form.
+    /// band), zero in whatever pads the last tile column. The blocks arrive
+    /// in the order [`Self::BLOCKS_IN_TURN`] asks for. `L` is the vector
+    /// level's lane type, for a sink whose work has a vector form.
     fn block<L: Lanes>(&mut self, band: usize, col0: usize, width: usize, acc: &[f32]);
 
     /// `band` has had all its blocks.
@@ -279,22 +289,51 @@ impl Sink for DenseRows<'_> {
 
 /// The dense output rows of `D = A * B`, written from the blocks of `D^T`:
 /// a band is `wm` columns of `D` and a block's columns are rows of `D`, so
-/// every block goes out transposed.
+/// every block goes out transposed. It takes the blocks in turn, so that
+/// once a block's last band is in, that block's rows of `D` are whole: it
+/// stages them in `staged` (a workspace buffer, which stays in cache) and
+/// appends them to `out`, which is therefore built in row order and never
+/// zeroed first.
 struct TransposedRows<'o> {
-    rows: &'o mut [f32],
+    out: Vec<f32>,
+    staged: &'o mut CacheAligned,
+    /// `D`'s rows and columns, `D^T`'s band height and band count.
+    rows: usize,
     cols: usize,
     wm: usize,
+    bands: usize,
+}
+
+impl<'o> TransposedRows<'o> {
+    /// The sink of a `rows x cols` output whose `D^T` has `bands` bands of
+    /// `wm` rows, staging in `staged`.
+    fn new(
+        staged: &'o mut CacheAligned,
+        (rows, cols): (usize, usize),
+        (wm, bands): (usize, usize),
+    ) -> Self {
+        TransposedRows { out: Vec::with_capacity(rows * cols), staged, rows, cols, wm, bands }
+    }
+
+    /// `D`, once every block has been in.
+    fn into_matrix(self) -> Matrix {
+        Matrix::from_vec(self.rows, self.cols, self.out)
+    }
 }
 
 impl Sink for TransposedRows<'_> {
+    const BLOCKS_IN_TURN: bool = true;
+
     /// Whole `L::N`-square pieces with the level's [`Lanes::transpose`], the
     /// ragged rest (a ragged band, the padding of `D`'s last rows) a value
-    /// at a time.
+    /// at a time. Every band of a block writes its own columns of the
+    /// block's staged rows, and together they write all of them.
     #[inline(always)]
     fn block<L: Lanes>(&mut self, band: usize, col0: usize, width: usize, acc: &[f32]) {
         let (live, cols) = (acc.len() / width, self.cols);
-        let height = width.min(self.rows.len() / cols - col0);
-        let dst = &mut self.rows[col0 * cols + band * self.wm..];
+        let height = width.min(self.rows - col0);
+        self.staged.reset(width * cols);
+        let dst = &mut self.staged.as_mut_slice()[band * self.wm..];
         let (whole_r, whole_c) = (live - live % L::N, height - height % L::N);
         for r in (0..whole_r).step_by(L::N) {
             for c in (0..whole_c).step_by(L::N) {
@@ -306,6 +345,9 @@ impl Sink for TransposedRows<'_> {
             for r in rest..live {
                 dst[c * cols + r] = acc[r * width + c];
             }
+        }
+        if band + 1 == self.bands {
+            self.out.extend_from_slice(&self.staged.as_slice()[..height * cols]);
         }
     }
 }
@@ -405,79 +447,121 @@ fn block_steps<R: BlockRow>(
 ) {
     let width = R::width(b.wn);
     let tiles = width / b.wn;
-    for (k, &aw) in a_words.iter().enumerate() {
-        if aw == 0 {
-            continue; // whole-step skip: one word test, as in hardware
-        }
-        let (b_words, b_row) = b.block_row(kk * a_words.len() + k, jn, tiles);
-        if b_words.iter().all(|&bw| bw == 0) {
-            continue;
-        }
-        let held = R::hold(b_row);
-        let mut bits = aw;
-        for &av in a_tile.step_values(k) {
-            let r = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let acc_row = &mut acc[r * width..(r + 1) * width];
-            if av.is_finite() {
-                held.axpy(av, b_row, acc_row);
+    // Whole-step skip, one word test as in hardware, made for 64 steps at a
+    // time: the loop visits only the steps whose A word is non-empty and
+    // branches on none of the others (a transposed `gemm_extreme` call has
+    // 27.5 % of them non-empty, at random, which a branch per step
+    // mispredicts).
+    for (group, words) in a_words.chunks(64).enumerate() {
+        let mut live =
+            (words.iter().enumerate()).fold(0u64, |live, (k, &aw)| live | u64::from(aw != 0) << k);
+        while live != 0 {
+            let k = 64 * group + live.trailing_zeros() as usize;
+            live &= live - 1;
+            let (b_words, b_row) = b.block_row(kk * a_words.len() + k, jn, tiles);
+            if b_words.iter().all(|&bw| bw == 0) {
                 continue;
             }
-            // `inf * 0.0` over the zero-filled columns would plant NaNs the
-            // hardware never computes (it issues no MAC there); walk only
-            // the set B bits, like the scalar reference.
-            for (t, &bw) in b_words.iter().enumerate() {
-                let mut b_bits = bw;
-                while b_bits != 0 {
-                    let c = t * b.wn + b_bits.trailing_zeros() as usize;
-                    b_bits &= b_bits - 1;
-                    acc_row[c] += av * b_row[c];
+            let held = R::hold(b_row);
+            let mut bits = a_words[k];
+            for &av in a_tile.step_values(k) {
+                let r = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let acc_row = &mut acc[r * width..(r + 1) * width];
+                if av.is_finite() {
+                    held.axpy(av, b_row, acc_row);
+                    continue;
+                }
+                // `inf * 0.0` over the zero-filled columns would plant NaNs
+                // the hardware never computes (it issues no MAC there); walk
+                // only the set B bits, like the scalar reference.
+                for (t, &bw) in b_words.iter().enumerate() {
+                    let mut b_bits = bw;
+                    while b_bits != 0 {
+                        let c = t * b.wn + b_bits.trailing_zeros() as usize;
+                        b_bits &= b_bits - 1;
+                        acc_row[c] += av * b_row[c];
+                    }
                 }
             }
         }
     }
 }
 
-/// Executes every band of `gemm` into `sink`, in turn, with `accs` as the
-/// block accumulator. Tile columns are taken `Wide` at a time while that
-/// many remain and `One` (a single tile) at a time after that; when `Wide`
-/// is itself one tile the two are the same type.
+/// Executes every band of `gemm` into `sink`, with `accs` as the block
+/// accumulator: the bands in turn, or, for a sink that takes the blocks in
+/// turn ([`Sink::BLOCKS_IN_TURN`]), every band of one block before the next.
+/// Tile columns are taken `Wide` at a time while that many remain and `One`
+/// (a single tile) at a time after that; when `Wide` is itself one tile the
+/// two are the same type.
 #[inline(always)]
 pub(super) fn run_bands<S: Sink, Wide: BlockRow, One: BlockRow>(
     gemm: &Gemm<'_>,
     sink: &mut S,
     accs: &mut CacheAligned,
 ) {
-    let &Gemm { a, b, dims: (wm, wn, wk) } = gemm;
-    let (grid_k, grid_n) = (a.grid_k(), b.grid_n);
+    let (wm, wn, _) = gemm.dims;
     assert!(Wide::width(wn) % wn == 0 && One::width(wn) == wn, "blocks are whole tiles");
+    let (bands, grid_n) = (gemm.a.grid_m(), gemm.b.grid_n);
     let wide_tiles = Wide::width(wn) / wn;
+    // Block `b` starts at tile column `block(b).0`: the first `wide` blocks
+    // are `Wide`, the rest one tile each.
+    let wide = grid_n / wide_tiles;
+    let blocks = wide + grid_n % wide_tiles;
+    let block = |b: usize| {
+        if b < wide {
+            (b * wide_tiles, true)
+        } else {
+            (b + wide * (wide_tiles - 1), false)
+        }
+    };
     accs.reset(wm * Wide::width(wn));
     let accs = accs.as_mut_slice();
-    for im in 0..a.grid_m() {
-        let (a_words, rows) = (a.band_words(im), a.band_rows(im));
-        let mut jb = 0;
-        while jb < grid_n {
-            let wide = grid_n - jb >= wide_tiles;
-            let (tiles, width) = if wide { (wide_tiles, Wide::width(wn)) } else { (1, wn) };
-            // Only the band's live rows: a ragged last band (a small batch)
-            // has no padding rows to zero, and its sink none to walk.
-            let acc = &mut accs[..rows * width];
-            acc.fill(0.0);
-            for kk in 0..grid_k {
-                let Some(a_tile) = a.tile(im, kk) else { continue };
-                let a_words = &a_words[kk * wk..(kk + 1) * wk];
-                if wide {
-                    block_steps::<Wide>(a_words, a_tile, b, (kk, jb), acc);
-                } else {
-                    block_steps::<One>(a_words, a_tile, b, (kk, jb), acc);
-                }
+    if S::BLOCKS_IN_TURN {
+        for b in 0..blocks {
+            for im in 0..bands {
+                block_pass::<S, Wide, One>(gemm, sink, accs, im, block(b));
             }
-            sink.block::<Wide::Lanes>(im, jb * wn, width, acc);
-            jb += tiles;
         }
-        sink.end_band(im);
+        (0..bands).for_each(|im| sink.end_band(im));
+    } else {
+        for im in 0..bands {
+            for b in 0..blocks {
+                block_pass::<S, Wide, One>(gemm, sink, accs, im, block(b));
+            }
+            sink.end_band(im);
+        }
     }
+}
+
+/// One block of [`run_bands`]: band `im` against the tile columns from `jb`
+/// on (`Wide` ones if `wide`, else one tile), accumulated in `accs` and
+/// handed to `sink`.
+#[inline(always)]
+fn block_pass<S: Sink, Wide: BlockRow, One: BlockRow>(
+    gemm: &Gemm<'_>,
+    sink: &mut S,
+    accs: &mut [f32],
+    im: usize,
+    (jb, wide): (usize, bool),
+) {
+    let &Gemm { a, b, dims: (_, wn, wk) } = gemm;
+    let width = if wide { Wide::width(wn) } else { wn };
+    // Only the band's live rows: a ragged last band (a small batch) has no
+    // padding rows to zero, and its sink none to walk.
+    let acc = &mut accs[..a.band_rows(im) * width];
+    acc.fill(0.0);
+    let a_words = a.band_words(im);
+    for kk in 0..a.grid_k() {
+        let Some(a_tile) = a.tile(im, kk) else { continue };
+        let a_words = &a_words[kk * wk..(kk + 1) * wk];
+        if wide {
+            block_steps::<Wide>(a_words, a_tile, b, (kk, jb), acc);
+        } else {
+            block_steps::<One>(a_words, a_tile, b, (kk, jb), acc);
+        }
+    }
+    sink.block::<Wide::Lanes>(im, jb * wn, width, acc);
 }
 
 /// [`run_bands`] for an A operand that is one band of at most `ROWS` live
@@ -522,7 +606,10 @@ pub(super) fn run_small_band<S: Sink, L: Lanes, const V: usize, const ROWS: usiz
                 L::expand_row(bw, b_tile.vector_values(k), &mut b_row);
                 let values = a_tile.step_values(k);
                 if values.iter().all(|av| av.is_finite()) {
-                    let held: [L; V] = std::array::from_fn(|v| L::load(&b_row[v * L::N..]));
+                    let mut held = [L::splat(0.0); V];
+                    for (v, reg) in held.iter_mut().enumerate() {
+                        *reg = L::load(&b_row[v * L::N..]);
+                    }
                     let mut next = 0;
                     for (r, acc_row) in acc.iter_mut().enumerate() {
                         if aw >> r & 1 != 0 {
@@ -548,9 +635,11 @@ pub(super) fn run_small_band<S: Sink, L: Lanes, const V: usize, const ROWS: usiz
                             row[c] += av * b_row[c];
                         }
                     }
-                    acc = std::array::from_fn(|r| {
-                        std::array::from_fn(|v| L::load(&out[r][v * L::N..]))
-                    });
+                    for (acc_row, row) in acc.iter_mut().zip(&out) {
+                        for (v, acc) in acc_row.iter_mut().enumerate() {
+                            *acc = L::load(&row[v * L::N..]);
+                        }
+                    }
                 }
             }
         }
@@ -580,6 +669,8 @@ struct Workspace {
     /// A forward's source and destination operands, swapped per layer; the
     /// first is also a transposed call's `B^T`.
     arenas: [Arena; 2],
+    /// A transposed call's staged output rows, one block's worth.
+    staged: CacheAligned,
 }
 
 thread_local! {
@@ -636,24 +727,24 @@ pub(super) fn execute_as(
 ) -> Matrix {
     let a = a_enc.arena();
     let (wm, wk) = a.tile_shape();
-    let (cols, wn) = (b_enc.cols(), b_enc.tile_cols());
-    let mut out = Matrix::zeros(a_enc.rows(), cols);
-    let rows = out.as_mut_slice();
-    WORKSPACE.with_borrow_mut(|Workspace { b, accs, arenas: [bt, _] }| {
+    let (rows, cols, wn) = (a_enc.rows(), b_enc.cols(), b_enc.tile_cols());
+    WORKSPACE.with_borrow_mut(|Workspace { b, accs, arenas: [bt, _], staged }| {
         // The expanded operand is staged once per call; each expanded row is
         // reused by every band of the condensed one.
         if transposed {
             bt.transpose_b(b_enc);
             simd::expand_at(level, a, b);
-            let mut sink = TransposedRows { rows, cols, wm: wn };
+            let mut sink = TransposedRows::new(staged, (rows, cols), (wn, bt.grid_m()));
             simd::run_bands(level, &Gemm { a: bt, b, dims: (wn, wm, wk) }, &mut sink, accs);
+            sink.into_matrix()
         } else {
+            let mut out = Matrix::zeros(rows, cols);
             simd::expand_b(level, b_enc, b);
-            let mut sink = DenseRows { rows, cols, wm, relu: false };
+            let mut sink = DenseRows { rows: out.as_mut_slice(), cols, wm, relu: false };
             simd::run_bands(level, &Gemm { a, b, dims: (wm, wn, wk) }, &mut sink, accs);
+            out
         }
-    });
-    out
+    })
 }
 
 /// One layer of [`forward`], `a * weights` into `sink`. A band of at most
@@ -696,7 +787,7 @@ pub(crate) fn forward(
     let dims = (wm, last.tile_cols(), wk);
     let widest = layers.iter().map(|(w, _)| w.rows()).max().expect("at least one layer");
 
-    WORKSPACE.with_borrow_mut(|Workspace { b, accs, arenas: [src, dst] }| {
+    WORKSPACE.with_borrow_mut(|Workspace { b, accs, arenas: [src, dst], .. }| {
         let (mut src, mut dst) = (src, dst);
         src.reset(input.rows(), widest, a_tile);
         dst.reset(input.rows(), widest, a_tile);
