@@ -180,4 +180,33 @@ mod tests {
             }
         }
     }
+
+    /// Per model, as [`GOLDEN`], `serialize::checksum` of its layers'
+    /// *decoded* weights (the dense `f32` bits, little-endian, concatenated
+    /// in layer order). Independent of the container layout: recorded at
+    /// format version 2 and held unchanged by version 3, so a layout change
+    /// that moves one weight bit fails here, not just in [`GOLDEN`].
+    const DECODED_GOLDEN: [(ModelId, u64, u64); 6] = [
+        (ModelId::Vgg16, 0xed18_193b_2861_4604, 0x0326_6635_1f33_0c5a),
+        (ModelId::ResNet18, 0xa8fe_c53d_c6e7_8afe, 0xdc96_edc2_51d1_5b11),
+        (ModelId::ResNet50, 0x6b1b_8ef5_fcf1_6682, 0x0f95_ac12_f57e_fe8b),
+        (ModelId::MaskRcnn, 0x8459_8382_b9a4_6ddf, 0xd4e9_bffa_05d5_ec3a),
+        (ModelId::BertBase, 0xa3c8_8e59_6826_85fc, 0xd82b_620b_9912_2f02),
+        (ModelId::RnnLm, 0xa64f_6be6_860a_8974, 0xd9c2_4b39_ab45_0ba1),
+    ];
+
+    #[test]
+    fn fresh_encodes_decode_to_the_golden_weights() {
+        let kernel = BitmapSpGemm::for_device(GpuConfig::v100());
+        for (model, table, uniform) in DECODED_GOLDEN {
+            for (sparsity, want) in [(None, table), (Some(0.9), uniform)] {
+                let fresh = EncodedModel::encode_fresh(&kernel, ModelKey::new(model, sparsity), 64);
+                let bytes: Vec<u8> = (fresh.layers.iter())
+                    .flat_map(|l| l.weights.decode().as_slice().to_vec())
+                    .flat_map(f32::to_le_bytes)
+                    .collect();
+                assert_eq!(checksum(&bytes), want, "{model:?} at sparsity {sparsity:?}");
+            }
+        }
+    }
 }
