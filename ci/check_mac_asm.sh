@@ -3,7 +3,7 @@
 # (crates/kernels/src/bitmap_spgemm/simd.rs) was compiled with a fused
 # multiply-add, without its level's lane ops: a packed multiply on the level's
 # registers for the band loops, the expand instruction for the AVX-512
-# expansions of B and of A transposed, the compress instruction for the
+# expansion (of B, or of A transposed), the compress instruction for the
 # AVX-512 emitter, the interleaves of the in-register transposes (the
 # transposing sink's and the emitter's), and the compare of the survivor
 # count. It also fails if any other function of the crate names a ymm or zmm
@@ -100,7 +100,7 @@ echo "check_mac_asm: no ymm / zmm register outside simd.rs's per-level functions
 
 # Every per-level function simd.rs defines must be named here.
 LEVEL_FNS=$(grep -c '^#\[target_feature' crates/kernels/src/bitmap_spgemm/simd.rs)
-[ "$LEVEL_FNS" = 9 ] || { echo "check_mac_asm: simd.rs has $LEVEL_FNS #[target_feature] functions, this script checks 9"; exit 1; }
+[ "$LEVEL_FNS" = 8 ] || { echo "check_mac_asm: simd.rs has $LEVEL_FNS #[target_feature] functions, this script checks 8"; exit 1; }
 
 # A transpose's interleaves: LLVM may pick the integer-domain twins
 # (vpunpckldq / vpunpcklqdq) of vunpcklps / vunpcklpd when it only moves the
@@ -127,8 +127,8 @@ for label in $(labels run_small_band_avx512 2); do
     [ "$n" -ge 16 ] \
         || { echo "check_mac_asm: $label has $n vmulps on zmm, expected >= 16 (row loop rolled)"; exit 1; }
 done
-check expand_b_avx512 vexpandps zmm 1
-check expand_at_avx512 vexpandps zmm 1
+# One expansion of a condensed operand's bands: B's, or A's as A^T.
+check expand_avx512 vexpandps zmm 1
 # A dense operand into the emitter. It multiplies nothing: at AVX2 the lane
 # op is the branch-free rounding's add, at AVX-512 the compaction; at both
 # the tile transpose interleaves.

@@ -41,6 +41,19 @@ impl std::fmt::Debug for BitMatrix {
     }
 }
 
+/// The mask of `values` (at most 64 of them) under `keep`: bit `i` set when
+/// `keep(values[i])`. The encoders' mask generation, a word at a time —
+/// no per-bit indexing.
+#[inline(always)]
+pub(crate) fn mask_word(values: &[f32], keep: impl Fn(f32) -> bool) -> u64 {
+    debug_assert!(values.len() <= 64);
+    let mut word = 0u64;
+    for (i, &x) in values.iter().enumerate() {
+        word |= u64::from(keep(x)) << i;
+    }
+    word
+}
+
 impl BitMatrix {
     /// Creates an all-zero bit matrix.
     ///
@@ -64,30 +77,12 @@ impl BitMatrix {
     }
 
     /// Packs the non-zero mask of `values` into row `row` starting at bit 0,
-    /// a word at a time; bits past `values.len()` stay clear. Used by the
-    /// encoders so mask generation never touches individual bits.
-    pub(crate) fn fill_row_mask(&mut self, row: usize, values: &[f32]) {
-        self.fill_row_mask_with(row, values, |x| x != 0.0);
-    }
-
-    /// [`Self::fill_row_mask`] with a caller-chosen significance predicate.
-    /// The fused-FP16 encoder passes "survives FP16 rounding" so the mask
-    /// agrees with the rounded values it stores, without a separate
-    /// whole-matrix rounding pass.
-    pub(crate) fn fill_row_mask_with<F: Fn(f32) -> bool>(
-        &mut self,
-        row: usize,
-        values: &[f32],
-        keep: F,
-    ) {
+    /// a word at a time; bits past `values.len()` stay clear.
+    fn fill_row_mask(&mut self, row: usize, values: &[f32]) {
         debug_assert!(row < self.rows && values.len() <= self.cols);
         let words = &mut self.words[row * self.words_per_row..(row + 1) * self.words_per_row];
         for (word, chunk) in words.iter_mut().zip(values.chunks(64)) {
-            let mut w = 0u64;
-            for (i, &x) in chunk.iter().enumerate() {
-                w |= u64::from(keep(x)) << i;
-            }
-            *word = w;
+            *word = mask_word(chunk, |x| x != 0.0);
         }
     }
 

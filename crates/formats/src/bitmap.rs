@@ -6,7 +6,7 @@
 //! column's non-zeros pushed to the top, Fig. 4c) and row-major for a B
 //! operand (each row's non-zeros pushed to the left).
 
-use dsstc_tensor::{f16, Matrix};
+use dsstc_tensor::Matrix;
 
 use crate::bit_matrix::BitMatrix;
 use crate::StorageFootprint;
@@ -82,110 +82,6 @@ impl BitmapMatrix {
             offsets.push(values.len());
         }
         BitmapMatrix { rows, cols, layout, bitmap, values, offsets }
-    }
-
-    /// Encodes the `tile_rows x tile_cols` window of `parent` whose top-left
-    /// corner is `(row0, col0)`, zero-padded past the edges — identical to
-    /// `encode(&parent.tile(..), layout)` but without materialising the
-    /// dense tile.
-    ///
-    /// Cost: three allocations (bitmap words, offsets, values), plus the
-    /// column cursors of a column-major tile; each element is tested two or
-    /// three times over as many passes. Row-major tiles are the kernel's B
-    /// operand; column-major ones are the reference its A operand is held
-    /// to.
-    pub(crate) fn encode_tile(
-        parent: &Matrix,
-        row0: usize,
-        col0: usize,
-        tile_rows: usize,
-        tile_cols: usize,
-        layout: VectorLayout,
-    ) -> Self {
-        Self::encode_tile_impl::<false>(parent, row0, col0, tile_rows, tile_cols, layout)
-    }
-
-    /// [`Self::encode_tile`] with FP16 rounding fused in: the bitmap keeps
-    /// only elements that survive FP16 rounding, and the condensed values are
-    /// stored rounded. Identical to `encode_tile(&parent.to_f16_precision()
-    /// window)` but the threshold test (`f16::survives`) replaces a full
-    /// rounding pass — only the ~nnz kept values pay `f16::round_f32`, once
-    /// each (a handful of operations on the bit pattern unless the half
-    /// overflows).
-    pub(crate) fn encode_tile_f16(
-        parent: &Matrix,
-        row0: usize,
-        col0: usize,
-        tile_rows: usize,
-        tile_cols: usize,
-        layout: VectorLayout,
-    ) -> Self {
-        Self::encode_tile_impl::<true>(parent, row0, col0, tile_rows, tile_cols, layout)
-    }
-
-    fn encode_tile_impl<const ROUND_F16: bool>(
-        parent: &Matrix,
-        row0: usize,
-        col0: usize,
-        tile_rows: usize,
-        tile_cols: usize,
-        layout: VectorLayout,
-    ) -> Self {
-        let keep = |x: f32| if ROUND_F16 { f16::survives(x) } else { x != 0.0 };
-        let store = |x: f32| if ROUND_F16 { f16::round_f32(x) } else { x };
-        let copy_rows = tile_rows.min(parent.rows().saturating_sub(row0));
-        let copy_cols = tile_cols.min(parent.cols().saturating_sub(col0));
-        let window = |r: usize| &parent.row(row0 + r)[col0..col0 + copy_cols];
-        let mut bitmap = BitMatrix::new(tile_rows, tile_cols);
-        for r in 0..copy_rows {
-            bitmap.fill_row_mask_with(r, window(r), keep);
-        }
-        let nnz = bitmap.count_ones();
-        let (values, offsets) = match layout {
-            VectorLayout::RowMajor => {
-                // Row vectors read straight off the parent's row slices.
-                let mut values = Vec::with_capacity(nnz);
-                let mut offsets = Vec::with_capacity(tile_rows + 1);
-                offsets.push(0);
-                for v in 0..tile_rows {
-                    if v < copy_rows {
-                        for &x in window(v) {
-                            if keep(x) {
-                                values.push(store(x));
-                            }
-                        }
-                    }
-                    offsets.push(values.len());
-                }
-                (values, offsets)
-            }
-            VectorLayout::ColumnMajor => {
-                // Column vectors would read the parent with a `tile_cols`
-                // stride per element; count-then-scatter keeps both passes
-                // walking the rows sequentially instead.
-                let mut offsets = vec![0usize; tile_cols + 1];
-                for r in 0..copy_rows {
-                    for (c, &x) in window(r).iter().enumerate() {
-                        offsets[c + 1] += usize::from(keep(x));
-                    }
-                }
-                for c in 0..tile_cols {
-                    offsets[c + 1] += offsets[c];
-                }
-                let mut values = vec![0.0f32; nnz];
-                let mut cursors = offsets[..tile_cols].to_vec();
-                for r in 0..copy_rows {
-                    for (c, &x) in window(r).iter().enumerate() {
-                        if keep(x) {
-                            values[cursors[c]] = store(x);
-                            cursors[c] += 1;
-                        }
-                    }
-                }
-                (values, offsets)
-            }
-        };
-        BitmapMatrix { rows: tile_rows, cols: tile_cols, layout, bitmap, values, offsets }
     }
 
     /// Number of rows of the logical (dense) matrix.
@@ -365,7 +261,7 @@ impl BitmapMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsstc_tensor::SparsityPattern;
+    use dsstc_tensor::{f16, SparsityPattern};
 
     fn paper_matrix_a() -> Matrix {
         // The 6x6 sparse matrix A from paper Fig. 2b (values 1..9, letters

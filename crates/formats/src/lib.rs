@@ -41,7 +41,7 @@ pub use crate::bitmap::{BitmapMatrix, VectorLayout};
 pub use crate::csr::CsrMatrix;
 pub use crate::feature_map::BitmapFeatureMap;
 pub use crate::serialize::{CodecError, FORMAT_VERSION};
-pub use crate::two_level::TwoLevelBitmapMatrix;
+pub use crate::two_level::{BandView, TileView, TwoLevelBitmapMatrix};
 
 /// Storage cost in bytes of one encoded matrix, used by the memory-traffic
 /// model and the encoding-comparison benches.

@@ -17,14 +17,32 @@
 //! checksum: u64 LE   word-lane checksum over the payload (see [`checksum`])
 //! ```
 //!
+//! A [`TwoLevelBitmapMatrix`] payload (version 3) is its header and its two
+//! flat arrays, each written and read in bulk:
+//!
+//! ```text
+//! rows, cols           : u64 LE each
+//! tile_rows, tile_cols : u64 LE each
+//! layout               : u8      (0 = column-major, 1 = row-major)
+//! word count           : u64 LE  (bands x steps per band)
+//! words                : u64 LE each, band by band, step by step
+//! value count          : u64 LE
+//! values               : f32 LE each, in the words' order
+//! ```
+//!
+//! The starts, band bases and warp bitmap are not stored: the reader
+//! recomputes them from the words.
+//!
 //! Decoding **never panics**: a truncated stream, wrong magic, unsupported
 //! version, flipped payload bit or internally inconsistent payload all
 //! surface as a [`CodecError`]. Readers fully validate the payload through
-//! the same invariants the in-memory constructors enforce, so a decoded
-//! value is indistinguishable from a freshly encoded one (`PartialEq`
-//! holds across a round-trip).
+//! the same invariants the in-memory constructors enforce (for a two-level
+//! payload: the shape, no bit past the matrix in a ragged band or a padding
+//! step, and one value per set bit), so a decoded value is
+//! indistinguishable from a freshly encoded one (`PartialEq` holds across a
+//! round-trip).
 
-use std::io::{Read, Write};
+use std::io::Write;
 
 use crate::bit_matrix::BitMatrix;
 use crate::bitmap::{BitmapMatrix, VectorLayout};
@@ -35,8 +53,10 @@ pub const MAGIC: [u8; 4] = *b"DSTC";
 
 /// Current container format version. Bump on any layout change; readers
 /// reject every other version with [`CodecError::UnsupportedVersion`].
-/// Version 2 replaced version 1's byte-serial FNV-1a with [`checksum`].
-pub const FORMAT_VERSION: u16 = 2;
+/// Version 2 replaced version 1's byte-serial FNV-1a with [`checksum`];
+/// version 3 replaced the two-level payload's per-tile bitmaps with the
+/// flat band-major word and value arrays.
+pub const FORMAT_VERSION: u16 = 3;
 
 const KIND_BITMAP: u8 = 1;
 const KIND_TWO_LEVEL: u8 = 2;
@@ -294,34 +314,26 @@ fn read_bitmap_payload(cur: &mut Cursor<'_>) -> Result<BitmapMatrix, CodecError>
 }
 
 fn write_two_level_payload(out: &mut Vec<u8>, m: &TwoLevelBitmapMatrix) {
-    push_u64(out, m.rows() as u64);
-    push_u64(out, m.cols() as u64);
-    push_u64(out, m.tile_rows() as u64);
-    push_u64(out, m.tile_cols() as u64);
-    out.push(layout_tag(m.layout()));
-    write_bit_matrix(out, m.warp_bitmap());
-    push_u64(out, m.tiles().len() as u64);
-    for tile in m.tiles() {
-        write_bitmap_payload(out, tile);
+    for dim in [m.rows(), m.cols(), m.tile_rows(), m.tile_cols()] {
+        push_u64(out, dim as u64);
     }
+    out.push(layout_tag(m.layout()));
+    let (words, values) = m.arrays();
+    push_u64(out, words.len() as u64);
+    push_values(out, words, u64::to_le_bytes);
+    push_u64(out, values.len() as u64);
+    push_values(out, values, f32::to_le_bytes);
 }
 
 fn read_two_level_payload(cur: &mut Cursor<'_>) -> Result<TwoLevelBitmapMatrix, CodecError> {
-    let rows = cur.usize()?;
-    let cols = cur.usize()?;
-    let tile_rows = cur.usize()?;
-    let tile_cols = cur.usize()?;
+    let (rows, cols) = (cur.usize()?, cur.usize()?);
+    let tile = (cur.usize()?, cur.usize()?);
     let layout = layout_from_tag(cur.u8()?)?;
-    let warp_bitmap = read_bit_matrix(cur)?;
-    let tile_count = cur.usize()?;
-    if tile_count != warp_bitmap.count_ones() {
-        return Err(CodecError::Malformed("tile count does not match the warp bitmap population"));
-    }
-    let mut tiles = Vec::with_capacity(tile_count.min(1 << 20));
-    for _ in 0..tile_count {
-        tiles.push(read_bitmap_payload(cur)?);
-    }
-    TwoLevelBitmapMatrix::from_parts(rows, cols, tile_rows, tile_cols, layout, warp_bitmap, tiles)
+    let count = cur.usize()?;
+    let words = cur.values(count, u64::from_le_bytes)?;
+    let nnz = cur.usize()?;
+    let values = cur.values(nnz, f32::from_le_bytes)?;
+    TwoLevelBitmapMatrix::from_parts((rows, cols), tile, layout, words, values)
         .map_err(CodecError::Malformed)
 }
 
@@ -339,40 +351,28 @@ fn write_container<W: Write>(w: &mut W, kind: u8, payload: &[u8]) -> Result<(), 
     Ok(())
 }
 
-fn read_container<R: Read>(r: &mut R, expected_kind: u8) -> Result<Vec<u8>, CodecError> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
+/// Splits the container at the front of `bytes` into its payload, checked
+/// against its checksum, and the bytes after it.
+fn split_container(bytes: &[u8], expected_kind: u8) -> Result<(&[u8], &[u8]), CodecError> {
+    let mut cur = Cursor::new(bytes);
+    let magic: [u8; 4] = cur.take(4)?.try_into().expect("4-byte slice");
     if magic != MAGIC {
         return Err(CodecError::BadMagic(magic));
     }
-    let mut version = [0u8; 2];
-    r.read_exact(&mut version)?;
-    let version = u16::from_le_bytes(version);
+    let version = u16::from_le_bytes(cur.take(2)?.try_into().expect("2-byte slice"));
     if version != FORMAT_VERSION {
         return Err(CodecError::UnsupportedVersion(version));
     }
-    let mut kind = [0u8; 1];
-    r.read_exact(&mut kind)?;
-    if kind[0] != expected_kind {
-        return Err(CodecError::WrongKind { expected: expected_kind, found: kind[0] });
+    let kind = cur.u8()?;
+    if kind != expected_kind {
+        return Err(CodecError::WrongKind { expected: expected_kind, found: kind });
     }
-    let mut len = [0u8; 8];
-    r.read_exact(&mut len)?;
-    let len = u64::from_le_bytes(len);
-    // Reserve at most 1 MiB up front, then read incrementally: a bogus
-    // length on a truncated stream yields Truncated instead of a huge
-    // allocation.
-    let mut payload = Vec::with_capacity(usize::try_from(len).map_or(0, |len| len.min(1 << 20)));
-    let read = r.take(len).read_to_end(&mut payload)?;
-    if (read as u64) < len {
-        return Err(CodecError::Truncated);
-    }
-    let mut declared = [0u8; 8];
-    r.read_exact(&mut declared)?;
-    if u64::from_le_bytes(declared) != checksum(&payload) {
+    let len = usize::try_from(cur.u64()?).map_err(|_| CodecError::Truncated)?;
+    let payload = cur.take(len)?;
+    if cur.u64()? != checksum(payload) {
         return Err(CodecError::ChecksumMismatch);
     }
-    Ok(payload)
+    Ok((payload, &bytes[cur.pos..]))
 }
 
 fn decode_payload<T>(
@@ -395,12 +395,6 @@ impl BitmapMatrix {
         write_container(w, KIND_BITMAP, &payload)
     }
 
-    /// Deserialises from the container, validating magic, version, checksum
-    /// and every structural invariant. Never panics on hostile input.
-    pub fn read_from<R: Read>(r: &mut R) -> Result<Self, CodecError> {
-        decode_payload(&read_container(r, KIND_BITMAP)?, read_bitmap_payload)
-    }
-
     /// Serialises into an owned byte buffer.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -408,9 +402,11 @@ impl BitmapMatrix {
         out
     }
 
-    /// Deserialises from a byte buffer (see [`Self::read_from`]).
-    pub fn from_bytes(mut bytes: &[u8]) -> Result<Self, CodecError> {
-        Self::read_from(&mut bytes)
+    /// Deserialises the container at the front of `bytes`, validating
+    /// magic, version, checksum and every structural invariant; bytes after
+    /// it are ignored. Never panics on hostile input.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
+        decode_payload(split_container(bytes, KIND_BITMAP)?.0, read_bitmap_payload)
     }
 }
 
@@ -422,12 +418,6 @@ impl TwoLevelBitmapMatrix {
         write_container(w, KIND_TWO_LEVEL, &payload)
     }
 
-    /// Deserialises from the container, validating magic, version, checksum
-    /// and every structural invariant. Never panics on hostile input.
-    pub fn read_from<R: Read>(r: &mut R) -> Result<Self, CodecError> {
-        decode_payload(&read_container(r, KIND_TWO_LEVEL)?, read_two_level_payload)
-    }
-
     /// Serialises into an owned byte buffer.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -435,9 +425,18 @@ impl TwoLevelBitmapMatrix {
         out
     }
 
-    /// Deserialises from a byte buffer (see [`Self::read_from`]).
-    pub fn from_bytes(mut bytes: &[u8]) -> Result<Self, CodecError> {
-        Self::read_from(&mut bytes)
+    /// Deserialises the container at the front of `bytes` and returns it
+    /// with the bytes after it, so a file of several containers is decoded
+    /// from one buffer. Validates magic, version, checksum and every
+    /// structural invariant; never panics on hostile input.
+    pub fn take_from_bytes(bytes: &[u8]) -> Result<(Self, &[u8]), CodecError> {
+        let (payload, rest) = split_container(bytes, KIND_TWO_LEVEL)?;
+        Ok((decode_payload(payload, read_two_level_payload)?, rest))
+    }
+
+    /// [`Self::take_from_bytes`], ignoring any bytes after the container.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
+        Ok(Self::take_from_bytes(bytes)?.0)
     }
 }
 
@@ -622,6 +621,107 @@ mod tests {
             TwoLevelBitmapMatrix::from_bytes(&bytes),
             Err(CodecError::Malformed("trailing bytes after the payload"))
         ));
+    }
+
+    #[test]
+    fn a_version_2_container_is_refused() {
+        // Version 2 held a bitmap per tile; nothing reads it any more.
+        let mut bytes = sample_two_level(13).to_bytes();
+        bytes[4..6].copy_from_slice(&2u16.to_le_bytes());
+        assert!(matches!(
+            TwoLevelBitmapMatrix::from_bytes(&bytes),
+            Err(CodecError::UnsupportedVersion(2))
+        ));
+    }
+
+    /// `enc`'s payload with `doctor` applied to its words and values, sealed
+    /// with a fresh checksum: only the structural checks can refuse it.
+    fn doctored(
+        enc: &TwoLevelBitmapMatrix,
+        doctor: impl FnOnce(&mut Vec<u64>, &mut Vec<f32>),
+    ) -> Result<TwoLevelBitmapMatrix, CodecError> {
+        let (mut words, mut values) = (enc.arrays().0.to_vec(), enc.arrays().1.to_vec());
+        doctor(&mut words, &mut values);
+        let mut payload = Vec::new();
+        for dim in [enc.rows(), enc.cols(), enc.tile_rows(), enc.tile_cols()] {
+            push_u64(&mut payload, dim as u64);
+        }
+        payload.push(layout_tag(enc.layout()));
+        push_u64(&mut payload, words.len() as u64);
+        push_values(&mut payload, &words, u64::to_le_bytes);
+        push_u64(&mut payload, values.len() as u64);
+        push_values(&mut payload, &values, f32::to_le_bytes);
+        let mut bytes = Vec::new();
+        write_container(&mut bytes, KIND_TWO_LEVEL, &payload).unwrap();
+        TwoLevelBitmapMatrix::from_bytes(&bytes)
+    }
+
+    #[test]
+    fn an_inconsistent_payload_is_malformed() {
+        // 50 x 70 row-major in 16 x 32 tiles: three bands (tile columns), the
+        // last 6 columns wide; 64 steps a band, rows 50..64 padding.
+        let enc = sample_two_level(14);
+        assert!(doctored(&enc, |_, _| {}).is_ok_and(|back| back == enc));
+        let malformed =
+            |why: &str, doctor: &dyn Fn(&mut Vec<u64>, &mut Vec<f32>)| match doctored(&enc, doctor)
+            {
+                Err(CodecError::Malformed(got)) => assert_eq!(got, why),
+                other => panic!("{why}: got {other:?}"),
+            };
+        let stray = "a step word has bits past the matrix bound";
+        malformed(stray, &|words, values| {
+            words[64 + 50] = 1; // a padding step of band 1
+            values.insert(0, 1.0);
+        });
+        malformed(stray, &|words, values| {
+            words[2 * 64] |= 1 << 6; // past the ragged band's 6 columns
+            values.insert(0, 1.0);
+        });
+        malformed(stray, &|words, values| {
+            words[3] |= 1 << 32; // past a 32-bit band
+            values.insert(0, 1.0);
+        });
+        let population = "condensed value count does not match the words' population";
+        malformed(population, &|_, values| values.push(1.0));
+        malformed(population, &|words, _| words[7] ^= 1);
+        malformed("step word count does not match the tile grid", &|words, _| {
+            words.push(0);
+        });
+    }
+
+    #[test]
+    fn a_shape_the_layout_cannot_hold_is_malformed() {
+        // A 65-bit vector, a zero tile or matrix dimension, and a step count
+        // that overflows are refused whatever the arrays hold.
+        for (rows, cols, tile_rows, tile_cols, why) in [
+            (8, 80, 8, 65, "a condensed vector is longer than one 64-bit word"),
+            (8, 8, 0, 8, "tile dimensions must be non-zero"),
+            (0, 8, 8, 8, "matrix dimensions must be non-zero"),
+            (usize::MAX, 64, 1, 64, "a band holds more values than its u32 starts count"),
+        ] {
+            let mut payload = Vec::new();
+            for dim in [rows, cols, tile_rows, tile_cols] {
+                push_u64(&mut payload, dim as u64);
+            }
+            payload.extend_from_slice(&[1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
+            let mut bytes = Vec::new();
+            write_container(&mut bytes, KIND_TWO_LEVEL, &payload).unwrap();
+            match TwoLevelBitmapMatrix::from_bytes(&bytes) {
+                Err(CodecError::Malformed(got)) => assert_eq!(got, why),
+                other => panic!("{why}: got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn containers_back_to_back_are_taken_one_at_a_time() {
+        let (first, second) = (sample_two_level(15), sample_two_level(16));
+        let mut bytes = first.to_bytes();
+        bytes.extend_from_slice(&second.to_bytes());
+        let (got, rest) = TwoLevelBitmapMatrix::take_from_bytes(&bytes).expect("first");
+        assert_eq!(got, first);
+        let (got, rest) = TwoLevelBitmapMatrix::take_from_bytes(rest).expect("second");
+        assert_eq!((got, rest.len()), (second, 0));
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! and per band the base offset of its value segment. A step's starts count
 //! from its band's base, so bands are independent, and any producer that can
 //! hand [`Emitter`] row-major blocks of columns in ascending order can write
-//! one — the output pass of a layer, and a dense matrix. A row-major B
-//! operand is one already, transposed: [`Arena::transpose_b`] copies it in
-//! tile by tile for a call that runs `D^T = B^T * A^T`.
+//! one — the output pass of a layer, and a dense matrix. It is the weights'
+//! layout too (`dsstc_formats::TwoLevelBitmapMatrix`): the band loop reads
+//! either through a [`BandView`], so a call that runs `D^T = B^T * A^T`
+//! reads a row-major B's bands as its condensed `B^T`, where they lie.
 //!
 //! The emitter writes the bands in turn, each band's values where the
 //! previous band's end, and records every base as it starts the band. Only
@@ -25,7 +26,7 @@
 //!
 //! [`BitmapSpGemm::encode_a`]: super::BitmapSpGemm::encode_a
 
-use dsstc_formats::TwoLevelBitmapMatrix;
+use dsstc_formats::BandView;
 use dsstc_tensor::{f16, Matrix};
 
 use super::simd::{self, Lanes, Level};
@@ -111,99 +112,12 @@ impl Arena {
         simd::encode(level, &mut self.emitter(dense.cols(), false), dense);
     }
 
-    /// Makes this `b_enc` (a row-major B operand) transposed, whatever it
-    /// was before: band `jn` is B's tile column `jn` and step `k` B's row
-    /// `k`, so a step's column word is B's row word and its values are B's
-    /// condensed row, as B stores them — one copy per tile. The values take
-    /// exactly `b_enc.nnz()` cells.
-    pub(super) fn transpose_b(&mut self, b_enc: &TwoLevelBitmapMatrix) {
-        let (wk, wn) = (b_enc.tile_rows(), b_enc.tile_cols());
-        let grid_n = self.shape(b_enc.cols(), b_enc.rows(), (wn, wk));
-        let steps = b_enc.grid_rows() * wk;
-        (self.cols, self.steps) = (b_enc.rows(), steps);
-        grow(&mut self.words, grid_n * steps);
-        grow(&mut self.starts, grid_n * (steps + 1));
-        grow(&mut self.bases, grid_n);
-        grow(&mut self.values, b_enc.nnz());
-        let mut base = 0;
-        for jn in 0..grid_n {
-            self.bases[jn] = base;
-            let words = &mut self.words[jn * steps..][..steps];
-            let starts = &mut self.starts[jn * (steps + 1)..][..steps + 1];
-            let mut kept = 0;
-            starts[0] = 0;
-            for (kk, (words, starts)) in
-                words.chunks_exact_mut(wk).zip(starts[1..].chunks_exact_mut(wk)).enumerate()
-            {
-                let Some(tile) = b_enc.tile(kk, jn) else {
-                    words.fill(0);
-                    starts.fill(kept);
-                    continue;
-                };
-                let values = tile.values();
-                self.values[base + kept as usize..][..values.len()].copy_from_slice(values);
-                for (k, (word, start)) in words.iter_mut().zip(starts).enumerate() {
-                    *word = tile.bitmap().row_word(k);
-                    kept += word.count_ones();
-                    *start = kept;
-                }
-            }
-            base += kept as usize;
-        }
-    }
-
-    /// Bands of the operand (`rows / wm`, rounded up).
-    pub(super) fn grid_m(&self) -> usize {
-        self.rows.div_ceil(self.wm)
-    }
-
-    /// Rows of band `im`: `warp_m`, fewer in a ragged last band.
+    /// The operand, as the band loop reads it: `rows` in bands of `wm`, each
+    /// `steps` steps in tiles of `wk`.
     #[inline(always)]
-    pub(super) fn band_rows(&self, im: usize) -> usize {
-        self.wm.min(self.rows - im * self.wm)
-    }
-
-    /// Tile columns of the operand (`cols / wk`, rounded up).
-    #[inline(always)]
-    pub(super) fn grid_k(&self) -> usize {
-        self.steps / self.wk
-    }
-
-    /// `(warp_m, warp_k)`.
-    pub(super) fn tile_shape(&self) -> (usize, usize) {
-        (self.wm, self.wk)
-    }
-
-    /// The column word of every step of band `im`, `grid_k * warp_k` of
-    /// them; an empty tile is all-zero words.
-    #[inline(always)]
-    pub(super) fn band_words(&self, im: usize) -> &[u64] {
-        &self.words[im * self.steps..][..self.steps]
-    }
-
-    /// Tile `(im, kk)`, or `None` if it is empty.
-    #[inline(always)]
-    pub(super) fn tile(&self, im: usize, kk: usize) -> Option<ArenaTile<'_>> {
-        let starts = &self.starts[im * (self.steps + 1) + kk * self.wk..][..self.wk + 1];
-        (starts[0] != starts[self.wk])
-            .then(|| ArenaTile { starts, values: &self.values[self.bases[im]..] })
-    }
-}
-
-/// One non-empty tile of an [`Arena`]: its `wk + 1` starts and the segment
-/// they point into.
-#[derive(Clone, Copy)]
-pub(super) struct ArenaTile<'a> {
-    starts: &'a [u32],
-    values: &'a [f32],
-}
-
-impl<'a> ArenaTile<'a> {
-    /// The condensed values of step `k`, one per set bit of its column word,
-    /// ascending.
-    #[inline(always)]
-    pub(super) fn step_values(self, k: usize) -> &'a [f32] {
-        &self.values[self.starts[k] as usize..self.starts[k + 1] as usize]
+    pub(super) fn bands(&self) -> BandView<'_> {
+        let Arena { rows, wm, wk, steps, .. } = *self;
+        BandView::new((rows, wm), (steps, wk), &self.words, &self.starts, &self.bases, &self.values)
     }
 }
 
@@ -275,16 +189,16 @@ impl EncodedA {
 
     /// The dense operand it encodes, values as stored (FP16-rounded).
     pub fn decode(&self) -> Matrix {
-        let a = &self.arena;
-        let mut dense = Matrix::zeros(a.rows, a.cols);
-        for im in 0..a.grid_m() {
-            let words = a.band_words(im);
-            for kk in 0..a.grid_k() {
+        let a = self.bands();
+        let (wm, wk) = a.tile_shape();
+        let mut dense = Matrix::zeros(self.rows(), self.cols());
+        for im in 0..a.count() {
+            for kk in 0..a.tiles() {
                 let Some(tile) = a.tile(im, kk) else { continue };
-                for k in 0..a.wk {
-                    let (c, mut bits) = (kk * a.wk + k, words[kk * a.wk + k]);
+                for (k, &word) in tile.words().iter().enumerate() {
+                    let (c, mut bits) = (kk * wk + k, word);
                     for &v in tile.step_values(k) {
-                        dense[(im * a.wm + bits.trailing_zeros() as usize, c)] = v;
+                        dense[(im * wm + bits.trailing_zeros() as usize, c)] = v;
                         bits &= bits - 1;
                     }
                 }
@@ -294,8 +208,8 @@ impl EncodedA {
     }
 
     /// What the band loop reads.
-    pub(super) fn arena(&self) -> &Arena {
-        &self.arena
+    pub(super) fn bands(&self) -> BandView<'_> {
+        self.arena.bands()
     }
 }
 

@@ -304,7 +304,7 @@ impl BitmapSpGemm {
     ) -> (WorkloadProfile, SpGemmStats) {
         let shape = GemmShape::new(a_enc.rows(), b_enc.cols(), a_enc.cols());
         let (a_counts, b_counts) = step_counts(a_enc, b_enc);
-        let (grid_m, grid_k) = (a_enc.arena().grid_m(), a_enc.arena().grid_k());
+        let (grid_m, grid_k) = (a_enc.bands().count(), a_enc.bands().tiles());
         let a_bytes = encoded_bytes(a_enc.nnz() as u64, shape.m * shape.k, grid_m * grid_k);
         let b_bytes = encoded_bytes(b_enc.nnz() as u64, shape.k * shape.n, b_enc.tile_count());
         let events = self.walk(b_enc.grid_cols(), &a_counts, &b_counts);
@@ -491,7 +491,7 @@ impl BitmapSpGemm {
     /// type is its layout), the B operand's tile shape and layout.
     fn validate_encoded(&self, a_enc: &EncodedA, b_enc: &TwoLevelBitmapMatrix) {
         assert_eq!(a_enc.cols(), b_enc.rows(), "inner dimensions must agree");
-        let ((rows, cols), want) = (a_enc.arena().tile_shape(), self.tiling.a_tile());
+        let ((rows, cols), want) = (a_enc.bands().tile_shape(), self.tiling.a_tile());
         assert!(
             (rows, cols) == want,
             "A operand encoding ({rows}x{cols} tiles) does not match the kernel's ({}x{})",
@@ -531,9 +531,10 @@ impl BitmapSpGemm {
     /// than the activations and that costs no more block passes, the call
     /// runs `D^T = B^T * A^T` instead, so that the sparser operand's empty
     /// rows skip whole steps (paper Section III-B3); the operands' non-zero
-    /// counts and shapes decide it, per call. The call runs on the calling
-    /// thread, and what it stages (an expansion, the transposed weights, the
-    /// block accumulator) is that thread's, grown to its largest call and
+    /// counts and shapes decide it, per call; transposed, the weights' own
+    /// bands are the condensed `B^T`, read where they lie. The call runs on
+    /// the calling thread, and what it stages (an expansion, the block
+    /// accumulator) is that thread's, grown to its largest call and
     /// reused, so a call allocates only the matrix it returns. Results are
     /// bit-identical to [`Self::execute_encoded_scalar`] either way.
     ///
@@ -581,12 +582,13 @@ impl BitmapSpGemm {
     /// operand of this kernel's tiling.
     fn scalar_product(&self, a_enc: &TwoLevelBitmapMatrix, b_enc: &TwoLevelBitmapMatrix) -> Matrix {
         let (wm, wn) = (self.tiling.warp_m, self.tiling.warp_n);
+        let (a, b) = (a_enc.bands(), b_enc.bands());
         let mut out = Matrix::zeros(a_enc.rows(), b_enc.cols());
-        for im in 0..a_enc.grid_rows() {
-            for jn in 0..b_enc.grid_cols() {
+        for im in 0..a.count() {
+            for jn in 0..b.count() {
                 let mut acc = Matrix::zeros(wm, wn);
-                for kk in 0..a_enc.grid_cols() {
-                    let (a_tile, b_tile) = match (a_enc.tile(im, kk), b_enc.tile(kk, jn)) {
+                for kk in 0..a.tiles() {
+                    let (a_tile, b_tile) = match (a.tile(im, kk), b.tile(jn, kk)) {
                         (Some(a_tile), Some(b_tile)) => (a_tile, b_tile),
                         _ => continue, // warp-bit 0 on either side: skip
                     };
@@ -728,21 +730,22 @@ type StepCounts = Vec<Vec<u16>>;
 
 /// The per-step non-zero counts of every A tile `(im, kk)` and every B tile
 /// `(kk, jn)`, row-major: the `POPC` of each step's A column word and B row
-/// word, one per step the tile really has (`warp_k`, fewer on a ragged K
-/// edge, whose padding steps are not charged).
+/// word, read off both operands' bands, one per step the tile really has
+/// (`warp_k`, fewer on a ragged K edge, whose padding steps are not
+/// charged). An empty tile's words are zero.
 fn step_counts(a_enc: &EncodedA, b_enc: &TwoLevelBitmapMatrix) -> (StepCounts, StepCounts) {
-    let (a, wk) = (a_enc.arena(), b_enc.tile_rows());
-    let steps = |kk: usize| wk.min(b_enc.rows() - kk * wk);
-    let a_counts = (0..a.grid_m())
-        .flat_map(|im| a.band_words(im).chunks_exact(wk).enumerate())
-        .map(|(kk, tile)| tile[..steps(kk)].iter().map(|w| w.count_ones() as u16).collect())
+    let (a, b, wk) = (a_enc.bands(), b_enc.bands(), b_enc.tile_rows());
+    let counts = |words: &[u64], kk: usize| {
+        let steps = wk.min(b_enc.rows() - kk * wk);
+        words[kk * wk..][..steps].iter().map(|w| w.count_ones() as u16).collect()
+    };
+    let a_counts = (0..a.count())
+        .flat_map(|im| (0..a.tiles()).map(move |kk| (im, kk)))
+        .map(|(im, kk)| counts(a.words(im), kk))
         .collect();
-    let b_counts = (0..b_enc.grid_rows())
-        .flat_map(|kk| (0..b_enc.grid_cols()).map(move |jn| (kk, b_enc.tile(kk, jn))))
-        .map(|(kk, tile)| match tile {
-            Some(tile) => (0..steps(kk)).map(|k| tile.vector_nnz(k) as u16).collect(),
-            None => vec![0; steps(kk)],
-        })
+    let b_counts = (0..b.tiles())
+        .flat_map(|kk| (0..b.count()).map(move |jn| (kk, jn)))
+        .map(|(kk, jn)| counts(b.words(jn), kk))
         .collect();
     (a_counts, b_counts)
 }
@@ -1587,6 +1590,56 @@ mod tests {
     }
 
     #[test]
+    fn weights_with_empty_tiles_and_ragged_edges_are_read_in_place_both_ways() {
+        // A transposed call's condensed operand is B's bands where the
+        // weights lie, so their layout's corners meet the band loop as they
+        // are: a tile empty inside a band (tile (1, 0)), a band of empty
+        // tiles (tile column 1), K and N ending mid-tile (padding steps in
+        // every band's last tile, padding bits in the last band), and a last
+        // band 7 columns wide. Every level, both orientations, four tilings,
+        // against the scalar reference — which reads the same bands, so it
+        // is held in turn to a dense loop over the decoded operands that
+        // adds the same products in the same `k` order.
+        let tilings = [
+            GemmTiling::paper_spgemm(),
+            GpuConfig::a100().native_tiling(),
+            warp_tiling(32, 24, 16),
+            warp_tiling(16, 64, 8),
+        ];
+        for (i, tiling) in tilings.into_iter().enumerate() {
+            let k = kernel().with_tiling(tiling);
+            let (wn, wk) = (tiling.warp_n, tiling.warp_k);
+            for (m, kd, n) in [(40, 3 * wk + 5, 3 * wn + 7), (96, 2 * wk + 1, 2 * wn + 7)] {
+                let seed = 400 + i as u64;
+                let a = random(m, kd, 0.5, seed);
+                let mut b = random(kd, n, 0.7, seed ^ 0x5b);
+                for (r, c) in (0..kd).flat_map(|r| (0..n).map(move |c| (r, c))) {
+                    if (r / wk == 1 && c < wn) || c / wn == 1 {
+                        b[(r, c)] = 0.0;
+                    }
+                }
+                let (a_enc, b_enc) = (k.encode_a(&a), k.encode_b(&b));
+                assert!(b_enc.tile(1, 0).is_none() && b_enc.tile(0, 0).is_some());
+                assert!((0..b_enc.grid_rows()).all(|kk| b_enc.tile(kk, 1).is_none()));
+                let want = reference(&k, &a, &b_enc);
+                let (a_kept, b_kept) = (a_enc.decode(), b_enc.decode());
+                let mut dense = Matrix::zeros(m, n);
+                for (r, c) in (0..m).flat_map(|r| (0..n).map(move |c| (r, c))) {
+                    for kk in 0..kd {
+                        let (av, bv) = (a_kept[(r, kk)], b_kept[(kk, c)]);
+                        if av != 0.0 && bv != 0.0 {
+                            dense[(r, c)] += av * bv;
+                        }
+                    }
+                }
+                let context = format!("{m}x{kd}x{n}, empty tiles");
+                assert!(same_bits(&want, &dense), "{context}: reference vs dense loop");
+                assert_both_orientations_give(&k, &a_enc, &b_enc, &want, &context);
+            }
+        }
+    }
+
+    #[test]
     fn an_empty_a_column_inside_a_surviving_transposed_block_leaves_positive_zeros() {
         // The twin of `an_empty_b_row_inside_a_surviving_block_leaves_positive_zeros`
         // for `D^T = B^T * A^T`: M = 128 is one 4-tile block of A^T at
@@ -2020,8 +2073,8 @@ mod tests {
         // One thread, one workspace: a dense 96x130x200 GEMM fills the
         // expansion and the scratch, and the same shape with an all-zero B
         // (every tile empty, a non-finite activation on the masked path)
-        // must find none of its step words; the same shape transposed (B
-        // condensed into a forward arena, A expanded) and a 64-row stack
+        // must find none of its step words; the same shape transposed (B's
+        // bands read in place, A expanded) and a 64-row stack
         // each find what the other left; then 4-row batches (a serve
         // worker's batch height changes on every batch), the other device's
         // tiling, a tiny GEMM and the big shapes again, plain and

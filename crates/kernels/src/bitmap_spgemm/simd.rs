@@ -1,14 +1,14 @@
 //! Runs the hot loops of [`super::word`] at the widest vector level the CPU
 //! has, picked at run time from CPUID.
 //!
-//! [`super::word`] writes the band loop and the two expansions (of B, and
-//! of A transposed) once, and [`super::arena`] the emitter (the A encode),
+//! [`super::word`] writes the band loop and the expansion (of B, or of A
+//! transposed) once, and [`super::arena`] the emitter (the A encode),
 //! over a small lane type ([`Lanes`]: one vector register of `f32`s). This
 //! module owns the lane types — a plain array for the baseline, `__m256`
 //! for AVX2, `__m512` for AVX-512F+VL — and instantiates the loops per
 //! level under `#[target_feature]`: the band loop (whose sink may be the
 //! emitter or the transposed rows, which it hands its lane type), the
-//! expansions, the dense-operand encode and the survivor count that sizes
+//! expansion, the dense-operand encode and the survivor count that sizes
 //! an owned A operand before it. AVX-512 overrides three lane ops with an
 //! instruction the other levels lack: a row is decoded with `vexpandps`, an
 //! emitter column compacted with `vcompressps`, survivors counted with a
@@ -36,10 +36,10 @@
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
 
-use dsstc_formats::TwoLevelBitmapMatrix;
+use dsstc_formats::BandView;
 use dsstc_tensor::{f16, Matrix};
 
-use super::arena::{Arena, Emitter, TILE_ROWS};
+use super::arena::{Emitter, TILE_ROWS};
 use super::word::{self, BlockRow, CacheAligned, ExpandedB, Gemm, InMemory, Sink, NATIVE_WN};
 
 /// The instruction sets the loops are compiled for, narrowest first.
@@ -599,8 +599,8 @@ pub(super) fn small_rows(level: Level) -> usize {
 /// Panics if `level` has no small-band body ([`small_rows`] is 0).
 pub(super) fn run_small_band<S: Sink>(
     level: Level,
-    a: &Arena,
-    b_enc: &TwoLevelBitmapMatrix,
+    a: BandView<'_>,
+    b: BandView<'_>,
     sink: &mut S,
 ) {
     match level.0 {
@@ -608,54 +608,35 @@ pub(super) fn run_small_band<S: Sink>(
         // SAFETY: `run_small_band_avx512` requires AVX-512F, AVX-512VL and
         // POPCNT; as in `run_bands`, an `Isa::Avx512` level comes only from
         // `Level::available()`, after all three feature checks passed.
-        Isa::Avx512 => unsafe { run_small_band_avx512(a, b_enc, sink) },
+        Isa::Avx512 => unsafe { run_small_band_avx512(a, b, sink) },
         _ => panic!("{} has no small-band body", level.name()),
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vl,popcnt")]
-fn run_small_band_avx512<S: Sink>(a: &Arena, b_enc: &TwoLevelBitmapMatrix, sink: &mut S) {
-    word::run_small_band::<S, Zmm, 2, SMALL_ROWS>(a, b_enc, sink)
+fn run_small_band_avx512<S: Sink>(a: BandView<'_>, b: BandView<'_>, sink: &mut S) {
+    word::run_small_band::<S, Zmm, 2, SMALL_ROWS>(a, b, sink)
 }
 
-/// [`word::expand_b`] compiled for `level`. Only AVX-512 has an expand
+/// [`word::expand`] compiled for `level`. Only AVX-512 has an expand
 /// instruction; the other levels share the bit-walk scatter, which no vector
 /// width helps.
-pub(super) fn expand_b(level: Level, b_enc: &TwoLevelBitmapMatrix, b: &mut ExpandedB) {
+pub(super) fn expand(level: Level, src: BandView<'_>, b: &mut ExpandedB) {
     match level.0 {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `expand_b_avx512` requires AVX-512F, AVX-512VL and POPCNT;
+        // SAFETY: `expand_avx512` requires AVX-512F, AVX-512VL and POPCNT;
         // as in `run_bands`, an `Isa::Avx512` level comes only from
         // `Level::available()`, after all three feature checks passed.
-        Isa::Avx512 => unsafe { expand_b_avx512(b_enc, b) },
-        _ => word::expand_b::<Portable>(b_enc, b),
+        Isa::Avx512 => unsafe { expand_avx512(src, b) },
+        _ => word::expand::<Portable>(src, b),
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vl,popcnt")]
-fn expand_b_avx512(b_enc: &TwoLevelBitmapMatrix, b: &mut ExpandedB) {
-    word::expand_b::<Zmm>(b_enc, b)
-}
-
-/// [`word::expand_at`] compiled for `level`, with the same split as
-/// [`expand_b`].
-pub(super) fn expand_at(level: Level, a: &Arena, b: &mut ExpandedB) {
-    match level.0 {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `expand_at_avx512` requires AVX-512F, AVX-512VL and
-        // POPCNT; as in `run_bands`, an `Isa::Avx512` level comes only from
-        // `Level::available()`, after all three feature checks passed.
-        Isa::Avx512 => unsafe { expand_at_avx512(a, b) },
-        _ => word::expand_at::<Portable>(a, b),
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,popcnt")]
-fn expand_at_avx512(a: &Arena, b: &mut ExpandedB) {
-    word::expand_at::<Zmm>(a, b)
+fn expand_avx512(src: BandView<'_>, b: &mut ExpandedB) {
+    word::expand::<Zmm>(src, b)
 }
 
 /// [`Emitter::encode`] compiled for `level`: the rounding and the transpose

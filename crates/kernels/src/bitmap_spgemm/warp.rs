@@ -8,58 +8,72 @@
 //! cycles counted by [`dsstc_sim::otc`]; the kernel's profiles price a warp
 //! tile from the step counts its bitmaps hold.
 
-use dsstc_formats::{BitmapMatrix, VectorLayout};
+use dsstc_formats::TileView;
 use dsstc_tensor::Matrix;
 
 /// Functional warp-level SpGEMM: accumulates `A_tile * B_tile` into `acc`
 /// using the outer-product / gather-scatter formulation.
 ///
-/// `a_tile` must be column-major encoded (`M x K`), `b_tile` row-major
-/// (`K x N`), and `acc` sized `M x N`.
+/// `a_tile` is a tile of condensed columns (`M x K`: `K` steps of `M`
+/// bits), `b_tile` one of condensed rows (`K x N`), and `acc` is `M x N`.
 ///
 /// # Panics
-/// Panics if the layouts or shapes are inconsistent.
-pub fn warp_spgemm(a_tile: &BitmapMatrix, b_tile: &BitmapMatrix, acc: &mut Matrix) {
-    assert_eq!(a_tile.layout(), VectorLayout::ColumnMajor, "A tile must be column-major");
-    assert_eq!(b_tile.layout(), VectorLayout::RowMajor, "B tile must be row-major");
-    assert_eq!(a_tile.cols(), b_tile.rows(), "inner dimensions must agree");
-    assert_eq!(acc.rows(), a_tile.rows(), "accumulator rows mismatch");
-    assert_eq!(acc.cols(), b_tile.cols(), "accumulator cols mismatch");
+/// Panics if the shapes are inconsistent.
+pub fn warp_spgemm(a_tile: TileView<'_>, b_tile: TileView<'_>, acc: &mut Matrix) {
+    assert_eq!(a_tile.words().len(), b_tile.words().len(), "inner dimensions must agree");
+    assert_eq!(acc.rows(), a_tile.height(), "accumulator rows mismatch");
+    assert_eq!(acc.cols(), b_tile.height(), "accumulator cols mismatch");
 
-    for k in 0..a_tile.cols() {
+    for (k, (&a_word, &b_word)) in a_tile.words().iter().zip(b_tile.words()).enumerate() {
         // Multiply-value: cross product of the condensed vectors.
-        let a_positions = a_tile.vector_positions(k);
-        let a_values = a_tile.vector_values(k);
-        let b_positions = b_tile.vector_positions(k);
-        let b_values = b_tile.vector_values(k);
+        let (a_values, b_values) = (a_tile.step_values(k), b_tile.step_values(k));
         // Merge: gather the previous partials, accumulate, scatter back. On
         // a dense accumulator the gather/scatter is the indexing itself.
-        for (ai, &row) in a_positions.iter().enumerate() {
-            let av = a_values[ai];
-            for (bi, &col) in b_positions.iter().enumerate() {
-                acc[(row, col)] += av * b_values[bi];
+        for (row, &av) in set_bits(a_word).zip(a_values) {
+            for (col, &bv) in set_bits(b_word).zip(b_values) {
+                acc[(row, col)] += av * bv;
             }
         }
     }
+}
+
+/// The positions of `word`'s set bits, ascending.
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let bit = (word != 0).then(|| word.trailing_zeros() as usize);
+        word &= word.wrapping_sub(1);
+        bit
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::{BitmapSpGemm, BitmapSpGemmOptions, SpGemmStats};
     use super::*;
+    use dsstc_formats::{TwoLevelBitmapMatrix, VectorLayout};
     use dsstc_sim::{GpuConfig, WorkloadProfile};
     use dsstc_tensor::{GemmShape, SparsityPattern};
 
+    /// One warp tile of each operand: `32 x k` and `k x 32`, dense, and as
+    /// the two-level encoder stores them.
     fn encode_pair(
         sparsity_a: f64,
         sparsity_b: f64,
         k: usize,
-    ) -> (Matrix, Matrix, BitmapMatrix, BitmapMatrix) {
+    ) -> (Matrix, Matrix, TwoLevelBitmapMatrix, TwoLevelBitmapMatrix) {
         let a = Matrix::random_sparse(32, k, sparsity_a, SparsityPattern::Uniform, 7);
         let b = Matrix::random_sparse(k, 32, sparsity_b, SparsityPattern::Uniform, 8);
-        let a_enc = BitmapMatrix::encode(&a, VectorLayout::ColumnMajor);
-        let b_enc = BitmapMatrix::encode(&b, VectorLayout::RowMajor);
+        let a_enc = TwoLevelBitmapMatrix::encode(&a, 32, k, VectorLayout::ColumnMajor);
+        let b_enc = TwoLevelBitmapMatrix::encode(&b, k, 32, VectorLayout::RowMajor);
         (a, b, a_enc, b_enc)
+    }
+
+    /// `warp_spgemm` of the pair's tiles into `acc`; an empty tile adds
+    /// nothing.
+    fn accumulate(a_enc: &TwoLevelBitmapMatrix, b_enc: &TwoLevelBitmapMatrix, acc: &mut Matrix) {
+        if let (Some(a_tile), Some(b_tile)) = (a_enc.tile(0, 0), b_enc.tile(0, 0)) {
+            warp_spgemm(a_tile, b_tile, acc);
+        }
     }
 
     #[test]
@@ -67,7 +81,7 @@ mod tests {
         for (sa, sb) in [(0.0, 0.0), (0.5, 0.5), (0.9, 0.2), (0.99, 0.99)] {
             let (a, b, a_enc, b_enc) = encode_pair(sa, sb, 16);
             let mut acc = Matrix::zeros(32, 32);
-            warp_spgemm(&a_enc, &b_enc, &mut acc);
+            accumulate(&a_enc, &b_enc, &mut acc);
             assert!(acc.approx_eq(&a.matmul(&b), 1e-3), "sparsity ({sa},{sb})");
         }
     }
@@ -77,7 +91,7 @@ mod tests {
         let (a, b, a_enc, b_enc) = encode_pair(0.6, 0.6, 16);
         let bias = Matrix::random_sparse(32, 32, 0.0, SparsityPattern::Uniform, 9);
         let mut acc = bias.clone();
-        warp_spgemm(&a_enc, &b_enc, &mut acc);
+        accumulate(&a_enc, &b_enc, &mut acc);
         assert!(acc.approx_eq(&bias.add(&a.matmul(&b)), 1e-3));
     }
 
@@ -125,9 +139,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "inner dimensions")]
     fn warp_spgemm_validates_shapes() {
-        let a = BitmapMatrix::encode(&Matrix::zeros(32, 16), VectorLayout::ColumnMajor);
-        let b = BitmapMatrix::encode(&Matrix::zeros(8, 32), VectorLayout::RowMajor);
+        let (_, _, a, _) = encode_pair(0.0, 0.0, 16);
+        let (_, _, _, b) = encode_pair(0.0, 0.0, 8);
         let mut acc = Matrix::zeros(32, 32);
-        warp_spgemm(&a, &b, &mut acc);
+        warp_spgemm(a.tile(0, 0).unwrap(), b.tile(0, 0).unwrap(), &mut acc);
     }
 }

@@ -10,16 +10,16 @@
 //! reference" means, and why the shortcuts below keep it, is stated once, in
 //! `docs/ARCHITECTURE.md` ("Bit-identity contract").
 //!
-//! One GEMM runs two phases over an A operand that is already the
-//! [`Arena`] the loop reads (per band and step one column word and one
-//! start):
+//! One GEMM runs two phases over a condensed operand the loop reads where
+//! it lies, through a [`BandView`] (per band and step one word and one
+//! start): an [`Arena`]'s, or the weights' own.
 //!
-//! * **B expansion** ([`expand_b`]): every condensed B row is decoded into
-//!   one zero-padded dense row-major buffer (values and step words: two
-//!   buffers, whatever the tile count) — with the level's expand instruction
-//!   where it has one, a bit-walk scatter elsewhere. A step's accumulation is
-//!   then a contiguous `axpy`, while the step's packed word still
-//!   short-circuits empty steps and empty tiles.
+//! * **Expansion** ([`expand`]): every condensed row of the other operand is
+//!   decoded into one zero-padded dense row-major buffer (values and step
+//!   words: two buffers, whatever the tile count) — with the level's expand
+//!   instruction where it has one, a bit-walk scatter elsewhere. A step's
+//!   accumulation is then a contiguous `axpy`, while the step's packed word
+//!   still short-circuits empty steps and empty tiles.
 //! * **Band loop** ([`run_bands`]): each output band (one `warp_m`-row
 //!   strip) walks `jn` in blocks of tile columns with `kk` innermost, and
 //!   one body ([`block_steps`]) runs every surviving step of a block: it
@@ -51,12 +51,12 @@
 //! Only the condensed operand skips a whole step when its word is empty,
 //! so [`execute`] condenses the sparser one, as the paper's library does:
 //! when B keeps fewer values per output element and that costs no more
-//! block passes ([`transposes`]), it runs `D^T = B^T * A^T` — B's tiles
-//! copied into a workspace arena ([`Arena::transpose_b`]), A's steps
-//! expanded ([`expand_at`]) and each block written out transposed
-//! ([`TransposedRows`], which takes the blocks in turn, so that it can
-//! append the output a block of rows at a time instead of zeroing it
-//! first). Same loop, same bits.
+//! block passes ([`transposes`]), it runs `D^T = B^T * A^T` — a row-major
+//! B's bands are `B^T`'s, read in place, A's bands are expanded as the
+//! rows of `A^T` by the same [`expand`], and each block is written out
+//! transposed ([`TransposedRows`], which takes the blocks in turn, so that
+//! it can append the output a block of rows at a time instead of zeroing
+//! it first). Same loop, same bits.
 //!
 //! All of it is compiled once per vector level (baseline, AVX2, AVX-512;
 //! [`super::simd`]) and the level is picked from CPUID once per call. A call
@@ -64,17 +64,16 @@
 //! parallelism is one device per serve worker, not threads inside a GEMM.
 //!
 //! What a call stages — the expansion, the block accumulator, a forward's
-//! two arenas (the first also a transposed call's `B^T`), a transposed
-//! call's block of output rows — it borrows from its thread's
-//! [`Workspace`], so after a thread's first call the only allocation is the
-//! result.
+//! two arenas, a transposed call's block of output rows — it borrows from
+//! its thread's [`Workspace`], so after a thread's first call the only
+//! allocation is the result.
 
 use std::cell::RefCell;
 
-use dsstc_formats::TwoLevelBitmapMatrix;
+use dsstc_formats::{BandView, TileView, TwoLevelBitmapMatrix};
 use dsstc_tensor::Matrix;
 
-use super::arena::{Arena, ArenaTile, EncodedA};
+use super::arena::{Arena, EncodedA};
 use super::simd::{self, Lanes, Level, Portable};
 
 /// The device-native `warp_n` (V100 and A100 both): the only tile width
@@ -119,10 +118,11 @@ impl CacheAligned {
     }
 }
 
-/// The B operand decoded to a dense row-major matrix, zero-padded to whole
-/// tiles, plus every step's packed bitmap. The buffers outlive one operand:
-/// every GEMM of a thread expands its weights into the same two, which grow
-/// to the largest operand they have held.
+/// The expanded operand (B, or `A^T` in a transposed call) decoded to a
+/// dense row-major matrix, zero-padded to whole tiles, plus every step's
+/// packed bitmap. The buffers outlive one operand: every GEMM of a thread
+/// expands into the same two, which grow to the largest operand they have
+/// held.
 #[derive(Default)]
 pub(super) struct ExpandedB {
     /// `grid_k * warp_k` rows of `grid_n * wn` values: step `k` of tile row
@@ -170,7 +170,7 @@ pub(super) fn grow<T: Clone + Default>(buf: &mut Vec<T>, len: usize) {
 /// What every band of one call shares: the operands and the warp tile
 /// `(warp_m, warp_n, warp_k)`.
 pub(super) struct Gemm<'g> {
-    a: &'g Arena,
+    a: BandView<'g>,
     b: &'g ExpandedB,
     dims: (usize, usize, usize),
 }
@@ -182,56 +182,27 @@ impl Gemm<'_> {
     }
 }
 
-/// Decodes `b_enc` (row-major tiles at most 64 wide) into `b` with `L`'s
-/// [`Lanes::expand_row`]. `inline(always)`, like everything below that is
-/// generic over a lane type: the body has to land inside the
+/// Decodes `src` into `b` with `L`'s [`Lanes::expand_row`]: step `k` of
+/// band `jn` (its word and values) is row `k` of tile column `jn`. A
+/// row-major B's bands give B itself; an A operand's give `A^T`, the
+/// expanded operand of `D^T = B^T * A^T`. `inline(always)`, like everything
+/// below that is generic over a lane type: the body has to land inside the
 /// `#[target_feature]` callers of [`super::simd`] to be compiled at their
 /// level.
 #[inline(always)]
-pub(super) fn expand_b<L: Lanes>(b_enc: &TwoLevelBitmapMatrix, b: &mut ExpandedB) {
-    let (wk, wn) = (b_enc.tile_rows(), b_enc.tile_cols());
-    let (grid_k, grid_n) = (b_enc.grid_rows(), b_enc.grid_cols());
+pub(super) fn expand<L: Lanes>(src: BandView<'_>, b: &mut ExpandedB) {
+    let (wn, wk) = src.tile_shape();
+    let (grid_k, grid_n) = (src.tiles(), src.count());
     b.reserve(grid_k * wk, grid_n, wn);
     // Every cell in use is written, so nothing of the previous operand
     // survives and nothing has to be cleared first.
     let values = b.rows.as_mut_slice();
     for kk in 0..grid_k {
         for jn in 0..grid_n {
-            let tile = b_enc.tile(kk, jn);
-            for k in 0..wk {
+            let tile = src.tile(jn, kk);
+            for (k, &word) in src.words(jn)[kk * wk..][..wk].iter().enumerate() {
                 let cell = (kk * wk + k) * grid_n + jn;
                 let dst = &mut values[cell * wn..][..wn];
-                match tile {
-                    Some(tile) => {
-                        b.words[cell] = tile.bitmap().row_word(k);
-                        L::expand_row(b.words[cell], tile.vector_values(k), dst);
-                    }
-                    None => {
-                        b.words[cell] = 0;
-                        dst.fill(0.0);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Decodes `a`, transposed, into `b` with `L`'s [`Lanes::expand_row`]: the
-/// B operand of `D^T = B^T * A^T`. Step `k` of A's band `im` (its column
-/// word and values) is row `k` of `A^T`'s tile column `im`, so every step is
-/// one row decode, as in [`expand_b`]. `inline(always)` for the same reason.
-#[inline(always)]
-pub(super) fn expand_at<L: Lanes>(a: &Arena, b: &mut ExpandedB) {
-    let (wm, wk) = a.tile_shape();
-    let (grid_k, grid_n) = (a.grid_k(), a.grid_m());
-    b.reserve(grid_k * wk, grid_n, wm);
-    let values = b.rows.as_mut_slice();
-    for kk in 0..grid_k {
-        for im in 0..grid_n {
-            let tile = a.tile(im, kk);
-            for (k, &word) in a.band_words(im)[kk * wk..][..wk].iter().enumerate() {
-                let cell = (kk * wk + k) * grid_n + im;
-                let dst = &mut values[cell * wm..][..wm];
                 b.words[cell] = word;
                 match tile {
                     Some(tile) => L::expand_row(word, tile.step_values(k), dst),
@@ -427,11 +398,10 @@ impl BlockRow for InMemory {
     }
 }
 
-/// One A tile (`a_tile`, its step words in `a_words`) against the block of B
-/// tiles as wide as `R` that starts at tile `(kk, jn)`: for every step whose
-/// A word and block of B words are both non-empty, hold the block's B rows,
-/// walk the set A bits and `axpy` the rows into that row of `acc`
-/// (row-major, as wide as `R`).
+/// One A tile (`a_tile`) against the block of B tiles as wide as `R` that
+/// starts at tile `(kk, jn)`: for every step whose A word and block of B
+/// words are both non-empty, hold the block's B rows, walk the set A bits
+/// and `axpy` the rows into that row of `acc` (row-major, as wide as `R`).
 ///
 /// A B row that is empty inside a surviving block contributes `av * 0.0`,
 /// which leaves every accumulator bit as it was; a non-finite `av` must not
@@ -439,13 +409,12 @@ impl BlockRow for InMemory {
 /// contract the module docs point to).
 #[inline(always)]
 fn block_steps<R: BlockRow>(
-    a_words: &[u64],
-    a_tile: ArenaTile<'_>,
+    a_tile: TileView<'_>,
     b: &ExpandedB,
     (kk, jn): (usize, usize),
     acc: &mut [f32],
 ) {
-    let width = R::width(b.wn);
+    let (a_words, width) = (a_tile.words(), R::width(b.wn));
     let tiles = width / b.wn;
     // Whole-step skip, one word test as in hardware, made for 64 steps at a
     // time: the loop visits only the steps whose A word is non-empty and
@@ -502,7 +471,7 @@ pub(super) fn run_bands<S: Sink, Wide: BlockRow, One: BlockRow>(
 ) {
     let (wm, wn, _) = gemm.dims;
     assert!(Wide::width(wn) % wn == 0 && One::width(wn) == wn, "blocks are whole tiles");
-    let (bands, grid_n) = (gemm.a.grid_m(), gemm.b.grid_n);
+    let (bands, grid_n) = (gemm.a.count(), gemm.b.grid_n);
     let wide_tiles = Wide::width(wn) / wn;
     // Block `b` starts at tile column `block(b).0`: the first `wide` blocks
     // are `Wide`, the rest one tile each.
@@ -545,27 +514,26 @@ fn block_pass<S: Sink, Wide: BlockRow, One: BlockRow>(
     im: usize,
     (jb, wide): (usize, bool),
 ) {
-    let &Gemm { a, b, dims: (_, wn, wk) } = gemm;
+    let &Gemm { a, b, dims: (_, wn, _) } = gemm;
     let width = if wide { Wide::width(wn) } else { wn };
     // Only the band's live rows: a ragged last band (a small batch) has no
     // padding rows to zero, and its sink none to walk.
     let acc = &mut accs[..a.band_rows(im) * width];
     acc.fill(0.0);
-    let a_words = a.band_words(im);
-    for kk in 0..a.grid_k() {
+    for kk in 0..a.tiles() {
         let Some(a_tile) = a.tile(im, kk) else { continue };
-        let a_words = &a_words[kk * wk..(kk + 1) * wk];
         if wide {
-            block_steps::<Wide>(a_words, a_tile, b, (kk, jb), acc);
+            block_steps::<Wide>(a_tile, b, (kk, jb), acc);
         } else {
-            block_steps::<One>(a_words, a_tile, b, (kk, jb), acc);
+            block_steps::<One>(a_tile, b, (kk, jb), acc);
         }
     }
     sink.block::<Wide::Lanes>(im, jb * wn, width, acc);
 }
 
 /// [`run_bands`] for an A operand that is one band of at most `ROWS` live
-/// rows, with `b_enc`, tiles `V` registers of `L` wide, read where it lies.
+/// rows, with a row-major B's bands `b`, tiles `V` registers of `L` wide,
+/// read where they lie.
 /// Per tile column the block accumulator is `ROWS` rows of `V` registers,
 /// held across every step; a step that survives both words decodes its B
 /// row with [`Lanes::expand_row`] into one row on the stack, and the row
@@ -575,14 +543,14 @@ fn block_pass<S: Sink, Wide: BlockRow, One: BlockRow>(
 /// `av` puts the block in memory for [`block_steps`]' walk.
 #[inline(always)]
 pub(super) fn run_small_band<S: Sink, L: Lanes, const V: usize, const ROWS: usize>(
-    a: &Arena,
-    b_enc: &TwoLevelBitmapMatrix,
+    a: BandView<'_>,
+    b: BandView<'_>,
     sink: &mut S,
 ) {
-    let (wk, wn) = (b_enc.tile_rows(), b_enc.tile_cols());
+    let (wn, _) = b.tile_shape();
     assert!(wn == NATIVE_WN && V * L::N == wn, "a tile row is the held registers");
-    assert!(a.grid_m() == 1 && a.band_rows(0) <= ROWS, "one band of at most ROWS rows");
-    let (a_words, rows) = (a.band_words(0), a.band_rows(0));
+    assert!(a.count() == 1 && a.band_rows(0) <= ROWS, "one band of at most ROWS rows");
+    let rows = a.band_rows(0);
     let mut b_row = [0.0f32; NATIVE_WN];
     let mut out = [[0.0f32; NATIVE_WN]; ROWS];
     let spill = |acc: &[[L; V]; ROWS], out: &mut [[f32; NATIVE_WN]; ROWS]| {
@@ -592,18 +560,17 @@ pub(super) fn run_small_band<S: Sink, L: Lanes, const V: usize, const ROWS: usiz
             }
         }
     };
-    for jn in 0..b_enc.grid_cols() {
+    for jn in 0..b.count() {
         let mut acc = [[L::splat(0.0); V]; ROWS];
-        for kk in 0..a.grid_k() {
-            let (Some(a_tile), Some(b_tile)) = (a.tile(0, kk), b_enc.tile(kk, jn)) else {
+        for kk in 0..a.tiles() {
+            let (Some(a_tile), Some(b_tile)) = (a.tile(0, kk), b.tile(jn, kk)) else {
                 continue;
             };
-            for (k, &aw) in a_words[kk * wk..][..wk].iter().enumerate() {
-                let bw = b_tile.bitmap().row_word(k);
+            for (k, (&aw, &bw)) in a_tile.words().iter().zip(b_tile.words()).enumerate() {
                 if aw == 0 || bw == 0 {
                     continue;
                 }
-                L::expand_row(bw, b_tile.vector_values(k), &mut b_row);
+                L::expand_row(bw, b_tile.step_values(k), &mut b_row);
                 let values = a_tile.step_values(k);
                 if values.iter().all(|av| av.is_finite()) {
                     let mut held = [L::splat(0.0); V];
@@ -666,8 +633,7 @@ struct Workspace {
     b: ExpandedB,
     /// The band loop's block accumulator.
     accs: CacheAligned,
-    /// A forward's source and destination operands, swapped per layer; the
-    /// first is also a transposed call's `B^T`.
+    /// A forward's source and destination operands, swapped per layer.
     arenas: [Arena; 2],
     /// A transposed call's staged output rows, one block's worth.
     staged: CacheAligned,
@@ -708,16 +674,16 @@ fn block_passes(rows: usize, cols: usize, (band, tile): (usize, usize)) -> usize
 /// has already validated the tilings and that `warp_m`/`warp_n` fit in a
 /// word.
 pub(crate) fn execute(a_enc: &EncodedA, b_enc: &TwoLevelBitmapMatrix, level: Level) -> Matrix {
-    let (wm, _) = a_enc.arena().tile_shape();
+    let (wm, _) = a_enc.bands().tile_shape();
     let counts = (a_enc.nnz(), b_enc.nnz());
     let transposed = transposes(counts, (a_enc.rows(), b_enc.cols()), (wm, b_enc.tile_cols()));
     execute_as(a_enc, b_enc, level, transposed)
 }
 
-/// [`execute`] in the orientation given: `A`'s arena against `B` expanded,
-/// or, `transposed`, `B^T` condensed into the workspace arena against `A^T`
-/// expanded, each product `b * a` where the plain loop has `a * b` and the
-/// block written out transposed. Either way every output element adds the
+/// [`execute`] in the orientation given: `A`'s bands against `B` expanded,
+/// or, `transposed`, B's bands as the condensed `B^T`, read in place,
+/// against `A^T` expanded, each product `b * a` where the plain loop has
+/// `a * b` and the block written out transposed. Either way every output element adds the
 /// same rounded products in the same `k` order, so both give the same bits.
 pub(super) fn execute_as(
     a_enc: &EncodedA,
@@ -725,21 +691,20 @@ pub(super) fn execute_as(
     level: Level,
     transposed: bool,
 ) -> Matrix {
-    let a = a_enc.arena();
+    let (a, bt) = (a_enc.bands(), b_enc.bands());
     let (wm, wk) = a.tile_shape();
     let (rows, cols, wn) = (a_enc.rows(), b_enc.cols(), b_enc.tile_cols());
-    WORKSPACE.with_borrow_mut(|Workspace { b, accs, arenas: [bt, _], staged }| {
+    WORKSPACE.with_borrow_mut(|Workspace { b, accs, staged, .. }| {
         // The expanded operand is staged once per call; each expanded row is
         // reused by every band of the condensed one.
         if transposed {
-            bt.transpose_b(b_enc);
-            simd::expand_at(level, a, b);
-            let mut sink = TransposedRows::new(staged, (rows, cols), (wn, bt.grid_m()));
+            simd::expand(level, a, b);
+            let mut sink = TransposedRows::new(staged, (rows, cols), (wn, bt.count()));
             simd::run_bands(level, &Gemm { a: bt, b, dims: (wn, wm, wk) }, &mut sink, accs);
             sink.into_matrix()
         } else {
             let mut out = Matrix::zeros(rows, cols);
-            simd::expand_b(level, b_enc, b);
+            simd::expand(level, bt, b);
             let mut sink = DenseRows { rows: out.as_mut_slice(), cols, wm, relu: false };
             simd::run_bands(level, &Gemm { a, b, dims: (wm, wn, wk) }, &mut sink, accs);
             out
@@ -750,21 +715,21 @@ pub(super) fn execute_as(
 /// One layer of [`forward`], `a * weights` into `sink`. A band of at most
 /// [`simd::small_rows`] rows pays more for expanding all of B than for
 /// decoding the rows its steps meet, so it runs [`run_small_band`]; any
-/// other runs [`expand_b`] and [`run_bands`] with `b` and `accs`.
+/// other runs [`expand`] and [`run_bands`] with `b` and `accs`.
 fn layer<S: Sink>(
     level: Level,
-    a: &Arena,
-    weights: &TwoLevelBitmapMatrix,
+    a: BandView<'_>,
+    weights: BandView<'_>,
     b: &mut ExpandedB,
     dims: (usize, usize, usize),
     sink: &mut S,
     accs: &mut CacheAligned,
 ) {
-    let small = a.grid_m() == 1 && a.band_rows(0) <= simd::small_rows(level);
+    let small = a.count() == 1 && a.band_rows(0) <= simd::small_rows(level);
     if small && dims.1 == NATIVE_WN {
         simd::run_small_band(level, a, weights, sink);
     } else {
-        simd::expand_b(level, weights, b);
+        simd::expand(level, weights, b);
         simd::run_bands(level, &Gemm { a, b, dims }, sink, accs);
     }
 }
@@ -795,13 +760,13 @@ pub(crate) fn forward(
         src.encode(input, level);
         for &(weights, relu) in inner {
             let mut sink = dst.emitter(weights.cols(), relu);
-            layer(level, src, weights, b, dims, &mut sink, accs);
+            layer(level, src.bands(), weights.bands(), b, dims, &mut sink, accs);
             std::mem::swap(&mut src, &mut dst);
         }
         let mut out = Matrix::zeros(input.rows(), last.cols());
         let mut sink =
             DenseRows { rows: out.as_mut_slice(), cols: last.cols(), wm, relu: last_relu };
-        layer(level, src, last, b, dims, &mut sink, accs);
+        layer(level, src.bands(), last.bands(), b, dims, &mut sink, accs);
         out
     })
 }
@@ -838,8 +803,8 @@ mod tests {
             let (rows, ld) = (b_enc.grid_rows() * wk, b_enc.grid_cols() * wn);
             for level in Level::available() {
                 let mut b = ExpandedB::default();
-                simd::expand_b(level, &stale, &mut b);
-                simd::expand_b(level, &b_enc, &mut b);
+                simd::expand(level, stale.bands(), &mut b);
+                simd::expand(level, b_enc.bands(), &mut b);
                 assert_eq!((b.grid_n, b.wn), (b_enc.grid_cols(), wn));
                 for r in 0..rows {
                     for c in 0..ld {
@@ -857,20 +822,20 @@ mod tests {
     /// `arena` against the formats encoder's column-major encoding of the
     /// same operand: every step's column word and every step's values, bit
     /// for bit (any NaN matching any NaN).
-    fn assert_arena_is(arena: &Arena, want: &TwoLevelBitmapMatrix, context: &str) {
+    fn assert_arena_is(arena: BandView<'_>, want: &TwoLevelBitmapMatrix, context: &str) {
         let wk = want.tile_cols();
-        assert_eq!((arena.grid_m(), arena.grid_k()), (want.grid_rows(), want.grid_cols()));
+        assert_eq!((arena.count(), arena.tiles()), (want.grid_rows(), want.grid_cols()));
         for im in 0..want.grid_rows() {
-            let words = arena.band_words(im);
+            let words = arena.words(im);
             assert_eq!(words.len(), want.grid_cols() * wk, "{context}");
             for kk in 0..want.grid_cols() {
                 let (got, want) = (arena.tile(im, kk), want.tile(im, kk));
                 assert_eq!(got.is_some(), want.is_some(), "{context}: tile ({im},{kk})");
                 for k in 0..wk {
-                    let word = want.map_or(0, |tile| tile.bitmap().col_word(k));
+                    let word = want.map_or(0, |tile| tile.words()[k]);
                     assert_eq!(words[kk * wk + k], word, "{context}: word ({im},{kk},{k})");
                     let (Some(got), Some(want)) = (got, want) else { continue };
-                    let (got, want) = (got.step_values(k), want.vector_values(k));
+                    let (got, want) = (got.step_values(k), want.step_values(k));
                     let same = got.len() == want.len() && got.iter().zip(want).all(same_value);
                     assert!(same, "{context}: values ({im},{kk},{k}): {got:?} vs {want:?}");
                 }
@@ -881,7 +846,7 @@ mod tests {
     /// [`assert_arena_is`] for an owned operand, which also has to decode to
     /// what the formats encoder's encoding does.
     fn assert_encoded_a_is(a_enc: &EncodedA, want: &TwoLevelBitmapMatrix, context: &str) {
-        assert_arena_is(a_enc.arena(), want, context);
+        assert_arena_is(a_enc.bands(), want, context);
         assert_eq!(
             (a_enc.rows(), a_enc.cols(), a_enc.nnz()),
             (want.rows(), want.cols(), want.nnz())
@@ -923,21 +888,21 @@ mod tests {
                 let mut src = Arena::default();
                 src.reset(m, kd.max(n), (wm, wk));
                 src.encode(&x, level);
-                assert_arena_is(&src, &x_want, &format!("input, {context}"));
+                assert_arena_is(src.bands(), &x_want, &format!("input, {context}"));
                 let y = execute(&x_enc, &w_enc, level);
                 for relu in [true, false] {
                     let y = if relu { y.relu() } else { y.clone() };
                     let want =
                         TwoLevelBitmapMatrix::encode_f16(&y, wm, wk, VectorLayout::ColumnMajor);
                     let mut b = ExpandedB::default();
-                    simd::expand_b(level, &w_enc, &mut b);
+                    simd::expand(level, w_enc.bands(), &mut b);
                     let mut dst = Arena::default();
                     dst.reset(m, kd.max(n), (wm, wk));
-                    let gemm = Gemm { a: &src, b: &b, dims: (wm, wn, wk) };
+                    let gemm = Gemm { a: src.bands(), b: &b, dims: (wm, wn, wk) };
                     let mut accs = CacheAligned::default();
                     simd::run_bands(level, &gemm, &mut dst.emitter(n, relu), &mut accs);
                     let context = format!("{context} relu {relu}");
-                    assert_arena_is(&dst, &want, &context);
+                    assert_arena_is(dst.bands(), &want, &context);
                     assert_encoded_a_is(&EncodedA::encode(&y, (wm, wk), level), &want, &context);
                 }
             }
@@ -968,7 +933,7 @@ mod tests {
                 arena.reset(rows, cols, (wm, wk));
                 arena.encode(&x, level);
                 let context = format!("batch {i}: {rows}x{cols}, {wm}x{wk} tiles, {level:?}");
-                assert_arena_is(&arena, &want, &context);
+                assert_arena_is(arena.bands(), &want, &context);
                 assert_encoded_a_is(&EncodedA::encode(&x, (wm, wk), level), &want, &context);
             }
         }

@@ -3,11 +3,13 @@
 //! result and nothing else — at any tile grid, vector level, depth,
 //! orientation, or size not above the thread's largest so far — and
 //! `encode_a` makes the same few
-//! allocations at any size, their bytes sized by the operand's non-zeros.
+//! allocations at any size, their bytes sized by the operand's non-zeros,
+//! as do `encode_b` and the weights' decode at any tile count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use dsstc_formats::TwoLevelBitmapMatrix;
 use dsstc_kernels::bitmap_spgemm::{BitmapSpGemm, SimdLevel};
 use dsstc_sim::GpuConfig;
 use dsstc_tensor::{Matrix, SparsityPattern};
@@ -114,11 +116,11 @@ fn execute_encoded_allocates_the_same_few_buffers_at_any_tile_count() {
 #[test]
 fn a_transposed_call_allocates_its_output_and_nothing_else() {
     // Against 99 %-sparse weights a 128 x 512 x 512 call runs as
-    // D^T = B^T * A^T: B is condensed into one of the thread's forward
-    // arenas and A expanded into the buffer B's expansion uses, so once the
-    // thread has run a transposed call that size a warm one allocates its
-    // result alone — at every vector level, and with plain calls (50 %
-    // weights) in between, which must not size anything down.
+    // D^T = B^T * A^T: B's bands are read where they lie and A is expanded
+    // into the buffer B's expansion uses, so once the thread has run a
+    // transposed call that size a warm one allocates its result alone — at
+    // every vector level, and with plain calls (50 % weights) in between,
+    // which must not size anything down.
     let kernel = BitmapSpGemm::new(GpuConfig::v100());
     let a = Matrix::random_sparse(128, 512, 0.9, SparsityPattern::Uniform, 5);
     let a_enc = kernel.encode_a(&a);
@@ -159,6 +161,25 @@ fn encode_a_allocates_a_constant_few_buffers_sized_by_its_non_zeros() {
         });
         assert!(counts.iter().all(|&c| c == counts[0] && c <= 8), "{level:?}: {counts:?}");
     }
+}
+
+#[test]
+fn weights_encode_and_decode_in_a_constant_few_allocations() {
+    // The weights lie in four flat arrays: `encode_b` allocates the step
+    // words, the starts and band bases, and the values, each once at its
+    // final size; `from_bytes` reads the words and the values in bulk and
+    // rebuilds the starts and bases. The same few allocations at 16 warp
+    // tiles and at 1024, none per tile.
+    let kernel = BitmapSpGemm::new(GpuConfig::v100()); // 16 x 32 B tiles
+    let counts = [(64, 128), (256, 256), (512, 1024)].map(|(k, n)| {
+        let b = Matrix::random_sparse(k, n, 0.8, SparsityPattern::Uniform, 8);
+        let (b_enc, (encoded, _)) = allocations_in(|| kernel.encode_b(&b));
+        let bytes = b_enc.to_bytes();
+        let (back, (decoded, _)) = allocations_in(|| TwoLevelBitmapMatrix::from_bytes(&bytes));
+        assert_eq!(back.expect("own bytes decode"), b_enc, "{k}x{n}");
+        (encoded, decoded)
+    });
+    assert!(counts.iter().all(|&c| c == counts[0] && c.0 <= 4 && c.1 <= 4), "{counts:?}");
 }
 
 #[test]

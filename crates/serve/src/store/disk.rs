@@ -176,16 +176,17 @@ impl DiskStore {
 
     /// Restores one artifact, fully validating the header and every
     /// per-layer container against the expected identity, and marks it
-    /// most recently used.
+    /// most recently used. The file is read whole, once, and each layer
+    /// decoded from its slice of it.
     pub(super) fn restore(
         &self,
         key: ModelKey,
         spec: EncodingSpec,
     ) -> Result<EncodedModel, CodecError> {
         let started = Instant::now();
-        let mut reader = std::io::BufReader::new(File::open(self.artifact_path(key, spec))?);
-        let mut header = [0u8; 4 + 2 + 4];
-        std::io::Read::read_exact(&mut reader, &mut header)?;
+        let bytes = std::fs::read(self.artifact_path(key, spec))?;
+        let (header, mut rest) =
+            bytes.split_first_chunk::<{ 4 + 2 + 4 }>().ok_or(CodecError::Truncated)?;
         if header[..4] != STORE_MAGIC {
             return Err(CodecError::BadMagic([header[0], header[1], header[2], header[3]]));
         }
@@ -201,7 +202,8 @@ impl DiskStore {
         let relu = key.model.uses_relu();
         let mut layers = Vec::with_capacity(layer_count as usize);
         for layer in network.layers() {
-            let weights = TwoLevelBitmapMatrix::read_from(&mut reader)?;
+            let (weights, after) = TwoLevelBitmapMatrix::take_from_bytes(rest)?;
+            rest = after;
             if weights.rows() != self.proxy_dim || weights.cols() != self.proxy_dim {
                 return Err(CodecError::Malformed("weight shape does not match the proxy"));
             }

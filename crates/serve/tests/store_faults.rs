@@ -331,24 +331,25 @@ fn a_lookup_on_a_poisoned_store_falls_back_and_rewrites() {
 
 /// An artifact written by an older container format is refused and healed
 /// by the same path as a corrupt one: the lookup re-encodes, serves the
-/// clean bytes and rewrites the file at the current version.
-#[test]
-fn a_format_v1_artifact_is_re_encoded_and_rewritten() {
-    let store = TempStore::new("v1");
+/// clean bytes and rewrites the file at the current version. Only the
+/// container's version field is rewritten to `version`: whatever the bytes
+/// behind it, no older version is read.
+fn an_old_format_artifact_is_re_encoded_and_rewritten(version: u16) {
+    let store = TempStore::new(&format!("v{version}"));
     let path = store.path().join(seed_store(store.path()));
     let container_version = |bytes: &[u8]| {
         let at = bytes.windows(4).position(|w| w == MAGIC).expect("a DSTC container") + 4;
         (at, u16::from_le_bytes([bytes[at], bytes[at + 1]]))
     };
     let mut bytes = std::fs::read(&path).expect("read artifact");
-    let (at, version) = container_version(&bytes);
-    assert_eq!(version, FORMAT_VERSION);
-    bytes[at..at + 2].copy_from_slice(&1u16.to_le_bytes());
-    std::fs::write(&path, &bytes).expect("write v1 artifact");
+    let (at, current) = container_version(&bytes);
+    assert_eq!(current, FORMAT_VERSION);
+    bytes[at..at + 2].copy_from_slice(&version.to_le_bytes());
+    std::fs::write(&path, &bytes).expect("write old-version artifact");
 
     let r = repo(store.path());
     let m = r.get_for(key(), spec());
-    assert!(!m.from_disk, "a v1 artifact must not be served");
+    assert!(!m.from_disk, "a v{version} artifact must not be served");
     assert_eq!(r.counters().fresh_encodes, 1);
     assert_eq!(m.forward(r.kernel(), &probe_input()).as_slice().to_vec(), reference_output());
 
@@ -359,4 +360,17 @@ fn a_format_v1_artifact_is_re_encoded_and_rewritten() {
     assert!(m2.from_disk, "the rewritten artifact restores cleanly");
     assert_eq!(r2.counters().fresh_encodes, 0);
     assert_eq!(m2.forward(r2.kernel(), &probe_input()).as_slice().to_vec(), reference_output());
+}
+
+#[test]
+fn a_format_v1_artifact_is_re_encoded_and_rewritten() {
+    an_old_format_artifact_is_re_encoded_and_rewritten(1);
+}
+
+/// Version 2 stored a bitmap per tile; version 3 the flat band-major
+/// arrays. No migration: a v2 artifact heals like any stale one.
+#[test]
+fn a_format_v2_artifact_is_re_encoded_and_rewritten() {
+    assert_eq!(FORMAT_VERSION, 3);
+    an_old_format_artifact_is_re_encoded_and_rewritten(2);
 }
