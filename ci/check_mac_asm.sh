@@ -5,9 +5,11 @@
 # registers for the band loops, the expand instruction for the AVX-512
 # expansion (of B, or of A transposed), the compress instruction for the
 # AVX-512 emitter, the interleaves of the in-register transposes (the
-# transposing sink's and the emitter's), and the compare of the survivor
-# count. It also fails if any other function of the crate names a ymm or zmm
-# register.
+# transposing sink's and the emitter's), the compare of the survivor count,
+# and the half-precision conversions: the widen of the stored FP16 values
+# (vcvtph2ps) in every expansion and every band loop's step, and the narrow
+# (vcvtps2ph) wherever the emitter compacts a column. It also fails if any
+# other function of the crate names a ymm or zmm register.
 #
 # The word kernel is bit-identical to the scalar reference only while a MAC
 # stays a rounded multiply then a rounded add, so `vfmadd*` anywhere in a
@@ -100,7 +102,7 @@ echo "check_mac_asm: no ymm / zmm register outside simd.rs's per-level functions
 
 # Every per-level function simd.rs defines must be named here.
 LEVEL_FNS=$(grep -c '^#\[target_feature' crates/kernels/src/bitmap_spgemm/simd.rs)
-[ "$LEVEL_FNS" = 8 ] || { echo "check_mac_asm: simd.rs has $LEVEL_FNS #[target_feature] functions, this script checks 8"; exit 1; }
+[ "$LEVEL_FNS" = 9 ] || { echo "check_mac_asm: simd.rs has $LEVEL_FNS #[target_feature] functions, this script checks 9"; exit 1; }
 
 # A transpose's interleaves: LLVM may pick the integer-domain twins
 # (vpunpckldq / vpunpcklqdq) of vunpcklps / vunpcklpd when it only moves the
@@ -116,10 +118,18 @@ check run_bands_avx512 vmulps zmm 3
 check_some run_bands_avx512 vcompressps zmm 3 1 "the emitter's instantiation has"
 check_some run_bands_avx2 "$UNPCKL" ymm 3 2 "the emitter's and the transposed rows' instantiations have"
 check_some run_bands_avx512 "$UNPCKL" zmm 3 2 "the emitter's and the transposed rows' instantiations have"
+# Each widens a live step's halves at the level, and the emitter's narrows
+# the halves it keeps.
+check run_bands_avx2 vcvtph2ps ymm 3
+check run_bands_avx512 vcvtph2ps zmm 3
+check_some run_bands_avx2 vcvtps2ph ymm 3 1 "the emitter's instantiation has"
+check_some run_bands_avx512 vcvtps2ph zmm 3 1 "the emitter's instantiation has"
 # A forward's small band (at most SMALL_ROWS live rows) into the emitter and
 # into the dense rows, its accumulators held in zmm registers.
 check run_small_band_avx512 vmulps zmm 2
 check_some run_small_band_avx512 vcompressps zmm 2 1 "the emitter's instantiation has"
+check run_small_band_avx512 vcvtph2ps zmm 2
+check_some run_small_band_avx512 vcvtps2ph zmm 2 1 "the emitter's instantiation has"
 # Its row loop unrolls, so each of the 8 x 2 accumulators has a multiply of
 # its own; a loop left rolled indexes them in memory and shows two.
 for label in $(labels run_small_band_avx512 2); do
@@ -127,8 +137,12 @@ for label in $(labels run_small_band_avx512 2); do
     [ "$n" -ge 16 ] \
         || { echo "check_mac_asm: $label has $n vmulps on zmm, expected >= 16 (row loop rolled)"; exit 1; }
 done
-# One expansion of a condensed operand's bands: B's, or A's as A^T.
+# One expansion of a condensed operand's bands: B's, or A's as A^T, its
+# halves widened as they are loaded (at AVX-512 before the register-form
+# expand).
 check expand_avx512 vexpandps zmm 1
+check expand_avx512 vcvtph2ps zmm 1
+check expand_avx2 vcvtph2ps ymm 1
 # A dense operand into the emitter. It multiplies nothing: at AVX2 the lane
 # op is the branch-free rounding's add, at AVX-512 the compaction; at both
 # the tile transpose interleaves.
@@ -136,6 +150,9 @@ check encode_avx2 vaddps ymm 1
 check encode_avx512 vcompressps zmm 1
 check encode_avx2 "$UNPCKL" ymm 1
 check encode_avx512 "$UNPCKL" zmm 1
+# Its kept values narrowed to the halves the arena stores.
+check encode_avx2 vcvtps2ph ymm 1
+check encode_avx512 vcvtps2ph zmm 1
 # The survivor count an owned A operand takes before the emitter writes it:
 # a compare on the level's registers.
 check survivors_avx2 vcmp ymm 1

@@ -44,10 +44,15 @@ pub use crate::serialize::{CodecError, FORMAT_VERSION};
 pub use crate::two_level::{BandView, TileView, TwoLevelBitmapMatrix};
 
 /// Storage cost in bytes of one encoded matrix, used by the memory-traffic
-/// model and the encoding-comparison benches.
+/// model, the encoding-comparison benches and the serving layer's memory
+/// budget.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StorageFootprint {
-    /// Bytes spent on non-zero values (2 bytes per FP16 value).
+    /// Bytes spent on non-zero values (2 bytes per FP16 value). For a
+    /// `TwoLevelBitmapMatrix` this is its value array's size in memory,
+    /// which holds the halves; the baseline formats, which hold `f32`
+    /// (`BitmapMatrix`, `BitmapFeatureMap`, `CsrMatrix`), are billed the
+    /// paper's 2 bytes too.
     pub value_bytes: u64,
     /// Bytes spent on index metadata (bitmaps, row pointers, column indices).
     pub metadata_bytes: u64,

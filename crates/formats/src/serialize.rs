@@ -17,7 +17,7 @@
 //! checksum: u64 LE   word-lane checksum over the payload (see [`checksum`])
 //! ```
 //!
-//! A [`TwoLevelBitmapMatrix`] payload (version 3) is its header and its two
+//! A [`TwoLevelBitmapMatrix`] payload (version 4) is its header and its two
 //! flat arrays, each written and read in bulk:
 //!
 //! ```text
@@ -27,22 +27,26 @@
 //! word count           : u64 LE  (bands x steps per band)
 //! words                : u64 LE each, band by band, step by step
 //! value count          : u64 LE
-//! values               : f32 LE each, in the words' order
+//! values               : f16 bits, u16 LE each, in the words' order
 //! ```
 //!
 //! The starts, band bases and warp bitmap are not stored: the reader
-//! recomputes them from the words.
+//! recomputes them from the words. A [`BitmapMatrix`] payload (a baseline
+//! format) keeps `f32` values.
 //!
 //! Decoding **never panics**: a truncated stream, wrong magic, unsupported
 //! version, flipped payload bit or internally inconsistent payload all
 //! surface as a [`CodecError`]. Readers fully validate the payload through
 //! the same invariants the in-memory constructors enforce (for a two-level
 //! payload: the shape, no bit past the matrix in a ragged band or a padding
-//! step, and one value per set bit), so a decoded value is
+//! step, one value per set bit, and no NaN but the encoder's quiet one), so
+//! a decoded value is
 //! indistinguishable from a freshly encoded one (`PartialEq` holds across a
 //! round-trip).
 
 use std::io::Write;
+
+use dsstc_tensor::f16;
 
 use crate::bit_matrix::BitMatrix;
 use crate::bitmap::{BitmapMatrix, VectorLayout};
@@ -55,8 +59,10 @@ pub const MAGIC: [u8; 4] = *b"DSTC";
 /// reject every other version with [`CodecError::UnsupportedVersion`].
 /// Version 2 replaced version 1's byte-serial FNV-1a with [`checksum`];
 /// version 3 replaced the two-level payload's per-tile bitmaps with the
-/// flat band-major word and value arrays.
-pub const FORMAT_VERSION: u16 = 3;
+/// flat band-major word and value arrays; version 4 stores the two-level
+/// values as the FP16 halves they are, two bytes a value where version 3
+/// widened them to `f32`.
+pub const FORMAT_VERSION: u16 = 4;
 
 const KIND_BITMAP: u8 = 1;
 const KIND_TWO_LEVEL: u8 = 2;
@@ -322,7 +328,15 @@ fn write_two_level_payload(out: &mut Vec<u8>, m: &TwoLevelBitmapMatrix) {
     push_u64(out, words.len() as u64);
     push_values(out, words, u64::to_le_bytes);
     push_u64(out, values.len() as u64);
-    push_values(out, values, f32::to_le_bytes);
+    push_values(out, values, half_to_le_bytes);
+}
+
+fn half_to_le_bytes(h: f16) -> [u8; 2] {
+    h.to_bits().to_le_bytes()
+}
+
+fn half_from_le_bytes(bytes: [u8; 2]) -> f16 {
+    f16::from_bits(u16::from_le_bytes(bytes))
 }
 
 fn read_two_level_payload(cur: &mut Cursor<'_>) -> Result<TwoLevelBitmapMatrix, CodecError> {
@@ -332,7 +346,7 @@ fn read_two_level_payload(cur: &mut Cursor<'_>) -> Result<TwoLevelBitmapMatrix, 
     let count = cur.usize()?;
     let words = cur.values(count, u64::from_le_bytes)?;
     let nnz = cur.usize()?;
-    let values = cur.values(nnz, f32::from_le_bytes)?;
+    let values = cur.values(nnz, half_from_le_bytes)?;
     TwoLevelBitmapMatrix::from_parts((rows, cols), tile, layout, words, values)
         .map_err(CodecError::Malformed)
 }
@@ -625,20 +639,23 @@ mod tests {
 
     #[test]
     fn a_version_2_container_is_refused() {
-        // Version 2 held a bitmap per tile; nothing reads it any more.
-        let mut bytes = sample_two_level(13).to_bytes();
-        bytes[4..6].copy_from_slice(&2u16.to_le_bytes());
-        assert!(matches!(
-            TwoLevelBitmapMatrix::from_bytes(&bytes),
-            Err(CodecError::UnsupportedVersion(2))
-        ));
+        // Version 2 held a bitmap per tile, version 3 `f32` values; nothing
+        // reads either any more.
+        for old in [2u16, 3] {
+            let mut bytes = sample_two_level(13).to_bytes();
+            bytes[4..6].copy_from_slice(&old.to_le_bytes());
+            assert!(matches!(
+                TwoLevelBitmapMatrix::from_bytes(&bytes),
+                Err(CodecError::UnsupportedVersion(v)) if v == old
+            ));
+        }
     }
 
     /// `enc`'s payload with `doctor` applied to its words and values, sealed
     /// with a fresh checksum: only the structural checks can refuse it.
     fn doctored(
         enc: &TwoLevelBitmapMatrix,
-        doctor: impl FnOnce(&mut Vec<u64>, &mut Vec<f32>),
+        doctor: impl FnOnce(&mut Vec<u64>, &mut Vec<f16>),
     ) -> Result<TwoLevelBitmapMatrix, CodecError> {
         let (mut words, mut values) = (enc.arrays().0.to_vec(), enc.arrays().1.to_vec());
         doctor(&mut words, &mut values);
@@ -650,7 +667,7 @@ mod tests {
         push_u64(&mut payload, words.len() as u64);
         push_values(&mut payload, &words, u64::to_le_bytes);
         push_u64(&mut payload, values.len() as u64);
-        push_values(&mut payload, &values, f32::to_le_bytes);
+        push_values(&mut payload, &values, half_to_le_bytes);
         let mut bytes = Vec::new();
         write_container(&mut bytes, KIND_TWO_LEVEL, &payload).unwrap();
         TwoLevelBitmapMatrix::from_bytes(&bytes)
@@ -663,7 +680,7 @@ mod tests {
         let enc = sample_two_level(14);
         assert!(doctored(&enc, |_, _| {}).is_ok_and(|back| back == enc));
         let malformed =
-            |why: &str, doctor: &dyn Fn(&mut Vec<u64>, &mut Vec<f32>)| match doctored(&enc, doctor)
+            |why: &str, doctor: &dyn Fn(&mut Vec<u64>, &mut Vec<f16>)| match doctored(&enc, doctor)
             {
                 Err(CodecError::Malformed(got)) => assert_eq!(got, why),
                 other => panic!("{why}: got {other:?}"),
@@ -671,22 +688,33 @@ mod tests {
         let stray = "a step word has bits past the matrix bound";
         malformed(stray, &|words, values| {
             words[64 + 50] = 1; // a padding step of band 1
-            values.insert(0, 1.0);
+            values.insert(0, f16::ONE);
         });
         malformed(stray, &|words, values| {
             words[2 * 64] |= 1 << 6; // past the ragged band's 6 columns
-            values.insert(0, 1.0);
+            values.insert(0, f16::ONE);
         });
         malformed(stray, &|words, values| {
             words[3] |= 1 << 32; // past a 32-bit band
-            values.insert(0, 1.0);
+            values.insert(0, f16::ONE);
         });
         let population = "condensed value count does not match the words' population";
-        malformed(population, &|_, values| values.push(1.0));
+        malformed(population, &|_, values| values.push(f16::ONE));
         malformed(population, &|words, _| words[7] ^= 1);
         malformed("step word count does not match the tile grid", &|words, _| {
             words.push(0);
         });
+        // The encoder's quiet NaN, of either sign, is a value like any
+        // other; a signalling NaN or another payload is not.
+        for nan in [0x7E00, 0xFE00] {
+            let back = doctored(&enc, |_, values| values[3] = f16::from_bits(nan));
+            assert!(back.is_ok_and(|back| back.arrays().1[3].to_bits() == nan), "{nan:#06x}");
+        }
+        for nan in [0x7C01, 0x7D00, 0xFDFF, 0x7E01, 0x7FFF, 0xFFFF] {
+            malformed("a NaN value other than the encoder's quiet NaN", &|_, values| {
+                values[5] = f16::from_bits(nan);
+            });
+        }
     }
 
     #[test]

@@ -17,9 +17,12 @@
 //! padded to whole tiles; each is one `u64` word (bit `i` set when position
 //! `i` of the vector is kept) and one `u32` start, counted from the band's
 //! base in the one value array. A tile is empty when its first and last
-//! starts are equal, so the warp bitmap is read off the starts. The
-//! kernel's activation operand has the same layout, and the kernel reads
-//! either through a [`BandView`].
+//! starts are equal, so the warp bitmap is read off the starts. The values
+//! are FP16 ([`f16`](struct@f16)), what the paper's Tensor Core takes: the encoder
+//! rounds every kept value to a half and stores its bits, two bytes a
+//! value, which widen exactly to the rounded `f32`. The kernel's activation
+//! operand has the same layout, and the kernel reads either through a
+//! [`BandView`].
 
 use dsstc_tensor::{f16, Matrix};
 
@@ -36,7 +39,8 @@ use crate::StorageFootprint;
 ///
 /// let dense = Matrix::random_sparse(64, 64, 0.95, SparsityPattern::BlockUneven, 3);
 /// let enc = TwoLevelBitmapMatrix::encode(&dense, 32, 32, VectorLayout::ColumnMajor);
-/// assert_eq!(enc.decode(), dense);
+/// // The values are stored as halves.
+/// assert_eq!(enc.decode(), dense.to_f16_precision());
 /// // With block-uneven sparsity some warp tiles are usually empty.
 /// assert!(enc.empty_tiles() <= enc.tile_count());
 /// ```
@@ -56,7 +60,7 @@ pub struct TwoLevelBitmapMatrix {
     /// Band `b`'s segment starts at `bases[b]`.
     bases: Vec<usize>,
     /// Every kept value, band by band and step by step.
-    values: Vec<f32>,
+    values: Vec<f16>,
 }
 
 /// How a matrix lies in bands: its layout, its dense length across the
@@ -167,7 +171,18 @@ impl Geometry {
 }
 
 impl TwoLevelBitmapMatrix {
-    /// Encodes a dense matrix using `tile_rows x tile_cols` warp tiles.
+    /// Encodes a dense matrix using `tile_rows x tile_cols` warp tiles, each
+    /// value rounded to FP16 storage as it is encoded: a value is kept when
+    /// its half is non-zero
+    /// ([`f16::survives`](dsstc_tensor::f16::survives), NaN included) and
+    /// stored as that half ([`f16::from_f32`](dsstc_tensor::f16::from_f32)),
+    /// so the encoding decodes to `dense.to_f16_precision()`. The kernel encodes activations in a
+    /// format of its own, which is held bit-identical to this one's
+    /// column-major encoding.
+    ///
+    /// Two passes: the first walks the dense rows in order and sets every
+    /// step's word, the second reads each kept value off its word, in
+    /// order, in the four arrays' allocations whatever the tile count.
     ///
     /// # Panics
     /// Panics if a dimension of the matrix or the tiles is zero, or a
@@ -179,41 +194,7 @@ impl TwoLevelBitmapMatrix {
         tile_cols: usize,
         layout: VectorLayout,
     ) -> Self {
-        Self::encode_impl::<false>(dense, (tile_rows, tile_cols), layout)
-    }
-
-    /// Encodes a dense matrix with FP16 value rounding fused into the
-    /// encoder: bit-identical to `encode(&dense.to_f16_precision(), ..)`
-    /// without materialising the rounded matrix. Weights (row-major) are
-    /// encoded with it once, at load time; the kernel encodes activations
-    /// in a format of its own, which is held bit-identical to this one's
-    /// column-major encoding.
-    ///
-    /// Cost: one significance test per element (`f16::survives`) and one
-    /// rounding per kept value (`f16::round_f32`), in the four arrays'
-    /// allocations whatever the tile count.
-    ///
-    /// # Panics
-    /// As [`Self::encode`].
-    pub fn encode_f16(
-        dense: &Matrix,
-        tile_rows: usize,
-        tile_cols: usize,
-        layout: VectorLayout,
-    ) -> Self {
-        Self::encode_impl::<true>(dense, (tile_rows, tile_cols), layout)
-    }
-
-    /// Two passes: the first walks the dense rows in order and sets every
-    /// step's word, the second reads each kept value off its word, in
-    /// order.
-    fn encode_impl<const ROUND_F16: bool>(
-        dense: &Matrix,
-        tile: (usize, usize),
-        layout: VectorLayout,
-    ) -> Self {
-        let keep = |x: f32| if ROUND_F16 { f16::survives(x) } else { x != 0.0 };
-        let (rows, cols) = (dense.rows(), dense.cols());
+        let (rows, cols, tile) = (dense.rows(), dense.cols(), (tile_rows, tile_cols));
         let g = Geometry::of((rows, cols), tile, layout).unwrap_or_else(|why| panic!("{why}"));
         let (steps, height) = (g.steps(), g.height);
         let mut words = vec![0u64; g.bands() * steps];
@@ -221,22 +202,19 @@ impl TwoLevelBitmapMatrix {
             match layout {
                 VectorLayout::RowMajor => {
                     for (b, chunk) in dense.row(r).chunks(height).enumerate() {
-                        words[b * steps + r] = mask_word(chunk, keep);
+                        words[b * steps + r] = mask_word(chunk, f16::survives);
                     }
                 }
                 VectorLayout::ColumnMajor => {
                     let band = &mut words[r / height * steps..][..cols];
                     for (word, &x) in band.iter_mut().zip(dense.row(r)) {
-                        *word |= u64::from(keep(x)) << (r % height);
+                        *word |= u64::from(f16::survives(x)) << (r % height);
                     }
                 }
             }
         }
         let mut values = Vec::with_capacity(words.iter().map(|w| w.count_ones() as usize).sum());
-        g.for_each_kept(&words, |r, c| {
-            let x = dense[(r, c)];
-            values.push(if ROUND_F16 { f16::round_f32(x) } else { x });
-        });
+        g.for_each_kept(&words, |r, c| values.push(f16::from_f32(dense[(r, c)])));
         Self::from_parts((rows, cols), tile, layout, words, values)
             .expect("the encoder's invariants")
     }
@@ -244,18 +222,29 @@ impl TwoLevelBitmapMatrix {
     /// Rebuilds an encoding from its step words and values (the
     /// serialiser's constructor). The starts and band bases are recomputed
     /// from the words; fails on any inconsistency between the shape, the
-    /// words and the values.
+    /// words and the values, and on a NaN the encoder does not write.
     pub(crate) fn from_parts(
         (rows, cols): (usize, usize),
         (tile_rows, tile_cols): (usize, usize),
         layout: VectorLayout,
         words: Vec<u64>,
-        values: Vec<f32>,
+        values: Vec<f16>,
     ) -> Result<Self, &'static str> {
         let g = Geometry::of((rows, cols), (tile_rows, tile_cols), layout)?;
         let (starts, bases, nnz) = g.index(&words)?;
         if nnz != values.len() {
             return Err("condensed value count does not match the words' population");
+        }
+        // The encoder writes one NaN, `f16::from_f32`'s quiet `±0x7E00`.
+        // `f16::to_f32` keeps any other payload, a signalling NaN
+        // signalling, where a vector widen quiets it: refusing the rest is
+        // what makes every vector level widen an accepted operand to the
+        // same bits. A fold, not `any`, so that it vectorises.
+        let odd_nan = values
+            .iter()
+            .fold(false, |odd, v| odd | (v.is_nan() & (v.to_bits() & 0x7FFF != 0x7E00)));
+        if odd_nan {
+            return Err("a NaN value other than the encoder's quiet NaN");
         }
         Ok(TwoLevelBitmapMatrix {
             rows,
@@ -372,25 +361,25 @@ impl TwoLevelBitmapMatrix {
         let mut m = Matrix::zeros(self.rows, self.cols);
         let mut values = self.values.iter();
         self.geometry().for_each_kept(&self.words, |r, c| {
-            m[(r, c)] = *values.next().expect("one value per set bit");
+            m[(r, c)] = values.next().expect("one value per set bit").to_f32();
         });
         m
     }
 
     /// Every step word, band by band, and every kept value, in order — what
     /// the binary serialiser writes.
-    pub(crate) fn arrays(&self) -> (&[u64], &[f32]) {
+    pub(crate) fn arrays(&self) -> (&[u64], &[f16]) {
         (&self.words, &self.values)
     }
 
-    /// Storage footprint: per non-empty tile its values and element bitmap
-    /// (a word per tile row per 64 columns), plus the warp-bitmap (1 bit per
-    /// tile, padded to words).
+    /// Storage footprint: per non-empty tile its values (the halves held)
+    /// and element bitmap (a word per tile row per 64 columns), plus the
+    /// warp-bitmap (1 bit per tile, padded to words).
     pub fn storage(&self) -> StorageFootprint {
         let live = (self.tile_count() - self.empty_tiles()) as u64;
         let tile_bitmap = (self.tile_rows * self.tile_cols.div_ceil(64) * 8) as u64;
         StorageFootprint {
-            value_bytes: self.nnz() as u64 * 2,
+            value_bytes: std::mem::size_of_val(self.values.as_slice()) as u64,
             metadata_bytes: self.warp_bitmap().storage_bytes() + live * tile_bitmap,
         }
     }
@@ -411,7 +400,7 @@ pub struct BandView<'a> {
     words: &'a [u64],
     starts: &'a [u32],
     bases: &'a [usize],
-    values: &'a [f32],
+    values: &'a [f16],
 }
 
 impl<'a> BandView<'a> {
@@ -431,7 +420,7 @@ impl<'a> BandView<'a> {
         words: &'a [u64],
         starts: &'a [u32],
         bases: &'a [usize],
-        values: &'a [f32],
+        values: &'a [f16],
     ) -> Self {
         assert!((1..=64).contains(&height) && depth > 0 && steps % depth == 0, "a band's shape");
         let bands = across.div_ceil(height);
@@ -477,6 +466,14 @@ impl<'a> BandView<'a> {
         &self.words[b * self.steps..][..self.steps]
     }
 
+    /// Every kept value of band `b`, step by step: its tiles' steps index
+    /// into it ([`TileView::step_range`]).
+    #[inline(always)]
+    pub fn band_values(&self, b: usize) -> &'a [f16] {
+        let end = self.starts[b * (self.steps + 1) + self.steps] as usize;
+        &self.values[self.bases[b]..][..end]
+    }
+
     /// Tile `t` of band `b`, or `None` if it is empty.
     #[inline(always)]
     pub fn tile(&self, b: usize, t: usize) -> Option<TileView<'a>> {
@@ -497,7 +494,7 @@ pub struct TileView<'a> {
     height: usize,
     words: &'a [u64],
     starts: &'a [u32],
-    values: &'a [f32],
+    values: &'a [f16],
 }
 
 impl<'a> TileView<'a> {
@@ -513,10 +510,18 @@ impl<'a> TileView<'a> {
         self.words
     }
 
-    /// The kept values of step `k`, one per set bit of its word, ascending.
+    /// The kept values of step `k`, one per set bit of its word, ascending,
+    /// as stored: halves.
     #[inline(always)]
-    pub fn step_values(self, k: usize) -> &'a [f32] {
-        &self.values[self.starts[k] as usize..self.starts[k + 1] as usize]
+    pub fn step_values(self, k: usize) -> &'a [f16] {
+        &self.values[self.step_range(k)]
+    }
+
+    /// Where step `k`'s values lie in its band's
+    /// ([`BandView::band_values`]).
+    #[inline(always)]
+    pub fn step_range(self, k: usize) -> std::ops::Range<usize> {
+        self.starts[k] as usize..self.starts[k + 1] as usize
     }
 }
 
@@ -526,9 +531,20 @@ mod tests {
     use crate::bitmap::BitmapMatrix;
     use dsstc_tensor::SparsityPattern;
 
+    /// A random operand its encoding holds exactly: every value a half.
+    fn halves(
+        rows: usize,
+        cols: usize,
+        sparsity: f64,
+        pattern: SparsityPattern,
+        seed: u64,
+    ) -> Matrix {
+        Matrix::random_sparse(rows, cols, sparsity, pattern, seed).to_f16_precision()
+    }
+
     #[test]
     fn encode_decode_roundtrip_exact_tiles() {
-        let dense = Matrix::random_sparse(64, 96, 0.7, SparsityPattern::Uniform, 21);
+        let dense = halves(64, 96, 0.7, SparsityPattern::Uniform, 21);
         let enc = TwoLevelBitmapMatrix::encode(&dense, 32, 32, VectorLayout::ColumnMajor);
         assert_eq!(enc.grid_rows(), 2);
         assert_eq!(enc.grid_cols(), 3);
@@ -539,7 +555,7 @@ mod tests {
     #[test]
     fn encode_decode_roundtrip_ragged_tiles() {
         // 50x70 with 32x32 tiles: ragged right and bottom edges.
-        let dense = Matrix::random_sparse(50, 70, 0.8, SparsityPattern::Uniform, 22);
+        let dense = halves(50, 70, 0.8, SparsityPattern::Uniform, 22);
         let enc = TwoLevelBitmapMatrix::encode(&dense, 32, 32, VectorLayout::RowMajor);
         assert_eq!(enc.grid_rows(), 2);
         assert_eq!(enc.grid_cols(), 3);
@@ -581,14 +597,18 @@ mod tests {
     }
 
     /// `tile`'s step words and values against `want`, the single-matrix
-    /// encoding of the same tile.
+    /// encoding of the same tile (of halves), each half widened.
     fn assert_tile_is(tile: TileView<'_>, want: &BitmapMatrix, context: &str) {
         assert_eq!(tile.words().len(), want.vector_count(), "{context}");
         for (k, &word) in tile.words().iter().enumerate() {
             assert_eq!(word, want.vector_word(k), "{context}: word {k}");
             let (got, want) = (tile.step_values(k), want.vector_values(k));
             let same = got.len() == want.len()
-                && got.iter().zip(want).all(|(g, w)| g == w || (g.is_nan() && w.is_nan()));
+                && got
+                    .iter()
+                    .map(|g| g.to_f32())
+                    .zip(want)
+                    .all(|(g, &w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()));
             assert!(same, "{context}: values {k}: {got:?} vs {want:?}");
         }
     }
@@ -597,7 +617,7 @@ mod tests {
     fn tile_encoding_matches_direct_tile_encode() {
         // Every tile of both layouts, the ragged edge tiles zero-padded, is
         // what the single-matrix encoder stores for that tile alone.
-        let dense = Matrix::random_sparse(70, 50, 0.5, SparsityPattern::Uniform, 30);
+        let dense = halves(70, 50, 0.5, SparsityPattern::Uniform, 30);
         for layout in [VectorLayout::ColumnMajor, VectorLayout::RowMajor] {
             let enc = TwoLevelBitmapMatrix::encode(&dense, 32, 16, layout);
             for (tr, tc) in (0..3).flat_map(|tr| (0..4).map(move |tc| (tr, tc))) {
@@ -610,7 +630,8 @@ mod tests {
 
     #[test]
     fn fused_f16_encode_matches_rounding_then_encoding() {
-        // Random values at mixed magnitudes, plus every boundary the fused
+        // The encoder's rounding against rounding the matrix first: random
+        // values at mixed magnitudes, plus every boundary the fused
         // threshold has to get right: exactly 2^-24 (smallest FP16
         // subnormal, kept), just below (flushed to zero, bit must clear),
         // 2^-25 (flushed), negatives of each, signed zeros, values past the
@@ -636,7 +657,7 @@ mod tests {
         }
         let rounded = dense.to_f16_precision();
         for layout in [VectorLayout::ColumnMajor, VectorLayout::RowMajor] {
-            let fused = TwoLevelBitmapMatrix::encode_f16(&dense, 16, 16, layout);
+            let fused = TwoLevelBitmapMatrix::encode(&dense, 16, 16, layout);
             let reference = TwoLevelBitmapMatrix::encode(&rounded, 16, 16, layout);
             // NaN breaks PartialEq on values; compare structure and bits.
             assert_eq!(fused.warp_bitmap(), reference.warp_bitmap(), "{layout:?}");
@@ -660,7 +681,7 @@ mod tests {
 
     #[test]
     fn block_uneven_distribution_produces_skippable_tiles_at_high_sparsity() {
-        let dense = Matrix::random_sparse(256, 256, 0.99, SparsityPattern::BlockUneven, 5);
+        let dense = halves(256, 256, 0.99, SparsityPattern::BlockUneven, 5);
         let enc = TwoLevelBitmapMatrix::encode(&dense, 32, 32, VectorLayout::ColumnMajor);
         // Not a strict guarantee, but at 99% sparsity with uneven blocks some
         // whole 32x32 tiles should be empty with overwhelming probability.

@@ -3,8 +3,8 @@
 //! An [`Arena`] holds a column-condensed operand the way
 //! [`super::word::run_bands`] consumes it, in four buffers whatever the tile
 //! count: per band (`warp_m` rows) and outer-product step one packed column
-//! word and one `u32` start, the values rounded to FP16 storage precision,
-//! and per band the base offset of its value segment. A step's starts count
+//! word and one `u32` start, the values as FP16 halves, and per band the
+//! base offset of its value segment. A step's starts count
 //! from its band's base, so bands are independent, and any producer that can
 //! hand [`Emitter`] row-major blocks of columns in ascending order can write
 //! one — the output pass of a layer, and a dense matrix. It is the weights'
@@ -64,7 +64,8 @@ pub(super) struct Arena {
     starts: Vec<u32>,
     /// Band `im`'s segment starts at `bases[im]`.
     bases: Vec<usize>,
-    values: Vec<f32>,
+    /// Every kept value, rounded to a half as it is emitted.
+    values: Vec<f16>,
 }
 
 impl Arena {
@@ -125,8 +126,8 @@ impl Arena {
 /// [`BitmapSpGemm::encode_a`](super::BitmapSpGemm::encode_a) builds it and
 /// [`BitmapSpGemm::execute_encoded`](super::BitmapSpGemm::execute_encoded)
 /// reads it: per `warp_m`-row band and outer-product step one packed column
-/// word, the column-condensed non-zeros rounded to FP16 storage precision,
-/// in a handful of buffers whatever the tile count. It owns its buffers and
+/// word, the column-condensed non-zeros stored as FP16 halves, in a handful
+/// of buffers whatever the tile count. It owns its buffers and
 /// shares none with the kernel, so it can be kept, executed any number of
 /// times and sent to another thread.
 ///
@@ -160,7 +161,7 @@ impl EncodedA {
         a.starts = vec![0; grid_m * (a.steps + 1)];
         a.bases = vec![0; grid_m];
         // Slack for what the tile compaction stores past the last kept value.
-        a.values = vec![0.0; nnz + TILE_ROWS];
+        a.values = vec![f16::ZERO; nnz + TILE_ROWS];
         simd::encode(level, &mut Emitter::new(&mut a, false), dense);
         a.values.truncate(nnz);
         debug_assert!(
@@ -187,7 +188,7 @@ impl EncodedA {
         self.arena.values.len()
     }
 
-    /// The dense operand it encodes, values as stored (FP16-rounded).
+    /// The dense operand it encodes, values as stored (halves, widened).
     pub fn decode(&self) -> Matrix {
         let a = self.bands();
         let (wm, wk) = a.tile_shape();
@@ -198,7 +199,7 @@ impl EncodedA {
                 for (k, &word) in tile.words().iter().enumerate() {
                     let (c, mut bits) = (kk * wk + k, word);
                     for &v in tile.step_values(k) {
-                        dense[(im * wm + bits.trailing_zeros() as usize, c)] = v;
+                        dense[(im * wm + bits.trailing_zeros() as usize, c)] = v.to_f32();
                         bits &= bits - 1;
                     }
                 }
@@ -216,8 +217,8 @@ impl EncodedA {
 /// Writes the bands of an [`Arena`], in turn: a band is `block`s of adjacent
 /// columns from column 0 up, then `end_band`. What it keeps, and what it
 /// stores for a kept value, is the formats encoder's
-/// (`TwoLevelBitmapMatrix::encode_f16`) of the (ReLU'd) block, bit for bit:
-/// the keep test is [`f16::survives`], the stored value [`f16::round_f32`].
+/// (`TwoLevelBitmapMatrix::encode`) of the (ReLU'd) block, bit for bit: the
+/// keep test is [`f16::survives`], the stored value [`f16::from_f32`].
 pub(super) struct Emitter<'a> {
     arena: &'a mut Arena,
     relu: bool,
@@ -260,7 +261,7 @@ impl<'a> Emitter<'a> {
 
     /// Band `band`'s steps, starts (one more) and values from its base on.
     #[inline(always)]
-    fn band_mut(&mut self, band: usize) -> (&mut [u64], &mut [u32], &mut [f32]) {
+    fn band_mut(&mut self, band: usize) -> (&mut [u64], &mut [u32], &mut [f16]) {
         let Arena { steps, words, starts, bases, values, .. } = &mut *self.arena;
         let steps = *steps;
         (
@@ -338,14 +339,14 @@ fn emit_column<const RELU: bool>(
     acc: &[f32],
     width: usize,
     c: usize,
-    values: &mut [f32],
+    values: &mut [f16],
     kept: &mut usize,
 ) -> u64 {
     let mut word = 0u64;
     for (r, row) in acc.chunks_exact(width).enumerate() {
         let x = if RELU { row[c].max(0.0) } else { row[c] };
         if f16::survives(x) {
-            values[*kept] = f16::round_f32(x);
+            values[*kept] = f16::from_f32(x);
             *kept += 1;
             word |= 1 << r;
         }
@@ -363,7 +364,8 @@ fn emit_column<const RELU: bool>(
 /// row at a time and stored a value at a time, so the work scales with the
 /// live rows. The strided walk of [`emit_column`] with a rounding call per
 /// element made the fused forward slower than the unfused one; this is what
-/// pays for the fusion.
+/// pays for the fusion. The compaction narrows the rounded values to the
+/// halves the arena stores, which is exact.
 ///
 /// Returns `false`, having written nothing to the arena, when the tile holds
 /// a magnitude the branch-free rounding does not cover (overflow, infinity,
@@ -373,7 +375,7 @@ fn emit_tile<L: Lanes, const RELU: bool>(
     acc: &[f32],
     (width, c0): (usize, usize),
     tile: &mut [[f32; TILE_ROWS]; TILE_COLS],
-    (words, starts, values): (&mut [u64], &mut [u32], &mut [f32]),
+    (words, starts, values): (&mut [u64], &mut [u32], &mut [f16]),
     kept: &mut usize,
 ) -> bool {
     let live = acc.len() / width;

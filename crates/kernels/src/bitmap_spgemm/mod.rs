@@ -450,11 +450,11 @@ impl BitmapSpGemm {
 
     /// Encodes the A (activation) operand of an SpGEMM for this kernel's
     /// warp tiling: per `warp_m`-row band and outer-product step one packed
-    /// column word, the column-condensed values rounded to FP16 storage
-    /// precision as they are encoded. It is written by the emitter the fused
+    /// column word, the column-condensed values rounded to FP16 halves as
+    /// they are encoded. It is written by the emitter the fused
     /// [`Self::forward`] encodes its input with, holds only its non-zeros,
     /// and stores bit for bit what
-    /// `TwoLevelBitmapMatrix::encode_f16(a, warp_m, warp_k, VectorLayout::ColumnMajor)`
+    /// `TwoLevelBitmapMatrix::encode(a, warp_m, warp_k, VectorLayout::ColumnMajor)`
     /// does, in a constant few allocations whatever the tile count. Like
     /// [`Self::execute_encoded`], it runs at the widest vector level the CPU
     /// has, chosen once per call.
@@ -471,14 +471,14 @@ impl BitmapSpGemm {
 
     /// Encodes the B (weight) operand of an SpGEMM into the two-level bitmap
     /// layout this kernel's warp tiling expects (row-major condensed
-    /// vectors, `warp_k x warp_n` tiles), rounding values to FP16 storage
-    /// precision as it encodes.
+    /// vectors, `warp_k x warp_n` tiles), storing values as the FP16 halves
+    /// they round to.
     ///
     /// A model-serving stack encodes its pruned weights once with this and
     /// reuses the encoding across requests (the paper encodes weights
     /// offline for the same reason).
     pub fn encode_b(&self, b: &Matrix) -> TwoLevelBitmapMatrix {
-        TwoLevelBitmapMatrix::encode_f16(
+        TwoLevelBitmapMatrix::encode(
             b,
             self.tiling.warp_k,
             self.tiling.warp_n,
@@ -562,7 +562,7 @@ impl BitmapSpGemm {
     /// The retained scalar reference for [`Self::execute_encoded`], which the
     /// differential tests and the `benchmark/` harness call: `a_enc` decoded,
     /// re-encoded by the formats encoder
-    /// (`TwoLevelBitmapMatrix::encode_f16(.., VectorLayout::ColumnMajor)`)
+    /// (`TwoLevelBitmapMatrix::encode(.., VectorLayout::ColumnMajor)`)
     /// and run through the straightforward per-position loop over
     /// [`warp_spgemm`]. Not part of the API.
     ///
@@ -574,7 +574,7 @@ impl BitmapSpGemm {
         self.validate_encoded(a_enc, b_enc);
         let (wm, wk) = self.tiling.a_tile();
         let a_enc =
-            TwoLevelBitmapMatrix::encode_f16(&a_enc.decode(), wm, wk, VectorLayout::ColumnMajor);
+            TwoLevelBitmapMatrix::encode(&a_enc.decode(), wm, wk, VectorLayout::ColumnMajor);
         self.scalar_product(&a_enc, b_enc)
     }
 
@@ -836,7 +836,7 @@ mod tests {
     /// encoder it shares no code with.
     fn reference(k: &BitmapSpGemm, a: &Matrix, b_enc: &TwoLevelBitmapMatrix) -> Matrix {
         let (wm, wk) = k.tiling().a_tile();
-        let a_enc = TwoLevelBitmapMatrix::encode_f16(a, wm, wk, VectorLayout::ColumnMajor);
+        let a_enc = TwoLevelBitmapMatrix::encode(a, wm, wk, VectorLayout::ColumnMajor);
         k.scalar_product(&a_enc, b_enc)
     }
 
@@ -1348,7 +1348,7 @@ mod tests {
     fn word_path_rejects_a_column_major_b_operand_on_a_square_tiling() {
         let k = BitmapSpGemm::for_device(GpuConfig::a100());
         let (a, b) = (random(32, 32, 0.5, 33), random(32, 32, 0.5, 34));
-        let b = TwoLevelBitmapMatrix::encode_f16(&b, 32, 32, VectorLayout::ColumnMajor);
+        let b = TwoLevelBitmapMatrix::encode(&b, 32, 32, VectorLayout::ColumnMajor);
         let _ = k.execute_encoded(&k.encode_a(&a), &b);
     }
 
@@ -1797,8 +1797,7 @@ mod tests {
                 for tiling in tilings {
                     let k = kernel().with_tiling(tiling);
                     let (wm, wk) = k.tiling().a_tile();
-                    let want =
-                        TwoLevelBitmapMatrix::encode_f16(&a, wm, wk, VectorLayout::ColumnMajor);
+                    let want = TwoLevelBitmapMatrix::encode(&a, wm, wk, VectorLayout::ColumnMajor);
                     for level in SimdLevel::available() {
                         let got = k.encode_a_at(&a, level);
                         let context = format!("{rows}x{cols} at {sparsity}, {wm}x{wk}, {level:?}");
@@ -1903,7 +1902,7 @@ mod tests {
     #[should_panic(expected = "B operand encoding (32x16 tiles, ColumnMajor) does not match")]
     fn forward_rejects_a_layer_in_the_a_layout() {
         let k = kernel();
-        let w = TwoLevelBitmapMatrix::encode_f16(
+        let w = TwoLevelBitmapMatrix::encode(
             &random(8, 8, 0.5, 127),
             32,
             16,

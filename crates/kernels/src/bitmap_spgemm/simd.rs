@@ -5,15 +5,20 @@
 //! transposed) once, and [`super::arena`] the emitter (the A encode),
 //! over a small lane type ([`Lanes`]: one vector register of `f32`s). This
 //! module owns the lane types — a plain array for the baseline, `__m256`
-//! for AVX2, `__m512` for AVX-512F+VL — and instantiates the loops per
-//! level under `#[target_feature]`: the band loop (whose sink may be the
-//! emitter or the transposed rows, which it hands its lane type), the
+//! for AVX2+F16C, `__m512` for AVX-512F+VL+BW — and instantiates the loops
+//! per level under `#[target_feature]`: the band loop (whose sink may be
+//! the emitter or the transposed rows, which it hands its lane type), the
 //! expansion, the dense-operand encode and the survivor count that sizes
-//! an owned A operand before it. AVX-512 overrides three lane ops with an
-//! instruction the other levels lack: a row is decoded with `vexpandps`, an
-//! emitter column compacted with `vcompressps`, survivors counted with a
-//! compare mask and `popcnt`; AVX2 and AVX-512 transpose a square of lanes
-//! in registers (the transposing sink's blocks, the emitter's tiles). Lane
+//! an owned A operand before it. The operands' values are stored as FP16
+//! halves and computed on as `f32`: a lane type widens them
+//! ([`Lanes::widen`], [`Lanes::expand_row`]) and the emitter narrows the
+//! halves it keeps ([`Lanes::compress`]), with the conversion instructions
+//! (`vcvtph2ps` / `vcvtps2ph`) at AVX2 and AVX-512, and [`f16`]'s own at
+//! the baseline. AVX-512 overrides three lane ops with an instruction the
+//! other levels lack: a row is decoded with `vexpandps`, an emitter column
+//! compacted with `vcompressps`, survivors counted with a compare mask and
+//! `popcnt`; AVX2 and AVX-512 transpose a square of lanes in registers
+//! (the transposing sink's blocks, the emitter's tiles). Lane
 //! helpers that only shuffle registers loop a constant number of times
 //! rather than build arrays with `std::array::from_fn`, whose closure LLVM
 //! may outline, intrinsics and all, into a function compiled without the
@@ -66,11 +71,12 @@ impl Isa {
         match self {
             Isa::Baseline => true,
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => is_x86_feature_detected!("avx2"),
+            Isa::Avx2 => is_x86_feature_detected!("avx2") && is_x86_feature_detected!("f16c"),
             #[cfg(target_arch = "x86_64")]
             Isa::Avx512 => {
                 is_x86_feature_detected!("avx512f")
                     && is_x86_feature_detected!("avx512vl")
+                    && is_x86_feature_detected!("avx512bw")
                     && is_x86_feature_detected!("popcnt")
             }
         }
@@ -117,6 +123,13 @@ pub(super) trait Lanes: Copy {
 
     fn splat(x: f32) -> Self;
 
+    /// [`Self::splat`] of `h` widened, for a loop that broadcasts a step's
+    /// few values one at a time: the widen rides on the broadcast.
+    #[inline(always)]
+    fn splat_half(h: f16) -> Self {
+        Self::splat(h.to_f32())
+    }
+
     /// The first [`Self::N`] values of `src`.
     ///
     /// # Panics
@@ -133,19 +146,38 @@ pub(super) trait Lanes: Copy {
     /// never a fused multiply-add.
     fn mac(self, x: Self, acc: Self) -> Self;
 
-    /// Decodes one condensed B row: `dst[c]` becomes the next of `vals` for
-    /// every set bit `c` of `word`, ascending, and `0.0` for every clear
-    /// one.
+    /// Widens the halves of `src` into the front of `dst`, exactly
+    /// ([`f16::to_f32`]): a band's values into the row its steps then read.
+    /// What `dst` holds past them is unspecified: a level may store a whole
+    /// register over the last of them.
+    ///
+    /// # Panics
+    /// Panics if `dst` is shorter than `src` or its length is not a
+    /// multiple of [`Self::N`].
+    #[inline(always)]
+    fn widen(src: &[f16], dst: &mut [f32]) {
+        assert!(
+            src.len() <= dst.len() && dst.len().is_multiple_of(Self::N),
+            "whole registers of room"
+        );
+        for (d, h) in dst.iter_mut().zip(src) {
+            *d = h.to_f32();
+        }
+    }
+
+    /// Decodes one condensed B row: `dst[c]` becomes the next of `vals`,
+    /// widened, for every set bit `c` of `word`, ascending, and `0.0` for
+    /// every clear one.
     ///
     /// # Panics
     /// Panics if `vals` holds more values than `word` has set bits or a set
     /// bit is at or past `dst.len()`.
     #[inline(always)]
-    fn expand_row(word: u64, vals: &[f32], dst: &mut [f32]) {
+    fn expand_row(word: u64, vals: &[f16], dst: &mut [f32]) {
         dst.fill(0.0);
         let mut bits = word;
         for &v in vals {
-            dst[bits.trailing_zeros() as usize] = v;
+            dst[bits.trailing_zeros() as usize] = v.to_f32();
             bits &= bits - 1;
         }
     }
@@ -174,25 +206,34 @@ pub(super) trait Lanes: Copy {
             .sum()
     }
 
-    /// Compacts one column of an emitter tile: the values of `column` that
-    /// are not `0.0` go, in order, to the front of `dst`, and the returned
-    /// word has bit `r` set when `column[r]` was one of them. What `dst`
-    /// holds past them is unspecified.
+    /// Compacts one column of an emitter tile, whose values are all halves
+    /// (rounded already, so narrowing them is exact) or `+0.0`: the values
+    /// of `column` that are not `0.0` go, narrowed and in order, to the
+    /// front of `dst`, and the returned word has bit `r` set when
+    /// `column[r]` was one of them. What `dst` holds past them is
+    /// unspecified.
     ///
     /// # Panics
     /// Panics if `dst` is shorter than `column`.
     #[inline(always)]
-    fn compress(column: &[f32; TILE_ROWS], dst: &mut [f32]) -> u64 {
-        let dst = &mut dst[..TILE_ROWS];
-        let (mut bits, mut k) = (0u64, 0usize);
-        for (r, &v) in column.iter().enumerate() {
-            let keep = v != 0.0;
-            dst[k] = v;
-            k += usize::from(keep);
-            bits |= u64::from(keep) << r;
-        }
-        bits
+    fn compress(column: &[f32; TILE_ROWS], dst: &mut [f16]) -> u64 {
+        compact(column, |r| f16::from_f32(column[r]), dst)
     }
+}
+
+/// [`Lanes::compress`] a value at a time, `half(r)` being `column[r]`
+/// narrowed.
+#[inline(always)]
+fn compact(column: &[f32; TILE_ROWS], half: impl Fn(usize) -> f16, dst: &mut [f16]) -> u64 {
+    let dst = &mut dst[..TILE_ROWS];
+    let (mut bits, mut k) = (0u64, 0usize);
+    for (r, &v) in column.iter().enumerate() {
+        let keep = v != 0.0;
+        dst[k] = half(r);
+        k += usize::from(keep);
+        bits |= u64::from(keep) << r;
+    }
+    bits
 }
 
 /// The portable lane type: a plain array one native tile wide, which LLVM
@@ -242,7 +283,8 @@ impl Lanes for Ymm {
     fn splat(x: f32) -> Self {
         // SAFETY: needs AVX. `Ymm` is named only by the `*_avx2` functions
         // below, which run only under a `Level` that `Level::available()`
-        // built after `is_x86_feature_detected!("avx2")` returned true.
+        // built after `is_x86_feature_detected!` returned true for `avx2`
+        // and `f16c`.
         Ymm(unsafe { _mm256_set1_ps(x) })
     }
 
@@ -268,6 +310,74 @@ impl Lanes for Ymm {
         Ymm(unsafe { _mm256_add_ps(acc.0, _mm256_mul_ps(x.0, self.0)) })
     }
 
+    /// `vcvtph2ps` per eight halves, and per half of the ragged tail.
+    #[inline(always)]
+    fn widen(src: &[f16], dst: &mut [f32]) {
+        assert!(src.len() <= dst.len() && dst.len().is_multiple_of(8), "whole registers of room");
+        let dst = &mut dst[..src.len()];
+        let chunks = src.chunks_exact(8);
+        let (tail, whole) = (chunks.remainder(), src.len() / 8 * 8);
+        for (halves, out) in chunks.zip(dst.chunks_exact_mut(8)) {
+            // SAFETY: `halves` is eight readable halves (`chunks_exact`),
+            // which `#[repr(transparent)]` lays out as eight `u16`s, and
+            // `out` eight writable `f32`s; both accesses are unaligned.
+            // F16C and AVX as in `splat` (`Level::available()`).
+            unsafe {
+                let h = _mm_loadu_si128(halves.as_ptr().cast());
+                _mm256_storeu_ps(out.as_mut_ptr(), _mm256_cvtph_ps(h));
+            }
+        }
+        for (d, &h) in dst[whole..].iter_mut().zip(tail) {
+            *d = widen_one(h);
+        }
+    }
+
+    /// The bit-walk scatter, its values widened eight at a time by one
+    /// `vcvtph2ps` into a register's worth of stack, the ragged tail a half
+    /// at a time.
+    #[inline(always)]
+    fn expand_row(word: u64, vals: &[f16], dst: &mut [f32]) {
+        dst.fill(0.0);
+        let mut bits = word;
+        let mut put = |v: f32| {
+            dst[bits.trailing_zeros() as usize] = v;
+            bits &= bits - 1;
+        };
+        let chunks = vals.chunks_exact(8);
+        let tail = chunks.remainder();
+        for halves in chunks {
+            let mut wide = [0.0f32; 8];
+            // SAFETY: `halves` is eight readable halves (`chunks_exact`),
+            // laid out as `u16`s (`#[repr(transparent)]`), and `wide` eight
+            // writable `f32`s; both accesses are unaligned. F16C and AVX as
+            // in `splat` (`Level::available()`).
+            unsafe {
+                let h = _mm_loadu_si128(halves.as_ptr().cast());
+                _mm256_storeu_ps(wide.as_mut_ptr(), _mm256_cvtph_ps(h));
+            }
+            wide.into_iter().for_each(&mut put);
+        }
+        tail.iter().for_each(|&h| put(widen_one(h)));
+    }
+
+    /// The column narrowed with `vcvtps2ph` onto the stack, exactly (every
+    /// value is a half), then compacted a value at a time.
+    #[inline(always)]
+    fn compress(column: &[f32; TILE_ROWS], dst: &mut [f16]) -> u64 {
+        let mut halves = [f16::ZERO; TILE_ROWS];
+        for (rows, out) in column.chunks_exact(8).zip(halves.chunks_exact_mut(8)) {
+            // SAFETY: `rows` is eight readable `f32`s and `out` eight
+            // writable halves (`chunks_exact`), laid out as `u16`s
+            // (`#[repr(transparent)]`); both accesses are unaligned. F16C
+            // and AVX as in `splat` (`Level::available()`).
+            unsafe {
+                let h = _mm256_cvtps_ph::<NEAREST>(_mm256_loadu_ps(rows.as_ptr()));
+                _mm_storeu_si128(out.as_mut_ptr().cast(), h);
+            }
+        }
+        compact(column, |r| halves[r], dst)
+    }
+
     /// Eight row loads, the 24 shuffles of an 8 x 8 transpose in registers,
     /// eight column stores.
     #[inline(always)]
@@ -282,6 +392,16 @@ impl Lanes for Ymm {
             Ymm(col).store(&mut dst[c * dst_stride..]);
         }
     }
+}
+
+/// `h` widened by F16C's `vcvtph2ps` on the low lane of an `xmm` register:
+/// the branch-free [`f16::to_f32`] for a lone value.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn widen_one(h: f16) -> f32 {
+    // SAFETY: needs F16C, which every caller, a `Ymm` lane op, has as in
+    // `Ymm::splat` (`Level::available()`); register-only.
+    unsafe { _mm_cvtss_f32(_mm_cvtph_ps(_mm_cvtsi32_si128(i32::from(h.to_bits())))) }
 }
 
 /// `r` (eight rows) transposed. Each step interleaves what the one before
@@ -336,8 +456,8 @@ impl Lanes for Zmm {
         // SAFETY: needs AVX-512F. `Zmm` is named only by the `*_avx512`
         // functions below (and compile-time width checks), which run only
         // under a `Level` that `Level::available()` built after
-        // `is_x86_feature_detected!` returned true for `avx512f`, `avx512vl`
-        // and `popcnt`.
+        // `is_x86_feature_detected!` returned true for `avx512f`, `avx512vl`,
+        // `avx512bw` and `popcnt`.
         Zmm(unsafe { _mm512_set1_ps(x) })
     }
 
@@ -364,10 +484,53 @@ impl Lanes for Zmm {
         Zmm(unsafe { _mm512_add_ps(acc.0, _mm512_mul_ps(x.0, self.0)) })
     }
 
-    /// `vexpandps`: sixteen columns per masked expand-load, zeros in the
-    /// clear lanes, so the row is written whole.
+    /// `vpbroadcastw` and `vcvtph2ps`, register to register.
     #[inline(always)]
-    fn expand_row(word: u64, vals: &[f32], dst: &mut [f32]) {
+    fn splat_half(h: f16) -> Self {
+        // SAFETY: AVX-512F, -VL and -BW as above (`Level::available()`);
+        // register-only.
+        Zmm(unsafe { _mm512_cvtph_ps(_mm256_set1_epi16(h.to_bits() as i16)) })
+    }
+
+    /// Per sixteen halves a load, `vcvtph2ps` and a store; the ragged tail
+    /// through a masked load (`vmovdqu16`), so that no half past `src` is
+    /// read, and a whole-register store.
+    #[inline(always)]
+    fn widen(src: &[f16], dst: &mut [f32]) {
+        assert!(src.len() <= dst.len() && dst.len().is_multiple_of(16), "whole registers of room");
+        let chunks = src.chunks_exact(16);
+        let tail = chunks.remainder();
+        let (whole, rest) = dst.split_at_mut(src.len() - tail.len());
+        for (halves, out) in chunks.zip(whole.chunks_exact_mut(16)) {
+            // SAFETY: `halves` is sixteen readable halves (`chunks_exact`),
+            // laid out as `u16`s (`#[repr(transparent)]`), and `out` sixteen
+            // writable `f32`s; both accesses are unaligned. AVX-512F as in
+            // `splat` (`Level::available()`).
+            unsafe {
+                let h = _mm256_loadu_si256(halves.as_ptr().cast());
+                _mm512_storeu_ps(out.as_mut_ptr(), _mm512_cvtph_ps(h));
+            }
+        }
+        if !tail.is_empty() {
+            let out = &mut rest[..16];
+            // SAFETY: the masked load reads the `tail.len()` low lanes,
+            // which are `tail`, and does not access the others; `out` is
+            // sixteen writable `f32`s (the slice above: `dst`'s length is a
+            // multiple of sixteen, and `tail` starts one) and the store is
+            // unaligned. AVX-512F, -VL and -BW as in `splat`
+            // (`Level::available()`).
+            unsafe {
+                let h = _mm256_maskz_loadu_epi16(low_lanes(tail.len()), tail.as_ptr().cast());
+                _mm512_storeu_ps(out.as_mut_ptr(), _mm512_cvtph_ps(h));
+            }
+        }
+    }
+
+    /// Per sixteen columns a masked load of their halves, `vcvtph2ps`, then
+    /// the register form of `vexpandps`, zeros in the clear lanes, so the
+    /// row is written whole.
+    #[inline(always)]
+    fn expand_row(word: u64, vals: &[f16], dst: &mut [f32]) {
         assert_eq!(vals.len(), word.count_ones() as usize, "one value per set bit");
         let used = 64 - word.leading_zeros() as usize;
         assert!((used..=64).contains(&dst.len()), "a row holds every set bit, in one word");
@@ -377,13 +540,16 @@ impl Lanes for Zmm {
             let (src, tail) = rest.split_at(mask.count_ones() as usize);
             rest = tail;
             let keep = u16::MAX >> (16 - chunk.len());
-            // SAFETY: `src` is one `f32` per set bit of `mask` (the
-            // `split_at` above), which is all the expand-load reads — it
-            // does not access masked-off lanes; the masked store writes the
-            // `chunk.len()` low lanes, which is all of `chunk` and no more.
-            // AVX-512F as in `splat` (`Level::available()`).
+            // SAFETY: the masked load reads the `src.len()` low lanes, one
+            // half per set bit of `mask` (the `split_at` above, laid out as
+            // `u16`s, `#[repr(transparent)]`), and does not access the
+            // others; the expand is register-only; the masked store writes
+            // the `chunk.len()` low lanes, which is all of `chunk` and no
+            // more. AVX-512F, -VL and -BW as in `splat`
+            // (`Level::available()`).
             unsafe {
-                let row = _mm512_maskz_expandloadu_ps(mask, src.as_ptr());
+                let h = _mm256_maskz_loadu_epi16(low_lanes(src.len()), src.as_ptr().cast());
+                let row = _mm512_maskz_expand_ps(mask, _mm512_cvtph_ps(h));
                 _mm512_mask_storeu_ps(chunk.as_mut_ptr(), keep, row);
             }
         }
@@ -406,24 +572,30 @@ impl Lanes for Zmm {
     }
 
     /// `vcompressps`: per sixteen rows one compare against zero (`!=` as
-    /// the default body has it, NaN included) and one masked compress-store.
+    /// the default body has it, NaN included), the register form of the
+    /// compress, `vcvtps2ph` (exact: every value is a half) and a masked
+    /// store of the kept halves.
     #[inline(always)]
-    fn compress(column: &[f32; TILE_ROWS], dst: &mut [f32]) -> u64 {
+    fn compress(column: &[f32; TILE_ROWS], dst: &mut [f16]) -> u64 {
         let dst = &mut dst[..TILE_ROWS];
         let (mut bits, mut n) = (0u64, 0usize);
         for (i, rows) in column.chunks_exact(16).enumerate() {
             let dst = &mut dst[n..];
             // SAFETY: `rows` is sixteen readable `f32`s (`chunks_exact`) and
-            // the load is unaligned. The compress-store writes one `f32` per
-            // set bit of `keep`, at most sixteen, contiguously from the start
-            // of `dst`; every earlier chunk kept at most sixteen, so `n` is
-            // at most `16 * i` and `dst`, which runs to the end of the
+            // the load is unaligned. The masked store writes one half per
+            // set bit of `keep`, at most sixteen, contiguously from the
+            // start of `dst` (halves are `u16`s, `#[repr(transparent)]`);
+            // every earlier chunk kept at most sixteen, so `n` is at most
+            // `16 * i` and `dst`, which runs to the end of the
             // `TILE_ROWS`-long slice above, has at least sixteen writable
-            // `f32`s. AVX-512F as in `splat` (`Level::available()`).
+            // halves. AVX-512F, -VL and -BW as in `splat`
+            // (`Level::available()`).
             let keep = unsafe {
                 let v = _mm512_loadu_ps(rows.as_ptr());
                 let keep = _mm512_cmpneq_ps_mask(v, _mm512_setzero_ps());
-                _mm512_mask_compressstoreu_ps(dst.as_mut_ptr(), keep, v);
+                let h = _mm512_cvtps_ph::<NEAREST>(_mm512_maskz_compress_ps(keep, v));
+                let kept = low_lanes(keep.count_ones() as usize);
+                _mm256_mask_storeu_epi16(dst.as_mut_ptr().cast(), kept, h);
                 keep
             };
             bits |= u64::from(keep) << (16 * i);
@@ -452,7 +624,7 @@ impl Lanes for Zmm {
             };
             n += kept.count_ones() as usize;
         }
-        let live = ((1u32 << tail.len()) - 1) as u16;
+        let live = low_lanes(tail.len());
         // SAFETY: the masked load reads the lanes set in `live`, the
         // `tail.len()` (fewer than sixteen) low ones, which are `tail`; it
         // does not access masked-off lanes. AVX-512F as in `splat`
@@ -469,6 +641,18 @@ impl Lanes for Zmm {
 /// subnormal.
 #[cfg(target_arch = "x86_64")]
 const LEAST_KEPT: f32 = 1.0 / 16_777_216.0;
+
+/// `vcvtps2ph`'s rounding: to nearest even. The emitter narrows only
+/// values that are halves already, which any rounding leaves as they are.
+#[cfg(target_arch = "x86_64")]
+const NEAREST: i32 = _MM_FROUND_TO_NEAREST_INT;
+
+/// The lane mask of the `n` (at most sixteen) low lanes.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn low_lanes(n: usize) -> u16 {
+    ((1u32 << n) - 1) as u16
+}
 
 /// `r` (sixteen rows) transposed: [`transpose_8x8`]'s two interleaving
 /// steps, after which `u[4 * q + j]` holds column `4 * l + j` of rows
@@ -526,8 +710,10 @@ unsafe fn transpose_16x16(r: [__m512; 16]) -> [__m512; 16] {
 // native-width tiles at AVX-512, 2 at AVX2 and 1 at the baseline; the second
 // type is the one-tile block that remainders run. `fma` is deliberately
 // absent from both feature lists (see the module docs); `popcnt` is there
-// for the expand-load's value cursor and the compress-store's, which are
-// otherwise fifteen instructions of bit-twiddling per sixteen lanes.
+// for the expand's value cursor and the compress's, which are otherwise
+// fifteen instructions of bit-twiddling per sixteen lanes; `f16c` for the
+// AVX2 conversions, and `avx512bw` for the masked loads and stores of
+// sixteen halves that keep the AVX-512 ones inside their slices.
 
 /// Native tiles in the widest block any level holds: AVX-512's.
 pub(super) const WIDEST_BLOCK_TILES: usize = 4;
@@ -549,27 +735,29 @@ pub(super) fn run_bands<S: Sink>(
     match level.0 {
         Isa::Baseline => word::run_bands::<S, [Portable; 1], [Portable; 1]>(gemm, sink, accs),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `run_bands_avx2` requires AVX2. A `Level` holding
-        // `Isa::Avx2` is built only by `Level::available()`, and only after
-        // `is_x86_feature_detected!("avx2")` returned true on this CPU.
+        // SAFETY: `run_bands_avx2` requires AVX2 and F16C. A `Level`
+        // holding `Isa::Avx2` is built only by `Level::available()`, and
+        // only after `is_x86_feature_detected!` returned true for `avx2` and
+        // `f16c` on this CPU.
         Isa::Avx2 => unsafe { run_bands_avx2(gemm, sink, accs) },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `run_bands_avx512` requires AVX-512F, AVX-512VL and
-        // POPCNT. A `Level` holding `Isa::Avx512` is built only by
-        // `Level::available()`, and only after `is_x86_feature_detected!`
-        // returned true for `avx512f`, `avx512vl` and `popcnt` on this CPU.
+        // SAFETY: `run_bands_avx512` requires AVX-512F, AVX-512VL,
+        // AVX-512BW and POPCNT. A `Level` holding `Isa::Avx512` is built
+        // only by `Level::available()`, and only after
+        // `is_x86_feature_detected!` returned true for `avx512f`,
+        // `avx512vl`, `avx512bw` and `popcnt` on this CPU.
         Isa::Avx512 => unsafe { run_bands_avx512(gemm, sink, accs) },
     }
 }
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,f16c")]
 fn run_bands_avx2<S: Sink>(gemm: &Gemm<'_>, sink: &mut S, accs: &mut CacheAligned) {
     word::run_bands::<S, [Ymm; 8], [Ymm; 4]>(gemm, sink, accs)
 }
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,popcnt")]
+#[target_feature(enable = "avx512f,avx512vl,avx512bw,popcnt")]
 fn run_bands_avx512<S: Sink>(gemm: &Gemm<'_>, sink: &mut S, accs: &mut CacheAligned) {
     word::run_bands::<S, [Zmm; 8], [Zmm; 2]>(gemm, sink, accs)
 }
@@ -605,36 +793,50 @@ pub(super) fn run_small_band<S: Sink>(
 ) {
     match level.0 {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `run_small_band_avx512` requires AVX-512F, AVX-512VL and
-        // POPCNT; as in `run_bands`, an `Isa::Avx512` level comes only from
-        // `Level::available()`, after all three feature checks passed.
+        // SAFETY: `run_small_band_avx512` requires AVX-512F, AVX-512VL,
+        // AVX-512BW and POPCNT; as in `run_bands`, an `Isa::Avx512` level
+        // comes only from `Level::available()`, after all four feature
+        // checks passed.
         Isa::Avx512 => unsafe { run_small_band_avx512(a, b, sink) },
         _ => panic!("{} has no small-band body", level.name()),
     }
 }
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,popcnt")]
+#[target_feature(enable = "avx512f,avx512vl,avx512bw,popcnt")]
 fn run_small_band_avx512<S: Sink>(a: BandView<'_>, b: BandView<'_>, sink: &mut S) {
     word::run_small_band::<S, Zmm, 2, SMALL_ROWS>(a, b, sink)
 }
 
 /// [`word::expand`] compiled for `level`. Only AVX-512 has an expand
-/// instruction; the other levels share the bit-walk scatter, which no vector
-/// width helps.
+/// instruction; the other levels scatter a row's values a bit at a time,
+/// widened a register at a time at AVX2 and a value at a time at the
+/// baseline.
 pub(super) fn expand(level: Level, src: BandView<'_>, b: &mut ExpandedB) {
     match level.0 {
+        Isa::Baseline => word::expand::<Portable>(src, b),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `expand_avx512` requires AVX-512F, AVX-512VL and POPCNT;
-        // as in `run_bands`, an `Isa::Avx512` level comes only from
-        // `Level::available()`, after all three feature checks passed.
+        // SAFETY: `expand_avx2` requires AVX2 and F16C; as in `run_bands`,
+        // an `Isa::Avx2` level comes only from `Level::available()`, after
+        // both feature checks passed.
+        Isa::Avx2 => unsafe { expand_avx2(src, b) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `expand_avx512` requires AVX-512F, AVX-512VL,
+        // AVX-512BW and POPCNT; as in `run_bands`, an `Isa::Avx512` level
+        // comes only from `Level::available()`, after all four feature
+        // checks passed.
         Isa::Avx512 => unsafe { expand_avx512(src, b) },
-        _ => word::expand::<Portable>(src, b),
     }
 }
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,popcnt")]
+#[target_feature(enable = "avx2,f16c")]
+fn expand_avx2(src: BandView<'_>, b: &mut ExpandedB) {
+    word::expand::<Ymm>(src, b)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vl,avx512bw,popcnt")]
 fn expand_avx512(src: BandView<'_>, b: &mut ExpandedB) {
     word::expand::<Zmm>(src, b)
 }
@@ -645,26 +847,27 @@ pub(super) fn encode(level: Level, emitter: &mut Emitter<'_>, dense: &Matrix) {
     match level.0 {
         Isa::Baseline => emitter.encode::<Portable>(dense),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `encode_avx2` requires AVX2; as in `run_bands`, an
-        // `Isa::Avx2` level comes only from `Level::available()`, after the
-        // feature check passed.
+        // SAFETY: `encode_avx2` requires AVX2 and F16C; as in
+        // `run_bands`, an `Isa::Avx2` level comes only from
+        // `Level::available()`, after both feature checks passed.
         Isa::Avx2 => unsafe { encode_avx2(emitter, dense) },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `encode_avx512` requires AVX-512F, AVX-512VL and POPCNT;
-        // as in `run_bands`, an `Isa::Avx512` level comes only from
-        // `Level::available()`, after all three feature checks passed.
+        // SAFETY: `encode_avx512` requires AVX-512F, AVX-512VL,
+        // AVX-512BW and POPCNT; as in `run_bands`, an `Isa::Avx512` level
+        // comes only from `Level::available()`, after all four feature
+        // checks passed.
         Isa::Avx512 => unsafe { encode_avx512(emitter, dense) },
     }
 }
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,f16c")]
 fn encode_avx2(emitter: &mut Emitter<'_>, dense: &Matrix) {
     emitter.encode::<Ymm>(dense)
 }
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,popcnt")]
+#[target_feature(enable = "avx512f,avx512vl,avx512bw,popcnt")]
 fn encode_avx512(emitter: &mut Emitter<'_>, dense: &Matrix) {
     emitter.encode::<Zmm>(dense)
 }
@@ -678,26 +881,27 @@ pub(super) fn survivors(level: Level, values: &[f32]) -> usize {
     match level.0 {
         Isa::Baseline => Portable::survivors(values),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `survivors_avx2` requires AVX2; as in `run_bands`, an
-        // `Isa::Avx2` level comes only from `Level::available()`, after the
-        // feature check passed.
+        // SAFETY: `survivors_avx2` requires AVX2 and F16C; as in
+        // `run_bands`, an `Isa::Avx2` level comes only from
+        // `Level::available()`, after both feature checks passed.
         Isa::Avx2 => unsafe { survivors_avx2(values) },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `survivors_avx512` requires AVX-512F, AVX-512VL and
-        // POPCNT; as in `run_bands`, an `Isa::Avx512` level comes only from
-        // `Level::available()`, after all three feature checks passed.
+        // SAFETY: `survivors_avx512` requires AVX-512F, AVX-512VL,
+        // AVX-512BW and POPCNT; as in `run_bands`, an `Isa::Avx512` level
+        // comes only from `Level::available()`, after all four feature
+        // checks passed.
         Isa::Avx512 => unsafe { survivors_avx512(values) },
     }
 }
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,f16c")]
 fn survivors_avx2(values: &[f32]) -> usize {
     Ymm::survivors(values)
 }
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,popcnt")]
+#[target_feature(enable = "avx512f,avx512vl,avx512bw,popcnt")]
 fn survivors_avx512(values: &[f32]) -> usize {
     Zmm::survivors(values)
 }

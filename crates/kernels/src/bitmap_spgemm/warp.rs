@@ -9,13 +9,15 @@
 //! tile from the step counts its bitmaps hold.
 
 use dsstc_formats::TileView;
-use dsstc_tensor::Matrix;
+use dsstc_tensor::{f16, Matrix};
 
 /// Functional warp-level SpGEMM: accumulates `A_tile * B_tile` into `acc`
 /// using the outer-product / gather-scatter formulation.
 ///
 /// `a_tile` is a tile of condensed columns (`M x K`: `K` steps of `M`
 /// bits), `b_tile` one of condensed rows (`K x N`), and `acc` is `M x N`.
+/// The tiles' values are halves, each step's widened once before its
+/// products (FP16 multiply, FP32 accumulate).
 ///
 /// # Panics
 /// Panics if the shapes are inconsistent.
@@ -24,9 +26,11 @@ pub fn warp_spgemm(a_tile: TileView<'_>, b_tile: TileView<'_>, acc: &mut Matrix)
     assert_eq!(acc.rows(), a_tile.height(), "accumulator rows mismatch");
     assert_eq!(acc.cols(), b_tile.height(), "accumulator cols mismatch");
 
+    let (mut a_row, mut b_row) = ([0.0f32; 64], [0.0f32; 64]);
     for (k, (&a_word, &b_word)) in a_tile.words().iter().zip(b_tile.words()).enumerate() {
         // Multiply-value: cross product of the condensed vectors.
-        let (a_values, b_values) = (a_tile.step_values(k), b_tile.step_values(k));
+        let a_values = widened(a_tile.step_values(k), &mut a_row);
+        let b_values = widened(b_tile.step_values(k), &mut b_row);
         // Merge: gather the previous partials, accumulate, scatter back. On
         // a dense accumulator the gather/scatter is the indexing itself.
         for (row, &av) in set_bits(a_word).zip(a_values) {
@@ -35,6 +39,15 @@ pub fn warp_spgemm(a_tile: TileView<'_>, b_tile: TileView<'_>, acc: &mut Matrix)
             }
         }
     }
+}
+
+/// `halves` widened into the front of `row`.
+fn widened<'r>(halves: &[f16], row: &'r mut [f32; 64]) -> &'r [f32] {
+    let row = &mut row[..halves.len()];
+    for (x, h) in row.iter_mut().zip(halves) {
+        *x = h.to_f32();
+    }
+    row
 }
 
 /// The positions of `word`'s set bits, ascending.
@@ -54,8 +67,8 @@ mod tests {
     use dsstc_sim::{GpuConfig, WorkloadProfile};
     use dsstc_tensor::{GemmShape, SparsityPattern};
 
-    /// One warp tile of each operand: `32 x k` and `k x 32`, dense, and as
-    /// the two-level encoder stores them.
+    /// One warp tile of each operand: `32 x k` and `k x 32`, dense (every
+    /// value a half, as stored), and as the two-level encoder stores them.
     fn encode_pair(
         sparsity_a: f64,
         sparsity_b: f64,
@@ -63,6 +76,7 @@ mod tests {
     ) -> (Matrix, Matrix, TwoLevelBitmapMatrix, TwoLevelBitmapMatrix) {
         let a = Matrix::random_sparse(32, k, sparsity_a, SparsityPattern::Uniform, 7);
         let b = Matrix::random_sparse(k, 32, sparsity_b, SparsityPattern::Uniform, 8);
+        let (a, b) = (a.to_f16_precision(), b.to_f16_precision());
         let a_enc = TwoLevelBitmapMatrix::encode(&a, 32, k, VectorLayout::ColumnMajor);
         let b_enc = TwoLevelBitmapMatrix::encode(&b, k, 32, VectorLayout::RowMajor);
         (a, b, a_enc, b_enc)

@@ -12,14 +12,16 @@
 //!
 //! One GEMM runs two phases over a condensed operand the loop reads where
 //! it lies, through a [`BandView`] (per band and step one word and one
-//! start): an [`Arena`]'s, or the weights' own.
+//! start): an [`Arena`]'s, or the weights' own. Both operands store their
+//! values as FP16 halves; every product and sum is `f32`, so a value is
+//! widened once, where it is first read — never per MAC.
 //!
 //! * **Expansion** ([`expand`]): every condensed row of the other operand is
-//!   decoded into one zero-padded dense row-major buffer (values and step
-//!   words: two buffers, whatever the tile count) — with the level's expand
-//!   instruction where it has one, a bit-walk scatter elsewhere. A step's
-//!   accumulation is then a contiguous `axpy`, while the step's packed word
-//!   still short-circuits empty steps and empty tiles.
+//!   widened and decoded into one zero-padded dense `f32` row-major buffer
+//!   (values and step words: two buffers, whatever the tile count) — with
+//!   the level's expand instruction where it has one, a bit-walk scatter
+//!   elsewhere. A step's accumulation is then a contiguous `axpy`, while the
+//!   step's packed word still short-circuits empty steps and empty tiles.
 //! * **Band loop** ([`run_bands`]): each output band (one `warp_m`-row
 //!   strip) walks `jn` in blocks of tile columns with `kk` innermost, and
 //!   one body ([`block_steps`]) runs every surviving step of a block: it
@@ -361,6 +363,10 @@ impl<L: Lanes, const V: usize> BlockRow for [L; V] {
 
     #[inline(always)]
     fn hold(b_row: &[f32]) -> Self {
+        // Sliced to the block first, so that the loop's trip count is `V`:
+        // LLVM then loads the registers, where over a trip count it cannot
+        // see it stages them through a `memcpy` call per step.
+        let b_row = &b_row[..V * L::N];
         let mut held = [L::splat(0.0); V];
         for (reg, src) in held.iter_mut().zip(b_row.chunks_exact(L::N)) {
             *reg = L::load(src);
@@ -402,6 +408,8 @@ impl BlockRow for InMemory {
 /// starts at tile `(kk, jn)`: for every step whose A word and block of B
 /// words are both non-empty, hold the block's B rows, walk the set A bits
 /// and `axpy` the rows into that row of `acc` (row-major, as wide as `R`).
+/// The step's A values are read from `a_values`, its band's values widened
+/// ([`TileView::step_range`]).
 ///
 /// A B row that is empty inside a surviving block contributes `av * 0.0`,
 /// which leaves every accumulator bit as it was; a non-finite `av` must not
@@ -410,6 +418,7 @@ impl BlockRow for InMemory {
 #[inline(always)]
 fn block_steps<R: BlockRow>(
     a_tile: TileView<'_>,
+    a_values: &[f32],
     b: &ExpandedB,
     (kk, jn): (usize, usize),
     acc: &mut [f32],
@@ -433,7 +442,7 @@ fn block_steps<R: BlockRow>(
             }
             let held = R::hold(b_row);
             let mut bits = a_words[k];
-            for &av in a_tile.step_values(k) {
+            for &av in &a_values[a_tile.step_range(k)] {
                 let r = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 let acc_row = &mut acc[r * width..(r + 1) * width];
@@ -458,8 +467,9 @@ fn block_steps<R: BlockRow>(
 }
 
 /// Executes every band of `gemm` into `sink`, with `accs` as the block
-/// accumulator: the bands in turn, or, for a sink that takes the blocks in
-/// turn ([`Sink::BLOCKS_IN_TURN`]), every band of one block before the next.
+/// accumulator and, behind it, the room for a band's values widened: the
+/// bands in turn, or, for a sink that takes the blocks in turn
+/// ([`Sink::BLOCKS_IN_TURN`]), every band of one block before the next.
 /// Tile columns are taken `Wide` at a time while that many remain and `One`
 /// (a single tile) at a time after that; when `Wide` is itself one tile the
 /// two are the same type.
@@ -484,33 +494,44 @@ pub(super) fn run_bands<S: Sink, Wide: BlockRow, One: BlockRow>(
             (b + wide * (wide_tiles - 1), false)
         }
     };
-    accs.reset(wm * Wide::width(wn));
-    let accs = accs.as_mut_slice();
+    // The band's values, widened at the level before its blocks run:
+    // streaming, so that no step waits on a conversion of its own.
+    let widest = (0..bands).map(|im| gemm.a.band_values(im).len()).max().unwrap_or(0);
+    let acc_len = wm * Wide::width(wn);
+    accs.reset(acc_len + widest.next_multiple_of(<Wide::Lanes as Lanes>::N));
+    let (accs, values) = accs.as_mut_slice().split_at_mut(acc_len);
+    let widen = |im: usize, values: &mut [f32]| {
+        let halves = gemm.a.band_values(im);
+        let values = &mut values[..halves.len().next_multiple_of(<Wide::Lanes as Lanes>::N)];
+        Wide::Lanes::widen(halves, values);
+    };
     if S::BLOCKS_IN_TURN {
         for b in 0..blocks {
             for im in 0..bands {
-                block_pass::<S, Wide, One>(gemm, sink, accs, im, block(b));
+                widen(im, values);
+                block_pass::<S, Wide, One>(gemm, sink, (accs, values), im, block(b));
             }
         }
         (0..bands).for_each(|im| sink.end_band(im));
     } else {
         for im in 0..bands {
+            widen(im, values);
             for b in 0..blocks {
-                block_pass::<S, Wide, One>(gemm, sink, accs, im, block(b));
+                block_pass::<S, Wide, One>(gemm, sink, (accs, values), im, block(b));
             }
             sink.end_band(im);
         }
     }
 }
 
-/// One block of [`run_bands`]: band `im` against the tile columns from `jb`
-/// on (`Wide` ones if `wide`, else one tile), accumulated in `accs` and
-/// handed to `sink`.
+/// One block of [`run_bands`]: band `im`, its values widened in
+/// `a_values`, against the tile columns from `jb` on (`Wide` ones if
+/// `wide`, else one tile), accumulated in `accs` and handed to `sink`.
 #[inline(always)]
 fn block_pass<S: Sink, Wide: BlockRow, One: BlockRow>(
     gemm: &Gemm<'_>,
     sink: &mut S,
-    accs: &mut [f32],
+    (accs, a_values): (&mut [f32], &[f32]),
     im: usize,
     (jb, wide): (usize, bool),
 ) {
@@ -523,9 +544,9 @@ fn block_pass<S: Sink, Wide: BlockRow, One: BlockRow>(
     for kk in 0..a.tiles() {
         let Some(a_tile) = a.tile(im, kk) else { continue };
         if wide {
-            block_steps::<Wide>(a_tile, b, (kk, jb), acc);
+            block_steps::<Wide>(a_tile, a_values, b, (kk, jb), acc);
         } else {
-            block_steps::<One>(a_tile, b, (kk, jb), acc);
+            block_steps::<One>(a_tile, a_values, b, (kk, jb), acc);
         }
     }
     sink.block::<Wide::Lanes>(im, jb * wn, width, acc);
@@ -538,7 +559,10 @@ fn block_pass<S: Sink, Wide: BlockRow, One: BlockRow>(
 /// held across every step; a step that survives both words decodes its B
 /// row with [`Lanes::expand_row`] into one row on the stack, and the row
 /// loop, a constant trip count over the A word's bits, unrolls, so each
-/// accumulator stays the register it is. Same products, added in the same
+/// accumulator stays the register it is. A step has at most `ROWS` A
+/// values, each broadcast once: it is widened as it is broadcast
+/// ([`Lanes::splat_half`]), which costs less than a round trip through a
+/// stack row (≈ 8 % of a 2-row forward at AVX-512). Same products, added in the same
 /// `k` order as [`block_steps`], so the same bits; a step with a non-finite
 /// `av` puts the block in memory for [`block_steps`]' walk.
 #[inline(always)]
@@ -571,8 +595,8 @@ pub(super) fn run_small_band<S: Sink, L: Lanes, const V: usize, const ROWS: usiz
                     continue;
                 }
                 L::expand_row(bw, b_tile.step_values(k), &mut b_row);
-                let values = a_tile.step_values(k);
-                if values.iter().all(|av| av.is_finite()) {
+                let halves = a_tile.step_values(k);
+                if halves.iter().all(|h| h.is_finite()) {
                     let mut held = [L::splat(0.0); V];
                     for (v, reg) in held.iter_mut().enumerate() {
                         *reg = L::load(&b_row[v * L::N..]);
@@ -580,7 +604,7 @@ pub(super) fn run_small_band<S: Sink, L: Lanes, const V: usize, const ROWS: usiz
                     let mut next = 0;
                     for (r, acc_row) in acc.iter_mut().enumerate() {
                         if aw >> r & 1 != 0 {
-                            let av = L::splat(values[next]);
+                            let av = L::splat_half(halves[next]);
                             next += 1;
                             for (acc, reg) in acc_row.iter_mut().zip(&held) {
                                 *acc = reg.mac(av, *acc);
@@ -592,7 +616,7 @@ pub(super) fn run_small_band<S: Sink, L: Lanes, const V: usize, const ROWS: usiz
                     // non-finite `av` meets only the set B bits.
                     spill(&acc, &mut out);
                     let mut bits = aw;
-                    for &av in values {
+                    for av in halves.iter().map(|h| h.to_f32()) {
                         let row = &mut out[bits.trailing_zeros() as usize];
                         bits &= bits - 1;
                         let mut cols = if av.is_finite() { u64::MAX >> (64 - wn) } else { bw };
@@ -631,7 +655,8 @@ pub(super) fn run_small_band<S: Sink, L: Lanes, const V: usize, const ROWS: usiz
 #[derive(Default)]
 struct Workspace {
     b: ExpandedB,
-    /// The band loop's block accumulator.
+    /// The band loop's block accumulator, and behind it a band of the
+    /// condensed operand's values, widened.
     accs: CacheAligned,
     /// A forward's source and destination operands, swapped per layer.
     arenas: [Arena; 2],
@@ -780,11 +805,13 @@ mod tests {
     #[test]
     fn expanded_b_is_the_padded_dense_operand_at_every_level() {
         // Rows 0..3 of every tile are an all-zero word, an all-one word and a
-        // single bit at either end; the rest are random. Widths cover one
+        // single bit at either end; the rest are random halves, which the
+        // expansion widens back exactly. Widths cover one
         // expand chunk, a partial one, the native two and the full four.
         for wn in [5, 16, 24, 32, 33, 64] {
             let (wk, k, n) = (8, 21, 3 * wn - 2);
-            let mut dense = Matrix::random_sparse(k, n, 0.6, SparsityPattern::Uniform, wn as u64);
+            let dense = Matrix::random_sparse(k, n, 0.6, SparsityPattern::Uniform, wn as u64);
+            let mut dense = dense.to_f16_precision();
             for c in 0..n {
                 dense[(0, c)] = 0.0;
                 dense[(1, c)] = 1.0 + c as f32;
@@ -820,8 +847,8 @@ mod tests {
     }
 
     /// `arena` against the formats encoder's column-major encoding of the
-    /// same operand: every step's column word and every step's values, bit
-    /// for bit (any NaN matching any NaN).
+    /// same operand: every step's column word and every step's halves, bit
+    /// for bit (both write one NaN).
     fn assert_arena_is(arena: BandView<'_>, want: &TwoLevelBitmapMatrix, context: &str) {
         let wk = want.tile_cols();
         assert_eq!((arena.count(), arena.tiles()), (want.grid_rows(), want.grid_cols()));
@@ -836,8 +863,7 @@ mod tests {
                     assert_eq!(words[kk * wk + k], word, "{context}: word ({im},{kk},{k})");
                     let (Some(got), Some(want)) = (got, want) else { continue };
                     let (got, want) = (got.step_values(k), want.step_values(k));
-                    let same = got.len() == want.len() && got.iter().zip(want).all(same_value);
-                    assert!(same, "{context}: values ({im},{kk},{k}): {got:?} vs {want:?}");
+                    assert_eq!(got, want, "{context}: values ({im},{kk},{k})");
                 }
             }
         }
@@ -879,8 +905,8 @@ mod tests {
         }
         let w = Matrix::random_sparse(kd, n, 0.6, SparsityPattern::Uniform, 32);
         for (wm, wn, wk) in [(32, 32, 16), (32, 24, 16), (16, 64, 8)] {
-            let x_want = TwoLevelBitmapMatrix::encode_f16(&x, wm, wk, VectorLayout::ColumnMajor);
-            let w_enc = TwoLevelBitmapMatrix::encode_f16(&w, wk, wn, VectorLayout::RowMajor);
+            let x_want = TwoLevelBitmapMatrix::encode(&x, wm, wk, VectorLayout::ColumnMajor);
+            let w_enc = TwoLevelBitmapMatrix::encode(&w, wk, wn, VectorLayout::RowMajor);
             for level in Level::available() {
                 let x_enc = EncodedA::encode(&x, (wm, wk), level);
                 let context = format!("{wm}x{wn}x{wk} {level:?}");
@@ -892,8 +918,7 @@ mod tests {
                 let y = execute(&x_enc, &w_enc, level);
                 for relu in [true, false] {
                     let y = if relu { y.relu() } else { y.clone() };
-                    let want =
-                        TwoLevelBitmapMatrix::encode_f16(&y, wm, wk, VectorLayout::ColumnMajor);
+                    let want = TwoLevelBitmapMatrix::encode(&y, wm, wk, VectorLayout::ColumnMajor);
                     let mut b = ExpandedB::default();
                     simd::expand(level, w_enc.bands(), &mut b);
                     let mut dst = Arena::default();
@@ -928,7 +953,7 @@ mod tests {
         ];
         for (i, (rows, cols, (wm, wk))) in batches.into_iter().enumerate() {
             let x = Matrix::random_sparse(rows, cols, 0.5, SparsityPattern::Uniform, 40 + i as u64);
-            let want = TwoLevelBitmapMatrix::encode_f16(&x, wm, wk, VectorLayout::ColumnMajor);
+            let want = TwoLevelBitmapMatrix::encode(&x, wm, wk, VectorLayout::ColumnMajor);
             for level in Level::available() {
                 arena.reset(rows, cols, (wm, wk));
                 arena.encode(&x, level);

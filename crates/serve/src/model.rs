@@ -156,18 +156,18 @@ mod tests {
     /// Per model, `serialize::checksum` of its layers' serialised weights
     /// (concatenated in layer order) after a fresh encode at proxy 64 on the
     /// V100 tiling: at the table's sparsities, then at a uniform 90 %.
-    /// Recorded at container format version 3 (the band-major payload); the
-    /// weights those bytes hold are [`DECODED_GOLDEN`]'s, unchanged since
-    /// version 2. A persisted artifact is trusted as if it were a fresh
+    /// Recorded at container format version 4 (the band-major payload, its
+    /// values FP16 halves); the weights those bytes hold are
+    /// [`DECODED_GOLDEN`]'s, unchanged since version 2. A persisted artifact is trusted as if it were a fresh
     /// encode, so a change to generation, pruning or encoding that moves one
     /// byte must move one of these.
     const GOLDEN: [(ModelId, u64, u64); 6] = [
-        (ModelId::Vgg16, 0x9628_3bc8_5152_6ecb, 0xbe37_efe1_fe41_c87f),
-        (ModelId::ResNet18, 0xc7a9_fe4f_a3a9_9646, 0x9c23_166f_0a64_f9bb),
-        (ModelId::ResNet50, 0x6d32_f093_aaeb_68c0, 0xda45_0817_9dd2_68ae),
-        (ModelId::MaskRcnn, 0x1bd8_894a_a436_7f65, 0x330b_daa7_8d35_12bc),
-        (ModelId::BertBase, 0x6cde_05b4_7e29_4f0d, 0xbfaf_e694_c34a_1483),
-        (ModelId::RnnLm, 0xedee_580d_a8f0_3170, 0x0ecd_10ec_db67_8fee),
+        (ModelId::Vgg16, 0x66b3_e28c_c7bb_12a0, 0x7a9c_8382_c59f_e9d7),
+        (ModelId::ResNet18, 0xea7a_48dd_c3d4_3ec8, 0x396c_6379_6e3d_419b),
+        (ModelId::ResNet50, 0x89d7_23ab_6f06_24ed, 0xdf78_20a5_c032_ed9c),
+        (ModelId::MaskRcnn, 0x5926_5fe8_964c_da04, 0x8d18_de45_4db7_dc79),
+        (ModelId::BertBase, 0x0903_bacd_9e8f_b024, 0x8ebf_a63f_e852_c969),
+        (ModelId::RnnLm, 0xa49c_80d2_56ad_bfc3, 0x5acd_1872_afef_fef5),
     ];
 
     #[test]
@@ -186,8 +186,9 @@ mod tests {
     /// Per model, as [`GOLDEN`], `serialize::checksum` of its layers'
     /// *decoded* weights (the dense `f32` bits, little-endian, concatenated
     /// in layer order). Independent of the container layout: recorded at
-    /// format version 2 and held unchanged by version 3, so a layout change
-    /// that moves one weight bit fails here, not just in [`GOLDEN`].
+    /// format version 2 and held unchanged by versions 3 and 4 (which stores
+    /// the halves the `f32`s were rounded to), so a layout change that moves
+    /// one weight bit fails here, not just in [`GOLDEN`].
     const DECODED_GOLDEN: [(ModelId, u64, u64); 6] = [
         (ModelId::Vgg16, 0xed18_193b_2861_4604, 0x0326_6635_1f33_0c5a),
         (ModelId::ResNet18, 0xa8fe_c53d_c6e7_8afe, 0xdc96_edc2_51d1_5b11),
@@ -208,6 +209,31 @@ mod tests {
                     .flat_map(f32::to_le_bytes)
                     .collect();
                 assert_eq!(checksum(&bytes), want, "{model:?} at sparsity {sparsity:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_memory_budget_charges_the_value_bytes_held() {
+        // What `encoded_bytes` charges the memory tier for values is what
+        // the weights' value array holds: two bytes a value, summed here
+        // over the halves every tile's steps lend.
+        let kernel = BitmapSpGemm::for_device(GpuConfig::v100());
+        for (model, _, _) in GOLDEN {
+            for sparsity in [None, Some(0.9)] {
+                let fresh = EncodedModel::encode_fresh(&kernel, ModelKey::new(model, sparsity), 64);
+                for l in &fresh.layers {
+                    let bands = l.weights.bands();
+                    let held: usize = (0..bands.count())
+                        .flat_map(|b| (0..bands.tiles()).filter_map(move |t| bands.tile(b, t)))
+                        .flat_map(|tile| (0..tile.words().len()).map(move |k| tile.step_values(k)))
+                        .map(std::mem::size_of_val)
+                        .sum();
+                    let want = l.weights.nnz() * std::mem::size_of::<dsstc_tensor::f16>();
+                    let context = format!("{model:?} at {sparsity:?}, {}", l.name);
+                    assert_eq!(held, want, "{context}");
+                    assert_eq!(l.weights.storage().value_bytes, want as u64, "{context}");
+                }
             }
         }
     }

@@ -371,6 +371,13 @@ fn a_format_v1_artifact_is_re_encoded_and_rewritten() {
 /// arrays. No migration: a v2 artifact heals like any stale one.
 #[test]
 fn a_format_v2_artifact_is_re_encoded_and_rewritten() {
-    assert_eq!(FORMAT_VERSION, 3);
     an_old_format_artifact_is_re_encoded_and_rewritten(2);
+}
+
+/// Version 3 stored the values as `f32`; version 4 as the FP16 halves they
+/// are. No migration: a v3 artifact heals like any stale one.
+#[test]
+fn a_format_v3_artifact_is_re_encoded_and_rewritten() {
+    assert_eq!(FORMAT_VERSION, 4);
+    an_old_format_artifact_is_re_encoded_and_rewritten(3);
 }

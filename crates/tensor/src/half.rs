@@ -14,6 +14,9 @@ use std::fmt;
 /// provided; arithmetic is always carried out in `f32` after widening, which
 /// is exactly what the FP16-multiply / FP32-accumulate datapath does.
 ///
+/// `#[repr(transparent)]`: a slice of halves is laid out as the `u16` bit
+/// patterns, which is what a vector load of stored halves reads.
+///
 /// # Example
 /// ```
 /// use dsstc_tensor::f16;
@@ -22,6 +25,7 @@ use std::fmt;
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 #[allow(non_camel_case_types)]
+#[repr(transparent)]
 pub struct f16(u16);
 
 /// `f32` magnitudes (bit patterns, sign cleared) at which FP16 rounding
@@ -50,8 +54,25 @@ impl f16 {
     }
 
     /// Converts an `f32` to the nearest representable half (round to nearest
-    /// even), saturating to infinity on overflow.
+    /// even), saturating to infinity on overflow. A NaN becomes the quiet
+    /// `±0x7E00`.
+    ///
+    /// Where the half is finite and non-zero this is [`Self::round_f32`]'s
+    /// in-pattern rounding and a shift; everything else takes the general
+    /// conversion. The two agree on every bit pattern (tested
+    /// exhaustively).
+    #[inline]
     pub fn from_f32(value: f32) -> Self {
+        let magnitude = value.to_bits() & 0x7FFF_FFFF;
+        if (MIN_SUBNORMAL..OVERFLOW).contains(&magnitude) {
+            return half_in_pattern(Self::round_f32_in_pattern(value));
+        }
+        Self::convert(value)
+    }
+
+    /// [`Self::from_f32`] by field arithmetic on every input: the reference
+    /// its fast path and [`Self::round_f32`] are held to.
+    fn convert(value: f32) -> Self {
         let bits = value.to_bits();
         let sign = ((bits >> 16) & 0x8000) as u16;
         let exp = ((bits >> 23) & 0xFF) as i32;
@@ -139,7 +160,7 @@ impl f16 {
     /// the `f32` unit in the last place at 2^-24, so the hardware's own
     /// round-to-nearest-even does the rounding, and subtracting 0.5 again is
     /// exact. Everything else (zeros, magnitudes that flush to zero,
-    /// overflow, infinities, NaN) goes through [`Self::from_f32`] and
+    /// overflow, infinities, NaN) goes through the general conversion and
     /// [`Self::to_f32`]; the two agree on every bit pattern (tested
     /// exhaustively).
     #[inline]
@@ -151,7 +172,7 @@ impl f16 {
         if (MIN_SUBNORMAL..MIN_NORMAL).contains(&magnitude) {
             return round_subnormal(value);
         }
-        Self::from_f32(value).to_f32()
+        Self::convert(value).to_f32()
     }
 
     /// [`Self::round_f32`] without a branch, for callers that round a block
@@ -188,6 +209,35 @@ impl f16 {
     pub fn is_zero(self) -> bool {
         self.0 & 0x7FFF == 0
     }
+
+    /// Whether the value is a NaN, of either sign and any payload.
+    #[inline(always)]
+    pub fn is_nan(self) -> bool {
+        self.0 & 0x7FFF > 0x7C00
+    }
+
+    /// Whether the value is neither infinite nor NaN.
+    #[inline(always)]
+    pub fn is_finite(self) -> bool {
+        self.0 & 0x7C00 != 0x7C00
+    }
+}
+
+/// The half whose value is `rounded`, which is one (as
+/// [`f16::round_f32_in_pattern`] returns), finite and non-zero: for a
+/// normalised half the `f32` pattern shifted and its exponent re-biased
+/// (127 to 15), for a subnormal one its multiple of 2^-24.
+#[inline(always)]
+fn half_in_pattern(rounded: f32) -> f16 {
+    let bits = rounded.to_bits();
+    let sign = ((bits >> 16) & 0x8000) as u16;
+    let magnitude = bits & 0x7FFF_FFFF;
+    let half = if magnitude >= MIN_NORMAL {
+        (magnitude >> 13) - ((127 - 15) << 10)
+    } else {
+        (rounded.abs() * 16_777_216.0) as u32
+    };
+    f16(sign | half as u16)
 }
 
 /// [`f16::round_f32`] where the half is normalised and finite.
@@ -284,12 +334,14 @@ mod tests {
     }
 
     /// `round_f32` against the conversion pair it short-cuts, bit for bit
-    /// (NaNs included: both sides produce the same quiet pattern), and its
-    /// two companions against it.
+    /// (NaNs included: both sides produce the same quiet pattern), its two
+    /// companions against it, and `from_f32`'s short cut against the
+    /// general conversion.
     fn assert_round_matches_conversions(bits: u32) {
         let x = f32::from_bits(bits);
-        let (fast, slow) = (f16::round_f32(x), f16::from_f32(x).to_f32());
+        let (fast, slow) = (f16::round_f32(x), f16::convert(x).to_f32());
         assert_eq!(fast.to_bits(), slow.to_bits(), "input bits {bits:#010x}");
+        assert_eq!(f16::from_f32(x), f16::convert(x), "from_f32, bits {bits:#010x}");
         // The branch-free variant wherever it promises to agree, and the
         // keep test everywhere.
         if f16::survives(x) && f16::fits_finite(x) {
@@ -350,6 +402,15 @@ mod tests {
             let r = f16::round_f32(v);
             assert!(r >= prev, "rounded sequence must be monotone");
             prev = r;
+        }
+    }
+
+    #[test]
+    fn classification_agrees_with_the_widened_value_on_every_half() {
+        for bits in 0..=u16::MAX {
+            let (h, x) = (f16::from_bits(bits), f16::from_bits(bits).to_f32());
+            assert_eq!(h.is_nan(), x.is_nan(), "{bits:#06x}");
+            assert_eq!(h.is_finite(), x.is_finite(), "{bits:#06x}");
         }
     }
 

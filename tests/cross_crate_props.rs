@@ -45,6 +45,8 @@ proptest! {
         tile_rows in 1usize..=33,
         tile_cols in 1usize..=33,
     ) {
+        // The encoding stores halves, so a matrix of halves round-trips.
+        let m = m.to_f16_precision();
         let enc = TwoLevelBitmapMatrix::encode(&m, tile_rows, tile_cols, VectorLayout::ColumnMajor);
         prop_assert_eq!(enc.nnz(), m.nnz());
         prop_assert_eq!(enc.decode(), m);
@@ -146,7 +148,9 @@ proptest! {
         row_major in any::<bool>(),
     ) {
         // encode -> serialise -> deserialise -> decode == dense, for any
-        // warp-tile shape and both condensed-vector layouts.
+        // warp-tile shape and both condensed-vector layouts (a matrix of
+        // halves, which is what the encoding stores).
+        let m = m.to_f16_precision();
         let layout = if row_major { VectorLayout::RowMajor } else { VectorLayout::ColumnMajor };
         let enc = TwoLevelBitmapMatrix::encode(&m, tile_rows, tile_cols, layout);
         let back = TwoLevelBitmapMatrix::from_bytes(&enc.to_bytes()).expect("roundtrip decodes");

@@ -28,8 +28,11 @@ fn pruned_weights_and_relu_activations_flow_through_the_full_stack() {
 
 #[test]
 fn every_encoding_roundtrips_the_same_pruned_weight_matrix() {
+    // FP16 weights, as the Tensor Core takes them: the two-level encoding
+    // stores halves.
     let weights =
-        prune_n_of_m(&Matrix::random_sparse(64, 96, 0.0, SparsityPattern::Uniform, 9), 8, 32);
+        prune_n_of_m(&Matrix::random_sparse(64, 96, 0.0, SparsityPattern::Uniform, 9), 8, 32)
+            .to_f16_precision();
     assert_eq!(BitmapMatrix::encode(&weights, VectorLayout::ColumnMajor).decode(), weights);
     assert_eq!(BitmapMatrix::encode(&weights, VectorLayout::RowMajor).decode(), weights);
     assert_eq!(CsrMatrix::encode(&weights).decode(), weights);
