@@ -5,8 +5,8 @@
 # registers for the band loops, the expand instruction for the AVX-512
 # expansion (of B, or of A transposed), the compress instruction for the
 # AVX-512 emitter, the interleaves of the in-register transposes (the
-# transposing sink's and the emitter's), the compare of the survivor count,
-# and the half-precision conversions: the widen of the stored FP16 values
+# transposing sink's and the emitter's), and the half-precision
+# conversions: the widen of the stored FP16 values
 # (vcvtph2ps) in every expansion and every band loop's step, and the narrow
 # (vcvtps2ph) wherever the emitter compacts a column. It also fails if any
 # other function of the crate names a ymm or zmm register.
@@ -16,7 +16,8 @@
 # per-level function is a bug. And a reformulated loop whose lane ops LLVM no
 # longer inlines into the `#[target_feature]` function still passes every
 # test, only slower, so `vmulps` on the level's registers (ymm / zmm),
-# `vexpandps`, `vcompressps`, `v(p)unpckl*` and `vcmp*ps` have to be there. A
+# `vexpandps`, `vcompressps`, `v(p)unpckl*` and the conversions have to be
+# there. A
 # lane op LLVM outlines instead (a helper, or a `core::arch` intrinsic called
 # from one) is a function of its own, compiled without the level's features
 # and called per lane op: every test still passes, at up to ten times the
@@ -102,7 +103,7 @@ echo "check_mac_asm: no ymm / zmm register outside simd.rs's per-level functions
 
 # Every per-level function simd.rs defines must be named here.
 LEVEL_FNS=$(grep -c '^#\[target_feature' crates/kernels/src/bitmap_spgemm/simd.rs)
-[ "$LEVEL_FNS" = 9 ] || { echo "check_mac_asm: simd.rs has $LEVEL_FNS #[target_feature] functions, this script checks 9"; exit 1; }
+[ "$LEVEL_FNS" = 7 ] || { echo "check_mac_asm: simd.rs has $LEVEL_FNS #[target_feature] functions, this script checks 7"; exit 1; }
 
 # A transpose's interleaves: LLVM may pick the integer-domain twins
 # (vpunpckldq / vpunpcklqdq) of vunpcklps / vunpcklpd when it only moves the
@@ -153,7 +154,3 @@ check encode_avx512 "$UNPCKL" zmm 1
 # Its kept values narrowed to the halves the arena stores.
 check encode_avx2 vcvtps2ph ymm 1
 check encode_avx512 vcvtps2ph zmm 1
-# The survivor count an owned A operand takes before the emitter writes it:
-# a compare on the level's registers.
-check survivors_avx2 vcmp ymm 1
-check survivors_avx512 vcmp zmm 1

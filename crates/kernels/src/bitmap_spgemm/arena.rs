@@ -13,12 +13,12 @@
 //! reads a row-major B's bands as its condensed `B^T`, where they lie.
 //!
 //! The emitter writes the bands in turn, each band's values where the
-//! previous band's end, and records every base as it starts the band. Only
-//! the room behind them differs: a fused forward's two workspace arenas hold
-//! the dense bound, `warp_m * cols` per band, so any operand of their shape
-//! fits uncounted; an [`EncodedA`], the owned operand
-//! [`BitmapSpGemm::encode_a`] returns, counts its survivors first and holds
-//! exactly those, plus one tile column of slack.
+//! previous band's end, and records every base as it starts the band, into
+//! an arena that holds the dense bound, `warp_m * cols` values per band, so
+//! any operand of its shape fits uncounted. The arenas are a thread's
+//! workspace ([`super::word`]): a fused forward's two, and the first of them
+//! for [`BitmapSpGemm::encode_a`], which copies what the emitter wrote out
+//! at its exact length into an [`EncodedA`], the owned operand it returns.
 //!
 //! A dense operand reaches the emitter through [`Emitter::encode`], which
 //! [`super::simd`] compiles per vector level; a layer's output pass reaches
@@ -69,31 +69,22 @@ pub(super) struct Arena {
 }
 
 impl Arena {
-    /// Takes the shape of operands of `rows` rows and up to `max_cols`
-    /// columns in `wm x wk` tiles, and returns their band count.
+    /// Makes this an arena for operands of `rows` rows and up to `max_cols`
+    /// columns in `wm x wk` tiles, whatever it was before: room for the
+    /// dense bound.
     ///
     /// # Panics
     /// Panics if a band's rows do not fit one word or its values a `u32`.
-    fn shape(&mut self, rows: usize, max_cols: usize, (wm, wk): (usize, usize)) -> usize {
+    pub(super) fn reset(&mut self, rows: usize, max_cols: usize, (wm, wk): (usize, usize)) {
         assert!((1..=64).contains(&wm) && wk > 0, "a band's rows are the bits of one word");
         assert!(u32::try_from(wm * max_cols).is_ok(), "a band's starts are u32");
         (self.rows, self.wm, self.wk, self.max_cols) = (rows, wm, wk, max_cols);
         (self.cols, self.steps) = (0, 0);
-        rows.div_ceil(wm)
-    }
-
-    /// Makes this an arena for operands of `rows` rows and up to `max_cols`
-    /// columns in `wm x wk` tiles, whatever it was before.
-    ///
-    /// # Panics
-    /// As [`Arena::shape`].
-    pub(super) fn reset(&mut self, rows: usize, max_cols: usize, tile: (usize, usize)) {
-        let grid_m = self.shape(rows, max_cols, tile);
-        let max_steps = max_cols.div_ceil(self.wk) * self.wk;
+        let (grid_m, max_steps) = (rows.div_ceil(wm), max_cols.div_ceil(wk) * wk);
         grow(&mut self.words, grid_m * max_steps);
         grow(&mut self.starts, grid_m * (max_steps + 1));
         grow(&mut self.bases, grid_m);
-        grow(&mut self.values, grid_m * self.wm * max_cols);
+        grow(&mut self.values, grid_m * wm * max_cols);
     }
 
     /// Makes this a `cols`-wide operand and returns the writer of its bands.
@@ -104,7 +95,7 @@ impl Arena {
     pub(super) fn emitter(&mut self, cols: usize, relu: bool) -> Emitter<'_> {
         assert!(cols <= self.max_cols, "the arena was reset for narrower operands");
         (self.cols, self.steps) = (cols, cols.div_ceil(self.wk) * self.wk);
-        Emitter::new(self, relu)
+        Emitter { arena: self, relu, step: 0, kept: 0, base: 0 }
     }
 
     /// Encodes `dense` (this arena's row count) at `level`.
@@ -119,6 +110,24 @@ impl Arena {
     pub(super) fn bands(&self) -> BandView<'_> {
         let Arena { rows, wm, wk, steps, .. } = *self;
         BandView::new((rows, wm), (steps, wk), &self.words, &self.starts, &self.bases, &self.values)
+    }
+
+    /// The operand as an [`EncodedA`] of its own: each buffer copied out at
+    /// the length the operand uses of it (the bands' values lie back to
+    /// back).
+    pub(super) fn packed(&self) -> EncodedA {
+        let a = self.bands();
+        let grid_m = a.count();
+        let nnz = (0..grid_m).map(|im| a.band_values(im).len()).sum();
+        let arena = Arena {
+            max_cols: self.cols,
+            words: self.words[..grid_m * self.steps].to_vec(),
+            starts: self.starts[..grid_m * (self.steps + 1)].to_vec(),
+            bases: self.bases[..grid_m].to_vec(),
+            values: self.values[..nnz].to_vec(),
+            ..*self
+        };
+        EncodedA { arena }
     }
 }
 
@@ -147,32 +156,6 @@ pub struct EncodedA {
 }
 
 impl EncodedA {
-    /// `dense` in `(wm, wk)` tiles at `level`: what the workspace arena's
-    /// emitter writes, into buffers sized for it. A first pass counts the
-    /// survivors, so each buffer is allocated once at its final size and the
-    /// emitter writes the values in place.
-    pub(super) fn encode(dense: &Matrix, tile: (usize, usize), level: Level) -> EncodedA {
-        let (rows, cols) = (dense.rows(), dense.cols());
-        let mut a = Arena::default();
-        let grid_m = a.shape(rows, cols, tile);
-        (a.cols, a.steps) = (cols, cols.div_ceil(a.wk) * a.wk);
-        let nnz = simd::survivors(level, dense.as_slice());
-        a.words = vec![0; grid_m * a.steps];
-        a.starts = vec![0; grid_m * (a.steps + 1)];
-        a.bases = vec![0; grid_m];
-        // Slack for what the tile compaction stores past the last kept value.
-        a.values = vec![f16::ZERO; nnz + TILE_ROWS];
-        simd::encode(level, &mut Emitter::new(&mut a, false), dense);
-        a.values.truncate(nnz);
-        debug_assert!(
-            (a.bases.iter().zip(a.bases.iter().skip(1).chain([&nnz])))
-                .zip(a.starts.chunks_exact(a.steps + 1))
-                .all(|((&base, &end), starts)| base + starts[a.steps] as usize == end),
-            "the count pass keeps what the emitter does"
-        );
-        EncodedA { arena: a }
-    }
-
     /// Rows of the dense operand.
     pub fn rows(&self) -> usize {
         self.arena.rows
@@ -250,15 +233,7 @@ impl Sink for Emitter<'_> {
     }
 }
 
-impl<'a> Emitter<'a> {
-    /// The writer of `arena`'s bands, as shaped and as wide as the arena is.
-    /// Behind the bands' values must be room for what they keep, and past a
-    /// band's last kept value room for [`TILE_ROWS`] more, which the next
-    /// band overwrites.
-    fn new(arena: &'a mut Arena, relu: bool) -> Self {
-        Emitter { arena, relu, step: 0, kept: 0, base: 0 }
-    }
-
+impl Emitter<'_> {
     /// Band `band`'s steps, starts (one more) and values from its base on.
     #[inline(always)]
     fn band_mut(&mut self, band: usize) -> (&mut [u64], &mut [u32], &mut [f16]) {
@@ -414,10 +389,10 @@ fn emit_tile<L: Lanes, const RELU: bool>(
     for ((column, word), start) in tile.iter().zip(words).zip(starts) {
         // A kept value rounds to a non-zero and everything else was stored
         // as `+0.0` above, so "not zero" is the keep test. The column has
-        // room for all its rows: in a workspace arena it starts at most
-        // `TILE_ROWS` values per earlier column past a base no further than
-        // the earlier bands' dense bounds, and an `EncodedA` has a column of
-        // slack past its last value. What a band spills the next overwrites.
+        // room for all its rows: it starts at most `TILE_ROWS` values per
+        // earlier column past a base no further than the earlier bands'
+        // dense bounds, which the arena holds. What a band spills the next
+        // overwrites.
         let bits = L::compress(column, &mut values[n..]);
         n += bits.count_ones() as usize;
         (*word, *start) = (bits, n as u32);

@@ -451,11 +451,12 @@ impl BitmapSpGemm {
     /// Encodes the A (activation) operand of an SpGEMM for this kernel's
     /// warp tiling: per `warp_m`-row band and outer-product step one packed
     /// column word, the column-condensed values rounded to FP16 halves as
-    /// they are encoded. It is written by the emitter the fused
-    /// [`Self::forward`] encodes its input with, holds only its non-zeros,
-    /// and stores bit for bit what
+    /// they are encoded. It is the fused [`Self::forward`]'s input encode:
+    /// the same emitter writes it into the calling thread's workspace, and
+    /// its four arrays are copied out at their exact length, so it holds
+    /// only its non-zeros and stores bit for bit what
     /// `TwoLevelBitmapMatrix::encode(a, warp_m, warp_k, VectorLayout::ColumnMajor)`
-    /// does, in a constant few allocations whatever the tile count. Like
+    /// does, in four allocations whatever the tile count. Like
     /// [`Self::execute_encoded`], it runs at the widest vector level the CPU
     /// has, chosen once per call.
     pub fn encode_a(&self, a: &Matrix) -> EncodedA {
@@ -466,7 +467,7 @@ impl BitmapSpGemm {
     /// for tests and benches. Every level stores the same bits.
     #[doc(hidden)]
     pub fn encode_a_at(&self, a: &Matrix, level: SimdLevel) -> EncodedA {
-        EncodedA::encode(a, self.tiling.a_tile(), level)
+        word::encode_a(a, self.tiling.a_tile(), level)
     }
 
     /// Encodes the B (weight) operand of an SpGEMM into the two-level bitmap
@@ -2012,8 +2013,11 @@ mod tests {
         /// each result, bit for bit, with the scalar kernel's on the formats
         /// encoder's A operand (through the unfused walk for a stack); after
         /// each, runs `previous`'s operand again, which must give its bits
-        /// again. Returns this call's input, encoded by `encode_a`, for the
-        /// next call to run again.
+        /// again. Before each, encodes the input with `encode_a_at` at the
+        /// level, in the workspace arena the call (or level) before has
+        /// used, and holds its decode to the formats encoder's. Returns this
+        /// call's input, encoded by `encode_a`, for the next call to run
+        /// again.
         fn check(&self, previous: Option<&Leftover>) -> Result<Leftover, String> {
             let config = if self.a100 { GpuConfig::a100() } else { GpuConfig::v100() };
             let k = BitmapSpGemm::for_device(config);
@@ -2040,9 +2044,15 @@ mod tests {
             } else {
                 reference_forward(&k, &input, &layers)
             };
+            let (wm, wk) = k.tiling().a_tile();
+            let a_want = TwoLevelBitmapMatrix::encode(&input, wm, wk, VectorLayout::ColumnMajor);
             for level in SimdLevel::available() {
+                let a_at = k.encode_a_at(&input, level);
+                if !same_bits(&a_at.decode(), &a_want.decode()) {
+                    return Err(format!("{level:?}: encode_a_at of {self:?}"));
+                }
                 let got = if layers.len() == 1 {
-                    k.execute_encoded_at(&a_enc, &weights[0], level)
+                    k.execute_encoded_at(&a_at, &weights[0], level)
                 } else {
                     k.forward_at(&input, &layers, level)
                 };

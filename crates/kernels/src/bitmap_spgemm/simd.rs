@@ -8,25 +8,23 @@
 //! for AVX2+F16C, `__m512` for AVX-512F+VL+BW — and instantiates the loops
 //! per level under `#[target_feature]`: the band loop (whose sink may be
 //! the emitter or the transposed rows, which it hands its lane type), the
-//! expansion, the dense-operand encode and the survivor count that sizes
-//! an owned A operand before it. The operands' values are stored as FP16
-//! halves and computed on as `f32`: a lane type widens them
+//! expansion and the dense-operand encode. The operands' values are stored
+//! as FP16 halves and computed on as `f32`: a lane type widens them
 //! ([`Lanes::widen`], [`Lanes::expand_row`]) and the emitter narrows the
 //! halves it keeps ([`Lanes::compress`]), with the conversion instructions
 //! (`vcvtph2ps` / `vcvtps2ph`) at AVX2 and AVX-512, and [`f16`]'s own at
-//! the baseline. AVX-512 overrides three lane ops with an instruction the
+//! the baseline. AVX-512 overrides two lane ops with an instruction the
 //! other levels lack: a row is decoded with `vexpandps`, an emitter column
-//! compacted with `vcompressps`, survivors counted with a compare mask and
-//! `popcnt`; AVX2 and AVX-512 transpose a square of lanes in registers
-//! (the transposing sink's blocks, the emitter's tiles). Lane
-//! helpers that only shuffle registers loop a constant number of times
-//! rather than build arrays with `std::array::from_fn`, whose closure LLVM
-//! may outline, intrinsics and all, into a function compiled without the
-//! level's features. **FMA is never enabled** and [`Lanes::mac`] is a
-//! multiply then an add: a step stays a rounded multiply then a rounded add
-//! at every level, which is what keeps the word kernel bit-identical to the
-//! scalar reference (CI greps the emitted code for `vfmadd`, see
-//! `ci/check_mac_asm.sh`).
+//! compacted with `vcompressps`; AVX2 and AVX-512 transpose a square of
+//! lanes in registers (the transposing sink's blocks, the emitter's
+//! tiles). Lane helpers that only shuffle registers loop a constant number
+//! of times rather than build arrays with `std::array::from_fn`, whose
+//! closure LLVM may outline, intrinsics and all, into a function compiled
+//! without the level's features. **FMA is never enabled** and
+//! [`Lanes::mac`] is a multiply then an add: a step stays a rounded
+//! multiply then a rounded add at every level, which is what keeps the word
+//! kernel bit-identical to the scalar reference (CI greps the emitted code
+//! for `vfmadd`, see `ci/check_mac_asm.sh`).
 //!
 //! This is the only file in `dsstc-kernels`, `dsstc-formats` and
 //! `dsstc-tensor` that contains `unsafe` code — the crate roots deny it and
@@ -195,15 +193,6 @@ pub(super) trait Lanes: Copy {
                 dst[c * dst_stride + r] = src[r * src_stride + c];
             }
         }
-    }
-
-    /// How many of `values` [`f16::survives`] keeps, NaN included.
-    #[inline(always)]
-    fn survivors(values: &[f32]) -> usize {
-        // A `u32` sum per chunk vectorises where a `usize` count does not.
-        (values.chunks(u32::MAX as usize))
-            .map(|chunk| chunk.iter().map(|&x| u32::from(f16::survives(x))).sum::<u32>() as usize)
-            .sum()
     }
 
     /// Compacts one column of an emitter tile, whose values are all halves
@@ -603,44 +592,7 @@ impl Lanes for Zmm {
         }
         bits
     }
-
-    /// Per sixteen values one compare of their magnitudes against the least
-    /// kept one, not-less-than and unordered so that NaN counts as
-    /// [`f16::survives`] has it, and one popcount of the mask; the ragged
-    /// tail through a masked load.
-    #[inline(always)]
-    fn survivors(values: &[f32]) -> usize {
-        let least = Zmm::splat(LEAST_KEPT).0;
-        let chunks = values.chunks_exact(16);
-        let tail = chunks.remainder();
-        let mut n = 0;
-        for chunk in chunks {
-            // SAFETY: `chunk` is sixteen readable `f32`s (`chunks_exact`)
-            // and the load is unaligned. AVX-512F as in `splat`
-            // (`Level::available()`).
-            let kept = unsafe {
-                let v = _mm512_loadu_ps(chunk.as_ptr());
-                _mm512_cmp_ps_mask::<_CMP_NLT_UQ>(_mm512_abs_ps(v), least)
-            };
-            n += kept.count_ones() as usize;
-        }
-        let live = low_lanes(tail.len());
-        // SAFETY: the masked load reads the lanes set in `live`, the
-        // `tail.len()` (fewer than sixteen) low ones, which are `tail`; it
-        // does not access masked-off lanes. AVX-512F as in `splat`
-        // (`Level::available()`).
-        let kept = unsafe {
-            let v = _mm512_maskz_loadu_ps(live, tail.as_ptr());
-            _mm512_mask_cmp_ps_mask::<_CMP_NLT_UQ>(live, _mm512_abs_ps(v), least)
-        };
-        n + kept.count_ones() as usize
-    }
 }
-
-/// The least magnitude [`f16::survives`] keeps: 2^-24, FP16's least
-/// subnormal.
-#[cfg(target_arch = "x86_64")]
-const LEAST_KEPT: f32 = 1.0 / 16_777_216.0;
 
 /// `vcvtps2ph`'s rounding: to nearest even. The emitter narrows only
 /// values that are halves already, which any rounding leaves as they are.
@@ -872,40 +824,6 @@ fn encode_avx512(emitter: &mut Emitter<'_>, dense: &Matrix) {
     emitter.encode::<Zmm>(dense)
 }
 
-/// [`Lanes::survivors`] of `values` at `level`: how many an [`EncodedA`]
-/// keeps, which it counts before [`encode`] writes them. At AVX-512 a
-/// compare mask and a popcount per sixteen values.
-///
-/// [`EncodedA`]: super::EncodedA
-pub(super) fn survivors(level: Level, values: &[f32]) -> usize {
-    match level.0 {
-        Isa::Baseline => Portable::survivors(values),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `survivors_avx2` requires AVX2 and F16C; as in
-        // `run_bands`, an `Isa::Avx2` level comes only from
-        // `Level::available()`, after both feature checks passed.
-        Isa::Avx2 => unsafe { survivors_avx2(values) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `survivors_avx512` requires AVX-512F, AVX-512VL,
-        // AVX-512BW and POPCNT; as in `run_bands`, an `Isa::Avx512` level
-        // comes only from `Level::available()`, after all four feature
-        // checks passed.
-        Isa::Avx512 => unsafe { survivors_avx512(values) },
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,f16c")]
-fn survivors_avx2(values: &[f32]) -> usize {
-    Ymm::survivors(values)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,avx512bw,popcnt")]
-fn survivors_avx512(values: &[f32]) -> usize {
-    Zmm::survivors(values)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -915,43 +833,5 @@ mod tests {
         let levels: Vec<Level> = Level::available().collect();
         assert_eq!(levels[0].name(), "baseline");
         assert_eq!(*levels.last().unwrap(), Level::detect());
-    }
-
-    #[test]
-    fn every_level_counts_the_values_f16_survives_keeps() {
-        // The keep threshold 2^-24 and its two f32 neighbours, signed zeros,
-        // f32 subnormals, infinities and NaN, in every position of every
-        // length up to past four sixteen-lane chunks, so that every level's
-        // whole chunks and ragged tail both meet each of them.
-        let tiny = 2.0f32.powi(-24);
-        let specials = [
-            tiny,
-            -tiny,
-            f32::from_bits(tiny.to_bits() - 1),
-            -f32::from_bits(tiny.to_bits() - 1),
-            f32::from_bits(tiny.to_bits() + 1),
-            -f32::from_bits(tiny.to_bits() + 1),
-            0.0,
-            -0.0,
-            f32::from_bits(1),
-            -f32::MIN_POSITIVE / 2.0,
-            f32::INFINITY,
-            f32::NEG_INFINITY,
-            f32::NAN,
-            -f32::NAN,
-            1.0,
-            -7.0e4,
-        ];
-        for len in 0..=70 {
-            for shift in 0..specials.len() {
-                let values: Vec<f32> =
-                    (0..len).map(|i| specials[(i * 7 + shift) % specials.len()]).collect();
-                let want = values.iter().filter(|&&x| f16::survives(x)).count();
-                for level in Level::available() {
-                    let got = survivors(level, &values);
-                    assert_eq!(got, want, "{level:?}, {len} values from {shift}");
-                }
-            }
-        }
     }
 }

@@ -37,7 +37,9 @@
 //! [`execute`] reads an [`EncodedA`](super::EncodedA)'s arena and writes
 //! dense rows; [`forward`] reads a workspace arena and, between layers,
 //! writes the next one (the arena's emitter is the sink), so activations
-//! never leave the encoding.
+//! never leave the encoding. A dense operand is encoded one way, into a
+//! workspace arena: [`forward`]'s input, and [`encode_a`]'s, which it then
+//! copies out.
 //!
 //! A forward whose batch is one band of at most [`simd::small_rows`] live
 //! rows (a serve worker's batch of one or two requests) runs each layer
@@ -66,7 +68,8 @@
 //! parallelism is one device per serve worker, not threads inside a GEMM.
 //!
 //! What a call stages — the expansion, the block accumulator, a forward's
-//! two arenas, a transposed call's block of output rows — it borrows from
+//! two arenas (the first also `encode_a`'s), a transposed call's block of
+//! output rows — it borrows from
 //! its thread's [`Workspace`], so after a thread's first call the only
 //! allocation is the result.
 
@@ -737,6 +740,19 @@ pub(super) fn execute_as(
     })
 }
 
+/// `dense` in `(warp_m, warp_k)` tiles at `level`, as an owned operand:
+/// [`forward`]'s input encode, into the thread's first arena, whose four
+/// arrays are then copied out at their exact length. Staging at the dense
+/// bound costs a copy of what is kept; sizing exact buffers first would
+/// cost a second read of `dense`, which is more.
+pub(crate) fn encode_a(dense: &Matrix, tile: (usize, usize), level: Level) -> EncodedA {
+    WORKSPACE.with_borrow_mut(|Workspace { arenas: [arena, _], .. }| {
+        arena.reset(dense.rows(), dense.cols(), tile);
+        arena.encode(dense, level);
+        arena.packed()
+    })
+}
+
 /// One layer of [`forward`], `a * weights` into `sink`. A band of at most
 /// [`simd::small_rows`] rows pays more for expanding all of B than for
 /// decoding the rows its steps meet, so it runs [`run_small_band`]; any
@@ -908,7 +924,7 @@ mod tests {
             let x_want = TwoLevelBitmapMatrix::encode(&x, wm, wk, VectorLayout::ColumnMajor);
             let w_enc = TwoLevelBitmapMatrix::encode(&w, wk, wn, VectorLayout::RowMajor);
             for level in Level::available() {
-                let x_enc = EncodedA::encode(&x, (wm, wk), level);
+                let x_enc = encode_a(&x, (wm, wk), level);
                 let context = format!("{wm}x{wn}x{wk} {level:?}");
                 assert_encoded_a_is(&x_enc, &x_want, &format!("encode_a, {context}"));
                 let mut src = Arena::default();
@@ -928,7 +944,7 @@ mod tests {
                     simd::run_bands(level, &gemm, &mut dst.emitter(n, relu), &mut accs);
                     let context = format!("{context} relu {relu}");
                     assert_arena_is(dst.bands(), &want, &context);
-                    assert_encoded_a_is(&EncodedA::encode(&y, (wm, wk), level), &want, &context);
+                    assert_encoded_a_is(&encode_a(&y, (wm, wk), level), &want, &context);
                 }
             }
         }
@@ -940,7 +956,8 @@ mod tests {
         // device pool changes the tiling: 64 rows, then 4, then 64 again, a
         // wider and a narrower operand, 16-row bands — each reset has to
         // leave exactly the formats encoding of the new operand, whatever the
-        // buffers held, and so does `encode_a`, which holds nothing over.
+        // buffers held, and so does `encode_a`, whose workspace arena each
+        // batch before it reset to its own shape.
         let mut arena = Arena::default();
         let batches = [
             (64, 100, (32, 16)),
@@ -959,7 +976,7 @@ mod tests {
                 arena.encode(&x, level);
                 let context = format!("batch {i}: {rows}x{cols}, {wm}x{wk} tiles, {level:?}");
                 assert_arena_is(arena.bands(), &want, &context);
-                assert_encoded_a_is(&EncodedA::encode(&x, (wm, wk), level), &want, &context);
+                assert_encoded_a_is(&encode_a(&x, (wm, wk), level), &want, &context);
             }
         }
     }
