@@ -146,43 +146,33 @@ impl WireClient {
         self.encode_buf.clear();
         encode_hello_into(&mut self.encode_buf, token);
         self.stream.write_all(&self.encode_buf)?;
-        loop {
-            match self.decoder.next_frame()? {
-                Some(Frame::ShardMap(frame)) => return Ok(frame.map),
-                Some(Frame::Response(response)) => {
-                    return Err(WireError::Rejected {
-                        status: response.status,
-                        message: response.message,
-                    })
-                }
-                Some(Frame::Request(_) | Frame::Hello(_)) => {
-                    return Err(WireError::Malformed("unexpected frame kind in hello reply"))
-                }
-                None => {}
+        match self.next_frame()? {
+            Frame::ShardMap(frame) => Ok(frame.map),
+            Frame::Response(response) => {
+                Err(WireError::Rejected { status: response.status, message: response.message })
             }
-            let n = self.stream.read(&mut self.scratch)?;
-            if n == 0 {
-                return Err(WireError::Truncated);
+            Frame::Request(_) | Frame::Hello(_) => {
+                Err(WireError::Malformed("unexpected frame kind in hello reply"))
             }
-            self.decoder.feed(&self.scratch[..n]);
         }
     }
 
     /// Blocks for the next response frame, in completion order.
     pub fn recv(&mut self) -> Result<ResponseFrame, WireError> {
+        match self.next_frame()? {
+            Frame::Response(response) => Ok(response),
+            Frame::Request(_) => Err(WireError::Malformed("server sent a request frame")),
+            Frame::Hello(_) => Err(WireError::Malformed("server sent a hello frame")),
+            Frame::ShardMap(_) => Err(WireError::Malformed("unsolicited shard-map frame")),
+        }
+    }
+
+    /// Blocks for the next frame of any kind; EOF before one is complete
+    /// is [`WireError::Truncated`].
+    fn next_frame(&mut self) -> Result<Frame, WireError> {
         loop {
-            match self.decoder.next_frame()? {
-                Some(Frame::Response(response)) => return Ok(response),
-                Some(Frame::Request(_)) => {
-                    return Err(WireError::Malformed("server sent a request frame"))
-                }
-                Some(Frame::Hello(_)) => {
-                    return Err(WireError::Malformed("server sent a hello frame"))
-                }
-                Some(Frame::ShardMap(_)) => {
-                    return Err(WireError::Malformed("unsolicited shard-map frame"))
-                }
-                None => {}
+            if let Some(frame) = self.decoder.next_frame()? {
+                return Ok(frame);
             }
             let n = self.stream.read(&mut self.scratch)?;
             if n == 0 {

@@ -5,20 +5,19 @@
 //! * [`frame`] — the codec: `DSRQ` request / `DSRS` response frames,
 //!   incremental [`FrameDecoder`], error frames,
 //!   versioning. Byte-level spec in `docs/WIRE_PROTOCOL.md`.
+//! * `conn` (crate-private) — one connection's protocol as a machine
+//!   without I/O: framing, hello/auth, poison, outbound cap, flush stamps.
 //! * `poll` (crate-private) — a minimal mio-style epoll readiness loop
-//!   (the syscalls are `crate::sys`'s, against the already-linked C
-//!   library; no tokio, no crates).
-//! * [`server`] — the [`WireServer`]: one epoll reactor that accepts on
-//!   the listener, owns every connection, decodes, submits
-//!   through [`crate::InferenceServer::submit_with`], stream responses back
-//!   as batches complete; pipelining, connection limits, graceful drain.
-//!   The same reactor answers `/metrics` scrapes on the `metrics_addr`
-//!   listener.
+//!   (the syscalls are `crate::sys`'s; no tokio, no crates).
+//! * [`server`] — the [`WireServer`]: one epoll reactor, the shell that
+//!   accepts, moves bytes between sockets and machines, submits, routes
+//!   and drains; it also answers `/metrics` scrapes on `metrics_addr`.
 //! * [`client`] — the blocking [`WireClient`] used by tests, the
 //!   `serve_client` example and the `benchmark/` harness, and the
 //!   shard-aware [`ClusterClient`] layered on top of it.
 
 pub mod client;
+pub(crate) mod conn;
 pub mod frame;
 pub(crate) mod poll;
 pub mod server;

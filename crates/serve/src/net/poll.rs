@@ -52,11 +52,6 @@ impl Event {
     pub fn readable(&self) -> bool {
         self.readiness & (EPOLLIN | EPOLLHUP | EPOLLRDHUP | EPOLLERR) != 0
     }
-
-    /// The fd can accept more outbound bytes.
-    pub fn writable(&self) -> bool {
-        self.readiness & (EPOLLOUT | EPOLLERR) != 0
-    }
 }
 
 /// A level-triggered epoll instance.

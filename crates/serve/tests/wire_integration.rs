@@ -244,6 +244,59 @@ fn non_reading_client_cannot_grow_the_outbound_buffer_past_the_cap() {
     server.shutdown();
 }
 
+/// A slow reader whose socket stopped mid-frame still reads whole frames:
+/// the breach drops what the socket never started, keeps the rest of the
+/// frame it is inside, and the stream ends with the poison frame. (With a
+/// cap as small as one frame, above, the breach comes before any byte is
+/// written, so the socket is never mid-frame.)
+#[test]
+fn an_overflow_after_a_partial_write_still_ends_with_the_poison_frame() {
+    // About 80 responses of 64 KiB breach: the socket buffers ≈ 4 MB before
+    // it takes only part of a frame, then the cap fills. VGG-16 at proxy
+    // 256 executes slowly enough next to the reads that the server has read
+    // every request by then (a request it never read would make its close
+    // a reset, which drops the poison frame).
+    const REQUESTS: u64 = 160;
+    let mut server = WireServer::start(
+        ServeConfig::default()
+            .with_max_queue_wait(Duration::from_millis(1))
+            .with_proxy_dim(256)
+            .with_max_outbound_bytes(512 * 1024),
+    )
+    .expect("bind loopback");
+    let mut client = WireClient::connect(server.local_addr()).expect("connect");
+    // A writer of its own: a send that blocked would fail the reads below
+    // at the close instead of hanging the test.
+    let mut writer = client.try_clone().expect("clone");
+    let features = Matrix::random_sparse(64, 256, 0.4, SparsityPattern::Uniform, 3);
+    let request = InferRequest::new(ModelId::Vgg16, features);
+    let writer = std::thread::spawn(move || {
+        (0..REQUESTS).try_for_each(|_| writer.send(&request).map(drop)).is_ok()
+    });
+    // Nothing is read until the server gives up on this reader.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while server.wire_stats().outbound_overflows == 0 {
+        assert!(Instant::now() < deadline, "server never detected the slow reader");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(server.wire_stats().frames_received, REQUESTS, "the breach came mid-send");
+    let mut served = 0;
+    let last = loop {
+        let response = client.recv().expect("whole frames up to the poison frame");
+        if response.id == dsstc_serve::net::POISON_ID {
+            break response;
+        }
+        assert_eq!(response.status, WireStatus::Ok);
+        served += 1;
+    };
+    assert_eq!(last.status, WireStatus::ShuttingDown);
+    assert!(last.message.contains("outbound"), "{}", last.message);
+    assert!(served < REQUESTS);
+    assert!(matches!(client.recv(), Err(WireError::Truncated | WireError::Io(_))));
+    assert!(writer.join().expect("writer"), "every request was sent");
+    server.shutdown();
+}
+
 #[test]
 fn graceful_shutdown_answers_every_pipelined_request() {
     let mut server = wire_server();
